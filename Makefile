@@ -1,5 +1,8 @@
 .PHONY: install test bench examples verify clean
 
+# Run from the checkout, as the tier-1 command does: no install needed.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	python setup.py develop || pip install -e .
 

@@ -21,7 +21,7 @@ from repro.core.filters import SizeAtMost
 from repro.core.presentation import OverlapPolicy, arrange
 from repro.core.query import Query
 from repro.core.strategies import evaluate
-from repro.core.topk import top_k_smallest
+from repro.core.streaming import stream_top_k
 from repro.index.inverted import InvertedIndex
 from repro.ranking.scoring import FragmentScorer
 from repro.workloads.corpora import BOOK_XML, THESIS_XML
@@ -37,7 +37,7 @@ def test_topk_vs_full_evaluation(benchmark, capsys):
     query = Query.of(TERM_A, TERM_B)
 
     def adaptive():
-        return top_k_smallest(doc, query, k=5)
+        return stream_top_k(doc, query, k=5)
 
     top = benchmark(adaptive)
 

@@ -65,9 +65,9 @@ def main() -> None:
               f"{exact:.2f}, sampled RF = {sampled:.2f} → {decision}")
 
     print("\n=== explain analyze (per-operator measurements) ===")
-    from repro.core.profile import profile_plan
-    profiled = profile_plan(doc, optimised, index=index)
-    print(profiled.render(model))
+    from repro.core import explain_analyze
+    _, analysis = explain_analyze(doc, query, index=index, plan=optimised)
+    print(analysis.render(cost_model=model))
 
     print("\n=== strategy race ===")
     for strategy in repro.Strategy:

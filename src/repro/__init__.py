@@ -38,7 +38,7 @@ from .core import (And, CalibrationPoint, ContainsKeyword, CostModel,
                    pairwise_join, powerset_join, push_down_selections,
                    parse_filter, parse_query, reduction_count,
                    reduction_factor, rewrite_powerset, run_plan, select,
-                   set_reduce, top_k_smallest, verify_anti_monotonic)
+                   set_reduce, stream_top_k, verify_anti_monotonic)
 from .collection import (CollectionHit, CollectionResult,
                          DocumentCollection)
 from .core.presentation import (AnswerGroup, OverlapPolicy, arrange,
@@ -81,7 +81,7 @@ __all__ = [
     # queries
     "Query", "QueryResult", "keyword_fragments", "is_answer",
     "covers_all_terms", "Strategy", "evaluate", "answer",
-    "top_k_smallest", "parse_query", "parse_filter",
+    "stream_top_k", "parse_query", "parse_filter",
     # plans & optimisation
     "KeywordScan", "Select", "PairwiseJoin", "FixedPoint",
     "PowersetJoin", "initial_plan", "explain", "optimize",

@@ -45,7 +45,7 @@ from .core.optimizer import optimize
 from .core.plan import explain as explain_plan
 from .core.presentation import OverlapPolicy, arrange
 from .core.query import Query
-from .core.strategies import Strategy, evaluate, explain_analyze
+from .core.strategies import Strategy, evaluate, explain_analyze, plan_for
 from .errors import AdmissionRejected, BudgetExceeded, ReproError
 from .index.inverted import InvertedIndex
 from .obs import (NOOP, MetricsRegistry, Observability, QueryLog,
@@ -309,7 +309,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"query: {query.describe()}")
-        print(explain_plan(optimize(query)))
+        print(explain_plan(plan_for(query, Strategy.parse(args.strategy))))
         return 0
     obs, log_file = _build_observability(args)
     server = None
@@ -360,9 +360,9 @@ def _run_search(args: argparse.Namespace, obs: Observability) -> int:
                         elapsed=result.elapsed)
         return 0
     if obs.enabled:
-        # The strategy dispatcher does not consume the plan tree, but
-        # the optimized shape belongs in the trace; the rewrite is
-        # microseconds next to evaluation.
+        # evaluate() plans for itself, untraced; the optimized shape
+        # belongs in the trace, and the rewrite is microseconds next to
+        # evaluation.
         optimize(query, obs=obs)
     if args.stream:
         return _stream_single_document(args, document, index, query, obs)

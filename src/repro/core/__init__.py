@@ -36,7 +36,6 @@ from .strategies import (Strategy, answer, evaluate, explain_analyze,
                          plan_for)
 from .streaming import (FragmentStream, fragment_order_key, hit_order_key,
                         ranked_order_key, stream_evaluate, stream_top_k)
-from .topk import top_k_smallest
 from .witnesses import highlighted_outline, missing_terms, witnesses
 
 __all__ = [
@@ -53,7 +52,7 @@ __all__ = [
     "Not", "PredicateFilter", "select",
     # presentation & retrieval helpers
     "OverlapPolicy", "AnswerGroup", "arrange", "overlap",
-    "overlap_matrix", "top_k_smallest",
+    "overlap_matrix",
     # streaming pipeline
     "FragmentStream", "stream_evaluate", "stream_top_k",
     "fragment_order_key", "hit_order_key", "ranked_order_key",

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Iterable, Iterator, Optional, Sequence,
+                    Union)
 
 from ..errors import FragmentError, QueryError
 
@@ -37,9 +38,10 @@ from ..xmltree.navigation import spanning_nodes
 from .fragment import Fragment
 from .stats import OperationStats
 
-#: Budget checkpoints charge work in blocks of this many operations
-#: (see :mod:`repro.core.reduce`): negligible overhead, bounded
-#: deadline overshoot.
+#: Budget checkpoints charge work in blocks of this many operations:
+#: large enough that the per-block Python call disappears next to the
+#: joins themselves, small enough that a deadline overshoots by at
+#: most one block of work.
 _TICK_BLOCK = 256
 
 __all__ = [
@@ -220,6 +222,40 @@ def join_all(fragments: Iterable[Fragment],
     return result
 
 
+def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
+                        stats: Optional[OperationStats] = None,
+                        cache: Optional[JoinCache] = None,
+                        kernel: Optional[IntervalKernel] = None,
+                        budget: Optional["QueryBudget"] = None
+                        ) -> Iterator[Fragment]:
+    """``F1 ⋈ F2`` one new fragment at a time — the pairwise-join loop.
+
+    ``set1`` is drained first; each fragment of ``set2`` is then joined
+    against it as it arrives, so a lazy right-hand producer is pulled
+    only as far as the consumer reads, and an empty left side returns
+    without touching the right one (the conjunctive early exit).  A
+    budget is charged per block of ``_TICK_BLOCK`` joins, bounding a
+    deadline overshoot to one block of work.
+    """
+    left = list(set1)
+    if not left:
+        return
+    emitted: set[Fragment] = set()
+    for f2 in set2:
+        for start in range(0, len(left), _TICK_BLOCK):
+            block = left[start:start + _TICK_BLOCK]
+            if budget is not None:
+                budget.tick(len(block))
+            for f1 in block:
+                joined = fragment_join(f1, f2, stats=stats, cache=cache,
+                                       kernel=kernel)
+                if joined not in emitted:
+                    emitted.add(joined)
+                    yield joined
+        if budget is not None:
+            budget.admit_live(len(emitted))
+
+
 def pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                   stats: Optional[OperationStats] = None,
                   cache: Optional[JoinCache] = None,
@@ -232,26 +268,11 @@ def pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     the underlying join), and distributes over set union.  An optional
     :class:`~repro.guard.QueryBudget` is charged one operation per
     joined pair and checks the result set against its live-fragment
-    ceiling; without one the original generator path runs unchanged.
+    ceiling.
     """
-    left = list(set1)
-    right = list(set2)
-    if budget is None:
-        return frozenset(fragment_join(f1, f2, stats=stats, cache=cache,
-                                       kernel=kernel)
-                         for f1 in left for f2 in right)
-    results: set[Fragment] = set()
-    for f1 in left:
-        # Charge whole blocks so the inner join loop stays a C-speed
-        # set comprehension; deadline overshoot is at most one block.
-        for start in range(0, len(right), _TICK_BLOCK):
-            block = right[start:start + _TICK_BLOCK]
-            budget.tick(len(block))
-            results.update(fragment_join(f1, f2, stats=stats,
-                                         cache=cache, kernel=kernel)
-                           for f2 in block)
-        budget.admit_live(len(results))
-    return frozenset(results)
+    return frozenset(_iter_pairwise_join(set1, set2, stats=stats,
+                                         cache=cache, kernel=kernel,
+                                         budget=budget))
 
 
 def nonempty_subsets(items: Sequence) -> Iterable[tuple]:
@@ -311,6 +332,53 @@ def powerset_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     return frozenset(results)
 
 
+def _iter_multiway_powerset_join(
+        fragment_sets: Sequence[Iterable[Fragment]],
+        stats: Optional[OperationStats] = None,
+        cache: Optional[JoinCache] = None,
+        max_operand_size: Optional[int] = 20,
+        kernel: Optional[IntervalKernel] = None,
+        budget: Optional["QueryBudget"] = None) -> Iterator[Fragment]:
+    """The m-ary powerset join, one new candidate at a time.
+
+    Every operand is drained before enumeration starts; each candidate
+    is yielded as its subset combination is joined.
+    """
+    operands = [list(fs) for fs in fragment_sets]
+    if not operands:
+        raise FragmentError("multiway powerset join needs >= 1 operand")
+    if max_operand_size is not None:
+        for operand in operands:
+            if len(operand) > max_operand_size:
+                raise FragmentError(
+                    f"powerset join operand has {len(operand)} fragments; "
+                    f"enumeration over 2^{len(operand)} subsets refused "
+                    "(raise max_operand_size to override)")
+    emitted: set[Fragment] = set()
+    partial: list[Fragment] = []
+
+    def recurse(position: int) -> Iterator[Fragment]:
+        if position == len(operands):
+            if budget is not None:
+                budget.tick(len(partial))
+                budget.admit_candidates(len(emitted))
+            candidate = join_all(partial, stats=stats, cache=cache,
+                                 kernel=kernel)
+            if candidate not in emitted:
+                emitted.add(candidate)
+                yield candidate
+            return
+        for subset in nonempty_subsets(operands[position]):
+            if budget is not None:
+                budget.tick(max(0, len(subset) - 1))
+            partial.append(join_all(subset, stats=stats, cache=cache,
+                                    kernel=kernel))
+            yield from recurse(position + 1)
+            partial.pop()
+
+    yield from recurse(0)
+
+
 def multiway_powerset_join(fragment_sets: Sequence[Iterable[Fragment]],
                            stats: Optional[OperationStats] = None,
                            cache: Optional[JoinCache] = None,
@@ -325,35 +393,6 @@ def multiway_powerset_join(fragment_sets: Sequence[Iterable[Fragment]],
     this is the enumeration reference; the equivalent efficient form is
     ``F1+ ⋈ F2+ ⋈ … ⋈ Fm+``.
     """
-    operands = [list(fs) for fs in fragment_sets]
-    if not operands:
-        raise FragmentError("multiway powerset join needs >= 1 operand")
-    if max_operand_size is not None:
-        for operand in operands:
-            if len(operand) > max_operand_size:
-                raise FragmentError(
-                    f"powerset join operand has {len(operand)} fragments; "
-                    f"enumeration over 2^{len(operand)} subsets refused "
-                    "(raise max_operand_size to override)")
-    results: set[Fragment] = set()
-    partial: list[Fragment] = []
-
-    def recurse(position: int) -> None:
-        if position == len(operands):
-            if budget is not None:
-                budget.tick(len(partial))
-                budget.admit_candidates(len(results))
-            results.add(join_all(partial, stats=stats, cache=cache,
-                                 kernel=kernel))
-            return
-        for subset in nonempty_subsets(operands[position]):
-            if budget is not None:
-                budget.tick(max(0, len(subset) - 1))
-            joined = join_all(subset, stats=stats, cache=cache,
-                              kernel=kernel)
-            partial.append(joined)
-            recurse(position + 1)
-            partial.pop()
-
-    recurse(0)
-    return frozenset(results)
+    return frozenset(_iter_multiway_powerset_join(
+        fragment_sets, stats=stats, cache=cache,
+        max_operand_size=max_operand_size, kernel=kernel, budget=budget))

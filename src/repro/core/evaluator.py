@@ -1,30 +1,37 @@
 """Execute logical plans against a document (physical evaluation).
 
-The evaluator walks a :mod:`repro.core.plan` tree bottom-up, carrying an
-:class:`~repro.core.stats.OperationStats` tally and an optional join
-memo cache.  It is deliberately a straight interpretation of the algebra
-— each operator maps onto the corresponding function in
-:mod:`repro.core.algebra` / :mod:`repro.core.reduce` — so the plan
-*shape* is the only thing that changes between the strategies being
-compared.
+The one engine of the library.  A :mod:`repro.core.plan` tree says
+*what* to compute; :func:`build_pipeline` compiles it into a tree of
+generator :class:`Operator` objects, one per plan node, each wrapping the
+loop that defines its algebra operation (:mod:`repro.core.algebra`,
+:mod:`repro.core.reduce`, :mod:`repro.core.filters`).  Iterating the
+root pulls answer fragments through the tree on demand: draining it
+into a ``frozenset`` is materialised evaluation
+(:func:`~repro.core.strategies.evaluate`, :func:`run_plan`), abandoning
+it early is top-k (:mod:`repro.core.streaming`), and reading the
+per-operator :class:`OperatorRunStats` the operators fill while they
+run is EXPLAIN ANALYZE.  The plan *shape* is the only thing that changes
+between the strategies being compared.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
+                    Sequence)
 
 from ..errors import PlanError
 from ..obs import NOOP, Observability
-from .algebra import (JoinCache, KernelArg, multiway_powerset_join,
-                      pairwise_join, resolve_kernel)
-from .filters import select
+from .algebra import (JoinCache, KernelArg, _iter_multiway_powerset_join,
+                      _iter_pairwise_join, resolve_kernel)
+from .cost import CostModel
+from .filters import _iter_select
 from .fragment import Fragment
 from .plan import (FixedPoint, KeywordScan, PairwiseJoin, PlanNode,
                    PowersetJoin, Select)
 from .query import Query, QueryResult, keyword_fragments
-from .reduce import fixed_point, fixed_point_bounded
+from .reduce import _iter_fixed_point, _iter_fixed_point_bounded
 from .stats import OperationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,16 +39,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.inverted import InvertedIndex
     from ..xmltree.document import Document
 
-__all__ = ["OperatorRunStats", "PlanAnalysis", "PlanEvaluator", "run_plan"]
+__all__ = ["OperatorRunStats", "PlanAnalysis", "Operator", "ScanOp",
+           "SelectOp", "JoinOp", "FixpointOp", "PowersetOp",
+           "build_pipeline", "PlanEvaluator", "run_plan"]
+
+#: The counters an operator shares with :class:`OperationStats`; the
+#: algebra loops bump them on whichever of the two they are handed.
+_COUNTERS = ("fragment_joins", "join_cache_hits", "predicate_checks",
+             "subset_checks", "fragments_discarded", "iterations")
 
 
 @dataclass
 class OperatorRunStats:
     """Accumulated runtime measurements for one plan operator.
 
-    One instance per plan-tree position; executing the same plan over
-    many documents (a collection EXPLAIN ANALYZE) accumulates into the
-    same instances, with ``calls`` counting executions.
+    One instance per plan-tree position.  The operator compiled from
+    that position counts its own work here while it runs — ``rows`` it
+    emitted, the joins, predicate checks, subset checks, discards and
+    iterations of its algebra loop — so a query's totals are the sum
+    over its operators.  Executing the same plan over many documents (a
+    collection EXPLAIN ANALYZE) accumulates into the same instances,
+    with ``calls`` counting executions; the two ``*_seconds`` are
+    measured only by analysed executions.
     """
 
     label: str
@@ -71,18 +90,12 @@ class OperatorRunStats:
         return self.join_cache_hits / lookups
 
     def to_dict(self) -> dict:
-        record = {
-            "label": self.label, "depth": self.depth,
-            "calls": self.calls, "rows": self.rows,
-            "fragment_joins": self.fragment_joins,
-            "join_cache_hits": self.join_cache_hits,
-            "predicate_checks": self.predicate_checks,
-            "subset_checks": self.subset_checks,
-            "fragments_discarded": self.fragments_discarded,
-            "iterations": self.iterations,
-            "self_seconds": self.self_seconds,
-            "total_seconds": self.total_seconds,
-        }
+        record = {"label": self.label, "depth": self.depth,
+                  "calls": self.calls, "rows": self.rows}
+        for name in _COUNTERS:
+            record[name] = getattr(self, name)
+        record["self_seconds"] = self.self_seconds
+        record["total_seconds"] = self.total_seconds
         if self.cache_hit_ratio is not None:
             record["cache_hit_ratio"] = self.cache_hit_ratio
         return record
@@ -92,61 +105,49 @@ class PlanAnalysis:
     """Per-operator runtime statistics for one plan — EXPLAIN ANALYZE.
 
     Built from a plan tree (one stats slot per operator, preorder) and
-    filled in by :class:`PlanEvaluator` while the plan runs: fragments
-    in/out, join and predicate counters, cache hit ratio, pushdown
-    discards, and self/total seconds per operator.  Render it through
-    :func:`repro.core.plan.explain` with ``analyze=``.
+    filled in by the operators :func:`build_pipeline` compiles from it:
+    fragments in/out, join and predicate counters, cache hit ratio,
+    pushdown discards, and (for analysed executions) self/total seconds
+    per operator.  Render it through :func:`repro.core.plan.explain`
+    with ``analyze=``.
 
-    The same analysis may be threaded through many executions of the
-    same plan *shape* (every document of a collection): measurements
-    accumulate per operator and :meth:`merge` folds two analyses of
-    equal shape together (the parallel path's per-worker analyses).
+    One analysis describes one execution; :meth:`merge` folds analyses
+    of equal shape together, which is how every document of a collection
+    (and every worker of the parallel path) accumulates into one.
     """
 
     def __init__(self, plan: PlanNode) -> None:
         self.plan = plan
+        #: The plan's nodes, preorder; ``operators[i]`` measures
+        #: ``nodes[i]``.
+        self.nodes: list[PlanNode] = []
         self.operators: list[OperatorRunStats] = []
-        self._slots: dict[int, int] = {}
         self._build(plan, 0)
 
     def _build(self, node: PlanNode, depth: int) -> int:
-        slot = len(self.operators)
-        self.operators.append(None)  # type: ignore[arg-type]
-        self._slots[id(node)] = slot
-        children = tuple(self._build(child, depth + 1)
-                         for child in node.children())
-        self.operators[slot] = OperatorRunStats(
-            label=node.label(), depth=depth, children=children)
+        slot = len(self.nodes)
+        run = OperatorRunStats(node.label(), depth, ())
+        self.nodes.append(node)
+        self.operators.append(run)
+        run.children = tuple([self._build(child, depth + 1)
+                              for child in node.children()])
         return slot
-
-    def slot(self, node: PlanNode) -> int:
-        """The stats slot of one operator of the analysed plan."""
-        return self._slots[id(node)]
-
-    def record(self, node: PlanNode, *, rows: int, seconds: float,
-               self_seconds: float, delta: OperationStats) -> None:
-        """Fold one execution of ``node`` into its slot.
-
-        ``delta`` carries this operator's *own* work (children's
-        counters already subtracted); ``seconds`` is the subtree wall
-        time, ``self_seconds`` the operator's share of it.
-        """
-        op = self.operators[self._slots[id(node)]]
-        op.calls += 1
-        op.rows += rows
-        op.fragment_joins += delta.fragment_joins
-        op.join_cache_hits += delta.join_cache_hits
-        op.predicate_checks += delta.predicate_checks
-        op.subset_checks += delta.subset_checks
-        op.fragments_discarded += delta.fragments_discarded
-        op.iterations += delta.iterations
-        op.total_seconds += seconds
-        op.self_seconds += self_seconds
 
     def rows_in(self, slot: int) -> int:
         """Fragments consumed by one operator (its children's output)."""
         return sum(self.operators[child].rows
                    for child in self.operators[slot].children)
+
+    def totals(self) -> OperationStats:
+        """The whole plan's work: every counter summed over operators."""
+        return OperationStats(**{
+            name: sum(getattr(op, name) for op in self.operators)
+            for name in _COUNTERS})
+
+    def as_dict(self) -> dict:
+        """:meth:`totals` as a plain dict — what a budget bound to a
+        running analysis reports as partial progress."""
+        return self.totals().as_dict()
 
     def merge(self, other: "PlanAnalysis") -> None:
         """Accumulate another analysis of the same plan shape."""
@@ -154,20 +155,16 @@ class PlanAnalysis:
                 != [op.label for op in other.operators]:
             raise PlanError("cannot merge analyses of different plans")
         for op, theirs in zip(self.operators, other.operators):
-            op.calls += theirs.calls
-            op.rows += theirs.rows
-            op.fragment_joins += theirs.fragment_joins
-            op.join_cache_hits += theirs.join_cache_hits
-            op.predicate_checks += theirs.predicate_checks
-            op.subset_checks += theirs.subset_checks
-            op.fragments_discarded += theirs.fragments_discarded
-            op.iterations += theirs.iterations
-            op.total_seconds += theirs.total_seconds
-            op.self_seconds += theirs.self_seconds
+            for name in ("calls", "rows", "self_seconds",
+                         "total_seconds") + _COUNTERS:
+                setattr(op, name, getattr(op, name) + getattr(theirs, name))
 
-    def render(self, indent: str = "  ") -> str:
+    def render(self, indent: str = "  ",
+               cost_model: Optional[CostModel] = None) -> str:
         """The analysed plan, one operator per line.
 
+        With a ``cost_model``, each line also shows the *estimated*
+        cardinality so estimation error is visible at a glance.
         Example::
 
             σa[size<=3]      rows=4   in=11  1.10ms self=0.20ms checks=11 pruned=7
@@ -199,6 +196,9 @@ class PlanAnalysis:
                 parts.append(f"subset={op.subset_checks}")
             if op.iterations:
                 parts.append(f"iters={op.iterations}")
+            if cost_model is not None:
+                estimate = cost_model.estimate(self.nodes[slot])
+                parts.append(f"est.rows={estimate.cardinality:.0f}")
             lines.append(f"{label.ljust(width)}{'  '.join(parts)}")
         return "\n".join(lines)
 
@@ -212,8 +212,263 @@ class PlanAnalysis:
         return records
 
 
+class _Clock:
+    """Attributes wall time to whichever operator is running.
+
+    Operators nest (a join's ``next`` pulls its fixed point's ``next``),
+    so the clock keeps the stack of operators currently inside a call
+    and, at every switch, charges the time since the previous switch to
+    the innermost one: exact self times, one clock read per switch.
+    """
+
+    def __init__(self) -> None:
+        self._running: list[OperatorRunStats] = []
+        self._mark = 0.0
+
+    def _switch(self) -> None:
+        now = time.perf_counter()
+        if self._running:
+            self._running[-1].self_seconds += now - self._mark
+        self._mark = now
+
+    def enter(self, run: OperatorRunStats) -> None:
+        self._switch()
+        self._running.append(run)
+
+    def leave(self) -> None:
+        self._switch()
+        self._running.pop()
+
+
+class Operator:
+    """One node of a compiled plan: an iterable of distinct fragments.
+
+    Operators compose producer→consumer: iterating an operator pulls
+    from its ``children`` on demand, so abandoning the iterator (top-k
+    satisfied, budget spent, client went away) stops the whole pipeline
+    without computing the rest of the answer set.  Subclasses supply
+    :meth:`_produce`, the generator of their algebra operation, handing
+    it ``run`` — the operator's :class:`OperatorRunStats` — as the
+    ``stats`` it counts into; the base class counts emitted ``rows``.
+    """
+
+    label = "operator"
+    #: The complete output, for operators resolved when the pipeline is
+    #: built (scans, and selections directly over them).
+    fragments: Optional[frozenset[Fragment]] = None
+
+    def __init__(self, node: PlanNode, run: OperatorRunStats,
+                 children: Sequence["Operator"], options: dict,
+                 clock: Optional[_Clock] = None) -> None:
+        self.node = node
+        self.run = run
+        self.children = children
+        #: ``cache`` / ``kernel`` / ``budget`` for the algebra loops.
+        self._options = options
+        #: Given on analysed executions, to time the operator.
+        self.clock = clock
+
+    def _produce(self) -> Iterator[Fragment]:
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[Fragment]:
+        return iter(self.output)
+
+    @property
+    def output(self) -> Iterable[Fragment]:
+        """What a consumer reads: the resolved set itself when there is
+        one (a copy would iterate in another order, and which joins a
+        bounded cache still holds depends on the order), else a fresh
+        run of the operator."""
+        return self.fragments if self.fragments is not None \
+            else self._rows()
+
+    def _rows(self) -> Iterator[Fragment]:
+        run, clock, produce = self.run, self.clock, self._produce()
+        if clock is None:
+            for fragment in produce:
+                run.rows += 1
+                yield fragment
+            return
+        while True:
+            clock.enter(run)
+            try:
+                fragment = next(produce, None)
+            finally:
+                clock.leave()
+            if fragment is None:
+                return
+            run.rows += 1
+            yield fragment
+
+    def counters(self) -> dict:
+        """Plain-dict row accounting for telemetry."""
+        return {"operator": self.label,
+                "rows_in": sum(child.run.rows for child in self.children),
+                "rows_out": self.run.rows}
+
+
+class ScanOp(Operator):
+    """``σ_{keyword=term}(nodes(D))``, resolved when the pipeline is
+    built: it is the leaf input, and the conjunctive early exit needs
+    its emptiness before anything runs."""
+
+    label = "scan"
+
+
+class SelectOp(Operator):
+    """``σ_P`` applied fragment-by-fragment, mid-stream — or at once,
+    over an input that is already resolved: a selection stacked on a
+    scan is part of the leaf."""
+
+    label = "select"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.children[0].fragments is not None:
+            self.fragments = frozenset(self._rows())
+
+    def _produce(self) -> Iterator[Fragment]:
+        return _iter_select(self.node.predicate, self.children[0].output,
+                            stats=self.run)
+
+
+class JoinOp(Operator):
+    """``left ⋈ right``: the left side is drained first (a fixed point
+    must complete before its join partner can be exhaustive anyway),
+    then each right-hand fragment joins against it as it arrives.  An
+    empty left side never consumes the right producer."""
+
+    label = "join"
+
+    def _produce(self) -> Iterator[Fragment]:
+        left, right = self.children
+        return _iter_pairwise_join(left.output, right.output,
+                                   stats=self.run, **self._options)
+
+
+class FixpointOp(Operator):
+    """``F+`` (Definition 9) emitted round by round: Theorem-1 bounded
+    rounds or semi-naive iteration, pruned by an optional anti-monotonic
+    predicate (Theorem 3).  Every surviving fragment is yielded the
+    moment its round produces it, so downstream joins start before the
+    closure finishes."""
+
+    label = "fixpoint"
+
+    def _produce(self) -> Iterator[Fragment]:
+        closure = (_iter_fixed_point_bounded if self.node.bounded
+                   else _iter_fixed_point)
+        return closure(self.children[0].output, stats=self.run,
+                       predicate=self.node.predicate, **self._options)
+
+
+class PowersetOp(Operator):
+    """Brute-force m-ary powerset join, enumerated incrementally, so
+    even the semantic-reference strategy streams."""
+
+    label = "powerset"
+    #: Refuse operands larger than this (``None``: no limit).
+    max_operand_size: Optional[int] = 16
+
+    def _produce(self) -> Iterator[Fragment]:
+        return _iter_multiway_powerset_join(
+            [child.output for child in self.children], stats=self.run,
+            max_operand_size=self.max_operand_size, **self._options)
+
+
+_OPERATORS = {KeywordScan: ScanOp, Select: SelectOp, PairwiseJoin: JoinOp,
+              FixedPoint: FixpointOp, PowersetJoin: PowersetOp}
+
+
+def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
+                   index: Optional["InvertedIndex"] = None,
+                   keyword_source: Optional[
+                       Callable[[str], frozenset[Fragment]]] = None,
+                   cache: Optional[JoinCache] = None,
+                   kernel: KernelArg = None,
+                   budget: Optional["QueryBudget"] = None,
+                   timed: bool = False,
+                   max_powerset_operand: Optional[int] = 16
+                   ) -> tuple[Iterable[Fragment], list[Operator]]:
+    """Compile ``analysis.plan`` into operators that count into it.
+
+    Returns ``(emit, operators)``: the iterable of the plan's distinct
+    answer fragments, and every operator built, for row accounting.
+    ``analysis`` must be fresh; ``timed`` additionally measures each
+    operator's ``self_seconds``.
+
+    Leaves are resolved here rather than on first pull: every keyword
+    scan, then — in plan order — each selection stacked directly on one.
+    Every operator of the algebra maps an empty input to an empty
+    output, so one empty leaf empties the answer and ``emit`` is empty
+    before any fixed point or join has run.  That is the conjunctive
+    early exit: a term with no matches, or (Theorem 3) a pushed
+    anti-monotonic filter that rejects every keyword node of a term.
+    """
+    options = {"cache": cache, "kernel": resolve_kernel(kernel, document),
+               "budget": budget}
+    clock = _Clock() if timed else None
+    nodes, runs = analysis.nodes, analysis.operators
+    operators: list[Operator] = []
+
+    def make(slot: int, children: Sequence[Operator]) -> Operator:
+        node = nodes[slot]
+        try:
+            cls = _OPERATORS[type(node)]
+        except KeyError:
+            raise PlanError(
+                f"unknown plan node {type(node).__name__}") from None
+        operator = cls(node, runs[slot], children, options, clock)
+        operators.append(operator)
+        return operator
+
+    scans: dict[int, Operator] = {}
+    for slot, node in enumerate(nodes):
+        runs[slot].calls += 1
+        if isinstance(node, KeywordScan):
+            scan = scans[slot] = make(slot, ())
+            if clock is not None:
+                clock.enter(scan.run)
+            scan.fragments = (keyword_source(node.term)
+                              if keyword_source is not None
+                              else keyword_fragments(document, node.term,
+                                                     index=index))
+            if clock is not None:
+                clock.leave()
+            scan.run.rows += len(scan.fragments)
+    if budget is not None:
+        # Catch pathological dense-keyword queries before any join
+        # work: the candidate ceiling applies to every input set.
+        for scan in scans.values():
+            budget.admit_candidates(len(scan.fragments))
+        budget.check_deadline()
+    if not all(scan.fragments for scan in scans.values()):
+        return (), operators
+
+    def compile(slot: int) -> Optional[Operator]:
+        """The operator for one plan node, or None once a leaf is empty."""
+        if slot in scans:
+            return scans[slot]
+        sources = []
+        for child in runs[slot].children:
+            source = compile(child)
+            if source is None:
+                return None
+            sources.append(source)
+        operator = make(slot, sources)
+        if isinstance(operator, PowersetOp):
+            operator.max_operand_size = max_powerset_operand
+        if operator.fragments is not None and not operator.fragments:
+            return None  # an empty leaf
+        return operator
+
+    emit = compile(0)
+    return (emit if emit is not None else ()), operators
+
+
 class PlanEvaluator:
-    """Interpret logical plans over one document.
+    """Run logical plans over one document, to a fragment set.
 
     Parameters
     ----------
@@ -236,12 +491,11 @@ class PlanEvaluator:
         :func:`repro.core.algebra.resolve_kernel`.
     analysis:
         Optional :class:`PlanAnalysis` built from the plan being
-        executed; when given, every operator execution folds its output
-        cardinality, operation-counter delta and self/total wall time
-        into the analysis — EXPLAIN ANALYZE mode.
+        executed; when given, operators are timed and every execution
+        is merged into it — EXPLAIN ANALYZE mode.
     budget:
         Optional :class:`~repro.guard.QueryBudget`; checkpoints inside
-        the operator bodies abort plan execution with
+        the operators abort plan execution with
         :class:`~repro.errors.BudgetExceeded` when it is spent.
     """
 
@@ -258,85 +512,44 @@ class PlanEvaluator:
         self._cache = cache
         self._max_powerset_operand = max_powerset_operand
         self._obs = obs if obs is not None else NOOP
-        self._kernel = resolve_kernel(kernel, document)
+        self._kernel = kernel
         self._analysis = analysis
         self._budget = budget
-        # Analysis bookkeeping: one frame per in-flight operator,
-        # accumulating its children's wall time and operation counters
-        # so each operator records only its own share.
-        self._frames: list[list] = []
 
     def execute(self, plan: PlanNode,
                 stats: Optional[OperationStats] = None
                 ) -> frozenset[Fragment]:
         """Evaluate ``plan`` and return its fragment set."""
         tally = stats if stats is not None else OperationStats()
-        if self._budget is not None:
-            self._budget.start()
-            self._budget.bind_stats(tally)
         if self._obs.enabled:
             with self._obs.span("execute-plan", plan=plan.label(),
                                 stats=tally) as span:
-                result = self._eval(plan, tally)
+                result = self._drain(plan, tally)
                 span.set(rows=len(result))
             return result
-        return self._eval(plan, tally)
+        return self._drain(plan, tally)
 
-    def _eval(self, node: PlanNode,
-              stats: OperationStats) -> frozenset[Fragment]:
-        analysis = self._analysis
-        if analysis is None:
-            return self._eval_node(node, stats)
-        before = stats.snapshot()
-        self._frames.append([0.0, OperationStats()])
-        started = time.perf_counter()
+    def _drain(self, plan: PlanNode,
+               tally: OperationStats) -> frozenset[Fragment]:
+        run = PlanAnalysis(plan)
+        if self._budget is not None:
+            self._budget.start()
+            self._budget.bind_stats(run)
         try:
-            result = self._eval_node(node, stats)
+            emit, _ = build_pipeline(
+                self._document, run, index=self._index,
+                cache=self._cache, kernel=self._kernel,
+                budget=self._budget, timed=self._analysis is not None,
+                max_powerset_operand=self._max_powerset_operand)
+            return frozenset(emit)
         finally:
-            elapsed = time.perf_counter() - started
-            child_seconds, child_ops = self._frames.pop()
-            subtree = stats.delta(before)
-            if self._frames:
-                parent = self._frames[-1]
-                parent[0] += elapsed
-                parent[1].merge(subtree)
-        analysis.record(node, rows=len(result), seconds=elapsed,
-                        self_seconds=max(0.0, elapsed - child_seconds),
-                        delta=subtree.delta(child_ops))
-        return result
-
-    def _eval_node(self, node: PlanNode,
-                   stats: OperationStats) -> frozenset[Fragment]:
-        if isinstance(node, KeywordScan):
-            return keyword_fragments(self._document, node.term,
-                                     index=self._index)
-        if isinstance(node, Select):
-            return select(node.predicate, self._eval(node.child, stats),
-                          stats=stats)
-        if isinstance(node, PairwiseJoin):
-            return pairwise_join(self._eval(node.left, stats),
-                                 self._eval(node.right, stats),
-                                 stats=stats, cache=self._cache,
-                                 kernel=self._kernel,
-                                 budget=self._budget)
-        if isinstance(node, FixedPoint):
-            child = self._eval(node.child, stats)
-            if self._budget is not None:
-                self._budget.admit_candidates(len(child))
-            closure = fixed_point_bounded if node.bounded else fixed_point
-            return closure(child, stats=stats, cache=self._cache,
-                           predicate=node.predicate, kernel=self._kernel,
-                           budget=self._budget)
-        if isinstance(node, PowersetJoin):
-            operands = [self._eval(op, stats) for op in node.operands]
-            if self._budget is not None:
-                for operand in operands:
-                    self._budget.admit_candidates(len(operand))
-            return multiway_powerset_join(
-                operands, stats=stats, cache=self._cache,
-                max_operand_size=self._max_powerset_operand,
-                kernel=self._kernel, budget=self._budget)
-        raise PlanError(f"unknown plan node {type(node).__name__}")
+            tally.merge(run.totals())
+            if self._analysis is not None:
+                for op in reversed(run.operators):  # children first
+                    op.total_seconds = op.self_seconds + sum(
+                        run.operators[child].total_seconds
+                        for child in op.children)
+                self._analysis.merge(run)
 
 
 def run_plan(document: "Document", query: Query, plan: PlanNode,

@@ -28,7 +28,7 @@ eligible for push-down — results stay correct.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .fragment import Fragment
 from .stats import OperationStats
@@ -392,15 +392,20 @@ class PredicateFilter(Filter):
         return self._name
 
 
-def select(predicate: Filter, fragments: Iterable[Fragment],
-           stats: Optional[OperationStats] = None) -> frozenset[Fragment]:
-    """``σ_P(F)``: the fragments of ``F`` satisfying ``P`` (Definition 3)."""
-    kept = []
+def _iter_select(predicate: Filter, fragments: Iterable[Fragment],
+                 stats: Optional[OperationStats] = None
+                 ) -> Iterator[Fragment]:
+    """``σ_P`` applied fragment by fragment — the selection loop."""
     for fragment in fragments:
         if stats is not None:
             stats.predicate_checks += 1
         if predicate.matches(fragment):
-            kept.append(fragment)
+            yield fragment
         elif stats is not None:
             stats.fragments_discarded += 1
-    return frozenset(kept)
+
+
+def select(predicate: Filter, fragments: Iterable[Fragment],
+           stats: Optional[OperationStats] = None) -> frozenset[Fragment]:
+    """``σ_P(F)``: the fragments of ``F`` satisfying ``P`` (Definition 3)."""
+    return frozenset(_iter_select(predicate, fragments, stats=stats))

@@ -158,8 +158,12 @@ def _push(predicate: Filter, node: PlanNode) -> PlanNode:
                       PairwiseJoin(_push(predicate, node.left),
                                    _push(predicate, node.right)))
     if isinstance(node, FixedPoint):
+        # A fixed point already pruning on an earlier selection keeps
+        # it: the closure must satisfy both.
+        pruning = (predicate if node.predicate is None
+                   else node.predicate & predicate)
         return FixedPoint(_push(predicate, node.child),
-                          node.bounded, predicate)
+                          node.bounded, pruning)
     if isinstance(node, PowersetJoin):
         # ⋈* is a union of joins of operand subsets, and σ_Pa commutes
         # with unions and joins alike, so pushing into each operand is

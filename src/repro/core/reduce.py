@@ -23,22 +23,16 @@ their super-fragments could satisfy the filter either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..xmltree.intervals import IntervalKernel
-from .algebra import JoinCache, fragment_join, pairwise_join
-from .filters import Filter
+from .algebra import _TICK_BLOCK, JoinCache, fragment_join, pairwise_join
+from .filters import Filter, select
 from .fragment import Fragment
 from .stats import OperationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.budget import QueryBudget
-
-#: Budget checkpoints charge work in blocks of this many operations:
-#: large enough that the per-block Python call disappears next to the
-#: joins themselves, small enough that a deadline overshoots by at
-#: most one block of work.
-_TICK_BLOCK = 256
 
 __all__ = [
     "set_reduce",
@@ -109,6 +103,37 @@ def reduction_count(fragments: Iterable[Fragment],
                           kernel=kernel, budget=budget))
 
 
+def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
+                          stats: Optional[OperationStats] = None,
+                          cache: Optional[JoinCache] = None,
+                          predicate: Optional[Filter] = None,
+                          kernel: Optional[IntervalKernel] = None,
+                          budget: Optional["QueryBudget"] = None
+                          ) -> Iterator[Fragment]:
+    """``⋈_n(F)`` round by round — the bounded fixed-point loop.
+
+    Yields each fragment in the round that first produces it.  Rounds
+    only ever grow (``f ⋈ f = f`` keeps every fragment of ``⋈_r(F)`` in
+    ``⋈_{r+1}(F)``, and an anti-monotonic ``predicate`` that kept ``f``
+    keeps the base fragments under it), so the fragments yielded are
+    exactly ``⋈_rounds(F)``.  No fixed-point checking: every round runs.
+    """
+    base = _apply_predicate(frozenset(fragments), predicate, stats)
+    current = base
+    yield from base
+    for _ in range(rounds - 1):
+        if stats is not None:
+            stats.iterations += 1
+        previous = current
+        current = _apply_predicate(
+            pairwise_join(base, previous, stats=stats, cache=cache,
+                          kernel=kernel, budget=budget),
+            predicate, stats)
+        if budget is not None:
+            budget.admit_live(len(current))
+        yield from current - previous
+
+
 def iterate_pairwise(fragments: Iterable[Fragment], rounds: int,
                      stats: Optional[OperationStats] = None,
                      cache: Optional[JoinCache] = None,
@@ -124,19 +149,52 @@ def iterate_pairwise(fragments: Iterable[Fragment], rounds: int,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    base = frozenset(fragments)
-    current = _apply_predicate(base, predicate, stats)
-    filtered_base = current
-    for _ in range(rounds - 1):
+    return frozenset(_iter_pairwise_rounds(
+        fragments, rounds, stats=stats, cache=cache, predicate=predicate,
+        kernel=kernel, budget=budget))
+
+
+def _iter_fixed_point(fragments: Iterable[Fragment],
+                      stats: Optional[OperationStats] = None,
+                      cache: Optional[JoinCache] = None,
+                      predicate: Optional[Filter] = None,
+                      kernel: Optional[IntervalKernel] = None,
+                      budget: Optional["QueryBudget"] = None
+                      ) -> Iterator[Fragment]:
+    """``F+`` round by round — the semi-naive fixed-point loop.
+
+    Yields the (filtered) base, then each round's new fragments the
+    moment the round ends, so a consumer starts joining before the
+    closure is complete.  A budget is charged per block of
+    ``_TICK_BLOCK`` joins, bounding a deadline overshoot to one block.
+    """
+    result: set[Fragment] = set(
+        _apply_predicate(frozenset(fragments), predicate, stats))
+    frontier: set[Fragment] = set(result)
+    yield from frontier
+    while frontier:
         if stats is not None:
             stats.iterations += 1
-        current = pairwise_join(current, filtered_base,
-                                stats=stats, cache=cache, kernel=kernel,
-                                budget=budget)
-        current = _apply_predicate(current, predicate, stats)
+        produced: set[Fragment] = set()
+        snapshot = list(result)
+        for new_fragment in frontier:
+            for start in range(0, len(snapshot), _TICK_BLOCK):
+                block = snapshot[start:start + _TICK_BLOCK]
+                if budget is not None:
+                    budget.tick(len(block))
+                for existing in block:
+                    joined = fragment_join(new_fragment, existing,
+                                           stats=stats, cache=cache,
+                                           kernel=kernel)
+                    if joined not in result and joined not in produced:
+                        produced.add(joined)
+        produced = set(_apply_predicate(produced, predicate, stats))
+        produced -= result
+        result |= produced
+        frontier = produced
         if budget is not None:
-            budget.admit_live(len(current))
-    return current
+            budget.admit_live(len(result))
+        yield from produced
 
 
 def fixed_point(fragments: Iterable[Fragment],
@@ -153,44 +211,27 @@ def fixed_point(fragments: Iterable[Fragment],
     round produces nothing new — the §3.1.1 'naive solution' upgraded
     with the standard semi-naive refinement.
     """
-    base = _apply_predicate(frozenset(fragments), predicate, stats)
-    result: set[Fragment] = set(base)
-    frontier: set[Fragment] = set(base)
-    while frontier:
-        if stats is not None:
-            stats.iterations += 1
-        produced: set[Fragment] = set()
-        snapshot = list(result)
-        if budget is None:
-            for new_fragment in frontier:
-                for existing in snapshot:
-                    joined = fragment_join(new_fragment, existing,
-                                           stats=stats, cache=cache,
-                                           kernel=kernel)
-                    if joined not in result and joined not in produced:
-                        produced.add(joined)
-        else:
-            # Charge the budget in blocks, not per pair: one tick per
-            # _TICK_BLOCK joins keeps checkpoint overhead negligible
-            # while bounding deadline overshoot to one block of work.
-            for new_fragment in frontier:
-                for start in range(0, len(snapshot), _TICK_BLOCK):
-                    block = snapshot[start:start + _TICK_BLOCK]
-                    budget.tick(len(block))
-                    for existing in block:
-                        joined = fragment_join(new_fragment, existing,
-                                               stats=stats, cache=cache,
-                                               kernel=kernel)
-                        if joined not in result \
-                                and joined not in produced:
-                            produced.add(joined)
-        produced = set(_apply_predicate(produced, predicate, stats))
-        produced -= result
-        result |= produced
-        frontier = produced
-        if budget is not None:
-            budget.admit_live(len(result))
-    return frozenset(result)
+    return frozenset(_iter_fixed_point(
+        fragments, stats=stats, cache=cache, predicate=predicate,
+        kernel=kernel, budget=budget))
+
+
+def _iter_fixed_point_bounded(fragments: Iterable[Fragment],
+                              stats: Optional[OperationStats] = None,
+                              cache: Optional[JoinCache] = None,
+                              predicate: Optional[Filter] = None,
+                              kernel: Optional[IntervalKernel] = None,
+                              budget: Optional["QueryBudget"] = None
+                              ) -> Iterator[Fragment]:
+    """:func:`fixed_point_bounded`, one new fragment at a time."""
+    base = frozenset(fragments)
+    if not base:
+        return
+    k = reduction_count(base, stats=stats, cache=cache, kernel=kernel,
+                        budget=budget)
+    yield from _iter_pairwise_rounds(base, k, stats=stats, cache=cache,
+                                     predicate=predicate, kernel=kernel,
+                                     budget=budget)
 
 
 def fixed_point_bounded(fragments: Iterable[Fragment],
@@ -208,14 +249,9 @@ def fixed_point_bounded(fragments: Iterable[Fragment],
     anti-monotonic predicate then prunes during iteration, which can
     only shrink intermediate sets, never change the filtered result.
     """
-    base = frozenset(fragments)
-    if not base:
-        return base
-    k = reduction_count(base, stats=stats, cache=cache, kernel=kernel,
-                        budget=budget)
-    return iterate_pairwise(base, k, stats=stats, cache=cache,
-                            predicate=predicate, kernel=kernel,
-                            budget=budget)
+    return frozenset(_iter_fixed_point_bounded(
+        fragments, stats=stats, cache=cache, predicate=predicate,
+        kernel=kernel, budget=budget))
 
 
 def is_fixed_point(fragments: Iterable[Fragment],
@@ -231,5 +267,4 @@ def _apply_predicate(fragments: frozenset[Fragment],
                      ) -> frozenset[Fragment]:
     if predicate is None:
         return frozenset(fragments)
-    from .filters import select  # local import avoids cycle at load time
     return select(predicate, fragments, stats=stats)

@@ -1,7 +1,10 @@
 """Query evaluation strategies (paper Section 4).
 
-Three strategies produce identical answer sets by Theorems 2 and 3;
-they differ — dramatically — in how much work they do:
+A strategy is a plan, not a code path: :func:`plan_for` maps each to
+its logical plan, and :func:`evaluate` compiles that plan to the
+operators of :mod:`repro.core.evaluator` and drains them.  The
+strategies produce identical answer sets by Theorems 2 and 3; they
+differ — dramatically — in how much work they do:
 
 ``BRUTE_FORCE`` (§4.1)
     Enumerate the powerset join directly, then filter.  Exponential in
@@ -16,9 +19,9 @@ they differ — dramatically — in how much work they do:
 ``PUSHDOWN`` (§4.3)
     Additionally push the selection below every join when the predicate
     is anti-monotonic (Theorem 3), pruning doomed fragments as early as
-    possible.  Falls back to ``SET_REDUCTION`` behaviour for filters
-    without the property (results stay identical; only the opportunity
-    for early pruning is lost).
+    possible, over semi-naive fixed points.  Falls back to
+    ``SEMI_NAIVE`` behaviour for filters without the property (results
+    stay identical; only the opportunity for early pruning is lost).
 
 ``SEMI_NAIVE``
     ``SET_REDUCTION`` with semi-naive fixed-point iteration instead of
@@ -32,21 +35,17 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from functools import reduce as _reduce
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import BudgetExceeded, QueryError
 from ..obs import NOOP, NULL_SPAN, Observability
-from .algebra import (JoinCache, KernelArg, multiway_powerset_join,
-                      pairwise_join, resolve_kernel)
+from .algebra import JoinCache, KernelArg
 from .cost import CostModel
-from .evaluator import PlanAnalysis, run_plan
-from .filters import select
+from .evaluator import PlanAnalysis, build_pipeline, run_plan
 from .fragment import Fragment
 from .optimizer import OptimizerSettings, optimize
 from .plan import PlanNode, initial_plan
 from .query import Query, QueryResult, keyword_fragments
-from .reduce import fixed_point, fixed_point_bounded
 from .stats import OperationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,18 +117,16 @@ def evaluate(document: "Document", query: Query,
         see :mod:`repro.xmltree.intervals`).
     budget:
         Optional :class:`~repro.guard.QueryBudget`: cooperative
-        checkpoints inside the strategy bodies raise
+        checkpoints inside the operators raise
         :class:`~repro.errors.BudgetExceeded` when the query blows
         past its deadline or operation limits.  ``None`` (the default)
         is the unguarded path, byte-for-byte the pre-guard behaviour.
     """
     ob = obs if obs is not None else NOOP
     recorder = ob.recorder if ob.enabled else None
-    kernel_obj = resolve_kernel(kernel, document)
     stats = OperationStats()
     if budget is not None:
         budget.start()
-        budget.bind_stats(stats)
 
     # Span attributes are only worth computing when observability is
     # live; the disabled path must stay free of per-query allocations.
@@ -148,60 +145,31 @@ def evaluate(document: "Document", query: Query,
         mem_token = recorder.begin_memory()
         cpu_started = time.process_time()
     started = time.perf_counter()
+    plan = _physical_plan(query, strategy, index)
+    analysis = PlanAnalysis(plan)
+    if budget is not None:
+        budget.bind_stats(analysis)
 
     try:
         with execute_span as span:
             with scan_span:
-                term_order = list(query.terms)
-                if index is not None:
-                    # Rarest-first keeps intermediate fragment sets
-                    # small.
-                    term_order = index.rarest_first(term_order)
-                if keyword_source is not None:
-                    keyword_sets = [keyword_source(term)
-                                    for term in term_order]
-                else:
-                    keyword_sets = [keyword_fragments(document, term,
-                                                      index=index)
-                                    for term in term_order]
-
-            empty_terms = [term for term, fs
-                           in zip(term_order, keyword_sets) if not fs]
-            if budget is not None:
-                # Catch pathological dense-keyword queries before any
-                # join work: the candidate ceiling applies to every
-                # input set.
-                for fs in keyword_sets:
-                    budget.admit_candidates(len(fs))
-                budget.check_deadline()
+                keyword_sets = {
+                    term: (keyword_source(term)
+                           if keyword_source is not None
+                           else keyword_fragments(document, term,
+                                                  index=index))
+                    for term in query.terms}
             with strategy_span:
-                if empty_terms:
-                    # Conjunctive semantics: a term with no matches
-                    # empties the answer.
-                    fragments: frozenset[Fragment] = frozenset()
-                elif strategy is Strategy.BRUTE_FORCE:
-                    fragments = _brute_force(keyword_sets, query, stats,
-                                             cache,
-                                             max_brute_force_operand,
-                                             kernel_obj, budget=budget)
-                elif strategy is Strategy.SET_REDUCTION:
-                    fragments = _set_reduction(keyword_sets, query,
-                                               stats, cache,
-                                               bounded=True,
-                                               kernel=kernel_obj,
-                                               budget=budget)
-                elif strategy is Strategy.SEMI_NAIVE:
-                    fragments = _set_reduction(keyword_sets, query,
-                                               stats, cache,
-                                               bounded=False,
-                                               kernel=kernel_obj,
-                                               budget=budget)
-                elif strategy is Strategy.PUSHDOWN:
-                    fragments = _pushdown(keyword_sets, query, stats,
-                                          cache, kernel_obj,
-                                          budget=budget)
-                else:  # pragma: no cover - exhaustive over the enum
-                    raise QueryError(f"unhandled strategy {strategy}")
+                try:
+                    emit, _ = build_pipeline(
+                        document, analysis,
+                        keyword_source=keyword_sets.__getitem__,
+                        cache=cache, kernel=kernel, budget=budget,
+                        max_powerset_operand=max_brute_force_operand)
+                    fragments = frozenset(emit)
+                finally:
+                    # Inside the spans, so they report the work done.
+                    stats.merge(analysis.totals())
             span.set(answers=len(fragments))
     except BudgetExceeded as exc:
         # record_query below is never reached on an abort, so the
@@ -281,24 +249,35 @@ def plan_for(query: Query,
              strategy: Strategy = Strategy.PUSHDOWN) -> PlanNode:
     """The logical plan a Section-4 strategy executes for ``query``.
 
-    ``BRUTE_FORCE`` is the canonical ``σ_P(scan ⋈* … ⋈* scan)`` plan;
-    the other strategies are the optimizer's Theorem-2 rewrite with
-    push-down and fixed-point bounding toggled to match:
+    :func:`evaluate` compiles and drains exactly this plan (over the
+    query's terms ordered rarest-first when it has an index), so what
+    is costed and explained is what is run.  ``BRUTE_FORCE`` is the
+    canonical ``σ_P(scan ⋈* … ⋈* scan)`` plan; the other strategies are
+    the optimizer's Theorem-2 rewrite with push-down and fixed-point
+    bounding toggled to match:
 
     * ``SET_REDUCTION`` — bounded fixed points, no push-down;
     * ``SEMI_NAIVE`` — semi-naive fixed points, no push-down;
-    * ``PUSHDOWN`` — bounded fixed points with Theorem-3 push-down.
+    * ``PUSHDOWN`` — semi-naive fixed points with Theorem-3 push-down.
     """
     if strategy is Strategy.BRUTE_FORCE:
         return initial_plan(query)
-    if strategy is Strategy.SET_REDUCTION:
-        return optimize(query, OptimizerSettings(push_down=False))
-    if strategy is Strategy.SEMI_NAIVE:
-        return optimize(query, OptimizerSettings(
-            push_down=False, bounded_fixed_points=False))
-    if strategy is Strategy.PUSHDOWN:
-        return optimize(query)
-    raise QueryError(f"unhandled strategy {strategy}")  # pragma: no cover
+    return optimize(query, OptimizerSettings(
+        push_down=strategy is Strategy.PUSHDOWN,
+        bounded_fixed_points=strategy is Strategy.SET_REDUCTION))
+
+
+def _physical_plan(query: Query, strategy: Strategy,
+                   index: Optional["InvertedIndex"]) -> PlanNode:
+    """:func:`plan_for` over the terms in ascending document frequency.
+
+    Join chains are left-deep in term order, and rarest-first keeps
+    the intermediate fragment sets small.
+    """
+    if index is not None:
+        query = Query(tuple(index.rarest_first(query.terms)),
+                      query.predicate)
+    return plan_for(query, strategy)
 
 
 def explain_analyze(document: "Document", query: Query,
@@ -313,10 +292,11 @@ def explain_analyze(document: "Document", query: Query,
                     ) -> tuple[QueryResult, PlanAnalysis]:
     """EXPLAIN ANALYZE: run ``query`` through its strategy's plan.
 
-    Executes :func:`plan_for`'s plan via the plan evaluator, recording
-    per-operator runtime statistics (fragments in/out, joins, cache hit
-    ratio, predicate checks, pushdown discards, self/total time), and
-    returns ``(result, analysis)``.  Render the analysis with
+    Runs the plan :func:`evaluate` runs, through the same operators,
+    timed: each operator records its runtime statistics (fragments
+    in/out, joins, cache hit ratio, predicate checks, pushdown discards,
+    self/total time), and their counters sum to ``evaluate(...).stats``.
+    Returns ``(result, analysis)``.  Render the analysis with
     ``explain(plan, analyze=analysis)`` — the analysed plan is
     ``analysis.plan``.
 
@@ -326,7 +306,7 @@ def explain_analyze(document: "Document", query: Query,
     """
     if plan is None:
         plan = analysis.plan if analysis is not None \
-            else plan_for(query, strategy)
+            else _physical_plan(query, strategy, index)
     if analysis is None:
         analysis = PlanAnalysis(plan)
     elif analysis.plan is not plan:
@@ -345,60 +325,3 @@ def answer(document: "Document", *terms: str,
     """One-call convenience API: ``answer(doc, "xquery", "optimization")``."""
     query = Query.of(*terms, predicate=predicate)
     return evaluate(document, query, strategy=strategy, index=index)
-
-
-# ----------------------------------------------------------------------
-# Strategy bodies
-# ----------------------------------------------------------------------
-
-def _brute_force(keyword_sets, query: Query, stats: OperationStats,
-                 cache: Optional[JoinCache],
-                 max_operand: int, kernel=None,
-                 budget=None) -> frozenset[Fragment]:
-    candidates = multiway_powerset_join(keyword_sets, stats=stats,
-                                        cache=cache,
-                                        max_operand_size=max_operand,
-                                        kernel=kernel, budget=budget)
-    return select(query.predicate, candidates, stats=stats)
-
-
-def _set_reduction(keyword_sets, query: Query, stats: OperationStats,
-                   cache: Optional[JoinCache],
-                   bounded: bool, kernel=None,
-                   budget=None) -> frozenset[Fragment]:
-    closure = fixed_point_bounded if bounded else fixed_point
-    fixed_points = [closure(fs, stats=stats, cache=cache, kernel=kernel,
-                            budget=budget)
-                    for fs in keyword_sets]
-    candidates = _reduce(
-        lambda left, right: pairwise_join(left, right, stats=stats,
-                                          cache=cache, kernel=kernel,
-                                          budget=budget),
-        fixed_points)
-    return select(query.predicate, candidates, stats=stats)
-
-
-def _pushdown(keyword_sets, query: Query, stats: OperationStats,
-              cache: Optional[JoinCache],
-              kernel=None, budget=None) -> frozenset[Fragment]:
-    predicate = query.predicate
-    pushed = predicate if predicate.is_anti_monotonic else None
-    fixed_points = []
-    for fs in keyword_sets:
-        if pushed is not None and not select(pushed, fs, stats=stats):
-            # An anti-monotonic filter that rejects every keyword node of
-            # one term rejects every candidate fragment too.
-            return frozenset()
-        fixed_points.append(fixed_point(fs, stats=stats, cache=cache,
-                                        predicate=pushed, kernel=kernel,
-                                        budget=budget))
-    candidates = fixed_points[0]
-    for other in fixed_points[1:]:
-        candidates = pairwise_join(candidates, other,
-                                   stats=stats, cache=cache,
-                                   kernel=kernel, budget=budget)
-        if pushed is not None:
-            candidates = select(pushed, candidates, stats=stats)
-    # Final selection guarantees correctness for non-anti-monotonic
-    # predicates and is a no-op (already satisfied) for pushed ones.
-    return select(predicate, candidates, stats=stats)

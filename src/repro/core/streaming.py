@@ -1,23 +1,23 @@
-"""Streaming operator pipeline with top-k early termination.
+"""Streaming evaluation with top-k early termination.
 
-All four Section-4 strategies in :mod:`repro.core.strategies`
-materialize the complete answer set before anything downstream (ranking,
-pagination, a CLI ``-n 10``) sees a single fragment.  This module
-refactors them into incremental producer/consumer **operators** —
-scan → fixpoint/reduce → join → select → emit — that yield answer
-fragments *as they are proven*, so a consumer that needs only the best
-``k`` answers can stop the producers long before the full set exists.
+:func:`~repro.core.strategies.evaluate` drains its operator pipeline
+into the complete answer set before anything downstream (ranking,
+pagination, a CLI ``-n 10``) sees a single fragment.  This module hands
+the same pipeline — the strategy's plan compiled by
+:func:`~repro.core.evaluator.build_pipeline` — to the consumer instead:
+answer fragments arrive *as they are proven*, so a consumer that needs
+only the best ``k`` answers can stop the producers long before the full
+set exists.
 
 Two soundness arguments carry everything here:
 
-* **Theorem 3 (anti-monotonic push-down).**  Any anti-monotonic
-  conjunct of the final selection may be applied below every join and
-  inside every fixed point without changing the answer set.  The
-  streaming pipeline pushes the anti-monotonic *component* of the
-  effective predicate (the adaptive ``size <= β`` bound plus whatever
-  part of the caller's filter is anti-monotonic), which is strictly more
-  pruning than :func:`~repro.core.strategies.evaluate`'s all-or-nothing
-  push-down — with an identical answer set.
+* **Theorem 3 (anti-monotonic push-down).**  An anti-monotonic
+  selection may be applied below every join and inside every fixed
+  point without changing the answer set.  The consumer's
+  ``extra_predicate`` (the adaptive ``size <= β`` bound) is one more
+  selection on top of the strategy's plan, pushed down by the
+  optimizer's Theorem-3 rewrite whatever the strategy: that is what
+  bounds the producers' work.
 
 * **The β-round bound.**  A round evaluated under ``size <= β`` yields
   *exactly* the answers of size ≤ β (Theorem 3: no false negatives
@@ -37,18 +37,20 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..obs import (NOOP, Observability, STREAM_EARLY_EXITS, STREAM_ROUNDS,
                    STREAM_ROWS)
-from .algebra import (JoinCache, KernelArg, fragment_join, join_all,
-                      nonempty_subsets, resolve_kernel)
-from .filters import Filter, SizeAtMost, select
+from .algebra import JoinCache, KernelArg
+from .evaluator import (FixpointOp, JoinOp, Operator, PlanAnalysis,
+                        PowersetOp, ScanOp, SelectOp, build_pipeline)
+from .filters import Filter, SizeAtMost
 from .fragment import Fragment
-from .query import Query, keyword_fragments
-from .reduce import _TICK_BLOCK, reduction_count
+from .optimizer import _push
+from .plan import Select
+from .query import Query
 from .stats import OperationStats
-from .strategies import Strategy
+from .strategies import Strategy, _physical_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.budget import QueryBudget
@@ -75,7 +77,7 @@ __all__ = [
 def fragment_order_key(fragment: Fragment) -> tuple:
     """Single-document presentation order: smallest first, then node ids.
 
-    Matches ``QueryResult.sorted_fragments`` and ``top_k_smallest``.
+    Matches ``QueryResult.sorted_fragments`` and :func:`stream_top_k`.
     """
     return (fragment.size, tuple(sorted(fragment.nodes)))
 
@@ -104,452 +106,8 @@ def ranked_order_key(document_name: str, score: float,
 
 
 # ----------------------------------------------------------------------
-# Operators
+# Streamed evaluation
 # ----------------------------------------------------------------------
-
-class Operator:
-    """One stage of a streaming pipeline: an iterable of fragments.
-
-    Operators compose producer→consumer: iterating an operator pulls
-    from its upstream operator(s) on demand, so abandoning the iterator
-    (top-k satisfied, budget spent, client went away) stops the whole
-    pipeline without computing the rest of the answer set.  Each
-    operator counts ``rows_in``/``rows_out`` for the flight-recorder /
-    metrics streamed-rows accounting.
-    """
-
-    label = "operator"
-
-    def __init__(self) -> None:
-        self.rows_in = 0
-        self.rows_out = 0
-
-    def __iter__(self) -> Iterator[Fragment]:
-        raise NotImplementedError
-
-    def counters(self) -> dict:
-        """Plain-dict snapshot for telemetry."""
-        return {"operator": self.label, "rows_in": self.rows_in,
-                "rows_out": self.rows_out}
-
-
-class ScanOp(Operator):
-    """``σ_{keyword=term}(nodes(D))`` as a stream of singleton fragments.
-
-    The keyword set is resolved eagerly at construction (it is the
-    pipeline's leaf input and the conjunctive early exit needs its
-    emptiness before anything runs); iteration just streams it.
-    """
-
-    label = "scan"
-
-    def __init__(self, term: str, fragments: frozenset[Fragment]) -> None:
-        super().__init__()
-        self.term = term
-        self.fragments = fragments
-
-    def __iter__(self) -> Iterator[Fragment]:
-        for fragment in self.fragments:
-            self.rows_out += 1
-            yield fragment
-
-
-class FixpointOp(Operator):
-    """``F+`` (Definition 9) emitted incrementally, round by round.
-
-    ``bounded=True`` mirrors :func:`~repro.core.reduce.fixed_point_bounded`
-    (Theorem-1 round count, no fixed-point checking); ``bounded=False``
-    mirrors the semi-naive :func:`~repro.core.reduce.fixed_point`.  An
-    optional anti-monotonic ``predicate`` prunes fragments as they are
-    produced (Theorem 3), exactly like the materialized closures — but
-    here every *surviving* fragment is yielded the moment its round
-    produces it, so downstream joins start before the closure finishes.
-    """
-
-    label = "fixpoint"
-
-    def __init__(self, source: Operator, *, bounded: bool,
-                 predicate: Optional[Filter] = None,
-                 stats: Optional[OperationStats] = None,
-                 cache: Optional[JoinCache] = None,
-                 kernel=None,
-                 budget: Optional["QueryBudget"] = None) -> None:
-        super().__init__()
-        self._source = source
-        self._bounded = bounded
-        self._predicate = predicate
-        self._stats = stats
-        self._cache = cache
-        self._kernel = kernel
-        self._budget = budget
-
-    def _filtered(self, fragments) -> frozenset[Fragment]:
-        if self._predicate is None:
-            return frozenset(fragments)
-        return select(self._predicate, fragments, stats=self._stats)
-
-    def __iter__(self) -> Iterator[Fragment]:
-        base = []
-        for fragment in self._source:
-            self.rows_in += 1
-            base.append(fragment)
-        raw_base = frozenset(base)
-        if not raw_base:
-            return
-        if self._bounded:
-            yield from self._iter_bounded(raw_base)
-        else:
-            yield from self._iter_semi_naive(raw_base)
-
-    def _iter_semi_naive(self, raw_base) -> Iterator[Fragment]:
-        stats, cache = self._stats, self._cache
-        kernel, budget = self._kernel, self._budget
-        result: set[Fragment] = set(self._filtered(raw_base))
-        frontier: set[Fragment] = set(result)
-        for fragment in result:
-            self.rows_out += 1
-            yield fragment
-        while frontier:
-            if stats is not None:
-                stats.iterations += 1
-            produced: set[Fragment] = set()
-            snapshot = list(result)
-            for new_fragment in frontier:
-                for start in range(0, len(snapshot), _TICK_BLOCK):
-                    block = snapshot[start:start + _TICK_BLOCK]
-                    if budget is not None:
-                        budget.tick(len(block))
-                    for existing in block:
-                        joined = fragment_join(new_fragment, existing,
-                                               stats=stats, cache=cache,
-                                               kernel=kernel)
-                        if joined not in result and joined not in produced:
-                            produced.add(joined)
-            produced = set(self._filtered(produced)) - result
-            result |= produced
-            frontier = produced
-            if budget is not None:
-                budget.admit_live(len(result))
-            for fragment in produced:
-                self.rows_out += 1
-                yield fragment
-
-    def _iter_bounded(self, raw_base) -> Iterator[Fragment]:
-        stats, cache = self._stats, self._cache
-        kernel, budget = self._kernel, self._budget
-        # Theorem 1 speaks about F itself, so the round count is taken
-        # on the *unfiltered* base (matching fixed_point_bounded).
-        rounds = reduction_count(raw_base, stats=stats, cache=cache,
-                                 kernel=kernel, budget=budget)
-        filtered_base = list(self._filtered(raw_base))
-        current: set[Fragment] = set(filtered_base)
-        for fragment in current:
-            self.rows_out += 1
-            yield fragment
-        emitted = set(current)
-        for _ in range(rounds - 1):
-            if stats is not None:
-                stats.iterations += 1
-            produced: set[Fragment] = set()
-            for f1 in current:
-                for start in range(0, len(filtered_base), _TICK_BLOCK):
-                    block = filtered_base[start:start + _TICK_BLOCK]
-                    if budget is not None:
-                        budget.tick(len(block))
-                    for f2 in block:
-                        produced.add(fragment_join(f1, f2, stats=stats,
-                                                   cache=cache,
-                                                   kernel=kernel))
-            current = set(self._filtered(produced))
-            if budget is not None:
-                budget.admit_live(len(current))
-            new = current - emitted
-            emitted |= new
-            for fragment in new:
-                self.rows_out += 1
-                yield fragment
-            # ⋈_{r+1}(F) ⊇ ⋈_r(F) under an anti-monotonic filter, so a
-            # round that adds nothing has reached the fixed point early.
-            if not new:
-                break
-
-
-class JoinOp(Operator):
-    """``left ⋈ right`` streamed against the right-hand producer.
-
-    The left side is drained first (a fixpoint must complete before its
-    join partner can be exhaustive anyway); each right-hand fragment
-    then joins against the buffered left side and new results flow out
-    immediately.  An empty left side short-circuits without consuming
-    the right producer at all — the streaming form of the conjunctive
-    early exit.  An optional anti-monotonic ``pushed`` filter discards
-    doomed join results on the spot (Theorem 3).
-    """
-
-    label = "join"
-
-    def __init__(self, left: Operator, right: Operator, *,
-                 pushed: Optional[Filter] = None,
-                 stats: Optional[OperationStats] = None,
-                 cache: Optional[JoinCache] = None,
-                 kernel=None,
-                 budget: Optional["QueryBudget"] = None) -> None:
-        super().__init__()
-        self._left = left
-        self._right = right
-        self._pushed = pushed
-        self._stats = stats
-        self._cache = cache
-        self._kernel = kernel
-        self._budget = budget
-
-    def __iter__(self) -> Iterator[Fragment]:
-        stats, cache = self._stats, self._cache
-        kernel, budget = self._kernel, self._budget
-        pushed = self._pushed
-        left: list[Fragment] = []
-        seen_left: set[Fragment] = set()
-        for fragment in self._left:
-            self.rows_in += 1
-            if fragment not in seen_left:
-                seen_left.add(fragment)
-                left.append(fragment)
-        if not left:
-            return
-        emitted: set[Fragment] = set()
-        for f2 in self._right:
-            self.rows_in += 1
-            for start in range(0, len(left), _TICK_BLOCK):
-                block = left[start:start + _TICK_BLOCK]
-                if budget is not None:
-                    budget.tick(len(block))
-                for f1 in block:
-                    joined = fragment_join(f1, f2, stats=stats,
-                                           cache=cache, kernel=kernel)
-                    if joined in emitted:
-                        continue
-                    if pushed is not None:
-                        if stats is not None:
-                            stats.predicate_checks += 1
-                        if not pushed.matches(joined):
-                            if stats is not None:
-                                stats.fragments_discarded += 1
-                            continue
-                    emitted.add(joined)
-                    self.rows_out += 1
-                    yield joined
-            if budget is not None:
-                budget.admit_live(len(emitted))
-
-
-class SelectOp(Operator):
-    """``σ_P`` applied fragment-by-fragment, mid-stream."""
-
-    label = "select"
-
-    def __init__(self, source: Operator, predicate: Filter,
-                 stats: Optional[OperationStats] = None) -> None:
-        super().__init__()
-        self._source = source
-        self._predicate = predicate
-        self._stats = stats
-
-    def __iter__(self) -> Iterator[Fragment]:
-        stats = self._stats
-        predicate = self._predicate
-        for fragment in self._source:
-            self.rows_in += 1
-            if stats is not None:
-                stats.predicate_checks += 1
-            if predicate.matches(fragment):
-                self.rows_out += 1
-                yield fragment
-            elif stats is not None:
-                stats.fragments_discarded += 1
-
-
-class PowersetOp(Operator):
-    """Brute-force m-ary powerset join, enumerated incrementally.
-
-    Mirrors :func:`~repro.core.algebra.multiway_powerset_join`'s
-    recursion but yields each *new* candidate as its subset combination
-    is joined, so even the semantic-reference strategy streams.
-    """
-
-    label = "powerset"
-
-    def __init__(self, scans: Sequence[ScanOp], *,
-                 max_operand_size: Optional[int] = 16,
-                 stats: Optional[OperationStats] = None,
-                 cache: Optional[JoinCache] = None,
-                 kernel=None,
-                 budget: Optional["QueryBudget"] = None) -> None:
-        super().__init__()
-        self._scans = scans
-        self._max_operand = max_operand_size
-        self._stats = stats
-        self._cache = cache
-        self._kernel = kernel
-        self._budget = budget
-
-    def __iter__(self) -> Iterator[Fragment]:
-        from ..errors import FragmentError
-        stats, cache = self._stats, self._cache
-        kernel, budget = self._kernel, self._budget
-        operands: list[list[Fragment]] = []
-        for scan in self._scans:
-            operand = []
-            for fragment in scan:
-                self.rows_in += 1
-                operand.append(fragment)
-            if self._max_operand is not None \
-                    and len(operand) > self._max_operand:
-                raise FragmentError(
-                    f"powerset join operand has {len(operand)} fragments;"
-                    f" enumeration over 2^{len(operand)} subsets refused "
-                    "(raise max_operand_size to override)")
-            operands.append(operand)
-        emitted: set[Fragment] = set()
-
-        def recurse(position: int, partial: list[Fragment]
-                    ) -> Iterator[Fragment]:
-            if position == len(operands):
-                if budget is not None:
-                    budget.tick(len(partial))
-                    budget.admit_candidates(len(emitted))
-                candidate = join_all(partial, stats=stats, cache=cache,
-                                     kernel=kernel)
-                if candidate not in emitted:
-                    emitted.add(candidate)
-                    self.rows_out += 1
-                    yield candidate
-                return
-            for subset in nonempty_subsets(operands[position]):
-                if budget is not None:
-                    budget.tick(max(0, len(subset) - 1))
-                joined = join_all(subset, stats=stats, cache=cache,
-                                  kernel=kernel)
-                partial.append(joined)
-                yield from recurse(position + 1, partial)
-                partial.pop()
-
-        yield from recurse(0, [])
-
-
-# ----------------------------------------------------------------------
-# Pipeline construction
-# ----------------------------------------------------------------------
-
-def _anti_monotonic_part(predicate: Optional[Filter],
-                         extra: Optional[Filter]) -> Optional[Filter]:
-    """The pushable conjunction of the effective predicate.
-
-    Unlike ``_pushdown`` (which pushes the caller's predicate only when
-    the *whole* filter is anti-monotonic), the pipeline pushes each
-    anti-monotonic conjunct independently — ``size<=β ∧ ¬keyword=k``
-    still prunes on the size bound mid-stream.
-    """
-    parts = [p for p in (predicate, extra)
-             if p is not None and p.is_anti_monotonic]
-    if not parts:
-        return None
-    pushed = parts[0]
-    for part in parts[1:]:
-        pushed = pushed & part
-    return pushed
-
-
-def build_pipeline(document: "Document", query: Query,
-                   strategy: Strategy = Strategy.PUSHDOWN, *,
-                   index: Optional["InvertedIndex"] = None,
-                   cache: Optional[JoinCache] = None,
-                   kernel=None,
-                   budget: Optional["QueryBudget"] = None,
-                   stats: Optional[OperationStats] = None,
-                   extra_predicate: Optional[Filter] = None,
-                   keyword_source: Optional[
-                       Callable[[str], frozenset[Fragment]]] = None,
-                   max_brute_force_operand: int = 16
-                   ) -> tuple[Optional[Operator], list[Operator]]:
-    """Wire the operator tree of one strategy for one query.
-
-    Returns ``(emit, operators)`` — the terminal operator to iterate
-    (``None`` when the conjunctive early exit already proves the answer
-    empty) and every operator in the tree for counter collection.  The
-    set of fragments the emit operator yields equals
-    ``evaluate(document, Query(query.terms, query.predicate &
-    extra_predicate), strategy).fragments`` exactly, for all four
-    strategies (Theorems 2 and 3); the differential tests assert it.
-    """
-    term_order = list(query.terms)
-    if index is not None:
-        term_order = index.rarest_first(term_order)
-    keyword_sets = []
-    for term in term_order:
-        if keyword_source is not None:
-            keyword_sets.append(keyword_source(term))
-        else:
-            keyword_sets.append(keyword_fragments(document, term,
-                                                  index=index))
-    if budget is not None:
-        for fs in keyword_sets:
-            budget.admit_candidates(len(fs))
-        budget.check_deadline()
-
-    predicate = query.predicate
-    if extra_predicate is not None:
-        predicate = predicate & extra_predicate
-    scans = [ScanOp(term, fs)
-             for term, fs in zip(term_order, keyword_sets)]
-    operators: list[Operator] = list(scans)
-    if any(not fs for fs in keyword_sets):
-        # Conjunctive semantics: a term with no matches empties the
-        # answer before any join work.
-        return None, operators
-
-    if strategy is Strategy.BRUTE_FORCE:
-        # The semantic reference enumerates candidates unpruned; only
-        # the final selection filters (mid-stream, one per candidate).
-        powerset = PowersetOp(scans,
-                              max_operand_size=max_brute_force_operand,
-                              stats=stats, cache=cache, kernel=kernel,
-                              budget=budget)
-        emit = SelectOp(powerset, predicate, stats=stats)
-        operators.extend([powerset, emit])
-        return emit, operators
-
-    pushed = _anti_monotonic_part(query.predicate, extra_predicate)
-    if pushed is not None and strategy is not Strategy.PUSHDOWN:
-        # SET_REDUCTION / SEMI_NAIVE do not push the caller's predicate
-        # (that is PUSHDOWN's defining refinement) — but the adaptive
-        # top-k bound is the *consumer's* filter, and pushing it is what
-        # bounds the producers' work, so it is pushed for every rewrite
-        # strategy.  Answer sets are unchanged either way (Theorem 3).
-        pushed = (extra_predicate
-                  if extra_predicate is not None
-                  and extra_predicate.is_anti_monotonic else None)
-    if pushed is not None:
-        for scan, fs in zip(scans, keyword_sets):
-            if not select(pushed, fs, stats=stats):
-                # An anti-monotonic filter that rejects every keyword
-                # node of one term rejects every candidate fragment too.
-                return None, operators
-
-    bounded = strategy is Strategy.SET_REDUCTION
-    fixpoints = [FixpointOp(scan, bounded=bounded, predicate=pushed,
-                            stats=stats, cache=cache, kernel=kernel,
-                            budget=budget)
-                 for scan in scans]
-    operators.extend(fixpoints)
-    producer: Operator = fixpoints[0]
-    for other in fixpoints[1:]:
-        producer = JoinOp(producer, other, pushed=pushed, stats=stats,
-                          cache=cache, kernel=kernel, budget=budget)
-        operators.append(producer)
-    emit = SelectOp(producer, predicate, stats=stats)
-    operators.append(emit)
-    return emit, operators
-
 
 class FragmentStream:
     """An in-flight streaming evaluation: iterate to pull answers.
@@ -557,8 +115,8 @@ class FragmentStream:
     Yields each answer fragment exactly once, as it is proven.  The
     collected set equals the materialized ``evaluate(...)`` answer set;
     abandoning the iterator early (or calling :meth:`close`) stops the
-    producers.  ``stats`` accumulates live; ``operator_counters`` /
-    ``streamed_rows`` expose the per-operator row accounting.  On
+    producers.  ``stats`` / ``operator_counters`` / ``streamed_rows``
+    read the per-operator accounting the pipeline keeps as it runs.  On
     exhaustion or close, the stream publishes ``repro_stream_rows_total``
     (labelled per operator) and a query-log record when ``obs`` is
     enabled.
@@ -566,18 +124,18 @@ class FragmentStream:
 
     def __init__(self, document: "Document", query: Query,
                  strategy: Strategy, operators: list[Operator],
-                 emit: Optional[Operator], stats: OperationStats,
+                 emit: Iterable[Fragment], analysis: PlanAnalysis,
                  obs: Observability) -> None:
         self.query = query
         self.strategy = strategy
-        self.stats = stats
         self.operators = operators
+        self._analysis = analysis
         self._document = document
         self._obs = obs
         self._started = time.perf_counter()
         self._answers = 0
         self._finished = False
-        self._iter = iter(emit) if emit is not None else iter(())
+        self._iter = iter(emit)
 
     def __iter__(self) -> "FragmentStream":
         return self
@@ -599,9 +157,18 @@ class FragmentStream:
         self._finish()
 
     @property
+    def stats(self) -> OperationStats:
+        """The work done so far, summed over the operators; a finished
+        stream adds ``extras["streamed_rows"]``."""
+        stats = self._analysis.totals()
+        if self._finished:
+            stats.extras["streamed_rows"] = self.streamed_rows
+        return stats
+
+    @property
     def streamed_rows(self) -> int:
         """Rows emitted across all operators so far."""
-        return sum(op.rows_out for op in self.operators)
+        return sum(op.run.rows for op in self.operators)
 
     def operator_counters(self) -> list[dict]:
         """Per-operator ``rows_in``/``rows_out`` snapshots."""
@@ -612,17 +179,16 @@ class FragmentStream:
             return
         self._finished = True
         elapsed = time.perf_counter() - self._started
-        self.stats.extras["streamed_rows"] = self.streamed_rows
         ob = self._obs
         if ob.enabled:
             for op in self.operators:
-                if op.rows_out:
+                if op.run.rows:
                     ob.metrics.counter(
                         STREAM_ROWS,
                         "Fragments emitted by streaming pipeline "
                         "operators.",
                         labels={"operator": op.label},
-                    ).inc(op.rows_out)
+                    ).inc(op.run.rows)
             ob.record_query(
                 document=getattr(self._document, "name", "?"),
                 terms=self.query.terms,
@@ -646,27 +212,33 @@ def stream_evaluate(document: "Document", query: Query,
     """Evaluate ``query`` incrementally; returns a :class:`FragmentStream`.
 
     The streaming counterpart of :func:`~repro.core.strategies.evaluate`:
-    the set of yielded fragments is exactly the materialized answer set
-    of ``query.predicate & extra_predicate`` under ``strategy``, but
+    the same plan through the same operators, so the set of yielded
+    fragments is exactly the materialized answer set of
+    ``query.predicate & extra_predicate`` under ``strategy`` — but
     fragments arrive as they are proven and the pipeline stops when the
     caller stops pulling.  ``extra_predicate`` exists for consumers
     (top-k, β rounds) that tighten the caller's filter without
-    rebuilding the query; its anti-monotonic part is pushed below the
-    joins regardless of strategy.
+    rebuilding the query: it is one more selection over the strategy's
+    plan and, when anti-monotonic, is pushed below the joins regardless
+    of strategy.
     """
-    ob = obs if obs is not None else NOOP
-    kernel_obj = resolve_kernel(kernel, document)
-    stats = OperationStats()
+    plan = _physical_plan(query, strategy, index)
+    if extra_predicate is not None:
+        # Pushed, an anti-monotonic selection already holds of every
+        # fragment the plan yields (that is Theorem 3).
+        plan = (_push(extra_predicate, plan)
+                if extra_predicate.is_anti_monotonic
+                else Select(extra_predicate, plan))
+    analysis = PlanAnalysis(plan)
     if budget is not None:
         budget.start()
-        budget.bind_stats(stats)
+        budget.bind_stats(analysis)
     emit, operators = build_pipeline(
-        document, query, strategy, index=index, cache=cache,
-        kernel=kernel_obj, budget=budget, stats=stats,
-        extra_predicate=extra_predicate, keyword_source=keyword_source,
-        max_brute_force_operand=max_brute_force_operand)
+        document, analysis, index=index,
+        keyword_source=keyword_source, cache=cache, kernel=kernel,
+        budget=budget, max_powerset_operand=max_brute_force_operand)
     return FragmentStream(document, query, strategy, operators, emit,
-                          stats, ob)
+                          analysis, obs if obs is not None else NOOP)
 
 
 # ----------------------------------------------------------------------
@@ -785,9 +357,3 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
                         labels={"stage": "topk"}).inc()
             return heapq.nsmallest(k, answers, key=fragment_order_key)
         beta = min(beta * 2, document.size)
-
-
-def stream_query_top_k(document: "Document", query: Query, k: int,
-                       **kwargs) -> list[Fragment]:
-    """Alias kept narrow for callers that read better with a verb."""
-    return stream_top_k(document, query, k, **kwargs)

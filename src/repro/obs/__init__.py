@@ -11,11 +11,11 @@ query engine needs to watch itself:
 * a **structured query log** (:mod:`repro.obs.querylog`) emitting one
   JSON record per query, with a slow-query threshold.
 
-Every engine entry point (``strategies.evaluate``, ``PlanEvaluator``,
-``optimize``, collections, the relational engine, the ranker) accepts an
-optional ``obs=`` handle and defaults to :data:`NOOP` — a singleton
-whose spans and instruments are shared no-op objects, so the disabled
-path costs a method call per phase and allocates nothing.
+Every engine entry point (``evaluate``/``run_plan``/``stream_evaluate``:
+one operator pipeline; ``optimize``, collections, the relational engine,
+the ranker) accepts an optional ``obs=`` handle and defaults to
+:data:`NOOP` — a singleton whose spans and instruments are shared no-op
+objects, so the disabled path costs a call per phase and allocates nothing.
 
 Typical use::
 

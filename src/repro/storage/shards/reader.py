@@ -31,6 +31,7 @@ import json
 import mmap
 import os
 import struct
+import threading
 import time
 from collections import OrderedDict
 from typing import Optional
@@ -302,8 +303,9 @@ class ShardIndex:
 
     Build with :meth:`attach` (mmap) or :meth:`from_spec` (the
     picklable form shipped to pool workers, optionally carrying
-    shared-memory segment names for the spawn path).  Not thread-safe —
-    one handle per process/worker, like the kernels it feeds.
+    shared-memory segment names for the spawn path).  One handle per
+    process/worker; its handler threads share the document cache, which
+    is the only mutable state and is locked.
     """
 
     def __init__(self, path: str, manifest: dict, files: dict,
@@ -317,6 +319,7 @@ class ShardIndex:
         self._obs = obs
         self._documents: OrderedDict[str, Document] = OrderedDict()
         self._indexes: dict[str, InvertedIndex] = {}
+        self._cache_lock = threading.Lock()  # guards the two above
         self._names = [name for name in sorted(manifest["documents"])
                        if manifest["documents"][name] in files]
         self._name_set = frozenset(self._names)
@@ -528,38 +531,47 @@ class ShardIndex:
     def contains(self, name: str, term: str) -> bool:
         """Does ``name`` contain ``term``?  Pure mapped-postings probe."""
         sf, entry = self._locate(name)
-        if name in self._indexes:
-            return self._indexes[name].contains(term)
+        with self._cache_lock:
+            index = self._indexes.get(name)
+        if index is not None:
+            return index.contains(term)
         self._verify(sf, name, entry)
         return fmt.postings_lookup(
             self._section(sf, entry, "postings"), term) is not None
 
     def document(self, name: str) -> Document:
         """Materialise (and cache) one document from the mapped bytes."""
-        doc = self._documents.get(name)
-        if doc is not None:
-            self._documents.move_to_end(name)
-            return doc
-        sf, entry = self._locate(name)
-        self._verify(sf, name, entry)
-        doc, postings = self._materialize(sf, entry, name)
-        self._documents[name] = doc
-        self._indexes[name] = InvertedIndex.from_postings(doc, postings)
-        self._materialized_total += 1
-        self._obs.metrics.counter(
-            SHARD_DOCS_MATERIALIZED,
-            "Documents decoded from mapped shards.").inc()
-        if self._cache_limit is not None \
-                and len(self._documents) > self._cache_limit:
-            evicted, _ = self._documents.popitem(last=False)
-            self._indexes.pop(evicted, None)
-        return doc
+        return self._cached(name)[0]
 
     def inverted_index(self, name: str) -> InvertedIndex:
         """The document's inverted index, built from mapped postings."""
-        if name not in self._indexes:
-            self.document(name)
-        return self._indexes[name]
+        return self._cached(name)[1]
+
+    def _cached(self, name: str) -> tuple[Document, InvertedIndex]:
+        """The cached (document, index) pair of ``name``, loading it
+        on a miss.  Lookup, load and eviction happen under one lock:
+        handler threads share the handle, and an entry evicted between
+        another thread's check and its read would be a ``KeyError``."""
+        with self._cache_lock:
+            doc = self._documents.get(name)
+            if doc is not None:
+                self._documents.move_to_end(name)
+                return doc, self._indexes[name]
+            sf, entry = self._locate(name)
+            self._verify(sf, name, entry)
+            doc, postings = self._materialize(sf, entry, name)
+            index = InvertedIndex.from_postings(doc, postings)
+            self._documents[name] = doc
+            self._indexes[name] = index
+            self._materialized_total += 1
+            self._obs.metrics.counter(
+                SHARD_DOCS_MATERIALIZED,
+                "Documents decoded from mapped shards.").inc()
+            if self._cache_limit is not None \
+                    and len(self._documents) > self._cache_limit:
+                evicted, _ = self._documents.popitem(last=False)
+                self._indexes.pop(evicted, None)
+            return doc, index
 
     def _materialize(self, sf: _ShardFile, entry: dict, name: str):
         try:
@@ -629,8 +641,9 @@ class ShardIndex:
         if self._closed:
             return
         self._closed = True
-        self._documents.clear()
-        self._indexes.clear()
+        with self._cache_lock:
+            self._documents.clear()
+            self._indexes.clear()
         for sf in self._files.values():
             sf.close()
         for shm in self._shm_owned:

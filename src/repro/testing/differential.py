@@ -11,10 +11,12 @@ own machines:
 >>> report.failures
 ()
 
-Each trial generates a random document and query, evaluates it with
-every strategy plus the literal powerset-semantics oracle, and records
-any disagreement as a :class:`TrialFailure` carrying everything needed
-to reproduce it (the seed, the document's parent vector, the query).
+Each trial generates a random document and query, evaluates it through
+every path the engine offers — each strategy, materialised on both join
+kernels, streamed, and as an explicit plan — plus the literal
+powerset-semantics oracle, and records any disagreement as a
+:class:`TrialFailure` carrying everything needed to reproduce it (the
+seed, the document's parent vector, the query).
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.filters import (Filter, HeightAtMost, SizeAtMost, TrueFilter,
-                            WidthAtMost)
+from ..core.algebra import KERNEL_NAMES, KERNEL_REFERENCE
+from ..core.evaluator import run_plan
+from ..core.filters import (Filter, HeightAtMost, SizeAtLeast, SizeAtMost,
+                            TrueFilter, WidthAtMost)
 from ..core.query import Query
 from ..core.semantics import powerset_semantics_answers
-from ..core.strategies import Strategy, evaluate
+from ..core.strategies import Strategy, evaluate, plan_for
+from ..core.streaming import stream_evaluate
 from ..xmltree.builder import DocumentBuilder
 from ..xmltree.document import Document
 
@@ -111,17 +116,52 @@ def _random_query(rng: random.Random) -> Query:
     term_count = rng.randint(1, 3)
     terms = tuple(rng.sample(_TERMS, term_count))
     predicate: Filter
-    roll = rng.randrange(4)
+    roll = rng.randrange(7)
     if roll == 0:
         predicate = TrueFilter()
     elif roll == 1:
         predicate = SizeAtMost(rng.randint(1, 6))
     elif roll == 2:
         predicate = HeightAtMost(rng.randint(0, 3))
-    else:
+    elif roll == 3:
         predicate = (SizeAtMost(rng.randint(2, 5))
                      & WidthAtMost(rng.randint(1, 6)))
+    # The rest are not anti-monotonic: Theorem 3 must not fire, and a
+    # strategy that pushed them down would lose answers.
+    elif roll == 4:
+        predicate = SizeAtLeast(rng.randint(1, 4))
+    elif roll == 5:
+        predicate = (SizeAtMost(rng.randint(3, 6))
+                     & SizeAtLeast(rng.randint(1, 3)))
+    else:
+        predicate = (SizeAtLeast(rng.randint(2, 4))
+                     | HeightAtMost(rng.randint(0, 1)))
     return Query(terms, predicate)
+
+
+def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
+    """Names of the evaluation paths that differ from ``oracle``."""
+    wrong = []
+    for strategy in Strategy:
+        name = strategy.value
+        runs = {kernel: evaluate(doc, query, strategy=strategy,
+                                 kernel=kernel)
+                for kernel in KERNEL_NAMES}
+        wrong += [f"{name}/{kernel}" for kernel, run in runs.items()
+                  if run.fragments != oracle]
+        stream = stream_evaluate(doc, query, strategy)
+        if frozenset(stream) != oracle:
+            wrong.append(f"{name}/streamed")
+        # Streaming is the same plan through the same operators: it
+        # must do exactly the materialised run's counted work.
+        if stream.stats.as_dict() != {
+                **runs[KERNEL_REFERENCE].stats,
+                "streamed_rows": stream.streamed_rows}:
+            wrong.append(f"{name}/streamed-stats")
+        if run_plan(doc, query, plan_for(query, strategy)).fragments \
+                != oracle:
+            wrong.append(f"{name}/plan")
+    return wrong
 
 
 def run_differential_trials(trials: int = 100, seed: int = 0,
@@ -130,8 +170,10 @@ def run_differential_trials(trials: int = 100, seed: int = 0,
                             ) -> DifferentialReport:
     """Run ``trials`` random cross-checks of every evaluation path.
 
-    Each trial compares all four strategies against the literal
-    powerset-semantics oracle on a fresh random document and query.
+    Each trial compares, against the literal powerset-semantics oracle
+    on a fresh random document and query, every strategy evaluated on
+    both join kernels, streamed, and run as its explicit plan — and
+    checks that streaming does exactly the materialised run's work.
 
     Parameters
     ----------
@@ -148,12 +190,7 @@ def run_differential_trials(trials: int = 100, seed: int = 0,
         rng = random.Random(trial_seed ^ 0x5EED)
         query = _random_query(rng)
         oracle = powerset_semantics_answers(doc, query)
-        disagreeing = [
-            strategy.value
-            for strategy in Strategy
-            if evaluate(doc, query, strategy=strategy).fragments
-            != oracle
-        ]
+        disagreeing = _disagreements(doc, query, oracle)
         if disagreeing:
             failures.append(TrialFailure(
                 trial=trial,

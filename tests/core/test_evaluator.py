@@ -9,9 +9,8 @@ from repro.core.evaluator import PlanEvaluator, run_plan
 from repro.core.filters import SizeAtMost
 from repro.core.optimizer import OptimizerSettings, optimize
 from repro.core.plan import (FixedPoint, KeywordScan, PairwiseJoin,
-                             PowersetJoin, Select, initial_plan)
+                             PlanNode, PowersetJoin, Select, initial_plan)
 from repro.core.query import Query
-from repro.core.stats import OperationStats
 from repro.core.strategies import Strategy, evaluate
 from repro.errors import PlanError
 from repro.index.inverted import InvertedIndex
@@ -66,11 +65,12 @@ class TestOperatorExecution:
             evaluator.execute(plan)
 
     def test_unknown_node_rejected(self, figure1):
-        class Bogus:
-            pass
+        class Bogus(PlanNode):
+            def label(self):
+                return "bogus"
 
         with pytest.raises(PlanError):
-            PlanEvaluator(figure1)._eval(Bogus(), OperationStats())
+            PlanEvaluator(figure1).execute(Bogus())
 
 
 class TestPlanEquivalence:

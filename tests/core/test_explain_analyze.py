@@ -83,6 +83,27 @@ class TestExplainAnalyze:
         assert root.rows == len(result.fragments)
         assert root.total_seconds > 0
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES,
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_operator_counters_sum_to_evaluate_stats(self, matching, query,
+                                                     strategy, indexed):
+        # The analysed plan is the plan evaluate() runs: its operators'
+        # counters add up to the query's, for every strategy.
+        document, index = matching
+        index = index if indexed else None
+        reference = evaluate(document, query, strategy=strategy,
+                             index=index)
+        result, analysis = explain_analyze(document, query,
+                                           strategy=strategy, index=index)
+        assert result.stats == reference.stats
+        for counter in ("fragment_joins", "join_cache_hits",
+                        "predicate_checks", "subset_checks",
+                        "fragments_discarded", "iterations"):
+            assert sum(getattr(op, counter) for op in analysis.operators) \
+                == reference.stats[counter], counter
+        assert analysis.operators[0].rows == len(reference.fragments)
+
     def test_operator_counters_are_self_only(self, matching, query):
         document, index = matching
         _, analysis = explain_analyze(document, query,

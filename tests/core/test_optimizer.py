@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.core.cost import CostModel
-from repro.core.filters import SizeAtLeast, SizeAtMost
+from repro.core.evaluator import PlanEvaluator
+from repro.core.filters import HeightAtMost, SizeAtLeast, SizeAtMost
 from repro.core.optimizer import (OptimizerSettings, optimize,
                                   push_down_selections, rewrite_powerset)
 from repro.core.plan import (FixedPoint, KeywordScan, PairwiseJoin,
@@ -69,6 +70,21 @@ class TestPushDown:
         assert isinstance(plan, Select)
         assert isinstance(plan.child, Select)
         assert isinstance(plan.child.child, PairwiseJoin)
+
+    def test_stacked_selections_both_prune(self, figure1):
+        # The second push-down must conjoin with, not overwrite, the
+        # pruning an earlier selection left inside each fixed point.
+        chain = rewrite_powerset(
+            initial_plan(Query.of("xquery", "optimization"))).child
+        stacked = Select(SizeAtMost(4), Select(HeightAtMost(2), chain))
+        pushed = push_down_selections(stacked)
+        fps = [n for n in pushed.walk() if isinstance(n, FixedPoint)]
+        assert len(fps) == 2
+        for fp in fps:
+            assert "size<=4" in fp.label() and "height<=2" in fp.label()
+            assert fp.predicate.is_anti_monotonic
+        evaluator = PlanEvaluator(figure1)
+        assert evaluator.execute(pushed) == evaluator.execute(stacked)
 
     def test_non_anti_monotonic_untouched(self):
         query = Query.of("a", "b", predicate=SizeAtLeast(3))

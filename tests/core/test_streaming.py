@@ -22,7 +22,6 @@ from repro.core.streaming import (FragmentStream, TopKHeap,
                                   fragment_order_key, hit_order_key,
                                   ranked_order_key, stream_evaluate,
                                   stream_top_k)
-from repro.core.topk import top_k_smallest
 from repro.errors import BudgetExceeded
 from repro.guard.budget import QueryBudget
 from repro.obs import Observability
@@ -162,11 +161,6 @@ class TestStreamTopK:
         for k in (1, 2, 5, 50):
             assert stream_top_k(figure1, query, k,
                                 strategy=strategy) == full[:k]
-
-    def test_agrees_with_top_k_smallest(self, figure1):
-        query = Query.of("xquery", "optimization")
-        assert stream_top_k(figure1, query, 2) == \
-            top_k_smallest(figure1, query, k=2)
 
     def test_early_exit_metric(self, figure1):
         obs = Observability()

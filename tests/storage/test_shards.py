@@ -20,6 +20,8 @@ import json
 import os
 import pickle
 import shutil
+import sys
+import threading
 
 import pytest
 
@@ -176,6 +178,39 @@ class TestFormat:
             for name in index.names():
                 index.document(name)
             assert index.stats()["documents_cached"] <= 2
+
+    def test_document_cache_is_shared_by_threads(self, index_dir):
+        """Two handler threads alternating two documents through a
+        one-entry cache: each evicts the other's entry between its
+        check and its read unless the cache is locked (a ``KeyError``
+        out of ``inverted_index`` before the lock)."""
+        errors = []
+
+        def reader(names):
+            try:
+                for _ in range(100):
+                    for name in names:
+                        assert index.inverted_index(name) is not None
+                        assert index.document(name).name == name
+            except Exception as exc:  # the assertion is on the list
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardIndex.attach(index_dir, cache_limit=1) as index:
+                first, second = index.names()[:2]
+                threads = [threading.Thread(target=reader, args=(order,))
+                           for order in ((first, second), (second, first),
+                                         (first, second))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
 
 class TestCorruption:
