@@ -1,4 +1,4 @@
-.PHONY: install test bench examples verify clean
+.PHONY: install test bench bench-serving examples verify clean
 
 # Run from the checkout, as the tier-1 command does: no install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -11,6 +11,11 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The serving benchmark of BENCHMARK.json: 4 workloads x 3 repetitions
+# through a real `repro-search serve`, then the traced runs (~8 min).
+bench-serving:
+	python3 benchmarks/serving/run.py --out report.json
 
 examples:
 	@for f in examples/*.py; do \

@@ -949,8 +949,8 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                              "evaluation work runs")
     parser.add_argument("--max-log-records", type=int, default=2048,
                         metavar="N", dest="max_log_records",
-                        help="query-log ring size; oldest records are "
-                             "evicted past N (default: 2048)")
+                        help="query-log and span-tree ring size; oldest "
+                             "records are evicted past N (default: 2048)")
     parser.add_argument("--profile-queries", action="store_true",
                         dest="profile_queries",
                         help="attach a flight recorder: per-query "
@@ -1023,9 +1023,12 @@ def serve_main(argv: Optional[Sequence[str]] = None,
             return 2
         if args.profile_dump:
             uninstall_dump = recorder.install_dump_hook(args.profile_dump)
+    # Both rings share one bound: nothing a long-running server keeps
+    # per request (log records, span trees) may grow without one.
     obs = Observability(
         query_log=QueryLog(max_records=args.max_log_records,
                            slow_query_ms=args.slow_query_ms),
+        tracer=SpanTracer(max_roots=args.max_log_records),
         recorder=recorder)
     skipped: list = []
     try:

@@ -271,10 +271,18 @@ class DocumentCollection:
         """
         return None
 
+    def node_count(self, name: str) -> int:
+        """Node count of one document.
+
+        Index-backed subclasses read it from the stored header, so
+        sizing a search never materialises a document.
+        """
+        return len(self._documents[name])
+
     @property
     def total_nodes(self) -> int:
         """Node count summed over all documents."""
-        return sum(d.size for d in self._documents.values())
+        return sum(self.node_count(name) for name in self.names())
 
     def document_frequency(self, term: str) -> int:
         """Number of *documents* containing ``term`` somewhere."""
@@ -507,7 +515,7 @@ class DocumentCollection:
             ).inc(skipped)
         if not live:
             return
-        max_size = max(self.document(name).size for name in live)
+        max_size = max(self.node_count(name) for name in live)
         recorder = (getattr(ob, "recorder", None) if ob.enabled
                     else None)
         beta = min(initial_beta, max_size)
@@ -580,7 +588,7 @@ class DocumentCollection:
         runner = self._parallel_executor(workers)
         supports_hint = (isinstance(runner, ParallelExecutor)
                          or getattr(runner, "supports_hints", False))
-        max_size = max(self.document(name).size for name in targets)
+        max_size = max(self.node_count(name) for name in targets)
         beta = min(initial_beta, max_size)
         prev_beta = 0
         emitted = 0
@@ -833,7 +841,7 @@ class DocumentCollection:
                 if self.has_terms(name, query.terms)]
         if not live:
             return []
-        max_size = max(self.document(name).size for name in live)
+        max_size = max(self.node_count(name) for name in live)
         heap: TopKHeap = TopKHeap(limit)
         beta = min(initial_beta, max_size)
         prev_beta = 0

@@ -94,10 +94,14 @@ class _BoundExecutor:
 class _SnapshotCollection(DocumentCollection):
     """One search's consistent view: a collection bound to one epoch.
 
-    Shares the parent's :class:`~repro.core.algebra.JoinCache` (join
-    memos are content-addressed, so they survive epoch changes) and its
+    Shares the parent's :class:`~repro.core.algebra.JoinCache` and its
     per-epoch scorer cache; everything name-addressed (documents,
-    indexes, term probes) goes through the pinned snapshot.
+    indexes, term probes) goes through the pinned snapshot.  Join memos
+    are addressed by document token: a base document keeps its token for
+    as long as its generation is attached, so its memos survive epoch
+    changes; a delta document is rebuilt, with a fresh token, by every
+    epoch's view, so its memos do not (they own no document and age out
+    of the LRU).
     """
 
     def __init__(self, parent: "MutableDocumentCollection",
@@ -124,10 +128,8 @@ class _SnapshotCollection(DocumentCollection):
     def _shard_of(self, name: str) -> Optional[int]:
         return self._snapshot.shard_of(name)
 
-    @property
-    def total_nodes(self) -> int:
-        return sum(self._snapshot.node_count(name)
-                   for name in self._snapshot.names())
+    def node_count(self, name: str) -> int:
+        return self._snapshot.node_count(name)
 
     def document_frequency(self, term: str) -> int:
         needle = term.casefold()
@@ -270,6 +272,10 @@ class MutableDocumentCollection(DocumentCollection):
     def has_terms(self, name: str, terms: Iterable[str]) -> bool:
         with self._pinned() as snapshot:
             return all(snapshot.contains(name, term) for term in terms)
+
+    def node_count(self, name: str) -> int:
+        with self._pinned() as snapshot:
+            return snapshot.node_count(name)
 
     @property
     def total_nodes(self) -> int:

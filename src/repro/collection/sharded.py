@@ -132,11 +132,9 @@ class ShardedDocumentCollection(DocumentCollection):
     def _shard_of(self, name: str) -> Optional[int]:
         return self.index_handle.shard_of(name)
 
-    @property
-    def total_nodes(self) -> int:
-        """Node count over servable documents, read from shard headers."""
-        return sum(self.index_handle.node_count(name)
-                   for name in self.index_handle.names())
+    def node_count(self, name: str) -> int:
+        """Node count of a document, read from its shard header."""
+        return self.index_handle.node_count(name)
 
     def document_frequency(self, term: str) -> int:
         needle = term.casefold()

@@ -16,9 +16,10 @@ Implements, over :class:`~repro.core.fragment.Fragment` values and
 Selection (`σ_P`) lives in :mod:`repro.core.filters`; fixed points and
 set reduction in :mod:`repro.core.reduce`.
 
-A per-document memo cache makes repeated joins of the same pair O(1);
-the cache is keyed on the operand node sets and is safe because
-documents and fragments are immutable.
+A memo cache makes repeated joins of the same pair O(1); it is keyed
+on the document's identity token and the operand node sets, stores
+node sets only, and is safe because documents and fragments are
+immutable.
 """
 
 from __future__ import annotations
@@ -95,13 +96,22 @@ def resolve_kernel(kernel: KernelArg,
 class JoinCache:
     """LRU memo cache for binary fragment joins.
 
-    Keys combine the owning document's identity **token** (monotonic and
-    never reused, unlike ``id()``, so entries can never go stale after a
-    document is garbage collected) with the unordered pair of operand
-    node sets — commutativity makes the ordering irrelevant — so one
-    cache can safely be shared across the documents of a collection.
-    A bounded size with least-recently-*used* eviction keeps memory in
-    check on large workloads while retaining the hot pairs.
+    An entry maps ``(document token, operand node set, operand node
+    set)`` to the joined *node set*; a hit is bound to the live
+    operand's document, so the cache never owns a
+    :class:`~repro.xmltree.document.Document` — nothing an evicted
+    document's entries hold keeps its tree alive.  Tokens are monotonic
+    and never reused for a different tree (unlike ``id()``), so entries
+    cannot go stale, and a shard index hands every re-materialisation
+    of one name the same token, so they hit again when an evicted
+    document comes back.  One cache can safely be shared across the
+    documents of a collection; a bounded size with
+    least-recently-*used* eviction keeps memory in check while
+    retaining the hot pairs.
+
+    Handler threads share a cache without a lock: every table operation
+    is a single atomic call, and :meth:`get` / :meth:`put` tolerate an
+    entry evicted by another thread in between two of them.
 
     ``hits`` / ``misses`` count :meth:`get` outcomes over the cache's
     lifetime; :meth:`export_metrics` publishes them to a
@@ -113,33 +123,46 @@ class JoinCache:
     def __init__(self, max_entries: int = 1 << 16) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        self._table: OrderedDict[tuple, Fragment] = OrderedDict()
+        self._table: OrderedDict[tuple, frozenset[int]] = OrderedDict()
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
 
     @staticmethod
     def _key(f1: Fragment, f2: Fragment) -> tuple:
-        return (f1.document.token, frozenset((f1.nodes, f2.nodes)))
+        # Commutativity: order the operand sets by their cached hashes
+        # rather than allocating an unordered pair.  The sets themselves
+        # are the key, so equal hashes can at worst store one join under
+        # both orders — never return another pair's.
+        if f1._hash <= f2._hash:
+            return (f1._doc.token, f1._nodes, f2._nodes)
+        return (f1._doc.token, f2._nodes, f1._nodes)
 
     def get(self, f1: Fragment, f2: Fragment) -> Optional[Fragment]:
         """The cached join of ``f1`` and ``f2``, or ``None``."""
         key = self._key(f1, f2)
-        hit = self._table.get(key)
-        if hit is None:
+        nodes = self._table.get(key)
+        if nodes is None:
             self.misses += 1
             return None
-        # True LRU: a hit refreshes the entry's recency.
-        self._table.move_to_end(key)
+        try:
+            # True LRU: a hit refreshes the entry's recency.
+            self._table.move_to_end(key)
+        except KeyError:
+            pass  # evicted by a concurrent put; the value is still right
         self.hits += 1
-        return hit
+        return Fragment._trusted(f1._doc, nodes)
 
     def put(self, f1: Fragment, f2: Fragment, result: Fragment) -> None:
         """Record the join of ``f1`` and ``f2``."""
-        if len(self._table) >= self._max_entries:
-            # LRU eviction: drop the least recently touched entry.
-            self._table.popitem(last=False)
-        self._table[self._key(f1, f2)] = result
+        table = self._table
+        table[self._key(f1, f2)] = result.nodes
+        if len(table) > self._max_entries:
+            try:
+                # LRU eviction: drop the least recently touched entry.
+                table.popitem(last=False)
+            except KeyError:
+                pass  # concurrent puts already drained the table
 
     def __len__(self) -> int:
         return len(self._table)
@@ -149,16 +172,20 @@ class JoinCache:
         self._table.clear()
 
     def export_metrics(self, metrics) -> None:
-        """Publish lifetime hit/miss totals as gauges on ``metrics``.
+        """Publish lifetime hit/miss totals and the current entry count
+        as gauges on ``metrics``.
 
         Gauges (not counters) because the cache owns the running totals;
         re-exporting after more queries overwrites with the new values.
         """
-        from ..obs import JOIN_CACHE_MEMO_HITS, JOIN_CACHE_MEMO_MISSES
+        from ..obs import (JOIN_CACHE_MEMO_ENTRIES, JOIN_CACHE_MEMO_HITS,
+                           JOIN_CACHE_MEMO_MISSES)
         metrics.gauge(JOIN_CACHE_MEMO_HITS,
                       "Lifetime JoinCache memo hits.").set(self.hits)
         metrics.gauge(JOIN_CACHE_MEMO_MISSES,
                       "Lifetime JoinCache memo misses.").set(self.misses)
+        metrics.gauge(JOIN_CACHE_MEMO_ENTRIES,
+                      "Joins the JoinCache memo holds.").set(len(self))
 
 
 def fragment_join(f1: Fragment, f2: Fragment,
@@ -196,7 +223,7 @@ def fragment_join(f1: Fragment, f2: Fragment,
         nodes = kernel.join_nodes(f1.nodes, f2.nodes, f1.root, f2.root)
     else:
         nodes = spanning_nodes(f1.document, chain(f1.nodes, f2.nodes))
-    result = Fragment(f1.document, nodes, validate=False)
+    result = Fragment._trusted(f1.document, nodes)
     if cache is not None:
         cache.put(f1, f2, result)
     return result

@@ -72,6 +72,21 @@ class Fragment:
     # ------------------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, document: "Document",
+                 node_set: frozenset[int]) -> "Fragment":
+        """Bind an already-built, known-connected ``frozenset`` to
+        ``document`` — no copy, no checks.  The join path builds one
+        fragment per lookup (:class:`~repro.core.algebra.JoinCache`
+        stores node sets, not fragments), so this skips ``__init__``."""
+        self = cls.__new__(cls)
+        self._doc = document
+        self._nodes = node_set
+        self._hash = hash(node_set)
+        self._bounds = None
+        self._height = None
+        return self
+
+    @classmethod
     def from_node(cls, document: "Document", node_id: int) -> "Fragment":
         """The single-node fragment ⟨n⟩."""
         return cls(document, (node_id,))

@@ -98,6 +98,8 @@ STREAM_SCORES_SKIPPED = "repro_stream_scores_skipped_total"
 # JoinCache lifetime memo totals (exported by JoinCache.export_metrics).
 JOIN_CACHE_MEMO_HITS = "repro_join_cache_memo_hits"
 JOIN_CACHE_MEMO_MISSES = "repro_join_cache_memo_misses"
+#: Gauge: entries the memo currently holds (bounded by ``max_entries``).
+JOIN_CACHE_MEMO_ENTRIES = "repro_join_cache_memo_entries"
 
 # Parallel-execution pool metrics (recorded by repro.exec).
 POOL_WORKERS = "repro_pool_workers"

@@ -15,8 +15,9 @@ daemon thread and serves the handle's current state:
     begun.
 ``GET /varz``
     The whole registry as JSON, plus server uptime, the degraded flag,
-    query-log counts and (with a collection attached) the guard-rail
-    state: queue depth, in-flight count, breaker state.
+    query-log counts, the tracer's retained root count and (with a
+    collection attached) the guard-rail state: queue depth, in-flight
+    count, breaker state.
 ``GET /slow``
     The retained slow-query records as a JSON array (empty without a
     query log).
@@ -756,6 +757,9 @@ class _ObsHTTPServer(ThreadingHTTPServer):
                 "slow": sum(1 for r in records if r.slow),
                 "slow_query_ms": obs.query_log.slow_query_ms,
             }
+        if obs.tracer.enabled:
+            doc["tracer"] = {"roots": len(obs.tracer.roots),
+                             "max_roots": obs.tracer.max_roots}
         recorder = getattr(obs, "recorder", None)
         if recorder is not None:
             doc["flight_recorder"] = {

@@ -74,7 +74,7 @@ class Span:
         if parent is not None:
             parent.children.append(self)
         else:
-            tracer.roots.append(self)
+            tracer._add_root(self)
         tracer._stack.append(self)
         if self._stats is not None:
             self._before = self._stats.snapshot()
@@ -177,13 +177,26 @@ class SpanTracer:
     roots:
         Top-level spans, in start order.  Nested ``span()`` calls attach
         to the innermost open span instead.
+    max_roots:
+        ``None`` (default) keeps every root until :meth:`clear`; a
+        long-running server passes a bound and ``roots`` becomes a ring
+        holding the newest ``max_roots`` trees.
     """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, *, max_roots: Optional[int] = None) -> None:
+        if max_roots is not None and max_roots < 1:
+            raise ValueError("max_roots must be positive")
         self.roots: list[Span] = []
+        self.max_roots = max_roots
         self._stack: list[Span] = []
+
+    def _add_root(self, span: Span) -> None:
+        roots = self.roots
+        roots.append(span)
+        if self.max_roots is not None and len(roots) > self.max_roots:
+            del roots[0]
 
     def span(self, name: str, stats: Optional["OperationStats"] = None,
              **attributes) -> Span:
@@ -210,7 +223,7 @@ class SpanTracer:
         if parent is not None:
             parent.children.append(span)
         else:
-            self.roots.append(span)
+            self._add_root(span)
 
     def adopt(self, dicts, **attributes) -> list[Span]:
         """Rehydrate serialized span trees and :meth:`attach` each one.

@@ -55,7 +55,8 @@ __all__ = ["ShardIndex", "build_document"]
 _PINNED_SEGMENTS: list = []
 
 
-def build_document(name: str, nodes: int, section_of):
+def build_document(name: str, nodes: int, section_of, *,
+                   token: Optional[int] = None):
     """Build a :class:`Document` from encoded sections.
 
     ``section_of(section_name)`` returns a bytes-like object holding
@@ -63,7 +64,9 @@ def build_document(name: str, nodes: int, section_of):
     bytes for WAL records).  Returns ``(document, postings)``; the
     structural arrays are handed to the kernel as zero-copy
     ``memoryview.cast("q")`` windows, so the backing buffer must stay
-    alive as long as the document does.
+    alive as long as the document does.  ``token`` is the identity
+    token of an earlier build from the same bytes (see
+    :meth:`ShardIndex.document`); omitted, the document draws a fresh one.
     """
     n = nodes
     parents_q = memoryview(section_of("parents")).cast("q")
@@ -98,7 +101,7 @@ def build_document(name: str, nodes: int, section_of):
             per_node[nid].append(term)
     keywords = [frozenset(k) for k in per_node]
     doc = Document(tags, texts, parents, children, keywords,
-                   attrs, name=name, labels=labels)
+                   attrs, name=name, labels=labels, token=token)
     # Hand the kernel the mapped windows: building it later is a
     # scratch-bitset allocation, never a per-node copy loop.
     doc._kernel_arrays = (parents_q, depth_q, pre_q, size_q)
@@ -319,7 +322,10 @@ class ShardIndex:
         self._obs = obs
         self._documents: OrderedDict[str, Document] = OrderedDict()
         self._indexes: dict[str, InvertedIndex] = {}
-        self._cache_lock = threading.Lock()  # guards the two above
+        # name -> identity token of its first materialisation, reused
+        # by every later one (see :meth:`document`).
+        self._tokens: dict[str, int] = {}
+        self._cache_lock = threading.Lock()  # guards the three above
         self._names = [name for name in sorted(manifest["documents"])
                        if manifest["documents"][name] in files]
         self._name_set = frozenset(self._names)
@@ -540,7 +546,13 @@ class ShardIndex:
             self._section(sf, entry, "postings"), term) is not None
 
     def document(self, name: str) -> Document:
-        """Materialise (and cache) one document from the mapped bytes."""
+        """Materialise (and cache) one document from the mapped bytes.
+
+        Every materialisation of ``name`` by this handle carries the
+        same identity token — the handle is one immutable, checksummed
+        generation, so the name always decodes to the same tree — which
+        lets join memos made before an LRU eviction hit after it.
+        """
         return self._cached(name)[0]
 
     def inverted_index(self, name: str) -> InvertedIndex:
@@ -563,6 +575,7 @@ class ShardIndex:
             index = InvertedIndex.from_postings(doc, postings)
             self._documents[name] = doc
             self._indexes[name] = index
+            self._tokens[name] = doc.token
             self._materialized_total += 1
             self._obs.metrics.counter(
                 SHARD_DOCS_MATERIALIZED,
@@ -577,7 +590,8 @@ class ShardIndex:
         try:
             return build_document(
                 name, entry["nodes"],
-                lambda section: self._section(sf, entry, section))
+                lambda section: self._section(sf, entry, section),
+                token=self._tokens.get(name))
         except ShardError as exc:
             if exc.shard is None:
                 # Re-raise with this shard's context attached.

@@ -31,8 +31,9 @@ from .node import NodeView
 __all__ = ["Document"]
 
 # Process-wide monotonic document tokens.  Unlike id(), a token is never
-# reused after a document is garbage collected, so caches keyed on it
-# (e.g. repro.core.algebra.JoinCache) can never serve stale entries.
+# reused for a different tree after a document is garbage collected, so
+# caches keyed on it (e.g. repro.core.algebra.JoinCache) can never serve
+# stale entries.
 _DOCUMENT_TOKENS = itertools.count(1)
 
 
@@ -47,7 +48,7 @@ class Document:
 
     __slots__ = ("_tags", "_texts", "_parents", "_children", "_keywords",
                  "_attrs", "_labels", "_lca_index", "_interval_kernel",
-                 "_kernel_arrays", "_token", "name")
+                 "_kernel_arrays", "_token", "name", "__weakref__")
 
     def __init__(self, tags: Sequence[str], texts: Sequence[str],
                  parents: Sequence[Optional[int]],
@@ -55,7 +56,8 @@ class Document:
                  keywords: Sequence[frozenset[str]],
                  attrs: Optional[Sequence[Mapping[str, str]]] = None,
                  name: str = "document", *,
-                 labels: Optional[TreeLabels] = None) -> None:
+                 labels: Optional[TreeLabels] = None,
+                 token: Optional[int] = None) -> None:
         n = len(tags)
         if not (len(texts) == len(parents) == len(children)
                 == len(keywords) == n):
@@ -85,7 +87,11 @@ class Document:
         self._lca_index = None  # built lazily on first lca() call
         self._interval_kernel = None  # built lazily on first use
         self._kernel_arrays = None  # mapped views set by shard loads
-        self._token = next(_DOCUMENT_TOKENS)
+        # A storage backend that decodes the same immutable bytes again
+        # (a shard index after an LRU eviction) passes the token its
+        # earlier materialisation drew: identity survives eviction.
+        self._token = (token if token is not None
+                       else next(_DOCUMENT_TOKENS))
         self.name = name
 
     # ------------------------------------------------------------------
@@ -165,7 +171,9 @@ class Document:
 
         Safe to key caches on where ``id()`` is not: tokens survive the
         document's own lifetime and are reassigned on unpickling, so two
-        distinct documents never share one within a process.
+        different trees never share one within a process.  The only
+        documents that do share one are a shard index's successive
+        materialisations of one name — the same immutable bytes.
         """
         return self._token
 

@@ -143,6 +143,90 @@ class TestJoinCache:
         assert stats.join_cache_hits == 0
         assert joined.document is fresh
 
+    def test_memo_holds_node_sets_and_rebinds_to_live_operand(
+            self, tiny_doc):
+        # The memo owns no document: what it stores is the joined node
+        # set, and a hit is bound to the operand it was asked with.
+        cache = JoinCache()
+        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
+        joined = fragment_join(f1, f2, cache=cache)
+        assert list(cache._table.values()) == [joined.nodes]
+        hit = cache.get(f1, f2)
+        assert hit == joined and hit.document is tiny_doc
+
+    def test_key_is_order_free(self, tiny_doc):
+        cache = JoinCache()
+        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
+        cache.put(f1, f2, fragment_join(f1, f2))
+        assert cache.get(f1, f2) == cache.get(f2, f1) \
+            == fragment_join(f1, f2)
+        assert (len(cache), cache.hits, cache.misses) == (1, 2, 0)
+
+    def test_equal_hashes_never_cross_answers(self, tiny_doc):
+        # The key orders the operand sets by their cached hashes but is
+        # made of the sets themselves: with every hash forced equal, a
+        # pair may be stored under both orders, never mistaken for
+        # another pair.
+        cache = JoinCache()
+        frags = [Fragment(tiny_doc, [n]) for n in (2, 3, 5)]
+        for frag in frags:
+            frag._hash = 7
+        f2, f3, f5 = frags
+        cache.put(f2, f3, fragment_join(f2, f3))
+        assert cache.get(f2, f5) is None
+        assert cache.get(f5, f3) is None
+        for a, b in ((f2, f3), (f3, f2), (f2, f5), (f5, f2)):
+            assert fragment_join(a, b, cache=cache).nodes == \
+                fragment_join(a, b).nodes
+        assert len(cache) <= 4
+
+    def test_threads_share_a_cache_without_a_lock(self):
+        """Pins the contract, not a reproduction: ``get`` is a lookup
+        followed by ``move_to_end``, and a ``put`` on another thread may
+        evict the key in between.  The unguarded version could not be
+        made to fail in 80 000 four-thread lookups on CPython 3.11, so
+        this only asserts what must hold — no exception, right answers —
+        under the most hostile schedule we can ask for."""
+        import sys
+        import threading
+        from itertools import combinations
+        from repro.xmltree.builder import DocumentBuilder
+
+        b = DocumentBuilder(name="star")
+        root = b.add_root("r", "root")
+        leaves = [b.add_child(root, "leaf", f"w{i}") for i in range(6)]
+        doc = b.build()
+        pairs = [(Fragment(doc, [x]), Fragment(doc, [y]))
+                 for x, y in combinations(leaves, 2)][:12]
+        expected = [fragment_join(f1, f2).nodes for f1, f2 in pairs]
+        cache = JoinCache(max_entries=8)
+        errors: list = []
+
+        def worker(offset: int) -> None:
+            try:
+                for i in range(2000):
+                    k = (i * 5 + offset) % len(pairs)
+                    got = fragment_join(*pairs[k], cache=cache)
+                    if got.nodes != expected[k] or got.document is not doc:
+                        errors.append((k, got))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t * 3,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 8 + len(threads)
+
     def test_lru_hit_refreshes_recency(self, tiny_doc):
         # FIFO would evict the oldest entry regardless of use; true LRU
         # keeps a re-used entry alive and evicts the cold one.
@@ -159,7 +243,8 @@ class TestJoinCache:
         assert cache.get(*c) is not None
 
     def test_hit_miss_counters_and_metrics_export(self, tiny_doc):
-        from repro.obs import (JOIN_CACHE_MEMO_HITS,
+        from repro.obs import (JOIN_CACHE_MEMO_ENTRIES,
+                               JOIN_CACHE_MEMO_HITS,
                                JOIN_CACHE_MEMO_MISSES, MetricsRegistry)
 
         cache = JoinCache()
@@ -171,12 +256,15 @@ class TestJoinCache:
         assert cache.hits == 2
         cache.clear()
         assert (cache.hits, cache.misses) == (2, 1)  # counters survive
+        fragment_join(f1, f2, cache=cache)
         registry = MetricsRegistry()
         cache.export_metrics(registry)
         assert registry.gauge(JOIN_CACHE_MEMO_HITS,
                               "Lifetime JoinCache memo hits.").value == 2
         assert registry.gauge(JOIN_CACHE_MEMO_MISSES,
-                              "Lifetime JoinCache memo misses.").value == 1
+                              "Lifetime JoinCache memo misses.").value == 2
+        assert registry.gauge(JOIN_CACHE_MEMO_ENTRIES,
+                              "Joins the JoinCache memo holds.").value == 1
 
 
 class TestJoinAll:

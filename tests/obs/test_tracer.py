@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import sys
 
+import pytest
+
 from repro.core.stats import OperationStats
 from repro.obs.tracer import (NULL_SPAN, NULL_TRACER, NullTracer,
                               SpanTracer)
@@ -77,6 +79,31 @@ class TestSpanNesting:
             pass
         tracer.clear()
         assert tracer.roots == []
+
+    def test_max_roots_keeps_the_newest_trees(self):
+        tracer = SpanTracer(max_roots=3)
+        for i in range(9):
+            with tracer.span(f"q{i}"):
+                with tracer.span("child"):
+                    pass
+        assert [s.name for s in tracer.roots] == ["q6", "q7", "q8"]
+        tracer.adopt([{"name": "remote", "duration_ms": 1.0}])
+        assert [s.name for s in tracer.roots] == ["q7", "q8", "remote"]
+        # Children never count against the bound.
+        with tracer.span("wide"):
+            for _ in range(5):
+                with tracer.span("child"):
+                    pass
+        assert len(tracer.roots[-1].children) == 5
+
+    def test_unbounded_by_default_and_bound_validated(self):
+        tracer = SpanTracer()
+        for _ in range(50):
+            with tracer.span("q"):
+                pass
+        assert tracer.max_roots is None and len(tracer.roots) == 50
+        with pytest.raises(ValueError):
+            SpanTracer(max_roots=0)
 
 
 class TestAttributesAndWork:

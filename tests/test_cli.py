@@ -234,6 +234,31 @@ class TestServe:
         assert "metrics:" in captured.err
         assert "answer(s)" in captured.out
 
+    def test_serve_bounds_retained_span_trees(self, book_file, capsys):
+        # Nothing under ``serve`` reads the tracer's roots, so they must
+        # be a ring: 3N queries leave at most N (= --max-log-records).
+        import json
+        import re
+        import urllib.request
+        from repro.cli import serve_main
+        bound, seen = 4, {}
+
+        def lines():
+            for _ in range(3 * bound):
+                yield "fragment\n"
+            url = re.search(r"metrics: (http://\S+)/metrics",
+                            capsys.readouterr().err).group(1)
+            with urllib.request.urlopen(url + "/varz") as reply:
+                seen.update(json.loads(reply.read()))
+
+        code = serve_main([book_file, "--max-log-records", str(bound)],
+                          stdin=lines())
+        assert code == 0
+        assert seen["tracer"] == {"roots": bound, "max_roots": bound}
+        assert seen["query_log"]["records"] <= bound
+        assert "repro_join_cache_memo_entries" in {
+            m["name"] for m in seen["metrics"]["metrics"]}
+
     def test_serve_keyboard_interrupt_is_clean(self, book_file,
                                                capsys):
         from repro.cli import serve_main

@@ -1,0 +1,200 @@
+"""The join memo follows document identity, not document objects.
+
+What a server's memory may depend on is its cache budgets — the
+document LRU and the memo's ``max_entries`` — never the number of
+requests served.  That needs three things to hold across layers:
+
+* the memo owns no :class:`Document` (an evicted tree is freed even
+  while its memoised joins live on);
+* a shard index hands every materialisation of one name the same
+  identity token, so those joins *hit* when the document comes back;
+* a token is still never shared by two different trees.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import weakref
+
+import pytest
+
+from repro.collection import DocumentCollection
+from repro.collection.mutable import MutableDocumentCollection
+from repro.core.algebra import JoinCache, fragment_join
+from repro.core.filters import SizeAtMost
+from repro.core.fragment import Fragment
+from repro.core.query import Query
+from repro.core.stats import OperationStats
+from repro.core.strategies import Strategy
+from repro.storage.shards import ShardIndex, build_index
+from repro.workloads.inexlike import InexSpec, generate_collection
+from repro.xmltree.document import Document
+from repro.xmltree.parser import parse
+from repro.xmltree.serializer import document_to_xml
+
+CACHE_LIMIT = 4
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """5 x CACHE_LIMIT small articles, both planted terms in each —
+    every search evaluates (and so evicts) the whole corpus."""
+    collection = generate_collection(InexSpec(
+        articles=5 * CACHE_LIMIT, nodes_per_article=60,
+        planted_fraction=1.0, seed=23))
+    return {name: collection.document(name)
+            for name in collection.names()}
+
+
+@pytest.fixture(scope="module")
+def index_dir(corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("memo") / "corpus.idx"
+    build_index(corpus, path, shards=3)
+    return str(path)
+
+
+def _live_documents() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is Document)
+
+
+def _two_unrelated_nodes(doc) -> tuple[int, int]:
+    first, second = doc.children(doc.root)[:2]
+    return first, second
+
+
+class TestOwnership:
+    def test_evicted_document_dies_and_its_joins_hit_again(self,
+                                                           index_dir):
+        with ShardIndex.attach(index_dir, cache_limit=1) as index:
+            name, other = index.names()[:2]
+            cache = JoinCache()
+            doc = index.document(name)
+            token = doc.token
+            n1, n2 = _two_unrelated_nodes(doc)
+            expected = fragment_join(Fragment(doc, [n1]),
+                                     Fragment(doc, [n2]),
+                                     cache=cache).nodes
+            assert (len(cache), cache.misses) == (1, 1)
+            ref = weakref.ref(doc)
+            del doc
+
+            index.document(other)            # evicts ``name``
+            gc.collect()
+            assert ref() is None             # ... and the memo let it go
+            assert len(cache) == 1
+
+            again = index.document(name)
+            assert again.token == token
+            stats = OperationStats()
+            hit = fragment_join(Fragment(again, [n1]),
+                                Fragment(again, [n2]),
+                                stats=stats, cache=cache)
+            assert (stats.join_cache_hits, stats.fragment_joins) == (1, 0)
+            assert hit.nodes == expected
+            assert hit.document is again
+            del again, hit
+
+
+class TestGrowth:
+    QUERIES = [Query.of("needle", "thread", predicate=SizeAtMost(4)),
+               Query.of("needle", "thread", predicate=SizeAtMost(6)),
+               Query.of("thread", "needle", predicate=SizeAtMost(5)),
+               Query.of("needle", predicate=SizeAtMost(3))]
+
+    def _search(self, collection, i: int) -> None:
+        query = self.QUERIES[(i // 2) % len(self.QUERIES)]
+        if i % 2:
+            for _ in collection.search(query, stream=True, limit=10):
+                pass
+        else:
+            collection.search(query)
+
+    def test_memory_follows_budgets_not_request_count(self, index_dir):
+        before = _live_documents()
+        collection = DocumentCollection.open_index(
+            index_dir, cache_limit=CACHE_LIMIT)
+        try:
+            first_pass = 2 * len(self.QUERIES)
+            for i in range(first_pass):
+                self._search(collection, i)
+            memo = len(collection._cache)
+            assert memo > 0
+            misses = collection._cache.misses
+            for i in range(first_pass, 300):
+                self._search(collection, i)
+            stats = collection.index_handle.stats()
+            assert stats["documents_materialized"] > 100 * CACHE_LIMIT
+            assert len(collection._cache) == memo
+            assert collection._cache.misses == misses
+            assert _live_documents() - before <= CACHE_LIMIT + 2
+        finally:
+            collection.close()
+
+    def test_sizing_a_stream_materialises_nothing(self, index_dir):
+        collection = DocumentCollection.open_index(index_dir)
+        try:
+            nothing = Query.of("needle", "nosuchterm")
+            assert list(collection.search(nothing, stream=True)) == []
+            names = collection.names()
+            assert collection.total_nodes == sum(
+                collection.node_count(name) for name in names)
+            stats = collection.index_handle.stats()
+            assert stats["documents_materialized"] == 0
+            assert collection.node_count(names[0]) == \
+                len(collection.document(names[0]))
+        finally:
+            collection.close()
+
+
+class TestIdentityScope:
+    def test_no_two_trees_share_a_token(self, corpus, index_dir,
+                                        tmp_path):
+        name = sorted(corpus)[0]
+        live = [corpus[name]]
+        with ShardIndex.attach(index_dir) as one, \
+                ShardIndex.attach(index_dir) as two:
+            live += [one.document(name), two.document(name)]
+            assert one.document(name) is live[1]
+            live.append(pickle.loads(pickle.dumps(live[1])))
+            live.append(parse(document_to_xml(corpus[name]), name=name))
+
+            mutable = MutableDocumentCollection.create(
+                tmp_path / "mutable.idx", {name: corpus[name]}, shards=1)
+            try:
+                base = mutable.document(name)
+                mutable.add(corpus[sorted(corpus)[1]], "extra")
+                first = mutable.document("extra")
+                # A commit leaves the base generation attached: same
+                # handle, same bytes, same token.
+                assert mutable.document(name).token == base.token
+                mutable.add(corpus[sorted(corpus)[2]], "extra")
+                replaced = mutable.document("extra")
+                assert replaced is not first
+                live += [base, first, replaced]
+                tokens = [doc.token for doc in live]
+                assert len(set(tokens)) == len(tokens)
+            finally:
+                mutable.close()
+            del live
+
+
+class TestMemoCounters:
+    def test_hits_and_misses_match_the_recorded_run(self, index_dir):
+        """A non-evicting corpus bypasses everything identity does, so
+        the lifetime counters must equal the ones the ``Fragment``-
+        valued, ``frozenset``-pair-keyed memo produced for this exact
+        query list (recorded at the parent commit)."""
+        collection = DocumentCollection.open_index(index_dir)
+        try:
+            for strategy in (Strategy.PUSHDOWN, Strategy.SEMI_NAIVE,
+                             Strategy.SET_REDUCTION):
+                for query in TestGrowth.QUERIES:
+                    collection.search(query, strategy=strategy)
+                    list(collection.search(query, strategy=strategy,
+                                           stream=True, limit=10))
+            cache = collection._cache
+            assert (cache.hits, cache.misses) == (124171, 2511)
+        finally:
+            collection.close()
