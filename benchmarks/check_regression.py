@@ -25,12 +25,16 @@ import sys
 from pathlib import Path
 
 #: (file, dotted path, direction) — direction says which way is good:
-#: ``higher`` for speedups, ``lower`` for overhead factors.
+#: ``higher`` for speedups, ``lower`` for overhead factors.  Two facts
+#: the benches still record are deliberately *not* gated (ROADMAP item
+#: 7): ``parallel_scaling.speedup_at_4_workers`` enshrined a 0.145x
+#: slowdown, and ``shard.attach_speedup`` compares a smoke run (12x)
+#: against a committed full-mode 1000x, so it flagged every change to
+#: the pool's attach path.  The serving bench's ``pool_join_heavy`` and
+#: ``storage.shards.attach_ms`` carry both facts.
 HEADLINES = [
     ("BENCH_parallel.json", "kernel.evaluate_speedup", "higher"),
     ("BENCH_parallel.json", "kernel.join_speedup", "higher"),
-    ("BENCH_parallel.json", "parallel_scaling.speedup_at_4_workers",
-     "higher"),
     ("BENCH_obs.json", "noop_overhead.vs_baseline.noop", "lower"),
     ("BENCH_obs.json", "noop_overhead.vs_baseline.traced", "lower"),
     ("BENCH_obs.json",
@@ -42,7 +46,6 @@ HEADLINES = [
     ("BENCH_resilience.json", "resilience.armed_overhead", "lower"),
     ("BENCH_guard.json", "guard.checkpoint_overhead", "lower"),
     ("BENCH_guard.json", "guard.abort_factor", "lower"),
-    ("BENCH_shard.json", "shard.attach_speedup", "higher"),
     ("BENCH_shard.json", "rss.growth", "lower"),
     ("BENCH_streaming.json", "streaming.topk_vs_full", "lower"),
     ("BENCH_mutation.json", "mutation.batch_commit_speedup", "higher"),

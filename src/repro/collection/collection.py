@@ -16,20 +16,24 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from ..core.algebra import JoinCache
+from ..core.cost import CostModel
 from ..core.filters import SizeAtMost
 from ..core.fragment import Fragment
 from ..core.query import Query, QueryResult
 from ..core.strategies import Strategy, evaluate
 from ..core.streaming import (TopKHeap, hit_order_key, ranked_order_key,
                               stream_evaluate)
-from ..errors import BudgetExceeded, DocumentError
-from ..guard.admission import AdmissionDecision, AdmissionPolicy, screen
+from ..errors import BudgetExceeded, DocumentError, WALError
+from ..guard.admission import (AdmissionDecision, AdmissionPolicy,
+                               screen_models)
 from ..guard.budget import QueryBudget, effective_budget
 from ..index.inverted import InvertedIndex
+from ..index.memory import MemorySource
 from ..obs import (DOCUMENTS_SKIPPED, FRAGMENTS_RANKED,
                    GUARD_BUDGET_EXCEEDED, NOOP, Observability,
                    STREAM_EARLY_EXITS, STREAM_ROUNDS,
@@ -87,21 +91,64 @@ class CollectionResult:
         return sum(r.elapsed for r in self.per_document.values())
 
 
-class DocumentCollection:
-    """An ordered set of named documents, searchable as one corpus."""
+_SKIP_HELP = "Documents skipped by the index early exit."
+_EARLY_EXIT_HELP = ("Streaming evaluations stopped before the full "
+                    "answer set existed.")
 
-    def __init__(self, name: str = "collection") -> None:
+
+def _check_limit(limit: object) -> None:
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise ValueError(f"limit must be an int >= 1, got {limit!r}")
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+
+
+def _count_rounds(ob: Observability, rounds: int) -> None:
+    if ob.enabled:
+        ob.metrics.counter(
+            STREAM_ROUNDS, "Adaptive β rounds run by streaming top-k."
+        ).inc(rounds)
+
+
+def _count_early_exit(ob: Observability, stage: str, n: int = 1) -> None:
+    if ob.enabled:
+        ob.metrics.counter(STREAM_EARLY_EXITS, _EARLY_EXIT_HELP,
+                           labels={"stage": stage}).inc(n)
+
+
+def _count_ranked(ob: Observability, tally: list[int]) -> None:
+    """Publish a ranking pass's ``[scored, skipped-by-bound]`` tally."""
+    if ob.enabled:
+        ob.metrics.counter(
+            FRAGMENTS_RANKED, "Fragments scored by the ranker."
+        ).inc(tally[0])
+        if tally[1]:
+            ob.metrics.counter(
+                STREAM_SCORES_SKIPPED,
+                "Fragments skipped by the cheap score upper bound."
+            ).inc(tally[1])
+
+
+class DocumentCollection:
+    """An ordered set of named documents, searchable as one corpus.
+
+    The corpus lives in a *source* (:mod:`repro.index.memory`):
+    in memory by default, a shard index or an epoch snapshot in the
+    subclasses.  Everything below reads it through that one surface.
+    """
+
+    def __init__(self, name: str = "collection", source=None) -> None:
         self.name = name
-        self._documents: dict[str, Document] = {}
-        self._indexes: dict[str, InvertedIndex] = {}
+        self._source = source if source is not None else MemorySource()
+        self._owns_source = source is None  # else the caller closes it
         self._cache = JoinCache()
         self._scorers: dict[str, FragmentScorer] = {}
-        self._executor = None  # cached repro.exec.ParallelExecutor
+        self._executor = None  # cached pool (ParallelExecutor / router)
         self._executor_workers: Optional[int] = None
-        # Guards mutation of the shared caches above against concurrent
-        # searches: add() swaps/invalidate them under this lock, and the
-        # lazy get-or-create paths (index / scorer / executor) take it
-        # so a reader mid-search never observes a half-built entry.
+        # Guards the derived caches above against concurrent searches:
+        # add() invalidates them under this lock, and the lazy
+        # get-or-create paths (scorer / executor) take it so a reader
+        # mid-search never observes a half-built entry.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -112,22 +159,26 @@ class DocumentCollection:
             name: Optional[str] = None) -> str:
         """Add a document; returns the name it is registered under.
 
+        Only an in-memory corpus can be added to: a shard index is
+        rebuilt (``repro-search index build``) and an epoch-pinned view
+        is written through its ``MutableDocumentCollection``.
+
         Raises
         ------
         DocumentError
-            If the name is already taken.
+            If the name is already taken, or the corpus is read-only.
         """
         key = name if name is not None else document.name
         with self._lock:
-            if key in self._documents:
+            if not isinstance(self._source, MemorySource):
+                raise DocumentError(
+                    f"{type(self).__name__} is read-only: rebuild a "
+                    f"shard index with 'repro-search index build', "
+                    f"write an epoch through MutableDocumentCollection")
+            if key in self._source:
                 raise DocumentError(f"collection already contains a "
                                     f"document named {key!r}")
-            # Copy-on-write: searches running concurrently iterate the
-            # mapping they started with; swapping a new dict in (rather
-            # than mutating in place) keeps their view stable.
-            documents = dict(self._documents)
-            documents[key] = document
-            self._documents = documents
+            self._source.add(key, document)
             # Derived state is now stale: any pooled executor holds a
             # snapshot of the old corpus, and cached scorers must not
             # outlive corpus changes.
@@ -143,12 +194,15 @@ class DocumentCollection:
                 self._executor_workers = None
 
     def close(self) -> None:
-        """Release pooled resources (the lazy parallel executor).
+        """Release pooled resources (the lazy parallel executor), and
+        the source if this collection opened it.
 
-        Safe to call repeatedly; the collection remains usable and
-        recreates the pool on the next ``workers=`` search.
+        Safe to call repeatedly; an in-memory collection remains usable
+        and recreates the pool on the next ``workers=`` search.
         """
         self._shutdown_executor()
+        if self._owns_source:
+            self._source.close()
 
     def __enter__(self) -> "DocumentCollection":
         return self
@@ -219,103 +273,128 @@ class DocumentCollection:
         return MutableDocumentCollection(path, **options)
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Introspection (one source call each, inside one consistent view)
     # ------------------------------------------------------------------
 
+    def _view(self, epoch: Optional[int] = None):
+        """Context manager yielding the collection one call reads.
+
+        That is this collection itself — its source never changes under
+        a reader — except for ``MutableDocumentCollection``, which pins
+        one epoch and yields a view whose source is that snapshot.
+        """
+        return nullcontext(self)
+
     def __len__(self) -> int:
-        return len(self._documents)
+        with self._view() as view:
+            return len(view._source)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._documents
+        with self._view() as view:
+            return name in view._source
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._documents)
-
-    def document(self, name: str) -> Document:
-        """The document registered under ``name`` (KeyError if absent)."""
-        return self._documents[name]
+        return iter(self.names())
 
     def names(self) -> list[str]:
-        """Registered document names, in insertion order."""
-        return list(self._documents)
+        """Document names: insertion order in memory, sorted on disk."""
+        with self._view() as view:
+            return view._source.names()
+
+    def document(self, name: str) -> Document:
+        """The document registered under ``name`` (KeyError if absent;
+        a shard index raises its structured ``unknown-document``
+        :class:`~repro.errors.ShardError`)."""
+        with self._view() as view:
+            try:
+                return view._source.document(name)
+            except WALError:  # a snapshot's "unknown document"
+                raise KeyError(name) from None
 
     def index(self, name: str) -> InvertedIndex:
-        """The (lazily built, cached) inverted index of one document."""
-        index = self._indexes.get(name)
-        if index is None:
-            # Build outside any lock (it walks the whole document);
-            # publish under it so concurrent builders agree on one
-            # winner and readers never see a half-inserted entry.
-            index = InvertedIndex(self._documents[name])
-            with self._lock:
-                index = self._indexes.setdefault(name, index)
-        return index
+        """The source's (lazily built, cached) inverted index of one
+        document; on an index it is adopted from the mapped postings."""
+        with self._view() as view:
+            return view._source.inverted_index(name)
 
     def has_terms(self, name: str, terms: Iterable[str]) -> bool:
         """Early-exit probe: does the document contain every term?
 
-        The serial search paths consult this before materialising any
-        evaluation state.  Subclasses backed by an on-disk index
-        override it with a probe that avoids decoding the document at
-        all (see ``ShardedDocumentCollection``).
+        Index-backed sources answer straight off the mapped postings,
+        without decoding the document.  The search loops make the same
+        ``source.contains`` calls directly.
         """
-        index = self.index(name)
-        return all(index.contains(term) for term in terms)
-
-    def _shard_of(self, name: str) -> Optional[int]:
-        """Shard number of a document, for profile attribution.
-
-        ``None`` for in-memory collections; sharded collections return
-        the owning shard so serial-path query profiles carry the same
-        ``shard`` field the pooled scatter-gather path records.
-        """
-        return None
+        with self._view() as view:
+            contains = view._source.contains
+            return all(contains(name, term) for term in terms)
 
     def node_count(self, name: str) -> int:
         """Node count of one document.
 
-        Index-backed subclasses read it from the stored header, so
-        sizing a search never materialises a document.
+        Index-backed sources read it from the stored header, so sizing
+        a search never materialises a document.
         """
-        return len(self._documents[name])
+        with self._view() as view:
+            return view._source.node_count(name)
 
     @property
     def total_nodes(self) -> int:
         """Node count summed over all documents."""
-        return sum(self.node_count(name) for name in self.names())
+        with self._view() as view:
+            source = view._source
+            return sum(source.node_count(name) for name in source.names())
 
     def document_frequency(self, term: str) -> int:
         """Number of *documents* containing ``term`` somewhere."""
         needle = term.casefold()
-        return sum(1 for name in self._documents
-                   if self.index(name).contains(needle))
+        with self._view() as view:
+            source = view._source
+            return sum(1 for name in source.names()
+                       if source.contains(name, needle))
 
     def vocabulary(self) -> frozenset[str]:
         """Union of all documents' vocabularies."""
         vocab: set[str] = set()
-        for name in self._documents:
-            vocab |= self.index(name).vocabulary()
+        with self._view() as view:
+            source = view._source
+            for name in source.names():
+                vocab |= source.inverted_index(name).vocabulary()
         return frozenset(vocab)
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
 
-    def _parallel_executor(self, workers: int):
-        """The cached :class:`repro.exec.ParallelExecutor` for ``workers``.
+    def _new_executor(self, workers: Optional[int], **options):
+        """A fresh pool over this collection's source.
 
-        Rebuilt when the requested pool size changes; invalidated by
-        :meth:`add` (the pool snapshots the corpus at creation).
+        ``options`` are :class:`repro.exec.ParallelExecutor` keywords.
+        The pool snapshots the corpus (workers get a copy of the name →
+        document table), so :meth:`add` invalidates the cached one.
         """
         from ..exec.parallel import ParallelExecutor
+        return ParallelExecutor(self._source.documents, workers=workers,
+                                **options)
+
+    def _parallel_executor(self, workers: int):
+        """The cached pool for ``workers``, rebuilt when the requested
+        size changes."""
         with self._lock:
             if self._executor is None \
                     or self._executor_workers != workers:
                 self._shutdown_executor()
-                self._executor = ParallelExecutor(self._documents,
-                                                  workers=workers)
+                self._executor = self._new_executor(workers)
                 self._executor_workers = workers
             return self._executor
+
+    def _bound(self, executor):
+        """``executor`` as this view must call it (an epoch view binds
+        its snapshot in)."""
+        return executor
+
+    def _targets(self, documents: Optional[Iterable[str]]) -> list[str]:
+        return (list(documents) if documents is not None
+                else self._source.names())
 
     def screen(self, policy: AdmissionPolicy, query: Query,
                strategy: Strategy = Strategy.PUSHDOWN,
@@ -327,15 +406,14 @@ class DocumentCollection:
         the (subset of) the collection with each document's inverted
         index, and returns the :class:`~repro.guard.AdmissionDecision`
         — admit, downgrade to the policy's cheaper strategy, or
-        reject.  No evaluation work runs.
+        reject.  No evaluation work runs, and documents are costed by
+        name, one at a time: an index-backed collection materialises
+        each target once and keeps none of them alive.
         """
-        targets = (list(documents) if documents is not None
-                   else self.names())
-        docs = [self._documents[name] for name in targets]
-        indexes = {id(self._documents[name]): self.index(name)
-                   for name in targets}
-        return screen(policy, query, strategy, docs,
-                      index_for=lambda d: indexes.get(id(d)))
+        inverted_index = self._source.inverted_index
+        return screen_models(policy, query, strategy, (
+            CostModel(index.document, index=index)
+            for index in map(inverted_index, self._targets(documents))))
 
     def _count_budget_exceeded(self, ob: Observability) -> None:
         if ob.enabled:
@@ -407,11 +485,7 @@ class DocumentCollection:
         if budget is not None:
             budget.start()
         if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int):
-                raise ValueError(f"limit must be an int >= 1, "
-                                 f"got {limit!r}")
-            if limit < 1:
-                raise ValueError(f"limit must be >= 1, got {limit}")
+            _check_limit(limit)
         if stream or limit is not None:
             hits = self._stream_hits(query, strategy=strategy,
                                      documents=documents, ob=ob,
@@ -431,8 +505,12 @@ class DocumentCollection:
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
-        targets = (list(documents) if documents is not None
-                   else self.names())
+        # One source for the whole search; the loop probes and loads
+        # through it directly (1 500 probes a request on a selective
+        # corpus — no method frame of ours in between).
+        source = self._source
+        contains, terms = source.contains, query.terms
+        targets = self._targets(documents)
         per_document: dict[str, QueryResult] = {}
         recorder = (getattr(ob, "recorder", None) if ob.enabled
                     else None)
@@ -441,14 +519,15 @@ class DocumentCollection:
             skipped = 0
             try:
                 for name in targets:
-                    if not self.has_terms(name, query.terms):
+                    if not all(contains(name, term) for term in terms):
                         skipped += 1
                         continue
                     if recorder is not None:
-                        recorder.set_context(shard=self._shard_of(name))
+                        recorder.set_context(shard=source.shard_of(name))
+                    index = source.inverted_index(name)
                     per_document[name] = evaluate(
-                        self._documents[name], query, strategy=strategy,
-                        index=self.index(name), cache=self._cache,
+                        index.document, query, strategy=strategy,
+                        index=index, cache=self._cache,
                         obs=ob, kernel=kernel, budget=budget)
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
@@ -458,10 +537,8 @@ class DocumentCollection:
                     recorder.set_context(shard=None)
             if ob.enabled:
                 span.set(evaluated=len(per_document), skipped=skipped)
-                ob.metrics.counter(
-                    DOCUMENTS_SKIPPED,
-                    "Documents skipped by the index early exit."
-                ).inc(skipped)
+                ob.metrics.counter(DOCUMENTS_SKIPPED,
+                                   _SKIP_HELP).inc(skipped)
                 self._cache.export_metrics(ob.metrics)
                 if getattr(ob, "recorder", None) is not None:
                     # The gauge is a ratio, so it is recomputed here
@@ -493,31 +570,33 @@ class DocumentCollection:
         mid-round :class:`~repro.errors.BudgetExceeded` propagates
         *between* emissions, so consumers always hold a consistent
         prefix of the full hit list.
+
+        With ``workers``, each round ships the size-bounded query
+        through the (cached) pool instead.  Given a ``limit``, a
+        parent-side candidate heap watches raw chunk rows as they land
+        and tightens a per-chunk ``SizeAtMost`` hint once it saturates:
+        later chunks then prove only fragments that can still matter.
+        The round's reliably complete size region is bounded by the
+        *tightest* filter any chunk ran under (filters only ever
+        tighten), so emission stays bit-identical to the serial stream.
         """
-        targets = (list(documents) if documents is not None
-                   else self.names())
+        source = self._source
+        targets = live = self._targets(documents)
+        runner = None
         if workers is not None:
-            yield from self._stream_hits_parallel(
-                query, strategy, targets, ob, workers, kernel,
-                resilience, faults, budget, limit, initial_beta)
-            return
-        live = []
-        skipped = 0
-        for name in targets:
-            if self.has_terms(name, query.terms):
-                live.append(name)
-            else:
-                skipped += 1
-        if ob.enabled and skipped:
-            ob.metrics.counter(
-                DOCUMENTS_SKIPPED,
-                "Documents skipped by the index early exit."
-            ).inc(skipped)
-        if not live:
-            return
-        max_size = max(self.node_count(name) for name in live)
-        recorder = (getattr(ob, "recorder", None) if ob.enabled
-                    else None)
+            runner = self._parallel_executor(workers)  # workers screen
+        else:
+            contains, terms = source.contains, query.terms
+            live = [name for name in targets
+                    if all(contains(name, term) for term in terms)]
+            if ob.enabled and len(live) < len(targets):
+                ob.metrics.counter(DOCUMENTS_SKIPPED, _SKIP_HELP
+                                   ).inc(len(targets) - len(live))
+            if not live:
+                return
+        max_size = max(source.node_count(name) for name in live)
+        recorder = (getattr(ob, "recorder", None)
+                    if ob.enabled and runner is None else None)
         beta = min(initial_beta, max_size)
         prev_beta = 0
         emitted = 0
@@ -525,150 +604,91 @@ class DocumentCollection:
         try:
             while True:
                 rounds += 1
-                round_hits: list[CollectionHit] = []
-                for name in live:
-                    if recorder is not None:
-                        recorder.set_context(shard=self._shard_of(name))
-                    for fragment in stream_evaluate(
-                            self.document(name), query, strategy,
-                            index=self.index(name), cache=self._cache,
-                            kernel=kernel, obs=ob, budget=budget,
-                            extra_predicate=SizeAtMost(beta)):
-                        if fragment.size > prev_beta:
-                            round_hits.append(CollectionHit(name, fragment))
+                if runner is not None:
+                    round_hits, complete = self._pooled_round(
+                        runner, query, beta, prev_beta, live, limit,
+                        ob, strategy=strategy, kernel=kernel,
+                        resilience=resilience, faults=faults,
+                        budget=budget)
+                else:
+                    round_hits, complete = [], beta
+                    for name in live:
+                        if recorder is not None:
+                            recorder.set_context(
+                                shard=source.shard_of(name))
+                        index = source.inverted_index(name)
+                        for fragment in stream_evaluate(
+                                index.document, query, strategy,
+                                index=index, cache=self._cache,
+                                kernel=kernel, obs=ob, budget=budget,
+                                extra_predicate=SizeAtMost(beta)):
+                            if fragment.size > prev_beta:
+                                round_hits.append(
+                                    CollectionHit(name, fragment))
                 round_hits.sort(key=lambda h: hit_order_key(
                     h.document_name, h.fragment))
                 for hit in round_hits:
                     yield hit
                     emitted += 1
                     if limit is not None and emitted >= limit:
-                        if ob.enabled and beta < max_size:
-                            ob.metrics.counter(
-                                STREAM_EARLY_EXITS,
-                                "Streaming evaluations stopped before "
-                                "the full answer set existed.",
-                                labels={"stage": "limit"}).inc()
+                        if beta < max_size:
+                            _count_early_exit(ob, "limit")
                         return
-                if beta >= max_size:
+                if complete >= max_size:
                     return
-                prev_beta, beta = beta, min(beta * 2, max_size)
+                # A hint-tightened pooled round is complete only up to
+                # the tightest bound; the next round re-covers from
+                # there.  (Serial rounds are complete up to β.)
+                prev_beta = complete
+                beta = min(max(beta * 2, complete + 1), max_size)
         except BudgetExceeded:
             self._count_budget_exceeded(ob)
             raise
         finally:
             if recorder is not None:
                 recorder.set_context(shard=None)
-            if ob.enabled:
-                ob.metrics.counter(
-                    STREAM_ROUNDS,
-                    "Adaptive β rounds run by streaming top-k."
-                ).inc(rounds)
+            _count_rounds(ob, rounds)
+            if ob.enabled and runner is None:
                 self._cache.export_metrics(ob.metrics)
 
-    def _stream_hits_parallel(self, query: Query, strategy: Strategy,
-                              targets: list[str], ob: Observability,
-                              workers: int, kernel: Optional[str],
-                              resilience, faults,
-                              budget: Optional[QueryBudget],
-                              limit: Optional[int],
-                              initial_beta: int = 4
-                              ) -> Iterator[CollectionHit]:
-        """Pooled β rounds with early-stop chunk hints.
+    def _pooled_round(self, runner, query: Query, beta: int,
+                      prev_beta: int, targets: list[str],
+                      limit: Optional[int], ob: Observability,
+                      **options) -> tuple[list[CollectionHit], int]:
+        """One β round through the pool: ``(new hits, complete-up-to)``.
 
-        Each round ships the size-bounded query through the (cached)
-        executor.  With a ``limit``, a parent-side candidate heap
-        watches raw chunk rows as they land and tightens a per-chunk
-        ``SizeAtMost`` hint once it saturates: later chunks then prove
-        only fragments that can still matter.  The round's reliably
-        complete size region is bounded by the *tightest* filter any
-        chunk ran under (filters only ever tighten), so emission stays
-        bit-identical to the serial stream.
+        The second value is β, or the tightest early-stop hint any
+        chunk ran under when that is smaller.
         """
-        from ..exec.parallel import ParallelExecutor
-        runner = self._parallel_executor(workers)
-        supports_hint = (isinstance(runner, ParallelExecutor)
-                         or getattr(runner, "supports_hints", False))
-        max_size = max(self.node_count(name) for name in targets)
-        beta = min(initial_beta, max_size)
-        prev_beta = 0
-        emitted = 0
-        rounds = 0
-        try:
-            while True:
-                rounds += 1
-                bounded = Query(query.terms,
-                                query.predicate & SizeAtMost(beta))
-                hint = None
-                if supports_hint and limit is not None:
-                    from ..exec.hints import ChunkHint
-                    heap = TopKHeap(limit)
+        bounded = Query(query.terms, query.predicate & SizeAtMost(beta))
+        hint = None
+        if limit is not None and getattr(runner, "supports_hints", False):
+            from ..exec.hints import ChunkHint
+            heap = TopKHeap(limit)
 
-                    def _feed(rows, heap=heap):
-                        changed = False
-                        for name, _qi, payload in rows:
-                            if not isinstance(payload, tuple):
-                                continue
-                            for nodes in payload[0]:
-                                if heap.offer(None, (len(nodes), name,
-                                                     nodes)):
-                                    changed = True
-                        if changed and heap.full:
-                            hint.set_filter(SizeAtMost(heap.bound()[0]))
+            def _feed(rows):
+                changed = False
+                for name, _qi, payload in rows:
+                    if not isinstance(payload, tuple):
+                        continue
+                    for nodes in payload[0]:
+                        if heap.offer(None, (len(nodes), name, nodes)):
+                            changed = True
+                if changed and heap.full:
+                    hint.set_filter(SizeAtMost(heap.bound()[0]))
 
-                    hint = ChunkHint(on_rows=_feed)
-                if hint is not None:
-                    result = runner.search(
-                        bounded, strategy=strategy, documents=targets,
-                        kernel=kernel, obs=ob, resilience=resilience,
-                        faults=faults, budget=budget, hint=hint)
-                else:
-                    result = runner.search(
-                        bounded, strategy=strategy, documents=targets,
-                        kernel=kernel, obs=ob, resilience=resilience,
-                        faults=faults, budget=budget)
-                effective = beta
-                if hint is not None and hint.filter is not None:
-                    effective = min(beta, hint.filter.limit)
-                    if ob.enabled and hint.skipped_chunks:
-                        ob.metrics.counter(
-                            STREAM_EARLY_EXITS,
-                            "Streaming evaluations stopped before the "
-                            "full answer set existed.",
-                            labels={"stage": "hint"}
-                        ).inc(hint.skipped_chunks)
-                round_hits = [
-                    CollectionHit(name, fragment)
-                    for name, doc_result in result.per_document.items()
-                    for fragment in doc_result.fragments
-                    if prev_beta < fragment.size <= effective]
-                round_hits.sort(key=lambda h: hit_order_key(
-                    h.document_name, h.fragment))
-                for hit in round_hits:
-                    yield hit
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        if ob.enabled and beta < max_size:
-                            ob.metrics.counter(
-                                STREAM_EARLY_EXITS,
-                                "Streaming evaluations stopped before "
-                                "the full answer set existed.",
-                                labels={"stage": "limit"}).inc()
-                        return
-                if effective >= max_size:
-                    return
-                # A hint-tightened round is complete only up to the
-                # tightest bound; the next round re-covers from there.
-                prev_beta = effective
-                beta = min(max(beta * 2, effective + 1), max_size)
-        except BudgetExceeded:
-            self._count_budget_exceeded(ob)
-            raise
-        finally:
-            if ob.enabled:
-                ob.metrics.counter(
-                    STREAM_ROUNDS,
-                    "Adaptive β rounds run by streaming top-k."
-                ).inc(rounds)
+            hint = options["hint"] = ChunkHint(on_rows=_feed)
+        result = runner.search(bounded, documents=targets, obs=ob,
+                               **options)
+        complete = beta
+        if hint is not None and hint.filter is not None:
+            complete = min(beta, hint.filter.limit)
+            if hint.skipped_chunks:
+                _count_early_exit(ob, "hint", hint.skipped_chunks)
+        return [CollectionHit(name, fragment)
+                for name, doc_result in result.per_document.items()
+                for fragment in doc_result.fragments
+                if prev_beta < fragment.size <= complete], complete
 
     def explain_analyze(self, query: Query,
                         strategy: Strategy = Strategy.PUSHDOWN,
@@ -691,26 +711,25 @@ class DocumentCollection:
         ob = obs if obs is not None else NOOP
         plan = plan_for(query, strategy)
         analysis = PlanAnalysis(plan)
-        targets = (list(documents) if documents is not None
-                   else self.names())
+        source = self._source
+        targets = self._targets(documents)
         per_document: dict[str, QueryResult] = {}
         with ob.span("collection-analyze", collection=self.name,
                      documents=len(targets)) as span:
-            skipped = 0
             for name in targets:
-                if not self.has_terms(name, query.terms):
-                    skipped += 1
+                if not all(source.contains(name, term)
+                           for term in query.terms):
                     continue
+                index = source.inverted_index(name)
                 per_document[name], _ = explain_analyze(
-                    self._documents[name], query, strategy=strategy,
-                    index=self.index(name), cache=self._cache, obs=ob,
+                    index.document, query, strategy=strategy,
+                    index=index, cache=self._cache, obs=ob,
                     kernel=kernel, plan=plan, analysis=analysis)
             if ob.enabled:
+                skipped = len(targets) - len(per_document)
                 span.set(evaluated=len(per_document), skipped=skipped)
-                ob.metrics.counter(
-                    DOCUMENTS_SKIPPED,
-                    "Documents skipped by the index early exit."
-                ).inc(skipped)
+                ob.metrics.counter(DOCUMENTS_SKIPPED,
+                                   _SKIP_HELP).inc(skipped)
                 self._cache.export_metrics(ob.metrics)
         return (CollectionResult(query=query, per_document=per_document),
                 analysis)
@@ -725,10 +744,33 @@ class DocumentCollection:
         """
         scorer = self._scorers.get(name)
         if scorer is None:
-            scorer = FragmentScorer(self.index(name))
+            scorer = FragmentScorer(self._source.inverted_index(name))
             with self._lock:
                 scorer = self._scorers.setdefault(name, scorer)
         return scorer
+
+    def _score_into(self, heap: TopKHeap, name: str, fragments,
+                    terms, tally: list[int], above: int = 0) -> None:
+        """Fold one document's fragments larger than ``above`` into the
+        top-k ``heap``; ``tally`` counts ``[scored, skipped]``.
+
+        A fragment whose cheap score upper bound provably cannot enter
+        the heap is never fully scored.
+        """
+        scorer = self.scorer(name)
+        for fragment in fragments:
+            if fragment.size <= above:
+                continue
+            bound = heap.bound()
+            if bound is not None and \
+                    -scorer.score_upper_bound(fragment) > bound[0]:
+                tally[1] += 1
+                continue
+            scored = scorer.score(fragment, terms)
+            tally[0] += 1
+            heap.offer((name, scored),
+                       ranked_order_key(name, scored.score,
+                                        scored.fragment))
 
     def ranked_search(self, query: Query, limit: int = 10,
                       strategy: Strategy = Strategy.PUSHDOWN,
@@ -768,10 +810,7 @@ class DocumentCollection:
         ranked list.
         """
         ob = obs if obs is not None else NOOP
-        if isinstance(limit, bool) or not isinstance(limit, int):
-            raise ValueError(f"limit must be an int >= 1, got {limit!r}")
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
+        _check_limit(limit)
         if stream:
             return self._ranked_stream(query, limit, strategy, ob,
                                        workers, kernel, resilience,
@@ -783,31 +822,12 @@ class DocumentCollection:
                              budget=budget, deadline_ms=deadline_ms,
                              admission=admission)
         heap: TopKHeap = TopKHeap(limit)
-        scored_count = 0
-        cheap_skips = 0
+        tally = [0, 0]
         with ob.span("rank", fragments=len(result)):
             for name, doc_result in result.per_document.items():
-                scorer = self.scorer(name)
-                for fragment in doc_result.fragments:
-                    bound = heap.bound()
-                    if bound is not None and \
-                            -scorer.score_upper_bound(fragment) > bound[0]:
-                        cheap_skips += 1
-                        continue
-                    scored = scorer.score(fragment, query.terms)
-                    scored_count += 1
-                    heap.offer((name, scored),
-                               ranked_order_key(name, scored.score,
-                                                scored.fragment))
-            if ob.enabled:
-                ob.metrics.counter(
-                    FRAGMENTS_RANKED, "Fragments scored by the ranker."
-                ).inc(scored_count)
-                if cheap_skips:
-                    ob.metrics.counter(
-                        STREAM_SCORES_SKIPPED,
-                        "Fragments skipped by the cheap score upper "
-                        "bound.").inc(cheap_skips)
+                self._score_into(heap, name, doc_result.fragments,
+                                 query.terms, tally)
+            _count_ranked(ob, tally)
         return heap.items_sorted()
 
     def _ranked_stream(self, query: Query, limit: int,
@@ -837,17 +857,18 @@ class DocumentCollection:
             strategy = decision.strategy
         if budget is not None:
             budget.start()
-        live = [name for name in self.names()
-                if self.has_terms(name, query.terms)]
+        source = self._source
+        live = [name for name in source.names()
+                if all(source.contains(name, term)
+                       for term in query.terms)]
         if not live:
             return []
-        max_size = max(self.node_count(name) for name in live)
+        max_size = max(source.node_count(name) for name in live)
         heap: TopKHeap = TopKHeap(limit)
         beta = min(initial_beta, max_size)
         prev_beta = 0
         rounds = 0
-        scored_count = 0
-        cheap_skips = 0
+        tally = [0, 0]
         while True:
             rounds += 1
             bounded = Query(query.terms,
@@ -858,20 +879,8 @@ class DocumentCollection:
                                  resilience=resilience, faults=faults,
                                  budget=budget)
             for name, doc_result in result.per_document.items():
-                scorer = self.scorer(name)
-                for fragment in doc_result.fragments:
-                    if fragment.size <= prev_beta:
-                        continue
-                    bound = heap.bound()
-                    if bound is not None and \
-                            -scorer.score_upper_bound(fragment) > bound[0]:
-                        cheap_skips += 1
-                        continue
-                    scored = scorer.score(fragment, query.terms)
-                    scored_count += 1
-                    heap.offer((name, scored),
-                               ranked_order_key(name, scored.score,
-                                                scored.fragment))
+                self._score_into(heap, name, doc_result.fragments,
+                                 query.terms, tally, above=prev_beta)
             if beta >= max_size:
                 break
             bound = heap.bound()
@@ -879,27 +888,11 @@ class DocumentCollection:
                 threshold = max(self.scorer(name).size_score_bound(beta + 1)
                                 for name in live)
                 if -bound[0] >= threshold:
-                    if ob.enabled:
-                        ob.metrics.counter(
-                            STREAM_EARLY_EXITS,
-                            "Streaming evaluations stopped before the "
-                            "full answer set existed.",
-                            labels={"stage": "threshold"}).inc()
+                    _count_early_exit(ob, "threshold")
                     break
             prev_beta, beta = beta, min(beta * 2, max_size)
-        if ob.enabled:
-            ob.metrics.counter(
-                STREAM_ROUNDS,
-                "Adaptive β rounds run by streaming top-k."
-            ).inc(rounds)
-            ob.metrics.counter(
-                FRAGMENTS_RANKED, "Fragments scored by the ranker."
-            ).inc(scored_count)
-            if cheap_skips:
-                ob.metrics.counter(
-                    STREAM_SCORES_SKIPPED,
-                    "Fragments skipped by the cheap score upper bound."
-                ).inc(cheap_skips)
+        _count_rounds(ob, rounds)
+        _count_ranked(ob, tally)
         return heap.items_sorted()
 
     def __repr__(self) -> str:

@@ -9,9 +9,11 @@ commit never sees half of it.
 
 * ``add`` / ``remove`` append to the WAL and (by default) commit a new
   epoch; ``commit=False`` batches, :meth:`commit` publishes.
-* ``search`` / ``ranked_search`` / ``explain_analyze`` pin the current
-  epoch (or an explicit ``epoch=``) for their whole run — streaming
-  iterators keep the pin until drained or closed.
+* every read — ``search`` / ``ranked_search`` / ``explain_analyze`` /
+  ``screen`` and each introspection call — pins the current epoch (or
+  an explicit ``epoch=``) for its whole run and reads that snapshot as
+  its corpus source; streaming iterators keep the pin until drained,
+  closed or dropped.
 * ``workers=`` searches reuse one pooled executor across commits:
   workers re-attach the chunk's epoch on demand instead of the pool
   being rebuilt per write (contrast the in-memory collection, whose
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from functools import partial
+from types import SimpleNamespace
+from typing import Optional, Union
 
-from ..errors import DocumentError, WALError
 from ..obs import NOOP, Observability
-from ..ranking.scoring import FragmentScorer
 from ..storage.mutation import MutableIndex, Snapshot
 from ..xmltree.document import Document
 from .collection import DocumentCollection
@@ -37,111 +39,45 @@ from .collection import DocumentCollection
 __all__ = ["MutableDocumentCollection"]
 
 
-class _SnapshotDocuments(Mapping):
-    """Mapping facade over a :class:`Snapshot`: name -> Document.
-
-    Lookups materialise lazily (delta segment or mapped shard);
-    iteration yields visible names in sorted order.
-    """
-
-    __slots__ = ("_snapshot",)
-
-    def __init__(self, snapshot: Snapshot) -> None:
-        self._snapshot = snapshot
-
-    def __getitem__(self, name: str) -> Document:
-        try:
-            return self._snapshot.document(name)
-        except WALError:
-            raise KeyError(name)
-
-    def __iter__(self):
-        return iter(self._snapshot.names())
-
-    def __len__(self) -> int:
-        return len(self._snapshot.names())
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._snapshot
-
-
-class _BoundExecutor:
-    """A pooled executor with an epoch-pinned snapshot bound in.
-
-    The wrapped :class:`~repro.exec.ParallelExecutor` is the parent
-    collection's long-lived pool (mutable-index mode); binding happens
-    per search so concurrent searches on different epochs share it.
-    ``supports_hints`` marks the streaming early-stop path as safe.
-    """
-
-    __slots__ = ("_executor", "_snapshot")
-
-    supports_hints = True
-
-    def __init__(self, executor, snapshot: Snapshot) -> None:
-        self._executor = executor
-        self._snapshot = snapshot
-
-    def search(self, query, **options):
-        return self._executor.search(query, snapshot=self._snapshot,
-                                     **options)
-
-    def run(self, queries, **options):
-        return self._executor.run(queries, snapshot=self._snapshot,
-                                  **options)
-
-
 class _SnapshotCollection(DocumentCollection):
-    """One search's consistent view: a collection bound to one epoch.
+    """One call's consistent view: a collection whose source is one
+    epoch's :class:`Snapshot`.
 
-    Shares the parent's :class:`~repro.core.algebra.JoinCache` and its
-    per-epoch scorer cache; everything name-addressed (documents,
-    indexes, term probes) goes through the pinned snapshot.  Join memos
-    are addressed by document token: a base document keeps its token for
-    as long as its generation is attached, so its memos survive epoch
-    changes; a delta document is rebuilt, with a fresh token, by every
-    epoch's view, so its memos do not (they own no document and age out
-    of the LRU).
+    Shares the parent's :class:`~repro.core.algebra.JoinCache`, its
+    per-epoch scorer cache and its pool.  Join memos are addressed by
+    document token: a base document keeps its token for as long as its
+    generation is attached, so its memos survive epoch changes; a delta
+    document is rebuilt, with a fresh token, by every epoch's view, so
+    its memos do not (they own no document and age out of the LRU).
     """
 
     def __init__(self, parent: "MutableDocumentCollection",
                  snapshot: Snapshot) -> None:
-        super().__init__(name=parent.name)
+        super().__init__(name=parent.name, source=snapshot)
         self._parent = parent
-        self._snapshot = snapshot
-        self._documents = _SnapshotDocuments(snapshot)
-        self._cache = parent._cache
-
-    def add(self, document: Document,
-            name: Optional[str] = None) -> str:
-        raise DocumentError(
-            "an epoch-pinned view is read-only; write through the "
-            "MutableDocumentCollection")
-
-    def index(self, name: str):
-        return self._snapshot.inverted_index(name)
-
-    def has_terms(self, name: str, terms: Iterable[str]) -> bool:
-        return all(self._snapshot.contains(name, term)
-                   for term in terms)
-
-    def _shard_of(self, name: str) -> Optional[int]:
-        return self._snapshot.shard_of(name)
-
-    def node_count(self, name: str) -> int:
-        return self._snapshot.node_count(name)
-
-    def document_frequency(self, term: str) -> int:
-        needle = term.casefold()
-        return sum(1 for name in self._snapshot.names()
-                   if self._snapshot.contains(name, needle))
-
-    def scorer(self, name: str) -> FragmentScorer:
-        return self._parent._scorer_for(self._snapshot, name)
+        self._cache, self._lock = parent._cache, parent._lock
+        # Scorers are corpus-derived, so the parent caches them per
+        # epoch: a commit moves the epoch and the next view starts an
+        # empty table, without racing searches still on the old one
+        # (they keep the table they took).
+        with parent._lock:
+            if parent._scorer_epoch != snapshot.epoch:
+                parent._scorer_epoch = snapshot.epoch
+                parent._scorers = {}
+            self._scorers = parent._scorers
 
     def _parallel_executor(self, workers: int):
-        return _BoundExecutor(self._parent._pool_executor(workers),
-                              self._snapshot)
+        return self._bound(self._parent._parallel_executor(workers))
+
+    def _bound(self, executor):
+        """The parent's long-lived pool with this view's snapshot bound
+        into every run — per search, so concurrent searches on
+        different epochs share the pool.  ``supports_hints`` marks the
+        streaming early-stop path as safe."""
+        return SimpleNamespace(
+            search=partial(executor.search, snapshot=self._source),
+            run=partial(executor.run, snapshot=self._source),
+            supports_hints=True)
 
 
 class MutableDocumentCollection(DocumentCollection):
@@ -164,22 +100,19 @@ class MutableDocumentCollection(DocumentCollection):
                  obs: Optional[Observability] = None,
                  faults=None,
                  cache_limit: Optional[int] = 64) -> None:
-        if isinstance(path, MutableIndex):
-            self.mutable = path
-            self._owns_handle = False
-        else:
-            self.mutable = MutableIndex.open(
-                path, faults=faults,
-                obs=obs if obs is not None else NOOP,
-                cache_limit=cache_limit)
-            self._owns_handle = True
+        opened = isinstance(path, MutableIndex)
+        self.mutable = path if opened else MutableIndex.open(
+            path, faults=faults, obs=obs if obs is not None else NOOP,
+            cache_limit=cache_limit)
+        # The source is the live index; nothing reads it directly —
+        # every read goes through :meth:`_view`, whose source is one
+        # pinned epoch of it.
         super().__init__(name=name if name is not None else
                          os.path.basename(os.path.normpath(
-                             self.mutable.path)) or "mutable")
-        # Scorers are corpus-derived, so they cache per epoch: a commit
-        # naturally invalidates them without racing in-flight searches.
-        self._scorer_epoch: Optional[int] = None
-        self._epoch_scorers: dict[str, FragmentScorer] = {}
+                             self.mutable.path)) or "mutable",
+                         source=self.mutable)
+        self._owns_source = not opened
+        self._scorer_epoch: Optional[int] = None  # epoch of _scorers
 
     @classmethod
     def create(cls, path, documents=None, *, shards: int = 4,
@@ -198,7 +131,7 @@ class MutableDocumentCollection(DocumentCollection):
             obs=obs if obs is not None else NOOP,
             cache_limit=cache_limit)
         collection = cls(handle, name=name, obs=obs)
-        collection._owns_handle = True
+        collection._owns_source = True
         return collection
 
     # ------------------------------------------------------------------
@@ -235,88 +168,21 @@ class MutableDocumentCollection(DocumentCollection):
         return self.mutable.epoch
 
     # ------------------------------------------------------------------
-    # Introspection (each call pins the current epoch briefly)
+    # Reads: pin an epoch, delegate to a consistent view
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _pinned(self, epoch: Optional[int] = None):
-        snapshot = self.mutable.snapshot(epoch)
-        try:
-            yield snapshot
-        finally:
-            snapshot.close()
+    def _view(self, epoch: Optional[int] = None):
+        """Pin ``epoch`` (default: the latest committed) for the length
+        of the block and yield the collection view bound to it.
 
-    def __len__(self) -> int:
-        return len(self.mutable)
+        The inherited introspection methods each run inside one such
+        block, so they pin the current epoch briefly.
+        """
+        with self.mutable.snapshot(epoch) as snapshot:
+            yield _SnapshotCollection(self, snapshot)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.mutable
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.mutable.names())
-
-    def names(self) -> list[str]:
-        return self.mutable.names()
-
-    def document(self, name: str) -> Document:
-        with self._pinned() as snapshot:
-            try:
-                return snapshot.document(name)
-            except WALError:
-                raise KeyError(name)
-
-    def index(self, name: str):
-        with self._pinned() as snapshot:
-            return snapshot.inverted_index(name)
-
-    def has_terms(self, name: str, terms: Iterable[str]) -> bool:
-        with self._pinned() as snapshot:
-            return all(snapshot.contains(name, term) for term in terms)
-
-    def node_count(self, name: str) -> int:
-        with self._pinned() as snapshot:
-            return snapshot.node_count(name)
-
-    @property
-    def total_nodes(self) -> int:
-        with self._pinned() as snapshot:
-            return sum(snapshot.node_count(name)
-                       for name in snapshot.names())
-
-    def document_frequency(self, term: str) -> int:
-        needle = term.casefold()
-        with self._pinned() as snapshot:
-            return sum(1 for name in snapshot.names()
-                       if snapshot.contains(name, needle))
-
-    def vocabulary(self) -> frozenset[str]:
-        with self._pinned() as snapshot:
-            vocab: set[str] = set()
-            for name in snapshot.names():
-                vocab |= snapshot.inverted_index(name).vocabulary()
-            return frozenset(vocab)
-
-    # ------------------------------------------------------------------
-    # Search: pin an epoch, delegate to a consistent view
-    # ------------------------------------------------------------------
-
-    def _scorer_for(self, snapshot: Snapshot,
-                    name: str) -> FragmentScorer:
-        """Per-epoch scorer cache shared by concurrent same-epoch
-        searches; a commit moves the epoch and drops stale entries."""
-        with self._lock:
-            if self._scorer_epoch != snapshot.epoch:
-                self._scorer_epoch = snapshot.epoch
-                self._epoch_scorers = {}
-            scorer = self._epoch_scorers.get(name)
-        if scorer is None:
-            scorer = FragmentScorer(snapshot.inverted_index(name))
-            with self._lock:
-                if self._scorer_epoch == snapshot.epoch:
-                    scorer = self._epoch_scorers.setdefault(name, scorer)
-        return scorer
-
-    def _pool_executor(self, workers: int):
+    def _new_executor(self, workers: Optional[int], **options):
         """The long-lived mutable-mode pool — survives commits.
 
         Workers ship only the index *path*; each chunk carries its
@@ -324,21 +190,14 @@ class MutableDocumentCollection(DocumentCollection):
         ``add`` never has to invalidate this executor.
         """
         from ..exec.parallel import ParallelExecutor
-        with self._lock:
-            if self._executor is None \
-                    or self._executor_workers != workers:
-                self._shutdown_executor()
-                self._executor = ParallelExecutor(
-                    mutable_index=self.mutable.path, workers=workers)
-                self._executor_workers = workers
-            return self._executor
+        return ParallelExecutor(mutable_index=self.mutable.path,
+                                workers=workers, **options)
 
-    @staticmethod
-    def _drain_with_pin(hits, snapshot: Snapshot):
-        try:
+    def _stream(self, query, args, epoch, options):
+        with self._view(epoch) as view:
+            hits = view.search(query, *args, **options)
+            yield  # primer, consumed by search()
             yield from hits
-        finally:
-            snapshot.close()
 
     def search(self, query, *args, epoch: Optional[int] = None,
                **options):
@@ -347,36 +206,33 @@ class MutableDocumentCollection(DocumentCollection):
         Accepts every :meth:`DocumentCollection.search` option, plus
         ``epoch=`` to read a historical (still-pinned) epoch.  With
         ``stream=True`` the returned iterator holds the epoch pin until
-        it is drained or closed.
+        it is drained, closed or dropped.
         """
-        snapshot = self.mutable.snapshot(epoch)
-        view = _SnapshotCollection(self, snapshot)
-        try:
-            result = view.search(query, *args, **options)
-        except BaseException:
-            snapshot.close()
-            raise
-        if options.get("stream"):
-            return self._drain_with_pin(result, snapshot)
-        snapshot.close()
-        return result
+        if not options.get("stream"):
+            with self._view(epoch) as view:
+                return view.search(query, *args, **options)
+        # Advance the generator to its primer so it has *started* by
+        # the time the caller holds it: closing or dropping an
+        # unstarted generator skips its ``with`` and would leak the pin
+        # (and block epoch GC) forever.  Admission and option errors
+        # raise from here, as on the materialised path.
+        stream = self._stream(query, args, epoch, options)
+        next(stream)
+        return stream
 
     def ranked_search(self, query, *args,
                       epoch: Optional[int] = None, **options):
-        with self._pinned(epoch) as snapshot:
-            view = _SnapshotCollection(self, snapshot)
+        with self._view(epoch) as view:
             return view.ranked_search(query, *args, **options)
 
     def explain_analyze(self, query, *args,
                         epoch: Optional[int] = None, **options):
-        with self._pinned(epoch) as snapshot:
-            view = _SnapshotCollection(self, snapshot)
+        with self._view(epoch) as view:
             return view.explain_analyze(query, *args, **options)
 
     def screen(self, policy, query, *args,
                epoch: Optional[int] = None, **options):
-        with self._pinned(epoch) as snapshot:
-            view = _SnapshotCollection(self, snapshot)
+        with self._view(epoch) as view:
             return view.screen(policy, query, *args, **options)
 
     # ------------------------------------------------------------------
@@ -386,12 +242,6 @@ class MutableDocumentCollection(DocumentCollection):
     def shard_stats(self) -> dict:
         """JSON-ready index snapshot (served under ``/varz``)."""
         return self.mutable.stats()
-
-    def close(self) -> None:
-        """Shut the pool down and (if owned) close the index handle."""
-        super().close()
-        if self._owns_handle:
-            self.mutable.close()
 
     def __repr__(self) -> str:
         return (f"MutableDocumentCollection(name={self.name!r}, "

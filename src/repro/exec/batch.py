@@ -29,7 +29,6 @@ from ..core.strategies import Strategy
 from ..guard.budget import QueryBudget
 from ..obs import BATCH_QUERIES, NOOP, Observability
 from .faults import FaultPlan
-from .parallel import ParallelExecutor
 from .resilience import RetryPolicy
 
 __all__ = ["BatchRunner"]
@@ -41,9 +40,11 @@ class BatchRunner:
     Parameters
     ----------
     collection:
-        The corpus to search.  The runner snapshots the document set
-        when its pool first spins up; add documents before running, or
-        create a new runner after mutating the collection.
+        The corpus to search.  The runner's pool is built from the
+        collection's source: an in-memory collection ships a snapshot
+        of its documents (add documents before running, or create a
+        new runner afterwards); an index-backed one ships only an
+        attach recipe, and a mutable one pins one epoch per batch.
     workers:
         ``None`` for serial evaluation; ``>= 1`` for a process pool of
         that size (created lazily on the first :meth:`run`, reused for
@@ -76,27 +77,19 @@ class BatchRunner:
         self._obs = obs if obs is not None else NOOP
         self.resilience = resilience
         self.faults = faults
-        self._executor: Optional[ParallelExecutor] = None
-        self._last_report = None
+        self._executor = None  # ParallelExecutor, or a ShardRouter
+        #: The pooled path's latest
+        #: :class:`~repro.exec.resilience.ResilienceReport` (``None``
+        #: before the first parallel batch; retained across
+        #: :meth:`shutdown`).
+        self.last_report = None
 
-    def _pool(self) -> ParallelExecutor:
+    def _pool(self):
         if self._executor is None:
-            self._executor = ParallelExecutor(
-                {name: self.collection.document(name)
-                 for name in self.collection.names()},
-                workers=self.workers, obs=self._obs,
+            self._executor = self.collection._new_executor(
+                self.workers, obs=self._obs,
                 resilience=self.resilience, faults=self.faults)
         return self._executor
-
-    @property
-    def last_report(self):
-        """The pooled path's latest
-        :class:`~repro.exec.resilience.ResilienceReport` (``None``
-        before the first parallel batch; retained across
-        :meth:`shutdown`)."""
-        if self._executor is not None:
-            return self._executor.last_report
-        return self._last_report
 
     def run(self, queries: Iterable[Query],
             strategy: Optional[Strategy] = None,
@@ -142,10 +135,16 @@ class BatchRunner:
                     for query in batch]
         pool = self._pool()
         try:
-            return pool.run(batch, strategy=use_strategy,
-                            kernel=use_kernel, obs=ob, budget=use_budget)
+            # One consistent view per batch: a mutable collection pins
+            # an epoch here and binds it into the pool's runs.
+            with self.collection._view() as view:
+                return view._bound(pool).run(
+                    batch, strategy=use_strategy, kernel=use_kernel,
+                    obs=ob, budget=use_budget)
         finally:
-            self._last_report = pool.last_report
+            # A shard router's report wraps the executor's.
+            report = pool.last_report
+            self.last_report = getattr(report, "resilience", report)
 
     def shutdown(self) -> None:
         """Stop the pool, if one was created (idempotent)."""

@@ -4,10 +4,13 @@
 ``concurrent.futures.ProcessPoolExecutor`` while keeping the results
 **bit-identical** to the serial path:
 
-* the ``{name: Document}`` payload is shipped once, at pool init, into a
-  module-level worker state; each worker lazily builds and keeps *warm*
-  per-document structures (inverted index, LCA index, interval kernel,
-  a per-worker :class:`~repro.core.algebra.JoinCache`) so repeated
+* the corpus reaches each worker once, at pool init, as a picklable
+  *attach recipe* that builds the worker's own corpus source
+  (:mod:`repro.index.memory`): a copy of the ``{name: Document}``
+  table, an ``mmap``/shared-memory handle on a shard index, or — for a
+  mutable index — just its path, attached per epoch.  The source keeps
+  documents and inverted indexes warm under its own bound and the
+  worker keeps one :class:`~repro.core.algebra.JoinCache`, so repeated
   queries pay the setup cost once per worker, not once per task;
 * work is scheduled as chunks of ``(document, query)`` items, and the
   conjunctive early exit runs *in-band*: a worker probes its inverted
@@ -65,7 +68,7 @@ from ..core.strategies import Strategy, evaluate
 from ..errors import (BudgetExceeded, DocumentError, ExecutionError,
                       QueryError)
 from ..guard.budget import QueryBudget
-from ..index.inverted import InvertedIndex
+from ..index.memory import MemorySource
 from ..obs import (CHUNK_FALLBACKS, CHUNK_RETRIES, CHUNK_TIMEOUTS,
                    DOCUMENTS_SKIPPED, EXEC_DEGRADED,
                    MUTATION_WORKER_REATTACH, NOOP,
@@ -101,11 +104,9 @@ def default_start_method() -> str:
 # init (inherited via fork, or unpickled under spawn) and warmed lazily.
 # ----------------------------------------------------------------------
 
-_WORKER_DOCUMENTS: Optional[Mapping[str, Document]] = None
-_WORKER_SHARD_INDEX = None  # ShardIndex or mutation.Snapshot
+_WORKER_SOURCE = None  # this worker's corpus source
 _WORKER_MUTABLE_PATH: Optional[str] = None
 _WORKER_MUTABLE_EPOCH: Optional[int] = None
-_WORKER_INDEXES: dict[str, InvertedIndex] = {}
 _WORKER_CACHE: Optional[JoinCache] = None
 _WORKER_OBS: Optional[Observability] = None
 _WORKER_OBS_TRACED: Optional[bool] = None
@@ -113,39 +114,27 @@ _WORKER_OBS_RECORDER: Optional[dict] = None
 _WORKER_BASELINE: dict = {}
 
 
-class _ShardDocumentMap(Mapping):
-    """Read-only ``{name: Document}`` view over an attached shard index.
+def _init_worker(recipe: tuple) -> None:
+    """Pool initializer: build this worker's corpus source.
 
-    Lookups materialise lazily through the index's cache, so iterating
-    names (scheduling) touches only the manifest while ``map[name]``
-    (merge / fallback) decodes exactly the documents that matched.
+    ``recipe`` is the parent's picklable ``(attach, argument)`` pair
+    and ``attach(argument)`` is the source — a
+    :class:`~repro.index.memory.MemorySource` over the shipped
+    documents, or the worker's own ``ShardIndex`` handle (``mmap`` over
+    the shard files, or shared-memory segments when the spec names
+    them; O(shards) either way, so pool spin-up does not scale with
+    corpus size).  A mutable index ships ``(None, path)``: nothing
+    attaches until the first chunk names an epoch
+    (:func:`_ensure_worker_epoch`), so a commit never forces a pool
+    rebuild.
     """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: ShardIndex) -> None:
-        self._index = index
-
-    def __getitem__(self, name: str) -> Document:
-        return self._index.document(name)
-
-    def __iter__(self):
-        return iter(self._index.names())
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, name) -> bool:
-        return name in self._index
-
-
-def _init_worker(documents: Mapping[str, Document]) -> None:
-    global _WORKER_DOCUMENTS, _WORKER_SHARD_INDEX, _WORKER_INDEXES
+    global _WORKER_SOURCE, _WORKER_MUTABLE_PATH, _WORKER_MUTABLE_EPOCH
     global _WORKER_CACHE, _WORKER_OBS, _WORKER_OBS_TRACED
     global _WORKER_OBS_RECORDER, _WORKER_BASELINE
-    _WORKER_DOCUMENTS = documents
-    _WORKER_SHARD_INDEX = None
-    _WORKER_INDEXES = {}
+    attach, argument = recipe
+    _WORKER_SOURCE = attach(argument) if attach is not None else None
+    _WORKER_MUTABLE_PATH = argument if attach is None else None
+    _WORKER_MUTABLE_EPOCH = None
     _WORKER_CACHE = JoinCache()
     _WORKER_OBS = None
     _WORKER_OBS_TRACED = None
@@ -153,55 +142,21 @@ def _init_worker(documents: Mapping[str, Document]) -> None:
     _WORKER_BASELINE = {}
 
 
-def _init_worker_attach(spec: dict) -> None:
-    """Pool initializer for the sharded-index mode.
-
-    Instead of unpickling a corpus, the worker attaches its own
-    :class:`~repro.storage.shards.reader.ShardIndex` handle from the
-    parent's picklable spec — ``mmap`` over the shard files, or
-    ``multiprocessing.shared_memory`` segments when the spec carries
-    their names (the spawn path).  Attach cost is O(shards), so pool
-    spin-up no longer scales with corpus size.
-    """
-    global _WORKER_DOCUMENTS, _WORKER_SHARD_INDEX
-    index = ShardIndex.from_spec(spec)
-    _init_worker(_ShardDocumentMap(index))
-    _WORKER_SHARD_INDEX = index
-
-
-def _init_worker_mutable(path: str) -> None:
-    """Pool initializer for the mutable-index mode.
-
-    Only the directory path ships at pool init; the worker attaches an
-    epoch snapshot lazily when the first chunk names one — and
-    *re-attaches* whenever a later chunk names a different epoch, so
-    index mutation never forces a pool rebuild.
-    """
-    global _WORKER_MUTABLE_PATH, _WORKER_MUTABLE_EPOCH
-    _init_worker({})
-    _WORKER_MUTABLE_PATH = path
-    _WORKER_MUTABLE_EPOCH = None
-
-
 def _ensure_worker_epoch(epoch: int, obs) -> None:
     """Re-attach this worker's snapshot when the chunk's epoch moved.
 
-    The old snapshot (and its mmap base) closes first; the per-document
-    warm state resets because names may now resolve to different
-    content.  Epoch pinning in the parent guarantees the named epoch's
-    files are still on disk.
+    The old snapshot (and its mmap base, and every document it kept
+    warm — names may now resolve to different content) closes first.
+    Epoch pinning in the parent guarantees the named epoch's files are
+    still on disk.
     """
-    global _WORKER_DOCUMENTS, _WORKER_SHARD_INDEX, _WORKER_INDEXES
-    global _WORKER_MUTABLE_EPOCH
+    global _WORKER_SOURCE, _WORKER_MUTABLE_EPOCH
     if _WORKER_MUTABLE_EPOCH == epoch:
         return
     from ..storage.mutation import attach_snapshot
-    if _WORKER_SHARD_INDEX is not None:
-        _WORKER_SHARD_INDEX.close()
-    snapshot = attach_snapshot(_WORKER_MUTABLE_PATH, epoch)
-    _WORKER_SHARD_INDEX = snapshot
-    _WORKER_DOCUMENTS = _ShardDocumentMap(snapshot)
-    _WORKER_INDEXES = {}
+    if _WORKER_SOURCE is not None:
+        _WORKER_SOURCE.close()
+    _WORKER_SOURCE = attach_snapshot(_WORKER_MUTABLE_PATH, epoch)
     reattached = _WORKER_MUTABLE_EPOCH is not None
     _WORKER_MUTABLE_EPOCH = epoch
     if reattached and obs.enabled:
@@ -246,40 +201,6 @@ def _worker_obs(traced: bool,
     return _WORKER_OBS
 
 
-def _worker_index(name: str) -> InvertedIndex:
-    """This worker's warm inverted index for one document.
-
-    Built on first touch, together with the document's LCA index, so
-    every later query against the document starts hot.
-    """
-    index = _WORKER_INDEXES.get(name)
-    if index is None:
-        if _WORKER_SHARD_INDEX is not None:
-            # The shard materialiser already decoded the postings; the
-            # index is adopted, not rebuilt by rescanning keywords.
-            index = _WORKER_SHARD_INDEX.inverted_index(name)
-            document = index.document
-        else:
-            document = _WORKER_DOCUMENTS[name]
-            index = InvertedIndex(document)
-        if document.size > 1:
-            document.lca(0, document.size - 1)
-        _WORKER_INDEXES[name] = index
-    return index
-
-
-def _worker_contains(name: str, term: str) -> bool:
-    """Early-exit probe: does the named document contain ``term``?
-
-    In sharded mode an unmaterialised document answers straight off the
-    mapped postings section (a binary search over the page cache), so
-    skipped documents are never decoded at all.
-    """
-    if name not in _WORKER_INDEXES and _WORKER_SHARD_INDEX is not None:
-        return _WORKER_SHARD_INDEX.contains(name, term)
-    return _worker_index(name).contains(term)
-
-
 def _budget_marker(exc: BudgetExceeded) -> dict:
     """A picklable row payload standing in for a budget abort.
 
@@ -296,6 +217,44 @@ def _raise_budget_marker(marker: dict) -> None:
     raise BudgetExceeded(info["message"], reason=info["reason"],
                          elapsed=info["elapsed_s"],
                          progress=info["progress"])
+
+
+def _item_rows(source, queries: Sequence[Query],
+               items: Sequence[tuple[str, int]], strategy: Strategy,
+               kernel: Optional[str], cache: JoinCache, obs,
+               budget: Optional[QueryBudget]) -> list:
+    """Evaluate ``(document name, query index)`` items over one source.
+
+    The one item loop: a worker runs it over its attached source, the
+    parent's degraded fallback over its own, so the rows — the
+    conjunctive early exit, the per-item budget clones — are
+    bit-identical wherever a chunk ends up running.  An index-backed
+    source answers the probe straight off the mapped postings (skipped
+    documents are never decoded) and keeps what it materialises under
+    its own ``cache_limit``.
+    """
+    rows = []
+    contains = source.contains
+    for name, query_index in items:
+        query = queries[query_index]
+        if not all(contains(name, term) for term in query.terms):
+            rows.append((name, query_index, None))
+            continue
+        index = source.inverted_index(name)
+        try:
+            result = evaluate(index.document, query, strategy=strategy,
+                              index=index, cache=cache, kernel=kernel,
+                              obs=obs,
+                              budget=(budget.fresh_item()
+                                      if budget is not None else None))
+        except BudgetExceeded as exc:
+            rows.append((name, query_index, _budget_marker(exc)))
+            continue
+        rows.append((name, query_index,
+                     (tuple(sorted(tuple(sorted(f.nodes))
+                                   for f in result.fragments)),
+                      result.elapsed, result.stats)))
+    return rows
 
 
 def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
@@ -351,31 +310,11 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
         # Sharded chunks never straddle shards, so one ambient tag
         # covers every profile this chunk records.
         obs.recorder.set_context(shard=shard)
-    rows = []
     try:
         if fault is not None:
             apply_fault(fault)
-        for name, query_index in items:
-            query = queries[query_index]
-            if not all(_worker_contains(name, term)
-                       for term in query.terms):
-                rows.append((name, query_index, None))
-                continue
-            index = _worker_index(name)
-            try:
-                result = evaluate(_WORKER_DOCUMENTS[name], query,
-                                  strategy=strategy, index=index,
-                                  cache=_WORKER_CACHE, kernel=kernel,
-                                  obs=obs,
-                                  budget=(budget.fresh_item()
-                                          if budget is not None else None))
-            except BudgetExceeded as exc:
-                rows.append((name, query_index, _budget_marker(exc)))
-                continue
-            payload = (tuple(sorted(tuple(sorted(f.nodes))
-                                    for f in result.fragments)),
-                       result.elapsed, result.stats)
-            rows.append((name, query_index, payload))
+        rows = _item_rows(_WORKER_SOURCE, queries, items, strategy,
+                          kernel, _WORKER_CACHE, obs, budget)
     except BaseException:
         # Discard the failed attempt's telemetry: advance the metrics
         # baseline and drain the tracer/query log, so the eventual
@@ -395,15 +334,35 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
 # ----------------------------------------------------------------------
 
 class ParallelExecutor:
-    """A warm process pool evaluating queries over a fixed document set.
+    """A warm process pool evaluating queries over one corpus source.
+
+    Exactly one of ``documents=``, ``index_path=`` or ``mutable_index=``
+    names the corpus; the constructor resolves it to the parent's
+    source plus the picklable recipe workers attach their own from,
+    and nothing after it cares which spelling was used.
 
     Parameters
     ----------
     documents:
-        ``{name: Document}`` — the corpus, shipped to workers once at
-        pool init.  The executor takes a snapshot; add/remove requires a
-        new executor (collections handle this by invalidating their
-        cached executor on :meth:`~DocumentCollection.add`).
+        ``{name: Document}`` — an in-memory corpus, shipped to workers
+        once at pool init.  The executor takes a snapshot; add/remove
+        requires a new executor (collections handle this by
+        invalidating their cached executor on
+        :meth:`~DocumentCollection.add`).
+    index_path:
+        A shard index directory or an attached
+        :class:`~repro.storage.shards.reader.ShardIndex`: the corpus
+        stays on disk, this process and every worker attach their own
+        handle (workers under the same ``cache_limit``), and documents
+        materialise only when they match.  ``shared_memory`` ships the
+        shard bytes as shared-memory segments instead of re-reading
+        the files (default: under ``spawn`` only — forked workers
+        share the mmap for free).
+    mutable_index:
+        Directory of an epoch-versioned live index.  Workers get only
+        the path and attach whichever epoch a run names; every run
+        must pass ``snapshot=``, which is that run's source — the pool
+        itself outlives any number of commits.
     workers:
         Pool size; defaults to :func:`default_workers`.
     start_method:
@@ -423,6 +382,9 @@ class ParallelExecutor:
         every dispatch (tests / bench runner); each call may override.
     """
 
+    #: ``search``/``run`` accept a streaming early-stop ``hint=``.
+    supports_hints = True
+
     def __init__(self, documents: Optional[Mapping[str, Document]] = None,
                  workers: Optional[int] = None,
                  start_method: Optional[str] = None,
@@ -433,44 +395,34 @@ class ParallelExecutor:
                  index_path=None,
                  mutable_index=None,
                  shared_memory: Optional[bool] = None) -> None:
-        modes = sum(source is not None
-                    for source in (documents, index_path, mutable_index))
-        if modes != 1:
+        if sum(spelling is not None for spelling in
+               (documents, index_path, mutable_index)) != 1:
             raise DocumentError("ParallelExecutor requires exactly one "
                                 "of documents=, index_path= or "
                                 "mutable_index=")
-        self._mutable_path: Optional[str] = None
-        if mutable_index is not None:
-            # Mutable-index mode: the corpus is an epoch-versioned live
-            # index.  Workers receive only the directory path and
-            # attach the epoch each run names (re-attaching when it
-            # changes); every run must pass ``snapshot=`` — the pool
-            # itself outlives any number of commits.
-            self._index = None
-            self._mutable_path = os.fspath(mutable_index)
-            self.documents = {}
-        elif index_path is not None:
-            # Sharded-index mode: the corpus stays on disk; this process
-            # and every worker attach their own mmap/shared-memory
-            # handles, and documents materialise only when they match.
-            self._index = (index_path if isinstance(index_path, ShardIndex)
-                           else ShardIndex.attach(
-                               index_path,
-                               obs=obs if obs is not None else NOOP))
-            self.documents: Mapping[str, Document] = \
-                _ShardDocumentMap(self._index)
-        else:
-            self._index = None
-            self.documents = dict(documents)
-        if not self.documents and self._mutable_path is None:
-            raise DocumentError("ParallelExecutor requires at least one "
-                                "document")
-        self._shared_memory = shared_memory
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise QueryError(f"workers must be >= 1, got {self.workers}")
         self.start_method = (start_method if start_method is not None
                              else default_start_method())
+        if mutable_index is not None:
+            self._source = None  # each run's snapshot= is its source
+            self._recipe = (None, os.fspath(mutable_index))
+        elif index_path is not None:
+            self._source = (index_path
+                            if isinstance(index_path, ShardIndex)
+                            else ShardIndex.attach(
+                                index_path,
+                                obs=obs if obs is not None else NOOP))
+            self._recipe = (ShardIndex.from_spec, self._source.attach_spec(
+                shared_memory=(shared_memory if shared_memory is not None
+                               else self.start_method == "spawn")))
+        else:
+            self._source = MemorySource(documents)
+            self._recipe = (MemorySource, self._source.documents)
+        if self._source is not None and not len(self._source):
+            raise DocumentError("ParallelExecutor requires at least one "
+                                "document")
         self._chunk_size = chunk_size
         self._obs = obs if obs is not None else NOOP
         self.resilience = (resilience if resilience is not None
@@ -479,11 +431,8 @@ class ParallelExecutor:
         self.last_report: ResilienceReport = ResilienceReport()
         self.degraded = False
         self._worker_ids: dict[int, str] = {}
-        #: The attached shard index in ``index_path=`` mode, else None.
-        self.index = self._index
-        # Parent-side warm state for the serial fallback path (lazily
-        # built; mirrors a worker's per-document structures).
-        self._parent_indexes: dict[str, InvertedIndex] = {}
+        # Join memo of the parent-side serial fallback (documents and
+        # indexes stay warm in the source, under its own bound).
         self._parent_cache = JoinCache()
         self._pool = self._new_pool()
         if self._obs.enabled:
@@ -492,27 +441,10 @@ class ParallelExecutor:
             ).set(self.workers)
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        context = multiprocessing.get_context(self.start_method)
-        if self._mutable_path is not None:
-            return ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context,
-                initializer=_init_worker_mutable,
-                initargs=(self._mutable_path,))
-        if self._index is not None:
-            # Ship an attach recipe, not the corpus.  Under spawn the
-            # shard bytes travel via shared-memory segments by default
-            # (no re-read from disk); under fork plain mmap is already
-            # zero-cost.  ``shared_memory=`` overrides the default.
-            use_shm = (self._shared_memory
-                       if self._shared_memory is not None
-                       else self.start_method == "spawn")
-            spec = self._index.attach_spec(shared_memory=use_shm)
-            return ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context,
-                initializer=_init_worker_attach, initargs=(spec,))
         return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=context,
-            initializer=_init_worker, initargs=(self.documents,))
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(self.start_method),
+            initializer=_init_worker, initargs=(self._recipe,))
 
     def _respawn_pool(self, report: ResilienceReport) -> None:
         """Tear the pool down hard and rebuild it (crash / hang path).
@@ -593,9 +525,9 @@ class ParallelExecutor:
                   policy: RetryPolicy, plan: Optional[FaultPlan],
                   outcomes, report: ResilienceReport,
                   budget: Optional[QueryBudget] = None,
-                  chunk_keys: Optional[list] = None,
+                  chunk_keys: Sequence[Optional[int]] = (),
                   hint: Optional[ChunkHint] = None,
-                  snapshot=None) -> None:
+                  source=None, epoch: Optional[int] = None) -> None:
         """Run every chunk to completion, surviving crashes and hangs.
 
         Chunks are dispatched in waves; a wave is the current pending
@@ -650,11 +582,9 @@ class ParallelExecutor:
                     futures[chunk_index] = self._pool.submit(
                         _run_chunk, queries, chunks[chunk_index],
                         strategy.value, kernel, obs_spec, fault, budget,
-                        (chunk_keys[chunk_index]
-                         if chunk_keys is not None else None),
+                        chunk_keys[chunk_index],
                         hint.filter if hint is not None else None,
-                        (snapshot.epoch if snapshot is not None
-                         else None))
+                        epoch)
                 except (BrokenExecutor, RuntimeError):
                     submit_broken = True
                     pending.append(chunk_index)
@@ -720,100 +650,34 @@ class ParallelExecutor:
                 raise
 
         # Graceful degradation: the surviving chunks run through the
-        # exact serial path, in-process, so callers still get
-        # serial-identical answers.
+        # worker's own item loop, in-process, over the parent's source
+        # (the run's pinned snapshot on a mutable index), so callers
+        # still get serial-identical answers.  Telemetry lands directly
+        # on the parent handle, exactly like the serial path.
+        recorder = getattr(ob, "recorder", None) if ob.enabled else None
         for chunk_index in fallback:
             if hint is not None and hint.stopped:
                 hint.record_skip(1, len(chunks[chunk_index]))
                 continue
-            if chunk_keys is not None:
-                key = chunk_keys[chunk_index]
-                report.failed_groups[key] = \
-                    report.failed_groups.get(key, 0) + 1
-            rows = self._serial_items(
-                queries, chunks[chunk_index], strategy, kernel, ob,
-                budget=budget,
-                shard=(chunk_keys[chunk_index]
-                       if chunk_keys is not None else None),
-                snapshot=snapshot)
+            shard = chunk_keys[chunk_index]
+            if shard is not None:
+                report.failed_groups[shard] = \
+                    report.failed_groups.get(shard, 0) + 1
+            if recorder is not None:
+                recorder.set_context(shard=shard)
+            try:
+                rows = _item_rows(source, queries, chunks[chunk_index],
+                                  strategy, kernel, self._parent_cache,
+                                  ob, budget)
+            finally:
+                if recorder is not None:
+                    recorder.set_context(shard=None)
             for name, query_index, payload in rows:
                 outcomes[(name, query_index)] = payload
             if hint is not None:
                 hint.observe(rows)
             report.fallback_chunks += 1
             report.fallback_items += len(chunks[chunk_index])
-
-    def _parent_index(self, name: str) -> InvertedIndex:
-        """Warm parent-side inverted index for the serial fallback."""
-        index = self._parent_indexes.get(name)
-        if index is None:
-            if self._index is not None:
-                index = self._index.inverted_index(name)
-                document = index.document
-            else:
-                document = self.documents[name]
-                index = InvertedIndex(document)
-            if document.size > 1:
-                document.lca(0, document.size - 1)
-            self._parent_indexes[name] = index
-        return index
-
-    def _serial_items(self, queries, items, strategy, kernel, ob,
-                      budget: Optional[QueryBudget] = None,
-                      shard: Optional[int] = None,
-                      snapshot=None):
-        """Evaluate one chunk's items in-process (degraded mode).
-
-        Mirrors ``_run_chunk`` — including the conjunctive early exit
-        and the per-item budget clones — against the parent's own
-        documents, so the rows are bit-identical to what a healthy
-        worker would have returned.  Telemetry lands directly on the
-        parent handle, exactly like the serial path.
-        """
-        recorder = (getattr(ob, "recorder", None) if ob.enabled
-                    else None)
-        if recorder is not None and shard is not None:
-            recorder.set_context(shard=shard)
-        try:
-            rows = []
-            for name, query_index in items:
-                query = queries[query_index]
-                if snapshot is not None:
-                    # Epoch-pinned fallback: probe and materialise
-                    # through the snapshot, never the (stale-prone)
-                    # parent-side warm cache.
-                    if not all(snapshot.contains(name, term)
-                               for term in query.terms):
-                        rows.append((name, query_index, None))
-                        continue
-                    index = snapshot.inverted_index(name)
-                    document = snapshot.document(name)
-                else:
-                    index = self._parent_index(name)
-                    if not all(index.contains(term)
-                               for term in query.terms):
-                        rows.append((name, query_index, None))
-                        continue
-                    document = self.documents[name]
-                try:
-                    result = evaluate(
-                        document, query,
-                        strategy=strategy, index=index,
-                        cache=self._parent_cache, kernel=kernel,
-                        obs=ob,
-                        budget=(budget.fresh_item()
-                                if budget is not None else None))
-                except BudgetExceeded as exc:
-                    rows.append((name, query_index, _budget_marker(exc)))
-                    continue
-                payload = (tuple(sorted(tuple(sorted(f.nodes))
-                                        for f in result.fragments)),
-                           result.elapsed, result.stats)
-                rows.append((name, query_index, payload))
-            return rows
-        finally:
-            if recorder is not None and shard is not None:
-                recorder.set_context(shard=None)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -881,51 +745,38 @@ class ParallelExecutor:
         policy = resilience if resilience is not None else self.resilience
         plan = faults if faults is not None else self.faults
         queries = list(queries)
-        if self._mutable_path is not None and snapshot is None:
+        source = snapshot if snapshot is not None else self._source
+        if source is None:
             raise QueryError(
                 "a mutable-index executor needs an epoch-pinned "
                 "snapshot; pass snapshot= (see MutableIndex.snapshot)")
-        if snapshot is not None:
-            corpus = _ShardDocumentMap(snapshot)
-        else:
-            corpus = self.documents
         targets = (list(documents) if documents is not None
-                   else list(corpus))
+                   else source.names())
         for name in targets:
-            if name not in corpus:
+            if name not in source:
                 raise DocumentError(f"unknown document {name!r}")
         items = [(name, qi) for qi in range(len(queries))
                  for name in targets]
         chunk_size = self._chunk_size or max(
             1, -(-len(items) // (4 * self.workers)))
-        shard_of = None
-        if self._index is not None:
-            shard_of = self._index.shard_of
-        elif snapshot is not None:
-            # Delta documents report shard -1; they group into their
-            # own chunks ahead of the mapped shards.
-            shard_of = snapshot.shard_of
-        if shard_of is not None:
-            # Scatter: group items by shard so no chunk straddles a
-            # shard boundary — each chunk touches exactly one mapped
-            # file, failures attribute cleanly to a shard, and worker
-            # page-cache locality follows the shard layout.  The merge
-            # below still walks targets in caller order (the gather),
-            # so results are unchanged.
-            by_shard: dict[int, list] = {}
-            for item in items:
-                by_shard.setdefault(shard_of(item[0]), []).append(item)
-            chunks = []
-            chunk_keys: Optional[list] = []
-            for shard in sorted(by_shard):
-                group = by_shard[shard]
-                for i in range(0, len(group), chunk_size):
-                    chunks.append(group[i:i + chunk_size])
-                    chunk_keys.append(shard)
-        else:
-            chunks = [items[i:i + chunk_size]
-                      for i in range(0, len(items), chunk_size)]
-            chunk_keys = None
+        # Scatter: group items by shard so no chunk straddles a shard
+        # boundary — each chunk touches exactly one mapped file,
+        # failures attribute cleanly to a shard, and worker page-cache
+        # locality follows the shard layout.  A snapshot's delta
+        # documents report shard -1 and group ahead of the mapped
+        # shards; in-memory documents all report None, one group in
+        # item order.  The merge below still walks targets in caller
+        # order (the gather), so results are unchanged.
+        by_shard: dict[Optional[int], list] = {}
+        for item in items:
+            by_shard.setdefault(source.shard_of(item[0]), []).append(item)
+        chunks = []
+        chunk_keys: list[Optional[int]] = []
+        for shard in sorted(by_shard):
+            group = by_shard[shard]
+            for i in range(0, len(group), chunk_size):
+                chunks.append(group[i:i + chunk_size])
+                chunk_keys.append(shard)
 
         if budget is not None:
             # Start before shipping: workers clone the *absolute*
@@ -950,7 +801,8 @@ class ParallelExecutor:
                                obs_spec, ob, policy, plan, outcomes,
                                report, budget=budget,
                                chunk_keys=chunk_keys, hint=hint,
-                               snapshot=snapshot)
+                               source=source,
+                               epoch=getattr(snapshot, "epoch", None))
             finally:
                 self.last_report = report
                 self.degraded = report.degraded
@@ -1012,7 +864,7 @@ class ParallelExecutor:
                     # where the serial path would have raised.
                     _raise_budget_marker(payload)
                 node_tuples, elapsed, stats = payload
-                document = corpus[name]
+                document = source.document(name)
                 fragments = frozenset(
                     Fragment(document, nodes, validate=False)
                     for nodes in node_tuples)
@@ -1044,6 +896,6 @@ class ParallelExecutor:
         self.shutdown()
 
     def __repr__(self) -> str:
-        return (f"ParallelExecutor(documents={len(self.documents)}, "
+        return (f"ParallelExecutor(source={self._source!r}, "
                 f"workers={self.workers}, "
                 f"start_method={self.start_method!r})")

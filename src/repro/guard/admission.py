@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..xmltree.document import Document
 
 __all__ = ["AdmissionPolicy", "AdmissionDecision", "screen",
-           "plan_cost"]
+           "screen_models", "plan_cost"]
 
 ADMIT = "admit"
 DOWNGRADE = "downgrade"
@@ -113,17 +113,6 @@ def plan_cost(query: Query, strategy: Strategy, document: "Document",
     return CostModel(document, index=index).estimate(plan).cost
 
 
-def _collection_cost(query: Query, strategy: Strategy,
-                     documents: Iterable["Document"],
-                     index_for: Optional[Callable]) -> float:
-    """Summed plan cost of ``strategy`` over ``documents``."""
-    total = 0.0
-    for document in documents:
-        index = index_for(document) if index_for is not None else None
-        total += plan_cost(query, strategy, document, index=index)
-    return total
-
-
 def screen(policy: AdmissionPolicy, query: Query, strategy: Strategy,
            documents: Iterable["Document"],
            index_for: Optional[Callable[["Document"],
@@ -138,26 +127,45 @@ def screen(policy: AdmissionPolicy, query: Query, strategy: Strategy,
     query / strategy:
         The query and the strategy the caller wants to run.
     documents:
-        The documents the query would be evaluated against.  The
-        iterable is consumed up to twice (requested + downgrade
-        costing); pass a list.
+        The documents the query would be evaluated against (consumed
+        once; a generator keeps one tree alive at a time).
     index_for:
         Optional ``document -> InvertedIndex | None`` lookup; with an
         index the cost model uses exact term frequencies.
     """
-    documents = list(documents)
-    requested_cost = _collection_cost(query, strategy, documents,
-                                      index_for)
+    return screen_models(policy, query, strategy, (
+        CostModel(document, index=(index_for(document)
+                                   if index_for is not None else None))
+        for document in documents))
+
+
+def screen_models(policy: AdmissionPolicy, query: Query,
+                  strategy: Strategy,
+                  models: Iterable[CostModel]) -> AdmissionDecision:
+    """:func:`screen` over one ready :class:`~repro.core.cost.CostModel`
+    per document, in a single pass.
+
+    The requested strategy's plan and the policy's downgrade plan are
+    both priced against each model while it is in hand, so a caller
+    that materialises documents lazily (a collection over a shard
+    index) touches each one once however the decision falls.
+    """
+    downgrade = policy.downgrade_to
+    if downgrade is strategy:
+        downgrade = None
+    plans = [plan_for(query, candidate)
+             for candidate in (strategy, downgrade)
+             if candidate is not None]
+    costs = [0.0] * len(plans)
+    for model in models:
+        for i, plan in enumerate(plans):
+            costs[i] += model.estimate(plan).cost
+    requested_cost = costs[0]
     if requested_cost <= policy.max_cost:
         return AdmissionDecision(ADMIT, strategy, requested_cost,
                                  requested_cost, policy.max_cost)
-    downgrade = policy.downgrade_to
-    if downgrade is not None and downgrade is not strategy:
-        downgraded_cost = _collection_cost(query, downgrade, documents,
-                                           index_for)
-        if downgraded_cost <= policy.max_cost:
-            return AdmissionDecision(DOWNGRADE, downgrade,
-                                     downgraded_cost, requested_cost,
-                                     policy.max_cost)
+    if downgrade is not None and costs[1] <= policy.max_cost:
+        return AdmissionDecision(DOWNGRADE, downgrade, costs[1],
+                                 requested_cost, policy.max_cost)
     return AdmissionDecision(REJECT, strategy, requested_cost,
                              requested_cost, policy.max_cost)

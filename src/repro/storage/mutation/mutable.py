@@ -98,24 +98,24 @@ class Snapshot:
     def __len__(self) -> int:
         return len(self.names())
 
-    def _unknown(self, name: str):
-        return WALError(f"unknown document {name!r} at epoch "
-                        f"{self.epoch}", reason="unknown-document",
-                        path=self.path)
+    def _base_of(self, name: str) -> ShardIndex:
+        """The base index, for a name the delta neither shadows nor
+        hides; unknown names raise a structured :class:`WALError`."""
+        if name in self._delta.tombstones or self._base is None:
+            raise WALError(f"unknown document {name!r} at epoch "
+                           f"{self.epoch}", reason="unknown-document",
+                           path=self.path)
+        return self._base
 
     def document(self, name: str):
         if name in self._delta:
             return self._delta.document(name)
-        if name in self._delta.tombstones or self._base is None:
-            raise self._unknown(name)
-        return self._base.document(name)
+        return self._base_of(name).document(name)
 
     def contains(self, name: str, term: str) -> bool:
         if name in self._delta:
             return self._delta.contains(name, term)
-        if name in self._delta.tombstones or self._base is None:
-            raise self._unknown(name)
-        return self._base.contains(name, term)
+        return self._base_of(name).contains(name, term)
 
     def inverted_index(self, name: str) -> InvertedIndex:
         if name in self._delta:
@@ -126,24 +126,18 @@ class Snapshot:
                     doc, self._delta.postings(name))
                 self._indexes[name] = index
             return index
-        if name in self._delta.tombstones or self._base is None:
-            raise self._unknown(name)
-        return self._base.inverted_index(name)
+        return self._base_of(name).inverted_index(name)
 
     def node_count(self, name: str) -> int:
         if name in self._delta:
             return self._delta.node_count(name)
-        if name in self._delta.tombstones or self._base is None:
-            raise self._unknown(name)
-        return self._base.node_count(name)
+        return self._base_of(name).node_count(name)
 
     def shard_of(self, name: str) -> int:
         """Shard for chunk grouping; delta documents report ``-1``."""
         if name in self._delta:
             return -1
-        if name in self._delta.tombstones or self._base is None:
-            raise self._unknown(name)
-        return self._base.shard_of(name)
+        return self._base_of(name).shard_of(name)
 
     @property
     def degraded(self) -> bool:
@@ -497,7 +491,8 @@ class MutableIndex:
                              self._wal.records)
             self._manifest = manifest
             self._published[epoch] = (manifest, view)
-            self._collect()
+            self._release_stale()
+            self._epochs.collect()
             metrics = self._obs.metrics
             metrics.counter(
                 MUTATION_COMMITS, "Epoch commits published.").inc()
@@ -560,7 +555,8 @@ class MutableIndex:
             self._live_tombstones = set()
             view = DeltaView.empty()
             self._published[epoch] = (manifest, view)
-            self._collect()
+            self._release_stale()
+            self._epochs.collect()
             metrics = self._obs.metrics
             metrics.counter(
                 MUTATION_COMPACTIONS,
@@ -601,7 +597,12 @@ class MutableIndex:
                             on_close=lambda: self._unpin(epoch))
 
     def _unpin(self, epoch: int) -> None:
-        self._epochs.unpin(epoch)
+        if self._epochs.unpin(epoch) == 0 and epoch != self.epoch:
+            # The last reader of a superseded epoch left: free its view
+            # and the delta trees it built now, not at the next commit —
+            # else a commit landing mid-query keeps two epochs' resident.
+            with self._lock:
+                self._release_stale()
         self._gauge_pins()
 
     def _gauge_pins(self) -> None:
@@ -610,8 +611,9 @@ class MutableIndex:
             "Distinct epochs currently pinned by readers."
         ).set(len(self._epochs.pinned_epochs()))
 
-    def _collect(self) -> None:
-        """Drop unpinned stale epochs and their files (writer-only)."""
+    def _release_stale(self) -> None:
+        """Drop unpinned stale epochs' views and base handles (under
+        ``_lock``); their files are the writer's to delete, at commit."""
         live = self._epochs.live_epochs()
         stale = [e for e in self._published if e not in live]
         for e in stale:
@@ -624,7 +626,6 @@ class MutableIndex:
                       if m.get("base")}
         for base in [b for b in self._bases if b not in live_bases]:
             self._bases.pop(base).close()
-        self._epochs.collect()
 
     def pinned_epochs(self) -> dict[int, int]:
         return self._epochs.pinned_epochs()
@@ -635,23 +636,12 @@ class MutableIndex:
 
     def names(self) -> list[str]:
         """Names visible at the last committed epoch."""
-        _, view = self._published[self.epoch]
-        names = set()
-        base = self._base_handle(self._manifest)
-        if base is not None:
-            names.update(base.names())
-        names -= set(view.tombstones)
-        names.update(view.names())
-        return sorted(names)
+        with self.snapshot() as snapshot:
+            return snapshot.names()
 
     def __contains__(self, name: object) -> bool:
-        _, view = self._published[self.epoch]
-        if name in view:
-            return True
-        if name in view.tombstones:
-            return False
-        base = self._base_handle(self._manifest)
-        return base is not None and name in base
+        with self.snapshot() as snapshot:
+            return name in snapshot
 
     def __len__(self) -> int:
         return len(self.names())

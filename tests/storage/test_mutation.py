@@ -236,6 +236,37 @@ class TestEpochPinning:
         with pytest.raises(WALError):
             mutable.snapshot(old_epoch)
 
+    def test_last_unpin_releases_a_superseded_view(self, corpus, mutable):
+        """A commit that lands while a reader is pinned must not keep
+        the old epoch's materialised delta documents until the *next*
+        commit: the last unpin drops them (the files wait for the
+        writer's GC)."""
+        import weakref
+        names = sorted(corpus)
+        old_epoch = mutable.epoch
+        first, second = mutable.snapshot(), mutable.snapshot()
+        tree = weakref.ref(first.document(names[5]))    # a delta document
+        mutable.remove(names[2])                        # commits
+        assert mutable.stats()["published_epochs"] == [old_epoch,
+                                                       mutable.epoch]
+        first.close()                                   # one pin left
+        assert tree() is not None
+        repin = mutable.snapshot(old_epoch)             # still servable
+        second.close()
+        assert mutable.stats()["published_epochs"] == [old_epoch,
+                                                       mutable.epoch]
+        repin.close()                                   # the last one
+        assert mutable.stats()["published_epochs"] == [mutable.epoch]
+        del first, second, repin    # closed handles still name the view
+        assert tree() is None
+        assert os.path.exists(os.path.join(
+            mutable.path, f"manifest.{old_epoch:06d}.json"))
+        with pytest.raises(WALError):
+            mutable.snapshot(old_epoch)
+        # The current epoch is never dropped by an unpin.
+        mutable.snapshot().close()
+        assert mutable.stats()["published_epochs"] == [mutable.epoch]
+
     def test_worker_attach_parity(self, corpus, mutable, tmp_path):
         snapshot = mutable.snapshot()
         worker = attach_snapshot(mutable.path, snapshot.epoch)

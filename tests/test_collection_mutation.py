@@ -191,6 +191,34 @@ class TestMutableCollectionParity:
         assert streamed == result_key(reference.search(NEEDLE))
 
 
+    def test_stream_releases_its_pin_however_it_ends(
+            self, mutable_collection):
+        """Regression: the pin was taken before the draining generator
+        started, so a stream dropped or closed before its first
+        ``next()`` never ran its ``finally`` and blocked epoch GC."""
+        pinned = mutable_collection.mutable.pinned_epochs
+        stream = mutable_collection.search(NEEDLE, stream=True)
+        assert pinned() == {mutable_collection.epoch: 1}
+        del stream                                    # dropped unstarted
+        assert pinned() == {}
+        mutable_collection.search(NEEDLE, stream=True).close()
+        assert pinned() == {}                         # closed unstarted
+        stream = mutable_collection.search(NEEDLE, stream=True)
+        assert next(stream) is not None
+        assert pinned() == {mutable_collection.epoch: 1}
+        stream.close()                                # cut short
+        assert pinned() == {}
+        stream = mutable_collection.search(NEEDLE, stream=True)
+        next(stream)
+        del stream                                    # dropped mid-drain
+        assert pinned() == {}
+        assert list(mutable_collection.search(NEEDLE, stream=True))
+        assert pinned() == {}                         # drained
+        with pytest.raises(ValueError):               # refused up front
+            mutable_collection.search(NEEDLE, stream=True, limit=0)
+        assert pinned() == {}
+
+
 class TestEpochPinnedReads:
     def test_explicit_epoch_survives_remove(self, corpus,
                                             mutable_collection):
@@ -221,11 +249,22 @@ class TestEpochPinnedReads:
             mutable_collection.search(NEEDLE, epoch=old_epoch)
 
     def test_pinned_view_is_read_only(self, corpus, mutable_collection):
-        from repro.collection.mutable import _SnapshotCollection
-        with mutable_collection._pinned() as snapshot:
-            view = _SnapshotCollection(mutable_collection, snapshot)
+        """A pinned epoch never changes: writes land in a new epoch, and
+        a collection over the pinned snapshot refuses ``add``."""
+        names = sorted(corpus)
+        old_epoch = mutable_collection.epoch
+        with mutable_collection.mutable.snapshot() as pin:
+            before = result_key(
+                mutable_collection.search(NEEDLE, epoch=old_epoch))
+            mutable_collection.add(corpus[names[9]], names[9])
+            mutable_collection.remove(names[0])
+            assert result_key(mutable_collection.search(
+                NEEDLE, epoch=old_epoch)) == before
+            assert names[9] not in pin and names[0] in pin
+            view = DocumentCollection("view", source=pin)
+            assert result_key(view.search(NEEDLE)) == before
             with pytest.raises(DocumentError, match="read-only"):
-                view.add(corpus[sorted(corpus)[9]])
+                view.add(corpus[names[9]])
 
     def test_pool_requires_snapshot(self, corpus, mutable_collection):
         from repro.exec.parallel import ParallelExecutor
