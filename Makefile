@@ -26,6 +26,16 @@ verify:
 	python -c "from repro.testing import run_differential_trials as r; \
 	           rep = r(trials=500); assert rep.passed, rep.summary(); \
 	           print(rep.summary())"
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	python -c "from repro.workloads.inexlike import InexSpec, generate_collection as g; \
+	           from repro.storage.shards import build_index; \
+	           build_index(g(InexSpec(articles=6, nodes_per_article=80)), '$$tmp/idx', shards=3)" && \
+	python -m repro.cli index inspect "$$tmp/idx" --verify --json > "$$tmp/inspect.json" && \
+	python -c "import json; d = json.load(open('$$tmp/inspect.json')); \
+	           assert d['format_version'] == 2 and not d['verification']['failures'], d; \
+	           assert all(s['terms'] for s in d['directories'].values()), d; \
+	           print('index inspect: format v2,', d['verification']['documents'], \
+	                 'document(s) and', len(d['directories']), 'term directories verified')"
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache

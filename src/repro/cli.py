@@ -1087,6 +1087,11 @@ def serve_main(argv: Optional[Sequence[str]] = None,
         print("error: --slo requires the sampler "
               "(--sample-interval > 0)", file=sys.stderr)
         return 2
+    if args.workers is not None:
+        # Fork the pool here, on the main thread, before the HTTP and
+        # sampler threads exist and before the stdin loop holds the
+        # stdin lock — a pool first forked by a handler never answers.
+        collection.warm_pool(args.workers)
     server = MetricsServer(obs, host=args.host, port=args.port,
                            collection=collection,
                            guardrails=guardrails,

@@ -96,6 +96,23 @@ _EARLY_EXIT_HELP = ("Streaming evaluations stopped before the full "
                     "answer set existed.")
 
 
+def keyword_screen(source, terms: Iterable[str],
+                   documents: Optional[Iterable[str]] = None
+                   ) -> tuple[list[str], int]:
+    """The collection-level early exit: ``(names, targets)``.
+
+    ``names`` are the documents containing every term — the source's
+    ``candidates(terms)``, narrowed to ``documents`` in the caller's
+    order when given — out of ``targets`` documents searched.
+    """
+    found = source.candidates(terms)
+    if documents is None:
+        return found, len(source)
+    targets = list(documents)
+    keep = set(found)
+    return [name for name in targets if name in keep], len(targets)
+
+
 def _check_limit(limit: object) -> None:
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise ValueError(f"limit must be an int >= 1, got {limit!r}")
@@ -249,7 +266,7 @@ class DocumentCollection:
         Returns a read-only :class:`ShardedDocumentCollection` that
         serves the same search API over ``mmap``-attached shard files:
         documents materialise lazily on first match, the index early
-        exit probes the mapped postings without decoding, and
+        exit reads the mapped term directories without decoding, and
         ``workers=`` searches route through a scatter-gather
         :class:`~repro.storage.shards.ShardRouter` with per-shard
         circuit breakers.  ``options`` are forwarded to the
@@ -321,8 +338,8 @@ class DocumentCollection:
         """Early-exit probe: does the document contain every term?
 
         Index-backed sources answer straight off the mapped postings,
-        without decoding the document.  The search loops make the same
-        ``source.contains`` calls directly.
+        without decoding the document.  The search paths screen the
+        whole corpus at once instead (``source.candidates``).
         """
         with self._view() as view:
             contains = view._source.contains
@@ -346,11 +363,8 @@ class DocumentCollection:
 
     def document_frequency(self, term: str) -> int:
         """Number of *documents* containing ``term`` somewhere."""
-        needle = term.casefold()
         with self._view() as view:
-            source = view._source
-            return sum(1 for name in source.names()
-                       if source.contains(name, needle))
+            return len(view._source.candidates((term.casefold(),)))
 
     def vocabulary(self) -> frozenset[str]:
         """Union of all documents' vocabularies."""
@@ -386,6 +400,12 @@ class DocumentCollection:
                 self._executor = self._new_executor(workers)
                 self._executor_workers = workers
             return self._executor
+
+    def warm_pool(self, workers: int) -> None:
+        """Build the ``workers=`` pool and start its processes now,
+        from the calling thread, instead of on the first pooled search
+        (see :meth:`repro.exec.ParallelExecutor.warm`)."""
+        self._parallel_executor(workers).warm()
 
     def _bound(self, executor):
         """``executor`` as this view must call it (an epoch view binds
@@ -505,23 +525,16 @@ class DocumentCollection:
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
-        # One source for the whole search; the loop probes and loads
-        # through it directly (1 500 probes a request on a selective
-        # corpus — no method frame of ours in between).
         source = self._source
-        contains, terms = source.contains, query.terms
-        targets = self._targets(documents)
         per_document: dict[str, QueryResult] = {}
         recorder = (getattr(ob, "recorder", None) if ob.enabled
                     else None)
+        names, targets = keyword_screen(source, query.terms, documents)
         with ob.span("collection-search", collection=self.name,
-                     documents=len(targets)) as span:
-            skipped = 0
+                     documents=targets) as span:
+            skipped = targets - len(names)
             try:
-                for name in targets:
-                    if not all(contains(name, term) for term in terms):
-                        skipped += 1
-                        continue
+                for name in names:
                     if recorder is not None:
                         recorder.set_context(shard=source.shard_of(name))
                     index = source.inverted_index(name)
@@ -581,19 +594,14 @@ class DocumentCollection:
         tighten), so emission stays bit-identical to the serial stream.
         """
         source = self._source
-        targets = live = self._targets(documents)
-        runner = None
-        if workers is not None:
-            runner = self._parallel_executor(workers)  # workers screen
-        else:
-            contains, terms = source.contains, query.terms
-            live = [name for name in targets
-                    if all(contains(name, term) for term in terms)]
-            if ob.enabled and len(live) < len(targets):
-                ob.metrics.counter(DOCUMENTS_SKIPPED, _SKIP_HELP
-                                   ).inc(len(targets) - len(live))
-            if not live:
-                return
+        runner = (self._parallel_executor(workers)
+                  if workers is not None else None)
+        live, targets = keyword_screen(source, query.terms, documents)
+        if ob.enabled and len(live) < targets:
+            ob.metrics.counter(DOCUMENTS_SKIPPED, _SKIP_HELP
+                               ).inc(targets - len(live))
+        if not live:
+            return
         max_size = max(source.node_count(name) for name in live)
         recorder = (getattr(ob, "recorder", None)
                     if ob.enabled and runner is None else None)
@@ -712,21 +720,18 @@ class DocumentCollection:
         plan = plan_for(query, strategy)
         analysis = PlanAnalysis(plan)
         source = self._source
-        targets = self._targets(documents)
+        names, targets = keyword_screen(source, query.terms, documents)
         per_document: dict[str, QueryResult] = {}
         with ob.span("collection-analyze", collection=self.name,
-                     documents=len(targets)) as span:
-            for name in targets:
-                if not all(source.contains(name, term)
-                           for term in query.terms):
-                    continue
+                     documents=targets) as span:
+            for name in names:
                 index = source.inverted_index(name)
                 per_document[name], _ = explain_analyze(
                     index.document, query, strategy=strategy,
                     index=index, cache=self._cache, obs=ob,
                     kernel=kernel, plan=plan, analysis=analysis)
             if ob.enabled:
-                skipped = len(targets) - len(per_document)
+                skipped = targets - len(per_document)
                 span.set(evaluated=len(per_document), skipped=skipped)
                 ob.metrics.counter(DOCUMENTS_SKIPPED,
                                    _SKIP_HELP).inc(skipped)
@@ -858,9 +863,7 @@ class DocumentCollection:
         if budget is not None:
             budget.start()
         source = self._source
-        live = [name for name in source.names()
-                if all(source.contains(name, term)
-                       for term in query.terms)]
+        live = source.candidates(query.terms)
         if not live:
             return []
         max_size = max(source.node_count(name) for name in live)

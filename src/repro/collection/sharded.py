@@ -5,8 +5,8 @@
 without holding the corpus in memory.  Documents live in ``mmap``-ed
 shard files (:mod:`repro.storage.shards`); the collection:
 
-* probes query terms against the *mapped* postings section, so the
-  index early exit never decodes a non-matching document;
+* screens a query's terms against the shards' *mapped* term
+  directories, so the index early exit touches no document at all;
 * materialises matching documents lazily, into a bounded LRU;
 * routes ``workers=`` searches through a scatter-gather
   :class:`~repro.storage.shards.ShardRouter` (per-shard circuit

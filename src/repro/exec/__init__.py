@@ -7,8 +7,9 @@ the serial path for every strategy and kernel.  See
 ``docs/robustness.md`` for the failure model.
 
 * :class:`~repro.exec.parallel.ParallelExecutor` — warm worker pool
-  over a fixed document set; chunked ``(document, query)`` scheduling,
-  in-band index early exit, deterministic merge.  With ``index_path=``
+  over a fixed document set; parent-side keyword screen
+  (``source.candidates``), chunked ``(document, query)`` scheduling,
+  deterministic merge.  With ``index_path=``
   the corpus stays on disk in a sharded mmap index
   (:mod:`repro.storage.shards`): workers attach zero-copy instead of
   unpickling documents, and chunks are scattered along shard

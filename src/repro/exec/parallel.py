@@ -12,10 +12,10 @@
   documents and inverted indexes warm under its own bound and the
   worker keeps one :class:`~repro.core.algebra.JoinCache`, so repeated
   queries pay the setup cost once per worker, not once per task;
-* work is scheduled as chunks of ``(document, query)`` items, and the
-  conjunctive early exit runs *in-band*: a worker probes its inverted
-  index and returns a skip marker instead of evaluating a document that
-  cannot match;
+* the parent screens: the conjunctive early exit is one
+  ``source.candidates(terms)`` call per query, and only the
+  ``(document, query)`` items that pass it are chunked and shipped, so
+  workers evaluate and never probe;
 * workers never pickle :class:`~repro.core.fragment.Fragment` or
   :class:`~repro.xmltree.document.Document` objects back.  They return
   plain node-id tuples and the parent rehydrates fragments against its
@@ -60,7 +60,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..collection.collection import CollectionResult
+from ..collection.collection import CollectionResult, keyword_screen
 from ..core.algebra import JoinCache, KERNEL_NAMES
 from ..core.fragment import Fragment
 from ..core.query import Query, QueryResult
@@ -226,20 +226,15 @@ def _item_rows(source, queries: Sequence[Query],
     """Evaluate ``(document name, query index)`` items over one source.
 
     The one item loop: a worker runs it over its attached source, the
-    parent's degraded fallback over its own, so the rows — the
-    conjunctive early exit, the per-item budget clones — are
-    bit-identical wherever a chunk ends up running.  An index-backed
-    source answers the probe straight off the mapped postings (skipped
-    documents are never decoded) and keeps what it materialises under
-    its own ``cache_limit``.
+    parent's degraded fallback over its own, so the rows — the per-item
+    budget clones included — are bit-identical wherever a chunk ends up
+    running.  Every item already passed the parent's keyword screen;
+    an index-backed source keeps what it materialises under its own
+    ``cache_limit``.
     """
     rows = []
-    contains = source.contains
     for name, query_index in items:
         query = queries[query_index]
-        if not all(contains(name, term) for term in query.terms):
-            rows.append((name, query_index, None))
-            continue
         index = source.inverted_index(name)
         try:
             result = evaluate(index.document, query, strategy=strategy,
@@ -268,8 +263,7 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
     """Evaluate one chunk of ``(document name, query index)`` items.
 
     Returns ``(rows, chunk_seconds, delta, pid)`` where each row is
-    ``(name, query_index, payload)`` and ``payload`` is ``None`` for a
-    document skipped by the in-band early exit, else
+    ``(name, query_index, payload)`` and ``payload`` is
     ``(fragment node tuples, elapsed, stats dict)`` — plain picklable
     data only, never Fragment/Document objects.  When the parent's
     telemetry is enabled (``obs_spec`` given), ``delta`` carries this
@@ -750,13 +744,19 @@ class ParallelExecutor:
             raise QueryError(
                 "a mutable-index executor needs an epoch-pinned "
                 "snapshot; pass snapshot= (see MutableIndex.snapshot)")
-        targets = (list(documents) if documents is not None
-                   else source.names())
-        for name in targets:
+        targets = list(documents) if documents is not None else None
+        for name in targets or ():
             if name not in source:
                 raise DocumentError(f"unknown document {name!r}")
-        items = [(name, qi) for qi in range(len(queries))
-                 for name in targets]
+        # The keyword screen, in the parent: only (document, query)
+        # pairs whose document holds every term become items.
+        matching, total_skipped = [], 0
+        for query in queries:
+            found, screened = keyword_screen(source, query.terms, targets)
+            matching.append(found)
+            total_skipped += screened - len(found)
+        items = [(name, qi) for qi, found in enumerate(matching)
+                 for name in found]
         chunk_size = self._chunk_size or max(
             1, -(-len(items) // (4 * self.workers)))
         # Scatter: group items by shard so no chunk straddles a shard
@@ -790,7 +790,7 @@ class ParallelExecutor:
                 # Workers profile under the parent's recorder config;
                 # their rings drain into each chunk's delta.
                 obs_spec["recorder"] = recorder.config.to_dict()
-        outcomes: dict[tuple[str, int], Optional[tuple]] = {}
+        outcomes: dict[tuple[str, int], object] = {}
         report = ResilienceReport()
         with ob.span("parallel-search", workers=self.workers,
                      queries=len(queries), items=len(items),
@@ -848,17 +848,14 @@ class ParallelExecutor:
                                  fallback_chunks=report.fallback_chunks)
 
         results = []
-        total_skipped = 0
         for query_index, query in enumerate(queries):
             per_document: dict[str, QueryResult] = {}
-            for name in targets:  # caller order => deterministic merge
+            # caller order => deterministic merge
+            for name in matching[query_index]:
                 if hint is not None:
                     if (name, query_index) not in outcomes:
                         continue  # abandoned via hint.stop()
                 payload = outcomes[(name, query_index)]
-                if payload is None:
-                    total_skipped += 1
-                    continue
                 if isinstance(payload, dict):
                     # First budget abort in caller order wins, matching
                     # where the serial path would have raised.
@@ -883,6 +880,19 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+
+    def warm(self) -> None:
+        """Start the worker processes now, from the calling thread.
+
+        The pool launches its workers on the first submit (all of them
+        under ``fork``), so one empty chunk is enough.  A server calls
+        this from its main thread before it reads stdin: a child forked
+        from a handler thread while the main thread sits in
+        ``stdin.readline`` inherits that buffer's lock held, and hangs
+        closing its own stdin.
+        """
+        self._pool.submit(_run_chunk, [], [], Strategy.PUSHDOWN.value,
+                          None).result()
 
     def shutdown(self) -> None:
         """Terminate the worker pool (idempotent)."""

@@ -7,7 +7,9 @@ stored.  Every reader above storage
 :mod:`repro.exec.parallel`) goes through one duck-typed
 surface: ``names()``, ``name in source``, ``len(source)``,
 ``document(name)``, ``inverted_index(name)`` (whose ``.document`` is
-the same tree), ``contains(name, term)``, ``node_count(name)``,
+the same tree), ``candidates(terms)`` (the names, in ``names()`` order,
+of the documents containing every term — the collection-scale
+``σ_{keyword=k}``), ``contains(name, term)``, ``node_count(name)``,
 ``shard_of(name)``, ``degraded``, ``stats()`` and ``close()``.
 
 Three implementations, each caching under its own bound ("The corpus
@@ -68,6 +70,14 @@ class MemorySource:
 
     def contains(self, name: str, term: str) -> bool:
         return self.inverted_index(name).contains(term)
+
+    def candidates(self, terms) -> list[str]:
+        """Names, in :meth:`names` order, of the documents containing
+        every term — here one probe per document and term."""
+        terms = tuple(terms)
+        contains = self.contains
+        return [name for name in self.documents
+                if all(contains(name, term) for term in terms)]
 
     def node_count(self, name: str) -> int:
         return len(self.documents[name])

@@ -117,6 +117,21 @@ class Snapshot:
             return self._delta.contains(name, term)
         return self._base_of(name).contains(name, term)
 
+    def candidates(self, terms) -> list[str]:
+        """Names, in :meth:`names` order, of the documents containing
+        every term: the base's answer minus what the delta shadows or
+        tombstones, plus the delta documents that pass the probe."""
+        delta = self._delta
+        terms = tuple(terms)
+        found = [name for name in delta.names()
+                 if all(delta.contains(name, term) for term in terms)]
+        if self._base is not None:
+            found.extend(name for name in self._base.candidates(terms)
+                         if name not in delta
+                         and name not in delta.tombstones)
+            found.sort()
+        return found
+
     def inverted_index(self, name: str) -> InvertedIndex:
         if name in self._delta:
             index = self._indexes.get(name)

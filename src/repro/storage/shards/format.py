@@ -13,25 +13,34 @@ name (``zlib.crc32(name) % shards``), so the same corpus always lands
 in the same shards regardless of filesystem enumeration order or
 Python hash randomisation.
 
-Shard file layout (all integers little-endian)::
+Shard file layout, format version 2 (all integers little-endian)::
 
     magic      8 bytes   b"RXSHRD01"
     header_len u32       byte length of the JSON header
-    header     JSON      {format_version, shard, shards, documents: [...]}
-    payload    8-byte aligned binary sections
+    header     JSON      {format_version, shard, shards,
+                          documents: [...], directory: [off, len, crc32]}
+    payload    8-byte aligned binary sections, one block per document,
+               then the shard's term directory
 
 Each document entry in the header names its sections with
 ``[offset, length, crc32]`` triples; offsets are relative to the start
-of the payload region (``align8(12 + header_len)``).  Five sections
+of the payload region (``align8(12 + header_len)``).  Four sections
 mirror :class:`~repro.xmltree.intervals.IntervalKernel`'s flat layout
-exactly — ``parents`` / ``depth`` / ``pre`` / ``size`` / ``post`` as
-int64 arrays (root parent encoded as ``-1``) — so a reader can hand
+exactly — ``parents`` / ``depth`` / ``pre`` / ``size`` as int64 arrays
+(root parent encoded as ``-1``) — so a reader can hand
 ``memoryview.cast("q")`` windows straight to
-:meth:`IntervalKernel.from_arrays` with zero copies.  The remaining
+:meth:`IntervalKernel.from_arrays` with zero copies.  (Postorder ranks
+are not stored: ``post = pre + size - 1 - depth``.)  The remaining
 sections carry the non-structural state: ``tags`` and ``texts`` as
 offset-table string blobs, ``attrs`` as JSON (object key order is
 preserved, round-tripping XML attribute order), and ``postings`` as a
 bisectable keyword → node-id table (see :func:`encode_postings`).
+
+After the last document comes the shard's *term directory*, a
+bisectable keyword → document-ordinal table (see
+:func:`encode_directory`; an ordinal is a document's position in the
+header's ``documents`` list), so "which documents contain these
+terms?" is answered from one section without touching any document's.
 
 Nothing here imports the tree model; this module is pure bytes in /
 bytes out so both the writer and reader build on it.
@@ -42,21 +51,25 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from itertools import accumulate
+from operator import sub
+from typing import Optional
 
 __all__ = [
     "MAGIC", "FORMAT_VERSION", "MANIFEST_NAME", "SECTION_NAMES",
     "shard_file_name", "shard_of", "align8",
     "encode_int64", "encode_strings", "decode_strings",
     "encode_postings", "decode_postings", "postings_lookup",
-    "postings_terms", "dump_json", "crc32",
+    "postings_terms", "encode_directory", "DirectoryView",
+    "decode_ordinals", "dump_json", "crc32",
 ]
 
 MAGIC = b"RXSHRD01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 #: Section order inside each document's payload block.
-SECTION_NAMES = ("parents", "depth", "pre", "size", "post",
+SECTION_NAMES = ("parents", "depth", "pre", "size",
                  "tags", "texts", "attrs", "postings")
 
 _U32 = struct.Struct("<I")
@@ -161,6 +174,21 @@ def encode_postings(postings: dict) -> bytes:
     ])
 
 
+def _find_term(blob, offs, count: int, target: bytes) -> int:
+    """Binary-search a sorted utf-8 term blob; the term slot or -1."""
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cand = bytes(blob[offs[mid]:offs[mid + 1]])
+        if cand < target:
+            lo = mid + 1
+        elif cand > target:
+            hi = mid
+        else:
+            return mid
+    return -1
+
+
 class _PostingsView:
     """Parsed offsets of one mapped postings section (no data copies)."""
 
@@ -181,20 +209,8 @@ class _PostingsView:
 
     def find(self, term: str) -> int:
         """Binary-search the term blob; return the term slot or -1."""
-        target = term.encode("utf-8")
-        offs = self.term_offs
-        blob = self.blob
-        lo, hi = 0, self.count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cand = bytes(blob[offs[mid]:offs[mid + 1]])
-            if cand < target:
-                lo = mid + 1
-            elif cand > target:
-                hi = mid
-            else:
-                return mid
-        return -1
+        return _find_term(self.blob, self.term_offs, self.count,
+                          term.encode("utf-8"))
 
 
 def postings_lookup(buf, term: str):
@@ -232,6 +248,99 @@ def decode_postings(buf) -> dict:
         term = str(blob[offs[i]:offs[i + 1]], "utf-8")
         out[term] = list(ids[id_offs[i]:id_offs[i + 1]])
     return out
+
+
+# ----------------------------------------------------------------------
+# Term directory (keyword -> ascending document ordinals), per shard
+# ----------------------------------------------------------------------
+#
+#   u32 T               term count
+#   u32 term_offs[T+1]  byte offsets into the term blob
+#   u32 list_offs[T+1]  byte offsets into the ordinal blob
+#   term blob           utf-8 terms, concatenated, sorted bytewise,
+#                       zero-padded to a 4-byte boundary
+#   ordinal blob        per term: its first ordinal, then the gaps to
+#                       each next one, as LEB128 varints
+#
+# Same bisectable term table as the postings; the lists are
+# delta-varint because most gaps fit one byte, where a u32 per entry
+# would cost 12-14 % of the index.
+
+def _encode_ordinals(ordinals) -> bytes:
+    """Ascending ints as first-value-then-gaps LEB128 varints."""
+    gaps = [ordinals[0], *map(sub, ordinals[1:], ordinals)]
+    if max(gaps) < 0x80:
+        return bytes(gaps)
+    out = bytearray()
+    for gap in gaps:
+        while gap >= 0x80:
+            out.append((gap & 0x7F) | 0x80)
+            gap >>= 7
+        out.append(gap)
+    return bytes(out)
+
+
+def decode_ordinals(data: bytes) -> list:
+    """Inverse of the directory's delta-varint list encoding."""
+    if max(data) < 0x80:  # every gap fits one byte
+        return list(accumulate(data))
+    out = []
+    value = shift = total = 0
+    for byte in data:
+        value |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+            continue
+        total += value
+        out.append(total)
+        value = shift = 0
+    return out
+
+
+def encode_directory(directory: dict) -> bytes:
+    """Serialise ``{term: ascending document ordinals}``."""
+    terms = sorted(directory)
+    blobs = [t.encode("utf-8") for t in terms]
+    lists = [_encode_ordinals(directory[t]) for t in terms]
+    term_offs = list(accumulate(map(len, blobs), initial=0))
+    list_offs = list(accumulate(map(len, lists), initial=0))
+    t = len(terms)
+    return b"".join([
+        _U32.pack(t),
+        struct.pack(f"<{t + 1}I", *term_offs),
+        struct.pack(f"<{t + 1}I", *list_offs),
+        *blobs, b"\x00" * ((-term_offs[-1]) % 4),
+        *lists,
+    ])
+
+
+class DirectoryView:
+    """Parsed offsets of one mapped term directory (no data copies)."""
+
+    __slots__ = ("count", "term_offs", "list_offs", "blob", "lists")
+
+    def __init__(self, buf) -> None:
+        mv = memoryview(buf)
+        (self.count,) = _U32.unpack_from(mv, 0)
+        t1 = self.count + 1
+        self.term_offs = mv[4:4 + 4 * t1].cast("I")
+        self.list_offs = mv[4 + 4 * t1:4 + 8 * t1].cast("I")
+        blob_start = 4 + 8 * t1
+        blob_len = self.term_offs[self.count]
+        self.blob = mv[blob_start:blob_start + blob_len]
+        self.lists = mv[blob_start + blob_len + ((-blob_len) % 4):]
+
+    def encoded(self, target: bytes) -> Optional[bytes]:
+        """The still-encoded ordinal list of a utf-8 term, or ``None``.
+
+        One binary search over the mapped term blob; the list's byte
+        length orders terms rarest-first without decoding them.
+        """
+        slot = _find_term(self.blob, self.term_offs, self.count, target)
+        if slot < 0:
+            return None
+        return bytes(self.lists[self.list_offs[slot]:
+                                self.list_offs[slot + 1]])
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@
   ``multiprocessing.shared_memory`` when a spec carries segment names
   for the spawn path) and verifies only the manifest, magic, version
   and header checksums — O(shards), independent of corpus size;
+* **screen** (:meth:`candidates`) intersects the query terms' document
+  lists out of each shard's mapped term directory — the collection
+  search's early exit, with no document's section touched;
 * **probe** (:meth:`contains`) binary-searches the mapped postings
-  section of one document without materialising it, so the executor's
-  index early-exit works straight off the page cache;
+  section of one document without materialising it;
 * **materialise** (:meth:`document`) decodes one document on first
   touch, verifies its section checksums exactly once, and hands the
   structural arrays to :meth:`IntervalKernel.from_arrays` as zero-copy
@@ -73,7 +75,6 @@ def build_document(name: str, nodes: int, section_of, *,
     depth_q = memoryview(section_of("depth")).cast("q")
     pre_q = memoryview(section_of("pre")).cast("q")
     size_q = memoryview(section_of("size")).cast("q")
-    post_q = memoryview(section_of("post")).cast("q")
     if len(parents_q) != n:
         raise ShardError(
             f"document {name!r} structural arrays do not match its "
@@ -89,8 +90,11 @@ def build_document(name: str, nodes: int, section_of, *,
     preorder = [0] * n
     for node, rank in enumerate(pre):
         preorder[rank] = node
-    labels = TreeLabels(list(depth_q), pre, list(size_q),
-                        list(post_q), preorder)
+    depth, size = list(depth_q), list(size_q)
+    # Postorder rank: the nodes before n in preorder that are not its
+    # ancestors, plus its descendants — exactly compute_labels's.
+    post = [p + s - 1 - d for p, s, d in zip(pre, size, depth)]
+    labels = TreeLabels(depth, pre, size, post, preorder)
     tags = fmt.decode_strings(section_of("tags"))
     texts = fmt.decode_strings(section_of("texts"))
     attrs = json.loads(bytes(section_of("attrs")))
@@ -109,18 +113,26 @@ def build_document(name: str, nodes: int, section_of, *,
 
 
 class _ShardFile:
-    """One mapped shard: buffer, parsed header, per-document entries."""
+    """One mapped shard: buffer, parsed header, per-document entries
+    (in header order, so position = directory ordinal) and the parsed
+    term directory."""
 
-    __slots__ = ("shard", "path", "mv", "payload", "entries", "nbytes",
-                 "verified", "_mmap", "_shm")
+    __slots__ = ("shard", "path", "mv", "payload", "entries", "names",
+                 "directory", "directory_section", "nbytes", "verified",
+                 "_mmap", "_shm")
 
     def __init__(self, shard: int, path: str, mv, payload, entries,
-                 nbytes: int, mm=None, shm=None) -> None:
+                 directory_section, nbytes: int, mm=None,
+                 shm=None) -> None:
         self.shard = shard
         self.path = path
         self.mv = mv
         self.payload = payload
         self.entries = entries
+        self.names = list(entries)
+        self.directory_section = directory_section  # (off, len, crc32)
+        off, length, _ = directory_section
+        self.directory = fmt.DirectoryView(payload[off:off + length])
         self.nbytes = nbytes
         self.verified: set = set()
         self._mmap = mm
@@ -132,6 +144,7 @@ class _ShardFile:
         # can and leave the rest to garbage collection.
         self.payload = None
         self.mv = None
+        self.directory = None
         try:
             if self._mmap is not None:
                 self._mmap.close()
@@ -174,6 +187,14 @@ def _load_manifest(path: str) -> dict:
             raise ShardError(f"manifest is missing the {key!r} key",
                              reason="bad-manifest", path=manifest_path)
     return manifest
+
+
+def _verify_directory(shard: int, path: str, payload, section) -> None:
+    off, length, crc = section
+    if fmt.crc32(payload[off:off + length]) != crc:
+        raise ShardError(
+            f"the term directory of shard {shard} fails its checksum",
+            reason="checksum", shard=shard, path=path)
 
 
 def _open_shard(shard: int, path: str, file_entry: dict,
@@ -259,24 +280,28 @@ def _open_shard(shard: int, path: str, file_entry: dict,
                 reason="bad-header", shard=shard, path=path)
         payload_start = fmt.align8(header_end)
         payload = mv[payload_start:]
+
+        def section_triple(triple, what: str) -> tuple:
+            """A header ``[offset, length, crc32]``, bounds-checked."""
+            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+                raise ShardError(
+                    f"shard {shard} lacks {what}",
+                    reason="bad-header", shard=shard, path=path)
+            off, length, crc = triple
+            if payload_start + off + length > nbytes:
+                raise ShardError(
+                    f"{what} overruns shard {shard}",
+                    reason="truncated", shard=shard, path=path)
+            return off, length, crc
+
         entries = {}
         for doc in header.get("documents", ()):
-            sections = {}
-            for section in fmt.SECTION_NAMES:
-                triple = doc.get("sections", {}).get(section)
-                if (not isinstance(triple, (list, tuple))
-                        or len(triple) != 3):
-                    raise ShardError(
-                        f"document {doc.get('name')!r} in shard {shard} "
-                        f"lacks the {section!r} section",
-                        reason="bad-header", shard=shard, path=path)
-                off, length, crc = triple
-                if payload_start + off + length > nbytes:
-                    raise ShardError(
-                        f"section {section!r} of document "
-                        f"{doc.get('name')!r} overruns shard {shard}",
-                        reason="truncated", shard=shard, path=path)
-                sections[section] = (off, length, crc)
+            sections = {
+                section: section_triple(
+                    doc.get("sections", {}).get(section),
+                    f"section {section!r} of document "
+                    f"{doc.get('name')!r}")
+                for section in fmt.SECTION_NAMES}
             entries[doc["name"]] = {"nodes": doc["nodes"],
                                     "sections": sections}
         expected_docs = set(file_entry.get("documents", entries))
@@ -284,8 +309,13 @@ def _open_shard(shard: int, path: str, file_entry: dict,
             raise ShardError(
                 f"shard {shard} document list disagrees with the "
                 f"manifest", reason="bad-header", shard=shard, path=path)
-        return _ShardFile(shard, path, mv, payload, entries, nbytes,
-                          mm=mm, shm=shm)
+        directory = section_triple(header.get("directory"),
+                                   "the term directory")
+        # Every search reads the directory before any document, so it
+        # is checked here, where a bad shard can still be skipped.
+        _verify_directory(shard, path, payload, directory)
+        return _ShardFile(shard, path, mv, payload, entries, directory,
+                          nbytes, mm=mm, shm=shm)
     except ShardError:
         # The traceback keeps this frame's locals (and thus any derived
         # views) alive, so closing the buffers may legitimately fail
@@ -534,6 +564,33 @@ class ShardIndex:
         off, length, _ = entry["sections"][section]
         return sf.payload[off:off + length]
 
+    def candidates(self, terms) -> list[str]:
+        """Names, in :meth:`names` order, of the documents containing
+        every term.
+
+        Answered per shard from its mapped term directory: bisect each
+        term, then intersect the documents' ordinals starting from the
+        rarest (shortest encoded) list.  No per-document section is
+        read and nothing is cached.
+        """
+        needles = [term.encode("utf-8") for term in terms]
+        if not needles:
+            return self.names()
+        found: list[str] = []
+        for sf in self._files.values():
+            lists = [sf.directory.encoded(needle) for needle in needles]
+            if None in lists:
+                continue
+            lists.sort(key=len)
+            ordinals = fmt.decode_ordinals(lists[0])
+            for encoded in lists[1:]:
+                keep = set(fmt.decode_ordinals(encoded))
+                ordinals = [o for o in ordinals if o in keep]
+            names = sf.names
+            found.extend(names[o] for o in ordinals)
+        found.sort()
+        return found
+
     def contains(self, name: str, term: str) -> bool:
         """Does ``name`` contain ``term``?  Pure mapped-postings probe."""
         sf, entry = self._locate(name)
@@ -615,6 +672,10 @@ class ShardIndex:
             "documents": len(self._manifest["documents"]),
             "documents_servable": len(self._names),
             "bytes_mapped": self.bytes_mapped,
+            "directories": {
+                str(shard): {"terms": sf.directory.count,
+                             "directory_bytes": sf.directory_section[1]}
+                for shard, sf in sorted(self._files.items())},
             "documents_materialized": self._materialized_total,
             "documents_cached": len(self._documents),
             "cache_limit": self._cache_limit,
@@ -622,7 +683,8 @@ class ShardIndex:
         }
 
     def verify_all(self) -> dict:
-        """Checksum every document of every attached shard (slow path).
+        """Checksum every document and term directory of every attached
+        shard (slow path).
 
         Used by ``repro-search index inspect --verify``; returns
         ``{"documents": n, "failures": [ShardError dicts]}``.
@@ -630,6 +692,11 @@ class ShardIndex:
         checked = 0
         failures = []
         for sf in self._files.values():
+            try:
+                _verify_directory(sf.shard, sf.path, sf.payload,
+                                  sf.directory_section)
+            except ShardError as exc:
+                failures.append(exc.to_dict())
             for name, entry in sf.entries.items():
                 try:
                     self._verify(sf, name, entry)

@@ -400,6 +400,11 @@ class ShardRouter:
             "degraded": self.degraded,
         }
 
+    def warm(self) -> None:
+        """Start the pool's workers from the calling thread (see
+        :meth:`ParallelExecutor.warm`)."""
+        self.executor.warm()
+
     def close(self) -> None:
         """Shut the pool down; detach the index if this router owns it."""
         self.executor.shutdown()

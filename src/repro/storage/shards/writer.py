@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import defaultdict
 from typing import TYPE_CHECKING, Mapping
 
 from ...errors import ShardError
@@ -38,11 +39,15 @@ def _document_postings(document: "Document") -> dict:
 def encode_document(document: "Document") -> dict:
     """Encode one document's sections; returns ``{section: bytes}``.
 
-    The nine sections are exactly the shard-file layout of
+    The eight sections are exactly the shard-file layout of
     :data:`repro.storage.shards.format.SECTION_NAMES`; the write-ahead
     log (:mod:`repro.storage.mutation`) reuses them verbatim so a WAL
     record and a compacted shard hold byte-identical document payloads.
     """
+    return _encode(document, _document_postings(document))
+
+
+def _encode(document: "Document", postings: dict) -> dict:
     n = document.size
     labels = document.labels
     parents = [(-1 if (p := document.parent(i)) is None else p)
@@ -53,12 +58,11 @@ def encode_document(document: "Document") -> dict:
         "depth": fmt.encode_int64(labels.depth),
         "pre": fmt.encode_int64(labels.pre),
         "size": fmt.encode_int64(labels.size),
-        "post": fmt.encode_int64(labels.post),
         "tags": fmt.encode_strings(document.tag(i) for i in range(n)),
         "texts": fmt.encode_strings(document.text(i) for i in range(n)),
         "attrs": json.dumps(attrs, ensure_ascii=False,
                             separators=(",", ":")).encode("utf-8"),
-        "postings": fmt.encode_postings(_document_postings(document)),
+        "postings": fmt.encode_postings(postings),
     }
 
 
@@ -151,8 +155,12 @@ def _build_shard(shard: int, shards: int, members, docs):
     entries = []
     payloads = []  # (aligned_offset, bytes) relative to payload start
     cursor = 0
-    for name in members:
-        sections = encode_document(docs[name])
+    directory = defaultdict(list)  # term -> document ordinals
+    for ordinal, name in enumerate(members):
+        postings = _document_postings(docs[name])
+        for term in postings:
+            directory[term].append(ordinal)
+        sections = _encode(docs[name], postings)
         entry_sections = {}
         for section in fmt.SECTION_NAMES:
             data = sections[section]
@@ -163,12 +171,18 @@ def _build_shard(shard: int, shards: int, members, docs):
             cursor += len(data)
         entries.append({"name": name, "nodes": docs[name].size,
                         "sections": entry_sections})
+    data = fmt.encode_directory(directory)
+    cursor = fmt.align8(cursor)
+    directory_entry = [cursor, len(data), fmt.crc32(data)]
+    payloads.append((cursor, data))
+    cursor += len(data)
 
     header = fmt.dump_json({
         "format_version": fmt.FORMAT_VERSION,
         "shard": shard,
         "shards": shards,
         "documents": entries,
+        "directory": directory_entry,
     })
     payload_start = fmt.align8(len(fmt.MAGIC) + 4 + len(header))
     out = bytearray(payload_start + cursor)

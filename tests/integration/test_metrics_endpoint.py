@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -89,4 +90,45 @@ def test_serve_endpoint_over_http(corpus_dir):
     finally:
         if process.poll() is None:
             process.kill()
+            process.wait(timeout=10)
+
+
+@pytest.mark.timeout(60)
+def test_cold_pool_answers_its_first_http_query(corpus_dir, tmp_path):
+    """``serve --index … --workers 2`` with no stdin line: the pool is
+    forked at start-up from the main thread, so the first ``POST
+    /query`` is answered.  (Forked lazily by that request's handler
+    thread while the main thread sat in ``stdin.readline``, the workers
+    hung closing their inherited stdin and the request never returned.)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    index = tmp_path / "idx"
+    subprocess.run([sys.executable, "-m", "repro.cli", "index", "build",
+                    str(corpus_dir), str(index)], check=True, env=env,
+                   cwd=str(REPO_ROOT), stdout=subprocess.DEVNULL)
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", "--index",
+         str(index), "--workers", "2", "--port", "0"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, cwd=str(REPO_ROOT),
+        start_new_session=True)  # so a failure can kill the workers too
+    try:
+        match = URL_PATTERN.search(process.stderr.readline())
+        assert match, "no server URL announced"
+        request = urllib.request.Request(
+            match.group(0) + "/query",
+            data=json.dumps({"query": "needle"}).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=10) as response:
+            assert response.status == 200
+            body = json.loads(response.read())
+        assert body["answers"] > 0 and body["matched_documents"]
+        # The stdin loop still works on the warm pool, then EOF stops it.
+        stdout, _ = process.communicate("needle\n", timeout=DEADLINE)
+        assert process.returncode == 0
+        assert "answer(s)" in stdout
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=10)

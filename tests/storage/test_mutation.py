@@ -29,7 +29,9 @@ from repro.storage.mutation import (OP_ADD, OP_REMOVE, MutableIndex,
                                     attach_snapshot, fsck, read_current,
                                     read_records)
 from repro.storage.mutation.wal import encode_record
-from repro.storage.shards import ShardIndex, build_index
+from repro.storage.shards import (FORMAT_VERSION, ShardIndex,
+                                  build_index)
+from repro.storage.shards.format import SECTION_NAMES
 from repro.storage.shards.writer import encode_document
 from repro.workloads.inexlike import InexSpec, generate_collection
 
@@ -80,6 +82,9 @@ class TestWAL:
         assert scan["records"][0][3] == sections
         assert scan["records"][1][3] is None
         assert scan["good_bytes"] == scan["file_bytes"]
+        # Format v2: records carry the shard sections, so no ``post``.
+        assert tuple(sections) == SECTION_NAMES
+        assert "post" not in sections
 
     def test_torn_tail_stops_scan(self, tmp_path):
         path = tmp_path / "w.log"
@@ -184,8 +189,40 @@ class TestLifecycle:
             for name in before:
                 assert_same_document(corpus[name],
                                      snapshot.document(name))
+                assert (snapshot.document(name).labels.post
+                        == corpus[name].labels.post)
+            # The new generation is an ordinary v2 index: it screens
+            # from its own term directory, and fsck sweeps it clean.
+            base = snapshot.base.stats()
+            assert base["format_version"] == FORMAT_VERSION
+            assert all(entry["terms"] for entry
+                       in base["directories"].values())
+            for term in ("needle", "thread", "nosuchterm"):
+                assert snapshot.candidates((term,)) == [
+                    name for name in before
+                    if snapshot.contains(name, term)]
+            assert base["documents_materialized"] == len(before)
         finally:
             snapshot.close()
+        report = fsck(mutable.path)
+        assert report["healthy"] and not report["issues"]
+        assert report["base"]["checksum_failures"] == []
+
+    def test_snapshot_candidates_overlay_the_delta(self, corpus, mutable):
+        """Base answers minus shadowed and tombstoned names, plus the
+        delta documents that pass the probe — in ``names()`` order."""
+        names = sorted(corpus)
+        # names[1] is in the base; replace it with a tree that has
+        # other terms, so the base directory's entry for it is stale.
+        mutable.add(corpus[names[7]], names[1])
+        with mutable.snapshot() as snapshot:
+            assert names[0] not in snapshot          # tombstoned
+            assert snapshot.shard_of(names[1]) == -1  # shadowed
+            for term in sorted(set(corpus[names[1]].vocabulary())
+                               ^ set(corpus[names[7]].vocabulary())):
+                assert snapshot.candidates((term,)) == [
+                    name for name in snapshot.names()
+                    if snapshot.contains(name, term)]
 
     def test_remove_unknown_raises(self, mutable):
         with pytest.raises(WALError) as excinfo:

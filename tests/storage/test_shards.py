@@ -6,7 +6,8 @@ Covers the build → attach → route lifecycle end to end:
   labels) and byte-identical deterministic rebuilds;
 * zero-copy attach (the interval kernel reads the mapped arrays
   directly) and mapped-postings probes without materialisation;
-* structured failure on corrupt / truncated / version-skewed files,
+* structured failure on corrupt / truncated / version-skewed files
+  (a flipped term-directory byte fails the shard at attach),
   skip-and-degrade attach, and the scatter-gather router's per-shard
   circuit breakers;
 * the bit-identical guarantee: ``index_path=`` search equals the
@@ -21,9 +22,12 @@ import os
 import pickle
 import shutil
 import sys
+import tempfile
 import threading
+import zlib
 
 import pytest
+from hypothesis import given, settings
 
 from repro.collection import DocumentCollection
 from repro.core.query import Query
@@ -39,6 +43,8 @@ from repro.storage.shards import (FORMAT_VERSION, MANIFEST_NAME,
 from repro.workloads.generator import DocumentSpec, generate_document
 from repro.workloads.inexlike import InexSpec, generate_collection
 from repro.xmltree.serializer import document_to_xml
+
+from ..treegen import documents as random_documents
 
 SHARDS = 3
 
@@ -63,6 +69,20 @@ def scratch_index(corpus, index_dir, tmp_path):
     path = tmp_path / "scratch.idx"
     shutil.copytree(index_dir, path)
     return str(path)
+
+
+def flip_byte(path, section="postings"):
+    """XOR one byte of a shard file: inside ``section`` of its last
+    document, or inside the term directory (``section="directory"``)."""
+    with open(path, "r+b") as handle:
+        raw = handle.read()
+        header_len = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + header_len])
+        off, length, _ = (header["directory"] if section == "directory"
+                          else header["documents"][-1]["sections"][section])
+        at = ((12 + header_len + 7) & ~7) + off + length // 2
+        handle.seek(at)
+        handle.write(bytes([raw[at] ^ 0xFF]))
 
 
 def _queries():
@@ -132,6 +152,34 @@ class TestFormat:
             with open(tmp_path / "a" / entry, "rb") as fa, \
                     open(tmp_path / "b" / entry, "rb") as fb:
                 assert fa.read() == fb.read(), entry
+
+    def test_directory_lists_every_term_of_every_document(
+            self, corpus, index_dir):
+        """The shard header names one checksummed directory section,
+        and it answers exactly what the documents' postings do."""
+        with ShardIndex.attach(index_dir) as index:
+            stats = index.stats()
+            assert stats["format_version"] == FORMAT_VERSION == 2
+            assert sorted(stats["directories"]) == ["0", "1", "2"]
+            for entry in stats["directories"].values():
+                assert entry["terms"] > 0 and entry["directory_bytes"] > 0
+            for term in sorted(corpus.vocabulary()):
+                assert index.candidates((term,)) == sorted(
+                    name for name in corpus.names()
+                    if corpus.has_terms(name, [term]))
+            assert index.stats()["documents_materialized"] == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree=random_documents(max_nodes=24))
+    def test_post_is_recomputed_not_stored(self, tree):
+        """``post = pre + size - 1 - depth``: the section is gone, the
+        label is not (``compute_labels`` made the original's)."""
+        with tempfile.TemporaryDirectory() as root:
+            build_index({"tree": tree}, root, shards=1)
+            with ShardIndex.attach(root) as index:
+                labels = index.document("tree").labels
+                assert labels.post == tree.labels.post
+                assert labels.preorder == tree.labels.preorder
 
     def test_shard_assignment_is_stable(self, corpus, index_dir):
         with ShardIndex.attach(index_dir) as index:
@@ -242,6 +290,73 @@ class TestCorruption:
             ShardIndex.attach(scratch_index)
         assert err.value.reason == "version-skew"
 
+    def test_v1_index_is_version_skew(self, scratch_index):
+        """No v1 read path: a v1 manifest, and a v1 shard header under
+        a current manifest, both say "rebuild"."""
+        manifest_path = os.path.join(scratch_index, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        with open(manifest_path, "w") as handle:
+            json.dump(dict(manifest, format_version=1), handle)
+        with pytest.raises(ShardError) as err:
+            ShardIndex.attach(scratch_index)
+        assert err.value.reason == "version-skew"
+        assert "rebuild the index" in str(err.value)
+        # Now the header alone: same length, so only its crc moves.
+        shard_path = os.path.join(scratch_index, "shard-0000.bin")
+        with open(shard_path, "rb") as handle:
+            raw = handle.read()
+        old = b'"format_version":%d' % FORMAT_VERSION
+        assert raw.count(old) == 1
+        raw = raw.replace(old, b'"format_version":1')
+        with open(shard_path, "wb") as handle:
+            handle.write(raw)
+        header_len = int.from_bytes(raw[8:12], "little")
+        manifest["files"][0]["header_crc32"] = zlib.crc32(
+            raw[12:12 + header_len])
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ShardError) as err:
+            ShardIndex.attach(scratch_index)
+        assert err.value.reason == "version-skew"
+        assert err.value.shard == 0
+
+    def test_directory_bitflip_fails_the_shard_at_attach(
+            self, corpus, scratch_index):
+        flip_byte(os.path.join(scratch_index, "shard-0001.bin"),
+                  "directory")
+        with pytest.raises(ShardError) as err:
+            ShardIndex.attach(scratch_index)
+        assert err.value.reason == "checksum"
+        assert err.value.shard == 1
+        with ShardIndex.attach(scratch_index, on_error="skip") as index:
+            assert index.failed_shards[1].reason == "checksum"
+            assert index.attached_shards == [0, 2]
+            assert index.candidates(("needle",)) == [
+                name for name in index.names()
+                if index.contains(name, "needle")]
+        with ShardRouter(scratch_index, workers=2,
+                         start_method="fork") as router:
+            result = router.search(Query.of("needle"))
+            assert router.last_report.skipped == {1: "checksum"}
+            served = [name for name in sorted(corpus.names())
+                      if shard_of(name, SHARDS) != 1]
+            assert list(result.per_document) == [
+                name for name in served
+                if corpus.has_terms(name, ["needle"])]
+
+    def test_verify_all_checksums_the_directory(self, scratch_index):
+        """A directory that rots under a live handle (the map is
+        shared with the file) is caught by the sweep."""
+        with ShardIndex.attach(scratch_index) as index:
+            assert index.verify_all() == {
+                "documents": len(index), "failures": []}
+            flip_byte(os.path.join(scratch_index, "shard-0002.bin"),
+                      "directory")
+            failures = index.verify_all()["failures"]
+            assert [(f["reason"], f["shard"]) for f in failures] == [
+                ("checksum", 2)]
+
     def test_missing_shard_file(self, scratch_index):
         os.unlink(os.path.join(scratch_index, "shard-0002.bin"))
         with pytest.raises(ShardError) as err:
@@ -254,15 +369,10 @@ class TestCorruption:
         assert err.value.reason == "missing"
 
     def test_payload_bitflip_caught_at_first_touch(self, scratch_index):
-        path = os.path.join(scratch_index, "shard-0001.bin")
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.seek(size - 16)
-            byte = handle.read(1)
-            handle.seek(size - 16)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        # The bitflip is in a payload section: attach (header checks)
-        # succeeds, lazy per-document verification refuses to serve.
+        flip_byte(os.path.join(scratch_index, "shard-0001.bin"))
+        # The bitflip is in a document's section: attach (header and
+        # directory checks) succeeds, lazy per-document verification
+        # refuses to serve.
         index = ShardIndex.attach(scratch_index)
         try:
             victims = index.shard_documents(1)
@@ -303,13 +413,7 @@ class TestCorruption:
             ShardIndex.attach(scratch_index, on_error="skip")
 
     def test_verify_all_reports_failures(self, scratch_index):
-        path = os.path.join(scratch_index, "shard-0000.bin")
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.seek(size - 24)
-            byte = handle.read(1)
-            handle.seek(size - 24)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        flip_byte(os.path.join(scratch_index, "shard-0000.bin"))
         index = ShardIndex.attach(scratch_index)
         try:
             outcome = index.verify_all()
@@ -428,13 +532,7 @@ class TestRouter:
             assert router.breaker(victim).state == "closed"
 
     def test_midrun_checksum_evicts_shard(self, scratch_index):
-        path = os.path.join(scratch_index, "shard-0002.bin")
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.seek(size - 16)
-            byte = handle.read(1)
-            handle.seek(size - 16)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        flip_byte(os.path.join(scratch_index, "shard-0002.bin"))
         policy = RetryPolicy(max_retries=0, backoff_s=0.0)
         with ShardRouter(scratch_index, workers=2, start_method="fork",
                          resilience=policy) as router:

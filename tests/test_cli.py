@@ -415,6 +415,13 @@ class TestIndexCli:
         assert index_main(["inspect", out, "--json"]) == 0
         doc = _json.loads(capsys.readouterr().out)
         assert doc["documents"] == 2
+        assert doc["format_version"] == 2
+        # Per shard: the term directory's size, next to the version.
+        assert sorted(doc["directories"]) == ["0", "1", "2", "3"]
+        assert sum(entry["terms"] for entry
+                   in doc["directories"].values()) >= 2
+        assert all(entry["directory_bytes"] >= 12 for entry
+                   in doc["directories"].values())
 
     def test_inspect_corrupt_shard_exits_nonzero(self, corpus_dir,
                                                  tmp_path, capsys):

@@ -13,11 +13,22 @@ must all equal the in-memory, serial, reference-kernel answer.  The
 three storage kinds hold the same visible corpus; ``spawn`` is the one
 start method under which the pool's attach recipe really is pickled.
 ``explain_analyze`` has no pooled form, so its row is serial-only.
+
+The keyword screen has the same shape one level down: every source's
+``candidates(terms)`` must equal the per-document ``contains`` loop it
+replaced (``TestCandidates``), and an index-backed search must reach
+its answer without that loop (``test_index_searches_never_probe``).
 """
 
 from __future__ import annotations
 
+import random
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.collection import DocumentCollection
 from repro.collection.mutable import MutableDocumentCollection
@@ -26,8 +37,12 @@ from repro.core.strategies import Strategy
 from repro.exec import (BatchRunner, FaultPlan, FaultRule, ParallelExecutor,
                         RetryPolicy, parallel)
 from repro.guard import AdmissionPolicy
-from repro.storage.shards import ShardIndex, build_index
+from repro.storage.shards import ShardIndex, build_index, shard_of
+from repro.storage.mutation import MutableIndex
 from repro.workloads.inexlike import InexSpec, generate_collection
+
+from .treegen import KEYWORD_ALPHABET, documents as random_documents
+from .treegen import make_document
 
 KINDS = ("memory", "sharded", "mutable")
 MODES = ("serial", "fork", "spawn")
@@ -242,8 +257,194 @@ def test_degraded_fallback_reads_under_the_cache_bound(
                 faults=FaultPlan(FaultRule.flaky(chunk=None, times=99))
                 ) as executor:
             for query in QUERIES:
+                expected = reference.search(query)
                 assert hit_key(executor.search(query).hits) == hit_key(
-                    reference.search(query).hits)
-            assert executor.degraded
-            assert executor.last_report.fallback_items == len(documents)
+                    expected.hits)
+                # Only documents that pass the parent's keyword screen
+                # are items, and every one of them fell back.
+                assert executor.last_report.fallback_items == len(
+                    expected.per_document)
+                assert executor.degraded == bool(expected.per_document)
         assert handle.stats()["documents_cached"] <= 2
+
+
+# ----------------------------------------------------------------------
+# candidates(terms): one answer from every source
+# ----------------------------------------------------------------------
+
+def probe_loop(source, terms):
+    """The screen as it was before ``candidates``: one probe per
+    document and term."""
+    return [name for name in source.names()
+            if all(source.contains(name, term) for term in terms)]
+
+
+@pytest.fixture(scope="module", params=KINDS)
+def source(request, documents, tmp_path_factory):
+    """The corpus source of one storage kind (a mutable collection's
+    is its current epoch's snapshot)."""
+    collection = _open(request.param, documents,
+                       tmp_path_factory.mktemp(f"source-{request.param}"))
+    if request.param == "mutable":
+        with collection.mutable.snapshot() as snapshot:
+            yield snapshot
+    else:
+        yield collection._source
+    collection.close()
+
+
+def _term_sets(documents, reference):
+    """Present, absent, single, repeated and three-term queries, plus a
+    term whose documents all live in one of the index's three shards."""
+    holders = {term: reference._source.candidates((term,))
+               for term in reference.vocabulary()}
+    lone = min(term for term, names in holders.items()
+               if len({shard_of(name, 3) for name in names}) == 1)
+    everywhere = sorted(term for term, names in holders.items()
+                        if len(names) == len(documents))[:3]
+    assert len(everywhere) == 3
+    return [("needle",), ("needle", "thread"), ("thread", "needle"),
+            ("needle", "needle"), ("nosuchterm",),
+            ("needle", "nosuchterm"), (lone,), (lone, "needle"),
+            tuple(everywhere), (*everywhere[:2], "needle"), ()]
+
+
+class TestCandidates:
+    def test_equals_the_probe_loop(self, source, documents, reference):
+        for terms in _term_sets(documents, reference):
+            expected = probe_loop(source, terms)
+            assert source.candidates(terms) == expected
+            assert expected == probe_loop(reference._source, terms)
+        # An iterator of terms is read once, like any other iterable.
+        assert source.candidates(iter(("needle", "thread"))) \
+            == probe_loop(source, ("needle", "thread"))
+
+    def test_degraded_index_drops_the_failed_shard(self, documents,
+                                                   tmp_path):
+        build_index(documents, tmp_path / "corpus.idx", shards=3)
+        with open(tmp_path / "corpus.idx" / "shard-0001.bin",
+                  "r+b") as handle:
+            handle.truncate(32)
+        with ShardIndex.attach(tmp_path / "corpus.idx",
+                               on_error="skip") as index:
+            lost = [name for name in documents
+                    if index.shard_of(name) == 1]
+            assert lost and sorted(index.failed_shards) == [1]
+            for terms in (("needle",), ("needle", "thread"), ()):
+                found = index.candidates(terms)
+                assert found == probe_loop(index, terms)
+                assert not set(found) & set(lost)
+
+    def test_documents_subset(self, subject, reference):
+        """``documents=`` narrows the screen, in the caller's order."""
+        collection, workers = subject
+        subset = sorted(reference.names(), reverse=True)[::2]
+        for query in QUERIES:
+            expected = reference.search(query, documents=subset)
+            actual = collection.search(query, documents=subset,
+                                       workers=workers)
+            assert list(actual.per_document) == list(expected.per_document)
+            assert hit_key(actual.hits) == hit_key(expected.hits)
+            assert hit_key(collection.search(
+                query, documents=subset, workers=workers, limit=TOP_K)
+            ) == hit_key(expected.hits)[:TOP_K]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trees=st.lists(random_documents(max_nodes=8), min_size=1,
+                      max_size=7),
+       shards=st.integers(min_value=1, max_value=3))
+def test_candidates_property(trees, shards):
+    """Random treegen corpora: memory, shard index and a snapshot with
+    a delta half and a tombstone all screen like the probe loop."""
+    corpus = {f"doc-{i}": tree for i, tree in enumerate(trees)}
+    names = sorted(corpus)
+    term_sets = [()] + [tuple(w for b, w in enumerate(KEYWORD_ALPHABET)
+                              if mask & (1 << b)) for mask in range(1, 8)]
+    memory = DocumentCollection("memory")
+    for name in names:
+        memory.add(corpus[name], name)
+    with tempfile.TemporaryDirectory() as root:
+        build_index(corpus, Path(root) / "corpus.idx", shards=shards)
+        base = {name: corpus[name] for name in names[:len(names) // 2]}
+        base["doomed"] = trees[0]
+        with ShardIndex.attach(Path(root) / "corpus.idx") as index, \
+                MutableIndex.create(Path(root) / "live.idx", base,
+                                    shards=shards) as mutable:
+            for name in names[len(names) // 2:]:
+                mutable.add(corpus[name], name, commit=False)
+            mutable.remove("doomed", commit=False)
+            mutable.commit()
+            with mutable.snapshot() as snapshot:
+                assert snapshot.names() == names
+                for terms in term_sets:
+                    expected = probe_loop(memory._source, terms)
+                    assert memory._source.candidates(terms) == expected
+                    assert index.candidates(terms) == expected
+                    assert snapshot.candidates(terms) == expected
+
+
+class CountingIndex(ShardIndex):
+    """Counts the public lookups, the shape the serving benchmark's
+    traced index has."""
+
+    probes = 0
+
+    def contains(self, name, term):
+        type(self).probes += 1
+        return super().contains(name, term)
+
+
+def test_index_searches_never_probe(tmp_path):
+    """A two-term search of every flavour over a 200-document index
+    asks the term directory once, probes no document and decodes only
+    the documents that match."""
+    rng = random.Random(18)
+    corpus = {
+        f"doc-{i:03d}": make_document(
+            [rng.randrange(64) for _ in range(5)],
+            [rng.choice((0,) * 20 + (1, 2, 3, 4)) for _ in range(6)],
+            name=f"doc-{i:03d}")
+        for i in range(200)}
+    build_index(corpus, tmp_path / "corpus.idx", shards=4)
+    query = Query.of("alpha", "beta")
+    with CountingIndex.attach(tmp_path / "corpus.idx") as index:
+        matching = probe_loop(index, query.terms)
+        assert 0 < len(matching) < 100
+        CountingIndex.probes = 0
+        collection = DocumentCollection.open_index(index)
+        result = collection.search(query)
+        assert list(result.per_document) == matching
+        assert hit_key(collection.search(query, stream=True, limit=TOP_K)
+                       ) == hit_key(result.hits)[:TOP_K]
+        assert len(collection.ranked_search(query, limit=TOP_K)) == TOP_K
+        analyzed, _ = collection.explain_analyze(query)
+        assert list(analyzed.per_document) == matching
+        assert CountingIndex.probes == 0
+        assert index.stats()["documents_materialized"] == len(matching)
+
+
+def test_document_frequency_reads_the_directory(documents, reference,
+                                                tmp_path):
+    """``document_frequency`` is ``len(candidates((term,)))``: no
+    per-document probe on an index, and on a mutable index the stale
+    base copy of a replaced document and a tombstoned one never count."""
+    build_index(documents, tmp_path / "corpus.idx", shards=3)
+    vocabulary = sorted(reference.vocabulary()) + ["nosuchterm"]
+    with CountingIndex.attach(tmp_path / "corpus.idx") as index:
+        collection = DocumentCollection.open_index(index)
+        CountingIndex.probes = 0
+        for term in vocabulary:
+            assert (collection.document_frequency(term.upper())
+                    == reference.document_frequency(term))
+        assert CountingIndex.probes == 0
+        assert index.stats()["documents_materialized"] == 0
+    mutable = _open("mutable", documents, tmp_path)
+    try:
+        for term in vocabulary:
+            assert (mutable.document_frequency(term)
+                    == reference.document_frequency(term))
+        assert mutable.mutable.pinned_epochs() == {}
+    finally:
+        mutable.close()
