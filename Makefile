@@ -35,7 +35,22 @@ verify:
 	           assert d['format_version'] == 2 and not d['verification']['failures'], d; \
 	           assert all(s['terms'] for s in d['directories'].values()), d; \
 	           print('index inspect: format v2,', d['verification']['documents'], \
-	                 'document(s) and', len(d['directories']), 'term directories verified')"
+	                 'document(s) and', len(d['directories']), 'term directories verified')" && \
+	python -c "from repro.workloads.inexlike import InexSpec, generate_collection as g; \
+	           from repro.collection.mutable import MutableDocumentCollection as M; \
+	           from repro.storage.mutation import fsck; from repro.core.query import Query; \
+	           query = Query.of('needle', 'thread'); \
+	           docs = g(InexSpec(articles=7, nodes_per_article=80, planted_fraction=1.0)); \
+	           names = docs.names(); live = M.create('$$tmp/live'); \
+	           [live.add(docs.document(n), n, commit=False) for n in names[:6]]; live.commit(); \
+	           hits = len(live.search(query)); \
+	           live.add(docs.document(names[6]), names[0]); \
+	           assert len(live.search(query)) > 0 < hits; \
+	           delta = live.shard_stats()['delta']; live.close(); \
+	           assert delta['carried'] == 5 and delta['materialized'] <= 1, delta; \
+	           report = fsck('$$tmp/live'); assert report['healthy'], report['issues']; \
+	           print('mutable index: a one-document replace carried', delta['carried'], \
+	                 'of 6 delta documents and decoded', delta['materialized'], '- fsck healthy')"
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache

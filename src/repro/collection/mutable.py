@@ -46,9 +46,11 @@ class _SnapshotCollection(DocumentCollection):
     Shares the parent's :class:`~repro.core.algebra.JoinCache`, its
     per-epoch scorer cache and its pool.  Join memos are addressed by
     document token: a base document keeps its token for as long as its
-    generation is attached, so its memos survive epoch changes; a delta
-    document is rebuilt, with a fresh token, by every epoch's view, so
-    its memos do not (they own no document and age out of the LRU).
+    generation is attached, and a delta document for as long as its
+    WAL record stands (each epoch's view carries the tree the last one
+    built), so their memos survive epoch changes; a replaced document
+    is a new record under a fresh token, and its predecessor's memos
+    own no document and age out of the LRU.
     """
 
     def __init__(self, parent: "MutableDocumentCollection",

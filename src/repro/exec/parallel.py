@@ -145,18 +145,23 @@ def _init_worker(recipe: tuple) -> None:
 def _ensure_worker_epoch(epoch: int, obs) -> None:
     """Re-attach this worker's snapshot when the chunk's epoch moved.
 
-    The old snapshot (and its mmap base, and every document it kept
-    warm — names may now resolve to different content) closes first.
-    Epoch pinning in the parent guarantees the named epoch's files are
-    still on disk.
+    The new epoch attaches from disk under fresh tokens — a worker does
+    not share the writer's views, so what a commit carries over
+    (:mod:`repro.storage.mutation.delta`) stays on the writer's side
+    and this worker's join memo starts cold for every document.  The
+    old snapshot (its mmap base and every document it kept warm) closes
+    only once the new one stands: a failed attach leaves the worker
+    serving the epoch it still claims.  Epoch pinning in the parent
+    guarantees the named epoch's files are still on disk.
     """
     global _WORKER_SOURCE, _WORKER_MUTABLE_EPOCH
     if _WORKER_MUTABLE_EPOCH == epoch:
         return
     from ..storage.mutation import attach_snapshot
-    if _WORKER_SOURCE is not None:
-        _WORKER_SOURCE.close()
+    previous = _WORKER_SOURCE
     _WORKER_SOURCE = attach_snapshot(_WORKER_MUTABLE_PATH, epoch)
+    if previous is not None:
+        previous.close()
     reattached = _WORKER_MUTABLE_EPOCH is not None
     _WORKER_MUTABLE_EPOCH = epoch
     if reattached and obs.enabled:

@@ -8,11 +8,21 @@ replaying a committed WAL prefix — the writer keeps the live one and
 publishes a new view at each epoch commit; pool workers rebuild the
 same view from the on-disk WAL, so both sides serve byte-identical
 documents.
+
+One rule carries work across epochs: *same WAL record ⇒ same sections
+object ⇒ same tree, token and index*.  A view built from its
+predecessor (``previous=``) inherits what that one materialised for
+every name whose sections dict is the identical object; a replace,
+remove or re-add installs a new dict, so a changed document can never
+inherit its predecessor's tree.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ...errors import WALError
+from ...index.inverted import InvertedIndex
 from ..shards import format as fmt
 from ..shards.reader import build_document
 from .wal import OP_REMOVE
@@ -47,21 +57,33 @@ def replay(records) -> tuple[dict, frozenset]:
 class DeltaView:
     """One epoch's immutable delta overlay.
 
-    Documents materialise lazily (and are cached): the encoded sections
-    are plain ``bytes``, so — unlike the mmap path — a materialised
-    delta document never pins an on-disk buffer.
+    Documents materialise lazily, together with their
+    :class:`InvertedIndex`, and stay for the life of the view (and of
+    every later view that carries them): the encoded sections are plain
+    ``bytes``, so — unlike the mmap path — a materialised delta
+    document never pins an on-disk buffer.
     """
 
-    __slots__ = ("_sections", "tombstones", "wal_records", "_documents",
-                 "_postings")
+    __slots__ = ("_sections", "tombstones", "wal_records", "_indexes",
+                 "_carried")
 
     def __init__(self, sections_by_name: dict, tombstones: frozenset,
-                 wal_records: int) -> None:
+                 wal_records: int, *,
+                 previous: Optional["DeltaView"] = None) -> None:
         self._sections = sections_by_name
         self.tombstones = tombstones
         self.wal_records = wal_records
-        self._documents: dict = {}
-        self._postings: dict = {}
+        # name -> index over the materialised tree (``index.document``).
+        self._indexes: dict[str, InvertedIndex] = {}
+        if previous is not None:
+            # Look names up in the old view's tables, never iterate
+            # them: a reader pinned on that epoch may be adding to them.
+            for name, sections in sections_by_name.items():
+                index = previous._indexes.get(name)
+                if index is not None \
+                        and previous._sections.get(name) is sections:
+                    self._indexes[name] = index
+        self._carried = len(self._indexes)
 
     @classmethod
     def from_records(cls, records) -> "DeltaView":
@@ -87,16 +109,18 @@ class DeltaView:
         return len(self._sections[name]["parents"]) // 8
 
     def contains(self, name: str, term: str) -> bool:
-        """Postings probe against the encoded blob (no materialise)."""
-        if name in self._postings:
-            return term in self._postings[name]
+        """Postings probe: the decoded index when the document is
+        materialised, else the encoded blob (no materialise)."""
+        index = self._indexes.get(name)
+        if index is not None:
+            return index.contains(term)
         return fmt.postings_lookup(
             self._sections[name]["postings"], term) is not None
 
-    def document(self, name: str):
-        doc = self._documents.get(name)
-        if doc is not None:
-            return doc
+    def inverted_index(self, name: str) -> InvertedIndex:
+        index = self._indexes.get(name)
+        if index is not None:
+            return index
         try:
             sections = self._sections[name]
         except KeyError:
@@ -105,14 +129,13 @@ class DeltaView:
         doc, postings = build_document(
             name, self.node_count(name),
             lambda section: sections[section])
-        self._documents[name] = doc
-        self._postings[name] = postings
-        return doc
+        # Two handler threads may decode the same record at once; both
+        # must leave with the one tree the view keeps.
+        return self._indexes.setdefault(
+            name, InvertedIndex.from_postings(doc, postings))
 
-    def postings(self, name: str) -> dict:
-        if name not in self._postings:
-            self.document(name)
-        return self._postings[name]
+    def document(self, name: str):
+        return self.inverted_index(name).document
 
     @property
     def bytes(self) -> int:
@@ -120,11 +143,14 @@ class DeltaView:
                    for data in sections.values())
 
     def stats(self) -> dict:
+        """``carried`` documents came materialised from the previous
+        epoch's view; ``materialized`` ones were decoded by this one."""
         return {"documents": len(self._sections),
                 "tombstones": len(self.tombstones),
                 "wal_records": self.wal_records,
                 "bytes": self.bytes,
-                "materialized": len(self._documents)}
+                "materialized": len(self._indexes) - self._carried,
+                "carried": self._carried}
 
     def __repr__(self) -> str:
         return (f"DeltaView(documents={len(self._sections)}, "

@@ -13,7 +13,10 @@ update the in-memory delta; :meth:`commit` makes them durable and
 visible by fsyncing the WAL and publishing a new epoch manifest.
 Readers take :meth:`snapshot` — an immutable, epoch-pinned view merging
 the mmap base with the delta — or, in pool workers,
-:func:`attach_snapshot` rebuilds the same view from disk.
+:func:`attach_snapshot` rebuilds the same view from disk.  The writer
+builds each epoch's view from the one before it and keeps the tree,
+token and index of every document whose WAL record it shares (see
+:mod:`.delta`), so a commit is only as cold as what it changed.
 :meth:`compact` folds the delta into a fresh generation directory
 (built with the ordinary shard writer, so readers attach it with the
 ordinary reader) and starts an empty WAL.
@@ -50,6 +53,16 @@ from .wal import (OP_ADD, OP_REMOVE, OP_REPLACE, WriteAheadLog,
 __all__ = ["MutableIndex", "Snapshot", "attach_snapshot", "fsck"]
 
 
+def _merged_names(base: Optional[ShardIndex], delta: DeltaView) \
+        -> list[str]:
+    """Sorted names visible through ``delta`` over ``base``: the base's
+    minus the tombstoned ones, plus the delta's."""
+    names = set(base.names()) if base is not None else set()
+    names -= delta.tombstones
+    names.update(delta.names())
+    return sorted(names)
+
+
 class Snapshot:
     """An immutable, epoch-consistent view of a mutable index.
 
@@ -60,12 +73,17 @@ class Snapshot:
     separate from (and sortable against) real shards.
 
     Close the snapshot when the query finishes — that releases the
-    epoch pin so the writer may garbage-collect the files.
+    epoch pin so the writer may garbage-collect the files.  What the
+    delta materialised belongs to the view, not to this handle, and
+    outlives it.  ``names`` is the merged name list when the caller
+    already holds it for this ``(base, delta)`` pair (the writer keeps
+    one per epoch); otherwise the first use computes it.
     """
 
     def __init__(self, path: str, epoch: int, manifest: dict,
                  base: Optional[ShardIndex], delta: DeltaView, *,
-                 owns_base: bool = False, on_close=None) -> None:
+                 owns_base: bool = False, on_close=None,
+                 names: Optional[list] = None) -> None:
         self.path = path
         self.epoch = epoch
         self.manifest = manifest
@@ -73,20 +91,18 @@ class Snapshot:
         self._delta = delta
         self._owns_base = owns_base
         self._on_close = on_close
-        self._names: Optional[list] = None
-        self._indexes: dict[str, InvertedIndex] = {}
+        self._names = names
         self._closed = False
 
     # -- corpus surface -------------------------------------------------
 
-    def names(self) -> list[str]:
+    def _merged(self) -> list[str]:
         if self._names is None:
-            names = set(self._base.names()) if self._base is not None \
-                else set()
-            names -= set(self._delta.tombstones)
-            names.update(self._delta.names())
-            self._names = sorted(names)
-        return list(self._names)
+            self._names = _merged_names(self._base, self._delta)
+        return self._names
+
+    def names(self) -> list[str]:
+        return list(self._merged())
 
     def __contains__(self, name: object) -> bool:
         if name in self._delta:
@@ -96,7 +112,7 @@ class Snapshot:
         return self._base is not None and name in self._base
 
     def __len__(self) -> int:
-        return len(self.names())
+        return len(self._merged())
 
     def _base_of(self, name: str) -> ShardIndex:
         """The base index, for a name the delta neither shadows nor
@@ -134,13 +150,7 @@ class Snapshot:
 
     def inverted_index(self, name: str) -> InvertedIndex:
         if name in self._delta:
-            index = self._indexes.get(name)
-            if index is None:
-                doc = self._delta.document(name)
-                index = InvertedIndex.from_postings(
-                    doc, self._delta.postings(name))
-                self._indexes[name] = index
-            return index
+            return self._delta.inverted_index(name)
         return self._base_of(name).inverted_index(name)
 
     def node_count(self, name: str) -> int:
@@ -184,7 +194,6 @@ class Snapshot:
         if self._closed:
             return
         self._closed = True
-        self._indexes.clear()
         if self._owns_base and self._base is not None:
             self._base.close()
         if self._on_close is not None:
@@ -213,17 +222,25 @@ def _attach_base(path: str, manifest: dict, *, obs=NOOP,
                              cache_limit=cache_limit, obs=obs)
 
 
-def _committed_view(path: str, manifest: dict) -> tuple[DeltaView, dict]:
+def _committed_view(path: str, manifest: dict, *,
+                    tail: bool = False) -> tuple[DeltaView, dict]:
     """Replay the committed WAL prefix named by ``manifest``.
 
-    Returns ``(view, wal_scan)`` where ``wal_scan`` is the full
-    :func:`read_records` result (so callers can see what lies beyond
-    the committed prefix).
+    Returns ``(view, wal_scan)``, ``wal_scan`` being the
+    :func:`read_records` result.  The scan stops where the manifest
+    does — its ``wal_bytes`` are read, its ``wal_records`` decoded —
+    so attaching an old epoch does not pay for the epochs after it;
+    ``tail`` (recovery, fsck) scans on to the end of the file to report
+    what lies beyond the committed prefix.
     """
     wal_path = os.path.join(path, manifest["wal"])
     committed = int(manifest.get("wal_records", 0))
     try:
-        scan = read_records(wal_path)
+        if tail:
+            scan = read_records(wal_path)
+        else:
+            scan = read_records(wal_path, committed,
+                                end=manifest.get("wal_bytes"))
     except WALError:
         if committed == 0:
             # An empty WAL that was GC'd or never flushed carries no
@@ -304,7 +321,7 @@ class MutableIndex:
         self.generation = int(manifest.get("generation", 0))
         self.shards = int(manifest.get("shards", 4))
         self._bases: dict[str, ShardIndex] = {}
-        view, scan = _committed_view(path, manifest)
+        view, scan = _committed_view(path, manifest, tail=True)
         committed = int(manifest.get("wal_records", 0))
         committed_bytes = (scan["offsets"][committed - 1]
                            if committed else 0)
@@ -319,6 +336,8 @@ class MutableIndex:
         self._live_tombstones = set(view.tombstones)
         self._published: dict[int, tuple[dict, DeltaView]] = {
             epoch: (manifest, view)}
+        # epoch -> merged name list, built by its first snapshot().
+        self._names: dict[int, list[str]] = {}
         self._closed = False
         self.recovery = {
             "epoch": epoch,
@@ -503,7 +522,8 @@ class MutableIndex:
             epoch = self._epochs.publish(manifest)
             view = DeltaView(dict(self._live_sections),
                              frozenset(self._live_tombstones),
-                             self._wal.records)
+                             self._wal.records,
+                             previous=self._published[self.epoch][1])
             self._manifest = manifest
             self._published[epoch] = (manifest, view)
             self._release_stale()
@@ -605,17 +625,20 @@ class MutableIndex:
                     path=self.path)
             manifest, view = entry
             base = self._base_handle(manifest)
+            names = self._names.get(epoch)
+            if names is None:
+                names = self._names[epoch] = _merged_names(base, view)
             self._epochs.pin(epoch)
             self._gauge_pins()
             return Snapshot(self.path, epoch, manifest, base, view,
-                            owns_base=False,
+                            owns_base=False, names=names,
                             on_close=lambda: self._unpin(epoch))
 
     def _unpin(self, epoch: int) -> None:
         if self._epochs.unpin(epoch) == 0 and epoch != self.epoch:
             # The last reader of a superseded epoch left: free its view
-            # and the delta trees it built now, not at the next commit —
-            # else a commit landing mid-query keeps two epochs' resident.
+            # now, not at the next commit — the trees of documents since
+            # replaced or removed go with it (later views carry the rest).
             with self._lock:
                 self._release_stale()
         self._gauge_pins()
@@ -633,6 +656,7 @@ class MutableIndex:
         stale = [e for e in self._published if e not in live]
         for e in stale:
             del self._published[e]
+            self._names.pop(e, None)
         if stale:
             self._obs.metrics.counter(
                 MUTATION_EPOCHS_GCED,
@@ -698,6 +722,7 @@ class MutableIndex:
                 handle.close()
             self._bases.clear()
             self._published.clear()
+            self._names.clear()
 
     def __enter__(self) -> "MutableIndex":
         return self
@@ -789,7 +814,7 @@ def fsck(path, *, repair: bool = False, obs=NOOP) -> dict:
         committed = int(manifest.get("wal_records", 0))
         wal_path = os.path.join(path, manifest["wal"])
         try:
-            _, scan = _committed_view(path, manifest)
+            _, scan = _committed_view(path, manifest, tail=True)
         except WALError as exc:
             issue("wal", str(exc), fatal=True)
             scan = None

@@ -92,17 +92,21 @@ def decode_body(body: bytes) -> tuple[int, str, str, Optional[dict]]:
     return meta["seq"], meta["op"], meta["name"], sections
 
 
-def read_records(path: str, limit_records: Optional[int] = None) -> dict:
+def read_records(path: str, limit_records: Optional[int] = None, *,
+                 end: Optional[int] = None) -> dict:
     """Read a WAL file, stopping at the first damaged record.
 
     Returns ``{"records": [(seq, op, name, sections), ...],
     "offsets": [end_of_record_0, ...], "good_bytes": N, "torn": bool,
-    "torn_reason": str | None}`` — ``good_bytes`` is the file offset
-    just past the last intact record (the truncation point for repair)
-    and ``offsets[i]`` the offset just past record ``i`` (so the
-    committed prefix of *k* records ends at ``offsets[k-1]``).
-    ``limit_records`` stops the replay after that many records (the
-    committed prefix), leaving the remainder unexamined.
+    "torn_reason": str | None, "file_bytes": N}`` — ``good_bytes`` is
+    the file offset just past the last intact record (the truncation
+    point for repair) and ``offsets[i]`` the offset just past record
+    ``i`` (so the committed prefix of *k* records ends at
+    ``offsets[k-1]``).  ``limit_records`` stops the replay after that
+    many records (the committed prefix), leaving the remainder
+    unexamined, and ``end`` — that prefix's ``wal_bytes`` — keeps the
+    bytes past it from being read at all; ``file_bytes`` is then what
+    was read, not the size of the file.
     """
     records = []
     offsets = []
@@ -111,7 +115,7 @@ def read_records(path: str, limit_records: Optional[int] = None) -> dict:
     torn_reason = None
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(end)
     except FileNotFoundError:
         raise WALError(f"no WAL file at {path}", reason="missing",
                        path=path) from None

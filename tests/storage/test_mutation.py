@@ -274,20 +274,24 @@ class TestEpochPinning:
             mutable.snapshot(old_epoch)
 
     def test_last_unpin_releases_a_superseded_view(self, corpus, mutable):
-        """A commit that lands while a reader is pinned must not keep
-        the old epoch's materialised delta documents until the *next*
-        commit: the last unpin drops them (the files wait for the
-        writer's GC)."""
+        """The last unpin of a superseded epoch drops its view (the
+        files wait for the writer's GC) — and with it the tree of a
+        document replaced or removed since.  An unchanged delta
+        document does not die with its epoch: the next epoch's view
+        carries the same object, under the same token."""
         import weakref
         names = sorted(corpus)
         old_epoch = mutable.epoch
         first, second = mutable.snapshot(), mutable.snapshot()
-        tree = weakref.ref(first.document(names[5]))    # a delta document
-        mutable.remove(names[2])                        # commits
+        kept = first.document(names[5])                 # delta documents
+        token = kept.token
+        replaced = weakref.ref(first.document(names[6]))
+        mutable.add(corpus[names[7]], names[6], commit=False)
+        mutable.remove(names[2])                        # commits both
         assert mutable.stats()["published_epochs"] == [old_epoch,
                                                        mutable.epoch]
         first.close()                                   # one pin left
-        assert tree() is not None
+        assert replaced() is not None
         repin = mutable.snapshot(old_epoch)             # still servable
         second.close()
         assert mutable.stats()["published_epochs"] == [old_epoch,
@@ -295,11 +299,18 @@ class TestEpochPinning:
         repin.close()                                   # the last one
         assert mutable.stats()["published_epochs"] == [mutable.epoch]
         del first, second, repin    # closed handles still name the view
-        assert tree() is None
+        assert replaced() is None
+        with mutable.snapshot() as current:
+            assert current.document(names[5]) is kept
+            assert current.document(names[5]).token == token
+            assert_same_document(corpus[names[7]],
+                                 current.document(names[6]))
+            assert current.delta.stats()["carried"] == 1
         assert os.path.exists(os.path.join(
             mutable.path, f"manifest.{old_epoch:06d}.json"))
-        with pytest.raises(WALError):
+        with pytest.raises(WALError) as excinfo:
             mutable.snapshot(old_epoch)
+        assert excinfo.value.reason == "bad-epoch"
         # The current epoch is never dropped by an unpin.
         mutable.snapshot().close()
         assert mutable.stats()["published_epochs"] == [mutable.epoch]
@@ -317,6 +328,32 @@ class TestEpochPinning:
         finally:
             worker.close()
             snapshot.close()
+
+    def test_worker_attach_decodes_only_what_it_needs(self, corpus,
+                                                      mutable,
+                                                      monkeypatch):
+        """An attach stops at its epoch's committed prefix: it reads
+        the manifest's ``wal_bytes`` and decodes its ``wal_records``,
+        not the records later epochs appended."""
+        from repro.storage.mutation import wal
+        names = sorted(corpus)
+        decoded = []
+        real = wal.decode_body
+        monkeypatch.setattr(
+            wal, "decode_body",
+            lambda body: decoded.append(len(body)) or real(body))
+        with mutable.snapshot() as pinned:      # keeps the epoch's files
+            mutable.add(corpus[names[7]], names[7])
+            mutable.remove(names[3])
+            with attach_snapshot(mutable.path, pinned.epoch) as worker:
+                assert len(decoded) == pinned.manifest["wal_records"] == 3
+                assert worker.names() == pinned.names()
+            wal_path = os.path.join(mutable.path, pinned.manifest["wal"])
+            scan = wal.read_records(wal_path, 3,
+                                    end=pinned.manifest["wal_bytes"])
+            assert scan["file_bytes"] == pinned.manifest["wal_bytes"] \
+                < os.path.getsize(wal_path)
+            assert len(scan["records"]) == 3 and not scan["torn"]
 
 
 class TestFsck:

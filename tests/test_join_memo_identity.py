@@ -179,6 +179,38 @@ class TestIdentityScope:
                 mutable.close()
             del live
 
+    def test_commit_keeps_the_token_of_an_unchanged_delta_document(
+            self, corpus, tmp_path):
+        """Same WAL record, same tree: joins memoised before a commit
+        hit after it.  A replace — even with identical content — is a
+        new record and draws a new token."""
+        names = sorted(corpus)
+        mutable = MutableDocumentCollection.create(tmp_path / "m.idx")
+        try:
+            mutable.add(corpus[names[0]], "kept", commit=False)
+            mutable.add(corpus[names[1]], "changed")
+            kept, changed = (mutable.document("kept"),
+                             mutable.document("changed"))
+            cache = JoinCache()
+            n1, n2 = _two_unrelated_nodes(kept)
+            fragment_join(Fragment(kept, [n1]), Fragment(kept, [n2]),
+                          cache=cache)
+
+            mutable.add(corpus[names[2]], "changed")        # commits
+            mutable.add(corpus[names[3]], "new")            # and again
+            assert mutable.document("kept") is kept
+            assert mutable.document("changed").token != changed.token
+            stats = OperationStats()
+            after = mutable.document("kept")
+            fragment_join(Fragment(after, [n1]), Fragment(after, [n2]),
+                          stats=stats, cache=cache)
+            assert (stats.join_cache_hits, stats.fragment_joins) == (1, 0)
+
+            mutable.add(corpus[names[0]], "kept")           # same content
+            assert mutable.document("kept").token != kept.token
+        finally:
+            mutable.close()
+
 
 class TestMemoCounters:
     def test_hits_and_misses_match_the_recorded_run(self, index_dir):

@@ -37,6 +37,7 @@ from repro.core.strategies import Strategy
 from repro.exec import (BatchRunner, FaultPlan, FaultRule, ParallelExecutor,
                         RetryPolicy, parallel)
 from repro.guard import AdmissionPolicy
+from repro.obs import MUTATION_WORKER_REATTACH, Observability
 from repro.storage.shards import ShardIndex, build_index, shard_of
 from repro.storage.mutation import MutableIndex
 from repro.workloads.inexlike import InexSpec, generate_collection
@@ -239,6 +240,45 @@ class TestSourceParity:
             assert hit_key(result.hits) == hit_key(
                 reference.search(query).hits)
         assert runner.last_report.clean
+
+    def test_commit_between_searches(self, subject, reference, documents):
+        """A commit lands between two searches of a mutable collection:
+        the writer's next view carries every document the commit left
+        alone, each pool worker re-attaches the epoch its next chunk
+        names, and the answers follow the corpus both ways.  Last in
+        the class:
+        it leaves the visible corpus as it found it, two epochs on."""
+        collection, workers = subject
+        if not hasattr(collection, "mutable"):
+            pytest.skip("only a mutable collection commits")
+        names = list(documents)
+        changed_name, other = names[6], documents[names[0]]
+        changed = DocumentCollection("changed")
+        for name, document in documents.items():
+            changed.add(other if name == changed_name else document, name)
+        obs = Observability()
+        generation = collection.mutable.generation
+        for query in QUERIES:       # every worker holds the old epoch
+            collection.search(query, workers=workers, obs=obs)
+        for content, expected in ((other, changed),
+                                  (documents[changed_name], reference)):
+            collection.add(content, changed_name)           # commits
+            for query in QUERIES:
+                actual = collection.search(query, workers=workers, obs=obs)
+                assert hit_key(actual.hits) == hit_key(
+                    expected.search(query).hits)
+                assert hit_key(collection.search(
+                    query, stream=True, limit=TOP_K, workers=workers,
+                    obs=obs)) == hit_key(expected.search(query).hits)[:TOP_K]
+            delta = collection.mutable.stats()["delta"]
+            assert delta["carried"] == delta["documents"] - 1
+            assert delta["materialized"] <= 1
+        assert collection.mutable.generation == generation
+        assert collection.mutable.pinned_epochs() == {}
+        reattached = sum(
+            record["value"] for record in obs.metrics.to_json()["metrics"]
+            if record["name"] == MUTATION_WORKER_REATTACH)
+        assert (reattached >= 1) == (workers is not None)
 
 
 @pytest.mark.timeout(120)
