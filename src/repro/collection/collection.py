@@ -530,6 +530,7 @@ class DocumentCollection:
         recorder = (getattr(ob, "recorder", None) if ob.enabled
                     else None)
         names, targets = keyword_screen(source, query.terms, documents)
+        plans: dict = {}  # one plan per term order, not per document
         with ob.span("collection-search", collection=self.name,
                      documents=targets) as span:
             skipped = targets - len(names)
@@ -541,7 +542,8 @@ class DocumentCollection:
                     per_document[name] = evaluate(
                         index.document, query, strategy=strategy,
                         index=index, cache=self._cache,
-                        obs=ob, kernel=kernel, budget=budget)
+                        obs=ob, kernel=kernel, budget=budget,
+                        plans=plans)
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
@@ -620,6 +622,8 @@ class DocumentCollection:
                         budget=budget)
                 else:
                     round_hits, complete = [], beta
+                    within = SizeAtMost(beta)
+                    plans: dict = {}  # one plan per term order a round
                     for name in live:
                         if recorder is not None:
                             recorder.set_context(
@@ -629,7 +633,7 @@ class DocumentCollection:
                                 index.document, query, strategy,
                                 index=index, cache=self._cache,
                                 kernel=kernel, obs=ob, budget=budget,
-                                extra_predicate=SizeAtMost(beta)):
+                                extra_predicate=within, plans=plans):
                             if fragment.size > prev_beta:
                                 round_hits.append(
                                     CollectionHit(name, fragment))

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..xmltree.document import Document
 from ..xmltree.intervals import IntervalKernel
 from ..xmltree.navigation import spanning_nodes
+from .filters import UNBOUNDED
 from .fragment import Fragment
 from .stats import OperationStats
 
@@ -249,11 +250,79 @@ def join_all(fragments: Iterable[Fragment],
     return result
 
 
+def _labelled(fragments: Iterable[Fragment],
+              bound: Optional[tuple]) -> Iterator[tuple]:
+    """``(fragment, root, root depth, size, deepest depth, last id)``
+    for each fragment — all :func:`_joins` reads of an operand to hold
+    a pair against ``bound``, taken once per operand instead of once
+    per pair.  Without a ``bound`` nothing is measured: ``(fragment,)``.
+    """
+    if bound is None:
+        for fragment in fragments:
+            yield (fragment,)
+        return
+    tall = bound[1] != UNBOUNDED  # height costs a pass over the nodes
+    for fragment in fragments:
+        root, last = fragment._minmax()
+        top = fragment._doc.labels.depth[root]
+        yield (fragment, root, top, len(fragment._nodes),
+               top + fragment.height if tall else 0, last)
+
+
+def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
+           stats: Optional[OperationStats], cache: Optional[JoinCache],
+           kernel: Optional[IntervalKernel]) -> Iterator[Fragment]:
+    """``f1 ⋈ f2`` for ``f2 = other`` and each ``f1`` of ``block``
+    (:func:`_labelled` entries) — except the pairs whose join provably
+    exceeds ``bound = (max size, max height, max width)``, which reach
+    neither kernel nor memo and are counted in ``joins_pruned``.
+
+    The join is rooted at ``a = lca(r1, r2)`` and adds to ``f1 ∪ f2``
+    only ancestors of the two roots, so its height and width are known
+    exactly, and its size exactly when neither root is above the other
+    and from below otherwise (docs/theory.md, the three-measure lemma).
+    """
+    f2 = other[0]
+    if bound is None:
+        for (f1,) in block:
+            yield fragment_join(f1, f2, stats=stats, cache=cache,
+                                kernel=kernel)
+        return
+    max_size, max_height, max_width = bound
+    _, r2, d2, s2, deep2, last2 = other
+    parents = f2._doc.parents
+    for f1, r1, d1, s1, deep1, last1 in block:
+        # a = lca(r1, r2) at depth ``top``, found as the join itself
+        # would find it, by climbing: the O(1) ``Document.lca`` index
+        # costs O(n log n) to build, too much to ask of a document
+        # materialised for a handful of pairs.
+        a, b, top = r1, r2, d1
+        while top > d2:
+            a = parents[a]
+            top -= 1
+        for _ in range(d2 - top):
+            b = parents[b]
+        while a != b:
+            a, b = parents[a], parents[b]
+            top -= 1
+        up1, up2 = d1 - top, d2 - top
+        if (s1 + s2 + up1 + up2 - 1 if up1 and up2
+                else max(s1 + up1, s2 + up2)) > max_size \
+                or max(deep1, deep2) - top > max_height \
+                or max(last1, last2) - a > max_width:
+            if stats is not None:
+                stats.joins_pruned += 1
+            continue
+        yield fragment_join(f1, f2, stats=stats, cache=cache,
+                            kernel=kernel)
+
+
 def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                         stats: Optional[OperationStats] = None,
                         cache: Optional[JoinCache] = None,
                         kernel: Optional[IntervalKernel] = None,
-                        budget: Optional["QueryBudget"] = None
+                        budget: Optional["QueryBudget"] = None,
+                        bound: Optional[tuple] = None
                         ) -> Iterator[Fragment]:
     """``F1 ⋈ F2`` one new fragment at a time — the pairwise-join loop.
 
@@ -261,21 +330,23 @@ def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     against it as it arrives, so a lazy right-hand producer is pulled
     only as far as the consumer reads, and an empty left side returns
     without touching the right one (the conjunctive early exit).  A
-    budget is charged per block of ``_TICK_BLOCK`` joins, bounding a
-    deadline overshoot to one block of work.
+    budget is charged per block of ``_TICK_BLOCK`` pairs *considered*,
+    bounding a deadline overshoot to one block of work.
+
+    ``bound`` is a :func:`~repro.core.filters.necessary_bound` of the
+    selection the caller applies next: a pair whose join would exceed
+    it is counted in ``joins_pruned`` and never joined.
     """
-    left = list(set1)
+    left = list(_labelled(set1, bound))
     if not left:
         return
     emitted: set[Fragment] = set()
-    for f2 in set2:
+    for other in _labelled(set2, bound):
         for start in range(0, len(left), _TICK_BLOCK):
             block = left[start:start + _TICK_BLOCK]
             if budget is not None:
                 budget.tick(len(block))
-            for f1 in block:
-                joined = fragment_join(f1, f2, stats=stats, cache=cache,
-                                       kernel=kernel)
+            for joined in _joins(block, other, bound, stats, cache, kernel):
                 if joined not in emitted:
                     emitted.add(joined)
                     yield joined

@@ -26,13 +26,13 @@ from ..obs import NOOP, Observability
 from .algebra import (JoinCache, KernelArg, _iter_multiway_powerset_join,
                       _iter_pairwise_join, resolve_kernel)
 from .cost import CostModel
-from .filters import _iter_select
+from .filters import _iter_select, necessary_bound
 from .fragment import Fragment
 from .plan import (FixedPoint, KeywordScan, PairwiseJoin, PlanNode,
                    PowersetJoin, Select)
 from .query import Query, QueryResult, keyword_fragments
 from .reduce import _iter_fixed_point, _iter_fixed_point_bounded
-from .stats import OperationStats
+from .stats import COUNTERS, OperationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.budget import QueryBudget
@@ -43,11 +43,6 @@ __all__ = ["OperatorRunStats", "PlanAnalysis", "Operator", "ScanOp",
            "SelectOp", "JoinOp", "FixpointOp", "PowersetOp",
            "build_pipeline", "PlanEvaluator", "run_plan"]
 
-#: The counters an operator shares with :class:`OperationStats`; the
-#: algebra loops bump them on whichever of the two they are handed.
-_COUNTERS = ("fragment_joins", "join_cache_hits", "predicate_checks",
-             "subset_checks", "fragments_discarded", "iterations")
-
 
 @dataclass
 class OperatorRunStats:
@@ -55,12 +50,15 @@ class OperatorRunStats:
 
     One instance per plan-tree position.  The operator compiled from
     that position counts its own work here while it runs — ``rows`` it
-    emitted, the joins, predicate checks, subset checks, discards and
-    iterations of its algebra loop — so a query's totals are the sum
-    over its operators.  Executing the same plan over many documents (a
-    collection EXPLAIN ANALYZE) accumulates into the same instances,
-    with ``calls`` counting executions; the two ``*_seconds`` are
-    measured only by analysed executions.
+    emitted, and the :data:`~repro.core.stats.COUNTERS` it shares with
+    :class:`OperationStats` (the algebra loops bump them on whichever
+    of the two they are handed): joins computed, cached and pruned
+    unbuilt, predicate checks, subset checks, discards, iterations —
+    so a query's totals are the sum over its operators.  Executing the
+    same plan over many documents (a collection EXPLAIN ANALYZE)
+    accumulates into the same instances, with ``calls`` counting
+    executions; the two ``*_seconds`` are measured only by analysed
+    executions.
     """
 
     label: str
@@ -70,6 +68,7 @@ class OperatorRunStats:
     rows: int = 0
     fragment_joins: int = 0
     join_cache_hits: int = 0
+    joins_pruned: int = 0
     predicate_checks: int = 0
     subset_checks: int = 0
     fragments_discarded: int = 0
@@ -92,7 +91,7 @@ class OperatorRunStats:
     def to_dict(self) -> dict:
         record = {"label": self.label, "depth": self.depth,
                   "calls": self.calls, "rows": self.rows}
-        for name in _COUNTERS:
+        for name in COUNTERS:
             record[name] = getattr(self, name)
         record["self_seconds"] = self.self_seconds
         record["total_seconds"] = self.total_seconds
@@ -142,7 +141,7 @@ class PlanAnalysis:
         """The whole plan's work: every counter summed over operators."""
         return OperationStats(**{
             name: sum(getattr(op, name) for op in self.operators)
-            for name in _COUNTERS})
+            for name in COUNTERS})
 
     def as_dict(self) -> dict:
         """:meth:`totals` as a plain dict — what a budget bound to a
@@ -156,7 +155,7 @@ class PlanAnalysis:
             raise PlanError("cannot merge analyses of different plans")
         for op, theirs in zip(self.operators, other.operators):
             for name in ("calls", "rows", "self_seconds",
-                         "total_seconds") + _COUNTERS:
+                         "total_seconds") + COUNTERS:
                 setattr(op, name, getattr(op, name) + getattr(theirs, name))
 
     def render(self, indent: str = "  ",
@@ -188,6 +187,8 @@ class PlanAnalysis:
                 ratio = op.cache_hit_ratio
                 if ratio is not None:
                     parts.append(f"({ratio * 100:.0f}% cached)")
+            if op.joins_pruned:
+                parts.append(f"joins_pruned={op.joins_pruned}")
             if op.predicate_checks:
                 parts.append(f"checks={op.predicate_checks}")
             if op.fragments_discarded:
@@ -340,17 +341,22 @@ class JoinOp(Operator):
     empty left side never consumes the right producer."""
 
     label = "join"
+    #: What the selections compiled directly over this join are bound
+    #: to reject (their ``necessary_bound``): such a pair is not joined.
+    bound: Optional[tuple] = None
 
     def _produce(self) -> Iterator[Fragment]:
         left, right = self.children
         return _iter_pairwise_join(left.output, right.output,
-                                   stats=self.run, **self._options)
+                                   stats=self.run, bound=self.bound,
+                                   **self._options)
 
 
 class FixpointOp(Operator):
     """``F+`` (Definition 9) emitted round by round: Theorem-1 bounded
     rounds or semi-naive iteration, pruned by an optional anti-monotonic
-    predicate (Theorem 3).  Every surviving fragment is yielded the
+    predicate (Theorem 3), whose ``necessary_bound`` also keeps doomed
+    pairs from being joined.  Every surviving fragment is yielded the
     moment its round produces it, so downstream joins start before the
     closure finishes."""
 
@@ -446,18 +452,29 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
     if not all(scan.fragments for scan in scans.values()):
         return (), operators
 
-    def compile(slot: int) -> Optional[Operator]:
-        """The operator for one plan node, or None once a leaf is empty."""
+    def compile(slot: int, above=None) -> Optional[Operator]:
+        """The operator for one plan node, or None once a leaf is empty.
+
+        ``above`` is the conjunction of the selections stacked directly
+        over the node: everything it emits passes through them next.
+        """
         if slot in scans:
             return scans[slot]
+        node = nodes[slot]
+        below = None
+        if isinstance(node, Select):
+            below = (node.predicate if above is None
+                     else above & node.predicate)
         sources = []
         for child in runs[slot].children:
-            source = compile(child)
+            source = compile(child, below)
             if source is None:
                 return None
             sources.append(source)
         operator = make(slot, sources)
-        if isinstance(operator, PowersetOp):
+        if isinstance(operator, JoinOp):
+            operator.bound = necessary_bound(above)
+        elif isinstance(operator, PowersetOp):
             operator.max_operand_size = max_powerset_operand
         if operator.fragments is not None and not operator.fragments:
             return None  # an empty leaf

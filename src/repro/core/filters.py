@@ -28,6 +28,7 @@ eligible for push-down — results stay correct.
 
 from __future__ import annotations
 
+from functools import reduce as _reduce
 from typing import Callable, Iterable, Iterator, Optional
 
 from .fragment import Fragment
@@ -50,8 +51,13 @@ __all__ = [
     "Or",
     "Not",
     "PredicateFilter",
+    "split_anti_monotonic",
+    "necessary_bound",
     "select",
 ]
+
+#: No limit on a measure of :func:`necessary_bound`.
+UNBOUNDED = float("inf")
 
 
 class Filter:
@@ -390,6 +396,71 @@ class PredicateFilter(Filter):
 
     def __repr__(self) -> str:
         return self._name
+
+
+def _conjuncts(predicate: Filter) -> Iterator[Filter]:
+    """The operands of a (nested) ``And``, left to right."""
+    if isinstance(predicate, And):
+        yield from _conjuncts(predicate.left)
+        yield from _conjuncts(predicate.right)
+    else:
+        yield predicate
+
+
+def split_anti_monotonic(predicate: Filter
+                         ) -> tuple[Optional[Filter], Optional[Filter]]:
+    """``P`` as ``(anti-monotonic part, residual)`` with ``P = a ∧ r``.
+
+    §3.3: ``∧`` preserves anti-monotonicity, so the anti-monotonic
+    conjuncts of ``P`` together form a filter Theorem 3 may push, and
+    ``σ_P = σ_r ∘ σ_a``.  Only ``And`` is taken apart — ``Or`` and
+    ``Not`` stay whole, on whichever side their own flag puts them.
+    Either part is ``None`` when it has no conjunct, and ``P`` itself
+    is then the other.
+    """
+    if predicate.is_anti_monotonic:
+        return predicate, None
+    conjuncts = list(_conjuncts(predicate))
+    pushable = [c for c in conjuncts if c.is_anti_monotonic]
+    if not pushable:
+        return None, predicate
+    return (_reduce(And, pushable),
+            _reduce(And, (c for c in conjuncts
+                          if not c.is_anti_monotonic)))
+
+
+def necessary_bound(predicate: Optional[Filter]
+                    ) -> Optional[tuple[float, float, float]]:
+    """``(max size, max height, max width)`` every fragment satisfying
+    ``predicate`` stays within, or ``None`` when it implies no limit.
+
+    A *necessary* condition, read off the predicate's shape: a
+    conjunction is within the tighter of its operands' limits, a
+    disjunction within the looser, anything else (``Not``, keyword and
+    depth filters, callables) promises nothing.  All three measures
+    only grow under fragment inclusion, so a join whose operands
+    already force one past its limit can be rejected from the operands'
+    labels alone (the pairwise-join and fixed-point loops do).
+    """
+    limits = _limits(predicate) if predicate is not None else _NO_LIMITS
+    return None if limits == _NO_LIMITS else limits
+
+
+_NO_LIMITS = (UNBOUNDED, UNBOUNDED, UNBOUNDED)
+
+
+def _limits(predicate: Filter) -> tuple[float, float, float]:
+    if isinstance(predicate, SizeAtMost):
+        return (predicate.limit, UNBOUNDED, UNBOUNDED)
+    if isinstance(predicate, HeightAtMost):
+        return (UNBOUNDED, predicate.limit, UNBOUNDED)
+    if isinstance(predicate, WidthAtMost):
+        return (UNBOUNDED, UNBOUNDED, predicate.limit)
+    if isinstance(predicate, (And, Or)):
+        pick = min if isinstance(predicate, And) else max
+        return tuple(map(pick, _limits(predicate.left),
+                         _limits(predicate.right)))
+    return _NO_LIMITS
 
 
 def _iter_select(predicate: Filter, fragments: Iterable[Fragment],

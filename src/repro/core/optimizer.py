@@ -16,7 +16,10 @@ the m-ary join becomes a left-deep chain of pairwise joins.
 applied recursively, so an anti-monotonic selection ends up (a) on every
 scan, (b) pruning inside every fixed point, and (c) re-applied after
 every join — the equation displayed after Theorem 3 in the paper.
-Non-anti-monotonic predicates are left where they are.
+``∧`` preserves anti-monotonicity (§3.3), so a predicate is first split
+into its anti-monotonic conjuncts and the rest, ``σ_P = σ_r(σ_a(·))``:
+the anti-monotonic part is pushed, and only the residual — once, on
+top — is left where it was.
 
 The optimizer is purely algebraic (the paper's focus); the cost model in
 :mod:`repro.core.cost` chooses *between* valid plans, e.g. bounded vs
@@ -31,13 +34,13 @@ from typing import Optional
 
 from ..obs import NOOP, Observability
 from .cost import CostModel
-from .filters import Filter
+from .filters import Filter, split_anti_monotonic
 from .plan import (FixedPoint, KeywordScan, PairwiseJoin, PlanNode,
                    PowersetJoin, Select)
 from .query import Query
 
 __all__ = ["OptimizerSettings", "optimize", "push_down_selections",
-           "rewrite_powerset"]
+           "select_pushed", "rewrite_powerset"]
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,9 @@ def optimize(query: Query,
     Starts from the canonical ``σ_P(scan ⋈* … ⋈* scan)`` plan, applies
     the Theorem-2 rewrite, orders the join chain rarest-first when a
     cost model with term statistics is available, and finally pushes the
-    selection down when Theorem 3 applies.  With an enabled ``obs``
-    handle the rewrite is wrapped in an ``optimize`` span recording the
-    operator count and whether push-down fired.
+    anti-monotonic part of the selection down by Theorem 3.  With an
+    enabled ``obs`` handle the rewrite is wrapped in an ``optimize``
+    span recording the operator count and whether push-down fired.
     """
     ob = obs if obs is not None else NOOP
     with ob.span("optimize", terms=len(query.terms)) as span:
@@ -95,7 +98,8 @@ def optimize(query: Query,
         chain: PlanNode = _reduce(
             PairwiseJoin, (make_fixed_point(term) for term in terms))
         plan: PlanNode = Select(query.predicate, chain)
-        pushed = settings.push_down and query.predicate.is_anti_monotonic
+        pushed = settings.push_down and \
+            split_anti_monotonic(query.predicate)[0] is not None
         if pushed:
             plan = push_down_selections(plan)
         if ob.enabled:
@@ -124,16 +128,15 @@ def rewrite_powerset(node: PlanNode, bounded: bool = True) -> PlanNode:
 def push_down_selections(node: PlanNode) -> PlanNode:
     """Apply Theorem-3 push-down to every eligible selection in a plan.
 
-    Each ``Select`` whose predicate is anti-monotonic is propagated to
+    The anti-monotonic conjuncts of each ``Select`` are propagated to
     the scans, threaded into fixed points as a pruning predicate, and
-    re-applied above every join, matching the expansion after Theorem 3.
-    Selections with other predicates are left untouched.
+    re-applied above every join, matching the expansion after Theorem 3;
+    the residual conjuncts stay, as one selection, where the ``Select``
+    was.
     """
     if isinstance(node, Select):
-        child = push_down_selections(node.child)
-        if node.predicate.is_anti_monotonic:
-            return Select(node.predicate, _push(node.predicate, child))
-        return Select(node.predicate, child)
+        return select_pushed(node.predicate,
+                             push_down_selections(node.child))
     if isinstance(node, PairwiseJoin):
         return PairwiseJoin(push_down_selections(node.left),
                             push_down_selections(node.right))
@@ -144,6 +147,23 @@ def push_down_selections(node: PlanNode) -> PlanNode:
         return PowersetJoin(tuple(push_down_selections(op)
                                   for op in node.operands))
     return node
+
+
+def select_pushed(predicate: Filter, node: PlanNode,
+                  reselect: bool = True) -> PlanNode:
+    """``σ_predicate(node)`` with the anti-monotonic part pushed through
+    ``node`` and the residual, if any, selected on top.
+
+    Pushed, the anti-monotonic part already holds of every fragment
+    ``node`` yields; ``reselect`` applies it to the result once more
+    all the same, the form the paper displays after Theorem 3.
+    """
+    pushable, residual = split_anti_monotonic(predicate)
+    if pushable is not None:
+        node = _push(pushable, node)
+        if reselect:
+            node = Select(pushable, node)
+    return node if residual is None else Select(residual, node)
 
 
 def _push(predicate: Filter, node: PlanNode) -> PlanNode:

@@ -26,8 +26,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..xmltree.intervals import IntervalKernel
-from .algebra import _TICK_BLOCK, JoinCache, fragment_join, pairwise_join
-from .filters import Filter, select
+from .algebra import (_TICK_BLOCK, JoinCache, _iter_pairwise_join, _joins,
+                      _labelled, fragment_join, pairwise_join)
+from .filters import Filter, necessary_bound, select
 from .fragment import Fragment
 from .stats import OperationStats
 
@@ -117,7 +118,9 @@ def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
     ``⋈_{r+1}(F)``, and an anti-monotonic ``predicate`` that kept ``f``
     keeps the base fragments under it), so the fragments yielded are
     exactly ``⋈_rounds(F)``.  No fixed-point checking: every round runs.
+    A pair the ``predicate`` is bound to reject is never joined.
     """
+    bound = necessary_bound(predicate)
     base = _apply_predicate(frozenset(fragments), predicate, stats)
     current = base
     yield from base
@@ -126,8 +129,9 @@ def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
             stats.iterations += 1
         previous = current
         current = _apply_predicate(
-            pairwise_join(base, previous, stats=stats, cache=cache,
-                          kernel=kernel, budget=budget),
+            frozenset(_iter_pairwise_join(
+                base, previous, stats=stats, cache=cache, kernel=kernel,
+                budget=budget, bound=bound)),
             predicate, stats)
         if budget is not None:
             budget.admit_live(len(current))
@@ -166,8 +170,11 @@ def _iter_fixed_point(fragments: Iterable[Fragment],
     Yields the (filtered) base, then each round's new fragments the
     moment the round ends, so a consumer starts joining before the
     closure is complete.  A budget is charged per block of
-    ``_TICK_BLOCK`` joins, bounding a deadline overshoot to one block.
+    ``_TICK_BLOCK`` pairs considered, bounding a deadline overshoot to
+    one block; a pair the ``predicate`` is bound to reject (its
+    :func:`~repro.core.filters.necessary_bound`) is never joined.
     """
+    bound = necessary_bound(predicate)
     result: set[Fragment] = set(
         _apply_predicate(frozenset(fragments), predicate, stats))
     frontier: set[Fragment] = set(result)
@@ -176,16 +183,14 @@ def _iter_fixed_point(fragments: Iterable[Fragment],
         if stats is not None:
             stats.iterations += 1
         produced: set[Fragment] = set()
-        snapshot = list(result)
-        for new_fragment in frontier:
+        snapshot = list(_labelled(result, bound))
+        for new_fragment in _labelled(frontier, bound):
             for start in range(0, len(snapshot), _TICK_BLOCK):
                 block = snapshot[start:start + _TICK_BLOCK]
                 if budget is not None:
                     budget.tick(len(block))
-                for existing in block:
-                    joined = fragment_join(new_fragment, existing,
-                                           stats=stats, cache=cache,
-                                           kernel=kernel)
+                for joined in _joins(block, new_fragment, bound, stats,
+                                     cache, kernel):
                     if joined not in result and joined not in produced:
                         produced.add(joined)
         produced = set(_apply_predicate(produced, predicate, stats))

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["OperationStats"]
+__all__ = ["OperationStats", "COUNTERS"]
+
+#: The counter fields, in reporting order.
+COUNTERS = ("fragment_joins", "join_cache_hits", "joins_pruned",
+            "predicate_checks", "subset_checks", "fragments_discarded",
+            "iterations")
 
 
 @dataclass
@@ -26,18 +31,26 @@ class OperationStats:
         count once when a memo cache is in use; see ``join_cache_hits``).
     join_cache_hits:
         Joins answered from the memo cache.
+    joins_pruned:
+        Pairs never joined: the operands' labels already put the join
+        past the size/height/width the next selection allows
+        (:func:`repro.core.filters.necessary_bound`).  They reach neither
+        kernel nor memo, so they are not part of ``total_joins``.
     predicate_checks:
         Filter evaluations performed by selections.
     subset_checks:
         Fragment-containment tests (used by set reduction).
     fragments_discarded:
-        Fragments eliminated early by pushed-down selections.
+        Fragments a selection rejected after they were built — pushed
+        down or not; what ``joins_pruned`` caught first is not built
+        and not counted here.
     iterations:
         Pairwise-join rounds executed by fixed-point computations.
     """
 
     fragment_joins: int = 0
     join_cache_hits: int = 0
+    joins_pruned: int = 0
     predicate_checks: int = 0
     subset_checks: int = 0
     fragments_discarded: int = 0
@@ -46,12 +59,8 @@ class OperationStats:
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.fragment_joins = 0
-        self.join_cache_hits = 0
-        self.predicate_checks = 0
-        self.subset_checks = 0
-        self.fragments_discarded = 0
-        self.iterations = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
         self.extras.clear()
 
     @property
@@ -61,25 +70,14 @@ class OperationStats:
 
     def merge(self, other: "OperationStats") -> None:
         """Add another tally into this one."""
-        self.fragment_joins += other.fragment_joins
-        self.join_cache_hits += other.join_cache_hits
-        self.predicate_checks += other.predicate_checks
-        self.subset_checks += other.subset_checks
-        self.fragments_discarded += other.fragments_discarded
-        self.iterations += other.iterations
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, value in other.extras.items():
             self.extras[key] = self.extras.get(key, 0) + value
 
     def as_dict(self) -> dict:
         """A plain-dict snapshot, convenient for reporting."""
-        snapshot = {
-            "fragment_joins": self.fragment_joins,
-            "join_cache_hits": self.join_cache_hits,
-            "predicate_checks": self.predicate_checks,
-            "subset_checks": self.subset_checks,
-            "fragments_discarded": self.fragments_discarded,
-            "iterations": self.iterations,
-        }
+        snapshot = {name: getattr(self, name) for name in COUNTERS}
         snapshot.update(self.extras)
         return snapshot
 
@@ -90,12 +88,7 @@ class OperationStats:
         later report only the work done while it was open.
         """
         return OperationStats(
-            fragment_joins=self.fragment_joins,
-            join_cache_hits=self.join_cache_hits,
-            predicate_checks=self.predicate_checks,
-            subset_checks=self.subset_checks,
-            fragments_discarded=self.fragments_discarded,
-            iterations=self.iterations,
+            **{name: getattr(self, name) for name in COUNTERS},
             extras=dict(self.extras))
 
     def delta(self, since: "OperationStats") -> "OperationStats":
@@ -107,11 +100,6 @@ class OperationStats:
         extras = {key: value - since.extras.get(key, 0)
                   for key, value in self.extras.items()}
         return OperationStats(
-            fragment_joins=self.fragment_joins - since.fragment_joins,
-            join_cache_hits=self.join_cache_hits - since.join_cache_hits,
-            predicate_checks=self.predicate_checks - since.predicate_checks,
-            subset_checks=self.subset_checks - since.subset_checks,
-            fragments_discarded=(self.fragments_discarded
-                                 - since.fragments_discarded),
-            iterations=self.iterations - since.iterations,
+            **{name: getattr(self, name) - getattr(since, name)
+               for name in COUNTERS},
             extras={key: value for key, value in extras.items() if value})

@@ -17,11 +17,12 @@ differ — dramatically — in how much work they do:
     fixed point in exactly ``|⊖(Fi)|`` rounds (Theorem 1), then filter.
 
 ``PUSHDOWN`` (§4.3)
-    Additionally push the selection below every join when the predicate
-    is anti-monotonic (Theorem 3), pruning doomed fragments as early as
-    possible, over semi-naive fixed points.  Falls back to
-    ``SEMI_NAIVE`` behaviour for filters without the property (results
-    stay identical; only the opportunity for early pruning is lost).
+    Additionally push the anti-monotonic conjuncts of the predicate
+    below every join (Theorem 3), pruning doomed fragments as early as
+    possible, over semi-naive fixed points; the remaining conjuncts are
+    selected once, on top.  Falls back to ``SEMI_NAIVE`` behaviour for
+    a filter with no anti-monotonic conjunct (results stay identical;
+    only the opportunity for early pruning is lost).
 
 ``SEMI_NAIVE``
     ``SET_REDUCTION`` with semi-naive fixed-point iteration instead of
@@ -43,7 +44,8 @@ from .algebra import JoinCache, KernelArg
 from .cost import CostModel
 from .evaluator import PlanAnalysis, build_pipeline, run_plan
 from .fragment import Fragment
-from .optimizer import OptimizerSettings, optimize
+from .filters import Filter
+from .optimizer import OptimizerSettings, optimize, select_pushed
 from .plan import PlanNode, initial_plan
 from .query import Query, QueryResult, keyword_fragments
 from .stats import OperationStats
@@ -86,7 +88,8 @@ def evaluate(document: "Document", query: Query,
                  Callable[[str], frozenset[Fragment]]] = None,
              obs: Optional[Observability] = None,
              kernel: KernelArg = None,
-             budget: Optional["QueryBudget"] = None) -> QueryResult:
+             budget: Optional["QueryBudget"] = None,
+             plans: Optional[dict] = None) -> QueryResult:
     """Evaluate ``query`` against ``document`` with the given strategy.
 
     Returns a :class:`~repro.core.query.QueryResult` carrying the answer
@@ -121,6 +124,9 @@ def evaluate(document: "Document", query: Query,
         :class:`~repro.errors.BudgetExceeded` when the query blows
         past its deadline or operation limits.  ``None`` (the default)
         is the unguarded path, byte-for-byte the pre-guard behaviour.
+    plans:
+        Optional dict kept by a caller for one search over many
+        documents, so they share plans (see :func:`_physical_plan`).
     """
     ob = obs if obs is not None else NOOP
     recorder = ob.recorder if ob.enabled else None
@@ -145,7 +151,7 @@ def evaluate(document: "Document", query: Query,
         mem_token = recorder.begin_memory()
         cpu_started = time.process_time()
     started = time.perf_counter()
-    plan = _physical_plan(query, strategy, index)
+    plan = _physical_plan(query, strategy, index, plans=plans)
     analysis = PlanAnalysis(plan)
     if budget is not None:
         budget.bind_stats(analysis)
@@ -268,16 +274,32 @@ def plan_for(query: Query,
 
 
 def _physical_plan(query: Query, strategy: Strategy,
-                   index: Optional["InvertedIndex"]) -> PlanNode:
+                   index: Optional["InvertedIndex"],
+                   extra_predicate: Optional[Filter] = None,
+                   plans: Optional[dict] = None) -> PlanNode:
     """:func:`plan_for` over the terms in ascending document frequency.
 
     Join chains are left-deep in term order, and rarest-first keeps
-    the intermediate fragment sets small.
+    the intermediate fragment sets small.  ``extra_predicate`` is one
+    more selection over the strategy's plan, its anti-monotonic part
+    pushed below the joins whatever the strategy.
+
+    ``plans`` is a dict a caller evaluating many documents keeps for
+    the length of one search: documents that agree on the term order
+    then share one plan instead of planning each on their own.
     """
     if index is not None:
         query = Query(tuple(index.rarest_first(query.terms)),
                       query.predicate)
-    return plan_for(query, strategy)
+    key = (query, strategy, extra_predicate)
+    plan = plans.get(key) if plans is not None else None
+    if plan is None:
+        plan = plan_for(query, strategy)
+        if extra_predicate is not None:
+            plan = select_pushed(extra_predicate, plan, reselect=False)
+        if plans is not None:
+            plans[key] = plan
+    return plan
 
 
 def explain_analyze(document: "Document", query: Query,

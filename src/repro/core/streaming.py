@@ -46,8 +46,6 @@ from .evaluator import (FixpointOp, JoinOp, Operator, PlanAnalysis,
                         PowersetOp, ScanOp, SelectOp, build_pipeline)
 from .filters import Filter, SizeAtMost
 from .fragment import Fragment
-from .optimizer import _push
-from .plan import Select
 from .query import Query
 from .stats import OperationStats
 from .strategies import Strategy, _physical_plan
@@ -208,7 +206,8 @@ def stream_evaluate(document: "Document", query: Query,
                     extra_predicate: Optional[Filter] = None,
                     keyword_source: Optional[
                         Callable[[str], frozenset[Fragment]]] = None,
-                    max_brute_force_operand: int = 16) -> FragmentStream:
+                    max_brute_force_operand: int = 16,
+                    plans: Optional[dict] = None) -> FragmentStream:
     """Evaluate ``query`` incrementally; returns a :class:`FragmentStream`.
 
     The streaming counterpart of :func:`~repro.core.strategies.evaluate`:
@@ -219,16 +218,11 @@ def stream_evaluate(document: "Document", query: Query,
     caller stops pulling.  ``extra_predicate`` exists for consumers
     (top-k, β rounds) that tighten the caller's filter without
     rebuilding the query: it is one more selection over the strategy's
-    plan and, when anti-monotonic, is pushed below the joins regardless
-    of strategy.
+    plan and its anti-monotonic part is pushed below the joins
+    regardless of strategy.  ``plans`` is as for
+    :func:`~repro.core.strategies.evaluate`.
     """
-    plan = _physical_plan(query, strategy, index)
-    if extra_predicate is not None:
-        # Pushed, an anti-monotonic selection already holds of every
-        # fragment the plan yields (that is Theorem 3).
-        plan = (_push(extra_predicate, plan)
-                if extra_predicate.is_anti_monotonic
-                else Select(extra_predicate, plan))
+    plan = _physical_plan(query, strategy, index, extra_predicate, plans)
     analysis = PlanAnalysis(plan)
     if budget is not None:
         budget.start()

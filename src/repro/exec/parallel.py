@@ -238,13 +238,14 @@ def _item_rows(source, queries: Sequence[Query],
     ``cache_limit``.
     """
     rows = []
+    plans: dict = {}  # one plan per (query, term order), not per item
     for name, query_index in items:
         query = queries[query_index]
         index = source.inverted_index(name)
         try:
             result = evaluate(index.document, query, strategy=strategy,
                               index=index, cache=cache, kernel=kernel,
-                              obs=obs,
+                              obs=obs, plans=plans,
                               budget=(budget.fresh_item()
                                       if budget is not None else None))
         except BudgetExceeded as exc:

@@ -76,7 +76,8 @@ class MemorySource:
         every term — here one probe per document and term."""
         terms = tuple(terms)
         contains = self.contains
-        return [name for name in self.documents
+        # names() is a snapshot: ``add`` may grow the table meanwhile.
+        return [name for name in self.names()
                 if all(contains(name, term) for term in terms)]
 
     def node_count(self, name: str) -> int:

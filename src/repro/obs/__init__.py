@@ -79,6 +79,7 @@ QUERY_LATENCY = "repro_query_latency_seconds"
 QUERY_FRAGMENTS = "repro_query_fragments"
 FRAGMENT_JOINS = "repro_fragment_joins_total"
 JOIN_CACHE_HITS = "repro_join_cache_hits_total"
+JOINS_PRUNED = "repro_joins_pruned_total"
 PREDICATE_CHECKS = "repro_predicate_checks_total"
 SUBSET_CHECKS = "repro_subset_checks_total"
 FRAGMENTS_DISCARDED = "repro_fragments_discarded_total"
@@ -241,6 +242,10 @@ class Observability:
         m.counter(FRAGMENT_JOINS, "Fragment joins computed.").inc(joins)
         m.counter(JOIN_CACHE_HITS, "Joins answered from the memo cache."
                   ).inc(cache_hits)
+        m.counter(JOINS_PRUNED,
+                  "Pairs never joined: past the next selection's "
+                  "size/height/width bound by their labels alone."
+                  ).inc(counters.get("joins_pruned", 0))
         m.counter(PREDICATE_CHECKS, "Filter evaluations performed."
                   ).inc(counters.get("predicate_checks", 0))
         m.counter(SUBSET_CHECKS, "Fragment containment tests."

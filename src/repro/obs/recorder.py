@@ -70,7 +70,7 @@ TRACES_DROPPED = "repro_recorder_traces_dropped_total"
 #: "primitive operations" currency the Section-5 ``CostEstimate`` prices
 #: (keyword probes, join pair work, filter checks), so the calibration
 #: ratio compares like with like.
-_COST_COUNTERS = ("fragment_joins", "join_cache_hits",
+_COST_COUNTERS = ("fragment_joins", "join_cache_hits", "joins_pruned",
                   "predicate_checks", "subset_checks",
                   "fragments_discarded")
 

@@ -13,7 +13,8 @@ own machines:
 
 Each trial generates a random document and query, evaluates it through
 every path the engine offers — each strategy, materialised on both join
-kernels, streamed, and as an explicit plan — plus the literal
+kernels, streamed (the filter in the query, and as the stream's extra
+selection), and as an explicit plan — plus the literal
 powerset-semantics oracle, and records any disagreement as a
 :class:`TrialFailure` carrying everything needed to reproduce it (the
 seed, the document's parent vector, the query).
@@ -27,8 +28,8 @@ from typing import Optional
 
 from ..core.algebra import KERNEL_NAMES, KERNEL_REFERENCE
 from ..core.evaluator import run_plan
-from ..core.filters import (Filter, HeightAtMost, SizeAtLeast, SizeAtMost,
-                            TrueFilter, WidthAtMost)
+from ..core.filters import (Filter, HeightAtMost, Not, SizeAtLeast,
+                            SizeAtMost, TrueFilter, WidthAtMost)
 from ..core.query import Query
 from ..core.semantics import powerset_semantics_answers
 from ..core.strategies import Strategy, evaluate, plan_for
@@ -116,7 +117,7 @@ def _random_query(rng: random.Random) -> Query:
     term_count = rng.randint(1, 3)
     terms = tuple(rng.sample(_TERMS, term_count))
     predicate: Filter
-    roll = rng.randrange(7)
+    roll = rng.randrange(10)
     if roll == 0:
         predicate = TrueFilter()
     elif roll == 1:
@@ -126,16 +127,33 @@ def _random_query(rng: random.Random) -> Query:
     elif roll == 3:
         predicate = (SizeAtMost(rng.randint(2, 5))
                      & WidthAtMost(rng.randint(1, 6)))
-    # The rest are not anti-monotonic: Theorem 3 must not fire, and a
-    # strategy that pushed them down would lose answers.
     elif roll == 4:
-        predicate = SizeAtLeast(rng.randint(1, 4))
+        # A disjunction of anti-monotonic filters is one (§3.3), with
+        # the looser of the two limits as its bound.
+        predicate = (SizeAtMost(rng.randint(1, 3))
+                     | SizeAtMost(rng.randint(2, 6)))
+    # The rest are not anti-monotonic.  Theorem 3 may push the
+    # anti-monotonic conjuncts of a conjunction and nothing else: a
+    # strategy that pushed a residual, a disjunct or a negation would
+    # lose answers.
     elif roll == 5:
+        predicate = SizeAtLeast(rng.randint(1, 4))
+    elif roll == 6:
         predicate = (SizeAtMost(rng.randint(3, 6))
                      & SizeAtLeast(rng.randint(1, 3)))
-    else:
+    elif roll == 7:
         predicate = (SizeAtLeast(rng.randint(2, 4))
                      | HeightAtMost(rng.randint(0, 1)))
+    elif roll == 8:
+        predicate = ((HeightAtMost(rng.randint(1, 3))
+                      & SizeAtLeast(rng.randint(1, 3)))
+                     & (Not(SizeAtMost(rng.randint(1, 2)))
+                        & WidthAtMost(rng.randint(2, 7))))
+    else:
+        predicate = ((SizeAtLeast(rng.randint(3, 5))
+                      | HeightAtMost(rng.randint(0, 1)))
+                     & (SizeAtMost(rng.randint(2, 4))
+                        | SizeAtMost(rng.randint(3, 6))))
     return Query(terms, predicate)
 
 
@@ -158,6 +176,12 @@ def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
                 **runs[KERNEL_REFERENCE].stats,
                 "streamed_rows": stream.streamed_rows}:
             wrong.append(f"{name}/streamed-stats")
+        # The same filter handed to the stream as its consumer's extra
+        # selection: split and pushed whatever the strategy.
+        if frozenset(stream_evaluate(
+                doc, Query(query.terms), strategy,
+                extra_predicate=query.predicate)) != oracle:
+            wrong.append(f"{name}/streamed-extra")
         if run_plan(doc, query, plan_for(query, strategy)).fragments \
                 != oracle:
             wrong.append(f"{name}/plan")

@@ -161,6 +161,13 @@ class Document:
         return self._keywords[node_id]
 
     @property
+    def parents(self) -> Sequence[Optional[int]]:
+        """``parents[n]`` is node ``n``'s parent id, ``None`` for the
+        root: the array itself (do not mutate), for loops that climb
+        without a call per step."""
+        return self._parents
+
+    @property
     def labels(self) -> TreeLabels:
         """The structural label bundle (depth/pre/size/post)."""
         return self._labels

@@ -17,9 +17,10 @@ that performs the same closure on **integer arithmetic only**:
   of a node set is the LCA of its minimum and maximum preorder ids,
   answered in O(1) by the document's Euler-tour index.
 
-The kernel also exposes integer-arithmetic versions of the
-anti-monotonic filter measures (``size`` / ``height`` / ``width``) so
-push-down checks can run without materialising a :class:`Fragment`.
+Deciding a size/height/width filter *without* materialising the join is
+not the kernel's business: the pairwise-join and fixed-point loops do
+it from the interval labels, above the kernel choice, so both kernels
+prune identically (:func:`repro.core.filters.necessary_bound`).
 
 The kernel is *selected*, never mandatory: the algebra keeps the
 reference ``frozenset``-based implementation and the two are
@@ -178,34 +179,13 @@ class IntervalKernel:
         return n1 | n2 | frozenset(extra)
 
     # ------------------------------------------------------------------
-    # Integer-arithmetic structural measures
+    # Interval labels
     # ------------------------------------------------------------------
 
     def is_ancestor_or_self(self, u: int, v: int) -> bool:
         """Preorder-interval containment check (O(1))."""
         pu = self._pre[u]
         return pu <= self._pre[v] < pu + self._size[u]
-
-    def height_of(self, nodes: Iterable[int]) -> int:
-        """``height(f)`` of a connected node set (root = min id)."""
-        depth = self._depth
-        root_depth = None
-        deepest = 0
-        for n in nodes:
-            d = depth[n]
-            if root_depth is None or d < root_depth:
-                root_depth = d
-            if d > deepest:
-                deepest = d
-        if root_depth is None:
-            raise ValueError("height_of requires at least one node")
-        return deepest - root_depth
-
-    @staticmethod
-    def width_of(nodes: Iterable[int]) -> int:
-        """``width(f)``: preorder span between extreme nodes."""
-        ids = list(nodes)
-        return max(ids) - min(ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IntervalKernel(document={self.document.name!r}, "

@@ -96,14 +96,6 @@ class TestJoinAgreement:
 
 
 class TestStructuralMeasures:
-    @given(documents(min_nodes=2, max_nodes=16),
-           st.integers(min_value=0, max_value=2 ** 30))
-    def test_measures_match_fragment_properties(self, doc, seed):
-        fragment = random_fragment(doc, seed)
-        kernel = doc.interval_kernel()
-        assert kernel.height_of(fragment.nodes) == fragment.height
-        assert kernel.width_of(fragment.nodes) == fragment.width
-
     @given(documents(min_nodes=2, max_nodes=16))
     def test_ancestor_check_matches_document(self, doc):
         kernel = doc.interval_kernel()
