@@ -1,15 +1,12 @@
-"""Experiment S11 — parallel collection search and the bitset kernel.
+"""Experiment S11 — parallel collection search.
 
-Two claims of the ``repro.exec`` layer are pinned here, with the
-numbers recorded in ``BENCH_parallel.json`` at the repo root:
+One claim of the ``repro.exec`` layer is pinned here, with the numbers
+recorded in ``BENCH_parallel.json`` at the repo root:
 
-1. **Scaling**: ``search(..., workers=4)`` over the scalability corpus
-   is at least 2x faster than the serial path (workers hold warm
-   per-document state, so only answer node-id tuples cross the process
-   boundary), while returning bit-identical results.
-2. **Kernel**: the interval-bitset join kernel beats the frozenset
-   reference on single-document joins — both through a full push-down
-   evaluation and on the raw ``fragment_join`` loop.
+**Scaling**: ``search(..., workers=4)`` over the scalability corpus
+is at least 2x faster than the serial path (workers hold warm
+per-document state, so only answer node-id tuples cross the process
+boundary), while returning bit-identical results.
 
 Run ``pytest benchmarks/bench_parallel_scaling.py --benchmark-only``
 for the full experiment, or add ``--smoke`` for the tiny CI variant
@@ -25,16 +22,12 @@ from pathlib import Path
 
 from repro.bench.reporting import banner, format_table
 from repro.bench.runner import measure
-from repro.core.algebra import fragment_join
 from repro.core.filters import SizeAtMost
-from repro.core.fragment import Fragment
 from repro.core.query import Query
-from repro.core.strategies import Strategy, evaluate
 from repro.exec import ParallelExecutor
 from repro.workloads.inexlike import InexSpec, generate_collection
-from repro.xmltree.navigation import spanning_nodes
 
-from .conftest import TERM_A, TERM_B, planted_document
+from .conftest import TERM_A, TERM_B
 from .util import report
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
@@ -121,87 +114,3 @@ def test_parallel_scaling(benchmark, capsys, bench_metrics, smoke):
     if not smoke and (os.cpu_count() or 1) >= 4:
         assert speedups[4] >= 2.0, (
             f"expected >=2x speedup at 4 workers, got {speedups[4]:.2f}x")
-
-
-def test_kernel_vs_reference(benchmark, capsys, bench_metrics, smoke):
-    nodes = 600 if smoke else 6000
-    doc = planted_document(nodes=nodes, occ_a=8, occ_b=8,
-                           clustering=0.6, seed=97)
-    kernel = doc.interval_kernel()
-    repetitions = 1 if smoke else 5
-
-    # Raw-join workload: random connected fragments, fixed seed.
-    import random
-    rng = random.Random(5)
-    fragments = []
-    for _ in range(200):
-        seeds = rng.sample(range(doc.size), rng.randint(1, 6))
-        fragments.append(Fragment(doc, spanning_nodes(doc, seeds),
-                                  validate=False))
-    pairs = [(fragments[rng.randrange(200)], fragments[rng.randrange(200)])
-             for _ in range(500 if smoke else 4000)]
-
-    def joins(use_kernel):
-        k = kernel if use_kernel else None
-        def run():
-            for f1, f2 in pairs:
-                fragment_join(f1, f2, kernel=k)
-        return run
-
-    def run():
-        eval_ref = measure(
-            "evaluate:reference",
-            lambda: evaluate(doc, QUERY, strategy=Strategy.PUSHDOWN),
-            repetitions=repetitions, registry=bench_metrics)
-        eval_bit = measure(
-            "evaluate:bitset",
-            lambda: evaluate(doc, QUERY, strategy=Strategy.PUSHDOWN,
-                             kernel="bitset"),
-            repetitions=repetitions, registry=bench_metrics)
-        assert eval_bit.value.fragments == eval_ref.value.fragments
-        join_ref = measure("join:reference", joins(False),
-                           repetitions=repetitions,
-                           registry=bench_metrics)
-        join_bit = measure("join:bitset", joins(True),
-                           repetitions=repetitions,
-                           registry=bench_metrics)
-        return eval_ref, eval_bit, join_ref, join_bit
-
-    eval_ref, eval_bit, join_ref, join_bit = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    eval_speedup = eval_ref.seconds / eval_bit.seconds
-    join_speedup = join_ref.seconds / join_bit.seconds
-    report(capsys, "\n".join([
-        banner(f"S11: interval-bitset kernel vs reference "
-               f"({nodes}-node document)"),
-        format_table(
-            ["case", "median ms"],
-            [["evaluate reference", eval_ref.seconds * 1000],
-             ["evaluate bitset", eval_bit.seconds * 1000],
-             [f"raw joins x{len(pairs)} reference",
-              join_ref.seconds * 1000],
-             [f"raw joins x{len(pairs)} bitset",
-              join_bit.seconds * 1000]]),
-        "",
-        f"evaluate speedup: {eval_speedup:.2f}x   "
-        f"raw-join speedup: {join_speedup:.2f}x",
-        "expected shape: the kernel wins by climbing only from the two "
-        "fragment roots (O(path)) with C-speed frozenset unions."]))
-    _record("kernel", {
-        "smoke": smoke,
-        "nodes": nodes,
-        "evaluate_reference_seconds": eval_ref.seconds,
-        "evaluate_bitset_seconds": eval_bit.seconds,
-        "evaluate_speedup": eval_speedup,
-        "join_reference_seconds": join_ref.seconds,
-        "join_bitset_seconds": join_bit.seconds,
-        "join_speedup": join_speedup,
-        "join_pairs": len(pairs),
-    }, bench_metrics)
-    if not smoke:
-        assert join_speedup > 1.0, (
-            f"bitset kernel must beat the reference on raw joins, got "
-            f"{join_speedup:.2f}x")
-        assert eval_speedup > 1.0, (
-            f"bitset kernel must beat the reference end-to-end, got "
-            f"{eval_speedup:.2f}x")

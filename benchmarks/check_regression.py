@@ -33,8 +33,6 @@ from pathlib import Path
 #: the pool's attach path.  The serving bench's ``pool_join_heavy`` and
 #: ``storage.shards.attach_ms`` carry both facts.
 HEADLINES = [
-    ("BENCH_parallel.json", "kernel.evaluate_speedup", "higher"),
-    ("BENCH_parallel.json", "kernel.join_speedup", "higher"),
     ("BENCH_obs.json", "noop_overhead.vs_baseline.noop", "lower"),
     ("BENCH_obs.json", "noop_overhead.vs_baseline.traced", "lower"),
     ("BENCH_obs.json",

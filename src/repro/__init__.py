@@ -50,7 +50,6 @@ from .errors import (AdmissionRejected, BudgetExceeded,
 from .exec import BatchRunner, ParallelExecutor
 from .guard import (AdmissionDecision, AdmissionPolicy, CircuitBreaker,
                     QueryBudget, screen)
-from .xmltree.intervals import IntervalKernel
 from .index import InvertedIndex, Tokenizer
 from .obs import (NOOP, MetricsRegistry, Observability, QueryLog,
                   QueryRecord, SpanTracer)
@@ -96,8 +95,8 @@ __all__ = [
     "RelationalStore", "RelationalQueryEngine",
     # collections
     "DocumentCollection", "CollectionResult", "CollectionHit",
-    # parallel execution & join kernel
-    "ParallelExecutor", "BatchRunner", "IntervalKernel",
+    # parallel execution
+    "ParallelExecutor", "BatchRunner",
     # presentation (§5 overlapping answers)
     "OverlapPolicy", "AnswerGroup", "arrange", "overlap",
     "overlap_matrix",

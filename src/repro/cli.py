@@ -84,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strategy", default=Strategy.PUSHDOWN.value,
                         choices=[s.value for s in Strategy],
                         help="evaluation strategy (default: pushdown)")
-    parser.add_argument("--kernel", default=None,
-                        choices=["reference", "bitset"],
-                        help="join kernel: the frozenset reference path "
-                             "or the interval-bitset fast path "
-                             "(identical answers)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="evaluate documents on a process pool of N "
                              "workers (directory/batch searches; results "
@@ -354,7 +349,7 @@ def _run_search(args: argparse.Namespace, obs: Observability) -> int:
     if args.explain_analyze:
         result, analysis = explain_analyze(
             document, query, strategy=Strategy.parse(args.strategy),
-            index=index, obs=obs, kernel=args.kernel)
+            index=index, obs=obs)
         _print_analysis(query, analysis, answers=len(result),
                         strategy=result.strategy,
                         elapsed=result.elapsed)
@@ -368,8 +363,7 @@ def _run_search(args: argparse.Namespace, obs: Observability) -> int:
         return _stream_single_document(args, document, index, query, obs)
     result = evaluate(document, query,
                       strategy=Strategy.parse(args.strategy),
-                      index=index, obs=obs, kernel=args.kernel,
-                      budget=_build_budget(args))
+                      index=index, obs=obs, budget=_build_budget(args))
 
     if args.rank:
         with obs.span("rank"):
@@ -434,7 +428,7 @@ def _stream_single_document(args: argparse.Namespace, document, index,
     start = time.perf_counter()
     answers = stream_top_k(document, query, k,
                            strategy=Strategy.parse(args.strategy),
-                           index=index, obs=obs, kernel=args.kernel,
+                           index=index, obs=obs,
                            budget=_build_budget(args))
     elapsed = (time.perf_counter() - start) * 1000
     print(f"{len(answers)} streamed answer(s) for {query.describe()} "
@@ -913,8 +907,6 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--strategy", default=Strategy.PUSHDOWN.value,
                         choices=[s.value for s in Strategy])
-    parser.add_argument("--kernel", default=None,
-                        choices=["reference", "bitset"])
     parser.add_argument("--workers", type=int, default=None, metavar="N")
     parser.add_argument("--max-size", type=int, default=None, metavar="N")
     parser.add_argument("--max-height", type=int, default=None,
@@ -1067,8 +1059,7 @@ def serve_main(argv: Optional[Sequence[str]] = None,
         default_deadline_ms=args.deadline_ms,
         max_join_ops=args.max_join_ops,
         admission=admission, strategy=strategy,
-        kernel=args.kernel, workers=args.workers,
-        resilience=resilience)
+        workers=args.workers, resilience=resilience)
     history = slo = None
     if args.sample_interval > 0:
         from .obs import MetricsHistory, SLOMonitor, parse_slo
@@ -1140,7 +1131,7 @@ def serve_main(argv: Optional[Sequence[str]] = None,
             try:
                 result = collection.search(
                     query, strategy=strategy, obs=obs,
-                    workers=args.workers, kernel=args.kernel,
+                    workers=args.workers,
                     resilience=resilience, admission=admission,
                     budget=_build_budget(args))
             except AdmissionRejected as exc:
@@ -1220,8 +1211,7 @@ def _search_collection(args: argparse.Namespace,
             print("note: --explain-analyze accumulates one analysis "
                   "in-process; evaluating serially", file=sys.stderr)
         result, analysis = collection.explain_analyze(
-            query, strategy=Strategy.parse(args.strategy), obs=obs,
-            kernel=args.kernel)
+            query, strategy=Strategy.parse(args.strategy), obs=obs)
         _print_analysis(query, analysis, answers=len(result),
                         strategy=args.strategy,
                         elapsed=result.total_elapsed,
@@ -1239,7 +1229,6 @@ def _search_collection(args: argparse.Namespace,
                     collection.search(
                         query, strategy=Strategy.parse(args.strategy),
                         obs=obs, workers=args.workers,
-                        kernel=args.kernel,
                         resilience=_build_resilience(args),
                         budget=_build_budget(args),
                         stream=True, limit=max(args.limit, 1)),
@@ -1259,7 +1248,7 @@ def _search_collection(args: argparse.Namespace,
     try:
         result = collection.search(
             query, strategy=Strategy.parse(args.strategy), obs=obs,
-            workers=args.workers, kernel=args.kernel,
+            workers=args.workers,
             resilience=_build_resilience(args),
             budget=_build_budget(args))
     finally:
@@ -1316,8 +1305,7 @@ def _run_batch(args: argparse.Namespace, obs: Observability) -> int:
               f"{len(skipped)} file(s) skipped", file=sys.stderr)
     runner = BatchRunner(collection, workers=args.workers,
                          strategy=Strategy.parse(args.strategy),
-                         kernel=args.kernel, obs=obs,
-                         resilience=_build_resilience(args))
+                         obs=obs, resilience=_build_resilience(args))
     with runner:
         results = runner.run(queries, budget=_build_budget(args))
     for query, result in zip(queries, results):

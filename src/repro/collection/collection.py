@@ -446,6 +446,7 @@ class DocumentCollection:
                documents: Optional[Iterable[str]] = None,
                obs: Optional[Observability] = None,
                workers: Optional[int] = None,
+               # Accepted and ignored, for benchmarks/serving/oracle.py:50
                kernel: Optional[str] = None,
                resilience=None, faults=None,
                budget: Optional[QueryBudget] = None,
@@ -465,11 +466,10 @@ class DocumentCollection:
         ``workers=N`` fans the per-document evaluations out over a
         process pool (:mod:`repro.exec`) with results guaranteed
         identical to the serial path; ``None`` stays in-process.
-        ``kernel`` selects the join kernel (``"bitset"`` for the
-        integer-arithmetic fast path) in either mode.  ``resilience``
-        (a :class:`~repro.exec.resilience.RetryPolicy`) and ``faults``
-        (a :class:`~repro.exec.faults.FaultPlan`) tune the pooled
-        path's fault tolerance; both are ignored without ``workers``.
+        ``resilience`` (a :class:`~repro.exec.resilience.RetryPolicy`)
+        and ``faults`` (a :class:`~repro.exec.faults.FaultPlan`) tune
+        the pooled path's fault tolerance; both are ignored without
+        ``workers``.
 
         Guard rails: ``budget`` (a :class:`~repro.guard.QueryBudget`)
         and/or ``deadline_ms`` bound the whole search — the deadline is
@@ -509,7 +509,7 @@ class DocumentCollection:
         if stream or limit is not None:
             hits = self._stream_hits(query, strategy=strategy,
                                      documents=documents, ob=ob,
-                                     workers=workers, kernel=kernel,
+                                     workers=workers,
                                      resilience=resilience, faults=faults,
                                      budget=budget, limit=limit)
             return hits if stream else list(hits)
@@ -520,8 +520,8 @@ class DocumentCollection:
             try:
                 return self._parallel_executor(workers).search(
                     query, strategy=strategy, documents=documents,
-                    kernel=kernel, obs=ob, resilience=resilience,
-                    faults=faults, budget=budget)
+                    obs=ob, resilience=resilience, faults=faults,
+                    budget=budget)
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
@@ -542,8 +542,7 @@ class DocumentCollection:
                     per_document[name] = evaluate(
                         index.document, query, strategy=strategy,
                         index=index, cache=self._cache,
-                        obs=ob, kernel=kernel, budget=budget,
-                        plans=plans)
+                        obs=ob, budget=budget, plans=plans)
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
@@ -565,7 +564,7 @@ class DocumentCollection:
     def _stream_hits(self, query: Query, strategy: Strategy,
                      documents: Optional[Iterable[str]],
                      ob: Observability, workers: Optional[int],
-                     kernel: Optional[str], resilience, faults,
+                     resilience, faults,
                      budget: Optional[QueryBudget],
                      limit: Optional[int],
                      initial_beta: int = 4
@@ -617,7 +616,7 @@ class DocumentCollection:
                 if runner is not None:
                     round_hits, complete = self._pooled_round(
                         runner, query, beta, prev_beta, live, limit,
-                        ob, strategy=strategy, kernel=kernel,
+                        ob, strategy=strategy,
                         resilience=resilience, faults=faults,
                         budget=budget)
                 else:
@@ -632,7 +631,7 @@ class DocumentCollection:
                         for fragment in stream_evaluate(
                                 index.document, query, strategy,
                                 index=index, cache=self._cache,
-                                kernel=kernel, obs=ob, budget=budget,
+                                obs=ob, budget=budget,
                                 extra_predicate=within, plans=plans):
                             if fragment.size > prev_beta:
                                 round_hits.append(
@@ -705,8 +704,7 @@ class DocumentCollection:
     def explain_analyze(self, query: Query,
                         strategy: Strategy = Strategy.PUSHDOWN,
                         documents: Optional[Iterable[str]] = None,
-                        obs: Optional[Observability] = None,
-                        kernel: Optional[str] = None
+                        obs: Optional[Observability] = None
                         ) -> tuple[CollectionResult, "PlanAnalysis"]:
         """EXPLAIN ANALYZE over the collection — one shared plan.
 
@@ -733,7 +731,7 @@ class DocumentCollection:
                 per_document[name], _ = explain_analyze(
                     index.document, query, strategy=strategy,
                     index=index, cache=self._cache, obs=ob,
-                    kernel=kernel, plan=plan, analysis=analysis)
+                    plan=plan, analysis=analysis)
             if ob.enabled:
                 skipped = targets - len(per_document)
                 span.set(evaluated=len(per_document), skipped=skipped)
@@ -785,7 +783,6 @@ class DocumentCollection:
                       strategy: Strategy = Strategy.PUSHDOWN,
                       obs: Optional[Observability] = None,
                       workers: Optional[int] = None,
-                      kernel: Optional[str] = None,
                       resilience=None, faults=None,
                       budget: Optional[QueryBudget] = None,
                       deadline_ms: Optional[float] = None,
@@ -822,11 +819,10 @@ class DocumentCollection:
         _check_limit(limit)
         if stream:
             return self._ranked_stream(query, limit, strategy, ob,
-                                       workers, kernel, resilience,
-                                       faults, budget, deadline_ms,
-                                       admission)
+                                       workers, resilience, faults,
+                                       budget, deadline_ms, admission)
         result = self.search(query, strategy=strategy, obs=ob,
-                             workers=workers, kernel=kernel,
+                             workers=workers,
                              resilience=resilience, faults=faults,
                              budget=budget, deadline_ms=deadline_ms,
                              admission=admission)
@@ -841,8 +837,7 @@ class DocumentCollection:
 
     def _ranked_stream(self, query: Query, limit: int,
                        strategy: Strategy, ob: Observability,
-                       workers: Optional[int], kernel: Optional[str],
-                       resilience, faults,
+                       workers: Optional[int], resilience, faults,
                        budget: Optional[QueryBudget],
                        deadline_ms: Optional[float],
                        admission: Optional[AdmissionPolicy],
@@ -882,7 +877,7 @@ class DocumentCollection:
                             query.predicate & SizeAtMost(beta))
             result = self.search(bounded, strategy=strategy,
                                  documents=live, obs=ob,
-                                 workers=workers, kernel=kernel,
+                                 workers=workers,
                                  resilience=resilience, faults=faults,
                                  budget=budget)
             for name, doc_result in result.per_document.items():

@@ -25,17 +25,13 @@ immutable.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain, combinations
-from typing import (TYPE_CHECKING, Iterable, Iterator, Optional, Sequence,
-                    Union)
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from ..errors import FragmentError, QueryError
+from ..errors import FragmentError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.budget import QueryBudget
-from ..xmltree.document import Document
-from ..xmltree.intervals import IntervalKernel
-from ..xmltree.navigation import spanning_nodes
 from .filters import UNBOUNDED
 from .fragment import Fragment
 from .stats import OperationStats
@@ -54,44 +50,7 @@ __all__ = [
     "multiway_powerset_join",
     "JoinCache",
     "nonempty_subsets",
-    "resolve_kernel",
-    "KERNEL_REFERENCE",
-    "KERNEL_BITSET",
-    "KERNEL_NAMES",
 ]
-
-#: The frozenset-climbing reference implementation (the default).
-KERNEL_REFERENCE = "reference"
-#: The interval-bitset integer-arithmetic kernel.
-KERNEL_BITSET = "bitset"
-#: Every selectable kernel name.
-KERNEL_NAMES = (KERNEL_REFERENCE, KERNEL_BITSET)
-
-#: What a ``kernel=`` parameter accepts: a name, a per-document
-#: :class:`~repro.xmltree.intervals.IntervalKernel`, or ``None``.
-KernelArg = Union[None, str, IntervalKernel]
-
-
-def resolve_kernel(kernel: KernelArg,
-                   document: Document) -> Optional[IntervalKernel]:
-    """Resolve a ``kernel=`` argument against one document.
-
-    ``None`` / ``"reference"`` select the frozenset reference path
-    (returns ``None``); ``"bitset"`` returns the document's cached
-    :class:`~repro.xmltree.intervals.IntervalKernel`; an already
-    constructed kernel passes through after a document check.
-    """
-    if kernel is None or kernel == KERNEL_REFERENCE:
-        return None
-    if kernel == KERNEL_BITSET:
-        return document.interval_kernel()
-    if isinstance(kernel, IntervalKernel):
-        if kernel.document is not document:
-            raise QueryError("interval kernel belongs to a different "
-                             "document")
-        return kernel
-    raise QueryError(f"unknown join kernel {kernel!r}; expected one of "
-                     f"{list(KERNEL_NAMES)}")
 
 
 class JoinCache:
@@ -189,19 +148,41 @@ class JoinCache:
                       "Joins the JoinCache memo holds.").set(len(self))
 
 
+def _lca(parents: Sequence[Optional[int]], a: int, b: int,
+         depth_a: int, depth_b: int) -> tuple[int, int]:
+    """``(lca(a, b), its depth)``, found by climbing ``parents``: lift
+    the deeper node level with the other, then both until they meet.
+
+    O(path length) and no preprocessing — the O(1) ``Document.lca``
+    index costs O(n log n) to build, too much to ask of a document
+    materialised for a handful of pairs.
+    """
+    top = depth_a
+    while top > depth_b:
+        a = parents[a]
+        top -= 1
+    for _ in range(depth_b - top):
+        b = parents[b]
+    while a != b:
+        a, b = parents[a], parents[b]
+        top -= 1
+    return a, top
+
+
 def fragment_join(f1: Fragment, f2: Fragment,
                   stats: Optional[OperationStats] = None,
-                  cache: Optional[JoinCache] = None,
-                  kernel: Optional[IntervalKernel] = None) -> Fragment:
+                  cache: Optional[JoinCache] = None, *,
+                  lca: Optional[int] = None) -> Fragment:
     """``f1 ⋈ f2``: the minimal fragment containing both operands.
 
-    The minimal connected subtree containing two subtrees is the
-    tree-Steiner closure of the union of their node sets, computed by
-    climbing towards the common LCA — either over ``frozenset``
-    membership (:func:`repro.xmltree.navigation.spanning_nodes`, the
-    reference) or on flat integer arrays when an
-    :class:`~repro.xmltree.intervals.IntervalKernel` is supplied.  Both
-    paths produce identical fragments (cross-checked in the suite).
+    Both operands are connected, so every node of ``fi`` hangs below
+    its root ``ri`` and the minimal connected subtree containing both
+    adds to ``f1 ∪ f2`` only the two paths from the roots up to
+    ``a = lca(r1, r2)`` (docs/theory.md, the two-root-paths lemma): a
+    climb of ``document.parents``, no per-document state.  A caller
+    that has already found ``a`` passes it as ``lca``.  The suite
+    property-checks the result against the closure of the union
+    (:func:`repro.xmltree.navigation.spanning_nodes`).
 
     Algebraic properties (tested property-based in the suite):
     idempotent, commutative, associative, absorptive.
@@ -220,11 +201,18 @@ def fragment_join(f1: Fragment, f2: Fragment,
             return hit
     if stats is not None:
         stats.fragment_joins += 1
-    if kernel is not None:
-        nodes = kernel.join_nodes(f1.nodes, f2.nodes, f1.root, f2.root)
-    else:
-        nodes = spanning_nodes(f1.document, chain(f1.nodes, f2.nodes))
-    result = Fragment._trusted(f1.document, nodes)
+    document = f1.document
+    parents = document.parents
+    r1, r2 = f1.root, f2.root
+    if lca is None:
+        depth = document.labels.depth
+        lca, _ = _lca(parents, r1, r2, depth[r1], depth[r2])
+    path = [lca]
+    for node in (r1, r2):
+        while node != lca:
+            node = parents[node]
+            path.append(node)
+    result = Fragment._trusted(document, f1.nodes.union(f2.nodes, path))
     if cache is not None:
         cache.put(f1, f2, result)
     return result
@@ -232,8 +220,7 @@ def fragment_join(f1: Fragment, f2: Fragment,
 
 def join_all(fragments: Iterable[Fragment],
              stats: Optional[OperationStats] = None,
-             cache: Optional[JoinCache] = None,
-             kernel: Optional[IntervalKernel] = None) -> Fragment:
+             cache: Optional[JoinCache] = None) -> Fragment:
     """``⋈{f1, ..., fn}``: fold fragment join over a non-empty collection.
 
     Associativity and commutativity make the fold order irrelevant for
@@ -245,8 +232,7 @@ def join_all(fragments: Iterable[Fragment],
     except StopIteration:
         raise FragmentError("join_all requires at least one fragment")
     for fragment in iterator:
-        result = fragment_join(result, fragment, stats=stats, cache=cache,
-                               kernel=kernel)
+        result = fragment_join(result, fragment, stats=stats, cache=cache)
     return result
 
 
@@ -270,41 +256,29 @@ def _labelled(fragments: Iterable[Fragment],
 
 
 def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
-           stats: Optional[OperationStats], cache: Optional[JoinCache],
-           kernel: Optional[IntervalKernel]) -> Iterator[Fragment]:
+           stats: Optional[OperationStats], cache: Optional[JoinCache]
+           ) -> Iterator[Fragment]:
     """``f1 ⋈ f2`` for ``f2 = other`` and each ``f1`` of ``block``
     (:func:`_labelled` entries) — except the pairs whose join provably
     exceeds ``bound = (max size, max height, max width)``, which reach
-    neither kernel nor memo and are counted in ``joins_pruned``.
+    neither join nor memo and are counted in ``joins_pruned``.
 
     The join is rooted at ``a = lca(r1, r2)`` and adds to ``f1 ∪ f2``
     only ancestors of the two roots, so its height and width are known
     exactly, and its size exactly when neither root is above the other
     and from below otherwise (docs/theory.md, the three-measure lemma).
+    A pair that survives is joined at the ``a`` it was priced at.
     """
     f2 = other[0]
     if bound is None:
         for (f1,) in block:
-            yield fragment_join(f1, f2, stats=stats, cache=cache,
-                                kernel=kernel)
+            yield fragment_join(f1, f2, stats=stats, cache=cache)
         return
     max_size, max_height, max_width = bound
     _, r2, d2, s2, deep2, last2 = other
     parents = f2._doc.parents
     for f1, r1, d1, s1, deep1, last1 in block:
-        # a = lca(r1, r2) at depth ``top``, found as the join itself
-        # would find it, by climbing: the O(1) ``Document.lca`` index
-        # costs O(n log n) to build, too much to ask of a document
-        # materialised for a handful of pairs.
-        a, b, top = r1, r2, d1
-        while top > d2:
-            a = parents[a]
-            top -= 1
-        for _ in range(d2 - top):
-            b = parents[b]
-        while a != b:
-            a, b = parents[a], parents[b]
-            top -= 1
+        a, top = _lca(parents, r1, r2, d1, d2)
         up1, up2 = d1 - top, d2 - top
         if (s1 + s2 + up1 + up2 - 1 if up1 and up2
                 else max(s1 + up1, s2 + up2)) > max_size \
@@ -313,14 +287,12 @@ def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
             if stats is not None:
                 stats.joins_pruned += 1
             continue
-        yield fragment_join(f1, f2, stats=stats, cache=cache,
-                            kernel=kernel)
+        yield fragment_join(f1, f2, stats=stats, cache=cache, lca=a)
 
 
 def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                         stats: Optional[OperationStats] = None,
                         cache: Optional[JoinCache] = None,
-                        kernel: Optional[IntervalKernel] = None,
                         budget: Optional["QueryBudget"] = None,
                         bound: Optional[tuple] = None
                         ) -> Iterator[Fragment]:
@@ -346,7 +318,7 @@ def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
             block = left[start:start + _TICK_BLOCK]
             if budget is not None:
                 budget.tick(len(block))
-            for joined in _joins(block, other, bound, stats, cache, kernel):
+            for joined in _joins(block, other, bound, stats, cache):
                 if joined not in emitted:
                     emitted.add(joined)
                     yield joined
@@ -357,7 +329,6 @@ def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
 def pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                   stats: Optional[OperationStats] = None,
                   cache: Optional[JoinCache] = None,
-                  kernel: Optional[IntervalKernel] = None,
                   budget: Optional["QueryBudget"] = None
                   ) -> frozenset[Fragment]:
     """``F1 ⋈ F2``: join every pair (Definition 5), deduplicated.
@@ -369,8 +340,7 @@ def pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     ceiling.
     """
     return frozenset(_iter_pairwise_join(set1, set2, stats=stats,
-                                         cache=cache, kernel=kernel,
-                                         budget=budget))
+                                         cache=cache, budget=budget))
 
 
 def nonempty_subsets(items: Sequence) -> Iterable[tuple]:
@@ -383,7 +353,6 @@ def powerset_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                   stats: Optional[OperationStats] = None,
                   cache: Optional[JoinCache] = None,
                   max_operand_size: Optional[int] = 20,
-                  kernel: Optional[IntervalKernel] = None,
                   budget: Optional["QueryBudget"] = None
                   ) -> frozenset[Fragment]:
     """``F1 ⋈* F2`` by direct enumeration (Definition 6).
@@ -418,14 +387,13 @@ def powerset_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     for subset1 in nonempty_subsets(left):
         if budget is not None:
             budget.admit_candidates(len(results))
-        base = join_all(subset1, stats=stats, cache=cache, kernel=kernel)
+        base = join_all(subset1, stats=stats, cache=cache)
         for subset2 in nonempty_subsets(right):
             if budget is not None:
                 budget.tick(len(subset2))
             joined = fragment_join(
-                base, join_all(subset2, stats=stats, cache=cache,
-                               kernel=kernel),
-                stats=stats, cache=cache, kernel=kernel)
+                base, join_all(subset2, stats=stats, cache=cache),
+                stats=stats, cache=cache)
             results.add(joined)
     return frozenset(results)
 
@@ -435,7 +403,6 @@ def _iter_multiway_powerset_join(
         stats: Optional[OperationStats] = None,
         cache: Optional[JoinCache] = None,
         max_operand_size: Optional[int] = 20,
-        kernel: Optional[IntervalKernel] = None,
         budget: Optional["QueryBudget"] = None) -> Iterator[Fragment]:
     """The m-ary powerset join, one new candidate at a time.
 
@@ -460,8 +427,7 @@ def _iter_multiway_powerset_join(
             if budget is not None:
                 budget.tick(len(partial))
                 budget.admit_candidates(len(emitted))
-            candidate = join_all(partial, stats=stats, cache=cache,
-                                 kernel=kernel)
+            candidate = join_all(partial, stats=stats, cache=cache)
             if candidate not in emitted:
                 emitted.add(candidate)
                 yield candidate
@@ -469,8 +435,7 @@ def _iter_multiway_powerset_join(
         for subset in nonempty_subsets(operands[position]):
             if budget is not None:
                 budget.tick(max(0, len(subset) - 1))
-            partial.append(join_all(subset, stats=stats, cache=cache,
-                                    kernel=kernel))
+            partial.append(join_all(subset, stats=stats, cache=cache))
             yield from recurse(position + 1)
             partial.pop()
 
@@ -481,7 +446,6 @@ def multiway_powerset_join(fragment_sets: Sequence[Iterable[Fragment]],
                            stats: Optional[OperationStats] = None,
                            cache: Optional[JoinCache] = None,
                            max_operand_size: Optional[int] = 20,
-                           kernel: Optional[IntervalKernel] = None,
                            budget: Optional["QueryBudget"] = None
                            ) -> frozenset[Fragment]:
     """m-ary powerset join: ``{⋈(F1' ∪ … ∪ Fm') | Fi' ⊆ Fi, Fi' ≠ ∅}``.
@@ -493,4 +457,4 @@ def multiway_powerset_join(fragment_sets: Sequence[Iterable[Fragment]],
     """
     return frozenset(_iter_multiway_powerset_join(
         fragment_sets, stats=stats, cache=cache,
-        max_operand_size=max_operand_size, kernel=kernel, budget=budget))
+        max_operand_size=max_operand_size, budget=budget))

@@ -23,8 +23,8 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
 
 from ..errors import PlanError
 from ..obs import NOOP, Observability
-from .algebra import (JoinCache, KernelArg, _iter_multiway_powerset_join,
-                      _iter_pairwise_join, resolve_kernel)
+from .algebra import (JoinCache, _iter_multiway_powerset_join,
+                      _iter_pairwise_join)
 from .cost import CostModel
 from .filters import _iter_select, necessary_bound
 from .fragment import Fragment
@@ -264,7 +264,7 @@ class Operator:
         self.node = node
         self.run = run
         self.children = children
-        #: ``cache`` / ``kernel`` / ``budget`` for the algebra loops.
+        #: ``cache`` / ``budget`` for the algebra loops.
         self._options = options
         #: Given on analysed executions, to time the operator.
         self.clock = clock
@@ -392,7 +392,6 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
                    keyword_source: Optional[
                        Callable[[str], frozenset[Fragment]]] = None,
                    cache: Optional[JoinCache] = None,
-                   kernel: KernelArg = None,
                    budget: Optional["QueryBudget"] = None,
                    timed: bool = False,
                    max_powerset_operand: Optional[int] = 16
@@ -412,8 +411,7 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
     early exit: a term with no matches, or (Theorem 3) a pushed
     anti-monotonic filter that rejects every keyword node of a term.
     """
-    options = {"cache": cache, "kernel": resolve_kernel(kernel, document),
-               "budget": budget}
+    options = {"cache": cache, "budget": budget}
     clock = _Clock() if timed else None
     nodes, runs = analysis.nodes, analysis.operators
     operators: list[Operator] = []
@@ -503,9 +501,6 @@ class PlanEvaluator:
         each :meth:`execute` call is wrapped in an ``execute-plan`` span
         carrying the plan's root label, output cardinality, and the
         operation-counter delta.
-    kernel:
-        Join-kernel selection, as accepted by
-        :func:`repro.core.algebra.resolve_kernel`.
     analysis:
         Optional :class:`PlanAnalysis` built from the plan being
         executed; when given, operators are timed and every execution
@@ -521,7 +516,6 @@ class PlanEvaluator:
                  cache: Optional[JoinCache] = None,
                  max_powerset_operand: Optional[int] = 16,
                  obs: Optional[Observability] = None,
-                 kernel: KernelArg = None,
                  analysis: Optional[PlanAnalysis] = None,
                  budget: Optional["QueryBudget"] = None) -> None:
         self._document = document
@@ -529,7 +523,6 @@ class PlanEvaluator:
         self._cache = cache
         self._max_powerset_operand = max_powerset_operand
         self._obs = obs if obs is not None else NOOP
-        self._kernel = kernel
         self._analysis = analysis
         self._budget = budget
 
@@ -555,8 +548,8 @@ class PlanEvaluator:
         try:
             emit, _ = build_pipeline(
                 self._document, run, index=self._index,
-                cache=self._cache, kernel=self._kernel,
-                budget=self._budget, timed=self._analysis is not None,
+                cache=self._cache, budget=self._budget,
+                timed=self._analysis is not None,
                 max_powerset_operand=self._max_powerset_operand)
             return frozenset(emit)
         finally:
@@ -574,7 +567,6 @@ def run_plan(document: "Document", query: Query, plan: PlanNode,
              cache: Optional[JoinCache] = None,
              strategy_name: str = "plan",
              obs: Optional[Observability] = None,
-             kernel: KernelArg = None,
              analysis: Optional[PlanAnalysis] = None,
              budget: Optional["QueryBudget"] = None) -> QueryResult:
     """Execute a plan and wrap the outcome as a :class:`QueryResult`.
@@ -584,8 +576,7 @@ def run_plan(document: "Document", query: Query, plan: PlanNode,
     """
     ob = obs if obs is not None else NOOP
     evaluator = PlanEvaluator(document, index=index, cache=cache, obs=ob,
-                              kernel=kernel, analysis=analysis,
-                              budget=budget)
+                              analysis=analysis, budget=budget)
     stats = OperationStats()
     started = time.perf_counter()
     fragments = evaluator.execute(plan, stats=stats)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from ..xmltree.intervals import IntervalKernel
 from .algebra import (_TICK_BLOCK, JoinCache, _iter_pairwise_join, _joins,
                       _labelled, fragment_join, pairwise_join)
 from .filters import Filter, necessary_bound, select
@@ -48,7 +47,6 @@ __all__ = [
 def set_reduce(fragments: Iterable[Fragment],
                stats: Optional[OperationStats] = None,
                cache: Optional[JoinCache] = None,
-               kernel: Optional[IntervalKernel] = None,
                budget: Optional["QueryBudget"] = None
                ) -> frozenset[Fragment]:
     """``⊖(F)``: remove fragments subsumed by a join of two others.
@@ -74,8 +72,7 @@ def set_reduce(fragments: Iterable[Fragment],
         for j in range(i + 1, n):
             pair_joins.append(
                 (i, j, fragment_join(items[i], items[j],
-                                     stats=stats, cache=cache,
-                                     kernel=kernel)))
+                                     stats=stats, cache=cache)))
     kept = []
     for idx, fragment in enumerate(items):
         subsumed = False
@@ -97,18 +94,16 @@ def set_reduce(fragments: Iterable[Fragment],
 def reduction_count(fragments: Iterable[Fragment],
                     stats: Optional[OperationStats] = None,
                     cache: Optional[JoinCache] = None,
-                    kernel: Optional[IntervalKernel] = None,
                     budget: Optional["QueryBudget"] = None) -> int:
     """``|⊖(F)|`` — the Theorem-1 iteration bound for ``F``."""
     return len(set_reduce(fragments, stats=stats, cache=cache,
-                          kernel=kernel, budget=budget))
+                          budget=budget))
 
 
 def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
                           stats: Optional[OperationStats] = None,
                           cache: Optional[JoinCache] = None,
                           predicate: Optional[Filter] = None,
-                          kernel: Optional[IntervalKernel] = None,
                           budget: Optional["QueryBudget"] = None
                           ) -> Iterator[Fragment]:
     """``⋈_n(F)`` round by round — the bounded fixed-point loop.
@@ -130,8 +125,8 @@ def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
         previous = current
         current = _apply_predicate(
             frozenset(_iter_pairwise_join(
-                base, previous, stats=stats, cache=cache, kernel=kernel,
-                budget=budget, bound=bound)),
+                base, previous, stats=stats, cache=cache, budget=budget,
+                bound=bound)),
             predicate, stats)
         if budget is not None:
             budget.admit_live(len(current))
@@ -142,7 +137,6 @@ def iterate_pairwise(fragments: Iterable[Fragment], rounds: int,
                      stats: Optional[OperationStats] = None,
                      cache: Optional[JoinCache] = None,
                      predicate: Optional[Filter] = None,
-                     kernel: Optional[IntervalKernel] = None,
                      budget: Optional["QueryBudget"] = None
                      ) -> frozenset[Fragment]:
     """``⋈_n(F)``: pairwise fragment join of ``rounds`` copies of ``F``.
@@ -155,14 +149,13 @@ def iterate_pairwise(fragments: Iterable[Fragment], rounds: int,
         raise ValueError("rounds must be >= 1")
     return frozenset(_iter_pairwise_rounds(
         fragments, rounds, stats=stats, cache=cache, predicate=predicate,
-        kernel=kernel, budget=budget))
+        budget=budget))
 
 
 def _iter_fixed_point(fragments: Iterable[Fragment],
                       stats: Optional[OperationStats] = None,
                       cache: Optional[JoinCache] = None,
                       predicate: Optional[Filter] = None,
-                      kernel: Optional[IntervalKernel] = None,
                       budget: Optional["QueryBudget"] = None
                       ) -> Iterator[Fragment]:
     """``F+`` round by round — the semi-naive fixed-point loop.
@@ -190,7 +183,7 @@ def _iter_fixed_point(fragments: Iterable[Fragment],
                 if budget is not None:
                     budget.tick(len(block))
                 for joined in _joins(block, new_fragment, bound, stats,
-                                     cache, kernel):
+                                     cache):
                     if joined not in result and joined not in produced:
                         produced.add(joined)
         produced = set(_apply_predicate(produced, predicate, stats))
@@ -206,7 +199,6 @@ def fixed_point(fragments: Iterable[Fragment],
                 stats: Optional[OperationStats] = None,
                 cache: Optional[JoinCache] = None,
                 predicate: Optional[Filter] = None,
-                kernel: Optional[IntervalKernel] = None,
                 budget: Optional["QueryBudget"] = None
                 ) -> frozenset[Fragment]:
     """``F+`` via semi-naive iteration with fixed-point checking.
@@ -218,32 +210,28 @@ def fixed_point(fragments: Iterable[Fragment],
     """
     return frozenset(_iter_fixed_point(
         fragments, stats=stats, cache=cache, predicate=predicate,
-        kernel=kernel, budget=budget))
+        budget=budget))
 
 
 def _iter_fixed_point_bounded(fragments: Iterable[Fragment],
                               stats: Optional[OperationStats] = None,
                               cache: Optional[JoinCache] = None,
                               predicate: Optional[Filter] = None,
-                              kernel: Optional[IntervalKernel] = None,
                               budget: Optional["QueryBudget"] = None
                               ) -> Iterator[Fragment]:
     """:func:`fixed_point_bounded`, one new fragment at a time."""
     base = frozenset(fragments)
     if not base:
         return
-    k = reduction_count(base, stats=stats, cache=cache, kernel=kernel,
-                        budget=budget)
+    k = reduction_count(base, stats=stats, cache=cache, budget=budget)
     yield from _iter_pairwise_rounds(base, k, stats=stats, cache=cache,
-                                     predicate=predicate, kernel=kernel,
-                                     budget=budget)
+                                     predicate=predicate, budget=budget)
 
 
 def fixed_point_bounded(fragments: Iterable[Fragment],
                         stats: Optional[OperationStats] = None,
                         cache: Optional[JoinCache] = None,
                         predicate: Optional[Filter] = None,
-                        kernel: Optional[IntervalKernel] = None,
                         budget: Optional["QueryBudget"] = None
                         ) -> frozenset[Fragment]:
     """``F+`` via the Theorem-1 bound: exactly ``|⊖(F)|`` join rounds.
@@ -256,7 +244,7 @@ def fixed_point_bounded(fragments: Iterable[Fragment],
     """
     return frozenset(_iter_fixed_point_bounded(
         fragments, stats=stats, cache=cache, predicate=predicate,
-        kernel=kernel, budget=budget))
+        budget=budget))
 
 
 def is_fixed_point(fragments: Iterable[Fragment],

@@ -35,7 +35,7 @@ class OperationStats:
         Pairs never joined: the operands' labels already put the join
         past the size/height/width the next selection allows
         (:func:`repro.core.filters.necessary_bound`).  They reach neither
-        kernel nor memo, so they are not part of ``total_joins``.
+        join nor memo, so they are not part of ``total_joins``.
     predicate_checks:
         Filter evaluations performed by selections.
     subset_checks:

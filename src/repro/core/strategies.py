@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import BudgetExceeded, QueryError
 from ..obs import NOOP, NULL_SPAN, Observability
-from .algebra import JoinCache, KernelArg
+from .algebra import JoinCache
 from .cost import CostModel
 from .evaluator import PlanAnalysis, build_pipeline, run_plan
 from .fragment import Fragment
@@ -87,7 +87,8 @@ def evaluate(document: "Document", query: Query,
              keyword_source: Optional[
                  Callable[[str], frozenset[Fragment]]] = None,
              obs: Optional[Observability] = None,
-             kernel: KernelArg = None,
+             # Accepted and ignored, for benchmarks/serving/layers.py:360-364
+             kernel: Optional[str] = None,
              budget: Optional["QueryBudget"] = None,
              plans: Optional[dict] = None) -> QueryResult:
     """Evaluate ``query`` against ``document`` with the given strategy.
@@ -113,11 +114,6 @@ def evaluate(document: "Document", query: Query,
         the evaluation is wrapped in an ``execute`` span (with ``scan``
         and per-strategy child spans), per-query metrics are recorded,
         and a query-log record is emitted.
-    kernel:
-        Join-kernel selection: ``None``/``"reference"`` for the
-        frozenset reference path, ``"bitset"`` for the document's
-        interval-bitset kernel (identical answers, integer arithmetic —
-        see :mod:`repro.xmltree.intervals`).
     budget:
         Optional :class:`~repro.guard.QueryBudget`: cooperative
         checkpoints inside the operators raise
@@ -170,7 +166,7 @@ def evaluate(document: "Document", query: Query,
                     emit, _ = build_pipeline(
                         document, analysis,
                         keyword_source=keyword_sets.__getitem__,
-                        cache=cache, kernel=kernel, budget=budget,
+                        cache=cache, budget=budget,
                         max_powerset_operand=max_brute_force_operand)
                     fragments = frozenset(emit)
                 finally:
@@ -307,7 +303,6 @@ def explain_analyze(document: "Document", query: Query,
                     index: Optional["InvertedIndex"] = None,
                     cache: Optional[JoinCache] = None,
                     obs: Optional[Observability] = None,
-                    kernel: KernelArg = None,
                     plan: Optional[PlanNode] = None,
                     analysis: Optional[PlanAnalysis] = None,
                     budget: Optional["QueryBudget"] = None
@@ -336,7 +331,7 @@ def explain_analyze(document: "Document", query: Query,
                          "pass the plan object it analyses")
     result = run_plan(document, query, plan, index=index, cache=cache,
                       strategy_name=strategy.value, obs=obs,
-                      kernel=kernel, analysis=analysis, budget=budget)
+                      analysis=analysis, budget=budget)
     return result, analysis
 
 

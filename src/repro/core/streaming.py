@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..obs import (NOOP, Observability, STREAM_EARLY_EXITS, STREAM_ROUNDS,
                    STREAM_ROWS)
-from .algebra import JoinCache, KernelArg
+from .algebra import JoinCache
 from .evaluator import (FixpointOp, JoinOp, Operator, PlanAnalysis,
                         PowersetOp, ScanOp, SelectOp, build_pipeline)
 from .filters import Filter, SizeAtMost
@@ -200,7 +200,6 @@ def stream_evaluate(document: "Document", query: Query,
                     strategy: Strategy = Strategy.PUSHDOWN, *,
                     index: Optional["InvertedIndex"] = None,
                     cache: Optional[JoinCache] = None,
-                    kernel: KernelArg = None,
                     obs: Optional[Observability] = None,
                     budget: Optional["QueryBudget"] = None,
                     extra_predicate: Optional[Filter] = None,
@@ -229,8 +228,8 @@ def stream_evaluate(document: "Document", query: Query,
         budget.bind_stats(analysis)
     emit, operators = build_pipeline(
         document, analysis, index=index,
-        keyword_source=keyword_source, cache=cache, kernel=kernel,
-        budget=budget, max_powerset_operand=max_brute_force_operand)
+        keyword_source=keyword_source, cache=cache, budget=budget,
+        max_powerset_operand=max_brute_force_operand)
     return FragmentStream(document, query, strategy, operators, emit,
                           analysis, obs if obs is not None else NOOP)
 
@@ -299,7 +298,6 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
                  strategy: Strategy = Strategy.PUSHDOWN,
                  index: Optional["InvertedIndex"] = None,
                  cache: Optional[JoinCache] = None,
-                 kernel: KernelArg = None,
                  obs: Optional[Observability] = None,
                  budget: Optional["QueryBudget"] = None,
                  initial_beta: int = 2,
@@ -314,7 +312,7 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
     counted in ``repro_stream_early_exits_total``).  A shared
     :class:`JoinCache` keeps the re-streamed rounds largely incremental.
     Unlike the pre-streaming implementation this honours the caller's
-    ``strategy`` and threads ``budget``/``obs``/``kernel`` through, and
+    ``strategy`` and threads ``budget``/``obs`` through, and
     sorts once at the end (an O(n log k) ``nsmallest``) instead of
     re-sorting the full answer set every round.
     """
@@ -333,8 +331,8 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
         if extra_predicate is not None:
             bound = bound & extra_predicate
         stream = stream_evaluate(document, query, strategy, index=index,
-                                 cache=cache, kernel=kernel, obs=obs,
-                                 budget=budget, extra_predicate=bound)
+                                 cache=cache, obs=obs, budget=budget,
+                                 extra_predicate=bound)
         answers = set(stream)
         if len(answers) >= k or beta >= document.size:
             early = beta < document.size

@@ -2,9 +2,9 @@
 
 Process-pool fan-out for collection queries with a determinism
 guarantee: ``search(..., workers=N)`` returns results bit-identical to
-the serial path for every strategy and kernel.  See
-``docs/parallelism.md`` for the architecture and
-``docs/robustness.md`` for the failure model.
+the serial path for every strategy.  See ``docs/parallelism.md``
+for the architecture and ``docs/robustness.md`` for the failure
+model.
 
 * :class:`~repro.exec.parallel.ParallelExecutor` — warm worker pool
   over a fixed document set; parent-side keyword screen

@@ -49,9 +49,9 @@ class BatchRunner:
         ``None`` for serial evaluation; ``>= 1`` for a process pool of
         that size (created lazily on the first :meth:`run`, reused for
         every later batch until :meth:`shutdown`).
-    strategy, kernel:
-        Defaults for every query of every batch; :meth:`run` can
-        override both per call.
+    strategy:
+        Default for every query of every batch; :meth:`run` can
+        override it per call.
     obs:
         Default observability handle (batch counters, pool metrics).
     resilience:
@@ -66,14 +66,12 @@ class BatchRunner:
     def __init__(self, collection: DocumentCollection,
                  workers: Optional[int] = None,
                  strategy: Strategy = Strategy.PUSHDOWN,
-                 kernel: Optional[str] = None,
                  obs: Optional[Observability] = None,
                  resilience: Optional[RetryPolicy] = None,
                  faults: Optional[FaultPlan] = None) -> None:
         self.collection = collection
         self.workers = workers
         self.strategy = strategy
-        self.kernel = kernel
         self._obs = obs if obs is not None else NOOP
         self.resilience = resilience
         self.faults = faults
@@ -93,7 +91,6 @@ class BatchRunner:
 
     def run(self, queries: Iterable[Query],
             strategy: Optional[Strategy] = None,
-            kernel: Optional[str] = None,
             obs: Optional[Observability] = None,
             budget: Optional[QueryBudget] = None,
             deadline_ms: Optional[float] = None
@@ -116,7 +113,6 @@ class BatchRunner:
         batch: Sequence[Query] = list(queries)
         ob = obs if obs is not None else self._obs
         use_strategy = strategy if strategy is not None else self.strategy
-        use_kernel = kernel if kernel is not None else self.kernel
         use_budget = effective_budget(budget, deadline_ms)
         if ob.enabled:
             ob.metrics.counter(
@@ -128,8 +124,7 @@ class BatchRunner:
             use_budget.start()
         if self.workers is None:
             return [self.collection.search(
-                        query, strategy=use_strategy, kernel=use_kernel,
-                        obs=ob,
+                        query, strategy=use_strategy, obs=ob,
                         budget=(use_budget.fresh_item()
                                 if use_budget is not None else None))
                     for query in batch]
@@ -139,8 +134,8 @@ class BatchRunner:
             # an epoch here and binds it into the pool's runs.
             with self.collection._view() as view:
                 return view._bound(pool).run(
-                    batch, strategy=use_strategy, kernel=use_kernel,
-                    obs=ob, budget=use_budget)
+                    batch, strategy=use_strategy, obs=ob,
+                    budget=use_budget)
         finally:
             # A shard router's report wraps the executor's.
             report = pool.last_report

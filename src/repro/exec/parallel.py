@@ -61,7 +61,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..collection.collection import CollectionResult, keyword_screen
-from ..core.algebra import JoinCache, KERNEL_NAMES
+from ..core.algebra import JoinCache
 from ..core.fragment import Fragment
 from ..core.query import Query, QueryResult
 from ..core.strategies import Strategy, evaluate
@@ -226,8 +226,7 @@ def _raise_budget_marker(marker: dict) -> None:
 
 def _item_rows(source, queries: Sequence[Query],
                items: Sequence[tuple[str, int]], strategy: Strategy,
-               kernel: Optional[str], cache: JoinCache, obs,
-               budget: Optional[QueryBudget]) -> list:
+               cache: JoinCache, obs, budget: Optional[QueryBudget]) -> list:
     """Evaluate ``(document name, query index)`` items over one source.
 
     The one item loop: a worker runs it over its attached source, the
@@ -244,8 +243,8 @@ def _item_rows(source, queries: Sequence[Query],
         index = source.inverted_index(name)
         try:
             result = evaluate(index.document, query, strategy=strategy,
-                              index=index, cache=cache, kernel=kernel,
-                              obs=obs, plans=plans,
+                              index=index, cache=cache, obs=obs,
+                              plans=plans,
                               budget=(budget.fresh_item()
                                       if budget is not None else None))
         except BudgetExceeded as exc:
@@ -259,8 +258,7 @@ def _item_rows(source, queries: Sequence[Query],
 
 
 def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
-               strategy_value: str, kernel: Optional[str],
-               obs_spec: Optional[dict] = None,
+               strategy_value: str, obs_spec: Optional[dict] = None,
                fault: Optional[dict] = None,
                budget: Optional[QueryBudget] = None,
                shard: Optional[int] = None,
@@ -314,7 +312,7 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
         if fault is not None:
             apply_fault(fault)
         rows = _item_rows(_WORKER_SOURCE, queries, items, strategy,
-                          kernel, _WORKER_CACHE, obs, budget)
+                          _WORKER_CACHE, obs, budget)
     except BaseException:
         # Discard the failed attempt's telemetry: advance the metrics
         # baseline and drain the tracer/query log, so the eventual
@@ -521,7 +519,7 @@ class ParallelExecutor:
                 f"time(s) ({reason}) and fallback is disabled"
             ) from cause
 
-    def _dispatch(self, queries, chunks, strategy, kernel, obs_spec, ob,
+    def _dispatch(self, queries, chunks, strategy, obs_spec, ob,
                   policy: RetryPolicy, plan: Optional[FaultPlan],
                   outcomes, report: ResilienceReport,
                   budget: Optional[QueryBudget] = None,
@@ -581,7 +579,7 @@ class ParallelExecutor:
                 try:
                     futures[chunk_index] = self._pool.submit(
                         _run_chunk, queries, chunks[chunk_index],
-                        strategy.value, kernel, obs_spec, fault, budget,
+                        strategy.value, obs_spec, fault, budget,
                         chunk_keys[chunk_index],
                         hint.filter if hint is not None else None,
                         epoch)
@@ -667,8 +665,8 @@ class ParallelExecutor:
                 recorder.set_context(shard=shard)
             try:
                 rows = _item_rows(source, queries, chunks[chunk_index],
-                                  strategy, kernel, self._parent_cache,
-                                  ob, budget)
+                                  strategy, self._parent_cache, ob,
+                                  budget)
             finally:
                 if recorder is not None:
                     recorder.set_context(shard=None)
@@ -686,7 +684,6 @@ class ParallelExecutor:
     def search(self, query: Query,
                strategy: Strategy = Strategy.PUSHDOWN,
                documents: Optional[Iterable[str]] = None,
-               kernel: Optional[str] = None,
                obs: Optional[Observability] = None,
                resilience: Optional[RetryPolicy] = None,
                faults: Optional[FaultPlan] = None,
@@ -695,14 +692,12 @@ class ParallelExecutor:
                snapshot=None) -> CollectionResult:
         """Evaluate one query over the corpus; serial-identical result."""
         return self.run([query], strategy=strategy, documents=documents,
-                        kernel=kernel, obs=obs, resilience=resilience,
-                        faults=faults, budget=budget, hint=hint,
-                        snapshot=snapshot)[0]
+                        obs=obs, resilience=resilience, faults=faults,
+                        budget=budget, hint=hint, snapshot=snapshot)[0]
 
     def run(self, queries: Sequence[Query],
             strategy: Strategy = Strategy.PUSHDOWN,
             documents: Optional[Iterable[str]] = None,
-            kernel: Optional[str] = None,
             obs: Optional[Observability] = None,
             resilience: Optional[RetryPolicy] = None,
             faults: Optional[FaultPlan] = None,
@@ -738,9 +733,6 @@ class ParallelExecutor:
         them to be dropped); a hint that never fires leaves the result
         bit-identical to a hintless run.
         """
-        if kernel is not None and kernel not in KERNEL_NAMES:
-            raise QueryError(f"unknown join kernel {kernel!r}; the "
-                             f"parallel path accepts {list(KERNEL_NAMES)}")
         ob = obs if obs is not None else self._obs
         policy = resilience if resilience is not None else self.resilience
         plan = faults if faults is not None else self.faults
@@ -803,8 +795,8 @@ class ParallelExecutor:
                      chunks=len(chunks)) as span:
             dispatch_started = time.perf_counter()
             try:
-                self._dispatch(queries, chunks, strategy, kernel,
-                               obs_spec, ob, policy, plan, outcomes,
+                self._dispatch(queries, chunks, strategy, obs_spec, ob,
+                               policy, plan, outcomes,
                                report, budget=budget,
                                chunk_keys=chunk_keys, hint=hint,
                                source=source,

@@ -185,7 +185,7 @@ class QueryGuardrails:
         every query before evaluation (HTTP 422 on rejection).
     breaker_failures / breaker_reset_s:
         Circuit-breaker trip threshold and cooldown.
-    strategy / kernel / workers / resilience / faults:
+    strategy / workers / resilience / faults:
         Evaluation configuration forwarded to
         :meth:`DocumentCollection.search` (``faults`` exists for
         deterministic failure-injection tests).
@@ -203,7 +203,6 @@ class QueryGuardrails:
     breaker_failures: int = 5
     breaker_reset_s: float = 30.0
     strategy: Strategy = Strategy.PUSHDOWN
-    kernel: Optional[str] = None
     workers: Optional[int] = None
     resilience: object = None
     faults: object = None
@@ -1020,13 +1019,13 @@ class _ObsHTTPServer(ThreadingHTTPServer):
                 # slot is held, so the guard stack sees the work.
                 page_hits = list(self.collection.search(
                     query, strategy=strategy, obs=self.obs,
-                    workers=rails.workers, kernel=rails.kernel,
+                    workers=rails.workers,
                     resilience=rails.resilience, faults=rails.faults,
                     budget=budget, stream=True, limit=offset + limit))
             else:
                 result = self.collection.search(
                     query, strategy=strategy, obs=self.obs,
-                    workers=rails.workers, kernel=rails.kernel,
+                    workers=rails.workers,
                     resilience=rails.resilience, faults=rails.faults,
                     budget=budget)
         except BudgetExceeded as exc:

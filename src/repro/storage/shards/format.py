@@ -25,16 +25,15 @@ Shard file layout, format version 2 (all integers little-endian)::
 Each document entry in the header names its sections with
 ``[offset, length, crc32]`` triples; offsets are relative to the start
 of the payload region (``align8(12 + header_len)``).  Four sections
-mirror :class:`~repro.xmltree.intervals.IntervalKernel`'s flat layout
-exactly — ``parents`` / ``depth`` / ``pre`` / ``size`` as int64 arrays
-(root parent encoded as ``-1``) — so a reader can hand
-``memoryview.cast("q")`` windows straight to
-:meth:`IntervalKernel.from_arrays` with zero copies.  (Postorder ranks
-are not stored: ``post = pre + size - 1 - depth``.)  The remaining
-sections carry the non-structural state: ``tags`` and ``texts`` as
-offset-table string blobs, ``attrs`` as JSON (object key order is
-preserved, round-tripping XML attribute order), and ``postings`` as a
-bisectable keyword → node-id table (see :func:`encode_postings`).
+are flat label arrays — ``parents`` / ``depth`` / ``pre`` / ``size`` as
+int64 arrays (root parent encoded as ``-1``) — which a reader takes as
+``memoryview.cast("q")`` windows onto the map with zero copies.
+(Postorder ranks are not stored: ``post = pre + size - 1 - depth``.)
+The remaining sections carry the non-structural state: ``tags`` and
+``texts`` as offset-table string blobs, ``attrs`` as JSON (object key
+order is preserved, round-tripping XML attribute order), and
+``postings`` as a bisectable keyword → node-id table (see
+:func:`encode_postings`).
 
 After the last document comes the shard's *term directory*, a
 bisectable keyword → document-ordinal table (see
@@ -96,7 +95,7 @@ def align8(offset: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# int64 arrays (the IntervalKernel mirror sections)
+# int64 arrays (the flat label arrays)
 # ----------------------------------------------------------------------
 
 def encode_int64(values) -> bytes:

@@ -14,9 +14,9 @@
 * **probe** (:meth:`contains`) binary-searches the mapped postings
   section of one document without materialising it;
 * **materialise** (:meth:`document`) decodes one document on first
-  touch, verifies its section checksums exactly once, and hands the
-  structural arrays to :meth:`IntervalKernel.from_arrays` as zero-copy
-  ``memoryview.cast("q")`` windows onto the map.
+  touch, verifies its section checksums exactly once, and reads the
+  four flat label arrays through zero-copy ``memoryview.cast("q")``
+  windows onto the map.
 
 Every failure raises a structured :class:`~repro.errors.ShardError`
 (``reason`` ∈ missing / truncated / bad-magic / version-skew /
@@ -64,9 +64,8 @@ def build_document(name: str, nodes: int, section_of, *,
     ``section_of(section_name)`` returns a bytes-like object holding
     that section's payload (a mapped window for shard files, plain
     bytes for WAL records).  Returns ``(document, postings)``; the
-    structural arrays are handed to the kernel as zero-copy
-    ``memoryview.cast("q")`` windows, so the backing buffer must stay
-    alive as long as the document does.  ``token`` is the identity
+    four flat label arrays are read through zero-copy
+    ``memoryview.cast("q")`` windows.  ``token`` is the identity
     token of an earlier build from the same bytes (see
     :meth:`ShardIndex.document`); omitted, the document draws a fresh one.
     """
@@ -106,9 +105,6 @@ def build_document(name: str, nodes: int, section_of, *,
     keywords = [frozenset(k) for k in per_node]
     doc = Document(tags, texts, parents, children, keywords,
                    attrs, name=name, labels=labels, token=token)
-    # Hand the kernel the mapped windows: building it later is a
-    # scratch-bitset allocation, never a per-node copy loop.
-    doc._kernel_arrays = (parents_q, depth_q, pre_q, size_q)
     return doc, postings
 
 
@@ -713,11 +709,10 @@ class ShardIndex:
     def close(self) -> None:
         """Drop caches and release the maps (deterministic, idempotent).
 
-        Clearing the document/index caches first drops the only views
-        this handle itself holds into the mapped payload, so — unless
-        the *caller* still holds a materialised :class:`Document` — the
-        ``mmap``/shared-memory buffers release immediately rather than
-        at an unpredictable GC point.  A second call is a no-op.
+        A materialised :class:`Document` is decoded out of the mapped
+        payload and keeps no view of it, so the ``mmap``/shared-memory
+        buffers release here rather than at an unpredictable GC point,
+        whatever the caller still holds.  A second call is a no-op.
         """
         if self._closed:
             return

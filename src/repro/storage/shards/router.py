@@ -240,7 +240,6 @@ class ShardRouter:
 
     def run(self, queries: Sequence, strategy=None,
             documents: Optional[Iterable[str]] = None,
-            kernel: Optional[str] = None,
             obs: Optional[Observability] = None,
             resilience=None, faults=None, budget=None) -> list:
         """Evaluate a query batch across the healthy shards.
@@ -261,8 +260,8 @@ class ShardRouter:
             try:
                 results = self.executor.run(
                     list(queries), strategy=strategy, documents=targets,
-                    kernel=kernel, obs=ob, resilience=resilience,
-                    faults=faults, budget=budget)
+                    obs=ob, resilience=resilience, faults=faults,
+                    budget=budget)
             except ShardError as exc:
                 # A shard went bad mid-flight (e.g. lazy checksum
                 # verification failing at first materialisation).
@@ -294,13 +293,12 @@ class ShardRouter:
 
     def search(self, query, strategy=None,
                documents: Optional[Iterable[str]] = None,
-               kernel: Optional[str] = None,
                obs: Optional[Observability] = None,
                resilience=None, faults=None, budget=None):
         """Route one query; returns a single ``CollectionResult``."""
         return self.run([query], strategy=strategy, documents=documents,
-                        kernel=kernel, obs=obs, resilience=resilience,
-                        faults=faults, budget=budget)[0]
+                        obs=obs, resilience=resilience, faults=faults,
+                        budget=budget)[0]
 
     def _remember(self, report: RouterReport) -> None:
         """Fold one run's report into the cumulative per-shard ledger."""

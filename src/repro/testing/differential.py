@@ -12,30 +12,32 @@ own machines:
 ()
 
 Each trial generates a random document and query, evaluates it through
-every path the engine offers — each strategy, materialised on both join
-kernels, streamed (the filter in the query, and as the stream's extra
-selection), and as an explicit plan — plus the literal
-powerset-semantics oracle, and records any disagreement as a
-:class:`TrialFailure` carrying everything needed to reproduce it (the
-seed, the document's parent vector, the query).
+every path the engine offers — each strategy, materialised, streamed
+(the filter in the query, and as the stream's extra selection), and as
+an explicit plan, plus the literal powerset semantics — holds each
+against an oracle that shares no join with them, and records any
+disagreement as a :class:`TrialFailure` carrying everything needed to
+reproduce it (the seed, the document's parent vector, the query).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, product
 
-from ..core.algebra import KERNEL_NAMES, KERNEL_REFERENCE
+from ..core.algebra import nonempty_subsets
 from ..core.evaluator import run_plan
 from ..core.filters import (Filter, HeightAtMost, Not, SizeAtLeast,
-                            SizeAtMost, TrueFilter, WidthAtMost)
+                            SizeAtMost, TrueFilter, WidthAtMost, select)
+from ..core.fragment import Fragment
 from ..core.query import Query
 from ..core.semantics import powerset_semantics_answers
 from ..core.strategies import Strategy, evaluate, plan_for
 from ..core.streaming import stream_evaluate
 from ..xmltree.builder import DocumentBuilder
 from ..xmltree.document import Document
+from ..xmltree.navigation import spanning_nodes
 
 __all__ = ["TrialFailure", "DifferentialReport",
            "random_keyword_document", "run_differential_trials"]
@@ -157,24 +159,34 @@ def _random_query(rng: random.Random) -> Query:
     return Query(terms, predicate)
 
 
+def _oracle(doc: Document, query: Query) -> frozenset[Fragment]:
+    """The §2.3 formula without the algebra: the closure
+    (:func:`~repro.xmltree.navigation.spanning_nodes`) of every choice
+    of one non-empty subset of each term's keyword nodes, filtered."""
+    keyword_nodes = [sorted(doc.nodes_with_keyword(term))
+                     for term in query.terms]
+    return select(query.predicate, {
+        Fragment(doc, spanning_nodes(doc, chain.from_iterable(choice)))
+        for choice in product(*map(nonempty_subsets, keyword_nodes))})
+
+
 def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
     """Names of the evaluation paths that differ from ``oracle``."""
     wrong = []
+    if powerset_semantics_answers(doc, query) != oracle:
+        wrong.append("powerset-semantics")
     for strategy in Strategy:
         name = strategy.value
-        runs = {kernel: evaluate(doc, query, strategy=strategy,
-                                 kernel=kernel)
-                for kernel in KERNEL_NAMES}
-        wrong += [f"{name}/{kernel}" for kernel, run in runs.items()
-                  if run.fragments != oracle]
+        run = evaluate(doc, query, strategy=strategy)
+        if run.fragments != oracle:
+            wrong.append(f"{name}/materialised")
         stream = stream_evaluate(doc, query, strategy)
         if frozenset(stream) != oracle:
             wrong.append(f"{name}/streamed")
         # Streaming is the same plan through the same operators: it
         # must do exactly the materialised run's counted work.
         if stream.stats.as_dict() != {
-                **runs[KERNEL_REFERENCE].stats,
-                "streamed_rows": stream.streamed_rows}:
+                **run.stats, "streamed_rows": stream.streamed_rows}:
             wrong.append(f"{name}/streamed-stats")
         # The same filter handed to the stream as its consumer's extra
         # selection: split and pushed whatever the strategy.
@@ -194,10 +206,11 @@ def run_differential_trials(trials: int = 100, seed: int = 0,
                             ) -> DifferentialReport:
     """Run ``trials`` random cross-checks of every evaluation path.
 
-    Each trial compares, against the literal powerset-semantics oracle
-    on a fresh random document and query, every strategy evaluated on
-    both join kernels, streamed, and run as its explicit plan — and
-    checks that streaming does exactly the materialised run's work.
+    Each trial compares, against the join-free :func:`_oracle` on a
+    fresh random document and query, the literal powerset semantics and
+    every strategy materialised, streamed, and run as its explicit
+    plan — and checks that streaming does exactly the materialised
+    run's work.
 
     Parameters
     ----------
@@ -213,7 +226,7 @@ def run_differential_trials(trials: int = 100, seed: int = 0,
         doc = random_keyword_document(trial_seed, max_nodes=max_nodes)
         rng = random.Random(trial_seed ^ 0x5EED)
         query = _random_query(rng)
-        oracle = powerset_semantics_answers(doc, query)
+        oracle = _oracle(doc, query)
         disagreeing = _disagreements(doc, query, oracle)
         if disagreeing:
             failures.append(TrialFailure(

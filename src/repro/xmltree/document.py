@@ -47,8 +47,8 @@ class Document:
     """
 
     __slots__ = ("_tags", "_texts", "_parents", "_children", "_keywords",
-                 "_attrs", "_labels", "_lca_index", "_interval_kernel",
-                 "_kernel_arrays", "_token", "name", "__weakref__")
+                 "_attrs", "_labels", "_lca_index", "_token", "name",
+                 "__weakref__")
 
     def __init__(self, tags: Sequence[str], texts: Sequence[str],
                  parents: Sequence[Optional[int]],
@@ -85,8 +85,6 @@ class Document:
                     "node ids must equal preorder ranks; build documents "
                     "via DocumentBuilder or parser, which normalise ids")
         self._lca_index = None  # built lazily on first lca() call
-        self._interval_kernel = None  # built lazily on first use
-        self._kernel_arrays = None  # mapped views set by shard loads
         # A storage backend that decodes the same immutable bytes again
         # (a shard index after an LRU eviction) passes the token its
         # earlier materialisation drew: identity survives eviction.
@@ -184,23 +182,6 @@ class Document:
         """
         return self._token
 
-    def interval_kernel(self):
-        """The (lazily built, cached) interval-bitset join kernel.
-
-        See :class:`repro.xmltree.intervals.IntervalKernel` — the
-        integer-arithmetic fast path selected by ``kernel="bitset"``.
-        """
-        if self._interval_kernel is None:
-            from .intervals import IntervalKernel
-            if self._kernel_arrays is not None:
-                # Zero-copy construction over the mapped shard arrays
-                # (set by repro.storage.shards at materialisation time).
-                self._interval_kernel = IntervalKernel.from_arrays(
-                    self, *self._kernel_arrays)
-            else:
-                self._interval_kernel = IntervalKernel(self)
-        return self._interval_kernel
-
     @property
     def max_depth(self) -> int:
         """The depth of the deepest node."""
@@ -290,8 +271,8 @@ class Document:
     def __getstate__(self) -> dict:
         """Pickle the structural arrays only.
 
-        The LCA index and interval kernel are derived state, rebuilt
-        lazily on the receiving side, and the identity token must not
+        The LCA index is derived state, rebuilt lazily on the
+        receiving side, and the identity token must not
         travel: tokens are process-wide unique, so the unpickled copy
         draws a fresh one.
         """
@@ -309,8 +290,6 @@ class Document:
         self._attrs = state["attrs"]
         self._labels = state["labels"]
         self._lca_index = None
-        self._interval_kernel = None
-        self._kernel_arrays = None
         self._token = next(_DOCUMENT_TOKENS)
         self.name = state["name"]
 

@@ -50,10 +50,10 @@ class TestCheck:
 
     def test_shrunken_speedup_regresses(self, dirs, capsys):
         baseline, current = dirs
-        _write(baseline, {"BENCH_parallel.json": {"kernel": {
-            "evaluate_speedup": 4.0}}})
-        _write(current, {"BENCH_parallel.json": {"kernel": {
-            "evaluate_speedup": 2.0}}})
+        _write(baseline, {"BENCH_mutation.json": {"mutation": {
+            "batch_commit_speedup": 4.0}}})
+        _write(current, {"BENCH_mutation.json": {"mutation": {
+            "batch_commit_speedup": 2.0}}})
         assert check(baseline, current, 0.25) == 1
 
     def test_slowdown_within_threshold_is_ok(self, dirs, capsys):

@@ -13,13 +13,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.algebra import (KERNEL_BITSET, KERNEL_REFERENCE,
-                                _iter_pairwise_join, fragment_join,
-                                resolve_kernel)
+from repro.core.algebra import _iter_pairwise_join
 from repro.core.filters import (ContainsKeyword, HeightAtMost, Not,
                                 SizeAtLeast, SizeAtMost, TrueFilter,
                                 WidthAtMost, necessary_bound,
                                 split_anti_monotonic)
+from repro.core.fragment import Fragment
 from repro.core.plan import FixedPoint, PairwiseJoin, Select, explain
 from repro.core.query import Query
 from repro.core.stats import OperationStats
@@ -27,6 +26,7 @@ from repro.core.strategies import Strategy, evaluate, plan_for
 from repro.core.streaming import stream_evaluate
 from repro.errors import BudgetExceeded
 from repro.guard.budget import QueryBudget
+from repro.xmltree.navigation import spanning_nodes
 
 from ..treegen import documents, random_fragment
 
@@ -78,13 +78,14 @@ class TestNecessaryBound:
         assert necessary_bound(predicate) == bound
 
 
-def _pruned(f1, f2, bound, kernel):
-    """Whether the pairwise-join loop refuses to join the pair."""
+def _pruned(f1, f2, bound, joined):
+    """Whether the pairwise-join loop refuses to join the pair; a pair
+    it does join — at the LCA it priced the bound at — is ``joined``."""
     stats = OperationStats()
-    out = list(_iter_pairwise_join([f1], [f2], stats=stats, bound=bound,
-                                   kernel=kernel))
+    out = list(_iter_pairwise_join([f1], [f2], stats=stats, bound=bound))
     assert stats.joins_pruned + len(out) == 1
     assert stats.total_joins <= len(out)  # a pruned pair asks for no join
+    assert out in ([], [joined])
     return not out
 
 
@@ -96,23 +97,21 @@ class TestThreeMeasureLemma:
     @settings(deadline=None, max_examples=300, derandomize=True)
     @given(documents(min_nodes=2, max_nodes=24),
            st.integers(min_value=0, max_value=2 ** 30),
-           st.integers(min_value=0, max_value=2 ** 30),
-           st.sampled_from([KERNEL_REFERENCE, KERNEL_BITSET]))
-    def test_bound_against_the_join_itself(self, doc, seed1, seed2, name):
-        kernel = resolve_kernel(name, doc)
+           st.integers(min_value=0, max_value=2 ** 30))
+    def test_bound_against_the_join_itself(self, doc, seed1, seed2):
         f1, f2 = random_fragment(doc, seed1), random_fragment(doc, seed2)
-        joined = fragment_join(f1, f2)
+        joined = Fragment(doc, spanning_nodes(doc, f1.nodes | f2.nodes))
         size, height, width = joined.size, joined.height, joined.width
 
         # Never above the truth: a join within the bound is built.
-        assert not _pruned(f1, f2, (size, height, width), kernel)
-        assert not _pruned(f1, f2, (size, INF, INF), kernel)
-        assert not _pruned(f1, f2, (INF, height, INF), kernel)
-        assert not _pruned(f1, f2, (INF, INF, width), kernel)
+        assert not _pruned(f1, f2, (size, height, width), joined)
+        assert not _pruned(f1, f2, (size, INF, INF), joined)
+        assert not _pruned(f1, f2, (INF, height, INF), joined)
+        assert not _pruned(f1, f2, (INF, INF, width), joined)
 
         # Height and width are exact: one less is always refused.
-        assert _pruned(f1, f2, (INF, height - 1, INF), kernel)
-        assert _pruned(f1, f2, (INF, INF, width - 1), kernel)
+        assert _pruned(f1, f2, (INF, height - 1, INF), joined)
+        assert _pruned(f1, f2, (INF, INF, width - 1), joined)
 
         depth = doc.labels.depth
         top = depth[doc.lca(f1.root, f2.root)]
@@ -120,13 +119,13 @@ class TestThreeMeasureLemma:
         if climb1 and climb2:
             # Neither root above the other: size is exact too.
             assert size == f1.size + f2.size + climb1 + climb2 - 1
-            assert _pruned(f1, f2, (size - 1, INF, INF), kernel)
+            assert _pruned(f1, f2, (size - 1, INF, INF), joined)
         else:
             # Otherwise it is bounded from below by the lower operand
             # plus its climb, and by the upper operand.
             floor = max(f1.size + climb1, f2.size + climb2)
             assert floor <= size
-            assert _pruned(f1, f2, (floor - 1, INF, INF), kernel)
+            assert _pruned(f1, f2, (floor - 1, INF, INF), joined)
 
 
 MIXED = SizeAtMost(6) & SizeAtLeast(3)
@@ -198,14 +197,13 @@ class TestEvaluation:
         trips exactly where it did before pairs were pruned: 911 is
         what this query needed at the parent commit."""
         query = Query.of("search", "retrieval", predicate=SizeAtMost(5))
-        for kernel in (KERNEL_REFERENCE, KERNEL_BITSET):
-            unbudgeted = evaluate(figure1, query, kernel=kernel)
-            assert unbudgeted.stats["joins_pruned"] > 0
-            enough = evaluate(figure1, query, kernel=kernel,
-                              budget=QueryBudget(max_join_ops=NEEDED))
-            assert enough.fragments == unbudgeted.fragments
-            with pytest.raises(BudgetExceeded) as aborted:
-                evaluate(figure1, query, kernel=kernel,
-                         budget=QueryBudget(max_join_ops=NEEDED - 1))
-            assert aborted.value.reason == "join-ops"
+        unbudgeted = evaluate(figure1, query)
+        assert unbudgeted.stats["joins_pruned"] > 0
+        enough = evaluate(figure1, query,
+                          budget=QueryBudget(max_join_ops=NEEDED))
+        assert enough.fragments == unbudgeted.fragments
+        with pytest.raises(BudgetExceeded) as aborted:
+            evaluate(figure1, query,
+                     budget=QueryBudget(max_join_ops=NEEDED - 1))
+        assert aborted.value.reason == "join-ops"
 

@@ -58,7 +58,7 @@ class TestTopKUnit:
 
 
 class TestTopKNewKeywords:
-    """strategy/budget/obs/kernel thread through to every β round."""
+    """strategy/budget/obs thread through to every β round."""
 
     def test_strategy_override(self, figure1):
         from repro.core.strategies import Strategy
@@ -76,12 +76,11 @@ class TestTopKNewKeywords:
             stream_top_k(figure1, query, k=2,
                          budget=QueryBudget(max_join_ops=1))
 
-    def test_obs_and_kernel_threaded(self, figure1):
+    def test_obs_threaded(self, figure1):
         from repro.obs import Observability
         obs = Observability()
         query = Query.of("xquery", "optimization")
-        answers = stream_top_k(figure1, query, k=2, obs=obs,
-                               kernel="bitset")
+        answers = stream_top_k(figure1, query, k=2, obs=obs)
         assert [sorted(f.nodes) for f in answers] == [[17], [16, 17]]
         assert "repro_stream_rounds_total" in obs.metrics
 

@@ -2,7 +2,7 @@
 
 The parallel executor's contract is exact equality with the serial
 path: same per-document results, same hit order, same ranked order —
-for every strategy, worker count and kernel.  These tests pin that
+for every strategy and worker count.  These tests pin that
 contract on a small synthetic collection; ranked order, top-k streams
 and the index-backed sources are swept by ``tests/test_source_parity.py``.
 """
@@ -55,11 +55,6 @@ class TestDeterminism:
                 assert got.strategy == expected.strategy
             assert _hit_signature(parallel) == _hit_signature(serial)
 
-    def test_bitset_kernel_parallel_equals_serial(self, corpus, query):
-        serial = corpus.search(query)
-        parallel = corpus.search(query, workers=2, kernel="bitset")
-        assert _hit_signature(parallel) == _hit_signature(serial)
-
     def test_document_subset_preserves_order(self, corpus, query):
         subset = corpus.names()[::2][::-1]  # reversed half: caller order
         serial = corpus.search(query, documents=subset)
@@ -104,8 +99,6 @@ class TestParallelExecutor:
         with ParallelExecutor(documents, workers=2) as executor:
             with pytest.raises(DocumentError, match="unknown document"):
                 executor.search(query, documents=["no-such-doc"])
-            with pytest.raises(QueryError, match="unknown join kernel"):
-                executor.search(query, kernel="turbo")
 
     def test_collection_invalidates_pool_on_add(self, query):
         collection = generate_collection(

@@ -4,8 +4,8 @@ Covers the build → attach → route lifecycle end to end:
 
 * node-for-node round trips (tags, texts, attributes, keywords,
   labels) and byte-identical deterministic rebuilds;
-* zero-copy attach (the interval kernel reads the mapped arrays
-  directly) and mapped-postings probes without materialisation;
+* zero-copy attach (a document's sections are windows onto the map)
+  and mapped-postings probes without materialisation;
 * structured failure on corrupt / truncated / version-skewed files
   (a flipped term-directory byte fails the shard at attach),
   skip-and-degrade attach, and the scatter-gather router's per-shard
@@ -138,10 +138,11 @@ class TestFormat:
 
     def test_attach_is_zero_copy(self, index_dir):
         with ShardIndex.attach(index_dir) as index:
-            name = index.names()[0]
-            kernel = index.document(name).interval_kernel()
-            assert isinstance(kernel._parents, memoryview)
-            assert isinstance(kernel._pre, memoryview)
+            sf, entry = index._locate(index.names()[0])
+            for section in ("parents", "pre"):
+                with index._section(sf, entry, section) as window:
+                    assert isinstance(window, memoryview)
+                    assert window.obj is sf.payload.obj
 
     def test_builds_are_byte_identical(self, corpus, tmp_path):
         documents = {name: corpus.document(name)

@@ -9,10 +9,10 @@ tree is stored or which process evaluates it.  So::
   × {search, search(stream=True, limit=k), ranked_search,
      explain_analyze}
 
-must all equal the in-memory, serial, reference-kernel answer.  The
-three storage kinds hold the same visible corpus; ``spawn`` is the one
-start method under which the pool's attach recipe really is pickled.
-``explain_analyze`` has no pooled form, so its row is serial-only.
+must all equal the in-memory, serial answer.  The three storage kinds
+hold the same visible corpus; ``spawn`` is the one start method under
+which the pool's attach recipe really is pickled.  ``explain_analyze``
+has no pooled form, so its row is serial-only.
 
 The keyword screen has the same shape one level down: every source's
 ``candidates(terms)`` must equal the per-document ``contains`` loop it
@@ -60,7 +60,7 @@ def documents():
 
 @pytest.fixture(scope="module")
 def reference(documents):
-    """The oracle side: in memory, serial, reference kernel."""
+    """The oracle side: in memory, serial."""
     collection = DocumentCollection("reference")
     for name, document in documents.items():
         collection.add(document, name)
@@ -151,12 +151,11 @@ class TestSourceParity:
         collection, workers = subject
         for query in QUERIES:
             expected = reference.search(query, strategy=strategy)
-            for kernel in (None, "bitset"):
-                actual = collection.search(query, strategy=strategy,
-                                           workers=workers, kernel=kernel)
-                assert (sorted(actual.per_document)
-                        == sorted(expected.per_document))
-                assert hit_key(actual.hits) == hit_key(expected.hits)
+            actual = collection.search(query, strategy=strategy,
+                                       workers=workers)
+            assert (sorted(actual.per_document)
+                    == sorted(expected.per_document))
+            assert hit_key(actual.hits) == hit_key(expected.hits)
 
     def test_streamed_top_k(self, subject, reference):
         collection, workers = subject
