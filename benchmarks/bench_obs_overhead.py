@@ -7,7 +7,8 @@ bench measures three configurations over the paper's running example:
 
 * ``baseline``  — ``evaluate`` exactly as before this layer existed;
 * ``noop``      — ``evaluate`` with the explicit NOOP handle;
-* ``traced``    — full span tracing + metrics + query log;
+* ``traced``    — full span tracing + metrics (the per-query record,
+  the flight recorder, is priced by ``test_recorder_overhead``);
 * ``analyzed``  — EXPLAIN ANALYZE: per-operator runtime statistics.
 
 The no-op path should be indistinguishable from baseline; tracing buys
@@ -31,7 +32,7 @@ from repro.bench.reporting import banner, format_table
 from repro.core.filters import SizeAtMost
 from repro.core.query import Query
 from repro.core.strategies import Strategy, evaluate, explain_analyze
-from repro.obs import (NOOP, FlightRecorder, Observability, QueryLog,
+from repro.obs import (NOOP, FlightRecorder, Observability,
                        RecorderConfig)
 
 from .util import report
@@ -94,7 +95,7 @@ def test_noop_overhead(benchmark, figure1, figure1_index, capsys, smoke):
                         index=figure1_index, obs=NOOP)
 
     def traced():
-        obs = Observability(query_log=QueryLog())
+        obs = Observability()
         result = evaluate(figure1, QUERY, strategy=Strategy.PUSHDOWN,
                           index=figure1_index, obs=obs)
         obs.tracer.clear()
@@ -165,8 +166,8 @@ def test_recorder_overhead(benchmark, capsys, smoke):
     article = corpus.document(corpus.names()[0])
     index = InvertedIndex(article)
     query = Query.of("needle", "thread", predicate=SizeAtMost(64))
-    # Long-lived handles, as in a serve loop: the recorder's cost-model
-    # memo and the metric instruments amortise across queries.
+    # Long-lived handles, as in a serve loop: the metric instruments
+    # amortise across queries (the §5 prediction is costed per query).
     plain_obs = Observability()
     ring_obs = Observability(
         recorder=FlightRecorder(RecorderConfig(slow_ms=None)))
@@ -192,8 +193,8 @@ def test_recorder_overhead(benchmark, capsys, smoke):
     assert recorder_off().fragments == recorder_on().fragments \
         == sampled().fragments
 
-    # Warm the cost-model memo, instrument caches and CPU caches so
-    # the timed rounds compare steady states.
+    # Warm the instrument caches and CPU caches so the timed rounds
+    # compare steady states.
     for _ in range(5):
         recorder_on()
         sampled()

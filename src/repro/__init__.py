@@ -51,8 +51,7 @@ from .exec import BatchRunner, ParallelExecutor
 from .guard import (AdmissionDecision, AdmissionPolicy, CircuitBreaker,
                     QueryBudget, screen)
 from .index import InvertedIndex, Tokenizer
-from .obs import (NOOP, MetricsRegistry, Observability, QueryLog,
-                  QueryRecord, SpanTracer)
+from .obs import NOOP, MetricsRegistry, Observability, SpanTracer
 from .ranking import (FragmentScorer, ScoredFragment, compactness_score,
                       proximity_score, tf_idf_score)
 from .storage import RelationalQueryEngine, RelationalStore
@@ -105,7 +104,6 @@ __all__ = [
     "compactness_score", "proximity_score",
     # observability
     "Observability", "NOOP", "SpanTracer", "MetricsRegistry",
-    "QueryLog", "QueryRecord",
     # guard rails
     "QueryBudget", "AdmissionPolicy", "AdmissionDecision", "screen",
     "CircuitBreaker",

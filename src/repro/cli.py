@@ -18,7 +18,7 @@ Observability (see ``docs/observability.md``)::
     repro-search article.xml xquery optimization --metrics-out m.json
     repro-search corpus-dir/ xquery opt --slow-query-ms 50 --query-log q.jsonl
     repro-search metrics m.json            # summarise a metrics dump
-    repro-search serve corpus-dir/ --profile-queries --profile-dump fr.jsonl
+    repro-search serve corpus-dir/ --slow-query-ms 50 --profile-dump fr.jsonl
     repro-search serve corpus-dir/ --slo 'p99(repro_query_latency_seconds) < 0.5'
     repro-search top http://127.0.0.1:9100  # live ops console
     repro-search flightrecorder fr.jsonl   # summarise a recorder dump
@@ -48,8 +48,8 @@ from .core.query import Query
 from .core.strategies import Strategy, evaluate, explain_analyze, plan_for
 from .errors import AdmissionRejected, BudgetExceeded, ReproError
 from .index.inverted import InvertedIndex
-from .obs import (NOOP, MetricsRegistry, Observability, QueryLog,
-                  SpanTracer)
+from .obs import (NOOP, FlightRecorder, MetricsRegistry, Observability,
+                  RecorderConfig, SpanTracer)
 from .obs.tracer import NULL_TRACER
 from .ranking.scoring import FragmentScorer
 from .xmltree.parser import parse_file
@@ -158,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flag queries at or over MS milliseconds; "
                              "slow queries are reported on stderr")
     parser.add_argument("--query-log", default=None, metavar="PATH",
-                        dest="query_log",
-                        help="append one JSON record per evaluated query "
-                             "to PATH (JSONL)")
+                        dest="log_path",
+                        help="append one JSON profile per evaluated "
+                             "query to PATH (JSONL; 'repro-search "
+                             "flightrecorder PATH' reads it)")
     parser.add_argument("--metrics-port", type=int, default=None,
                         metavar="PORT", dest="metrics_port",
                         help="serve live /metrics, /healthz, /varz and "
@@ -174,20 +175,22 @@ def _build_observability(args: argparse.Namespace
                          ) -> tuple[Observability, Optional[object]]:
     """The CLI's obs handle plus the query-log file to close, if any."""
     wants_obs = (args.trace or args.metrics_out
-                 or args.slow_query_ms is not None or args.query_log
+                 or args.slow_query_ms is not None or args.log_path
                  or args.metrics_port is not None)
     if not wants_obs:
         return NOOP, None
     log_file = None
-    query_log = None
-    if args.query_log or args.slow_query_ms is not None:
-        if args.query_log:
-            log_file = open(args.query_log, "a", encoding="utf-8")
-        query_log = QueryLog(sink=log_file,
-                             slow_query_ms=args.slow_query_ms)
+    recorder = None
+    if args.log_path or args.slow_query_ms is not None:
+        if args.log_path:
+            log_file = open(args.log_path, "a", encoding="utf-8")
+        # max_traces=0: a one-shot search has nowhere to serve them.
+        recorder = FlightRecorder(
+            RecorderConfig(slow_ms=args.slow_query_ms, max_traces=0),
+            sink=log_file)
     tracer = SpanTracer() if args.trace else NULL_TRACER
     return Observability(tracer=tracer, metrics=MetricsRegistry(),
-                         query_log=query_log), log_file
+                         recorder=recorder), log_file
 
 
 def _finish_observability(args: argparse.Namespace, obs: Observability,
@@ -204,9 +207,9 @@ def _finish_observability(args: argparse.Namespace, obs: Observability,
                 handle.write(obs.metrics.to_prometheus())
             else:
                 handle.write(obs.metrics.to_json_text() + "\n")
-    if obs.query_log is not None and args.slow_query_ms is not None:
-        for record in obs.query_log.slow_queries():
-            print(f"slow-query: {record.to_json()}", file=sys.stderr)
+    if args.slow_query_ms is not None:
+        for profile in obs.recorder.slow_profiles():
+            print(f"slow-query: {profile.to_json()}", file=sys.stderr)
     if log_file is not None:
         log_file.close()
 
@@ -915,8 +918,11 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                         metavar="W")
     parser.add_argument("--filter", default=None, metavar="EXPR",
                         dest="filter_expr")
-    parser.add_argument("--slow-query-ms", type=float, default=None,
-                        metavar="MS", dest="slow_query_ms")
+    parser.add_argument("--slow-query-ms", type=float, default=100.0,
+                        metavar="MS", dest="slow_query_ms",
+                        help="queries at or over MS milliseconds are "
+                             "slow: listed on /slow, counted, and their "
+                             "full trace retained (default: 100)")
     parser.add_argument("--timeout-ms", type=float, default=None,
                         metavar="MS", dest="timeout_ms",
                         help="per-chunk deadline for pooled execution")
@@ -941,28 +947,15 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                              "evaluation work runs")
     parser.add_argument("--max-log-records", type=int, default=2048,
                         metavar="N", dest="max_log_records",
-                        help="query-log and span-tree ring size; oldest "
-                             "records are evicted past N (default: 2048)")
-    parser.add_argument("--profile-queries", action="store_true",
-                        dest="profile_queries",
-                        help="attach a flight recorder: per-query "
-                             "resource profiles, cost calibration and "
-                             "tail-sampled traces, served on "
-                             "/debug/flightrecorder and /debug/trace/<id>")
-    parser.add_argument("--profile-ring-size", type=int, default=512,
-                        metavar="N", dest="profile_ring_size",
-                        help="flight-recorder profile ring size "
-                             "(default: 512)")
+                        help="query-profile and span-tree ring size; "
+                             "oldest records are evicted past N "
+                             "(default: 2048)")
     parser.add_argument("--profile-sample-rate", type=float, default=0.0,
                         metavar="R", dest="profile_sample_rate",
                         help="head-sample rate in [0,1] for retaining "
                              "traces of ordinary queries; slow, errored "
                              "and budget-aborted queries are always "
                              "retained (default: 0)")
-    parser.add_argument("--profile-slow-ms", type=float, default=100.0,
-                        metavar="MS", dest="profile_slow_ms",
-                        help="retain a full trace for queries at or "
-                             "over MS milliseconds (default: 100)")
     parser.add_argument("--profile-dump", default=None, metavar="PATH",
                         dest="profile_dump",
                         help="dump the recorder ring as JSONL to PATH "
@@ -1001,25 +994,19 @@ def serve_main(argv: Optional[Sequence[str]] = None,
         parser.error("--writable requires --index")
     stdin = stdin if stdin is not None else sys.stdin
 
-    recorder = None
-    uninstall_dump = None
-    if args.profile_queries or args.profile_dump:
-        from .obs import FlightRecorder, RecorderConfig
-        try:
-            recorder = FlightRecorder(RecorderConfig(
-                ring_size=args.profile_ring_size,
-                slow_ms=args.profile_slow_ms,
-                sample_rate=args.profile_sample_rate))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.profile_dump:
-            uninstall_dump = recorder.install_dump_hook(args.profile_dump)
     # Both rings share one bound: nothing a long-running server keeps
-    # per request (log records, span trees) may grow without one.
+    # per request (query profiles, span trees) may grow without one.
+    try:
+        recorder = FlightRecorder(RecorderConfig(
+            ring_size=args.max_log_records,
+            slow_ms=args.slow_query_ms,
+            sample_rate=args.profile_sample_rate))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    uninstall_dump = (recorder.install_dump_hook(args.profile_dump)
+                      if args.profile_dump else None)
     obs = Observability(
-        query_log=QueryLog(max_records=args.max_log_records,
-                           slow_query_ms=args.slow_query_ms),
         tracer=SpanTracer(max_roots=args.max_log_records),
         recorder=recorder)
     skipped: list = []
@@ -1155,9 +1142,8 @@ def serve_main(argv: Optional[Sequence[str]] = None,
     finally:
         server.stop()
         collection.close()
-        if recorder is not None:
-            _report_recorder_exit(recorder, obs, args.profile_dump,
-                                  uninstall_dump)
+        _report_recorder_exit(recorder, obs, args.profile_dump,
+                              uninstall_dump)
     return code
 
 

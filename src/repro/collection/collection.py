@@ -527,8 +527,7 @@ class DocumentCollection:
                 raise
         source = self._source
         per_document: dict[str, QueryResult] = {}
-        recorder = (getattr(ob, "recorder", None) if ob.enabled
-                    else None)
+        recorder = ob.recorder
         names, targets = keyword_screen(source, query.terms, documents)
         plans: dict = {}  # one plan per term order, not per document
         with ob.span("collection-search", collection=self.name,
@@ -554,11 +553,11 @@ class DocumentCollection:
                 ob.metrics.counter(DOCUMENTS_SKIPPED,
                                    _SKIP_HELP).inc(skipped)
                 self._cache.export_metrics(ob.metrics)
-                if getattr(ob, "recorder", None) is not None:
+                if recorder is not None:
                     # The gauge is a ratio, so it is recomputed here
                     # (and at merge/export time) rather than bumped in
                     # the per-query hot path.
-                    ob.recorder.publish_calibration(ob.metrics)
+                    recorder.publish_calibration(ob.metrics)
         return CollectionResult(query=query, per_document=per_document)
 
     def _stream_hits(self, query: Query, strategy: Strategy,
@@ -604,8 +603,7 @@ class DocumentCollection:
         if not live:
             return
         max_size = max(source.node_count(name) for name in live)
-        recorder = (getattr(ob, "recorder", None)
-                    if ob.enabled and runner is None else None)
+        recorder = ob.recorder if runner is None else None
         beta = min(initial_beta, max_size)
         prev_beta = 0
         emitted = 0

@@ -112,8 +112,9 @@ def evaluate(document: "Document", query: Query,
     obs:
         Optional :class:`~repro.obs.Observability` handle; when enabled,
         the evaluation is wrapped in an ``execute`` span (with ``scan``
-        and per-strategy child spans), per-query metrics are recorded,
-        and a query-log record is emitted.
+        and per-strategy child spans) and recorded once: per-query
+        metrics plus, when the handle has a flight recorder, one
+        profile with CPU time and the §5 predicted cost of the plan.
     budget:
         Optional :class:`~repro.guard.QueryBudget`: cooperative
         checkpoints inside the operators raise
@@ -141,8 +142,7 @@ def evaluate(document: "Document", query: Query,
     else:
         execute_span = scan_span = strategy_span = NULL_SPAN
 
-    cpu_started = 0.0
-    mem_token = False
+    aborted = None
     if recorder is not None:
         mem_token = recorder.begin_memory()
         cpu_started = time.process_time()
@@ -174,35 +174,36 @@ def evaluate(document: "Document", query: Query,
                     stats.merge(analysis.totals())
             span.set(answers=len(fragments))
     except BudgetExceeded as exc:
-        # record_query below is never reached on an abort, so the
-        # flight recorder captures the post-mortem here: a
-        # budget-exceeded profile is always tail-retained, with the
-        # partially-built (and already closed, error-attributed)
-        # execute span as its trace.
-        if recorder is not None:
-            _record_profile(
-                recorder, ob, document, query, strategy, index,
-                answers=0, elapsed=time.perf_counter() - started,
-                cpu_started=cpu_started, mem_token=mem_token,
-                stats=stats, budget=budget,
-                span=execute_span if ob.tracer.enabled else None,
-                outcome="budget-exceeded", reason=exc.reason)
-        raise
+        # An abort is recorded too (and re-raised below): its profile
+        # is always tail-retained, with the partially-built (already
+        # closed, error-attributed) execute span as its trace.
+        aborted, fragments = exc, frozenset()
 
     elapsed = time.perf_counter() - started
     if ob.enabled:
+        cpu_s, predicted, peak = 0.0, None, None
+        if recorder is not None:
+            cpu_s = time.process_time() - cpu_started
+            peak = recorder.end_memory(mem_token)
+            try:
+                predicted = CostModel(document, index=index
+                                      ).estimate(plan).cost
+            except Exception:
+                # e.g. a keyword_source backend with no real Document:
+                # an uncalibrated profile rather than an error.
+                pass
         ob.record_query(
             document=getattr(document, "name", "?"), terms=query.terms,
             filter=repr(query.predicate), strategy=strategy.value,
             answers=len(fragments), elapsed=elapsed,
-            stats=stats.as_dict())
-        if recorder is not None:
-            _record_profile(
-                recorder, ob, document, query, strategy, index,
-                answers=len(fragments), elapsed=elapsed,
-                cpu_started=cpu_started, mem_token=mem_token,
-                stats=stats, budget=budget,
-                span=execute_span if ob.tracer.enabled else None)
+            stats=stats.as_dict(), cpu_s=cpu_s,
+            predicted_cost=predicted, peak_memory=peak,
+            checkpoints=budget.checkpoints if budget is not None else 0,
+            outcome="budget-exceeded" if aborted else "ok",
+            reason=aborted.reason if aborted else None,
+            span=execute_span if ob.tracer.enabled else None)
+    if aborted is not None:
+        raise aborted
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "%s evaluated %s: %d answers, %d joins, %d pruned, %.2fms",
@@ -212,39 +213,6 @@ def evaluate(document: "Document", query: Query,
     return QueryResult(query=query, fragments=fragments,
                        strategy=strategy.value, elapsed=elapsed,
                        stats=stats.as_dict())
-
-
-def _record_profile(recorder, ob, document, query, strategy, index, *,
-                    answers, elapsed, cpu_started, mem_token, stats,
-                    budget, span, outcome="ok", reason=None):
-    """Fold one evaluation into the flight recorder.
-
-    The Section-5 predicted cost is memoized on the recorder (the
-    estimate is deterministic per document/query/strategy) so the
-    serve loop's repeated queries pay one plan costing, not one per
-    evaluation.  Costing failures (e.g. a ``keyword_source`` backend
-    with no real :class:`Document`) degrade to an uncalibrated
-    profile rather than an error.
-    """
-    predicate = repr(query.predicate)
-    key = (id(document), query.terms, predicate, strategy.value)
-    try:
-        predicted = recorder.cached_cost(
-            key,
-            lambda: CostModel(document, index=index)
-            .estimate(plan_for(query, strategy)).cost)
-    except Exception:
-        predicted = None
-    recorder.observe(
-        metrics=ob.metrics, document=getattr(document, "name", "?"),
-        terms=query.terms, filter=predicate,
-        strategy=strategy.value, answers=answers, elapsed=elapsed,
-        cpu_s=time.process_time() - cpu_started,
-        stats=stats.as_dict(), outcome=outcome, reason=reason,
-        predicted_cost=predicted,
-        peak_memory=recorder.end_memory(mem_token),
-        checkpoints=budget.checkpoints if budget is not None else 0,
-        span=span)
 
 
 def plan_for(query: Query,

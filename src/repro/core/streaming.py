@@ -116,7 +116,8 @@ class FragmentStream:
     producers.  ``stats`` / ``operator_counters`` / ``streamed_rows``
     read the per-operator accounting the pipeline keeps as it runs.  On
     exhaustion or close, the stream publishes ``repro_stream_rows_total``
-    (labelled per operator) and a query-log record when ``obs`` is
+    (labelled per operator) and records the evaluation (metrics plus
+    a ``stream-<strategy>`` flight-recorder profile) when ``obs`` is
     enabled.
     """
 

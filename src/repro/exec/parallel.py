@@ -75,7 +75,7 @@ from ..obs import (CHUNK_FALLBACKS, CHUNK_RETRIES, CHUNK_TIMEOUTS,
                    FlightRecorder, MetricsRegistry, Observability,
                    POOL_CHUNKS, POOL_CHUNK_SECONDS,
                    POOL_DISPATCH_SECONDS, POOL_RESPAWNS, POOL_TASKS,
-                   POOL_WORKERS, QueryLog, RecorderConfig, SpanTracer,
+                   POOL_WORKERS, RecorderConfig, SpanTracer,
                    WORKER_CRASHES, capture_delta, merge_delta)
 from ..obs.tracer import NULL_TRACER
 from ..storage.shards.reader import ShardIndex
@@ -180,10 +180,11 @@ def _worker_obs(traced: bool,
     against a rolling baseline).  Rebuilt if the parent's tracing
     preference or flight-recorder config changes between calls.  A
     worker recorder runs in ``worker_mode`` — it aggregates histograms
-    and cost counters into the worker registry (whose increments merge
-    additively) but never publishes the calibration gauge; profiles
-    and retained traces drain into the chunk's
-    :class:`~repro.obs.delta.ObsDelta`.
+    and counters into the worker registry (whose increments merge
+    additively) but never publishes the calibration gauge, and its ring
+    has no bound of its own: profiles and retained traces drain into
+    every chunk's :class:`~repro.obs.delta.ObsDelta`, and the parent's
+    ring does the evicting.
     """
     global _WORKER_OBS, _WORKER_OBS_TRACED, _WORKER_OBS_RECORDER
     global _WORKER_BASELINE
@@ -196,9 +197,7 @@ def _worker_obs(traced: bool,
                 worker_mode=True)
         _WORKER_OBS = Observability(
             tracer=SpanTracer() if traced else NULL_TRACER,
-            metrics=MetricsRegistry(),
-            query_log=QueryLog(max_records=1 << 16),
-            recorder=recorder)
+            metrics=MetricsRegistry(), recorder=recorder)
         _WORKER_OBS_TRACED = traced
         _WORKER_OBS_RECORDER = (dict(recorder_spec)
                                 if recorder_spec is not None else None)
@@ -304,7 +303,7 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
         # (or re-attach) this worker's snapshot to match before any
         # probe or evaluation touches the corpus.
         _ensure_worker_epoch(epoch, obs)
-    if obs.enabled and obs.recorder is not None:
+    if obs.recorder is not None:
         # Sharded chunks never straddle shards, so one ambient tag
         # covers every profile this chunk records.
         obs.recorder.set_context(shard=shard)
@@ -315,7 +314,7 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
                           _WORKER_CACHE, obs, budget)
     except BaseException:
         # Discard the failed attempt's telemetry: advance the metrics
-        # baseline and drain the tracer/query log, so the eventual
+        # baseline and drain the tracer/recorder, so the eventual
         # successful attempt (here or elsewhere) ships exactly once.
         if obs_spec is not None:
             _, _WORKER_BASELINE = capture_delta(obs, _WORKER_BASELINE)
@@ -652,7 +651,7 @@ class ParallelExecutor:
         # (the run's pinned snapshot on a mutable index), so callers
         # still get serial-identical answers.  Telemetry lands directly
         # on the parent handle, exactly like the serial path.
-        recorder = getattr(ob, "recorder", None) if ob.enabled else None
+        recorder = ob.recorder
         for chunk_index in fallback:
             if hint is not None and hint.stopped:
                 hint.record_skip(1, len(chunks[chunk_index]))
@@ -783,11 +782,10 @@ class ParallelExecutor:
         obs_spec = None
         if ob.enabled:
             obs_spec = {"trace": ob.tracer.enabled}
-            recorder = getattr(ob, "recorder", None)
-            if recorder is not None:
+            if ob.recorder is not None:
                 # Workers profile under the parent's recorder config;
                 # their rings drain into each chunk's delta.
-                obs_spec["recorder"] = recorder.config.to_dict()
+                obs_spec["recorder"] = ob.recorder.config.to_dict()
         outcomes: dict[tuple[str, int], object] = {}
         report = ResilienceReport()
         with ob.span("parallel-search", workers=self.workers,

@@ -8,8 +8,9 @@ query engine needs to watch itself:
   wall time and primitive-operation deltas;
 * a **metrics registry** (:mod:`repro.obs.metrics`) with counters,
   gauges and histograms, exportable as JSON or Prometheus text;
-* a **structured query log** (:mod:`repro.obs.querylog`) emitting one
-  JSON record per query, with a slow-query threshold.
+* a **flight recorder** (:mod:`repro.obs.recorder`): the one
+  per-query record — a bounded ring of profiles with a slow-query
+  threshold, an optional JSONL sink and tail-sampled traces.
 
 Every engine entry point (``evaluate``/``run_plan``/``stream_evaluate``:
 one operator pipeline; ``optimize``, collections, the relational engine,
@@ -38,14 +39,13 @@ from .metrics import (COST_ERROR_BUCKETS, DEFAULT_BUCKETS,
                       RATIO_BUCKETS, SIZE_LOG_BUCKETS, Counter, Gauge,
                       Histogram, MetricsRegistry, NullMetrics,
                       exponential_buckets)
-from .querylog import QueryLog, QueryRecord
 from .slo import (ALERT_STATE_CODES, CRITICAL, FEEDBACK_TIGHTEN_ADMISSION,
                   FEEDBACK_TRIP_BREAKERS, OK, SLO_BURN_RATE, SLO_STATE,
                   WARNING, AlertState, Objective, SLOMonitor, parse_slo)
 from .recorder import (COST_ACTUAL, COST_CALIBRATION, COST_ERROR,
                        COST_PREDICTED, PROFILES_EVICTED,
                        PROFILES_RECORDED, RECORDER_LATENCY,
-                       RECORDER_RESULT_SIZE, TRACES_DROPPED,
+                       RECORDER_RESULT_SIZE, SLOW_QUERIES, TRACES_DROPPED,
                        TRACES_RETAINED, FlightRecorder, QueryProfile,
                        RecorderConfig)
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer)
@@ -57,12 +57,11 @@ __all__ = [
     "NULL_METRICS", "DEFAULT_BUCKETS", "LATENCY_BUCKETS", "RATIO_BUCKETS",
     "exponential_buckets", "LATENCY_LOG_BUCKETS", "SIZE_LOG_BUCKETS",
     "COST_ERROR_BUCKETS",
-    "QueryLog", "QueryRecord",
     "FlightRecorder", "QueryProfile", "RecorderConfig",
     "RECORDER_LATENCY", "RECORDER_RESULT_SIZE", "COST_ERROR",
     "COST_CALIBRATION", "COST_PREDICTED", "COST_ACTUAL",
     "PROFILES_RECORDED", "PROFILES_EVICTED", "TRACES_RETAINED",
-    "TRACES_DROPPED",
+    "TRACES_DROPPED", "SLOW_QUERIES",
     "ObsDelta", "capture_delta", "merge_delta", "DELTAS_MERGED",
     "MetricsHistory", "QuantileSketch", "DEFAULT_QUANTILES",
     "HISTORY_SAMPLES", "HISTORY_SERIES",
@@ -87,7 +86,6 @@ JOIN_CACHE_HIT_RATIO = "repro_join_cache_hit_ratio"
 REDUCTION_FACTOR = "repro_reduction_factor"
 FRAGMENTS_RANKED = "repro_fragments_ranked_total"
 DOCUMENTS_SKIPPED = "repro_documents_skipped_total"
-SLOW_QUERIES = "repro_slow_queries_total"
 
 # Streaming pipeline metrics (recorded by repro.core.streaming and the
 # collection/ranked streaming consumers).
@@ -183,7 +181,7 @@ BASELINE_ANSWERS = "repro_baseline_answers"
 
 
 class Observability:
-    """The live observability handle: tracer + metrics + query log.
+    """The live observability handle: tracer + metrics + recorder.
 
     Parameters
     ----------
@@ -192,26 +190,21 @@ class Observability:
         metrics without spans.
     metrics:
         A :class:`MetricsRegistry` (default) or :data:`NULL_METRICS`.
-    query_log:
-        Optional :class:`QueryLog`; per-query records are appended by
-        :meth:`record_query`.
     recorder:
         Optional :class:`FlightRecorder`; when present,
-        ``strategies.evaluate`` folds a per-query
-        :class:`QueryProfile` (resource attribution, §5
-        predicted-vs-measured cost, tail-sampled trace) into it.
+        :meth:`record_query` folds every evaluation into it as one
+        :class:`QueryProfile` (the query log: resource attribution,
+        slow flag, §5 predicted-vs-measured cost, tail-sampled trace).
     """
 
     enabled = True
 
-    __slots__ = ("tracer", "metrics", "query_log", "recorder")
+    __slots__ = ("tracer", "metrics", "recorder")
 
     def __init__(self, tracer=None, metrics=None,
-                 query_log: Optional[QueryLog] = None,
                  recorder: Optional[FlightRecorder] = None) -> None:
         self.tracer = tracer if tracer is not None else SpanTracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.query_log = query_log
         self.recorder = recorder
 
     def span(self, name: str, stats=None, **attributes):
@@ -221,12 +214,37 @@ class Observability:
     def record_query(self, *, document: str, terms: Sequence[str],
                      filter: str, strategy: str, answers: int,
                      elapsed: float, stats: Optional[Mapping] = None,
-                     plan: Optional[str] = None) -> Optional[QueryRecord]:
-        """Fold one finished query into metrics and the query log.
+                     plan: Optional[str] = None, cpu_s: float = 0.0,
+                     predicted_cost: Optional[float] = None,
+                     peak_memory: Optional[int] = None,
+                     checkpoints: int = 0, outcome: str = "ok",
+                     reason: Optional[str] = None,
+                     span=None) -> Optional[QueryProfile]:
+        """Fold one evaluation into metrics and the flight recorder.
 
-        Called by ``strategies.evaluate`` once per query; ``elapsed`` is
-        in seconds, ``stats`` the plain-dict operation counters.
+        The single recording call of ``strategies.evaluate``,
+        ``evaluator.run_plan`` and a finished ``FragmentStream``;
+        ``elapsed``/``cpu_s`` are in seconds, ``stats`` the plain-dict
+        operation counters, ``span`` the evaluation's closed root span
+        (kept only if the recorder's sampling retains it).  An aborted
+        evaluation (``outcome != "ok"``) is recorded as a profile
+        only: the per-query metric families count finished queries.
         """
+        counters = dict(stats) if stats else {}
+        if outcome == "ok":
+            self._count_query(strategy, answers, elapsed, counters)
+        if self.recorder is None:
+            return None
+        return self.recorder.observe(
+            metrics=self.metrics, document=document, terms=terms,
+            filter=filter, strategy=strategy, answers=answers,
+            elapsed=elapsed, cpu_s=cpu_s, stats=counters,
+            outcome=outcome, reason=reason,
+            predicted_cost=predicted_cost, peak_memory=peak_memory,
+            checkpoints=checkpoints, plan=plan, span=span)
+
+    def _count_query(self, strategy: str, answers: int, elapsed: float,
+                     counters: Mapping) -> None:
         m = self.metrics
         m.counter(QUERIES_TOTAL, "Queries evaluated.").inc()
         m.counter(QUERIES_BY_STRATEGY, "Queries evaluated per strategy.",
@@ -235,7 +253,6 @@ class Observability:
                     buckets=LATENCY_BUCKETS).observe(elapsed)
         m.histogram(QUERY_FRAGMENTS, "Answer fragments per query."
                     ).observe(answers)
-        counters = dict(stats) if stats else {}
         joins = counters.get("fragment_joins", 0)
         cache_hits = counters.get("join_cache_hits", 0)
         discarded = counters.get("fragments_discarded", 0)
@@ -263,16 +280,6 @@ class Observability:
                         "Fraction of candidate fragments pruned early.",
                         buckets=RATIO_BUCKETS
                         ).observe(discarded / (discarded + answers))
-        if self.query_log is not None:
-            record = self.query_log.record(
-                document=document, terms=terms, filter=filter,
-                strategy=strategy, answers=answers, elapsed=elapsed,
-                stats=counters, plan=plan)
-            if record.slow:
-                m.counter(SLOW_QUERIES,
-                          "Queries at or over the slow threshold.").inc()
-            return record
-        return None
 
     def record_baseline(self, *, baseline: str, document: str,
                         terms: Sequence[str], answers: int,
@@ -295,7 +302,7 @@ class Observability:
 
 
 class _NoopObservability(Observability):
-    """Observability disabled: shared null tracer/metrics, no log.
+    """Observability disabled: shared null tracer/metrics, no recorder.
 
     A singleton (:data:`NOOP`); ``span()`` returns the allocation-free
     shared null span and ``record_query()`` does nothing.
@@ -306,8 +313,7 @@ class _NoopObservability(Observability):
     __slots__ = ()
 
     def __init__(self) -> None:
-        super().__init__(tracer=NULL_TRACER, metrics=NULL_METRICS,
-                         query_log=None)
+        super().__init__(tracer=NULL_TRACER, metrics=NULL_METRICS)
 
     def span(self, name: str, stats=None, **attributes):
         return NULL_SPAN

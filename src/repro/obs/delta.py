@@ -1,18 +1,18 @@
 """Cross-process telemetry deltas (``repro.obs.delta``).
 
-Spans, metrics and query records produced inside a pool worker would
+Spans, metrics and query profiles produced inside a pool worker would
 otherwise die with the worker.  An :class:`ObsDelta` is the in-band
 envelope that keeps them alive: plain picklable data — a
 :meth:`~repro.obs.metrics.MetricsRegistry.diff` metrics increment,
-serialized span trees, query-record dicts — captured on the worker after
+serialized span trees, profile dicts — captured on the worker after
 each chunk and merged into the parent's handle next to the chunk's
 results.
 
 The merge is *identity preserving*: metric increments land on the same
 unlabeled series the serial path uses (so parent-side counters are
-equal to a serial run's on the same workload), while spans and query
-records are stamped with a ``worker=N`` label so their origin stays
-visible in the merged trace and log.
+equal to a serial run's on the same workload), while spans and
+profiles are stamped with a ``worker=N`` label so their origin stays
+visible in the merged trace and ring.
 
 Worker side::
 
@@ -48,9 +48,6 @@ class ObsDelta:
     spans:
         Serialized root spans (``Span.to_dict`` form) recorded since the
         previous capture.
-    records:
-        Query-log records (``QueryRecord.to_dict`` form) drained from
-        the worker's log.
     profiles:
         Flight-recorder profiles (``QueryProfile.to_dict`` form)
         drained from the worker's recorder ring.
@@ -61,20 +58,19 @@ class ObsDelta:
 
     metrics: dict = field(default_factory=lambda: {"metrics": []})
     spans: list = field(default_factory=list)
-    records: list = field(default_factory=list)
     profiles: list = field(default_factory=list)
     traces: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.metrics.get("metrics") or self.spans
-                    or self.records or self.profiles or self.traces)
+                    or self.profiles or self.traces)
 
 
 def capture_delta(obs, baseline: Optional[dict] = None
                   ) -> tuple[ObsDelta, dict]:
     """Capture (and drain) one telemetry increment from ``obs``.
 
-    Returns ``(delta, new_baseline)``.  The tracer and query log are
+    Returns ``(delta, new_baseline)``.  The tracer and recorder are
     drained — their contents ship exactly once — while the metrics
     registry keeps accumulating and the returned baseline snapshot marks
     the cut for the next capture.
@@ -88,16 +84,12 @@ def capture_delta(obs, baseline: Optional[dict] = None
         spans = [root.to_dict(epoch=root.started or None)
                  for root in obs.tracer.roots]
         obs.tracer.clear()
-    records = []
-    if obs.query_log is not None:
-        records = [record.to_dict()
-                   for record in obs.query_log.drain()]
     profiles: list = []
     traces: dict = {}
-    if getattr(obs, "recorder", None) is not None:
+    if obs.recorder is not None:
         profiles, traces = obs.recorder.drain()
-    return ObsDelta(metrics=metrics, spans=spans, records=records,
-                    profiles=profiles, traces=traces), new_baseline
+    return ObsDelta(metrics=metrics, spans=spans, profiles=profiles,
+                    traces=traces), new_baseline
 
 
 def merge_delta(obs, delta: Optional[ObsDelta],
@@ -106,10 +98,10 @@ def merge_delta(obs, delta: Optional[ObsDelta],
 
     Metric increments merge onto the parent's (unlabeled) series, so
     totals match a serial run; span trees rehydrate under the currently
-    open span with a ``worker`` attribute; query records pass through
-    :meth:`~repro.obs.querylog.QueryLog.ingest`, which re-derives
-    ``slow`` from the parent's threshold and counts slow queries into
-    ``repro_slow_queries_total`` exactly as the serial path does.
+    open span with a ``worker`` attribute; profiles and retained
+    traces are ingested into the parent's ring.  A worker records under
+    the parent's ``RecorderConfig``, so ``repro_slow_queries_total``
+    travels in the metrics increment like every other counter.
     """
     if delta is None or not obs.enabled or not delta:
         return
@@ -120,17 +112,7 @@ def merge_delta(obs, delta: Optional[ObsDelta],
     if delta.spans:
         obs.tracer.adopt(delta.spans,
                          **({"worker": worker} if worker else {}))
-    if delta.records:
-        from . import SLOW_QUERIES
-        for data in delta.records:
-            record = (obs.query_log.ingest(data, worker=worker)
-                      if obs.query_log is not None else None)
-            if record is not None and record.slow:
-                obs.metrics.counter(
-                    SLOW_QUERIES,
-                    "Queries at or over the slow threshold.").inc()
-    if (delta.profiles or delta.traces) \
-            and getattr(obs, "recorder", None) is not None:
+    if (delta.profiles or delta.traces) and obs.recorder is not None:
         # Histograms/cost counters already travelled in the metrics
         # diff above; ingest only folds the profiles/traces into the
         # parent ring and refreshes the calibration gauges.

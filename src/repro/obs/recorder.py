@@ -2,15 +2,20 @@
 
 A :class:`FlightRecorder` keeps an always-on, bounded post-mortem
 record of every evaluated query — the observability gap the metrics
-registry and the query log leave open: counters aggregate away the one
-bad request, and full span trees for *all* traffic would be O(traffic)
-memory.  The recorder is O(ring size) by construction:
+registry leaves open: counters aggregate away the one bad request, and
+full span trees for *all* traffic would be O(traffic) memory.  The
+recorder is O(ring size) by construction, and its ring is the query
+log: the one per-query record the engine keeps.
 
 * every query becomes one :class:`QueryProfile` in a bounded ring —
   wall and CPU seconds, join ops / cache hits / budget checkpoints,
   the chosen strategy, the Section-5 *predicted* plan cost next to the
   *measured* operation count, and (opt-in) the ``tracemalloc``
-  high-water mark;
+  high-water mark — and, when a ``sink`` is configured, one JSON line
+  (the format :func:`load_dump` reads back);
+* profiles at or over ``RecorderConfig.slow_ms`` are the *slow
+  queries* (:meth:`FlightRecorder.slow_profiles`, ``/slow``,
+  ``repro_slow_queries_total``);
 * **tail-based trace sampling**: the full span tree is retained only
   for queries that are slow, budget-aborted, errored, or randomly
   head-sampled at a configurable rate.  Everything else contributes to
@@ -41,7 +46,7 @@ import threading
 import time
 import tracemalloc
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .metrics import (COST_ERROR_BUCKETS, LATENCY_LOG_BUCKETS,
@@ -52,7 +57,7 @@ __all__ = ["RecorderConfig", "QueryProfile", "FlightRecorder",
            "RECORDER_LATENCY", "RECORDER_RESULT_SIZE", "COST_ERROR",
            "COST_CALIBRATION", "COST_PREDICTED", "COST_ACTUAL",
            "PROFILES_RECORDED", "PROFILES_EVICTED", "TRACES_RETAINED",
-           "TRACES_DROPPED"]
+           "TRACES_DROPPED", "SLOW_QUERIES"]
 
 # Metric names owned by the recorder (re-exported by repro.obs).
 RECORDER_LATENCY = "repro_recorder_latency_seconds"
@@ -65,6 +70,7 @@ PROFILES_RECORDED = "repro_recorder_profiles_total"
 PROFILES_EVICTED = "repro_recorder_profiles_evicted_total"
 TRACES_RETAINED = "repro_recorder_traces_retained_total"
 TRACES_DROPPED = "repro_recorder_traces_dropped_total"
+SLOW_QUERIES = "repro_slow_queries_total"
 
 #: Stats counters summed into a profile's *measured* cost — the same
 #: "primitive operations" currency the Section-5 ``CostEstimate`` prices
@@ -94,8 +100,10 @@ class RecorderConfig:
         dropped (the profile keeps its ``trace_id`` but the trace body
         is gone — ``repro_recorder_traces_dropped_total`` counts this).
     slow_ms:
-        Tail-sampling threshold: queries at or over this latency keep
-        their trace.  ``None`` disables the slow rule.
+        The slow-query threshold: queries at or over this latency are
+        *slow* — listed by ``/slow``, counted in
+        ``repro_slow_queries_total`` and tail-sampled (they keep their
+        trace).  ``None`` disables the distinction (nothing is slow).
     sample_rate:
         Head-sampling probability in ``[0, 1]``: this fraction of
         *healthy, fast* queries also keeps a trace, so the recorder
@@ -127,21 +135,12 @@ class RecorderConfig:
             raise ValueError("sample_rate must be in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {"ring_size": self.ring_size,
-                "max_traces": self.max_traces,
-                "slow_ms": self.slow_ms,
-                "sample_rate": self.sample_rate,
-                "track_memory": self.track_memory,
-                "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RecorderConfig":
-        return cls(ring_size=int(data.get("ring_size", 512)),
-                   max_traces=int(data.get("max_traces", 32)),
-                   slow_ms=data.get("slow_ms", 100.0),
-                   sample_rate=float(data.get("sample_rate", 0.0)),
-                   track_memory=bool(data.get("track_memory", False)),
-                   seed=data.get("seed"))
+        return cls(**{name: data[name]
+                      for name in cls.__dataclass_fields__ if name in data})
 
 
 @dataclass(slots=True)
@@ -176,6 +175,7 @@ class QueryProfile:
     shard: Optional[int] = None
     trace_id: Optional[str] = None
     retained: Optional[str] = None
+    plan: Optional[str] = None
 
     @property
     def cost_ratio(self) -> Optional[float]:
@@ -203,7 +203,7 @@ class QueryProfile:
         }
         for key in ("reason", "predicted_cost", "actual_cost",
                     "peak_memory_bytes", "worker", "shard", "trace_id",
-                    "retained"):
+                    "retained", "plan"):
             value = getattr(self, key)
             if value is not None:
                 record[key] = value
@@ -236,7 +236,14 @@ class QueryProfile:
             worker=data.get("worker"),
             shard=data.get("shard"),
             trace_id=data.get("trace_id"),
-            retained=data.get("retained"))
+            retained=data.get("retained"),
+            plan=data.get("plan"))
+
+    def to_json(self) -> str:
+        """One JSONL line (no newline) that :func:`load_dump` reads."""
+        record = {"type": "profile"}
+        record.update(self.to_dict())
+        return json.dumps(record, sort_keys=False, default=str)
 
 
 def span_to_events(span, *, pid: int = 0, tid: int = 0,
@@ -293,20 +300,28 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 class FlightRecorder:
     """Bounded per-query post-mortem ring with tail-sampled traces.
 
+    ``sink`` is where one JSON line per profile goes: a file-like
+    object (``write`` gets the line plus a newline) or a callable
+    receiving the bare line; ``None`` keeps profiles in memory only.
+    ``worker_mode`` is for a pool worker's recorder: its ring is
+    drained into every chunk's delta, so it has no bound of its own —
+    eviction is decided, and counted, once, in the parent's ring.
+
     Thread safety: all mutation and snapshots hold one lock; snapshots
-    return copies, so the ``/debug/flightrecorder`` endpoint can read
-    the ring from HTTP server threads while queries keep landing.
+    return copies, so the ``/slow`` and ``/debug/flightrecorder``
+    endpoints can read the ring from HTTP server threads while queries
+    keep landing.
     """
 
     def __init__(self, config: Optional[RecorderConfig] = None,
-                 worker_mode: bool = False,
+                 worker_mode: bool = False, sink=None,
                  clock: Callable[[], float] = time.time) -> None:
         self.config = config if config is not None else RecorderConfig()
-        self.worker_mode = worker_mode
+        self._sink = sink
         self._clock = clock
         self._lock = threading.Lock()
         self._ring: deque[QueryProfile] = deque(
-            maxlen=self.config.ring_size)
+            maxlen=None if worker_mode else self.config.ring_size)
         self._traces: "OrderedDict[str, dict]" = OrderedDict()
         self._seq = 0
         self.recorded = 0
@@ -315,8 +330,6 @@ class FlightRecorder:
         self.traces_dropped = 0
         # Per-strategy running sums: strategy -> [predicted, actual, n].
         self._cost_sums: dict[str, list[float]] = {}
-        # Small memo for Section-5 plan costs (keyed by the caller).
-        self._cost_cache: dict[tuple, float] = {}
         # Resolved metric instruments for the one registry this
         # recorder aggregates into; registry lookups take an RLock per
         # call, which dominates sub-millisecond queries.
@@ -382,7 +395,7 @@ class FlightRecorder:
                 reason: Optional[str] = None,
                 predicted_cost: Optional[float] = None,
                 peak_memory: Optional[int] = None,
-                checkpoints: int = 0,
+                checkpoints: int = 0, plan: Optional[str] = None,
                 span=None) -> QueryProfile:
         """Fold one finished (or aborted) query into the recorder.
 
@@ -419,25 +432,42 @@ class FlightRecorder:
                 predicted_cost=predicted_cost, actual_cost=actual,
                 peak_memory_bytes=peak_memory,
                 shard=self._context.get("shard"), trace_id=trace_id,
-                retained=retained)
+                retained=retained, plan=plan)
             self._append(profile)
             if trace_id is not None:
                 self._retain_trace(trace_id, span, metrics)
-            if predicted_cost:
-                sums = self._cost_sums.setdefault(strategy,
-                                                  [0.0, 0.0, 0])
-                sums[0] += predicted_cost
-                sums[1] += actual
-                sums[2] += 1
         self._aggregate(metrics, profile)
         return profile
 
     def _append(self, profile: QueryProfile) -> None:
-        """Ring append under the lock, counting evictions."""
+        """Ring append, calibration sample and sink line under the lock
+        (one choke point, so the ring, the sink and the counts stay
+        coherent across threads), counting evictions."""
         if len(self._ring) == self._ring.maxlen:
             self.evicted += 1
         self._ring.append(profile)
         self.recorded += 1
+        if profile.predicted_cost and profile.actual_cost is not None:
+            sums = self._cost_sums.setdefault(profile.strategy,
+                                              [0.0, 0.0, 0])
+            sums[0] += profile.predicted_cost
+            sums[1] += profile.actual_cost
+            sums[2] += 1
+        sink = self._sink
+        if sink is not None:
+            if callable(sink):
+                sink(profile.to_json())
+            else:
+                sink.write(profile.to_json() + "\n")
+
+    def is_slow(self, profile: QueryProfile) -> bool:
+        """Whether ``profile`` is at or over ``config.slow_ms``."""
+        slow_ms = self.config.slow_ms
+        return slow_ms is not None and profile.wall_ms >= slow_ms
+
+    def slow_profiles(self) -> list[QueryProfile]:
+        """Retained profiles at or over the threshold (a copy)."""
+        return [p for p in self.profiles if self.is_slow(p)]
 
     def _retain_trace(self, trace_id: str, span, metrics) -> None:
         """Store one retained trace (Chrome events + tree) under the
@@ -447,11 +477,7 @@ class FlightRecorder:
             tree = span.to_dict()
         except Exception:  # a half-broken span must not kill the query
             return
-        self._traces[trace_id] = {"events": events, "spans": [tree]}
-        self.traces_retained += 1
-        while len(self._traces) > self.config.max_traces:
-            self._traces.popitem(last=False)
-            self.traces_dropped += 1
+        self._store_trace(trace_id, {"events": events, "spans": [tree]})
         if metrics.enabled:
             metrics.counter(
                 TRACES_RETAINED,
@@ -462,6 +488,13 @@ class FlightRecorder:
                     "Retained traces evicted past max_traces.")
                 if dropped.value < self.traces_dropped:
                     dropped.inc(self.traces_dropped - dropped.value)
+
+    def _store_trace(self, trace_id: str, body: dict) -> None:
+        self._traces[trace_id] = body
+        self.traces_retained += 1
+        while len(self._traces) > self.config.max_traces:
+            self._traces.popitem(last=False)
+            self.traces_dropped += 1
 
     def _instruments(self, metrics) -> dict:
         """Resolved instrument handles for *metrics* (memoized).
@@ -476,6 +509,9 @@ class FlightRecorder:
                 "recorded": metrics.counter(
                     PROFILES_RECORDED,
                     "Queries folded into the flight recorder."),
+                "slow": metrics.counter(
+                    SLOW_QUERIES,
+                    "Queries at or over the slow threshold."),
                 "latency": metrics.histogram(
                     RECORDER_LATENCY,
                     "Per-query wall latency (flight recorder, "
@@ -525,6 +561,8 @@ class FlightRecorder:
             return
         instr = self._instruments(metrics)
         instr["recorded"].inc()
+        if self.is_slow(profile):
+            instr["slow"].inc()
         instr["latency"].observe(profile.wall_ms / 1000)
         instr["size"].observe(profile.answers)
         ratio = profile.cost_ratio
@@ -558,20 +596,6 @@ class FlightRecorder:
                     "(running).",
                     labels={"strategy": strategy}).set(round(ratio, 6))
         return ratios
-
-    # -- Section-5 plan-cost memo -------------------------------------
-
-    def cached_cost(self, key: tuple,
-                    compute: Callable[[], float]) -> float:
-        """Memoized predicted plan cost (the estimate is deterministic
-        per (document, query, strategy), and serve loops repeat)."""
-        found = self._cost_cache.get(key)
-        if found is None:
-            found = compute()
-            if len(self._cost_cache) >= 1024:
-                self._cost_cache.clear()
-            self._cost_cache[key] = found
-        return found
 
     # -- opt-in memory high-water -------------------------------------
 
@@ -628,21 +652,10 @@ class FlightRecorder:
             for data in profiles:
                 profile = QueryProfile.from_dict(data)
                 if worker is not None and profile.worker is None:
-                    profile = replace(profile, worker=worker)
+                    profile.worker = worker
                 self._append(profile)
-                if profile.predicted_cost and \
-                        profile.actual_cost is not None:
-                    sums = self._cost_sums.setdefault(
-                        profile.strategy, [0.0, 0.0, 0])
-                    sums[0] += profile.predicted_cost
-                    sums[1] += profile.actual_cost
-                    sums[2] += 1
             for trace_id, body in traces.items():
-                self._traces[trace_id] = body
-                self.traces_retained += 1
-                while len(self._traces) > self.config.max_traces:
-                    self._traces.popitem(last=False)
-                    self.traces_dropped += 1
+                self._store_trace(trace_id, body)
         if metrics is not None:
             self.publish_calibration(metrics)
 
@@ -709,10 +722,7 @@ class FlightRecorder:
             traces = dict(self._traces)
         buffer = io.StringIO()
         for profile in profiles:
-            record = {"type": "profile"}
-            record.update(profile.to_dict())
-            buffer.write(json.dumps(record, sort_keys=False,
-                                    default=str) + "\n")
+            buffer.write(profile.to_json() + "\n")
         for trace_id, body in traces.items():
             buffer.write(json.dumps(
                 {"type": "trace", "id": trace_id,

@@ -15,12 +15,15 @@ daemon thread and serves the handle's current state:
     begun.
 ``GET /varz``
     The whole registry as JSON, plus server uptime, the degraded flag,
-    query-log counts, the tracer's retained root count and (with a
+    the flight-recorder ring, the tracer's retained root count and (with a
     collection attached) the guard-rail state: queue depth, in-flight
     count, breaker state.
 ``GET /slow``
-    The retained slow-query records as a JSON array (empty without a
-    query log).
+    The ring's profiles at or over the recorder's ``slow_ms``, as a
+    JSON array.
+``GET /debug/flightrecorder``, ``GET /debug/trace/<id>``
+    The recorder's snapshot and one retained trace (Chrome trace-event
+    JSON); a handle served without a recorder is given a default one.
 ``GET /timeseries?name=&window=``
     Ring-buffer time series from an attached
     :class:`~repro.obs.MetricsHistory` sampler: without ``name`` the
@@ -60,7 +63,7 @@ a hang or a 404 fallthrough; unknown paths get 404.
 Reads are snapshots: each request renders the registry at that moment,
 so a long-running search can be watched live::
 
-    obs = Observability(query_log=QueryLog(slow_query_ms=50))
+    obs = Observability(recorder=FlightRecorder(RecorderConfig(slow_ms=50)))
     with MetricsServer(obs, collection=collection) as server:
         print(f"query endpoint at {server.url}/query")
 
@@ -92,7 +95,8 @@ from ..guard.admission import AdmissionPolicy
 from ..guard.breaker import BREAKER_STATE_CODES, OPEN, CircuitBreaker
 from ..guard.budget import QueryBudget
 from . import (EXEC_DEGRADED, GUARD_ADMITTED, GUARD_BREAKER_STATE,
-               GUARD_REJECTED, GUARD_SHED, PROCESS_RSS, Observability)
+               GUARD_REJECTED, GUARD_SHED, PROCESS_RSS, FlightRecorder,
+               Observability)
 from .history import MetricsHistory
 from .slo import (CRITICAL, FEEDBACK_TIGHTEN_ADMISSION,
                   FEEDBACK_TRIP_BREAKERS, AlertState, SLOMonitor)
@@ -486,11 +490,9 @@ class _Handler(BaseHTTPRequestHandler):
                     "application/json")
 
     def _get_slow(self) -> None:
-        records = []
-        if self.server.obs.query_log is not None:
-            records = [r.to_dict()
-                       for r in self.server.obs.query_log.slow_queries()]
-        self._reply(json.dumps(records, indent=2) + "\n",
+        slow = [p.to_dict()
+                for p in self.server.obs.recorder.slow_profiles()]
+        self._reply(json.dumps(slow, indent=2) + "\n",
                     "application/json")
 
     def _query_params(self) -> dict[str, str]:
@@ -536,25 +538,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply_json(slo.snapshot())
 
     def _get_flightrecorder(self) -> None:
-        recorder = getattr(self.server.obs, "recorder", None)
-        if recorder is None:
-            self._reply_json(
-                {"error": "no-recorder",
-                 "message": "no flight recorder is attached; serve "
-                            "with --profile-queries"}, status=404)
-            return
+        recorder = self.server.obs.recorder
         recorder.publish_calibration(self.server.obs.metrics)
         self._reply_json(recorder.snapshot())
 
     def _get_trace(self, trace_id: str) -> None:
-        recorder = getattr(self.server.obs, "recorder", None)
-        if recorder is None:
-            self._reply_json(
-                {"error": "no-recorder",
-                 "message": "no flight recorder is attached; serve "
-                            "with --profile-queries"}, status=404)
-            return
-        doc = recorder.chrome_trace(trace_id)
+        doc = self.server.obs.recorder.chrome_trace(trace_id)
         if doc is None:
             self._reply_json(
                 {"error": "unknown-trace",
@@ -717,10 +706,10 @@ class _ObsHTTPServer(ThreadingHTTPServer):
     def refresh_gauges(self) -> None:
         """Recompute point-in-time gauges before a metrics export.
 
-        Sets the process RSS gauge and, when a flight recorder is
-        attached, republishes the per-strategy calibration ratios —
-        both are snapshots, not counters, so they are computed on
-        read rather than on the query hot path.
+        Sets the process RSS gauge and republishes the recorder's
+        per-strategy calibration ratios — both are snapshots, not
+        counters, so they are computed on read rather than on the
+        query hot path.
         """
         stats = process_stats()
         # Only a *current* RSS becomes a gauge: the rusage fallback is
@@ -733,9 +722,7 @@ class _ObsHTTPServer(ThreadingHTTPServer):
                 PROCESS_RSS,
                 "Resident-set size of the serving process."
             ).set(stats["rss_bytes"])
-        recorder = getattr(self.obs, "recorder", None)
-        if recorder is not None:
-            recorder.publish_calibration(self.obs.metrics)
+        self.obs.recorder.publish_calibration(self.obs.metrics)
 
     def varz(self) -> dict:
         """The ``/varz`` document: uptime + registry + serving state."""
@@ -747,27 +734,20 @@ class _ObsHTTPServer(ThreadingHTTPServer):
             "metrics": obs.metrics.to_json(),
             "process": process_stats(),
         }
-        if obs.query_log is not None:
-            records = obs.query_log.records
-            doc["query_log"] = {
-                "records": len(records),
-                "max_records": obs.query_log.max_records,
-                "evicted": obs.query_log.evicted,
-                "slow": sum(1 for r in records if r.slow),
-                "slow_query_ms": obs.query_log.slow_query_ms,
-            }
         if obs.tracer.enabled:
             doc["tracer"] = {"roots": len(obs.tracer.roots),
                              "max_roots": obs.tracer.max_roots}
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            doc["flight_recorder"] = {
-                "profiles": len(recorder),
-                "recorded": recorder.recorded,
-                "evicted": recorder.evicted,
-                "traces": len(recorder.trace_ids()),
-                "calibration": recorder.publish_calibration(obs.metrics),
-            }
+        recorder = obs.recorder
+        doc["flight_recorder"] = {
+            "profiles": len(recorder),
+            "ring_size": recorder.config.ring_size,
+            "recorded": recorder.recorded,
+            "evicted": recorder.evicted,
+            "slow": len(recorder.slow_profiles()),
+            "slow_ms": recorder.config.slow_ms,
+            "traces": len(recorder.trace_ids()),
+            "calibration": recorder.publish_calibration(obs.metrics),
+        }
         if self.guard is not None:
             self._publish_breaker()
             doc["guard"] = self.guard.snapshot()
@@ -1146,6 +1126,10 @@ class MetricsServer:
         if not obs.enabled:
             raise ValueError("cannot serve a disabled (NOOP) "
                              "observability handle")
+        if obs.recorder is None:
+            # /slow, /varz and /debug/* read the one per-query ring:
+            # a served handle always has it.
+            obs.recorder = FlightRecorder()
         if slo is not None and history is not None \
                 and slo.history is not history:
             raise ValueError("the SLO monitor must evaluate the same "

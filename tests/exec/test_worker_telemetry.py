@@ -2,9 +2,9 @@
 
 The contract: observability output means the same thing at any worker
 count.  Pool workers run with their own handles, ship span trees,
-metric deltas and query records back in-band, and the parent merges
+metric deltas and query profiles back in-band, and the parent merges
 them — so the parent-side counters equal the serial ones exactly, and
-spans/records carry a ``worker=N`` provenance label.
+spans/profiles carry a ``worker=N`` provenance label.
 
 Collections are built fresh per run: the serial path shares one join
 cache across queries, so reusing a warm collection would skew the
@@ -19,7 +19,8 @@ from repro.collection.collection import DocumentCollection
 from repro.core.query import Query
 from repro.core.strategies import Strategy
 from repro.obs import (FRAGMENT_JOINS, POOL_CHUNKS, PREDICATE_CHECKS,
-                       QUERIES_TOTAL, Observability, QueryLog)
+                       QUERIES_TOTAL, SLOW_QUERIES, FlightRecorder,
+                       Observability, RecorderConfig)
 from repro.workloads.inexlike import InexSpec, generate_collection
 
 SPEC = InexSpec(articles=8, nodes_per_article=160, seed=11)
@@ -82,16 +83,16 @@ class TestCounterDeterminism:
 
 class TestProvenance:
     def test_query_records_carry_worker_labels(self):
-        obs = Observability(query_log=QueryLog())
+        obs = Observability(recorder=FlightRecorder())
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=obs, workers=2)
-        records = obs.query_log.records
+        records = obs.recorder.profiles
         assert records
         assert all(record.worker is not None for record in records)
         assert all(record.worker.isdigit() for record in records)
 
     def test_worker_spans_graft_under_the_parallel_span(self):
-        obs = Observability(query_log=QueryLog())
+        obs = Observability()
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=obs, workers=2)
         names = set()
@@ -127,14 +128,30 @@ class TestProvenance:
 
 class TestSlowQueryRederivation:
     def test_parent_threshold_marks_worker_records(self):
-        # Workers log without a threshold; with a 0 ms parent threshold
-        # every merged record must be re-derived as slow.
-        obs = Observability(query_log=QueryLog(slow_query_ms=0.0))
+        # Workers record under the parent's RecorderConfig; with a 0 ms
+        # threshold every merged profile is slow, and counted once.
+        obs = Observability(recorder=FlightRecorder(
+            RecorderConfig(slow_ms=0.0)))
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=obs, workers=2)
-        records = obs.query_log.records
+        records = obs.recorder.profiles
         assert records
-        assert all(record.slow for record in records)
+        assert obs.recorder.slow_profiles() == records
+        assert _counters(obs)[SLOW_QUERIES] == len(records)
+
+    def test_serial_and_pooled_hold_the_same_ring_and_slow_count(self):
+        handles = []
+        for workers in (None, 2):
+            obs = Observability(recorder=FlightRecorder(
+                RecorderConfig(slow_ms=0.0)))
+            with _fresh_collection() as collection:
+                collection.search(QUERY, obs=obs, workers=workers)
+            handles.append(obs)
+        serial, pooled = handles
+        assert len(pooled.recorder) == len(serial.recorder) > 0
+        assert pooled.recorder.recorded == serial.recorder.recorded
+        assert _counters(pooled)[SLOW_QUERIES] \
+            == _counters(serial)[SLOW_QUERIES] == len(serial.recorder)
 
 
 class TestRecorderAcrossWorkers:
@@ -228,3 +245,28 @@ class TestRecorderAcrossWorkers:
         assert set(parallel) == set(serial)
         for strategy, ratio in serial.items():
             assert parallel[strategy] == pytest.approx(ratio, rel=1e-6)
+
+    def test_a_chunk_larger_than_the_ring_loses_no_profile(self):
+        """A worker's ring is drained after every chunk and has no
+        bound of its own: with ``chunk_size`` over ``ring_size`` the
+        parent still sees (and counts) every evaluation, and does the
+        only evicting."""
+        from repro.exec import ParallelExecutor
+        from repro.obs import FlightRecorder, RecorderConfig
+
+        def handle():
+            return Observability(recorder=FlightRecorder(
+                RecorderConfig(ring_size=1, slow_ms=None)))
+
+        serial_obs, pooled_obs = handle(), handle()
+        with _fresh_collection() as collection:
+            collection.search(QUERY, obs=serial_obs)
+            documents = {name: collection.document(name)
+                         for name in collection.names()}
+        with ParallelExecutor(documents=documents, workers=2,
+                              chunk_size=len(documents)) as executor:
+            executor.search(QUERY, obs=pooled_obs)
+        serial, pooled = serial_obs.recorder, pooled_obs.recorder
+        assert serial.recorded > serial.config.ring_size
+        assert (pooled.recorded, pooled.evicted, len(pooled)) \
+            == (serial.recorded, serial.evicted, len(serial))

@@ -10,7 +10,8 @@ from repro.core.query import Query
 from repro.core.strategies import Strategy, evaluate
 from repro.errors import BudgetExceeded, ReproError
 from repro.guard.budget import QueryBudget, effective_budget
-from repro.obs import GUARD_BUDGET_EXCEEDED, Observability, QueryLog
+from repro.obs import (GUARD_BUDGET_EXCEEDED, QUERIES_TOTAL,
+                       FlightRecorder, Observability)
 from repro.xmltree.parser import parse
 
 
@@ -159,23 +160,28 @@ class TestGuardedEvaluation:
 
 
 class TestAbortDeterminism:
-    """An aborted query must leave telemetry consistent: no partial
-    query-log records, no half-counted metrics — and re-running with a
-    generous budget must match the unguarded run exactly."""
+    """An aborted query must leave telemetry consistent: one
+    ``budget-exceeded`` profile with its trace, no half-counted
+    metrics — and re-running with a generous budget must match the
+    unguarded run exactly."""
 
-    def test_aborted_query_leaves_no_query_record(self, small_doc):
+    def test_aborted_query_is_recorded_as_budget_exceeded(self, small_doc):
         document = pathological_document()
-        obs = Observability(query_log=QueryLog())
+        obs = Observability(recorder=FlightRecorder())
         with pytest.raises(BudgetExceeded):
             evaluate(document, Query.of("red", "pear"),
                      strategy=Strategy.BRUTE_FORCE, obs=obs,
                      budget=QueryBudget(max_join_ops=100))
-        assert obs.query_log.records == []
+        (profile,) = obs.recorder.profiles
+        assert (profile.outcome, profile.reason, profile.answers) \
+            == ("budget-exceeded", "join-ops", 0)
+        assert obs.recorder.chrome_trace(profile.trace_id)["traceEvents"]
+        assert obs.metrics.get(QUERIES_TOTAL) is None
 
     def test_rerun_after_abort_matches_unguarded(self, small_doc):
         query = Query.of("red", "pear")
         document = pathological_document(siblings=6)
-        obs = Observability(query_log=QueryLog())
+        obs = Observability(recorder=FlightRecorder())
         with pytest.raises(BudgetExceeded):
             evaluate(document, query, strategy=Strategy.BRUTE_FORCE,
                      obs=obs, budget=QueryBudget(max_join_ops=50))
@@ -186,9 +192,11 @@ class TestAbortDeterminism:
                          budget=QueryBudget(max_join_ops=10**9))
         assert rerun.fragments == baseline.fragments
         assert rerun.stats == baseline.stats
-        # Exactly one query record: the successful re-run.
-        assert len(obs.query_log.records) == 1
-        assert obs.query_log.records[0].answers == len(baseline.fragments)
+        # Two profiles, one finished query: the successful re-run.
+        aborted, finished = obs.recorder.profiles
+        assert aborted.outcome == "budget-exceeded"
+        assert finished.answers == len(baseline.fragments)
+        assert obs.metrics.counter(QUERIES_TOTAL).value == 1
 
 
 class TestCollectionAccounting:

@@ -71,7 +71,7 @@ def test_serve_endpoint_over_http(corpus_dir):
         deadline = time.monotonic() + DEADLINE
         while True:
             varz = json.loads(_get(base + "/varz"))
-            if varz["query_log"]["records"] > 0:
+            if varz["flight_recorder"]["profiles"] > 0:
                 break
             assert time.monotonic() < deadline, "query never recorded"
             time.sleep(0.05)
@@ -81,7 +81,15 @@ def test_serve_endpoint_over_http(corpus_dir):
         total = re.search(r"^repro_queries_total (\d+)", after,
                           re.MULTILINE)
         assert total and int(total.group(1)) > 0
-        assert varz["query_log"]["slow"] == varz["query_log"]["records"]
+        ring = varz["flight_recorder"]
+        assert ring["slow"] == ring["profiles"] and ring["slow_ms"] == 0
+        # No --profile-* flag on the command line: the debug endpoints
+        # answer on a plain `serve DIR`.
+        snapshot = json.loads(_get(base + "/debug/flightrecorder"))
+        assert snapshot["counts"]["recorded"] == ring["recorded"]
+        trace = json.loads(_get(base + "/debug/trace/"
+                                + snapshot["traces"][0]))
+        assert trace["traceEvents"]
 
         # communicate() closes stdin, signalling EOF to the serve loop.
         stdout, _ = process.communicate(timeout=DEADLINE)

@@ -75,7 +75,7 @@ class TestSlowQueriesAndLog:
         assert "slow-query:" in captured.err
         record = json.loads(
             captured.err.split("slow-query:", 1)[1].splitlines()[0])
-        assert record["slow"] is True
+        assert record["type"] == "profile" and record["wall_ms"] >= 0
         assert record["strategy"] == "pushdown"
 
     def test_high_threshold_stays_quiet(self, book_file, capsys):
@@ -94,6 +94,12 @@ class TestSlowQueriesAndLog:
         record = json.loads(lines[0])
         assert record["terms"] == ["fragment", "join"]
         assert record["answers"] >= 1
+        # One line per evaluation, in the dump format: it loads back.
+        from repro.obs.recorder import QueryProfile, load_dump
+        (profile,), traces = load_dump(log_path)
+        assert isinstance(profile, QueryProfile) and traces == {}
+        assert profile.terms == ("fragment", "join")
+        assert profile.predicted_cost and profile.cpu_ms >= 0
 
 
 class TestMetricsSubcommand:
@@ -156,9 +162,9 @@ class TestServeProfileQueries:
     def test_profile_dump_written_and_summarised(self, book_file,
                                                  tmp_path, capsys):
         dump = tmp_path / "recorder.jsonl"
-        code = self._serve(book_file, "--profile-queries",
+        code = self._serve(book_file,
                            "--profile-sample-rate", "1.0",
-                           "--profile-slow-ms", "0",
+                           "--slow-query-ms", "0",
                            "--profile-dump", str(dump),
                            queries="fragment join\nfragment\n")
         err = capsys.readouterr().err
@@ -173,20 +179,23 @@ class TestServeProfileQueries:
 
     def test_profile_queries_without_dump_still_summarises(
             self, book_file, capsys):
-        code = self._serve(book_file, "--profile-queries")
+        # `serve` always has the ring, so a plain run summarises it.
+        code = self._serve(book_file)
         err = capsys.readouterr().err
         assert code == 0
         assert "flight recorder: 1 profile(s)" in err
         assert "wrote" not in err
 
-    def test_no_profile_flag_keeps_quiet(self, book_file, capsys):
-        code = self._serve(book_file)
-        assert code == 0
-        assert "flight recorder" not in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--profile-queries",
+                                      "--profile-ring-size=8",
+                                      "--profile-slow-ms=5"])
+    def test_removed_flags_are_rejected(self, book_file, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            self._serve(book_file, flag)
+        assert excinfo.value.code == 2
 
     def test_bad_sample_rate_is_an_error(self, book_file, capsys):
-        code = self._serve(book_file, "--profile-queries",
-                           "--profile-sample-rate", "2.0")
+        code = self._serve(book_file, "--profile-sample-rate", "2.0")
         assert code == 2
         assert "sample_rate" in capsys.readouterr().err
 
@@ -196,9 +205,9 @@ class TestFlightRecorderSubcommand:
     def dump(self, book_file, tmp_path, capsys):
         from repro.cli import serve_main
         path = tmp_path / "recorder.jsonl"
-        serve_main([book_file, "--profile-queries",
+        serve_main([book_file,
                     "--profile-sample-rate", "1.0",
-                    "--profile-slow-ms", "0",
+                    "--slow-query-ms", "0",
                     "--profile-dump", str(path)],
                    stdin=io.StringIO("fragment join\nfragment\n"))
         capsys.readouterr()  # swallow the serve output

@@ -1,6 +1,6 @@
 """Tests for the cross-process telemetry delta format (repro.obs.delta).
 
-Worker processes ship metric increments, span trees and query records
+Worker processes ship metric increments, span trees and query profiles
 back to the parent as an :class:`ObsDelta`; these tests pin the diff →
 ship → merge semantics the parallel executor relies on.
 """
@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import (DELTAS_MERGED, SLOW_QUERIES, MetricsRegistry,
-                       Observability, ObsDelta, QueryLog, capture_delta,
+                       FlightRecorder, Observability, ObsDelta,
+                       RecorderConfig, capture_delta,
                        merge_delta)
 
 
@@ -103,8 +104,12 @@ class TestRegistryMerge:
 
 
 class TestCaptureAndMergeDelta:
+    #: A worker records under the config its parent shipped.
+    CONFIG = RecorderConfig(slow_ms=100.0)
+
     def _worker_obs(self):
-        obs = Observability(query_log=QueryLog())
+        obs = Observability(recorder=FlightRecorder(self.CONFIG,
+                                                    worker_mode=True))
         with obs.span("execute", strategy="pushdown"):
             pass
         obs.record_query(document="doc-1", terms=("a", "b"),
@@ -117,16 +122,17 @@ class TestCaptureAndMergeDelta:
         obs = self._worker_obs()
         delta, baseline = capture_delta(obs, None)
         assert bool(delta)
-        assert delta.records and delta.spans
+        assert delta.profiles and delta.spans
+        assert not hasattr(delta, "records")
         # A second capture against the new baseline is empty.
         empty, _ = capture_delta(obs, baseline)
         assert not bool(empty)
 
     def test_merge_stamps_worker_label_on_spans_and_records(self):
         delta, _ = capture_delta(self._worker_obs(), None)
-        parent = Observability(query_log=QueryLog())
+        parent = Observability(recorder=FlightRecorder(self.CONFIG))
         merge_delta(parent, delta, worker="3")
-        (record,) = parent.query_log.records
+        (record,) = parent.recorder.profiles
         assert record.worker == "3"
         (root,) = parent.tracer.roots
         assert root.attributes.get("worker") == "3"
@@ -142,13 +148,14 @@ class TestCaptureAndMergeDelta:
             assert "worker" not in (record.get("labels") or {})
 
     def test_parent_threshold_rederives_slow(self):
-        # Worker logs run without a threshold; the parent's
-        # slow_query_ms is the source of truth.
+        # One threshold on both sides of the pool: the worker counts
+        # the slow query, the count travels in the metrics increment,
+        # and the parent's ring reads the same profile as slow.
         delta, _ = capture_delta(self._worker_obs(), None)
-        parent = Observability(query_log=QueryLog(slow_query_ms=100.0))
+        parent = Observability(recorder=FlightRecorder(self.CONFIG))
         merge_delta(parent, delta, worker="0")
-        (record,) = parent.query_log.records
-        assert record.slow  # 0.25 s >= 100 ms
+        (record,) = parent.recorder.slow_profiles()  # 0.25 s >= 100 ms
+        assert record.worker == "0"
         assert _counter_value(parent.metrics, SLOW_QUERIES) == 1
 
     def test_merge_none_delta_is_noop(self):
@@ -161,7 +168,7 @@ class TestCaptureAndMergeDelta:
         # dict-shaped reconstruction.
         delta, _ = capture_delta(self._worker_obs(), None)
         clone = ObsDelta(metrics=delta.metrics, spans=delta.spans,
-                         records=delta.records)
-        parent = Observability(query_log=QueryLog())
+                         profiles=delta.profiles)
+        parent = Observability(recorder=FlightRecorder())
         merge_delta(parent, clone, worker="2")
-        assert len(parent.query_log) == 1
+        assert len(parent.recorder) == 1

@@ -7,8 +7,9 @@ from repro.core.query import Query
 from repro.core.strategies import Strategy, evaluate
 from repro.obs import (JOIN_CACHE_HITS, NOOP, QUERIES_BY_STRATEGY,
                        QUERIES_TOTAL, QUERY_LATENCY, SLOW_QUERIES,
-                       MetricsRegistry, NullMetrics, NullTracer,
-                       Observability, QueryLog, SpanTracer)
+                       FlightRecorder, MetricsRegistry, NullMetrics,
+                       NullTracer, Observability, RecorderConfig,
+                       SpanTracer)
 from repro.obs.tracer import NULL_SPAN
 
 QUERY = Query.of("xquery", "optimization", predicate=SizeAtMost(3))
@@ -20,7 +21,7 @@ class TestFacade:
         assert obs.enabled
         assert isinstance(obs.tracer, SpanTracer)
         assert isinstance(obs.metrics, MetricsRegistry)
-        assert obs.query_log is None
+        assert obs.recorder is None
 
     def test_span_delegates_to_tracer(self):
         obs = Observability()
@@ -48,13 +49,24 @@ class TestFacade:
         assert "repro_reduction_factor" in metrics
 
     def test_record_query_feeds_query_log_and_slow_counter(self):
-        obs = Observability(query_log=QueryLog(slow_query_ms=1))
+        obs = Observability(
+            recorder=FlightRecorder(RecorderConfig(slow_ms=1)))
         record = obs.record_query(
             document="d", terms=("a",), filter="true", strategy="naive",
             answers=0, elapsed=0.5, stats=None)
-        assert record is not None and record.slow
+        assert record is not None and obs.recorder.is_slow(record)
         assert obs.metrics.counter(SLOW_QUERIES).value == 1
-        assert obs.query_log.records == [record]
+        assert obs.recorder.profiles == [record]
+
+    def test_an_abort_is_a_profile_not_a_finished_query(self):
+        obs = Observability(recorder=FlightRecorder())
+        record = obs.record_query(
+            document="d", terms=("a",), filter="true", strategy="naive",
+            answers=0, elapsed=0.5, outcome="budget-exceeded",
+            reason="deadline")
+        assert (record.outcome, record.reason, record.retained) \
+            == ("budget-exceeded", "deadline", "budget-exceeded")
+        assert obs.metrics.get(QUERIES_TOTAL) is None
 
 
 class TestNoop:
@@ -62,7 +74,7 @@ class TestNoop:
         assert not NOOP.enabled
         assert isinstance(NOOP.tracer, NullTracer)
         assert isinstance(NOOP.metrics, NullMetrics)
-        assert NOOP.query_log is None
+        assert NOOP.recorder is None
 
     def test_span_is_the_shared_null_span(self):
         assert NOOP.span("anything", stats=None, attr=1) is NULL_SPAN
@@ -91,14 +103,14 @@ class TestEvaluateIntegration:
 
     def test_metrics_and_log_recorded_per_query(self, figure1,
                                                 figure1_index):
-        obs = Observability(query_log=QueryLog())
+        obs = Observability(recorder=FlightRecorder())
         for strategy in (Strategy.PUSHDOWN, Strategy.SET_REDUCTION):
             evaluate(figure1, QUERY, strategy=strategy,
                      index=figure1_index, obs=obs)
         assert obs.metrics.counter(QUERIES_TOTAL).value == 2
         assert obs.metrics.histogram(QUERY_LATENCY).count == 2
-        assert len(obs.query_log) == 2
-        strategies = {r.strategy for r in obs.query_log}
+        assert len(obs.recorder) == 2
+        strategies = {r.strategy for r in obs.recorder.profiles}
         assert strategies == {"pushdown", "set-reduction"}
 
     def test_noop_default_changes_nothing(self, figure1, figure1_index):

@@ -337,3 +337,16 @@ class TestPaginationAndStreaming:
                     for h in lines[1:-1]]
         assert streamed == self._hits(doc)
         assert lines[-1]["next_offset"] == doc["next_offset"]
+
+    def test_streamed_query_reaches_the_flight_recorder(self,
+                                                        paged_server):
+        """NDJSON requests used to be invisible to the recorder: a
+        finished stream now lands a ``stream-<strategy>`` profile."""
+        _request(paged_server.url + "/query", "POST",
+                 payload={"query": "red", "stream": True, "limit": 2})
+        _, _, body = _request(paged_server.url + "/debug/flightrecorder")
+        snapshot = json.loads(body)
+        streamed = [p for p in snapshot["profiles"]
+                    if p["strategy"] == "stream-pushdown"]
+        assert streamed and snapshot["counts"]["recorded"] >= len(streamed)
+        assert {p["document"] for p in streamed} <= {"d1", "d2"}

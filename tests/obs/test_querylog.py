@@ -1,13 +1,23 @@
-"""Unit tests for the structured query log."""
+"""The query log is the flight recorder's ring: record fields, the slow
+threshold, the JSONL sink and ring eviction, on the one per-query
+record (`QueryProfile`)."""
 
 from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
-from repro.obs.querylog import QueryLog, QueryRecord
+from repro.obs import (NULL_METRICS, FlightRecorder, QueryProfile,
+                       RecorderConfig)
+from repro.obs.recorder import load_dump
+
+
+def _log(sink=None, clock=time.time, **config) -> FlightRecorder:
+    config.setdefault("slow_ms", None)
+    return FlightRecorder(RecorderConfig(**config), sink=sink, clock=clock)
 
 
 def _record(log, *, elapsed=0.002, **overrides):
@@ -15,113 +25,118 @@ def _record(log, *, elapsed=0.002, **overrides):
                   filter="size<=3", strategy="pushdown", answers=4,
                   elapsed=elapsed, stats={"fragment_joins": 7})
     fields.update(overrides)
-    return log.record(**fields)
+    return log.observe(metrics=NULL_METRICS, **fields)
 
 
 class TestRecordFields:
     def test_record_carries_the_query(self):
-        log = QueryLog(clock=lambda: 1234.5)
+        log = _log(clock=lambda: 1234.5)
         record = _record(log, plan="Project(Join)")
-        assert record == QueryRecord(
-            timestamp=1234.5, document="figure1",
+        assert record == QueryProfile(
+            ts=1234.5, query_id=record.query_id, document="figure1",
             terms=("xquery", "optimization"), filter="size<=3",
-            strategy="pushdown", answers=4, elapsed_ms=2.0,
-            slow=False, stats={"fragment_joins": 7},
+            strategy="pushdown", answers=4, wall_ms=2.0, cpu_ms=0.0,
+            join_ops=7, stats={"fragment_joins": 7},
             plan="Project(Join)")
+        assert not log.is_slow(record)
 
     def test_to_dict_rounds_and_omits_absent_plan(self):
-        log = QueryLog(clock=lambda: 1.0)
-        payload = _record(log, elapsed=0.0012345).to_dict()
-        assert payload["elapsed_ms"] == 1.234
+        log = _log(clock=lambda: 1.0)
+        payload = _record(log, elapsed=0.00123456).to_dict()
+        assert payload["wall_ms"] == 1.2346
         assert "plan" not in payload
 
     def test_to_json_parses_back(self):
-        log = QueryLog(clock=lambda: 1.0)
-        parsed = json.loads(_record(log).to_json())
+        log = _log(clock=lambda: 1.0)
+        record = _record(log, plan="Project(Join)")
+        parsed = json.loads(record.to_json())
+        assert parsed["type"] == "profile"
         assert parsed["terms"] == ["xquery", "optimization"]
         assert parsed["stats"] == {"fragment_joins": 7}
+        assert QueryProfile.from_dict(parsed) == record
 
 
 class TestSlowThreshold:
     def test_threshold_is_inclusive(self):
-        log = QueryLog(slow_query_ms=50)
-        assert not _record(log, elapsed=0.049).slow
-        assert _record(log, elapsed=0.050).slow
-        assert _record(log, elapsed=0.051).slow
-        assert len(log.slow_queries()) == 2
+        log = _log(slow_ms=50)
+        assert not log.is_slow(_record(log, elapsed=0.049))
+        assert log.is_slow(_record(log, elapsed=0.050))
+        assert log.is_slow(_record(log, elapsed=0.051))
+        assert [p.wall_ms for p in log.slow_profiles()] == [50.0, 51.0]
 
     def test_no_threshold_means_nothing_is_slow(self):
-        log = QueryLog()
-        assert not _record(log, elapsed=10.0).slow
-        assert log.slow_queries() == []
+        log = _log()
+        assert not log.is_slow(_record(log, elapsed=10.0))
+        assert log.slow_profiles() == []
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            QueryLog(slow_query_ms=-1)
+            RecorderConfig(slow_ms=-1)
 
 
 class TestSinks:
-    def test_file_like_sink_gets_jsonl(self):
+    def test_file_like_sink_gets_jsonl(self, tmp_path):
         sink = io.StringIO()
-        log = QueryLog(sink=sink)
+        log = _log(sink=sink, clock=lambda: 1234.5)
         _record(log)
         _record(log, strategy="brute-force")
         lines = sink.getvalue().splitlines()
         assert [json.loads(l)["strategy"] for l in lines] \
             == ["pushdown", "brute-force"]
-        assert log.emitted == 2
+        # The sink's lines are the dump format: load_dump reads them.
+        path = tmp_path / "queries.jsonl"
+        path.write_text(sink.getvalue(), encoding="utf-8")
+        profiles, traces = load_dump(path)
+        assert profiles == log.profiles and traces == {}
 
     def test_callable_sink_gets_bare_lines(self):
         seen = []
-        log = QueryLog(sink=seen.append)
+        log = _log(sink=seen.append)
         _record(log)
         assert len(seen) == 1
         assert not seen[0].endswith("\n")
         assert json.loads(seen[0])["document"] == "figure1"
 
-    def test_slow_only_filters_sink_but_not_ring(self):
-        sink = io.StringIO()
-        log = QueryLog(sink=sink, slow_query_ms=50, slow_only=True)
-        _record(log, elapsed=0.001)
-        _record(log, elapsed=0.100)
-        emitted = sink.getvalue().splitlines()
-        assert len(emitted) == 1
-        assert json.loads(emitted[0])["slow"] is True
-        assert len(log) == 2  # the fast query is still retained
-        assert log.emitted == 1
-
     def test_no_sink_keeps_records_in_memory_only(self):
-        log = QueryLog()
+        log = _log()
         _record(log)
-        assert log.emitted == 0
-        assert len(log.records) == 1
+        assert len(log.profiles) == 1
+
+    def test_ingested_worker_profiles_reach_the_sink(self):
+        seen = []
+        worker = FlightRecorder(RecorderConfig(slow_ms=None),
+                                worker_mode=True)
+        _record(worker)
+        log = _log(sink=seen.append)
+        log.ingest(*worker.drain(), worker="3")
+        assert [json.loads(line)["worker"] for line in seen] == ["3"]
 
 
 class TestRing:
     def test_ring_drops_oldest(self):
-        log = QueryLog(max_records=3)
+        log = _log(ring_size=3)
         for answers in range(5):
             _record(log, answers=answers)
-        assert [r.answers for r in log] == [2, 3, 4]
+        assert [r.answers for r in log.profiles] == [2, 3, 4]
         assert len(log) == 3
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
-            QueryLog(max_records=0)
+            RecorderConfig(ring_size=0)
 
 
 class TestEvictionAccounting:
     def test_evicted_counter_and_max_records(self):
-        log = QueryLog(max_records=3)
-        assert log.max_records == 3
+        log = _log(ring_size=3)
         assert log.evicted == 0
         for answers in range(5):
             _record(log, answers=answers)
         assert log.evicted == 2
+        assert log.recorded == 5
         assert len(log) == 3
 
     def test_no_eviction_below_capacity(self):
-        log = QueryLog(max_records=10)
+        log = _log(ring_size=10)
         _record(log)
         _record(log)
         assert log.evicted == 0

@@ -216,13 +216,53 @@ class TestCalibration:
             assert (f'repro_cost_calibration_ratio{{strategy="{name}"}}'
                     in prom)
 
-    def test_cached_cost_memoizes(self):
-        recorder = FlightRecorder()
-        calls = []
-        compute = lambda: calls.append(1) or 42.0
-        assert recorder.cached_cost(("k",), compute) == 42.0
-        assert recorder.cached_cost(("k",), compute) == 42.0
-        assert len(calls) == 1
+    def test_prediction_follows_the_document_not_its_id(self, tmp_path):
+        """A shard index's LRU evicts and rebuilds trees, so an ``id()``
+        can come back as a different document: every profile is costed
+        against the document and plan it was evaluated with."""
+        from repro.core.cost import CostModel
+        from repro.core.strategies import _physical_plan
+        from repro.storage.shards import ShardIndex, build_index
+        from repro.xmltree.parser import parse
+
+        def article(name, repeats):
+            body = "".join(f"<p>alpha {i}</p><p>beta {i}</p>"
+                           for i in range(repeats))
+            return parse(f"<a>{body}</a>", name=name)
+
+        build_index({"sparse": article("sparse", 1),
+                     "dense": article("dense", 6)}, tmp_path / "idx",
+                    shards=1)
+        query = Query.of("alpha", "beta", predicate=SizeAtMost(4))
+        obs = Observability(
+            recorder=FlightRecorder(RecorderConfig(slow_ms=None)))
+        expected = []
+        with ShardIndex.attach(tmp_path / "idx", cache_limit=1) as source:
+            for name in ("sparse", "dense") * 4:
+                index = source.inverted_index(name)
+                evaluate(index.document, query, index=index, obs=obs)
+                plan = _physical_plan(query, Strategy.PUSHDOWN, index)
+                expected.append(CostModel(index.document, index=index)
+                                .estimate(plan).cost)
+        assert len(set(expected)) == 2
+        assert [p.predicted_cost for p in obs.recorder.profiles] \
+            == expected
+
+    def test_run_plan_lands_a_profile_carrying_its_plan(self):
+        from repro.core.evaluator import run_plan
+        from repro.core.strategies import plan_for
+        from repro.workloads.figure1 import build_figure1_document
+        document = build_figure1_document()
+        query = Query.of("xquery", "optimization",
+                         predicate=SizeAtMost(3))
+        plan = plan_for(query)
+        obs = Observability(recorder=FlightRecorder())
+        run_plan(document, query, plan, index=InvertedIndex(document),
+                 obs=obs)
+        (profile,) = obs.recorder.profiles
+        assert profile.plan == plan.label()
+        assert profile.strategy == "plan"
+        assert profile.to_dict()["plan"] == plan.label()
 
 
 class TestBudgetAbort:

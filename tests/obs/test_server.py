@@ -8,7 +8,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs import NOOP, Observability, QueryLog
+from repro.obs import (NOOP, FlightRecorder, Observability,
+                       RecorderConfig)
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE, MetricsServer
 
 
@@ -20,11 +21,14 @@ def _get(url):
 
 @pytest.fixture()
 def obs() -> Observability:
-    handle = Observability(query_log=QueryLog(slow_query_ms=0.0))
+    handle = Observability(
+        recorder=FlightRecorder(RecorderConfig(slow_ms=5.0)))
     handle.metrics.counter("repro_queries_total",
-                           "Queries evaluated.").inc(2)
-    handle.record_query(document="doc", terms=("a",), filter="true",
-                        strategy="pushdown", answers=1, elapsed=0.01)
+                           "Queries evaluated.").inc(1)
+    for elapsed in (0.01, 0.001):  # one slow, one fast
+        handle.record_query(document="doc", terms=("a",), filter="true",
+                            strategy="pushdown", answers=1,
+                            elapsed=elapsed)
     return handle
 
 
@@ -50,16 +54,20 @@ class TestRoutes:
         assert varz["uptime_seconds"] >= 0
         names = {m["name"] for m in varz["metrics"]["metrics"]}
         assert "repro_queries_total" in names
-        assert varz["query_log"] == {"records": 1, "max_records": 1000,
-                                     "evicted": 0, "slow": 1,
-                                     "slow_query_ms": 0.0}
+        assert "query_log" not in varz  # one ring, one section
+        assert varz["flight_recorder"] == {
+            "profiles": 2, "ring_size": 512, "recorded": 2, "evicted": 0,
+            "slow": 1, "slow_ms": 5.0, "traces": 0, "calibration": {}}
 
     def test_slow_lists_slow_records(self, obs):
+        """``/slow`` is exactly the ring's profiles at or over the
+        threshold."""
         with MetricsServer(obs) as server:
             _, _, body = _get(server.url + "/slow")
         records = json.loads(body)
-        assert len(records) == 1
-        assert all(r["slow"] for r in records)
+        assert records == [p.to_dict()
+                           for p in obs.recorder.slow_profiles()]
+        assert [r["wall_ms"] for r in records] == [10.0]
 
     def test_slow_is_empty_without_query_log(self):
         with MetricsServer(Observability()) as server:
@@ -138,7 +146,6 @@ def _evaluate_profiled(obs, *, strategies=("pushdown",)):
 def profiled_obs() -> Observability:
     from repro.obs import FlightRecorder, RecorderConfig
     handle = Observability(
-        query_log=QueryLog(slow_query_ms=0.0),
         recorder=FlightRecorder(RecorderConfig(sample_rate=1.0, seed=3)))
     _evaluate_profiled(handle, strategies=("pushdown", "set-reduction"))
     return handle
@@ -162,14 +169,18 @@ class TestProcessStats:
 
 
 class TestFlightRecorderRoutes:
-    def test_flightrecorder_404_without_recorder(self, obs):
-        with MetricsServer(obs) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server.url + "/debug/flightrecorder")
-            assert excinfo.value.code == 404
+    def test_flightrecorder_answers_without_an_explicit_recorder(self):
+        """A served handle always has the ring: one built without a
+        recorder is given a default one."""
+        handle = Observability()
+        with MetricsServer(handle) as server:
+            _evaluate_profiled(handle)
+            _, snap = _get_json(server.url + "/debug/flightrecorder")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url + "/debug/trace/whatever")
-            assert excinfo.value.code == 404
+        assert snap["counts"]["recorded"] == 1
+        assert json.loads(excinfo.value.read())["error"] \
+            == "unknown-trace"
 
     def test_flightrecorder_snapshot(self, profiled_obs):
         with MetricsServer(profiled_obs) as server:

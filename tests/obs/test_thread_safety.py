@@ -23,8 +23,8 @@ import urllib.request
 import pytest
 
 from repro.core.query import Query
-from repro.obs import (QUERIES_TOTAL, MetricsRegistry, Observability,
-                       QueryLog)
+from repro.obs import (NULL_METRICS, QUERIES_TOTAL, FlightRecorder,
+                       MetricsRegistry, Observability, RecorderConfig)
 from repro.obs.server import MetricsServer
 from repro.workloads.inexlike import InexSpec, generate_collection
 
@@ -120,51 +120,52 @@ class TestMetricsRegistryThreadSafety:
 class TestQueryLogThreadSafety:
     def test_concurrent_record_and_snapshot(self):
         lines = []
-        log = QueryLog(sink=lines.append, slow_query_ms=0.0,
-                       max_records=10_000)
+        log = FlightRecorder(
+            RecorderConfig(ring_size=10_000, slow_ms=0.0),
+            sink=lines.append)
         rounds, nthreads = 200, 6
 
         def writer(tid):
             def run():
                 for i in range(rounds):
-                    log.record(document=f"doc-{tid}", terms=("a",),
-                               filter="true", strategy="pushdown",
-                               answers=i, elapsed=0.001)
+                    log.observe(metrics=NULL_METRICS,
+                                document=f"doc-{tid}", terms=("a",),
+                                filter="true", strategy="pushdown",
+                                answers=i, elapsed=0.001)
             return run
 
         def reader():
             for _ in range(rounds):
-                log.records
-                log.slow_queries()
+                log.profiles
+                log.slow_profiles()
                 len(log)
-                for _record in log:
-                    break
+                log.snapshot()
 
         _run_threads([writer(t) for t in range(nthreads)]
                      + [reader, reader])
-        assert len(log) == rounds * nthreads
-        assert log.emitted == rounds * nthreads
+        assert len(log) == log.recorded == rounds * nthreads
         assert len(lines) == rounds * nthreads
+        assert len({p.query_id for p in log.profiles}) == len(log)
 
     def test_concurrent_ingest_and_drain(self):
-        log = QueryLog(max_records=10_000)
+        log = FlightRecorder(RecorderConfig(ring_size=10_000))
         rounds = 200
-        payload = {"ts": 1.0, "document": "d", "terms": ["a"],
-                   "filter": "true", "strategy": "pushdown",
-                   "answers": 1, "elapsed_ms": 2.0, "slow": False,
-                   "stats": {}}
+        payload = {"ts": 1.0, "query_id": "q0-000001", "document": "d",
+                   "terms": ["a"], "filter": "true",
+                   "strategy": "pushdown", "answers": 1, "wall_ms": 2.0,
+                   "cpu_ms": 1.0, "stats": {}}
         drained = []
 
         def producer():
             for _ in range(rounds):
-                log.ingest(dict(payload), worker="w0")
+                log.ingest([dict(payload)], {}, worker="w0")
 
         def drainer():
             for _ in range(rounds // 10):
-                drained.extend(log.drain())
+                drained.extend(log.drain()[0])
 
         _run_threads([producer, producer, drainer])
-        drained.extend(log.drain())
+        drained.extend(log.drain()[0])
         assert len(drained) == 2 * rounds
 
 
@@ -172,7 +173,8 @@ class TestLiveServerUnderLoad:
     def test_interleaved_searches_with_tight_polling(self):
         corpus = generate_collection(
             InexSpec(articles=4, nodes_per_article=100, seed=13))
-        obs = Observability(query_log=QueryLog(slow_query_ms=0.0))
+        obs = Observability(recorder=FlightRecorder(
+            RecorderConfig(ring_size=10_000, slow_ms=0.0)))
         queries = [Query(("needle", "thread")), Query(("needle",)),
                    Query(("thread",))]
         searches_per_thread, nthreads = 50, 4  # 200 searches total
@@ -182,7 +184,7 @@ class TestLiveServerUnderLoad:
         # totals from one serial pass per query.
         evals_per_query = []
         for q in queries:
-            probe = Observability(query_log=QueryLog())
+            probe = Observability()
             corpus.search(q, obs=probe)
             evals_per_query.append(probe.metrics.counter(
                 QUERIES_TOTAL, "Queries evaluated.").value)
@@ -227,11 +229,12 @@ class TestLiveServerUnderLoad:
             assert obs.metrics.counter(
                 QUERIES_TOTAL,
                 "Queries evaluated.").value == expected_evals
-            assert len(obs.query_log) == expected_evals
+            assert len(obs.recorder) == expected_evals
             with urllib.request.urlopen(f"{server.url}/varz",
                                         timeout=5) as reply:
                 varz = json.load(reply)
-            assert varz["query_log"]["records"] == expected_evals
+            assert varz["flight_recorder"]["profiles"] \
+                == varz["flight_recorder"]["slow"] == expected_evals
             metrics = {m["name"]: m
                        for m in varz["metrics"]["metrics"]}
             assert metrics[QUERIES_TOTAL]["value"] == expected_evals

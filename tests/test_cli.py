@@ -255,7 +255,9 @@ class TestServe:
                           stdin=lines())
         assert code == 0
         assert seen["tracer"] == {"roots": bound, "max_roots": bound}
-        assert seen["query_log"]["records"] <= bound
+        assert seen["flight_recorder"]["profiles"] \
+            == seen["flight_recorder"]["ring_size"] == bound
+        assert seen["flight_recorder"]["evicted"] == 2 * bound
         assert "repro_join_cache_memo_entries" in {
             m["name"] for m in seen["metrics"]["metrics"]}
 
