@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-serving examples verify clean
+.PHONY: install test bench bench-serving examples verify loc clean
 
 # Run from the checkout, as the tier-1 command does: no install needed.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -51,6 +51,14 @@ verify:
 	           report = fsck('$$tmp/live'); assert report['healthy'], report['issues']; \
 	           print('mutable index: a one-document replace carried', delta['carried'], \
 	                 'of 6 delta documents and decoded', delta['materialized'], '- fsck healthy')"
+
+# The figures ROADMAP.md quotes after every PR: lines of src/repro and
+# of each top-level package (single modules included).
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l | xargs printf '%6d src/repro\n'
+	@for p in src/repro/*/ src/repro/*.py; do \
+		find $$p -name '*.py' | xargs cat | wc -l | xargs printf "%6d $$p\n"; \
+	done | sort -rn
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache

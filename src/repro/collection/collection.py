@@ -18,16 +18,18 @@ import os
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..core.algebra import JoinCache
 from ..core.cost import CostModel
-from ..core.filters import SizeAtMost
+from ..core.evaluator import FragmentStream, PlanAnalysis
+from ..core.filters import Filter, SizeAtMost
 from ..core.fragment import Fragment
+from ..core.plan import PlanNode
 from ..core.query import Query, QueryResult
-from ..core.strategies import Strategy, evaluate
-from ..core.streaming import (TopKHeap, hit_order_key, ranked_order_key,
-                              stream_evaluate)
+from ..core.strategies import Strategy, _physical_plan, plan_for
+from ..core.streaming import (TopKHeap, _count_early_exit, _count_rounds,
+                              hit_order_key, ranked_order_key)
 from ..errors import BudgetExceeded, DocumentError, WALError
 from ..guard.admission import (AdmissionDecision, AdmissionPolicy,
                                screen_models)
@@ -36,14 +38,10 @@ from ..index.inverted import InvertedIndex
 from ..index.memory import MemorySource
 from ..obs import (DOCUMENTS_SKIPPED, FRAGMENTS_RANKED,
                    GUARD_BUDGET_EXCEEDED, NOOP, Observability,
-                   STREAM_EARLY_EXITS, STREAM_ROUNDS,
                    STREAM_SCORES_SKIPPED)
 from ..ranking.scoring import FragmentScorer, ScoredFragment
 from ..xmltree.document import Document
 from ..xmltree.parser import parse, parse_file
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.evaluator import PlanAnalysis
 
 __all__ = ["DocumentCollection", "CollectionResult", "CollectionHit"]
 
@@ -72,8 +70,7 @@ class CollectionResult:
         all_hits = [CollectionHit(name, fragment)
                     for name, result in self.per_document.items()
                     for fragment in result.fragments]
-        all_hits.sort(key=lambda h: (h.fragment.size, h.document_name,
-                                     sorted(h.fragment.nodes)))
+        all_hits.sort(key=_hit_key)
         return all_hits
 
     def __len__(self) -> int:
@@ -91,9 +88,12 @@ class CollectionResult:
         return sum(r.elapsed for r in self.per_document.values())
 
 
-_SKIP_HELP = "Documents skipped by the index early exit."
-_EARLY_EXIT_HELP = ("Streaming evaluations stopped before the full "
-                    "answer set existed.")
+#: β of the first streamed round (:meth:`DocumentCollection._beta_rounds`).
+_INITIAL_BETA = 4
+
+
+def _hit_key(hit: CollectionHit) -> tuple:
+    return hit_order_key(hit.document_name, hit.fragment)
 
 
 def keyword_screen(source, terms: Iterable[str],
@@ -113,6 +113,53 @@ def keyword_screen(source, terms: Iterable[str],
     return [name for name in targets if name in keep], len(targets)
 
 
+def document_runs(source, names: Iterable[str], query: Query,
+                  strategy: Strategy, *, cache: Optional[JoinCache],
+                  obs: Observability,
+                  budget: Optional[QueryBudget] = None,
+                  fresh_budget: bool = False,
+                  extra_predicate: Optional[Filter] = None,
+                  analysis: Optional[PlanAnalysis] = None
+                  ) -> Iterator[tuple[str, FragmentStream]]:
+    """The one per-document loop: ``(name, run)`` for each of ``names``.
+
+    Each run (:class:`~repro.core.evaluator.FragmentStream`) is
+    ``query`` over one document of ``source`` with that document's
+    inverted index, for the consumer to drain (a search, EXPLAIN
+    ANALYZE, a pool worker's items) or pull (a streamed β round, which
+    passes its ``size <= β`` as ``extra_predicate``).  Documents that
+    agree on the rarest-first term order share one plan; given an
+    ``analysis``, every document runs *its* plan as it stands, timed,
+    and folds into it.  ``fresh_budget`` runs each document under its
+    own ``budget.fresh_item()``.  While a document's run is out, the
+    recorder's ambient shard is that document's.
+    """
+    recorder = obs.recorder
+    plans: dict[tuple, PlanNode] = {}
+    try:
+        for name in names:
+            if recorder is not None:
+                recorder.set_context(shard=source.shard_of(name))
+            index = source.inverted_index(name)
+            if analysis is not None:
+                plan = analysis.plan
+            else:
+                order = tuple(index.rarest_first(query.terms))
+                plan = plans.get(order)
+                if plan is None:
+                    plan = plans[order] = _physical_plan(
+                        Query(order, query.predicate), strategy, None,
+                        extra_predicate)
+            yield name, FragmentStream(
+                index.document, query, plan, strategy.value, index=index,
+                cache=cache, obs=obs, analysis=analysis,
+                budget=(budget.fresh_item()
+                        if fresh_budget and budget is not None else budget))
+    finally:
+        if recorder is not None:
+            recorder.set_context(shard=None)
+
+
 def _check_limit(limit: object) -> None:
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise ValueError(f"limit must be an int >= 1, got {limit!r}")
@@ -120,17 +167,11 @@ def _check_limit(limit: object) -> None:
         raise ValueError(f"limit must be >= 1, got {limit}")
 
 
-def _count_rounds(ob: Observability, rounds: int) -> None:
+def _count_skipped(ob: Observability, skipped: int) -> None:
     if ob.enabled:
         ob.metrics.counter(
-            STREAM_ROUNDS, "Adaptive β rounds run by streaming top-k."
-        ).inc(rounds)
-
-
-def _count_early_exit(ob: Observability, stage: str, n: int = 1) -> None:
-    if ob.enabled:
-        ob.metrics.counter(STREAM_EARLY_EXITS, _EARLY_EXIT_HELP,
-                           labels={"stage": stage}).inc(n)
+            DOCUMENTS_SKIPPED, "Documents skipped by the index early exit."
+        ).inc(skipped)
 
 
 def _count_ranked(ob: Observability, tally: list[int]) -> None:
@@ -525,39 +566,43 @@ class DocumentCollection:
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
-        source = self._source
+        return self._drain_documents("collection-search", query, strategy,
+                                     documents, ob, budget=budget)
+
+    def _drain_documents(self, span_name: str, query: Query,
+                         strategy: Strategy,
+                         documents: Optional[Iterable[str]],
+                         ob: Observability,
+                         budget: Optional[QueryBudget] = None,
+                         analysis: Optional[PlanAnalysis] = None
+                         ) -> CollectionResult:
+        """The serial materialised drive, under one ``span_name`` span:
+        screen, then drain one run per matching document (``budget``
+        and ``analysis`` as for :func:`document_runs`)."""
         per_document: dict[str, QueryResult] = {}
-        recorder = ob.recorder
-        names, targets = keyword_screen(source, query.terms, documents)
-        plans: dict = {}  # one plan per term order, not per document
-        with ob.span("collection-search", collection=self.name,
+        names, targets = keyword_screen(self._source, query.terms,
+                                        documents)
+        with ob.span(span_name, collection=self.name,
                      documents=targets) as span:
-            skipped = targets - len(names)
             try:
-                for name in names:
-                    if recorder is not None:
-                        recorder.set_context(shard=source.shard_of(name))
-                    index = source.inverted_index(name)
-                    per_document[name] = evaluate(
-                        index.document, query, strategy=strategy,
-                        index=index, cache=self._cache,
-                        obs=ob, budget=budget, plans=plans)
+                for name, run in document_runs(
+                        self._source, names, query, strategy,
+                        cache=self._cache, obs=ob, budget=budget,
+                        analysis=analysis):
+                    per_document[name] = run.result()
             except BudgetExceeded:
                 self._count_budget_exceeded(ob)
                 raise
-            finally:
-                if recorder is not None:
-                    recorder.set_context(shard=None)
             if ob.enabled:
+                skipped = targets - len(names)
                 span.set(evaluated=len(per_document), skipped=skipped)
-                ob.metrics.counter(DOCUMENTS_SKIPPED,
-                                   _SKIP_HELP).inc(skipped)
+                _count_skipped(ob, skipped)
                 self._cache.export_metrics(ob.metrics)
-                if recorder is not None:
+                if ob.recorder is not None:
                     # The gauge is a ratio, so it is recomputed here
                     # (and at merge/export time) rather than bumped in
                     # the per-query hot path.
-                    recorder.publish_calibration(ob.metrics)
+                    ob.recorder.publish_calibration(ob.metrics)
         return CollectionResult(query=query, per_document=per_document)
 
     def _stream_hits(self, query: Query, strategy: Strategy,
@@ -565,97 +610,96 @@ class DocumentCollection:
                      ob: Observability, workers: Optional[int],
                      resilience, faults,
                      budget: Optional[QueryBudget],
-                     limit: Optional[int],
-                     initial_beta: int = 4
-                     ) -> Iterator[CollectionHit]:
+                     limit: Optional[int]) -> Iterator[CollectionHit]:
         """Generator behind ``search(stream=True / limit=)``.
 
-        Adaptive β rounds: round *r* evaluates every live document under
+        Emits each β round's new hits (:meth:`_beta_rounds`) in
+        canonical :func:`~repro.core.streaming.hit_order_key` order —
+        which, size being the primary key, extends the global order.
+        Everything yielded is final, so hitting ``limit`` (or the
+        consumer walking away) stops the search with work bounded by
+        the last β instead of the answer-set size.  A mid-round
+        :class:`~repro.errors.BudgetExceeded` propagates *between*
+        emissions, so consumers always hold a consistent prefix of the
+        full hit list.
+        """
+        live, targets = keyword_screen(self._source, query.terms,
+                                       documents)
+        if len(live) < targets:
+            _count_skipped(ob, targets - len(live))
+        emitted = 0
+        for hits, _, more in self._beta_rounds(
+                query, strategy, live, ob, workers, resilience, faults,
+                budget, limit):
+            hits.sort(key=_hit_key)
+            for hit in hits:
+                yield hit
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    if more:
+                        _count_early_exit(ob, "limit")
+                    return
+
+    def _beta_rounds(self, query: Query, strategy: Strategy,
+                     live: list[str], ob: Observability,
+                     workers: Optional[int], resilience, faults,
+                     budget: Optional[QueryBudget],
+                     limit: Optional[int] = None
+                     ) -> Iterator[tuple[list[CollectionHit], int, bool]]:
+        """The adaptive β ladder: ``(new hits, complete, more)`` a round.
+
+        Round *r* evaluates every ``live`` document under
         ``size <= β_r`` (anti-monotonic, so pushed below the joins —
         Theorem 3 guarantees the round holds *exactly* the answers of
-        size ≤ β_r), emits the hits with ``β_{r-1} < size ≤ β_r`` in
-        canonical :func:`~repro.core.streaming.hit_order_key` order —
-        which, size being the primary key, extends the global order —
-        then doubles β.  Everything yielded is final, so hitting
-        ``limit`` (or the consumer walking away) stops the search with
-        work bounded by the last β instead of the answer-set size.  A
-        shared budget spans all rounds (its deadline is absolute); a
-        mid-round :class:`~repro.errors.BudgetExceeded` propagates
-        *between* emissions, so consumers always hold a consistent
-        prefix of the full hit list.
+        size ≤ β_r) and yields the hits not seen before, in document
+        order; then β doubles, up to the largest live document.
+        ``more`` says whether a larger β is still to come.  A shared
+        budget spans all rounds (its deadline is absolute).
 
-        With ``workers``, each round ships the size-bounded query
-        through the (cached) pool instead.  Given a ``limit``, a
-        parent-side candidate heap watches raw chunk rows as they land
-        and tightens a per-chunk ``SizeAtMost`` hint once it saturates:
-        later chunks then prove only fragments that can still matter.
-        The round's reliably complete size region is bounded by the
+        A serial round pulls one streamed run per document and is
+        ``complete`` up to β.  With ``workers`` it goes through the
+        pool (:meth:`_pooled_round`), where a ``limit`` lets a hint
+        tighten later chunks: such a round is complete only up to the
         *tightest* filter any chunk ran under (filters only ever
-        tighten), so emission stays bit-identical to the serial stream.
+        tighten), and the next round re-covers from there, so the
+        ladder yields what the serial one does.
         """
+        if not live:
+            return
         source = self._source
         runner = (self._parallel_executor(workers)
                   if workers is not None else None)
-        live, targets = keyword_screen(source, query.terms, documents)
-        if ob.enabled and len(live) < targets:
-            ob.metrics.counter(DOCUMENTS_SKIPPED, _SKIP_HELP
-                               ).inc(targets - len(live))
-        if not live:
-            return
         max_size = max(source.node_count(name) for name in live)
-        recorder = ob.recorder if runner is None else None
-        beta = min(initial_beta, max_size)
+        beta = min(_INITIAL_BETA, max_size)
         prev_beta = 0
-        emitted = 0
         rounds = 0
         try:
             while True:
                 rounds += 1
                 if runner is not None:
-                    round_hits, complete = self._pooled_round(
+                    hits, complete = self._pooled_round(
                         runner, query, beta, prev_beta, live, limit,
                         ob, strategy=strategy,
                         resilience=resilience, faults=faults,
                         budget=budget)
                 else:
-                    round_hits, complete = [], beta
-                    within = SizeAtMost(beta)
-                    plans: dict = {}  # one plan per term order a round
-                    for name in live:
-                        if recorder is not None:
-                            recorder.set_context(
-                                shard=source.shard_of(name))
-                        index = source.inverted_index(name)
-                        for fragment in stream_evaluate(
-                                index.document, query, strategy,
-                                index=index, cache=self._cache,
-                                obs=ob, budget=budget,
-                                extra_predicate=within, plans=plans):
-                            if fragment.size > prev_beta:
-                                round_hits.append(
-                                    CollectionHit(name, fragment))
-                round_hits.sort(key=lambda h: hit_order_key(
-                    h.document_name, h.fragment))
-                for hit in round_hits:
-                    yield hit
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        if beta < max_size:
-                            _count_early_exit(ob, "limit")
-                        return
+                    complete = beta
+                    hits = [CollectionHit(name, fragment)
+                            for name, run in document_runs(
+                                source, live, query, strategy,
+                                cache=self._cache, obs=ob, budget=budget,
+                                extra_predicate=SizeAtMost(beta))
+                            for fragment in run
+                            if fragment.size > prev_beta]
+                yield hits, complete, beta < max_size
                 if complete >= max_size:
                     return
-                # A hint-tightened pooled round is complete only up to
-                # the tightest bound; the next round re-covers from
-                # there.  (Serial rounds are complete up to β.)
                 prev_beta = complete
                 beta = min(max(beta * 2, complete + 1), max_size)
         except BudgetExceeded:
             self._count_budget_exceeded(ob)
             raise
         finally:
-            if recorder is not None:
-                recorder.set_context(shard=None)
             _count_rounds(ob, rounds)
             if ob.enabled and runner is None:
                 self._cache.export_metrics(ob.metrics)
@@ -703,7 +747,7 @@ class DocumentCollection:
                         strategy: Strategy = Strategy.PUSHDOWN,
                         documents: Optional[Iterable[str]] = None,
                         obs: Optional[Observability] = None
-                        ) -> tuple[CollectionResult, "PlanAnalysis"]:
+                        ) -> tuple[CollectionResult, PlanAnalysis]:
         """EXPLAIN ANALYZE over the collection — one shared plan.
 
         Builds the strategy's plan once, executes it against every
@@ -714,30 +758,10 @@ class DocumentCollection:
         ``(result, analysis)``; render with
         ``explain(analysis.plan, analyze=analysis)``.
         """
-        from ..core.evaluator import PlanAnalysis
-        from ..core.strategies import explain_analyze, plan_for
-        ob = obs if obs is not None else NOOP
-        plan = plan_for(query, strategy)
-        analysis = PlanAnalysis(plan)
-        source = self._source
-        names, targets = keyword_screen(source, query.terms, documents)
-        per_document: dict[str, QueryResult] = {}
-        with ob.span("collection-analyze", collection=self.name,
-                     documents=targets) as span:
-            for name in names:
-                index = source.inverted_index(name)
-                per_document[name], _ = explain_analyze(
-                    index.document, query, strategy=strategy,
-                    index=index, cache=self._cache, obs=ob,
-                    plan=plan, analysis=analysis)
-            if ob.enabled:
-                skipped = targets - len(per_document)
-                span.set(evaluated=len(per_document), skipped=skipped)
-                ob.metrics.counter(DOCUMENTS_SKIPPED,
-                                   _SKIP_HELP).inc(skipped)
-                self._cache.export_metrics(ob.metrics)
-        return (CollectionResult(query=query, per_document=per_document),
-                analysis)
+        analysis = PlanAnalysis(plan_for(query, strategy))
+        return self._drain_documents(
+            "collection-analyze", query, strategy, documents,
+            obs if obs is not None else NOOP, analysis=analysis), analysis
 
     def scorer(self, name: str) -> FragmentScorer:
         """The (cached) :class:`FragmentScorer` of one document.
@@ -754,18 +778,17 @@ class DocumentCollection:
                 scorer = self._scorers.setdefault(name, scorer)
         return scorer
 
-    def _score_into(self, heap: TopKHeap, name: str, fragments,
-                    terms, tally: list[int], above: int = 0) -> None:
-        """Fold one document's fragments larger than ``above`` into the
-        top-k ``heap``; ``tally`` counts ``[scored, skipped]``.
+    def _score_into(self, heap: TopKHeap, hits: Iterable[CollectionHit],
+                    terms, tally: list[int]) -> None:
+        """Fold ``hits`` into the top-k ``heap``; ``tally`` counts
+        ``[scored, skipped]``.
 
         A fragment whose cheap score upper bound provably cannot enter
         the heap is never fully scored.
         """
-        scorer = self.scorer(name)
-        for fragment in fragments:
-            if fragment.size <= above:
-                continue
+        for hit in hits:
+            name, fragment = hit.document_name, hit.fragment
+            scorer = self.scorer(name)
             bound = heap.bound()
             if bound is not None and \
                     -scorer.score_upper_bound(fragment) > bound[0]:
@@ -827,9 +850,10 @@ class DocumentCollection:
         heap: TopKHeap = TopKHeap(limit)
         tally = [0, 0]
         with ob.span("rank", fragments=len(result)):
-            for name, doc_result in result.per_document.items():
-                self._score_into(heap, name, doc_result.fragments,
-                                 query.terms, tally)
+            self._score_into(
+                heap, (CollectionHit(name, fragment)
+                       for name, doc in result.per_document.items()
+                       for fragment in doc.fragments), query.terms, tally)
             _count_ranked(ob, tally)
         return heap.items_sorted()
 
@@ -838,19 +862,18 @@ class DocumentCollection:
                        workers: Optional[int], resilience, faults,
                        budget: Optional[QueryBudget],
                        deadline_ms: Optional[float],
-                       admission: Optional[AdmissionPolicy],
-                       initial_beta: int = 4
+                       admission: Optional[AdmissionPolicy]
                        ) -> list[tuple[str, ScoredFragment]]:
         """Ranked top-k with threshold early termination over β rounds.
 
-        Round *r* evaluates under ``size <= β_r`` and scores only the
-        round's *new* fragments (``size > β_{r-1}``).  Every unseen
-        fragment has size ≥ β_r + 1, so its score is at most
-        ``max_d size_score_bound(β_r + 1)`` over the live documents'
-        scorers; once the heap is full and its k-th score meets that
-        threshold, no unseen fragment can displace anything — ties are
-        safe because equal scores break by smaller size and every
-        unseen fragment is strictly larger than every held one.
+        Each round of :meth:`_beta_rounds` is scored as it lands.  Every
+        unseen fragment is larger than the round's ``complete`` size,
+        so its score is at most ``max_d size_score_bound(complete + 1)``
+        over the live documents' scorers; once the heap is full and its
+        k-th score meets that threshold, no unseen fragment can displace
+        anything — ties are safe because equal scores break by smaller
+        size and every unseen fragment is strictly larger than every
+        held one.
         """
         budget = effective_budget(budget, deadline_ms)
         if admission is not None:
@@ -859,39 +882,21 @@ class DocumentCollection:
             strategy = decision.strategy
         if budget is not None:
             budget.start()
-        source = self._source
-        live = source.candidates(query.terms)
-        if not live:
-            return []
-        max_size = max(source.node_count(name) for name in live)
+        live = self._source.candidates(query.terms)
         heap: TopKHeap = TopKHeap(limit)
-        beta = min(initial_beta, max_size)
-        prev_beta = 0
-        rounds = 0
         tally = [0, 0]
-        while True:
-            rounds += 1
-            bounded = Query(query.terms,
-                            query.predicate & SizeAtMost(beta))
-            result = self.search(bounded, strategy=strategy,
-                                 documents=live, obs=ob,
-                                 workers=workers,
-                                 resilience=resilience, faults=faults,
-                                 budget=budget)
-            for name, doc_result in result.per_document.items():
-                self._score_into(heap, name, doc_result.fragments,
-                                 query.terms, tally, above=prev_beta)
-            if beta >= max_size:
-                break
+        for hits, complete, more in self._beta_rounds(
+                query, strategy, live, ob, workers, resilience, faults,
+                budget):
+            self._score_into(heap, hits, query.terms, tally)
             bound = heap.bound()
-            if bound is not None:
-                threshold = max(self.scorer(name).size_score_bound(beta + 1)
-                                for name in live)
+            if more and bound is not None:
+                threshold = max(
+                    self.scorer(name).size_score_bound(complete + 1)
+                    for name in live)
                 if -bound[0] >= threshold:
                     _count_early_exit(ob, "threshold")
                     break
-            prev_beta, beta = beta, min(beta * 2, max_size)
-        _count_rounds(ob, rounds)
         _count_ranked(ob, tally)
         return heap.items_sorted()
 

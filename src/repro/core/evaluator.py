@@ -5,7 +5,8 @@ The one engine of the library.  A :mod:`repro.core.plan` tree says
 generator :class:`Operator` objects, one per plan node, each wrapping the
 loop that defines its algebra operation (:mod:`repro.core.algebra`,
 :mod:`repro.core.reduce`, :mod:`repro.core.filters`).  Iterating the
-root pulls answer fragments through the tree on demand: draining it
+root pulls answer fragments through the tree on demand, and one driver
+does that for every entry point (:class:`FragmentStream`): draining it
 into a ``frozenset`` is materialised evaluation
 (:func:`~repro.core.strategies.evaluate`, :func:`run_plan`), abandoning
 it early is top-k (:mod:`repro.core.streaming`), and reading the
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
                     Sequence)
 
-from ..errors import PlanError
-from ..obs import NOOP, Observability
+from ..errors import BudgetExceeded, PlanError
+from ..obs import NOOP, NULL_SPAN, STREAM_ROWS, Observability
 from .algebra import (JoinCache, _iter_multiway_powerset_join,
                       _iter_pairwise_join)
 from .cost import CostModel
@@ -41,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["OperatorRunStats", "PlanAnalysis", "Operator", "ScanOp",
            "SelectOp", "JoinOp", "FixpointOp", "PowersetOp",
-           "build_pipeline", "PlanEvaluator", "run_plan"]
+           "build_pipeline", "FragmentStream", "PlanEvaluator", "run_plan"]
 
 
 @dataclass
@@ -482,6 +483,230 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
     return (emit if emit is not None else ()), operators
 
 
+class FragmentStream:
+    """One evaluation of one plan over one document — *the* run.
+
+    Every entry point builds one and either drains it
+    (:func:`~repro.core.strategies.evaluate`, :func:`run_plan`, EXPLAIN
+    ANALYZE) or hands it over to be pulled
+    (:func:`~repro.core.streaming.stream_evaluate`).  The run owns the
+    plan's :class:`PlanAnalysis`, binds ``budget`` to it, compiles the
+    pipeline on first use and records itself once when it ends —
+    exhausted, closed or aborted (``outcome="budget-exceeded"``, trace
+    tail-retained, for a :class:`~repro.errors.BudgetExceeded`) — with
+    its plan's label, CPU time, §5 predicted cost and checkpoints.
+    Given an ``analysis`` of the same plan, it is timed and folds in.
+
+    Iterating yields each answer fragment exactly once, as it is
+    proven: the same set as :meth:`drain`, and abandoning the iterator
+    (or :meth:`close`) stops the producers.  A pulled run is a
+    *stream*: recorded as ``stream-<label>``, it also publishes
+    ``repro_stream_rows_total`` per operator and its finished ``stats``
+    carry ``extras["streamed_rows"]``.
+    """
+
+    def __init__(self, document: "Document", query: Optional[Query],
+                 plan: PlanNode, label: str, *,
+                 index: Optional["InvertedIndex"] = None,
+                 cache: Optional[JoinCache] = None,
+                 obs: Optional[Observability] = None,
+                 budget: Optional["QueryBudget"] = None,
+                 analysis: Optional[PlanAnalysis] = None,
+                 keyword_source: Optional[
+                     Callable[[str], frozenset[Fragment]]] = None,
+                 max_powerset_operand: Optional[int] = 16) -> None:
+        #: ``None`` for a bare plan (:class:`PlanEvaluator`).
+        self.query = query
+        self.plan = plan
+        self.label = label
+        self.analysis = PlanAnalysis(plan)
+        #: Wall-clock seconds from construction to the end of the run.
+        self.elapsed = 0.0
+        self._document = document
+        self._obs = obs if obs is not None else NOOP
+        self._into = analysis
+        #: What :func:`build_pipeline` is called with.
+        self._options = {"index": index, "keyword_source": keyword_source,
+                         "cache": cache, "budget": budget,
+                         "timed": analysis is not None,
+                         "max_powerset_operand": max_powerset_operand}
+        self._pipeline: Optional[tuple] = None
+        self._iter: Optional[Iterator[Fragment]] = None  # set by a pull
+        self._answers = 0
+        self._finished = False
+        self._final: Optional[OperationStats] = None  # a drain's totals
+        if budget is not None:
+            budget.start()
+            budget.bind_stats(self.analysis)
+        if self._obs.recorder is not None:
+            self._mem_token = self._obs.recorder.begin_memory()
+            self._cpu_started = time.process_time()
+        self._started = time.perf_counter()
+
+    def _open(self) -> tuple[Iterable[Fragment], list[Operator]]:
+        """The compiled pipeline ``(emit, operators)``, built once."""
+        if self._pipeline is None:
+            self._pipeline = build_pipeline(self._document, self.analysis,
+                                            **self._options)
+        return self._pipeline
+
+    @property
+    def operators(self) -> list[Operator]:
+        """Every operator of the pipeline (compiles it if need be)."""
+        return self._open()[1]
+
+    def __iter__(self) -> "FragmentStream":
+        return self
+
+    def __next__(self) -> Fragment:
+        if self._finished:
+            raise StopIteration
+        try:
+            if self._iter is None:
+                self._iter = iter(self._open()[0])
+            fragment = next(self._iter)
+        except StopIteration:
+            self._finish()
+            raise
+        except Exception as exc:
+            self._finish(aborted=exc)
+            raise
+        self._answers += 1
+        return fragment
+
+    def close(self) -> None:
+        """Stop the producers and record the run (idempotent)."""
+        closer = getattr(self._iter, "close", None)
+        if closer is not None:
+            closer()
+        self._finish()
+
+    def drain(self) -> frozenset[Fragment]:
+        """Run to completion; the answer set.
+
+        The operator iterator feeds the ``frozenset`` directly — no
+        Python frame per answer.  With live observability a drain is an
+        ``execute`` span over ``scan`` (the leaves, which resolve as the
+        pipeline is built) and ``strategy:<label>`` (the pull).  A
+        pulled run opens none: no span may stay open while its consumer
+        holds control.
+        """
+        ob = self._obs
+        tally = OperationStats()
+        if ob.enabled:
+            terms = self.query.terms if self.query is not None else ()
+            execute = ob.span("execute", strategy=self.label,
+                              terms=" ".join(terms), stats=tally)
+            scan = ob.span("scan", stats=tally)
+            pull = ob.span("strategy:" + self.label, stats=tally)
+        else:
+            execute = scan = pull = NULL_SPAN
+        try:
+            with execute as span:
+                with scan:
+                    emit = self._open()[0]
+                with pull:
+                    try:
+                        fragments = frozenset(emit)
+                    finally:
+                        # Inside the span, so it reports the work done;
+                        # summed once, for the record and the result too.
+                        tally.merge(self.analysis.totals())
+                        self._final = tally
+                span.set(answers=len(fragments))
+        except Exception as exc:
+            # The (closed, error-attributed) execute span is its trace.
+            self._finish(aborted=exc, span=execute)
+            raise
+        self._answers = len(fragments)
+        self._finish(span=execute)
+        return fragments
+
+    def result(self) -> QueryResult:
+        """:meth:`drain`, wrapped as a :class:`QueryResult`."""
+        fragments = self.drain()
+        return QueryResult(query=self.query, fragments=fragments,
+                           strategy=self.label, elapsed=self.elapsed,
+                           stats=self.stats.as_dict())
+
+    @property
+    def stats(self) -> OperationStats:
+        """The work done so far, summed over the operators; a finished
+        stream adds ``extras["streamed_rows"]``."""
+        if self._final is not None:
+            return self._final
+        stats = self.analysis.totals()
+        if self._finished and self._iter is not None:
+            stats.extras["streamed_rows"] = self.streamed_rows
+        return stats
+
+    @property
+    def streamed_rows(self) -> int:
+        """Rows emitted across all operators so far."""
+        return sum(run.rows for run in self.analysis.operators)
+
+    def operator_counters(self) -> list[dict]:
+        """Per-operator ``rows_in``/``rows_out`` snapshots."""
+        return [op.counters() for op in self.operators]
+
+    def _finish(self, aborted: Optional[Exception] = None,
+                span=None) -> None:
+        """End the run, once: fold a timed run into its analysis and
+        make the one ``record_query`` call.  ``aborted`` is the
+        exception that stopped the run (the caller re-raises it),
+        ``span`` a drain's closed ``execute`` span."""
+        if self._finished:
+            return
+        self._finished = True
+        self.elapsed = time.perf_counter() - self._started
+        if self._into is not None:
+            runs = self.analysis.operators
+            for run in reversed(runs):  # children first
+                run.total_seconds = run.self_seconds + sum(
+                    runs[child].total_seconds for child in run.children)
+            self._into.merge(self.analysis)
+        ob, label = self._obs, self.label
+        if not ob.enabled:
+            return
+        if self._iter is not None:
+            label = "stream-" + label
+            for op in self.operators:
+                if op.run.rows:
+                    ob.metrics.counter(
+                        STREAM_ROWS,
+                        "Fragments emitted by streaming pipeline "
+                        "operators.", labels={"operator": op.label},
+                    ).inc(op.run.rows)
+        cpu_s, predicted, peak = 0.0, None, None
+        if ob.recorder is not None:
+            cpu_s = time.process_time() - self._cpu_started
+            peak = ob.recorder.end_memory(self._mem_token)
+            try:
+                predicted = CostModel(
+                    self._document, index=self._options["index"]
+                ).estimate(self.plan).cost
+            except Exception:
+                # e.g. a keyword_source backend with no real Document:
+                # an uncalibrated profile rather than an error.
+                pass
+        outcome, reason = "ok", None
+        if isinstance(aborted, BudgetExceeded):
+            outcome, reason = "budget-exceeded", aborted.reason
+        elif aborted is not None:
+            outcome, reason = "error", type(aborted).__name__
+        query, budget = self.query, self._options["budget"]
+        ob.record_query(
+            document=getattr(self._document, "name", "?"),
+            terms=query.terms if query is not None else (),
+            filter=repr(query.predicate) if query is not None else "",
+            strategy=label, answers=self._answers, elapsed=self.elapsed,
+            stats=self.stats.as_dict(), plan=self.plan.label(), cpu_s=cpu_s,
+            predicted_cost=predicted, peak_memory=peak,
+            checkpoints=budget.checkpoints if budget is not None else 0,
+            outcome=outcome, reason=reason,
+            span=span if ob.tracer.enabled else None)
+
+
 class PlanEvaluator:
     """Run logical plans over one document, to a fragment set.
 
@@ -498,9 +723,8 @@ class PlanEvaluator:
         :func:`repro.core.algebra.powerset_join`).
     obs:
         Optional :class:`~repro.obs.Observability` handle; when enabled,
-        each :meth:`execute` call is wrapped in an ``execute-plan`` span
-        carrying the plan's root label, output cardinality, and the
-        operation-counter delta.
+        each :meth:`execute` call is traced and recorded like every
+        other run (:class:`FragmentStream`), under the label ``plan``.
     analysis:
         Optional :class:`PlanAnalysis` built from the plan being
         executed; when given, operators are timed and every execution
@@ -519,47 +743,21 @@ class PlanEvaluator:
                  analysis: Optional[PlanAnalysis] = None,
                  budget: Optional["QueryBudget"] = None) -> None:
         self._document = document
-        self._index = index
-        self._cache = cache
-        self._max_powerset_operand = max_powerset_operand
-        self._obs = obs if obs is not None else NOOP
-        self._analysis = analysis
-        self._budget = budget
+        self._options = {"index": index, "cache": cache, "obs": obs,
+                         "budget": budget, "analysis": analysis,
+                         "max_powerset_operand": max_powerset_operand}
 
     def execute(self, plan: PlanNode,
                 stats: Optional[OperationStats] = None
                 ) -> frozenset[Fragment]:
         """Evaluate ``plan`` and return its fragment set."""
-        tally = stats if stats is not None else OperationStats()
-        if self._obs.enabled:
-            with self._obs.span("execute-plan", plan=plan.label(),
-                                stats=tally) as span:
-                result = self._drain(plan, tally)
-                span.set(rows=len(result))
-            return result
-        return self._drain(plan, tally)
-
-    def _drain(self, plan: PlanNode,
-               tally: OperationStats) -> frozenset[Fragment]:
-        run = PlanAnalysis(plan)
-        if self._budget is not None:
-            self._budget.start()
-            self._budget.bind_stats(run)
+        run = FragmentStream(self._document, None, plan, "plan",
+                             **self._options)
         try:
-            emit, _ = build_pipeline(
-                self._document, run, index=self._index,
-                cache=self._cache, budget=self._budget,
-                timed=self._analysis is not None,
-                max_powerset_operand=self._max_powerset_operand)
-            return frozenset(emit)
+            return run.drain()
         finally:
-            tally.merge(run.totals())
-            if self._analysis is not None:
-                for op in reversed(run.operators):  # children first
-                    op.total_seconds = op.self_seconds + sum(
-                        run.operators[child].total_seconds
-                        for child in op.children)
-                self._analysis.merge(run)
+            if stats is not None:
+                stats.merge(run.stats)
 
 
 def run_plan(document: "Document", query: Query, plan: PlanNode,
@@ -574,19 +772,6 @@ def run_plan(document: "Document", query: Query, plan: PlanNode,
     Passing ``analysis=`` (a :class:`PlanAnalysis` of ``plan``) records
     per-operator runtime statistics while the plan runs.
     """
-    ob = obs if obs is not None else NOOP
-    evaluator = PlanEvaluator(document, index=index, cache=cache, obs=ob,
-                              analysis=analysis, budget=budget)
-    stats = OperationStats()
-    started = time.perf_counter()
-    fragments = evaluator.execute(plan, stats=stats)
-    elapsed = time.perf_counter() - started
-    if ob.enabled:
-        ob.record_query(
-            document=getattr(document, "name", "?"), terms=query.terms,
-            filter=repr(query.predicate), strategy=strategy_name,
-            answers=len(fragments), elapsed=elapsed,
-            stats=stats.as_dict(), plan=plan.label())
-    return QueryResult(query=query, fragments=fragments,
-                       strategy=strategy_name, elapsed=elapsed,
-                       stats=stats.as_dict())
+    return FragmentStream(document, query, plan, strategy_name, index=index,
+                          cache=cache, obs=obs, budget=budget,
+                          analysis=analysis).result()

@@ -1,8 +1,9 @@
 """Query evaluation strategies (paper Section 4).
 
 A strategy is a plan, not a code path: :func:`plan_for` maps each to
-its logical plan, and :func:`evaluate` compiles that plan to the
-operators of :mod:`repro.core.evaluator` and drains them.  The
+its logical plan, and :func:`evaluate` drains one run of that plan
+(:class:`~repro.core.evaluator.FragmentStream`, which compiles it to
+the operators of :mod:`repro.core.evaluator`).  The
 strategies produce identical answer sets by Theorems 2 and 3; they
 differ — dramatically — in how much work they do:
 
@@ -35,20 +36,17 @@ from __future__ import annotations
 
 import enum
 import logging
-import time
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..errors import BudgetExceeded, QueryError
-from ..obs import NOOP, NULL_SPAN, Observability
+from ..errors import QueryError
+from ..obs import Observability
 from .algebra import JoinCache
-from .cost import CostModel
-from .evaluator import PlanAnalysis, build_pipeline, run_plan
+from .evaluator import FragmentStream, PlanAnalysis, run_plan
 from .fragment import Fragment
 from .filters import Filter
 from .optimizer import OptimizerSettings, optimize, select_pushed
 from .plan import PlanNode, initial_plan
-from .query import Query, QueryResult, keyword_fragments
-from .stats import OperationStats
+from .query import Query, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.budget import QueryBudget
@@ -89,8 +87,7 @@ def evaluate(document: "Document", query: Query,
              obs: Optional[Observability] = None,
              # Accepted and ignored, for benchmarks/serving/layers.py:360-364
              kernel: Optional[str] = None,
-             budget: Optional["QueryBudget"] = None,
-             plans: Optional[dict] = None) -> QueryResult:
+             budget: Optional["QueryBudget"] = None) -> QueryResult:
     """Evaluate ``query`` against ``document`` with the given strategy.
 
     Returns a :class:`~repro.core.query.QueryResult` carrying the answer
@@ -114,105 +111,27 @@ def evaluate(document: "Document", query: Query,
         the evaluation is wrapped in an ``execute`` span (with ``scan``
         and per-strategy child spans) and recorded once: per-query
         metrics plus, when the handle has a flight recorder, one
-        profile with CPU time and the §5 predicted cost of the plan.
+        profile with the plan's label, CPU time and the §5 predicted
+        cost of the plan.
     budget:
         Optional :class:`~repro.guard.QueryBudget`: cooperative
         checkpoints inside the operators raise
         :class:`~repro.errors.BudgetExceeded` when the query blows
         past its deadline or operation limits.  ``None`` (the default)
         is the unguarded path, byte-for-byte the pre-guard behaviour.
-    plans:
-        Optional dict kept by a caller for one search over many
-        documents, so they share plans (see :func:`_physical_plan`).
     """
-    ob = obs if obs is not None else NOOP
-    recorder = ob.recorder if ob.enabled else None
-    stats = OperationStats()
-    if budget is not None:
-        budget.start()
-
-    # Span attributes are only worth computing when observability is
-    # live; the disabled path must stay free of per-query allocations.
-    if ob.enabled:
-        execute_span = ob.span("execute", strategy=strategy.value,
-                               terms=" ".join(query.terms), stats=stats)
-        scan_span = ob.span("scan", stats=stats)
-        strategy_span = ob.span("strategy:" + strategy.value,
-                                stats=stats)
-    else:
-        execute_span = scan_span = strategy_span = NULL_SPAN
-
-    aborted = None
-    if recorder is not None:
-        mem_token = recorder.begin_memory()
-        cpu_started = time.process_time()
-    started = time.perf_counter()
-    plan = _physical_plan(query, strategy, index, plans=plans)
-    analysis = PlanAnalysis(plan)
-    if budget is not None:
-        budget.bind_stats(analysis)
-
-    try:
-        with execute_span as span:
-            with scan_span:
-                keyword_sets = {
-                    term: (keyword_source(term)
-                           if keyword_source is not None
-                           else keyword_fragments(document, term,
-                                                  index=index))
-                    for term in query.terms}
-            with strategy_span:
-                try:
-                    emit, _ = build_pipeline(
-                        document, analysis,
-                        keyword_source=keyword_sets.__getitem__,
-                        cache=cache, budget=budget,
-                        max_powerset_operand=max_brute_force_operand)
-                    fragments = frozenset(emit)
-                finally:
-                    # Inside the spans, so they report the work done.
-                    stats.merge(analysis.totals())
-            span.set(answers=len(fragments))
-    except BudgetExceeded as exc:
-        # An abort is recorded too (and re-raised below): its profile
-        # is always tail-retained, with the partially-built (already
-        # closed, error-attributed) execute span as its trace.
-        aborted, fragments = exc, frozenset()
-
-    elapsed = time.perf_counter() - started
-    if ob.enabled:
-        cpu_s, predicted, peak = 0.0, None, None
-        if recorder is not None:
-            cpu_s = time.process_time() - cpu_started
-            peak = recorder.end_memory(mem_token)
-            try:
-                predicted = CostModel(document, index=index
-                                      ).estimate(plan).cost
-            except Exception:
-                # e.g. a keyword_source backend with no real Document:
-                # an uncalibrated profile rather than an error.
-                pass
-        ob.record_query(
-            document=getattr(document, "name", "?"), terms=query.terms,
-            filter=repr(query.predicate), strategy=strategy.value,
-            answers=len(fragments), elapsed=elapsed,
-            stats=stats.as_dict(), cpu_s=cpu_s,
-            predicted_cost=predicted, peak_memory=peak,
-            checkpoints=budget.checkpoints if budget is not None else 0,
-            outcome="budget-exceeded" if aborted else "ok",
-            reason=aborted.reason if aborted else None,
-            span=execute_span if ob.tracer.enabled else None)
-    if aborted is not None:
-        raise aborted
+    result = FragmentStream(
+        document, query, _physical_plan(query, strategy, index),
+        strategy.value, index=index, cache=cache, obs=obs, budget=budget,
+        keyword_source=keyword_source,
+        max_powerset_operand=max_brute_force_operand).result()
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "%s evaluated %s: %d answers, %d joins, %d pruned, %.2fms",
-            strategy.value, query.describe(), len(fragments),
-            stats.fragment_joins, stats.fragments_discarded,
-            elapsed * 1000)
-    return QueryResult(query=query, fragments=fragments,
-                       strategy=strategy.value, elapsed=elapsed,
-                       stats=stats.as_dict())
+            strategy.value, query.describe(), len(result.fragments),
+            result.stats["fragment_joins"],
+            result.stats["fragments_discarded"], result.elapsed * 1000)
+    return result
 
 
 def plan_for(query: Query,
@@ -239,30 +158,20 @@ def plan_for(query: Query,
 
 def _physical_plan(query: Query, strategy: Strategy,
                    index: Optional["InvertedIndex"],
-                   extra_predicate: Optional[Filter] = None,
-                   plans: Optional[dict] = None) -> PlanNode:
+                   extra_predicate: Optional[Filter] = None) -> PlanNode:
     """:func:`plan_for` over the terms in ascending document frequency.
 
     Join chains are left-deep in term order, and rarest-first keeps
     the intermediate fragment sets small.  ``extra_predicate`` is one
     more selection over the strategy's plan, its anti-monotonic part
     pushed below the joins whatever the strategy.
-
-    ``plans`` is a dict a caller evaluating many documents keeps for
-    the length of one search: documents that agree on the term order
-    then share one plan instead of planning each on their own.
     """
     if index is not None:
         query = Query(tuple(index.rarest_first(query.terms)),
                       query.predicate)
-    key = (query, strategy, extra_predicate)
-    plan = plans.get(key) if plans is not None else None
-    if plan is None:
-        plan = plan_for(query, strategy)
-        if extra_predicate is not None:
-            plan = select_pushed(extra_predicate, plan, reselect=False)
-        if plans is not None:
-            plans[key] = plan
+    plan = plan_for(query, strategy)
+    if extra_predicate is not None:
+        plan = select_pushed(extra_predicate, plan, reselect=False)
     return plan
 
 
@@ -297,10 +206,9 @@ def explain_analyze(document: "Document", query: Query,
     elif analysis.plan is not plan:
         raise QueryError("analysis was built for a different plan; "
                          "pass the plan object it analyses")
-    result = run_plan(document, query, plan, index=index, cache=cache,
-                      strategy_name=strategy.value, obs=obs,
-                      analysis=analysis, budget=budget)
-    return result, analysis
+    return run_plan(document, query, plan, index=index, cache=cache,
+                    strategy_name=strategy.value, obs=obs,
+                    analysis=analysis, budget=budget), analysis
 
 
 def answer(document: "Document", *terms: str,

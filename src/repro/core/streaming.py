@@ -36,18 +36,15 @@ ties identically.  See ``docs/streaming.md``.
 from __future__ import annotations
 
 import heapq
-import time
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..obs import (NOOP, Observability, STREAM_EARLY_EXITS, STREAM_ROUNDS,
-                   STREAM_ROWS)
+from ..obs import NOOP, Observability, STREAM_EARLY_EXITS, STREAM_ROUNDS
 from .algebra import JoinCache
-from .evaluator import (FixpointOp, JoinOp, Operator, PlanAnalysis,
+from .evaluator import (FixpointOp, FragmentStream, JoinOp, Operator,
                         PowersetOp, ScanOp, SelectOp, build_pipeline)
 from .filters import Filter, SizeAtMost
 from .fragment import Fragment
 from .query import Query
-from .stats import OperationStats
 from .strategies import Strategy, _physical_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,96 +104,6 @@ def ranked_order_key(document_name: str, score: float,
 # Streamed evaluation
 # ----------------------------------------------------------------------
 
-class FragmentStream:
-    """An in-flight streaming evaluation: iterate to pull answers.
-
-    Yields each answer fragment exactly once, as it is proven.  The
-    collected set equals the materialized ``evaluate(...)`` answer set;
-    abandoning the iterator early (or calling :meth:`close`) stops the
-    producers.  ``stats`` / ``operator_counters`` / ``streamed_rows``
-    read the per-operator accounting the pipeline keeps as it runs.  On
-    exhaustion or close, the stream publishes ``repro_stream_rows_total``
-    (labelled per operator) and records the evaluation (metrics plus
-    a ``stream-<strategy>`` flight-recorder profile) when ``obs`` is
-    enabled.
-    """
-
-    def __init__(self, document: "Document", query: Query,
-                 strategy: Strategy, operators: list[Operator],
-                 emit: Iterable[Fragment], analysis: PlanAnalysis,
-                 obs: Observability) -> None:
-        self.query = query
-        self.strategy = strategy
-        self.operators = operators
-        self._analysis = analysis
-        self._document = document
-        self._obs = obs
-        self._started = time.perf_counter()
-        self._answers = 0
-        self._finished = False
-        self._iter = iter(emit)
-
-    def __iter__(self) -> "FragmentStream":
-        return self
-
-    def __next__(self) -> Fragment:
-        try:
-            fragment = next(self._iter)
-        except StopIteration:
-            self._finish()
-            raise
-        self._answers += 1
-        return fragment
-
-    def close(self) -> None:
-        """Stop the producers and publish telemetry (idempotent)."""
-        closer = getattr(self._iter, "close", None)
-        if closer is not None:
-            closer()
-        self._finish()
-
-    @property
-    def stats(self) -> OperationStats:
-        """The work done so far, summed over the operators; a finished
-        stream adds ``extras["streamed_rows"]``."""
-        stats = self._analysis.totals()
-        if self._finished:
-            stats.extras["streamed_rows"] = self.streamed_rows
-        return stats
-
-    @property
-    def streamed_rows(self) -> int:
-        """Rows emitted across all operators so far."""
-        return sum(op.run.rows for op in self.operators)
-
-    def operator_counters(self) -> list[dict]:
-        """Per-operator ``rows_in``/``rows_out`` snapshots."""
-        return [op.counters() for op in self.operators]
-
-    def _finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        elapsed = time.perf_counter() - self._started
-        ob = self._obs
-        if ob.enabled:
-            for op in self.operators:
-                if op.run.rows:
-                    ob.metrics.counter(
-                        STREAM_ROWS,
-                        "Fragments emitted by streaming pipeline "
-                        "operators.",
-                        labels={"operator": op.label},
-                    ).inc(op.run.rows)
-            ob.record_query(
-                document=getattr(self._document, "name", "?"),
-                terms=self.query.terms,
-                filter=repr(self.query.predicate),
-                strategy=f"stream-{self.strategy.value}",
-                answers=self._answers, elapsed=elapsed,
-                stats=self.stats.as_dict())
-
-
 def stream_evaluate(document: "Document", query: Query,
                     strategy: Strategy = Strategy.PUSHDOWN, *,
                     index: Optional["InvertedIndex"] = None,
@@ -206,33 +113,27 @@ def stream_evaluate(document: "Document", query: Query,
                     extra_predicate: Optional[Filter] = None,
                     keyword_source: Optional[
                         Callable[[str], frozenset[Fragment]]] = None,
-                    max_brute_force_operand: int = 16,
-                    plans: Optional[dict] = None) -> FragmentStream:
+                    max_brute_force_operand: int = 16) -> FragmentStream:
     """Evaluate ``query`` incrementally; returns a :class:`FragmentStream`.
 
     The streaming counterpart of :func:`~repro.core.strategies.evaluate`:
-    the same plan through the same operators, so the set of yielded
-    fragments is exactly the materialized answer set of
-    ``query.predicate & extra_predicate`` under ``strategy`` — but
+    the same run of the same plan, handed to the caller undrained, so
+    the set of yielded fragments is exactly the materialized answer set
+    of ``query.predicate & extra_predicate`` under ``strategy`` — but
     fragments arrive as they are proven and the pipeline stops when the
-    caller stops pulling.  ``extra_predicate`` exists for consumers
-    (top-k, β rounds) that tighten the caller's filter without
-    rebuilding the query: it is one more selection over the strategy's
-    plan and its anti-monotonic part is pushed below the joins
-    regardless of strategy.  ``plans`` is as for
-    :func:`~repro.core.strategies.evaluate`.
+    caller stops pulling (which is what records the run as
+    ``stream-<strategy>``).
+    ``extra_predicate`` exists for consumers (top-k, β rounds) that
+    tighten the caller's filter without rebuilding the query: it is one
+    more selection over the strategy's plan and its anti-monotonic part
+    is pushed below the joins regardless of strategy.
     """
-    plan = _physical_plan(query, strategy, index, extra_predicate, plans)
-    analysis = PlanAnalysis(plan)
-    if budget is not None:
-        budget.start()
-        budget.bind_stats(analysis)
-    emit, operators = build_pipeline(
-        document, analysis, index=index,
-        keyword_source=keyword_source, cache=cache, budget=budget,
+    return FragmentStream(
+        document, query,
+        _physical_plan(query, strategy, index, extra_predicate),
+        strategy.value, index=index, cache=cache, obs=obs, budget=budget,
+        keyword_source=keyword_source,
         max_powerset_operand=max_brute_force_operand)
-    return FragmentStream(document, query, strategy, operators, emit,
-                          analysis, obs if obs is not None else NOOP)
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +196,21 @@ class TopKHeap:
                 sorted(self._heap, key=lambda pair: pair[0].key)]
 
 
+def _count_rounds(ob: Observability, rounds: int) -> None:
+    if ob.enabled:
+        ob.metrics.counter(
+            STREAM_ROUNDS, "Adaptive β rounds run by streaming top-k."
+        ).inc(rounds)
+
+
+def _count_early_exit(ob: Observability, stage: str, n: int = 1) -> None:
+    if ob.enabled:
+        ob.metrics.counter(
+            STREAM_EARLY_EXITS,
+            "Streaming evaluations stopped before the full answer set "
+            "existed.", labels={"stage": stage}).inc(n)
+
+
 def stream_top_k(document: "Document", query: Query, k: int, *,
                  strategy: Strategy = Strategy.PUSHDOWN,
                  index: Optional["InvertedIndex"] = None,
@@ -312,10 +228,8 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
     smallest overall and the producers stop there (the early exit is
     counted in ``repro_stream_early_exits_total``).  A shared
     :class:`JoinCache` keeps the re-streamed rounds largely incremental.
-    Unlike the pre-streaming implementation this honours the caller's
-    ``strategy`` and threads ``budget``/``obs`` through, and
-    sorts once at the end (an O(n log k) ``nsmallest``) instead of
-    re-sorting the full answer set every round.
+    The answers are sorted once, at the end (an O(n log k)
+    ``nsmallest``), not every round.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -336,17 +250,8 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
                                  extra_predicate=bound)
         answers = set(stream)
         if len(answers) >= k or beta >= document.size:
-            early = beta < document.size
-            if ob.enabled:
-                ob.metrics.counter(
-                    STREAM_ROUNDS,
-                    "Adaptive β rounds run by streaming top-k."
-                ).inc(rounds)
-                if early:
-                    ob.metrics.counter(
-                        STREAM_EARLY_EXITS,
-                        "Streaming evaluations stopped before the "
-                        "full answer set existed.",
-                        labels={"stage": "topk"}).inc()
+            _count_rounds(ob, rounds)
+            if beta < document.size:
+                _count_early_exit(ob, "topk")
             return heapq.nsmallest(k, answers, key=fragment_order_key)
         beta = min(beta * 2, document.size)

@@ -58,19 +58,22 @@ import random
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..collection.collection import CollectionResult, keyword_screen
+from ..collection.collection import (CollectionResult, _count_skipped,
+                                     document_runs, keyword_screen)
 from ..core.algebra import JoinCache
 from ..core.fragment import Fragment
 from ..core.query import Query, QueryResult
-from ..core.strategies import Strategy, evaluate
+from ..core.strategies import Strategy
 from ..errors import (BudgetExceeded, DocumentError, ExecutionError,
                       QueryError)
 from ..guard.budget import QueryBudget
 from ..index.memory import MemorySource
 from ..obs import (CHUNK_FALLBACKS, CHUNK_RETRIES, CHUNK_TIMEOUTS,
-                   DOCUMENTS_SKIPPED, EXEC_DEGRADED,
+                   EXEC_DEGRADED,
                    MUTATION_WORKER_REATTACH, NOOP,
                    FlightRecorder, MetricsRegistry, Observability,
                    POOL_CHUNKS, POOL_CHUNK_SECONDS,
@@ -228,31 +231,30 @@ def _item_rows(source, queries: Sequence[Query],
                cache: JoinCache, obs, budget: Optional[QueryBudget]) -> list:
     """Evaluate ``(document name, query index)`` items over one source.
 
-    The one item loop: a worker runs it over its attached source, the
-    parent's degraded fallback over its own, so the rows — the per-item
-    budget clones included — are bit-identical wherever a chunk ends up
-    running.  Every item already passed the parent's keyword screen;
+    The one item loop, over the collection's one document loop
+    (:func:`~repro.collection.collection.document_runs`): a worker runs
+    it over its attached source, the parent's degraded fallback over
+    its own, so the rows — the per-item budget clones included — are
+    bit-identical wherever a chunk ends up running.  Every item already passed the parent's keyword screen;
     an index-backed source keeps what it materialises under its own
     ``cache_limit``.
     """
     rows = []
-    plans: dict = {}  # one plan per (query, term order), not per item
-    for name, query_index in items:
-        query = queries[query_index]
-        index = source.inverted_index(name)
-        try:
-            result = evaluate(index.document, query, strategy=strategy,
-                              index=index, cache=cache, obs=obs,
-                              plans=plans,
-                              budget=(budget.fresh_item()
-                                      if budget is not None else None))
-        except BudgetExceeded as exc:
-            rows.append((name, query_index, _budget_marker(exc)))
-            continue
-        rows.append((name, query_index,
-                     (tuple(sorted(tuple(sorted(f.nodes))
-                                   for f in result.fragments)),
-                      result.elapsed, result.stats)))
+    # Chunks list each query's documents together.
+    for query_index, group in groupby(items, key=itemgetter(1)):
+        for name, run in document_runs(
+                source, [name for name, _ in group], queries[query_index],
+                strategy, cache=cache, obs=obs, budget=budget,
+                fresh_budget=True):
+            try:
+                result = run.result()
+            except BudgetExceeded as exc:
+                rows.append((name, query_index, _budget_marker(exc)))
+                continue
+            rows.append((name, query_index,
+                         (tuple(sorted(tuple(sorted(f.nodes))
+                                       for f in result.fragments)),
+                          result.elapsed, result.stats)))
     return rows
 
 
@@ -260,7 +262,6 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
                strategy_value: str, obs_spec: Optional[dict] = None,
                fault: Optional[dict] = None,
                budget: Optional[QueryBudget] = None,
-               shard: Optional[int] = None,
                extra_filter=None,
                epoch: Optional[int] = None):
     """Evaluate one chunk of ``(document name, query index)`` items.
@@ -303,10 +304,6 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
         # (or re-attach) this worker's snapshot to match before any
         # probe or evaluation touches the corpus.
         _ensure_worker_epoch(epoch, obs)
-    if obs.recorder is not None:
-        # Sharded chunks never straddle shards, so one ambient tag
-        # covers every profile this chunk records.
-        obs.recorder.set_context(shard=shard)
     try:
         if fault is not None:
             apply_fault(fault)
@@ -579,7 +576,6 @@ class ParallelExecutor:
                     futures[chunk_index] = self._pool.submit(
                         _run_chunk, queries, chunks[chunk_index],
                         strategy.value, obs_spec, fault, budget,
-                        chunk_keys[chunk_index],
                         hint.filter if hint is not None else None,
                         epoch)
                 except (BrokenExecutor, RuntimeError):
@@ -651,7 +647,6 @@ class ParallelExecutor:
         # (the run's pinned snapshot on a mutable index), so callers
         # still get serial-identical answers.  Telemetry lands directly
         # on the parent handle, exactly like the serial path.
-        recorder = ob.recorder
         for chunk_index in fallback:
             if hint is not None and hint.stopped:
                 hint.record_skip(1, len(chunks[chunk_index]))
@@ -660,15 +655,8 @@ class ParallelExecutor:
             if shard is not None:
                 report.failed_groups[shard] = \
                     report.failed_groups.get(shard, 0) + 1
-            if recorder is not None:
-                recorder.set_context(shard=shard)
-            try:
-                rows = _item_rows(source, queries, chunks[chunk_index],
-                                  strategy, self._parent_cache, ob,
-                                  budget)
-            finally:
-                if recorder is not None:
-                    recorder.set_context(shard=None)
+            rows = _item_rows(source, queries, chunks[chunk_index],
+                              strategy, self._parent_cache, ob, budget)
             for name, query_index, payload in rows:
                 outcomes[(name, query_index)] = payload
             if hint is not None:
@@ -866,11 +854,8 @@ class ParallelExecutor:
                     strategy=strategy.value, elapsed=elapsed, stats=stats)
             results.append(CollectionResult(query=query,
                                             per_document=per_document))
-        if ob.enabled and total_skipped:
-            ob.metrics.counter(
-                DOCUMENTS_SKIPPED,
-                "Documents skipped by the index early exit."
-            ).inc(total_skipped)
+        if total_skipped:
+            _count_skipped(ob, total_skipped)
         return results
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import chain, product
 
-from ..core.algebra import nonempty_subsets
+from ..core.algebra import JoinCache, nonempty_subsets
 from ..core.evaluator import run_plan
 from ..core.filters import (Filter, HeightAtMost, Not, SizeAtLeast,
                             SizeAtMost, TrueFilter, WidthAtMost, select)
@@ -43,6 +43,10 @@ __all__ = ["TrialFailure", "DifferentialReport",
            "random_keyword_document", "run_differential_trials"]
 
 _TERMS = ("alpha", "beta", "gamma")
+
+#: What one strategy must count alike however its plan is driven.
+_WORK = ("fragment_joins", "join_cache_hits", "joins_pruned",
+         "predicate_checks")
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,10 @@ def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
         wrong.append("powerset-semantics")
     for strategy in Strategy:
         name = strategy.value
-        run = evaluate(doc, query, strategy=strategy)
+        run = evaluate(doc, query, strategy=strategy, cache=JoinCache())
         if run.fragments != oracle:
             wrong.append(f"{name}/materialised")
-        stream = stream_evaluate(doc, query, strategy)
+        stream = stream_evaluate(doc, query, strategy, cache=JoinCache())
         if frozenset(stream) != oracle:
             wrong.append(f"{name}/streamed")
         # Streaming is the same plan through the same operators: it
@@ -194,9 +198,14 @@ def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
                 doc, Query(query.terms), strategy,
                 extra_predicate=query.predicate)) != oracle:
             wrong.append(f"{name}/streamed-extra")
-        if run_plan(doc, query, plan_for(query, strategy)).fragments \
-                != oracle:
+        planned = run_plan(doc, query, plan_for(query, strategy),
+                           cache=JoinCache())
+        if planned.fragments != oracle:
             wrong.append(f"{name}/plan")
+        # One run, drained under another name: the same work, memo
+        # hits included (each path starts a fresh memo).
+        if any(planned.stats[c] != run.stats[c] for c in _WORK):
+            wrong.append(f"{name}/plan-stats")
     return wrong
 
 
@@ -209,8 +218,8 @@ def run_differential_trials(trials: int = 100, seed: int = 0,
     Each trial compares, against the join-free :func:`_oracle` on a
     fresh random document and query, the literal powerset semantics and
     every strategy materialised, streamed, and run as its explicit
-    plan — and checks that streaming does exactly the materialised
-    run's work.
+    plan — and checks that the stream and the plan do exactly the
+    materialised run's counted work, each on a fresh join memo.
 
     Parameters
     ----------

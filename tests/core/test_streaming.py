@@ -24,7 +24,8 @@ from repro.core.streaming import (FragmentStream, TopKHeap,
                                   stream_top_k)
 from repro.errors import BudgetExceeded
 from repro.guard.budget import QueryBudget
-from repro.obs import Observability
+from repro.obs import FlightRecorder, Observability
+from repro.obs.recorder import RETAIN_BUDGET
 
 from ..treegen import documents, make_document
 
@@ -114,9 +115,23 @@ class TestFragmentStreamBehaviour:
     def test_budget_abort_raises(self, figure1):
         query = Query.of("xquery", "optimization")
         budget = QueryBudget(max_join_ops=1)
+        obs = Observability(recorder=FlightRecorder())
+        stream = stream_evaluate(figure1, query, Strategy.PUSHDOWN,
+                                 budget=budget, obs=obs)
         with pytest.raises(BudgetExceeded):
-            list(stream_evaluate(figure1, query, Strategy.PUSHDOWN,
-                                 budget=budget))
+            list(stream)
+        # An aborted stream is recorded like an aborted evaluate():
+        # once, as a profile (not a finished query), rows published.
+        assert list(stream) == []
+        stream.close()
+        (profile,) = obs.recorder.profiles
+        assert profile.strategy == "stream-pushdown"
+        assert profile.outcome == "budget-exceeded"
+        assert profile.reason == "join-ops"
+        assert profile.retained == RETAIN_BUDGET
+        assert profile.checkpoints >= 1
+        assert "repro_stream_rows_total" in obs.metrics
+        assert "repro_queries_total" not in obs.metrics
 
     def test_empty_stream_is_clean(self, figure1):
         stream = stream_evaluate(figure1, Query.of("zebra", "xquery"),

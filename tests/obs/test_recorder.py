@@ -249,20 +249,38 @@ class TestCalibration:
             == expected
 
     def test_run_plan_lands_a_profile_carrying_its_plan(self):
+        """Every entry point is one run, and a run records the label of
+        the plan it ran — for a stream, the strategy's plan under the
+        consumer's ``extra_predicate``."""
         from repro.core.evaluator import run_plan
-        from repro.core.strategies import plan_for
+        from repro.core.filters import SizeAtLeast
+        from repro.core.strategies import (_physical_plan,
+                                           explain_analyze, plan_for)
+        from repro.core.streaming import stream_evaluate
         from repro.workloads.figure1 import build_figure1_document
         document = build_figure1_document()
+        index = InvertedIndex(document)
         query = Query.of("xquery", "optimization",
                          predicate=SizeAtMost(3))
         plan = plan_for(query)
+        extra = SizeAtLeast(2)  # not anti-monotonic: selected on top
+        streamed = _physical_plan(query, Strategy.PUSHDOWN, index, extra)
+        assert streamed.label() == "σ[size>=2]" != plan.label()
         obs = Observability(recorder=FlightRecorder())
-        run_plan(document, query, plan, index=InvertedIndex(document),
-                 obs=obs)
-        (profile,) = obs.recorder.profiles
-        assert profile.plan == plan.label()
-        assert profile.strategy == "plan"
-        assert profile.to_dict()["plan"] == plan.label()
+        run_plan(document, query, plan, index=index, obs=obs)
+        evaluate(document, query, index=index, obs=obs)
+        explain_analyze(document, query, index=index, obs=obs,
+                        strategy=Strategy.SET_REDUCTION)
+        list(stream_evaluate(document, query, index=index, obs=obs,
+                             extra_predicate=extra))
+        profiles = obs.recorder.profiles
+        assert [(p.strategy, p.plan) for p in profiles] == [
+            ("plan", plan.label()), ("pushdown", plan.label()),
+            ("set-reduction", plan.label()),
+            ("stream-pushdown", streamed.label())]
+        assert profiles[0].to_dict()["plan"] == plan.label()
+        # One kind of record: each carries CPU and the §5 prediction.
+        assert all(p.predicted_cost and p.cpu_ms >= 0 for p in profiles)
 
 
 class TestBudgetAbort:
