@@ -286,7 +286,7 @@ def test_sampler_overhead(benchmark, capsys, smoke):
                      rows),
         "",
         "acceptance bar: sampler_on within 1.05x of sampler_off; the "
-        "sampler buys windowed rates, quantile sketches and burn-rate "
+        "sampler buys windowed rates, bucket-count quantiles and burn-rate "
         "alerting without touching the query hot path."]))
     _record("sampler_overhead", {
         "smoke": smoke,

@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 
 from .delta import DELTAS_MERGED, ObsDelta, capture_delta, merge_delta
 from .history import (DEFAULT_QUANTILES, HISTORY_SAMPLES, HISTORY_SERIES,
-                      MetricsHistory, QuantileSketch)
+                      MetricsHistory)
 from .metrics import (COST_ERROR_BUCKETS, DEFAULT_BUCKETS,
                       LATENCY_BUCKETS, LATENCY_LOG_BUCKETS, NULL_METRICS,
                       RATIO_BUCKETS, SIZE_LOG_BUCKETS, Counter, Gauge,
@@ -63,7 +63,7 @@ __all__ = [
     "PROFILES_RECORDED", "PROFILES_EVICTED", "TRACES_RETAINED",
     "TRACES_DROPPED", "SLOW_QUERIES",
     "ObsDelta", "capture_delta", "merge_delta", "DELTAS_MERGED",
-    "MetricsHistory", "QuantileSketch", "DEFAULT_QUANTILES",
+    "MetricsHistory", "DEFAULT_QUANTILES",
     "HISTORY_SAMPLES", "HISTORY_SERIES",
     "SLOMonitor", "Objective", "AlertState", "parse_slo",
     "OK", "WARNING", "CRITICAL", "ALERT_STATE_CODES",

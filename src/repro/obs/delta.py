@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .metrics import diff_snapshots
+
 __all__ = ["ObsDelta", "capture_delta", "merge_delta"]
 
 #: Counter of worker deltas folded into a parent handle.
@@ -72,13 +74,14 @@ def capture_delta(obs, baseline: Optional[dict] = None
 
     Returns ``(delta, new_baseline)``.  The tracer and recorder are
     drained — their contents ship exactly once — while the metrics
-    registry keeps accumulating and the returned baseline snapshot marks
-    the cut for the next capture.
+    registry keeps accumulating.  One registry snapshot is both the
+    state the increment subtracts ``baseline`` from and the returned
+    baseline that marks the cut for the next capture.
     """
     if not obs.enabled:
         return ObsDelta(), baseline or {}
-    metrics = obs.metrics.diff(baseline)
     new_baseline = obs.metrics.to_json()
+    metrics = diff_snapshots(new_baseline, baseline)
     spans = []
     if obs.tracer.enabled:
         spans = [root.to_dict(epoch=root.started or None)

@@ -8,16 +8,17 @@ temporal store:
 
 * a **sampler** (daemon thread, or :meth:`~MetricsHistory.sample_once`
   driven by tests) snapshots the registry every ``interval_s`` seconds
-  and folds the *movement* since the previous sample into per-series
-  ring buffers — memory is O(series × capacity) by construction, never
-  O(traffic);
+  and folds the *movement* since the previous sample
+  (:func:`~repro.obs.metrics.subtract`, the subtraction
+  ``MetricsRegistry.diff`` makes) into per-series ring buffers —
+  memory is O(series × capacity) by construction, never O(traffic);
 * **counters** are stored as per-interval deltas (and derived rates),
   so a trailing-window QPS is one sum, and process restarts (value
   going backwards) are detected and treated as a fresh baseline;
 * **gauges** are stored as last-value samples;
-* **histograms** are folded into mergeable :class:`QuantileSketch`
-  summaries — one small sketch per interval — so p50/p95/p99 over an
-  *arbitrary trailing window* is a merge of the window's sketches, with
+* **histograms** are stored as each interval's bucket-count movement,
+  so p50/p95/p99 over an *arbitrary trailing window* interpolate the
+  window's summed bucket counts — exactly what the buckets say, with
   no raw samples retained anywhere.
 
 Consumers: the ``GET /timeseries`` endpoint and the ``repro-search
@@ -39,10 +40,9 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, subtract
 
-__all__ = ["QuantileSketch", "MetricsHistory",
-           "HISTORY_SAMPLES", "HISTORY_SERIES",
+__all__ = ["MetricsHistory", "HISTORY_SAMPLES", "HISTORY_SERIES",
            "DEFAULT_QUANTILES"]
 
 #: Counter: samples the history sampler has folded (self-reported into
@@ -55,333 +55,47 @@ HISTORY_SERIES = "repro_history_series"
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
-class QuantileSketch:
-    """A mergeable weighted quantile summary (GK-style compaction).
+def _moved_buckets(bounds: Sequence[float],
+                   counts: Sequence[float]) -> tuple:
+    """The buckets an interval moved, as ``(representative, count)``
+    pairs: the midpoint of each finite bucket (the first one's lower
+    edge is 0), the last finite bound for the ``+Inf`` tail (which has
+    no upper bound: an underestimate, as with PromQL's
+    ``histogram_quantile``)."""
+    values = [(low + high) / 2.0
+              for low, high in zip((0.0, *bounds), bounds)]
+    values.append(bounds[-1])
+    return tuple((value, count)
+                 for value, count in zip(values, counts) if count > 0)
 
-    The summary is a sorted list of ``(value, exact, spread, delta)``
-    entries — the Greenwald–Khanna ``g``/``Δ`` bookkeeping, split so
-    point masses stay recognisable: ``exact`` counts observations at
-    precisely the representative value, ``spread`` counts folded
-    observations strictly below it, and ``delta`` bounds the rank
-    ambiguity the entry inherited from its surroundings (mass of
-    *later* entries that may lie at or below this value).  Weights
-    (``exact + spread``) always sum to ``n``, and each entry
-    guarantees ``rank(value) ∈ [rmin, rmin + delta]`` with ``rmin``
-    the prefix weight sum — the invariant every operation preserves:
 
-    * **insert** gives a fresh value ``delta = spread + delta`` of its
-      right neighbour (the neighbour's below-value mass may sit on
-      either side of the newcomer);
-    * **fold** (compress) moves the left entry's whole weight into the
-      right entry's ``spread``, and is admitted only while the merged
-      ``spread + delta`` stays within ``epsilon * n``;
-    * **merge** interleaves two summaries, coalescing equal values
-      (deltas add) and charging each unmatched entry the other
-      summary's next-greater ``spread + delta`` — the classic
-      mergeable-GK penalty, so merged bounds add instead of
-      compounding.
+def _summed(points: Iterable[tuple]) -> list[tuple[float, float]]:
+    """Histogram ``points``' bucket movement added up, as ascending
+    ``(representative, count)`` pairs."""
+    summed: dict[float, float] = {}
+    for point in points:
+        for value, count in point[1]:
+            summed[value] = summed.get(value, 0) + count
+    return sorted(summed.items())
 
-    Bucket-fed sketches (:meth:`observe_buckets`, the
-    :class:`MetricsHistory` path) have a *small, fixed* value domain —
-    one representative per histogram bucket — so duplicate coalescing
-    keeps them exact (``rank_error_bound == epsilon`` with zero spent
-    budget) and quantile accuracy is dominated by bucket resolution,
-    as with PromQL's ``histogram_quantile``.  High-cardinality raw
-    streams may exhaust the budget before reaching the memory cap; the
-    sketch then enforces the cap anyway and *reports* the looser bound
-    through :attr:`rank_error_bound` rather than pretending to an
-    ``epsilon`` it no longer meets.
 
-    When fed from histogram bucket deltas (:meth:`observe_buckets`)
-    the inserted values are bucket representatives — the midpoint of
-    each finite bucket and the last finite bound for the ``+Inf``
-    tail — so reported quantiles are additionally bounded by the
-    histogram's bucket resolution, exactly like PromQL's
-    ``histogram_quantile``.
-    """
-
-    __slots__ = ("epsilon", "_entries", "_count")
-
-    def __init__(self, epsilon: float = 0.005) -> None:
-        if not 0.0 < epsilon < 0.5:
-            raise ValueError("epsilon must be in (0, 0.5)")
-        self.epsilon = epsilon
-        # sorted [value, exact, spread, delta]; exact = mass at the
-        # value, spread = folded mass strictly below it, delta = rank
-        # ambiguity inherited from neighbouring entries.
-        self._entries: list[list[float]] = []
-        self._count: float = 0.0
-
-    # ------------------------------------------------------------------
-    # Building
-    # ------------------------------------------------------------------
-
-    def insert(self, value: float, weight: float = 1.0) -> None:
-        """Record ``weight`` observations of exactly ``value``."""
-        if weight <= 0:
-            return
-        value = float(value)
-        # Coalesce exact duplicates in place (common when folding
-        # bucketised inputs: every interval contributes the same
-        # representative values); a coalesced point mass adds no rank
-        # ambiguity, which is what keeps bucket-fed sketches exact.
-        lo, hi = 0, len(self._entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._entries[mid][0] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._entries) and self._entries[lo][0] == value:
-            self._entries[lo][1] += weight
-        else:
-            # The right neighbour's below-value mass may sit on
-            # either side of the newcomer: inherit that ambiguity.
-            if lo < len(self._entries):
-                neighbour = self._entries[lo]
-                delta = neighbour[2] + neighbour[3]
-            else:
-                delta = 0.0
-            self._entries.insert(
-                lo, [value, float(weight), 0.0, delta])
-        self._count += weight
-        # Amortise: let the summary grow to 2x capacity between
-        # compress passes, so a saturated sketch pays O(capacity) per
-        # O(capacity) inserts, not per insert.
-        if len(self._entries) > self._capacity() * 2:
-            self.compress()
-
-    def observe_buckets(self, bounds: Sequence[float],
-                        counts: Sequence[float]) -> None:
-        """Fold one histogram *delta*: per-bucket counts since the last
-        sample, ``counts`` one longer than ``bounds`` (the ``+Inf``
-        tail last)."""
-        previous = 0.0
-        for bound, count in zip(bounds, counts):
-            if count > 0:
-                lower = previous if previous < bound else 0.0
-                self.insert((lower + bound) / 2.0, count)
-            previous = bound
-        tail = counts[len(bounds)] if len(counts) > len(bounds) else 0
-        if tail > 0:
-            # The open tail has no upper bound; the last finite bound
-            # is the only honest representative (an underestimate,
-            # flagged in the docs).
-            self.insert(previous if bounds else 0.0, tail)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch.
-
-        A mergeable-GK interleave: entries with equal values coalesce
-        (exact/spread/delta all add — rank brackets are additive), and
-        an unmatched entry is charged the *other* summary's
-        next-greater ``spread + delta`` (that mass may lie at or below
-        the entry's value).  Bucket-fed sketches share one value
-        domain, so every entry coalesces and the union stays exact;
-        heterogeneous raw streams add their bounds instead of
-        silently compounding them.
-        """
-        a, b = self._entries, other._entries
-        out: list[list[float]] = []
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if i < len(a) and j < len(b) and a[i][0] == b[j][0]:
-                out.append([a[i][0], a[i][1] + b[j][1],
-                            a[i][2] + b[j][2], a[i][3] + b[j][3]])
-                i += 1
-                j += 1
-            elif j >= len(b) or (i < len(a) and a[i][0] < b[j][0]):
-                penalty = (b[j][2] + b[j][3]) if j < len(b) else 0.0
-                out.append([a[i][0], a[i][1], a[i][2],
-                            a[i][3] + penalty])
-                i += 1
-            else:
-                penalty = (a[i][2] + a[i][3]) if i < len(a) else 0.0
-                out.append([b[j][0], b[j][1], b[j][2],
-                            b[j][3] + penalty])
-                j += 1
-        self._entries = out
-        self._count += other._count
-        if len(self._entries) > self._capacity() * 2:
-            self.compress()
-        return self
-
-    @classmethod
-    def merged(cls, sketches: Iterable["QuantileSketch"],
-               epsilon: Optional[float] = None) -> "QuantileSketch":
-        """A fresh sketch holding the union of ``sketches``."""
-        sketches = list(sketches)
-        if epsilon is None:
-            epsilon = min((s.epsilon for s in sketches), default=0.005)
-        out = cls(epsilon=epsilon)
-        for sketch in sketches:
-            out.merge(sketch)
-        return out
-
-    # ------------------------------------------------------------------
-    # Compression
-    # ------------------------------------------------------------------
-
-    def _capacity(self) -> int:
-        return max(8, int(3.0 / self.epsilon))
-
-    def compress(self) -> None:
-        """Collapse adjacent entries while each merged entry's rank
-        ambiguity stays within the ``epsilon * n`` budget — the
-        Greenwald–Khanna merge rule: fold left into right only while
-        ``weight_left + spread_right + delta_right <= epsilon * n``.
-        If the memory cap is still exceeded after the budgeted pass,
-        keep collapsing the cheapest neighbours and let
-        :attr:`rank_error_bound` carry the honest, looser figure.
-
-        Folding keeps the right entry's value (a conservative,
-        Prometheus-style upper bound): the left entry's whole weight
-        becomes the right entry's below-value ``spread``.
-        """
-        if len(self._entries) <= 2:
-            return
-        budget = self.epsilon * self._count
-        self._fold_pass(lambda ambiguity: ambiguity <= budget,
-                        chain=True)
-        need = len(self._entries) - self._capacity()
-        if need > 0:
-            # Memory floor: fold exactly the surplus, picking the
-            # pairs whose merged ambiguity is smallest.
-            entries = self._entries
-            costs = sorted(entries[i][1] + entries[i][2]
-                           + entries[i + 1][2] + entries[i + 1][3]
-                           for i in range(1, len(entries) - 1))
-            threshold = costs[min(need, len(costs)) - 1]
-            self._fold_pass(lambda ambiguity: ambiguity <= threshold,
-                            chain=False, limit=need)
-
-    def _fold_pass(self, admit: Callable[[float], bool],
-                   chain: bool, limit: Optional[int] = None) -> None:
-        """One left-to-right fold sweep; ``admit(ambiguity)`` decides
-        each fold, where ``ambiguity`` is the merged entry's resulting
-        ``spread + delta`` (left weight + right spread + right delta).
-        The first entry is never folded away — it anchors the
-        summary's minimum.  Without ``chain`` a freshly merged entry
-        cannot immediately receive another fold, so a sweep collapses
-        pairs, not whole runs."""
-        entries = self._entries
-        out: list[list[float]] = [entries[0][:]]
-        folds = 0
-        just_merged = False
-        for value, exact, spread, delta in entries[1:]:
-            left_weight = out[-1][1] + out[-1][2]
-            ambiguity = left_weight + spread + delta
-            allowed = (len(out) > 1 and (chain or not just_merged)
-                       and (limit is None or folds < limit))
-            if allowed and admit(ambiguity):
-                out.pop()
-                out.append([value, exact, spread + left_weight,
-                            delta])
-                folds += 1
-                just_merged = True
-            else:
-                out.append([value, exact, spread, delta])
-                just_merged = False
-        self._entries = out
-
-    @property
-    def rank_error_bound(self) -> float:
-        """The fraction of ``n`` by which a reported quantile's rank
-        may be off.
-
-        At any entry the rank uncertainty is its below-value
-        ``spread`` plus its inherited ``delta``; the bound is the
-        worst entry's total, floored at ``epsilon``.  Point masses
-        (``spread == delta == 0``) contribute nothing — a quantile
-        landing inside an atom's rank span returns the atom's exact
-        value — which is why bucket-fed sketches always report
-        ``epsilon``.  High-cardinality raw streams report the honest,
-        looser figure if the memory cap forced folds past the
-        budget."""
-        if not self._count or not self._entries:
-            return self.epsilon
-        worst = max(entry[2] + entry[3] for entry in self._entries)
-        return max(self.epsilon, worst / self._count)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    @property
-    def count(self) -> float:
-        return self._count
-
-    def query(self, q: float) -> Optional[float]:
-        """The ``q``-quantile (``0 <= q <= 1``), or ``None`` if empty.
-
-        Interpolates linearly on cumulative weight between adjacent
-        summary entries, so sparkline series move smoothly instead of
-        stepping bucket to bucket.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not self._entries:
-            return None
-        target = q * self._count
-        cumulative = 0.0
-        previous_value = self._entries[0][0]
-        previous_cum = 0.0
-        for value, exact, spread, delta in self._entries:
-            cumulative += exact + spread
-            # First entry whose rank bracket [rmin, rmin + delta]
-            # reaches the target.
-            if cumulative + delta >= target:
-                if cumulative == previous_cum:
-                    return value
-                span = value - previous_value
-                fraction = (target - previous_cum) / (
-                    cumulative - previous_cum)
-                return previous_value + span * max(0.0, min(1.0, fraction))
-            previous_value = value
-            previous_cum = cumulative
-        return self._entries[-1][0]
-
-    def quantiles(self, qs: Sequence[float] = DEFAULT_QUANTILES
-                  ) -> dict[str, Optional[float]]:
-        """``{"p50": ..., "p95": ...}`` for each requested point."""
-        return {_quantile_key(q): self.query(q) for q in qs}
-
-    # ------------------------------------------------------------------
-    # Serialisation (the /timeseries JSON path)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "count": self._count,
-                "entries": [list(entry) for entry in self._entries]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "QuantileSketch":
-        """Rebuild from :meth:`to_dict` output.
-
-        A valid dump already satisfies the rank-bracket invariant, so
-        entries are adopted verbatim (re-inserting them would charge
-        the neighbour penalty twice).  Two-element legacy entries are
-        treated as point masses.
-        """
-        sketch = cls(epsilon=float(data.get("epsilon", 0.005)))
-        entries = []
-        for entry in data.get("entries", ()):
-            value, exact = float(entry[0]), float(entry[1])
-            spread = float(entry[2]) if len(entry) > 2 else 0.0
-            delta = float(entry[3]) if len(entry) > 3 else spread
-            entries.append([value, exact, spread, delta])
-        entries.sort(key=lambda e: e[0])
-        sketch._entries = entries
-        sketch._count = sum(e[1] + e[2] for e in entries)
-        return sketch
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (f"QuantileSketch(n={self._count:g}, "
-                f"entries={len(self._entries)}, "
-                f"epsilon={self.epsilon})")
+def _interpolate(masses: Sequence[tuple[float, float]],
+                 q: float) -> Optional[float]:
+    """The ``q``-quantile of ascending ``(representative, count)``
+    pairs, linear on cumulative count between adjacent
+    representatives; ``None`` when there are none."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    if not masses:
+        return None
+    target = q * sum(count for _, count in masses)
+    previous, below = masses[0][0], 0
+    for value, count in masses:
+        if below + count >= target:
+            return previous + (value - previous) * (
+                (target - below) / count)
+        previous, below = value, below + count
+    return previous
 
 
 def _quantile_key(q: float) -> str:
@@ -402,7 +116,8 @@ class _Series:
         self.labels = labels
         self.kind = kind
         # counter: (ts, delta, rate); gauge: (ts, value);
-        # histogram: (ts, sketch, count_delta, sum_delta)
+        # histogram: (ts, ((representative, count), ...), count_delta,
+        # sum_delta) — the buckets the interval moved
         self.points: deque = deque(maxlen=capacity)
 
 
@@ -419,8 +134,6 @@ class MetricsHistory:
     capacity:
         Points retained per series (ring buffer).  The default — 720
         points at 5 s — keeps one hour of history.
-    epsilon:
-        Rank-error budget per :class:`QuantileSketch` compression.
     max_series:
         Hard ceiling on retained series; series beyond it are dropped
         (counted in :meth:`stats`) rather than growing without bound
@@ -432,7 +145,7 @@ class MetricsHistory:
 
     def __init__(self, registry: MetricsRegistry,
                  interval_s: float = 5.0, capacity: int = 720,
-                 epsilon: float = 0.005, max_series: int = 2048,
+                 max_series: int = 2048,
                  clock: Callable[[], float] = time.time) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -443,7 +156,6 @@ class MetricsHistory:
         self.registry = registry
         self.interval_s = float(interval_s)
         self.capacity = int(capacity)
-        self.epsilon = float(epsilon)
         self.max_series = int(max_series)
         self._clock = clock
         self._lock = threading.Lock()
@@ -516,35 +228,20 @@ class MetricsHistory:
         if kind == "gauge":
             series.points.append((now, record.get("value", 0)))
             return True
-        if first:
+        if first or kind not in ("counter", "histogram"):
             return False
+        moved = subtract(record, prior)
         if kind == "counter":
-            value = record.get("value", 0)
-            before = prior.get("value", 0) if prior else 0
-            delta = value - before
-            if delta < 0:  # process restart: the counter went backwards
-                delta = value
-            series.points.append((now, delta, delta / dt))
-            return True
-        if kind == "histogram":
-            counts = list(record.get("counts", ()))
-            prior_counts = list(prior.get("counts", ())) if prior else []
-            if len(prior_counts) != len(counts):
-                prior_counts = [0] * len(counts)
-            deltas = [a - b for a, b in zip(counts, prior_counts)]
-            if any(d < 0 for d in deltas):  # restart
-                deltas = counts
-                prior = None
-            count_delta = (record.get("count", 0)
-                           - (prior.get("count", 0) if prior else 0))
-            sum_delta = (record.get("sum", 0.0)
-                         - (prior.get("sum", 0.0) if prior else 0.0))
-            sketch = QuantileSketch(epsilon=self.epsilon)
-            sketch.observe_buckets(record.get("buckets", ()), deltas)
-            sketch.compress()
-            series.points.append((now, sketch, count_delta, sum_delta))
-            return True
-        return False
+            if moved["value"] < 0:  # process restart: went backwards
+                moved = record
+            series.points.append((now, moved["value"], moved["value"] / dt))
+        else:
+            if any(count < 0 for count in moved["counts"]):  # restart
+                moved = record
+            series.points.append((
+                now, _moved_buckets(moved["buckets"], moved["counts"]),
+                moved["count"], moved["sum"]))
+        return True
 
     # ------------------------------------------------------------------
     # Background thread
@@ -617,8 +314,8 @@ class MetricsHistory:
         (the whole ring when ``None``).
 
         Counters report ``{"sum", "rate"}``; gauges ``{"last", "min",
-        "max", "mean"}``; histograms the merged-sketch quantiles plus
-        ``{"count", "sum", "mean"}``.  Returns ``None`` when the series
+        "max", "mean"}``; histograms the quantiles of the window's
+        summed bucket counts plus ``{"count", "sum", "mean"}``.  Returns ``None`` when the series
         does not exist; a present series with no points in the window
         reports ``samples: 0``.
         """
@@ -648,19 +345,19 @@ class MetricsHistory:
                        max=max(values),
                        mean=sum(values) / len(values))
         elif kind == "histogram":
-            merged = QuantileSketch.merged([p[1] for p in points],
-                                           epsilon=self.epsilon)
+            masses = _summed(points)
             count = sum(p[2] for p in points)
             total = sum(p[3] for p in points)
             doc.update(count=count, sum=total,
                        mean=(total / count) if count else 0.0,
-                       quantiles=merged.quantiles(quantiles))
+                       quantiles={_quantile_key(q): _interpolate(masses, q)
+                                  for q in quantiles})
         return doc
 
     def quantile(self, name: str, q: float,
                  window_s: Optional[float] = None,
                  labels: Optional[Mapping] = None) -> Optional[float]:
-        """One merged quantile over the trailing window, or ``None``
+        """One quantile over the trailing window, or ``None``
         when the series is missing or saw no samples in the window."""
         doc = self.window(name, window_s=window_s, labels=labels,
                           quantiles=(q,))
@@ -715,9 +412,12 @@ class MetricsHistory:
             else:
                 keys = [_quantile_key(q) for q in quantiles]
                 doc["quantile_keys"] = keys
-                doc["points"] = [
-                    [ts, count] + [sketch.query(q) for q in quantiles]
-                    for ts, sketch, count, _sum in points]
+                doc["points"] = []
+                for point in points:
+                    masses = _summed((point,))
+                    doc["points"].append(
+                        [point[0], point[2]]
+                        + [_interpolate(masses, q) for q in quantiles])
             out.append(doc)
         return out
 
@@ -742,7 +442,6 @@ class MetricsHistory:
         with self._lock:
             return {"interval_s": self.interval_s,
                     "capacity": self.capacity,
-                    "epsilon": self.epsilon,
                     "samples": self._samples,
                     "sample_errors": self._sample_errors,
                     "series": len(self._series),

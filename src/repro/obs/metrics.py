@@ -99,6 +99,51 @@ def _label_key(labels: LabelsArg) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def subtract(record: Mapping, prior: Optional[Mapping]) -> dict:
+    """``record`` minus ``prior``: two :meth:`MetricsRegistry.to_json`
+    records of one instrument (``prior`` ``None`` when there is none).
+
+    Counters and gauges subtract ``value``; histograms subtract bucket
+    counts, ``count`` and ``sum``, and bucket lists of different
+    lengths mean a zero prior for the buckets.  The one interval
+    movement :meth:`MetricsRegistry.diff`, ``capture_delta`` and the
+    history sampler compute.
+    """
+    moved = dict(record)
+    if record["kind"] == "histogram":
+        before = prior.get("counts", ()) if prior else ()
+        if len(before) != len(record["counts"]):
+            before = [0] * len(record["counts"])
+        moved["counts"] = [now - then for now, then
+                           in zip(record["counts"], before)]
+        moved["sum"] = record["sum"] - (float(prior.get("sum", 0.0))
+                                        if prior else 0.0)
+        moved["count"] = record["count"] - (int(prior.get("count", 0))
+                                            if prior else 0)
+    else:
+        moved["value"] = record["value"] - (prior.get("value", 0)
+                                            if prior else 0)
+    return moved
+
+
+def diff_snapshots(current: Mapping, baseline: Optional[Mapping]) -> dict:
+    """``current`` minus ``baseline``, two :meth:`MetricsRegistry.to_json`
+    dumps, record by record; instruments that did not move are
+    omitted (see :meth:`MetricsRegistry.diff`)."""
+    def key(record: Mapping) -> tuple:
+        return (record["name"], _label_key(record.get("labels") or None))
+
+    before = {key(record): record
+              for record in (baseline or {}).get("metrics", ())}
+    metrics = []
+    for record in current.get("metrics", ()):
+        moved = subtract(record, before.get(key(record)))
+        if moved.get("value") or moved.get("count") \
+                or any(moved.get("counts", ())):
+            metrics.append(moved)
+    return {"metrics": metrics}
+
+
 def _format_value(value: Union[int, float]) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
@@ -397,44 +442,7 @@ class MetricsRegistry:
         (e.g. JoinCache memo totals) are running totals, so increments
         sum correctly across workers.
         """
-        before: dict[tuple, Mapping] = {}
-        for record in (baseline or {}).get("metrics", ()):
-            key = (record["name"],
-                   _label_key(record.get("labels") or None))
-            before[key] = record
-        metrics = []
-        with self._lock:
-            snapshot = list(self._instruments.items())
-        for key, instrument in snapshot:
-            prior = before.get(key)
-            record: dict = {"name": instrument.name,
-                            "kind": instrument.kind,
-                            "help": instrument.help,
-                            "labels": dict(instrument.labels)}
-            if isinstance(instrument, Histogram):
-                prior_counts = (list(prior.get("counts", ()))
-                                if prior else [])
-                if len(prior_counts) != len(instrument._counts):
-                    prior_counts = [0] * len(instrument._counts)
-                counts = [now - then for now, then
-                          in zip(instrument._counts, prior_counts)]
-                count = instrument.count - (int(prior.get("count", 0))
-                                            if prior else 0)
-                if not count and not any(counts):
-                    continue
-                record["buckets"] = list(instrument.buckets)
-                record["counts"] = counts
-                record["sum"] = instrument.sum - (
-                    float(prior.get("sum", 0.0)) if prior else 0.0)
-                record["count"] = count
-            else:
-                value = instrument.value - (prior.get("value", 0)
-                                            if prior else 0)
-                if not value:
-                    continue
-                record["value"] = value
-            metrics.append(record)
-        return {"metrics": metrics}
+        return diff_snapshots(self.to_json(), baseline)
 
     def merge(self, delta: Mapping) -> None:
         """Fold a :meth:`diff` dump (or a full :meth:`to_json` dump of a

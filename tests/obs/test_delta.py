@@ -128,6 +128,33 @@ class TestCaptureAndMergeDelta:
         empty, _ = capture_delta(obs, baseline)
         assert not bool(empty)
 
+    def test_capture_walks_the_registry_once(self, monkeypatch):
+        # The snapshot capture_delta takes is both the state it
+        # subtracts and the baseline it returns: one to_json(), no
+        # diff(), and the same answer diff() would have given.
+        obs = self._worker_obs()
+        _, baseline = capture_delta(obs, None)
+        obs.metrics.counter("c_total").inc(2)
+        obs.metrics.histogram("h", buckets=(1.0,)).observe(0.5)
+        expected = obs.metrics.diff(baseline)
+        snapshot = obs.metrics.to_json()
+        walks = []
+        to_json = obs.metrics.to_json
+
+        def counted():
+            walks.append(1)
+            return to_json()
+
+        def no_diff(baseline=None):
+            raise AssertionError("capture_delta called diff()")
+
+        monkeypatch.setattr(obs.metrics, "to_json", counted)
+        monkeypatch.setattr(obs.metrics, "diff", no_diff)
+        delta, new_baseline = capture_delta(obs, baseline)
+        assert walks == [1]
+        assert new_baseline == snapshot
+        assert delta.metrics == expected
+
     def test_merge_stamps_worker_label_on_spans_and_records(self):
         delta, _ = capture_delta(self._worker_obs(), None)
         parent = Observability(recorder=FlightRecorder(self.CONFIG))

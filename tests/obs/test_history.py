@@ -1,124 +1,48 @@
 """Tests for the metrics time-series store (``repro.obs.history``).
 
-Sketch correctness first — insert/merge/compress must keep the
-advertised rank-error bound honest — then the sampler: counter deltas
-and rates, gauge last-values, histogram folding into per-interval
-sketches, ring bounds, restart detection, and the windowed readers
-that back ``/timeseries``.
+Histogram quantiles first — a window's quantile must be exactly what
+its summed bucket counts say — then the sampler: counter deltas and
+rates, gauge last-values, histogram bucket movement, ring bounds,
+restart detection, the one subtraction it shares with
+``MetricsRegistry.diff``, and the windowed readers that back
+``/timeseries``.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs import (HISTORY_SAMPLES, HISTORY_SERIES, MetricsHistory,
-                       MetricsRegistry, QuantileSketch)
-
-
-def _true_rank_error(sketch, values, q):
-    """Observed rank error of the sketch's ``q``-quantile against the
-    sorted ground truth."""
-    values = sorted(values)
-    reported = sketch.query(q)
-    at_or_below = sum(1 for v in values if v <= reported)
-    return abs(at_or_below / len(values) - q)
+from repro.obs import (HISTORY_SAMPLES, HISTORY_SERIES, LATENCY_BUCKETS,
+                       MetricsHistory, MetricsRegistry)
 
 
-class TestQuantileSketch:
-    def test_empty_sketch(self):
-        sketch = QuantileSketch()
-        assert sketch.query(0.5) is None
-        assert sketch.count == 0
-        assert len(sketch) == 0
-        assert sketch.rank_error_bound == sketch.epsilon
+def _reference_quantile(bounds, counts, q):
+    """The ``q``-quantile the buckets say: each bucket's mass at its
+    midpoint (the ``+Inf`` tail at the last finite bound), linear on
+    cumulative count between adjacent non-empty buckets."""
+    values = [(low + high) / 2.0
+              for low, high in zip((0.0,) + tuple(bounds), bounds)]
+    masses = [(value, count) for value, count
+              in zip(values + [bounds[-1]], counts) if count]
+    if not masses:
+        return None
+    target = q * sum(count for _, count in masses)
+    previous, below = masses[0][0], 0
+    for value, count in masses:
+        if below + count >= target:
+            return previous + (value - previous) * (target - below) / count
+        previous, below = value, below + count
+    return previous
 
-    def test_exact_on_small_input(self):
-        sketch = QuantileSketch()
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
-            sketch.insert(v)
-        assert sketch.query(0.0) == 1.0
-        assert sketch.query(1.0) == 5.0
-        assert 2.0 <= sketch.query(0.5) <= 3.0
-        assert sketch.count == 5
 
-    def test_duplicate_values_coalesce(self):
-        sketch = QuantileSketch()
-        for _ in range(1000):
-            sketch.insert(7.0)
-        assert len(sketch) == 1
-        assert sketch.count == 1000
-        assert sketch.query(0.5) == 7.0
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(epsilon=0.0)
-        with pytest.raises(ValueError):
-            QuantileSketch(epsilon=0.7)
-        with pytest.raises(ValueError):
-            QuantileSketch().query(1.5)
-
-    def test_bounded_memory_and_honest_bound_on_raw_stream(self):
-        rng = random.Random(42)
-        sketch = QuantileSketch(epsilon=0.01)
-        values = [rng.gauss(100.0, 25.0) for _ in range(50_000)]
-        for v in values:
-            sketch.insert(v)
-        sketch.compress()
-        # Memory stays near capacity (2x amortisation slack at most).
-        assert len(sketch) <= 2 * max(8, int(3 / 0.01))
-        bound = sketch.rank_error_bound
-        for q in (0.01, 0.1, 0.5, 0.9, 0.95, 0.99):
-            assert _true_rank_error(sketch, values, q) <= bound + 1e-9
-        # The honest bound must stay useful, not collapse to ~1.
-        assert bound < 0.1
-
-    def test_merge_preserves_bound(self):
-        rng = random.Random(7)
-        all_values = []
-        sketches = []
-        for _ in range(10):
-            sketch = QuantileSketch(epsilon=0.01)
-            chunk = [rng.expovariate(0.01) for _ in range(2000)]
-            for v in chunk:
-                sketch.insert(v)
-            all_values.extend(chunk)
-            sketches.append(sketch)
-        merged = QuantileSketch.merged(sketches)
-        assert merged.count == len(all_values)
-        bound = merged.rank_error_bound
-        for q in (0.5, 0.9, 0.99):
-            assert _true_rank_error(merged, all_values, q) \
-                <= bound + 1e-9
-
-    def test_bucket_fed_sketch_stays_exact(self):
-        bounds = (0.01, 0.05, 0.1, 0.5, 1.0)
-        sketch = QuantileSketch(epsilon=0.005)
-        for _ in range(500):  # 500 intervals of identical deltas
-            sketch.observe_buckets(bounds, (10, 5, 3, 1, 0, 1))
-        # Fixed value domain: one representative per bucket.
-        assert len(sketch) <= len(bounds) + 1
-        assert sketch.rank_error_bound == 0.005
-        assert sketch.count == 500 * 20
-        # Half the mass is in the first bucket: p25 below its bound.
-        assert sketch.query(0.25) <= 0.01
-
-    def test_bucket_tail_uses_last_finite_bound(self):
-        sketch = QuantileSketch()
-        sketch.observe_buckets((1.0, 2.0), (0, 0, 5))
-        assert sketch.query(0.99) == 2.0
-
-    def test_roundtrip_serialisation(self):
-        sketch = QuantileSketch(epsilon=0.01)
-        for v in (1.0, 2.0, 2.0, 3.0, 10.0):
-            sketch.insert(v)
-        clone = QuantileSketch.from_dict(sketch.to_dict())
-        assert clone.count == sketch.count
-        assert clone.epsilon == sketch.epsilon
-        for q in (0.1, 0.5, 0.9):
-            assert clone.query(q) == sketch.query(q)
+def _add_interval(registry, bounds, counts, name="lat"):
+    """Add one interval's bucket counts to histogram ``name``."""
+    registry.merge({"metrics": [{
+        "name": name, "kind": "histogram", "buckets": list(bounds),
+        "counts": list(counts), "sum": 0.0, "count": sum(counts)}]})
 
 
 class _Clock:
@@ -140,6 +64,126 @@ def clocked():
     history = MetricsHistory(registry, interval_s=5.0, capacity=8,
                              clock=clock)
     return registry, history, clock
+
+
+#: Bucket layouts the quantile property draws from.
+_LAYOUTS = (LATENCY_BUCKETS, (1.0, 2.0), (0.01, 0.05, 0.1, 0.5, 1.0))
+
+
+@st.composite
+def _intervals(draw):
+    """A bucket layout and 1–8 intervals of bucket deltas, mixing empty,
+    sparse (1–3) and busy (100–400) buckets."""
+    bounds = draw(st.sampled_from(_LAYOUTS))
+    count = st.one_of(st.just(0), st.integers(1, 3), st.integers(100, 400))
+    row = st.lists(count, min_size=len(bounds) + 1,
+                   max_size=len(bounds) + 1)
+    return bounds, draw(st.lists(row, min_size=1, max_size=8))
+
+
+class TestBucketQuantiles:
+    def test_one_interval_p999_reads_the_buckets(self, clocked):
+        # 400 observations in (1, 2.5] ms, one in (10, 25] ms, one past
+        # the last bound: p99.9 interpolates between the 17.5 ms
+        # midpoint and the 10 s tail.
+        registry, history, clock = clocked
+        hist = registry.histogram("lat", "d", buckets=LATENCY_BUCKETS)
+        history.sample_once()
+        for _ in range(400):
+            hist.observe(0.002)
+        hist.observe(0.02)
+        hist.observe(20.0)
+        clock.tick(5)
+        history.sample_once()
+        expected = 0.0175 + (10.0 - 0.0175) * (0.999 * 402 - 401)
+        assert history.quantile("lat", 0.999) == pytest.approx(
+            expected, rel=1e-12)
+        assert round(history.quantile("lat", 0.999), 3) == 5.987
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(_intervals(), st.integers(1, 8),
+           st.sampled_from((0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0)))
+    def test_window_quantile_equals_reference(self, case, window, q):
+        bounds, intervals = case
+        registry = MetricsRegistry()
+        clock = _Clock()
+        history = MetricsHistory(registry, interval_s=5.0, clock=clock)
+        _add_interval(registry, bounds, [0] * (len(bounds) + 1))
+        history.sample_once()
+        for counts in intervals:
+            _add_interval(registry, bounds, counts)
+            clock.tick(5)
+            history.sample_once()
+        summed = [sum(column) for column in zip(*intervals[-window:])]
+        expected = _reference_quantile(bounds, summed, q)
+        got = history.quantile("lat", q, window_s=5.0 * window)
+        if expected is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_first_bucket_holds_p25_over_many_intervals(self):
+        bounds = (0.01, 0.05, 0.1, 0.5, 1.0)
+        registry = MetricsRegistry()
+        clock = _Clock()
+        history = MetricsHistory(registry, interval_s=5.0, capacity=512,
+                                 clock=clock)
+        _add_interval(registry, bounds, [0] * 6)
+        history.sample_once()
+        for _ in range(500):  # 500 intervals of identical deltas
+            _add_interval(registry, bounds, (10, 5, 3, 1, 0, 1))
+            clock.tick(5)
+            history.sample_once()
+        assert history.window("lat")["count"] == 500 * 20
+        # Half the mass is in the first bucket: p25 below its bound.
+        assert history.quantile("lat", 0.25) <= 0.01
+        assert history.quantile("lat", 0.25) == pytest.approx(
+            _reference_quantile(bounds, (5000, 2500, 1500, 500, 0, 500),
+                                0.25), rel=1e-12)
+
+    def test_tail_reads_the_last_finite_bound(self, clocked):
+        registry, history, clock = clocked
+        _add_interval(registry, (1.0, 2.0), (0, 0, 0))
+        history.sample_once()
+        _add_interval(registry, (1.0, 2.0), (0, 0, 5))
+        clock.tick(5)
+        history.sample_once()
+        assert history.quantile("lat", 0.99) == 2.0
+
+    def test_single_bucket_reads_its_midpoint(self, clocked):
+        registry, history, clock = clocked
+        hist = registry.histogram("lat", "d", buckets=(5.0, 9.0))
+        history.sample_once()
+        for _ in range(1000):
+            hist.observe(7.0)
+        clock.tick(5)
+        history.sample_once()
+        for q in (0.0, 0.5, 1.0):
+            assert history.quantile("lat", q) == 7.0
+
+    def test_empty_interval_reads_none(self, clocked):
+        registry, history, clock = clocked
+        registry.histogram("lat", "d", buckets=(1.0,))
+        history.sample_once()
+        clock.tick(5)
+        history.sample_once()
+        assert history.quantile("lat", 0.5) is None
+        doc = history.window("lat")
+        assert doc["count"] == 0
+        assert doc["quantiles"] == {"p50": None, "p95": None, "p99": None}
+        (series,) = history.series("lat")
+        assert series["points"][-1][1:] == [0, None, None, None]
+
+    def test_quantile_must_be_a_fraction(self, clocked):
+        registry, history, clock = clocked
+        _add_interval(registry, (1.0,), (0, 0))
+        history.sample_once()
+        _add_interval(registry, (1.0,), (3, 0))
+        clock.tick(5)
+        history.sample_once()
+        with pytest.raises(ValueError):
+            history.window("lat", quantiles=(1.5,))
 
 
 class TestMetricsHistorySampling:
@@ -218,6 +262,40 @@ class TestMetricsHistorySampling:
         # Sum/mean come from the histogram's exact sum.
         assert doc["mean"] == pytest.approx((90 * 0.005 + 10 * 0.5)
                                             / 100)
+
+    def test_sampler_movement_equals_registry_diff(self, clocked):
+        # One subtraction: the sampler's per-interval movement is what
+        # MetricsRegistry.diff reports between the same two snapshots;
+        # an idle instrument is a zero point here, absent from diff.
+        registry, history, clock = clocked
+        bounds = (0.01, 0.1, 1.0)
+        counter = registry.counter("moved_total", "d")
+        hist = registry.histogram("moved", "d", buckets=bounds)
+        registry.counter("idle_total", "d")
+        registry.histogram("idle", "d", buckets=bounds)
+        counter.inc(4)
+        hist.observe(0.5)
+        history.sample_once()
+        before = registry.to_json()
+        counter.inc(3)
+        for value in (0.005, 0.05, 0.05, 7.0):
+            hist.observe(value)
+        moved = {m["name"]: m for m in registry.diff(before)["metrics"]}
+        clock.tick(5)
+        history.sample_once()
+        assert set(moved) == {"moved_total", "moved"}
+        (series,) = history.series("moved_total")
+        assert series["points"][-1][1] == moved["moved_total"]["value"]
+        qs = (0.1, 0.5, 0.9, 1.0)
+        doc = history.window("moved", window_s=5.0, quantiles=qs)
+        assert doc["count"] == moved["moved"]["count"]
+        assert doc["sum"] == pytest.approx(moved["moved"]["sum"])
+        assert list(doc["quantiles"].values()) == pytest.approx([
+            _reference_quantile(bounds, moved["moved"]["counts"], q)
+            for q in qs], rel=1e-12)
+        (idle,) = history.series("idle_total")
+        assert idle["points"][-1][1] == 0
+        assert history.window("idle", window_s=5.0)["count"] == 0
 
     def test_ring_capacity_bounds_memory(self, clocked):
         registry, history, clock = clocked
