@@ -397,6 +397,11 @@ class _Handler(BaseHTTPRequestHandler):
     server: "_ObsHTTPServer"
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a reply is written as a
+    # header block, then a body or NDJSON chunks, and with Nagle on
+    # each write after the first waits for the client's delayed ACK
+    # (>= 40 ms on Linux).
+    disable_nagle_algorithm = True
 
     GET_ROUTES = {"/metrics": "_get_metrics", "/healthz": "_get_healthz",
                   "/varz": "_get_varz", "/slow": "_get_slow",
@@ -557,16 +562,26 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST /query --------------------------------------------------
 
     def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once an error reply is sent.
+
+        An error reply leaves the body unread, so it closes the
+        connection: on keep-alive the unread bytes would be parsed as
+        the next request.
+        """
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._reply_json({"error": "bad-request",
-                              "message": "missing or oversized body"},
-                             status=413 if length > 0 else 411)
-            return None
-        return self.rfile.read(length)
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        if length < 0:
+            status = 400
+            message = "Content-Length must be a non-negative integer"
+        else:
+            status, message = 413, f"body over {MAX_BODY_BYTES} bytes"
+        self._reply_json({"error": "bad-request", "message": message},
+                         status=status, headers={"Connection": "close"})
+        return None
 
     def _post_query(self) -> None:
         body = self._read_body()

@@ -1,14 +1,18 @@
 """Tests for the guarded POST /query endpoint (repro.obs.server).
 
 Route/method handling, the admission queue and load shedding, budget
-propagation, and graceful drain.  Shedding states are set up through
-the server's own guard state so the tests stay deterministic instead
-of racing real slow queries.
+propagation, graceful drain, and what a keep-alive client sees on the
+socket (reply latency, error replies to an unread body).  Shedding
+states are set up through the server's own guard state so the tests
+stay deterministic instead of racing real slow queries.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -18,7 +22,8 @@ from repro.collection.collection import DocumentCollection
 from repro.guard.admission import AdmissionPolicy
 from repro.obs import (GUARD_ADMITTED, GUARD_BUDGET_EXCEEDED,
                        GUARD_REJECTED, GUARD_SHED, Observability)
-from repro.obs.server import MetricsServer, QueryGuardrails
+from repro.obs.server import MAX_BODY_BYTES, MetricsServer, QueryGuardrails
+from repro.workloads.figure1 import build_figure1_document
 
 
 def _request(url, method="GET", payload=None):
@@ -350,3 +355,74 @@ class TestPaginationAndStreaming:
                     if p["strategy"] == "stream-pushdown"]
         assert streamed and snapshot["counts"]["recorded"] >= len(streamed)
         assert {p["document"] for p in streamed} <= {"d1", "d2"}
+
+
+class TestOnTheWire:
+    """What one keep-alive client sees: reply latency and framing."""
+
+    @pytest.fixture()
+    def figure1_server(self):
+        coll = DocumentCollection("figure1")
+        coll.add(build_figure1_document(), "figure1")
+        with MetricsServer(Observability(),
+                           collection=coll) as running:
+            yield running
+
+    def test_no_reply_waits_out_the_delayed_ack(self, figure1_server):
+        """A reply is a header block and then a body (or NDJSON chunks).
+        With Nagle on, the second write waited for the client's delayed
+        ACK, >= 40 ms on Linux: every round trip took ~44 ms however
+        little work it did.  The bound is half that minimum."""
+        query = {"query": "xquery optimization [size<=3]"}
+        cases = {
+            "healthz": ("GET", "/healthz", None, 200),
+            "query": ("POST", "/query", json.dumps(query), 200),
+            "stream": ("POST", "/query",
+                       json.dumps({**query, "stream": True}), 200),
+            "404": ("GET", "/nope", None, 404),
+        }
+        medians = {}
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", figure1_server.port, timeout=30)
+        try:
+            for name, (method, path, body, status) in cases.items():
+                elapsed = []
+                for _ in range(25):
+                    started = time.perf_counter()
+                    conn.request(method, path, body=body)
+                    response = conn.getresponse()
+                    response.read()
+                    elapsed.append((time.perf_counter() - started) * 1000)
+                    assert response.status == status, name
+                    assert not response.will_close, name
+                medians[name] = statistics.median(elapsed)
+        finally:
+            conn.close()
+        assert all(ms < 20 for ms in medians.values()), medians
+
+    @pytest.mark.parametrize("length, status", [
+        (str(MAX_BODY_BYTES + 1), 413),
+        ("-1", 400),
+        ("ten", 400),
+    ])
+    def test_unread_body_closes_the_connection(self, figure1_server,
+                                               length, status):
+        """The error reply leaves the body unread; on a kept-alive
+        connection those bytes used to be parsed as the next request
+        (an HTML 400 or 501 for the client's follow-up)."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", figure1_server.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b'{"query": "xquery"}')
+            response = conn.getresponse()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["error"] == "bad-request"
+            # http.client reconnects: the follow-up rides a fresh socket.
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, b"ok\n")
+        finally:
+            conn.close()

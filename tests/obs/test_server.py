@@ -78,6 +78,7 @@ class TestRoutes:
         with MetricsServer(obs) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url + "/nope")
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
     def test_scrape_reflects_live_updates(self, obs):
@@ -208,6 +209,7 @@ class TestFlightRecorderRoutes:
         with MetricsServer(profiled_obs) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url + "/debug/trace/q0-000000")
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
     def test_budget_aborted_query_trace_is_exportable(self):
@@ -296,6 +298,7 @@ class TestTimeseriesAndAlertRoutes:
             for window in ("banana", "-5", "0"):
                 with pytest.raises(urllib.error.HTTPError) as err:
                     _get(server.url + f"/timeseries?window={window}")
+                err.value.close()
                 assert err.value.code == 400
 
     def test_alertz_disabled_without_monitor(self, obs):
