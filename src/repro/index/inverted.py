@@ -12,7 +12,7 @@ what the SLCA/ELCA baselines require.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..xmltree.document import Document
@@ -36,13 +36,15 @@ class InvertedIndex:
 
     @classmethod
     def from_postings(cls, document: "Document",
-                      postings: dict[str, list[int]]) -> "InvertedIndex":
+                      postings: Mapping[str, list[int]]) -> "InvertedIndex":
         """Adopt pre-built posting lists without rescanning the document.
 
         Used by :mod:`repro.storage.shards`, which persists the postings
-        section at build time.  Lists must already be sorted by node id
-        (the shard writer guarantees this); they are adopted as-is, so
-        callers must hand over ownership.
+        section at build time and hands over a
+        :class:`~repro.storage.shards.format.PostingsMap` that decodes
+        a term's list on its first lookup.  Lists must already be sorted
+        by node id (the shard writer guarantees this); they are adopted
+        as-is, so callers must hand over ownership.
         """
         self = object.__new__(cls)
         self._document = document

@@ -566,15 +566,20 @@ class _Handler(BaseHTTPRequestHandler):
 
         An error reply leaves the body unread, so it closes the
         connection: on keep-alive the unread bytes would be parsed as
-        the next request.
+        the next request.  A body framed by ``Transfer-Encoding`` (say,
+        chunked) is refused with 411: a ``Content-Length`` is required.
         """
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
-        if 0 <= length <= MAX_BODY_BYTES:
+        if "Transfer-Encoding" in self.headers:
+            status = 411
+            message = ("Transfer-Encoding bodies are not accepted; send "
+                       "Content-Length")
+        elif 0 <= length <= MAX_BODY_BYTES:
             return self.rfile.read(length)
-        if length < 0:
+        elif length < 0:
             status = 400
             message = "Content-Length must be a non-negative integer"
         else:

@@ -57,11 +57,13 @@ def replay(records) -> tuple[dict, frozenset]:
 class DeltaView:
     """One epoch's immutable delta overlay.
 
-    Documents materialise lazily, together with their
+    Documents materialise lazily through the shard reader's
+    :func:`build_document` (structure and a postings view at first
+    touch, content at first read), together with their
     :class:`InvertedIndex`, and stay for the life of the view (and of
-    every later view that carries them): the encoded sections are plain
-    ``bytes``, so — unlike the mmap path — a materialised delta
-    document never pins an on-disk buffer.
+    every later view that carries them).  The encoded sections are
+    plain ``bytes``, which a document's undecoded content shares
+    rather than copies.
     """
 
     __slots__ = ("_sections", "tombstones", "wal_records", "_indexes",
@@ -114,8 +116,7 @@ class DeltaView:
         index = self._indexes.get(name)
         if index is not None:
             return index.contains(term)
-        return fmt.postings_lookup(
-            self._sections[name]["postings"], term) is not None
+        return term in fmt.PostingsMap(self._sections[name]["postings"])
 
     def inverted_index(self, name: str) -> InvertedIndex:
         index = self._indexes.get(name)

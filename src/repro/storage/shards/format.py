@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections.abc import Mapping
 from itertools import accumulate
 from operator import sub
 from typing import Optional
@@ -58,8 +59,8 @@ __all__ = [
     "MAGIC", "FORMAT_VERSION", "MANIFEST_NAME", "SECTION_NAMES",
     "shard_file_name", "shard_of", "align8",
     "encode_int64", "encode_strings", "decode_strings",
-    "encode_postings", "decode_postings", "postings_lookup",
-    "postings_terms", "encode_directory", "DirectoryView",
+    "encode_postings", "decode_postings", "PostingsMap",
+    "encode_directory", "DirectoryView",
     "decode_ordinals", "dump_json", "crc32",
 ]
 
@@ -143,7 +144,7 @@ def decode_strings(buf) -> list:
 #   u32 ids[total]     concatenated sorted posting lists
 #
 # Terms are sorted by their utf-8 bytes, which equals code-point order,
-# so ``postings_lookup`` can binary-search the blob directly against an
+# so :class:`PostingsMap` can binary-search the blob directly against an
 # encoded query term — answering "does this document contain the term?"
 # from the mapped file without materialising anything.
 
@@ -212,31 +213,61 @@ class _PostingsView:
                           term.encode("utf-8"))
 
 
-def postings_lookup(buf, term: str):
-    """Posting list for ``term`` from a mapped section, or ``None``.
+class PostingsMap(Mapping):
+    """``{term: sorted node ids}`` over one postings section, decoded a
+    term at a time.
 
-    Pure index arithmetic plus one binary search over the mapped term
-    blob — no dict is built, so probing a cold document touches only a
-    handful of pages.
+    A lookup is one bisect of the term blob, memoised (misses too), so
+    a query decodes only its own terms' lists; a membership test of a
+    term not yet looked up bisects and decodes nothing, so probing a
+    cold mapped section touches only a handful of pages.  Iteration
+    decodes every term string, never an id list.  The memo is filled
+    by plain dict assignment of complete values: racing threads at
+    worst decode a term twice.  A map that outlives the probe must be
+    handed bytes, not a view of a mapping that may close.
     """
-    view = _PostingsView(buf)
-    slot = view.find(term)
-    if slot < 0:
-        return None
-    return list(view.ids[view.id_offs[slot]:view.id_offs[slot + 1]])
 
+    __slots__ = ("_view", "_memo")
 
-def postings_terms(buf) -> list:
-    """Every term in a mapped postings section (decoded, sorted)."""
-    view = _PostingsView(buf)
-    offs = view.term_offs
-    blob = view.blob
-    return [str(blob[offs[i]:offs[i + 1]], "utf-8")
-            for i in range(view.count)]
+    def __init__(self, buf) -> None:
+        self._view = _PostingsView(buf)
+        self._memo: dict = {}
+
+    def get(self, term: str, default=None):
+        try:
+            ids = self._memo[term]
+        except KeyError:
+            view = self._view
+            slot = view.find(term)
+            ids = (None if slot < 0 else
+                   list(view.ids[view.id_offs[slot]:view.id_offs[slot + 1]]))
+            self._memo[term] = ids
+        return default if ids is None else ids
+
+    def __getitem__(self, term: str) -> list:
+        ids = self.get(term)
+        if ids is None:
+            raise KeyError(term)
+        return ids
+
+    def __contains__(self, term: object) -> bool:
+        # A probe needs the slot, not the list: bisect, decode nothing.
+        if term in self._memo:
+            return self._memo[term] is not None
+        return self._view.find(term) >= 0
+
+    def __iter__(self):
+        view = self._view
+        offs, blob = view.term_offs, view.blob
+        return (str(blob[offs[i]:offs[i + 1]], "utf-8")
+                for i in range(view.count))
+
+    def __len__(self) -> int:
+        return self._view.count
 
 
 def decode_postings(buf) -> dict:
-    """Full inverse of :func:`encode_postings` (used at materialise)."""
+    """Full inverse of :func:`encode_postings`."""
     view = _PostingsView(buf)
     offs = view.term_offs
     id_offs = view.id_offs

@@ -13,10 +13,13 @@
   search's early exit, with no document's section touched;
 * **probe** (:meth:`contains`) binary-searches the mapped postings
   section of one document without materialising it;
-* **materialise** (:meth:`document`) decodes one document on first
-  touch, verifies its section checksums exactly once, and reads the
-  four flat label arrays through zero-copy ``memoryview.cast("q")``
-  windows onto the map.
+* **materialise** (:meth:`document`) verifies a document's section
+  checksums exactly once, at first touch, and builds it in two
+  stages (:func:`build_document`): at first touch the structure
+  (``parents``, ``depth``, ``size``, read through
+  ``memoryview.cast("q")`` windows onto the map) and a postings view
+  that decodes one term per lookup; on first read the content (tags,
+  texts, attributes, children, keywords), from copies of its sections.
 
 Every failure raises a structured :class:`~repro.errors.ShardError`
 (``reason`` ∈ missing / truncated / bad-magic / version-skew /
@@ -59,53 +62,56 @@ _PINNED_SEGMENTS: list = []
 
 def build_document(name: str, nodes: int, section_of, *,
                    token: Optional[int] = None):
-    """Build a :class:`Document` from encoded sections.
+    """Build a :class:`Document` from encoded sections, structure first.
 
     ``section_of(section_name)`` returns a bytes-like object holding
     that section's payload (a mapped window for shard files, plain
-    bytes for WAL records).  Returns ``(document, postings)``; the
-    four flat label arrays are read through zero-copy
-    ``memoryview.cast("q")`` windows.  ``token`` is the identity
-    token of an earlier build from the same bytes (see
+    bytes for WAL records).  Returns ``(document, postings)``.
+
+    Only the structure is decoded here: ``parents``, ``depth`` and
+    ``size`` become lists, and ``pre`` (node ids are preorder ranks)
+    and ``post`` are derived from them.  The ``tags``, ``texts``,
+    ``attrs`` and ``postings`` sections are *copied*, never kept as
+    views, so the caller's buffer may close while the document lives;
+    the document decodes each on first read
+    (:meth:`Document.from_structure`), and ``postings`` is a
+    :class:`~repro.storage.shards.format.PostingsMap` over the copy,
+    which decodes one term's list per lookup.  ``token`` is the
+    identity token of an earlier build from the same bytes (see
     :meth:`ShardIndex.document`); omitted, the document draws a fresh one.
     """
-    n = nodes
     parents_q = memoryview(section_of("parents")).cast("q")
-    depth_q = memoryview(section_of("depth")).cast("q")
-    pre_q = memoryview(section_of("pre")).cast("q")
-    size_q = memoryview(section_of("size")).cast("q")
-    if len(parents_q) != n:
+    if len(parents_q) != nodes:
         raise ShardError(
             f"document {name!r} structural arrays do not match its "
             f"node count", reason="bad-header")
-    parents = [None if parents_q[i] < 0 else parents_q[i]
-               for i in range(n)]
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        p = parents_q[i]
-        if p >= 0:
-            children[p].append(i)
-    pre = list(pre_q)
-    preorder = [0] * n
-    for node, rank in enumerate(pre):
-        preorder[rank] = node
-    depth, size = list(depth_q), list(size_q)
+    parents = [None if p < 0 else p for p in parents_q]
+    depth = list(memoryview(section_of("depth")).cast("q"))
+    size = list(memoryview(section_of("size")).cast("q"))
+    # Node ids are preorder ranks: pre and its inverse are the identity.
+    pre = list(range(nodes))
     # Postorder rank: the nodes before n in preorder that are not its
     # ancestors, plus its descendants — exactly compute_labels's.
     post = [p + s - 1 - d for p, s, d in zip(pre, size, depth)]
-    labels = TreeLabels(depth, pre, size, post, preorder)
-    tags = fmt.decode_strings(section_of("tags"))
-    texts = fmt.decode_strings(section_of("texts"))
-    attrs = json.loads(bytes(section_of("attrs")))
-    postings = fmt.decode_postings(section_of("postings"))
-    per_node: list[list[str]] = [[] for _ in range(n)]
-    for term, ids in postings.items():
-        for nid in ids:
-            per_node[nid].append(term)
-    keywords = [frozenset(k) for k in per_node]
-    doc = Document(tags, texts, parents, children, keywords,
-                   attrs, name=name, labels=labels, token=token)
-    return doc, postings
+    labels = TreeLabels(depth, pre, size, post, pre)
+    encoded = {section: bytes(section_of(section))
+               for section in ("tags", "texts", "attrs", "postings")}
+
+    def content(slot: str) -> list:
+        if slot == "_keywords":
+            per_node: list[list[str]] = [[] for _ in range(nodes)]
+            for term, ids in fmt.decode_postings(
+                    encoded["postings"]).items():
+                for nid in ids:
+                    per_node[nid].append(term)
+            return [frozenset(k) for k in per_node]
+        if slot == "_attrs":
+            return json.loads(encoded["attrs"])
+        return fmt.decode_strings(encoded[slot.lstrip("_")])
+
+    doc = Document.from_structure(parents, labels, content, name,
+                                  token=token)
+    return doc, fmt.PostingsMap(encoded["postings"])
 
 
 class _ShardFile:
@@ -595,8 +601,7 @@ class ShardIndex:
         if index is not None:
             return index.contains(term)
         self._verify(sf, name, entry)
-        return fmt.postings_lookup(
-            self._section(sf, entry, "postings"), term) is not None
+        return term in fmt.PostingsMap(self._section(sf, entry, "postings"))
 
     def document(self, name: str) -> Document:
         """Materialise (and cache) one document from the mapped bytes.
@@ -709,10 +714,13 @@ class ShardIndex:
     def close(self) -> None:
         """Drop caches and release the maps (deterministic, idempotent).
 
-        A materialised :class:`Document` is decoded out of the mapped
-        payload and keeps no view of it, so the ``mmap``/shared-memory
-        buffers release here rather than at an unpredictable GC point,
-        whatever the caller still holds.  A second call is a no-op.
+        A materialised :class:`Document` and its postings keep no view
+        of the mapped payload: the structure is decoded into lists and
+        the undecoded content sections are ``bytes`` copies.  So the
+        ``mmap``/shared-memory buffers release here rather than at an
+        unpredictable GC point, whatever the caller still holds, and
+        content not yet read can still be decoded after close.  A
+        second call is a no-op.
         """
         if self._closed:
             return

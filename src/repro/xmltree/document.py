@@ -16,13 +16,16 @@ plain integer comparison and lets fragments be plain ``frozenset[int]``.
 
 Documents are immutable once built; use
 :class:`repro.xmltree.builder.DocumentBuilder` or
-:func:`repro.xmltree.parser.parse` to create one.
+:func:`repro.xmltree.parser.parse` to create one.  A storage backend
+builds one with :meth:`Document.from_structure`, which decodes tags,
+texts, attributes, children and keywords on their first read.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence)
 
 from ..errors import DocumentError
 from .labeling import TreeLabels, compute_labels
@@ -47,8 +50,8 @@ class Document:
     """
 
     __slots__ = ("_tags", "_texts", "_parents", "_children", "_keywords",
-                 "_attrs", "_labels", "_lca_index", "_token", "name",
-                 "__weakref__")
+                 "_attrs", "_labels", "_lca_index", "_token", "_content",
+                 "name", "__weakref__")
 
     def __init__(self, tags: Sequence[str], texts: Sequence[str],
                  parents: Sequence[Optional[int]],
@@ -90,7 +93,61 @@ class Document:
         # earlier materialisation drew: identity survives eviction.
         self._token = (token if token is not None
                        else next(_DOCUMENT_TOKENS))
+        self._content = None
         self.name = name
+
+    @classmethod
+    def from_structure(cls, parents: list[Optional[int]],
+                       labels: TreeLabels, content: Callable[[str], list],
+                       name: str, *,
+                       token: Optional[int] = None) -> "Document":
+        """A document holding only its structure until content is read.
+
+        ``parents`` and ``labels`` are all the algebra reads.  The other
+        slots stay unset until their first read (:meth:`_slot`): that
+        derives ``_children`` from ``parents`` and assigns
+        ``content(slot)`` to ``_tags``, ``_texts``, ``_attrs`` or
+        ``_keywords``.  The arrays are trusted (a storage backend
+        checksummed them).
+        """
+        self = object.__new__(cls)
+        self._parents = parents
+        self._labels = labels
+        self._lca_index = None
+        self._token = (token if token is not None
+                       else next(_DOCUMENT_TOKENS))
+        self._content = content
+        self.name = name
+        return self
+
+    def _slot(self, slot: str) -> list:
+        """A content slot's array, decoded if this is its first read.
+
+        Per-node accessors read their slot directly and call this only
+        when that raises ``AttributeError``; whole-array readers call it
+        always (a set slot comes back as is).  Parsed and builder-made
+        documents fill every slot, so they never decode.  (A
+        ``__getattr__`` fallback would be shorter, but a class that
+        defines one loses CPython's specialised attribute reads on
+        *every* attribute of every instance: ~2.4x slower per read on
+        3.11, which the joins' ``labels``/``parents`` reads pay.)  A
+        decode is idempotent and assigns one complete value, so racing
+        first reads need no lock.
+        """
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            pass
+        if slot == "_children":
+            children: list[list[int]] = [[] for _ in self._parents]
+            for node, parent in enumerate(self._parents):
+                if parent is not None:
+                    children[parent].append(node)
+            value = [tuple(c) for c in children]
+        else:
+            value = self._content(slot)
+        setattr(self, slot, value)
+        return value
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -99,7 +156,7 @@ class Document:
     @property
     def size(self) -> int:
         """Total number of nodes in the document."""
-        return len(self._tags)
+        return len(self._parents)
 
     def __len__(self) -> int:
         return self.size
@@ -124,15 +181,24 @@ class Document:
 
     def tag(self, node_id: int) -> str:
         """The tag name of a node."""
-        return self._tags[node_id]
+        try:
+            return self._tags[node_id]
+        except AttributeError:
+            return self._slot("_tags")[node_id]
 
     def text(self, node_id: int) -> str:
         """The text content directly attached to a node."""
-        return self._texts[node_id]
+        try:
+            return self._texts[node_id]
+        except AttributeError:
+            return self._slot("_texts")[node_id]
 
     def attributes(self, node_id: int) -> Mapping[str, str]:
         """The XML attributes of a node (may be empty)."""
-        return self._attrs[node_id]
+        try:
+            return self._attrs[node_id]
+        except AttributeError:
+            return self._slot("_attrs")[node_id]
 
     def parent(self, node_id: int) -> Optional[int]:
         """The parent id, or ``None`` for the root."""
@@ -140,7 +206,10 @@ class Document:
 
     def children(self, node_id: int) -> tuple[int, ...]:
         """Child ids in document order."""
-        return self._children[node_id]
+        try:
+            return self._children[node_id]
+        except AttributeError:
+            return self._slot("_children")[node_id]
 
     def depth(self, node_id: int) -> int:
         """Distance from the root (root = 0)."""
@@ -152,11 +221,17 @@ class Document:
 
     def is_leaf(self, node_id: int) -> bool:
         """Whether the node has no children."""
-        return not self._children[node_id]
+        try:
+            return not self._children[node_id]
+        except AttributeError:
+            return not self._slot("_children")[node_id]
 
     def keywords(self, node_id: int) -> frozenset[str]:
         """The representative keywords of the node (paper's keywords(n))."""
-        return self._keywords[node_id]
+        try:
+            return self._keywords[node_id]
+        except AttributeError:
+            return self._slot("_keywords")[node_id]
 
     @property
     def parents(self) -> Sequence[Optional[int]]:
@@ -254,13 +329,13 @@ class Document:
         For repeated queries build a
         :class:`repro.index.inverted.InvertedIndex` instead.
         """
-        return [nid for nid in self.node_ids()
-                if keyword in self._keywords[nid]]
+        keywords = self._slot("_keywords")
+        return [nid for nid in self.node_ids() if keyword in keywords[nid]]
 
     def vocabulary(self) -> frozenset[str]:
         """The union of all node keyword sets."""
         vocab: set[str] = set()
-        for kws in self._keywords:
+        for kws in self._slot("_keywords"):
             vocab |= kws
         return frozenset(vocab)
 
@@ -274,11 +349,12 @@ class Document:
         The LCA index is derived state, rebuilt lazily on the
         receiving side, and the identity token must not
         travel: tokens are process-wide unique, so the unpickled copy
-        draws a fresh one.
+        draws a fresh one.  Content not yet decoded is decoded here.
         """
-        return {"tags": self._tags, "texts": self._texts,
-                "parents": self._parents, "children": self._children,
-                "keywords": self._keywords, "attrs": self._attrs,
+        slot = self._slot
+        return {"tags": slot("_tags"), "texts": slot("_texts"),
+                "parents": self._parents, "children": slot("_children"),
+                "keywords": slot("_keywords"), "attrs": slot("_attrs"),
                 "labels": self._labels, "name": self.name}
 
     def __setstate__(self, state: dict) -> None:
@@ -291,6 +367,7 @@ class Document:
         self._labels = state["labels"]
         self._lca_index = None
         self._token = next(_DOCUMENT_TOKENS)
+        self._content = None
         self.name = state["name"]
 
     def __repr__(self) -> str:

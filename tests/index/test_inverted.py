@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 
 from repro.index.inverted import InvertedIndex
+from repro.storage.shards.format import PostingsMap, encode_postings
 
 from ..treegen import documents
 
@@ -77,3 +79,35 @@ class TestAgainstLinearScan:
         for word in index.vocabulary():
             plist = index.postings(word)
             assert plist == sorted(plist)
+
+
+class TestOverEncodedPostings:
+    """``from_postings`` over a :class:`PostingsMap`, as the shard
+    reader builds it: one term's list decoded per lookup."""
+
+    @given(documents(max_nodes=15))
+    def test_equals_scanned_index(self, doc):
+        scanned = InvertedIndex(doc)
+        encoded = encode_postings({word: scanned.postings(word)
+                                   for word in scanned.vocabulary()})
+        index = InvertedIndex.from_postings(doc, PostingsMap(encoded))
+        probes = sorted(scanned.vocabulary()) + ["zebra"]
+        for word in probes:
+            assert index.postings(word) == scanned.postings(word)
+            assert (index.document_frequency(word)
+                    == scanned.document_frequency(word))
+            assert index.contains(word) == scanned.contains(word)
+        assert index.rarest_first(probes) == scanned.rarest_first(probes)
+        assert index.vocabulary() == scanned.vocabulary()
+        assert len(index) == len(scanned)
+
+    def test_lookups_are_memoised_misses_too(self):
+        mapping = PostingsMap(encode_postings({"red": [2, 5],
+                                               "pear": [3, 5]}))
+        assert mapping.get("red") is mapping.get("red") == [2, 5]
+        assert mapping.get("zebra") is None
+        assert "zebra" not in mapping and "pear" in mapping
+        with pytest.raises(KeyError):
+            mapping["zebra"]
+        assert (len(mapping), list(mapping)) == (2, ["pear", "red"])
+        assert dict(mapping) == {"pear": [3, 5], "red": [2, 5]}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
 import time
 import urllib.error
@@ -426,3 +427,32 @@ class TestOnTheWire:
             assert (response.status, response.read()) == (200, b"ok\n")
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("path", ["/query", "/ingest"])
+    def test_chunked_body_is_refused_once(self, figure1_server, path):
+        """A chunked body used to be read as empty: a JSON 400, then its
+        chunk lines parsed as the next request, so the same socket also
+        carried an HTML ``400 Bad request syntax ('10')``."""
+        body = json.dumps({"query": "xquery"}).encode("utf-8")
+        request = (b"POST %s HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n" % path.encode()
+                   + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+        with socket.create_connection(
+                ("127.0.0.1", figure1_server.port), timeout=30) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, payload = received.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status_line.split()[1] == "411"
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        # Exactly one response: the JSON body is all that follows it.
+        assert len(payload) == int(headers["Content-Length"])
+        assert json.loads(payload)["error"] == "bad-request"
+        status, _, body = _request(figure1_server.url + "/query", "POST",
+                                   payload={"query": "xquery"})
+        assert status == 200 and json.loads(body)["answers"] >= 1

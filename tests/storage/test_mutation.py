@@ -393,7 +393,8 @@ class TestFsck:
         shard_file = next(entry for entry in sorted(os.listdir(base))
                           if entry.startswith("shard-"))
         target = os.path.join(base, shard_file)
-        data = bytearray(open(target, "rb").read())
+        with open(target, "rb") as fh:
+            data = bytearray(fh.read())
         data[-1] ^= 0xFF
         with open(target, "wb") as fh:
             fh.write(data)

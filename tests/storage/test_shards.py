@@ -6,6 +6,10 @@ Covers the build → attach → route lifecycle end to end:
   labels) and byte-identical deterministic rebuilds;
 * zero-copy attach (a document's sections are windows onto the map)
   and mapped-postings probes without materialisation;
+* lazy materialisation: structure and a postings view at first touch,
+  content at first read, equal to the parsed tree on every accessor
+  (through the index and through a WAL record), and no query path
+  decoding a string table;
 * structured failure on corrupt / truncated / version-skewed files
   (a flipped term-directory byte fails the shard at attach),
   skip-and-degrade attach, and the scatter-gather router's per-shard
@@ -17,6 +21,7 @@ Covers the build → attach → route lifecycle end to end:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -24,10 +29,13 @@ import shutil
 import sys
 import tempfile
 import threading
+import urllib.request
+import warnings
 import zlib
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collection import DocumentCollection
 from repro.core.query import Query
@@ -35,13 +43,21 @@ from repro.core.strategies import Strategy
 from repro.errors import DocumentError, ShardError
 from repro.exec.parallel import ParallelExecutor
 from repro.exec.resilience import RetryPolicy
+from repro.index.inverted import InvertedIndex
 from repro.obs import Observability
 from repro.obs.recorder import FlightRecorder
+from repro.obs.server import MetricsServer
+from repro.storage.mutation import OP_ADD
+from repro.storage.mutation.delta import DeltaView
+from repro.storage.mutation.wal import encode_record, read_records
 from repro.storage.shards import (FORMAT_VERSION, MANIFEST_NAME,
                                   ShardIndex, ShardRouter, build_index,
                                   shard_of)
+from repro.storage.shards import format as shard_format
+from repro.storage.shards.writer import encode_document
 from repro.workloads.generator import DocumentSpec, generate_document
 from repro.workloads.inexlike import InexSpec, generate_collection
+from repro.xmltree.builder import DocumentBuilder
 from repro.xmltree.serializer import document_to_xml
 
 from ..treegen import documents as random_documents
@@ -260,6 +276,180 @@ class TestFormat:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
+
+
+@st.composite
+def content_trees(draw, max_nodes: int = 16):
+    """Random trees whose nodes differ in tag, text and attributes
+    (unicode included), so every content section carries data."""
+    words = st.sampled_from(("red", "pear", "grün", "日本", "x"))
+    builder = DocumentBuilder(name="tree")
+    ids: list[int] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_nodes))):
+        tag = draw(st.sampled_from(("a", "sec", "p", "título")))
+        text = " ".join(draw(st.lists(words, max_size=3)))
+        attrs = draw(st.dictionaries(st.sampled_from(("id", "lang", "ß")),
+                                     words, max_size=2))
+        if ids:
+            parent = ids[draw(st.integers(0, len(ids) - 1))]
+            ids.append(builder.add_child(parent, tag, text, attrs=attrs))
+        else:
+            ids.append(builder.add_root(tag, text, attrs=attrs))
+    return builder.build()
+
+
+def assert_lazy_equivalent(parsed, index):
+    """A materialised ``index`` and its document answer every accessor
+    as the parsed tree and an index built over it do.  The index is
+    asked first, so its answers come from the postings view alone."""
+    expected = InvertedIndex(parsed)
+    probes = sorted(expected.vocabulary()) + ["nosuchterm"]
+    for term in probes:
+        assert index.postings(term) == expected.postings(term)
+        assert (index.document_frequency(term)
+                == expected.document_frequency(term))
+        assert index.contains(term) == expected.contains(term)
+    assert index.rarest_first(probes) == expected.rarest_first(probes)
+    assert index.vocabulary() == expected.vocabulary()
+    assert len(index) == len(expected)
+    document = index.document
+    assert_same_document(parsed, document)
+    assert document.labels.preorder == parsed.labels.preorder
+    assert document.vocabulary() == parsed.vocabulary()
+    for term in probes:
+        assert (document.nodes_with_keyword(term)
+                == parsed.nodes_with_keyword(term))
+
+
+class TestLazyMaterialisation:
+    """A materialised document is structure plus a postings view until
+    its content is read, and then equals the parsed tree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=content_trees())
+    def test_shard_index_document_equals_parsed(self, tree):
+        with tempfile.TemporaryDirectory() as root:
+            build_index({"tree": tree}, root, shards=1)
+            with ShardIndex.attach(root) as index:
+                assert_lazy_equivalent(tree, index.inverted_index("tree"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=content_trees())
+    def test_wal_record_document_equals_parsed(self, tree):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "wal.log")
+            with open(path, "wb") as handle:
+                handle.write(encode_record(1, OP_ADD, "tree",
+                                           encode_document(tree)))
+            view = DeltaView.from_records(read_records(path)["records"])
+        assert_lazy_equivalent(tree, view.inverted_index("tree"))
+
+    def test_pickling_an_untouched_document_decodes_it(self, corpus,
+                                                       index_dir):
+        with ShardIndex.attach(index_dir) as index:
+            for name in index.names():
+                clone = pickle.loads(pickle.dumps(index.document(name)))
+                assert_same_document(corpus.document(name), clone)
+
+    def test_racing_first_reads_agree(self, corpus, index_dir):
+        """Eight threads make the first read of one fresh document's
+        tags, keywords and children at once.  There is no lock: each
+        decode is idempotent and assigns one complete value."""
+        name = max(corpus.names(),
+                   key=lambda n: corpus.document(n).size)
+        parsed = corpus.document(name)
+        expected = ([parsed.tag(n) for n in parsed.node_ids()],
+                    [parsed.keywords(n) for n in parsed.node_ids()],
+                    [parsed.children(n) for n in parsed.node_ids()])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with ShardIndex.attach(index_dir) as index:
+                    document = index.document(name)
+                    barrier = threading.Barrier(8, timeout=30)
+                    seen = []
+
+                    def first_read():
+                        barrier.wait()
+                        nodes = document.node_ids()
+                        seen.append(([document.tag(n) for n in nodes],
+                                     [document.keywords(n) for n in nodes],
+                                     [document.children(n) for n in nodes]))
+
+                    threads = [threading.Thread(target=first_read)
+                               for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(t.is_alive() for t in threads)
+                assert seen == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestQueryPathDecodesNoContent:
+    """Answers are node ids: no query path decodes a tag or a text."""
+
+    def test_search_and_serve_decode_no_strings(self, corpus, index_dir,
+                                                monkeypatch):
+        def refuse(buf):
+            raise AssertionError("the query path decoded a string table")
+
+        monkeypatch.setattr(shard_format, "decode_strings", refuse)
+        collection = DocumentCollection.open_index(index_dir)
+        try:
+            query = Query.of("needle", "thread")
+            assert_same_result(corpus.search(query),
+                               collection.search(query))
+            expected = [(h.document_name, sorted(h.fragment.nodes))
+                        for h in corpus.search(query, stream=True,
+                                               limit=10)]
+            assert expected and expected == [
+                (h.document_name, sorted(h.fragment.nodes))
+                for h in collection.search(query, stream=True, limit=10)]
+            with MetricsServer(Observability(),
+                               collection=collection) as server:
+                for payload in ({"query": "needle thread"},
+                                {"query": "needle thread", "stream": True,
+                                 "limit": 10}):
+                    request = urllib.request.Request(
+                        server.url + "/query",
+                        data=json.dumps(payload).encode("utf-8"),
+                        method="POST")
+                    with urllib.request.urlopen(request,
+                                                timeout=60) as reply:
+                        assert reply.status == 200
+                        lines = reply.read().decode("utf-8").splitlines()
+                    if payload.get("stream"):
+                        hits = [json.loads(line) for line in lines[1:-1]]
+                        assert [(h["document"], h["nodes"])
+                                for h in hits] == expected
+                    else:
+                        assert (json.loads("".join(lines))["answers"]
+                                == len(corpus.search(query)))
+            monkeypatch.undo()
+            for name in collection.names():
+                assert (collection.document(name).tag(0)
+                        == corpus.document(name).tag(0))
+        finally:
+            collection.close()
+
+    def test_content_reads_after_close(self, corpus, index_dir):
+        """A document holds copies of its content sections, never views
+        of the map: close() releases the map with content already read
+        and content not yet read, and both stay readable."""
+        names = corpus.names()[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index = ShardIndex.attach(index_dir)
+            read, unread = (index.document(name) for name in names)
+            assert read.tag(0) == corpus.document(names[0]).tag(0)
+            index.close()
+            gc.collect()
+        assert_same_document(corpus.document(names[0]), read)
+        assert_same_document(corpus.document(names[1]), unread)
 
 
 class TestCorruption:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -124,3 +126,64 @@ class TestKeywordAccess:
         for nid in doc.node_ids():
             union |= doc.keywords(nid)
         assert doc.vocabulary() == frozenset(union)
+
+
+def _read_everything(doc):
+    return [(doc.tag(n), doc.text(n), dict(doc.attributes(n)),
+             doc.keywords(n), doc.children(n), doc.parent(n), doc.depth(n),
+             doc.subtree_size(n), doc.is_leaf(n))
+            for n in doc.node_ids()]
+
+
+class TestFromStructure:
+    """A storage backend's document: structure now, content on read."""
+
+    @staticmethod
+    def lazy(doc, calls):
+        content = {
+            "_tags": [doc.tag(n) for n in doc.node_ids()],
+            "_texts": [doc.text(n) for n in doc.node_ids()],
+            "_attrs": [dict(doc.attributes(n)) for n in doc.node_ids()],
+            "_keywords": [doc.keywords(n) for n in doc.node_ids()]}
+
+        def decode(slot):
+            calls.append(slot)
+            return list(content[slot])
+
+        return Document.from_structure(list(doc.parents), doc.labels,
+                                       decode, doc.name)
+
+    def test_structure_reads_no_content(self, tiny_doc):
+        calls = []
+        doc = self.lazy(tiny_doc, calls)
+        assert (doc.size, doc.max_depth) == (6, 2)
+        assert list(doc.ancestors(5)) == [4, 0]
+        assert list(doc.descendants(1)) == [2, 3]
+        assert doc.is_proper_ancestor(0, 5)
+        # Children are derived from the parents, not decoded.
+        assert doc.children(0) == (1, 4) and doc.is_leaf(2)
+        assert calls == []
+
+    def test_each_slot_decodes_once_and_equals_eager(self, tiny_doc):
+        calls = []
+        doc = self.lazy(tiny_doc, calls)
+        for _ in range(2):
+            assert _read_everything(doc) == _read_everything(tiny_doc)
+        assert doc.vocabulary() == tiny_doc.vocabulary()
+        assert sorted(calls) == ["_attrs", "_keywords", "_tags", "_texts"]
+
+    def test_pickling_decodes_first(self, tiny_doc):
+        calls = []
+        clone = pickle.loads(pickle.dumps(self.lazy(tiny_doc, calls)))
+        assert sorted(calls) == ["_attrs", "_keywords", "_tags", "_texts"]
+        assert _read_everything(clone) == _read_everything(tiny_doc)
+
+    def test_only_structure_is_set_until_read(self, tiny_doc):
+        """Parsed and builder-made documents fill every slot at
+        construction, so their accessors never take the decode path."""
+        slots = ("_tags", "_texts", "_attrs", "_children", "_keywords")
+        lazy = self.lazy(tiny_doc, [])
+        assert not any(hasattr(lazy, slot) for slot in slots)
+        assert all(hasattr(tiny_doc, slot) for slot in slots)
+        _read_everything(lazy)
+        assert all(hasattr(lazy, slot) for slot in slots)
