@@ -54,11 +54,16 @@ __all__ = [
 
 
 class JoinCache:
-    """LRU memo cache for binary fragment joins.
+    """LRU memo cache for binary fragment joins and fixed points.
 
-    An entry maps ``(document token, operand node set, operand node
-    set)`` to the joined *node set*; a hit is bound to the live
-    operand's document, so the cache never owns a
+    A pair entry maps ``(document token, operand node set, operand node
+    set)`` to the joined *node set*.  A closure entry maps ``(document
+    token, base node sets, mode, pruning predicate)`` to the node sets
+    of that fixed point ``F+`` in the order it emitted them
+    (:class:`~repro.core.evaluator.FixpointOp` builds the key); the two
+    key shapes never collide, and both kinds share one table, one LRU
+    order and ``max_entries``.  A hit is bound to the live operand's
+    document, so the cache never owns a
     :class:`~repro.xmltree.document.Document` — nothing an evicted
     document's entries hold keeps its tree alive.  Tokens are monotonic
     and never reused for a different tree (unlike ``id()``), so entries
@@ -73,8 +78,9 @@ class JoinCache:
     is a single atomic call, and :meth:`get` / :meth:`put` tolerate an
     entry evicted by another thread in between two of them.
 
-    ``hits`` / ``misses`` count :meth:`get` outcomes over the cache's
-    lifetime; :meth:`export_metrics` publishes them to a
+    ``hits`` / ``misses`` count :meth:`get` (pair) outcomes over the
+    cache's lifetime — a replayed closure is counted by the run, in
+    ``closure_cache_hits``; :meth:`export_metrics` publishes them to a
     :class:`repro.obs.metrics.MetricsRegistry`.
     """
 
@@ -100,23 +106,40 @@ class JoinCache:
 
     def get(self, f1: Fragment, f2: Fragment) -> Optional[Fragment]:
         """The cached join of ``f1`` and ``f2``, or ``None``."""
-        key = self._key(f1, f2)
-        nodes = self._table.get(key)
+        nodes = self._lookup(self._key(f1, f2))
         if nodes is None:
             self.misses += 1
             return None
-        try:
-            # True LRU: a hit refreshes the entry's recency.
-            self._table.move_to_end(key)
-        except KeyError:
-            pass  # evicted by a concurrent put; the value is still right
         self.hits += 1
         return Fragment._trusted(f1._doc, nodes)
 
     def put(self, f1: Fragment, f2: Fragment, result: Fragment) -> None:
         """Record the join of ``f1`` and ``f2``."""
+        self._store(self._key(f1, f2), result.nodes)
+
+    def closure(self, key: tuple) -> Optional[tuple[frozenset[int], ...]]:
+        """The node sets of the fixed point memoised under ``key``, in
+        emission order, or ``None``."""
+        return self._lookup(key)
+
+    def put_closure(self, key: tuple,
+                    closure: tuple[frozenset[int], ...]) -> None:
+        """Record a fixed point that ran to completion."""
+        self._store(key, closure)
+
+    def _lookup(self, key: tuple):
+        value = self._table.get(key)
+        if value is not None:
+            try:
+                # True LRU: a hit refreshes the entry's recency.
+                self._table.move_to_end(key)
+            except KeyError:
+                pass  # evicted by a concurrent put; the value is right
+        return value
+
+    def _store(self, key: tuple, value) -> None:
         table = self._table
-        table[self._key(f1, f2)] = result.nodes
+        table[key] = value
         if len(table) > self._max_entries:
             try:
                 # LRU eviction: drop the least recently touched entry.
@@ -145,7 +168,8 @@ class JoinCache:
         metrics.gauge(JOIN_CACHE_MEMO_MISSES,
                       "Lifetime JoinCache memo misses.").set(self.misses)
         metrics.gauge(JOIN_CACHE_MEMO_ENTRIES,
-                      "Joins the JoinCache memo holds.").set(len(self))
+                      "Joins and fixed points the JoinCache memo holds."
+                      ).set(len(self))
 
 
 def _lca(parents: Sequence[Optional[int]], a: int, b: int,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
                     Sequence)
 
@@ -27,7 +28,7 @@ from ..obs import NOOP, NULL_SPAN, STREAM_ROWS, Observability
 from .algebra import (JoinCache, _iter_multiway_powerset_join,
                       _iter_pairwise_join)
 from .cost import CostModel
-from .filters import _iter_select, necessary_bound
+from .filters import _iter_select, _value_key, necessary_bound
 from .fragment import Fragment
 from .plan import (FixedPoint, KeywordScan, PairwiseJoin, PlanNode,
                    PowersetJoin, Select)
@@ -54,7 +55,8 @@ class OperatorRunStats:
     emitted, and the :data:`~repro.core.stats.COUNTERS` it shares with
     :class:`OperationStats` (the algebra loops bump them on whichever
     of the two they are handed): joins computed, cached and pruned
-    unbuilt, predicate checks, subset checks, discards, iterations —
+    unbuilt, predicate checks, subset checks, discards, iterations,
+    fixed points replayed from the memo —
     so a query's totals are the sum over its operators.  Executing the
     same plan over many documents (a collection EXPLAIN ANALYZE)
     accumulates into the same instances, with ``calls`` counting
@@ -74,6 +76,7 @@ class OperatorRunStats:
     subset_checks: int = 0
     fragments_discarded: int = 0
     iterations: int = 0
+    closure_cache_hits: int = 0
     self_seconds: float = 0.0
     total_seconds: float = 0.0
 
@@ -99,6 +102,10 @@ class OperatorRunStats:
         if self.cache_hit_ratio is not None:
             record["cache_hit_ratio"] = self.cache_hit_ratio
         return record
+
+
+#: One operator's counters, in :data:`COUNTERS` order.
+_COUNTS = attrgetter(*COUNTERS)
 
 
 class PlanAnalysis:
@@ -140,9 +147,8 @@ class PlanAnalysis:
 
     def totals(self) -> OperationStats:
         """The whole plan's work: every counter summed over operators."""
-        return OperationStats(**{
-            name: sum(getattr(op, name) for op in self.operators)
-            for name in COUNTERS})
+        columns = zip(*map(_COUNTS, self.operators))
+        return OperationStats(**dict(zip(COUNTERS, map(sum, columns))))
 
     def as_dict(self) -> dict:
         """:meth:`totals` as a plain dict — what a budget bound to a
@@ -198,6 +204,8 @@ class PlanAnalysis:
                 parts.append(f"subset={op.subset_checks}")
             if op.iterations:
                 parts.append(f"iters={op.iterations}")
+            if op.closure_cache_hits:
+                parts.append(f"replayed={op.closure_cache_hits}")
             if cost_model is not None:
                 estimate = cost_model.estimate(self.nodes[slot])
                 parts.append(f"est.rows={estimate.cardinality:.0f}")
@@ -359,15 +367,65 @@ class FixpointOp(Operator):
     predicate (Theorem 3), whose ``necessary_bound`` also keeps doomed
     pairs from being joined.  Every surviving fragment is yielded the
     moment its round produces it, so downstream joins start before the
-    closure finishes."""
+    closure finishes.
+
+    Given a memo (``cache=``), a closure over a resolved base of two or
+    more fragments — a scan, or selections over one — is keyed by the
+    document token, the base's node sets, the mode and the value of the
+    pruning predicate, and replayed whole when it was memoised before:
+    the same fragments, in the same order, with no join.
+    """
 
     label = "fixpoint"
 
     def _produce(self) -> Iterator[Fragment]:
+        node, cache = self.node, self._options["cache"]
+        base = self.children[0].fragments
+        # A closure is a function of the document, the base's node sets
+        # and (mode, predicate) alone; a one-fragment base is already
+        # closed (f ⋈ f = f) and not worth a lookup.
+        if cache is not None and base is not None and len(base) > 1:
+            prune = (() if node.predicate is None
+                     else _value_key(node.predicate))
+            if prune is not None:  # no caller-named callable inside
+                document = next(iter(base))._doc
+                return self._memoised(cache, document, (
+                    document.token,
+                    frozenset([fragment._nodes for fragment in base]),
+                    node.bounded, prune))
+        return self._closure()
+
+    def _closure(self) -> Iterator[Fragment]:
         closure = (_iter_fixed_point_bounded if self.node.bounded
                    else _iter_fixed_point)
         return closure(self.children[0].output, stats=self.run,
                        predicate=self.node.predicate, **self._options)
+
+    def _memoised(self, cache: JoinCache, document: "Document",
+                  key: tuple) -> Iterator[Fragment]:
+        """The closure replayed from ``cache``, or computed and stored
+        there once it has run to completion — a closure abandoned by
+        its consumer or aborted by the budget is not stored.
+
+        A replay considers no pair, so it charges the budget no join
+        operations; it checks the whole closure against the
+        live-fragment ceiling once, which aborts exactly when the
+        computed closure's last round would have.
+        """
+        closure = cache.closure(key)
+        if closure is not None:
+            budget = self._options["budget"]
+            if budget is not None:
+                budget.admit_live(len(closure))
+            self.run.closure_cache_hits += 1
+            for nodes in closure:
+                yield Fragment._trusted(document, nodes)
+            return
+        emitted = []
+        for fragment in self._closure():
+            emitted.append(fragment._nodes)
+            yield fragment
+        cache.put_closure(key, tuple(emitted))
 
 
 class PowersetOp(Operator):

@@ -398,6 +398,29 @@ class PredicateFilter(Filter):
         return self._name
 
 
+#: The anti-monotonic filters whose instance attributes are all they
+#: test: what a fixed point may prune by, ``And`` / ``Or`` aside.
+_VALUE_FILTERS = frozenset({
+    TrueFilter, SizeAtMost, HeightAtMost, WidthAtMost, ExcludesKeyword,
+    RootDepthAtLeast, TagsWithin, LeafCountAtMost})
+
+
+def _value_key(predicate: Filter) -> Optional[tuple]:
+    """A hashable key two pruning predicates share exactly when they
+    test the same thing, or ``None`` when ``predicate`` holds a filter
+    whose value is not known — a :class:`PredicateFilter`, whose
+    ``repr`` is a caller-chosen name, or a subclass defined outside
+    this module."""
+    kind = type(predicate)
+    if kind in (And, Or):
+        left, right = _value_key(predicate.left), _value_key(predicate.right)
+        return None if left is None or right is None \
+            else (kind, left, right)
+    if kind in _VALUE_FILTERS:
+        return (kind, tuple(sorted(vars(predicate).items())))
+    return None
+
+
 def _conjuncts(predicate: Filter) -> Iterator[Filter]:
     """The operands of a (nested) ``And``, left to right."""
     if isinstance(predicate, And):

@@ -17,7 +17,7 @@ __all__ = ["OperationStats", "COUNTERS"]
 #: The counter fields, in reporting order.
 COUNTERS = ("fragment_joins", "join_cache_hits", "joins_pruned",
             "predicate_checks", "subset_checks", "fragments_discarded",
-            "iterations")
+            "iterations", "closure_cache_hits")
 
 
 @dataclass
@@ -46,6 +46,10 @@ class OperationStats:
         and not counted here.
     iterations:
         Pairwise-join rounds executed by fixed-point computations.
+    closure_cache_hits:
+        Fixed points replayed whole from the memo cache instead of
+        computed: a replay considers no pair, so it adds to none of the
+        counters above.
     """
 
     fragment_joins: int = 0
@@ -55,6 +59,7 @@ class OperationStats:
     subset_checks: int = 0
     fragments_discarded: int = 0
     iterations: int = 0
+    closure_cache_hits: int = 0
     extras: dict = field(default_factory=dict)
 
     def reset(self) -> None:

@@ -13,8 +13,9 @@ own machines:
 
 Each trial generates a random document and query, evaluates it through
 every path the engine offers — each strategy, materialised, streamed
-(the filter in the query, and as the stream's extra selection), and as
-an explicit plan, plus the literal powerset semantics — holds each
+(the filter in the query, and as the stream's extra selection), both
+again over the first run's join memo (its fixed points replayed), and
+as an explicit plan, plus the literal powerset semantics — holds each
 against an oracle that shares no join with them, and records any
 disagreement as a :class:`TrialFailure` carrying everything needed to
 reproduce it (the seed, the document's parent vector, the query).
@@ -181,9 +182,18 @@ def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
         wrong.append("powerset-semantics")
     for strategy in Strategy:
         name = strategy.value
-        run = evaluate(doc, query, strategy=strategy, cache=JoinCache())
+        memo = JoinCache()
+        run = evaluate(doc, query, strategy=strategy, cache=memo)
         if run.fragments != oracle:
             wrong.append(f"{name}/materialised")
+        # The same memo again: every fixed point it completed is
+        # replayed, not computed, materialised and streamed alike.
+        if evaluate(doc, query, strategy=strategy,
+                    cache=memo).fragments != oracle:
+            wrong.append(f"{name}/replayed")
+        if frozenset(stream_evaluate(doc, query, strategy,
+                                     cache=memo)) != oracle:
+            wrong.append(f"{name}/replayed-streamed")
         stream = stream_evaluate(doc, query, strategy, cache=JoinCache())
         if frozenset(stream) != oracle:
             wrong.append(f"{name}/streamed")
@@ -219,7 +229,9 @@ def run_differential_trials(trials: int = 100, seed: int = 0,
     fresh random document and query, the literal powerset semantics and
     every strategy materialised, streamed, and run as its explicit
     plan — and checks that the stream and the plan do exactly the
-    materialised run's counted work, each on a fresh join memo.
+    materialised run's counted work, each on a fresh join memo.  The
+    materialised run's memo then serves a second materialised and a
+    streamed run, which replay its fixed points.
 
     Parameters
     ----------

@@ -357,6 +357,8 @@ class TestDumpAndLoad:
             proc.wait(timeout=10)
         finally:
             proc.kill()
+            proc.wait()
+            proc.stdout.close()
         profiles, _ = load_dump(dump)
         assert len(profiles) == 1
 

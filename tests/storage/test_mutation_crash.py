@@ -138,7 +138,11 @@ def test_double_crash_then_recover(corpus, crashed_dir):
     """Crash twice at different points; recovery still converges."""
     old = crash_one_add(crashed_dir, corpus,
                         CrashPlan("manifest-rename"))
-    assert MutableIndex.open(crashed_dir).epoch == old
+    reopened = MutableIndex.open(crashed_dir)
+    try:
+        assert reopened.epoch == old
+    finally:
+        reopened.close()
     again = crash_one_add(crashed_dir, corpus,
                           CrashPlan("before-current-rename"))
     assert again == old

@@ -221,7 +221,15 @@ class TestMemoCounters:
         size/height/width bound now rejects before the memo is asked.
         All of those were hits (the list's unpushed strategies and last
         β rounds join every pair once regardless), and the misses — the
-        joins computed — are unchanged: no computed join was lost."""
+        joins computed — are unchanged: no computed join was lost.
+
+        The memo also holds whole fixed points now: a closure computed
+        once is replayed by every later run that asks for the same
+        (document, base, mode, predicate), with no pair looked up.  That
+        removes the 52 038 pair hits (81 887 → 29 849) those runs'
+        recomputed closures used to take.  The misses stay 2 511: each
+        closure is still computed, join by join, by the first run that
+        asks for it."""
         collection = DocumentCollection.open_index(index_dir)
         try:
             for strategy in (Strategy.PUSHDOWN, Strategy.SEMI_NAIVE,
@@ -231,6 +239,6 @@ class TestMemoCounters:
                     list(collection.search(query, strategy=strategy,
                                            stream=True, limit=10))
             cache = collection._cache
-            assert (cache.hits, cache.misses) == (81887, 2511)
+            assert (cache.hits, cache.misses) == (29849, 2511)
         finally:
             collection.close()
