@@ -1,9 +1,16 @@
-"""Experiment S9 — join memo cache ablation.
+"""Experiment S9 — what the closure memo saves, and what it cannot.
 
-DESIGN.md calls out the per-document join memo cache as a
-performance-critical choice; this bench quantifies it: the same query
-workload with and without the cache, reporting computed joins vs cache
-hits and wall time, plus the cross-query reuse a shared cache enables.
+The :class:`~repro.core.algebra.JoinCache` memoises each keyword's
+completed fixed point ``F+`` (Theorem 2: ``F1 ⋈* F2 = F1+ ⋈ F2+``, so
+``F+`` is the part of a query that repeats) and replays it whole.  This
+bench pins the memo's three regimes:
+
+* within one query the two terms' bases differ, so a memo computes
+  exactly the joins no memo does;
+* a repeated query replays every closure and computes only its final
+  join ``F1+ ⋈ F2+``;
+* a β ladder (``size<=4, 6, 8, 10``) pushes a different bound into each
+  closure, so nothing replays — and the memo costs the ladder nothing.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ def test_cache_within_one_query(benchmark, capsys):
 
     def run():
         rows = []
-        for label, cache in (("no cache", None),
-                             ("memo cache", JoinCache())):
+        for label, cache in (("no memo", None),
+                             ("closure memo", JoinCache())):
             started = time.perf_counter()
             result = evaluate(doc, QUERY,
                               strategy=Strategy.SET_REDUCTION,
@@ -42,47 +49,53 @@ def test_cache_within_one_query(benchmark, capsys):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     report(capsys, "\n".join([
-        banner("S9: join memo cache, single query"),
-        format_table(["configuration", "joins computed", "cache hits",
-                      "ms"], rows),
+        banner("S9: closure memo, single query"),
+        format_table(["configuration", "joins computed",
+                      "fixed points replayed", "ms"], rows),
         "",
-        "set reduction re-joins the same pairs across ⊖ and the "
-        "iteration rounds; the memo turns those into hits."]))
-    assert rows[1][1] <= rows[0][1]
+        "the two terms' bases differ, so no closure repeats within the "
+        "query: the memo computes every join no memo does."]))
+    assert rows[1][1] == rows[0][1]
+    assert rows[1][2] == 0
 
 
 def test_cache_across_queries(benchmark, capsys):
     doc = planted_document(nodes=900, occ_a=6, occ_b=6,
                            clustering=0.5, seed=193)
-    betas = (4, 6, 8, 10)
+    ladder = [Query.of(TERM_A, TERM_B, predicate=SizeAtMost(beta))
+              for beta in (4, 6, 8, 10)]
+
+    def session(cache):
+        """The ladder once: (ms, joins computed, fixed points replayed)."""
+        joins = replays = 0
+        started = time.perf_counter()
+        for query in ladder:
+            result = evaluate(doc, query, strategy=Strategy.PUSHDOWN,
+                              cache=cache)
+            joins += result.stats["fragment_joins"]
+            replays += result.stats["join_cache_hits"]
+        return (time.perf_counter() - started) * 1000, joins, replays
 
     def run():
         shared = JoinCache()
-        reused_hits = 0
-        cold_joins = 0
-        for beta in betas:
-            query = Query.of(TERM_A, TERM_B,
-                             predicate=SizeAtMost(beta))
-            result = evaluate(doc, query, strategy=Strategy.PUSHDOWN,
-                              cache=shared)
-            reused_hits += result.stats["join_cache_hits"]
-            cold = evaluate(doc, query, strategy=Strategy.PUSHDOWN)
-            cold_joins += cold.stats["fragment_joins"]
-        return reused_hits, cold_joins, len(shared)
+        return [["no memo", *session(None)],
+                ["β ladder, shared memo", *session(shared)],
+                ["the ladder repeated", *session(shared)]], len(shared)
 
-    reused_hits, cold_joins, cache_size = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    rows, entries = benchmark.pedantic(run, rounds=1, iterations=1)
     report(capsys, "\n".join([
-        banner("S9: shared cache across a query session"),
-        format_table(
-            ["metric", "value"],
-            [["joins computed without sharing", cold_joins],
-             ["hits served by the shared cache", reused_hits],
-             ["entries in the cache afterwards", cache_size]]),
+        banner("S9: closure memo across a query session"),
+        format_table(["session", "ms", "joins computed",
+                      "fixed points replayed"], rows),
+        f"closures memoised afterwards: {entries}",
         "",
-        "a session re-running related queries (e.g. the top-k β "
-        "ladder) re-derives most joins from the memo."]))
-    assert reused_hits > 0
+        "each β pushes its own bound into both closures, so the ladder "
+        "replays nothing; repeating it replays every closure and "
+        "computes only the final joins."]))
+    cold, ladder_run, repeated = rows
+    assert ladder_run[2:] == [cold[2], 0]
+    assert repeated[3] == 2 * len(ladder) and repeated[2] < cold[2]
+    assert entries == 2 * len(ladder)
 
 
 def test_bench_cached_query(benchmark, medium_doc):
@@ -90,7 +103,7 @@ def test_bench_cached_query(benchmark, medium_doc):
     evaluate(medium_doc, QUERY, cache=cache)  # warm
     result = benchmark(evaluate, medium_doc, QUERY, Strategy.PUSHDOWN,
                        None, cache)
-    assert result is not None
+    assert result.stats["join_cache_hits"] == 2
 
 
 def test_bench_uncached_query(benchmark, medium_doc):

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="explain_analyze",
                         help="execute the strategy's plan and print it "
                              "annotated with measured per-operator "
-                             "statistics (rows, joins, cache hits, "
-                             "checks, pruning, self/total time)")
+                             "statistics (rows, joins, replayed fixed "
+                             "points, checks, pruning, self/total time)")
     parser.add_argument("--stats", action="store_true",
                         help="print operation counters after the answers")
     parser.add_argument("--trace", action="store_true",

@@ -44,13 +44,13 @@ class _SnapshotCollection(DocumentCollection):
     epoch's :class:`Snapshot`.
 
     Shares the parent's :class:`~repro.core.algebra.JoinCache`, its
-    per-epoch scorer cache and its pool.  Join memos are addressed by
-    document token: a base document keeps its token for as long as its
-    generation is attached, and a delta document for as long as its
-    WAL record stands (each epoch's view carries the tree the last one
-    built), so their memos survive epoch changes; a replaced document
-    is a new record under a fresh token, and its predecessor's memos
-    own no document and age out of the LRU.
+    per-epoch scorer cache and its pool.  Memoised closures are
+    addressed by document token: a base document keeps its token for as
+    long as its generation is attached, and a delta document for as
+    long as its WAL record stands (each epoch's view carries the tree
+    the last one built), so their closures survive epoch changes; a
+    replaced document is a new record under a fresh token, and its
+    predecessor's closures own no document and age out of the LRU.
     """
 
     def __init__(self, parent: "MutableDocumentCollection",

@@ -16,14 +16,16 @@ Implements, over :class:`~repro.core.fragment.Fragment` values and
 Selection (`σ_P`) lives in :mod:`repro.core.filters`; fixed points and
 set reduction in :mod:`repro.core.reduce`.
 
-A memo cache makes repeated joins of the same pair O(1); it is keyed
-on the document's identity token and the operand node sets, stores
-node sets only, and is safe because documents and fragments are
+:class:`JoinCache` memoises completed fixed points for
+:class:`~repro.core.evaluator.FixpointOp`; the loops here hold no memo.
+It is keyed on the document's identity token and the base's node sets,
+stores node sets only, and is safe because documents and fragments are
 immutable.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -54,121 +56,99 @@ __all__ = [
 
 
 class JoinCache:
-    """LRU memo cache for binary fragment joins and fixed points.
+    """LRU memo of completed fixed points (Theorem 2's ``F+``).
 
-    A pair entry maps ``(document token, operand node set, operand node
-    set)`` to the joined *node set*.  A closure entry maps ``(document
-    token, base node sets, mode, pruning predicate)`` to the node sets
-    of that fixed point ``F+`` in the order it emitted them
-    (:class:`~repro.core.evaluator.FixpointOp` builds the key); the two
-    key shapes never collide, and both kinds share one table, one LRU
-    order and ``max_entries``.  A hit is bound to the live operand's
-    document, so the cache never owns a
+    An entry maps ``(document token, base node sets, mode, pruning
+    predicate)`` to the node sets of that closure in the order it
+    emitted them; :class:`~repro.core.evaluator.FixpointOp` builds the
+    key and is the memo's only reader and writer.  A replay is bound to
+    the live base's document, so the memo never owns a
     :class:`~repro.xmltree.document.Document` — nothing an evicted
     document's entries hold keeps its tree alive.  Tokens are monotonic
     and never reused for a different tree (unlike ``id()``), so entries
     cannot go stale, and a shard index hands every re-materialisation
     of one name the same token, so they hit again when an evicted
-    document comes back.  One cache can safely be shared across the
-    documents of a collection; a bounded size with
-    least-recently-*used* eviction keeps memory in check while
-    retaining the hot pairs.
+    document comes back.  One memo can safely be shared across the
+    documents of a collection; a bounded size with least-recently-*used*
+    eviction keeps memory in check while retaining the hot closures.
 
-    Handler threads share a cache without a lock: every table operation
-    is a single atomic call, and :meth:`get` / :meth:`put` tolerate an
-    entry evicted by another thread in between two of them.
+    Handler threads share a memo.  A lookup takes no lock — every
+    table operation is a single atomic call, and :meth:`closure`
+    tolerates an entry evicted by another thread in between two of
+    them.  Stores are serialised and evict before they insert, so no
+    reader ever sees more than ``max_entries`` entries; there is one
+    store per computed closure, so the lock is never hot.
 
-    ``hits`` / ``misses`` count :meth:`get` (pair) outcomes over the
-    cache's lifetime — a replayed closure is counted by the run, in
-    ``closure_cache_hits``; :meth:`export_metrics` publishes them to a
+    ``hits`` / ``misses`` count :meth:`closure` lookups over the memo's
+    lifetime (a run counts its own replays in ``join_cache_hits``);
+    :meth:`export_metrics` publishes them to a
     :class:`repro.obs.metrics.MetricsRegistry`.
     """
 
-    __slots__ = ("_table", "_max_entries", "hits", "misses")
+    __slots__ = ("_table", "_max_entries", "_store", "hits", "misses")
 
     def __init__(self, max_entries: int = 1 << 16) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        self._table: OrderedDict[tuple, frozenset[int]] = OrderedDict()
+        self._table: OrderedDict[tuple, tuple[frozenset[int], ...]] = \
+            OrderedDict()
         self._max_entries = max_entries
+        self._store = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def _key(f1: Fragment, f2: Fragment) -> tuple:
-        # Commutativity: order the operand sets by their cached hashes
-        # rather than allocating an unordered pair.  The sets themselves
-        # are the key, so equal hashes can at worst store one join under
-        # both orders — never return another pair's.
-        if f1._hash <= f2._hash:
-            return (f1._doc.token, f1._nodes, f2._nodes)
-        return (f1._doc.token, f2._nodes, f1._nodes)
-
-    def get(self, f1: Fragment, f2: Fragment) -> Optional[Fragment]:
-        """The cached join of ``f1`` and ``f2``, or ``None``."""
-        nodes = self._lookup(self._key(f1, f2))
-        if nodes is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return Fragment._trusted(f1._doc, nodes)
-
-    def put(self, f1: Fragment, f2: Fragment, result: Fragment) -> None:
-        """Record the join of ``f1`` and ``f2``."""
-        self._store(self._key(f1, f2), result.nodes)
 
     def closure(self, key: tuple) -> Optional[tuple[frozenset[int], ...]]:
         """The node sets of the fixed point memoised under ``key``, in
         emission order, or ``None``."""
-        return self._lookup(key)
+        value = self._table.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        try:
+            # True LRU: a hit refreshes the entry's recency.
+            self._table.move_to_end(key)
+        except KeyError:
+            pass  # evicted by a concurrent put; the value is right
+        return value
 
     def put_closure(self, key: tuple,
                     closure: tuple[frozenset[int], ...]) -> None:
         """Record a fixed point that ran to completion."""
-        self._store(key, closure)
-
-    def _lookup(self, key: tuple):
-        value = self._table.get(key)
-        if value is not None:
-            try:
-                # True LRU: a hit refreshes the entry's recency.
-                self._table.move_to_end(key)
-            except KeyError:
-                pass  # evicted by a concurrent put; the value is right
-        return value
-
-    def _store(self, key: tuple, value) -> None:
         table = self._table
-        table[key] = value
-        if len(table) > self._max_entries:
-            try:
-                # LRU eviction: drop the least recently touched entry.
-                table.popitem(last=False)
-            except KeyError:
-                pass  # concurrent puts already drained the table
+        with self._store:
+            if key not in table and len(table) >= self._max_entries:
+                try:
+                    # LRU eviction: drop the least recently touched entry.
+                    table.popitem(last=False)
+                except KeyError:
+                    pass  # a concurrent clear() emptied the table
+            table[key] = closure
 
     def __len__(self) -> int:
         return len(self._table)
 
     def clear(self) -> None:
-        """Drop all cached joins (hit/miss counters are kept)."""
+        """Drop all memoised closures (hit/miss counters are kept)."""
         self._table.clear()
 
     def export_metrics(self, metrics) -> None:
         """Publish lifetime hit/miss totals and the current entry count
         as gauges on ``metrics``.
 
-        Gauges (not counters) because the cache owns the running totals;
+        Gauges (not counters) because the memo owns the running totals;
         re-exporting after more queries overwrites with the new values.
         """
         from ..obs import (JOIN_CACHE_MEMO_ENTRIES, JOIN_CACHE_MEMO_HITS,
                            JOIN_CACHE_MEMO_MISSES)
         metrics.gauge(JOIN_CACHE_MEMO_HITS,
-                      "Lifetime JoinCache memo hits.").set(self.hits)
+                      "Lifetime JoinCache closure lookups that hit."
+                      ).set(self.hits)
         metrics.gauge(JOIN_CACHE_MEMO_MISSES,
-                      "Lifetime JoinCache memo misses.").set(self.misses)
+                      "Lifetime JoinCache closure lookups that missed."
+                      ).set(self.misses)
         metrics.gauge(JOIN_CACHE_MEMO_ENTRIES,
-                      "Joins and fixed points the JoinCache memo holds."
+                      "Fixed points the JoinCache memo holds."
                       ).set(len(self))
 
 
@@ -194,8 +174,7 @@ def _lca(parents: Sequence[Optional[int]], a: int, b: int,
 
 
 def fragment_join(f1: Fragment, f2: Fragment,
-                  stats: Optional[OperationStats] = None,
-                  cache: Optional[JoinCache] = None, *,
+                  stats: Optional[OperationStats] = None, *,
                   lca: Optional[int] = None) -> Fragment:
     """``f1 ⋈ f2``: the minimal fragment containing both operands.
 
@@ -217,12 +196,6 @@ def fragment_join(f1: Fragment, f2: Fragment,
         return f1
     if f1.nodes <= f2.nodes:
         return f2
-    if cache is not None:
-        hit = cache.get(f1, f2)
-        if hit is not None:
-            if stats is not None:
-                stats.join_cache_hits += 1
-            return hit
     if stats is not None:
         stats.fragment_joins += 1
     document = f1.document
@@ -236,15 +209,11 @@ def fragment_join(f1: Fragment, f2: Fragment,
         while node != lca:
             node = parents[node]
             path.append(node)
-    result = Fragment._trusted(document, f1.nodes.union(f2.nodes, path))
-    if cache is not None:
-        cache.put(f1, f2, result)
-    return result
+    return Fragment._trusted(document, f1.nodes.union(f2.nodes, path))
 
 
 def join_all(fragments: Iterable[Fragment],
-             stats: Optional[OperationStats] = None,
-             cache: Optional[JoinCache] = None) -> Fragment:
+             stats: Optional[OperationStats] = None) -> Fragment:
     """``⋈{f1, ..., fn}``: fold fragment join over a non-empty collection.
 
     Associativity and commutativity make the fold order irrelevant for
@@ -256,7 +225,7 @@ def join_all(fragments: Iterable[Fragment],
     except StopIteration:
         raise FragmentError("join_all requires at least one fragment")
     for fragment in iterator:
-        result = fragment_join(result, fragment, stats=stats, cache=cache)
+        result = fragment_join(result, fragment, stats=stats)
     return result
 
 
@@ -280,12 +249,11 @@ def _labelled(fragments: Iterable[Fragment],
 
 
 def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
-           stats: Optional[OperationStats], cache: Optional[JoinCache]
-           ) -> Iterator[Fragment]:
+           stats: Optional[OperationStats]) -> Iterator[Fragment]:
     """``f1 ⋈ f2`` for ``f2 = other`` and each ``f1`` of ``block``
     (:func:`_labelled` entries) — except the pairs whose join provably
-    exceeds ``bound = (max size, max height, max width)``, which reach
-    neither join nor memo and are counted in ``joins_pruned``.
+    exceeds ``bound = (max size, max height, max width)``, which are
+    never joined and are counted in ``joins_pruned``.
 
     The join is rooted at ``a = lca(r1, r2)`` and adds to ``f1 ∪ f2``
     only ancestors of the two roots, so its height and width are known
@@ -296,7 +264,7 @@ def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
     f2 = other[0]
     if bound is None:
         for (f1,) in block:
-            yield fragment_join(f1, f2, stats=stats, cache=cache)
+            yield fragment_join(f1, f2, stats=stats)
         return
     max_size, max_height, max_width = bound
     _, r2, d2, s2, deep2, last2 = other
@@ -311,12 +279,11 @@ def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
             if stats is not None:
                 stats.joins_pruned += 1
             continue
-        yield fragment_join(f1, f2, stats=stats, cache=cache, lca=a)
+        yield fragment_join(f1, f2, stats=stats, lca=a)
 
 
 def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                         stats: Optional[OperationStats] = None,
-                        cache: Optional[JoinCache] = None,
                         budget: Optional["QueryBudget"] = None,
                         bound: Optional[tuple] = None
                         ) -> Iterator[Fragment]:
@@ -342,7 +309,7 @@ def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
             block = left[start:start + _TICK_BLOCK]
             if budget is not None:
                 budget.tick(len(block))
-            for joined in _joins(block, other, bound, stats, cache):
+            for joined in _joins(block, other, bound, stats):
                 if joined not in emitted:
                     emitted.add(joined)
                     yield joined
@@ -352,7 +319,6 @@ def _iter_pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
 
 def pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                   stats: Optional[OperationStats] = None,
-                  cache: Optional[JoinCache] = None,
                   budget: Optional["QueryBudget"] = None
                   ) -> frozenset[Fragment]:
     """``F1 ⋈ F2``: join every pair (Definition 5), deduplicated.
@@ -364,7 +330,7 @@ def pairwise_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     ceiling.
     """
     return frozenset(_iter_pairwise_join(set1, set2, stats=stats,
-                                         cache=cache, budget=budget))
+                                         budget=budget))
 
 
 def nonempty_subsets(items: Sequence) -> Iterable[tuple]:
@@ -375,7 +341,6 @@ def nonempty_subsets(items: Sequence) -> Iterable[tuple]:
 
 def powerset_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
                   stats: Optional[OperationStats] = None,
-                  cache: Optional[JoinCache] = None,
                   max_operand_size: Optional[int] = 20,
                   budget: Optional["QueryBudget"] = None
                   ) -> frozenset[Fragment]:
@@ -411,13 +376,12 @@ def powerset_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
     for subset1 in nonempty_subsets(left):
         if budget is not None:
             budget.admit_candidates(len(results))
-        base = join_all(subset1, stats=stats, cache=cache)
+        base = join_all(subset1, stats=stats)
         for subset2 in nonempty_subsets(right):
             if budget is not None:
                 budget.tick(len(subset2))
-            joined = fragment_join(
-                base, join_all(subset2, stats=stats, cache=cache),
-                stats=stats, cache=cache)
+            joined = fragment_join(base, join_all(subset2, stats=stats),
+                                   stats=stats)
             results.add(joined)
     return frozenset(results)
 
@@ -425,7 +389,6 @@ def powerset_join(set1: Iterable[Fragment], set2: Iterable[Fragment],
 def _iter_multiway_powerset_join(
         fragment_sets: Sequence[Iterable[Fragment]],
         stats: Optional[OperationStats] = None,
-        cache: Optional[JoinCache] = None,
         max_operand_size: Optional[int] = 20,
         budget: Optional["QueryBudget"] = None) -> Iterator[Fragment]:
     """The m-ary powerset join, one new candidate at a time.
@@ -451,7 +414,7 @@ def _iter_multiway_powerset_join(
             if budget is not None:
                 budget.tick(len(partial))
                 budget.admit_candidates(len(emitted))
-            candidate = join_all(partial, stats=stats, cache=cache)
+            candidate = join_all(partial, stats=stats)
             if candidate not in emitted:
                 emitted.add(candidate)
                 yield candidate
@@ -459,7 +422,7 @@ def _iter_multiway_powerset_join(
         for subset in nonempty_subsets(operands[position]):
             if budget is not None:
                 budget.tick(max(0, len(subset) - 1))
-            partial.append(join_all(subset, stats=stats, cache=cache))
+            partial.append(join_all(subset, stats=stats))
             yield from recurse(position + 1)
             partial.pop()
 
@@ -468,7 +431,6 @@ def _iter_multiway_powerset_join(
 
 def multiway_powerset_join(fragment_sets: Sequence[Iterable[Fragment]],
                            stats: Optional[OperationStats] = None,
-                           cache: Optional[JoinCache] = None,
                            max_operand_size: Optional[int] = 20,
                            budget: Optional["QueryBudget"] = None
                            ) -> frozenset[Fragment]:
@@ -480,5 +442,5 @@ def multiway_powerset_join(fragment_sets: Sequence[Iterable[Fragment]],
     ``F1+ ⋈ F2+ ⋈ … ⋈ Fm+``.
     """
     return frozenset(_iter_multiway_powerset_join(
-        fragment_sets, stats=stats, cache=cache,
-        max_operand_size=max_operand_size, budget=budget))
+        fragment_sets, stats=stats, max_operand_size=max_operand_size,
+        budget=budget))

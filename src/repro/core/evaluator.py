@@ -54,14 +54,13 @@ class OperatorRunStats:
     that position counts its own work here while it runs — ``rows`` it
     emitted, and the :data:`~repro.core.stats.COUNTERS` it shares with
     :class:`OperationStats` (the algebra loops bump them on whichever
-    of the two they are handed): joins computed, cached and pruned
-    unbuilt, predicate checks, subset checks, discards, iterations,
-    fixed points replayed from the memo —
-    so a query's totals are the sum over its operators.  Executing the
-    same plan over many documents (a collection EXPLAIN ANALYZE)
-    accumulates into the same instances, with ``calls`` counting
-    executions; the two ``*_seconds`` are measured only by analysed
-    executions.
+    of the two they are handed): joins computed and pruned unbuilt,
+    fixed points replayed from the memo, predicate checks, subset
+    checks, discards, iterations — so a query's totals are the sum over
+    its operators.  Executing the same plan over many documents (a
+    collection EXPLAIN ANALYZE) accumulates into the same instances,
+    with ``calls`` counting executions; the two ``*_seconds`` are
+    measured only by analysed executions.
     """
 
     label: str
@@ -76,21 +75,8 @@ class OperatorRunStats:
     subset_checks: int = 0
     fragments_discarded: int = 0
     iterations: int = 0
-    closure_cache_hits: int = 0
     self_seconds: float = 0.0
     total_seconds: float = 0.0
-
-    @property
-    def cache_hit_ratio(self) -> Optional[float]:
-        """Join-cache hit ratio, or ``None`` when no joins were asked.
-
-        Guarded: an operator that performed no join lookups has no
-        ratio, not a zero one.
-        """
-        lookups = self.fragment_joins + self.join_cache_hits
-        if not lookups:
-            return None
-        return self.join_cache_hits / lookups
 
     def to_dict(self) -> dict:
         record = {"label": self.label, "depth": self.depth,
@@ -99,8 +85,6 @@ class OperatorRunStats:
             record[name] = getattr(self, name)
         record["self_seconds"] = self.self_seconds
         record["total_seconds"] = self.total_seconds
-        if self.cache_hit_ratio is not None:
-            record["cache_hit_ratio"] = self.cache_hit_ratio
         return record
 
 
@@ -113,8 +97,8 @@ class PlanAnalysis:
 
     Built from a plan tree (one stats slot per operator, preorder) and
     filled in by the operators :func:`build_pipeline` compiles from it:
-    fragments in/out, join and predicate counters, cache hit ratio,
-    pushdown discards, and (for analysed executions) self/total seconds
+    fragments in/out, join, replay and predicate counters, pushdown
+    discards, and (for analysed executions) self/total seconds
     per operator.  Render it through :func:`repro.core.plan.explain`
     with ``analyze=``.
 
@@ -174,7 +158,7 @@ class PlanAnalysis:
         Example::
 
             σa[size<=3]      rows=4   in=11  1.10ms self=0.20ms checks=11 pruned=7
-              ⋈              rows=11  in=6   0.90ms self=0.45ms joins=14 hits=3 (18% cached)
+              ⋈              rows=11  in=6   0.90ms self=0.45ms joins=14
         """
         entries = []
         for slot, op in enumerate(self.operators):
@@ -188,12 +172,8 @@ class PlanAnalysis:
                      f"self={op.self_seconds * 1000:7.2f}ms"]
             if op.calls != 1:
                 parts.append(f"calls={op.calls}")
-            if op.fragment_joins or op.join_cache_hits:
+            if op.fragment_joins:
                 parts.append(f"joins={op.fragment_joins}")
-                parts.append(f"hits={op.join_cache_hits}")
-                ratio = op.cache_hit_ratio
-                if ratio is not None:
-                    parts.append(f"({ratio * 100:.0f}% cached)")
             if op.joins_pruned:
                 parts.append(f"joins_pruned={op.joins_pruned}")
             if op.predicate_checks:
@@ -204,8 +184,8 @@ class PlanAnalysis:
                 parts.append(f"subset={op.subset_checks}")
             if op.iterations:
                 parts.append(f"iters={op.iterations}")
-            if op.closure_cache_hits:
-                parts.append(f"replayed={op.closure_cache_hits}")
+            if op.join_cache_hits:
+                parts.append(f"replayed={op.join_cache_hits}")
             if cost_model is not None:
                 estimate = cost_model.estimate(self.nodes[slot])
                 parts.append(f"est.rows={estimate.cardinality:.0f}")
@@ -268,13 +248,14 @@ class Operator:
     fragments: Optional[frozenset[Fragment]] = None
 
     def __init__(self, node: PlanNode, run: OperatorRunStats,
-                 children: Sequence["Operator"], options: dict,
+                 children: Sequence["Operator"],
+                 budget: Optional["QueryBudget"],
                  clock: Optional[_Clock] = None) -> None:
         self.node = node
         self.run = run
         self.children = children
-        #: ``cache`` / ``budget`` for the algebra loops.
-        self._options = options
+        #: Charged by the algebra loops.
+        self.budget = budget
         #: Given on analysed executions, to time the operator.
         self.clock = clock
 
@@ -287,9 +268,8 @@ class Operator:
     @property
     def output(self) -> Iterable[Fragment]:
         """What a consumer reads: the resolved set itself when there is
-        one (a copy would iterate in another order, and which joins a
-        bounded cache still holds depends on the order), else a fresh
-        run of the operator."""
+        one (a copy would iterate in another order), else a fresh run
+        of the operator."""
         return self.fragments if self.fragments is not None \
             else self._rows()
 
@@ -358,7 +338,7 @@ class JoinOp(Operator):
         left, right = self.children
         return _iter_pairwise_join(left.output, right.output,
                                    stats=self.run, bound=self.bound,
-                                   **self._options)
+                                   budget=self.budget)
 
 
 class FixpointOp(Operator):
@@ -369,27 +349,29 @@ class FixpointOp(Operator):
     moment its round produces it, so downstream joins start before the
     closure finishes.
 
-    Given a memo (``cache=``), a closure over a resolved base of two or
-    more fragments — a scan, or selections over one — is keyed by the
+    Given a memo, a closure over a resolved base of two or more
+    fragments — a scan, or selections over one — is keyed by the
     document token, the base's node sets, the mode and the value of the
     pruning predicate, and replayed whole when it was memoised before:
     the same fragments, in the same order, with no join.
     """
 
     label = "fixpoint"
+    #: The run's closure memo (``None``: every closure is computed).
+    memo: Optional[JoinCache] = None
 
     def _produce(self) -> Iterator[Fragment]:
-        node, cache = self.node, self._options["cache"]
+        node, memo = self.node, self.memo
         base = self.children[0].fragments
         # A closure is a function of the document, the base's node sets
         # and (mode, predicate) alone; a one-fragment base is already
         # closed (f ⋈ f = f) and not worth a lookup.
-        if cache is not None and base is not None and len(base) > 1:
+        if memo is not None and base is not None and len(base) > 1:
             prune = (() if node.predicate is None
                      else _value_key(node.predicate))
             if prune is not None:  # no caller-named callable inside
                 document = next(iter(base))._doc
-                return self._memoised(cache, document, (
+                return self._memoised(memo, document, (
                     document.token,
                     frozenset([fragment._nodes for fragment in base]),
                     node.bounded, prune))
@@ -399,11 +381,11 @@ class FixpointOp(Operator):
         closure = (_iter_fixed_point_bounded if self.node.bounded
                    else _iter_fixed_point)
         return closure(self.children[0].output, stats=self.run,
-                       predicate=self.node.predicate, **self._options)
+                       predicate=self.node.predicate, budget=self.budget)
 
-    def _memoised(self, cache: JoinCache, document: "Document",
+    def _memoised(self, memo: JoinCache, document: "Document",
                   key: tuple) -> Iterator[Fragment]:
-        """The closure replayed from ``cache``, or computed and stored
+        """The closure replayed from ``memo``, or computed and stored
         there once it has run to completion — a closure abandoned by
         its consumer or aborted by the budget is not stored.
 
@@ -412,12 +394,11 @@ class FixpointOp(Operator):
         live-fragment ceiling once, which aborts exactly when the
         computed closure's last round would have.
         """
-        closure = cache.closure(key)
+        closure = memo.closure(key)
         if closure is not None:
-            budget = self._options["budget"]
-            if budget is not None:
-                budget.admit_live(len(closure))
-            self.run.closure_cache_hits += 1
+            if self.budget is not None:
+                self.budget.admit_live(len(closure))
+            self.run.join_cache_hits += 1
             for nodes in closure:
                 yield Fragment._trusted(document, nodes)
             return
@@ -425,7 +406,7 @@ class FixpointOp(Operator):
         for fragment in self._closure():
             emitted.append(fragment._nodes)
             yield fragment
-        cache.put_closure(key, tuple(emitted))
+        memo.put_closure(key, tuple(emitted))
 
 
 class PowersetOp(Operator):
@@ -439,7 +420,7 @@ class PowersetOp(Operator):
     def _produce(self) -> Iterator[Fragment]:
         return _iter_multiway_powerset_join(
             [child.output for child in self.children], stats=self.run,
-            max_operand_size=self.max_operand_size, **self._options)
+            max_operand_size=self.max_operand_size, budget=self.budget)
 
 
 _OPERATORS = {KeywordScan: ScanOp, Select: SelectOp, PairwiseJoin: JoinOp,
@@ -470,7 +451,6 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
     early exit: a term with no matches, or (Theorem 3) a pushed
     anti-monotonic filter that rejects every keyword node of a term.
     """
-    options = {"cache": cache, "budget": budget}
     clock = _Clock() if timed else None
     nodes, runs = analysis.nodes, analysis.operators
     operators: list[Operator] = []
@@ -482,7 +462,7 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
         except KeyError:
             raise PlanError(
                 f"unknown plan node {type(node).__name__}") from None
-        operator = cls(node, runs[slot], children, options, clock)
+        operator = cls(node, runs[slot], children, budget, clock)
         operators.append(operator)
         return operator
 
@@ -531,6 +511,8 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
         operator = make(slot, sources)
         if isinstance(operator, JoinOp):
             operator.bound = necessary_bound(above)
+        elif isinstance(operator, FixpointOp):
+            operator.memo = cache
         elif isinstance(operator, PowersetOp):
             operator.max_operand_size = max_powerset_operand
         if operator.fragments is not None and not operator.fragments:
@@ -775,7 +757,8 @@ class PlanEvaluator:
     index:
         Optional inverted index for scans.
     cache:
-        Optional join memo cache shared across executions.
+        Optional :class:`~repro.core.algebra.JoinCache`: fixed points
+        memoised across executions.
     max_powerset_operand:
         Guard for ``PowersetJoin`` enumeration (see
         :func:`repro.core.algebra.powerset_join`).

@@ -76,8 +76,9 @@ class Fragment:
                  node_set: frozenset[int]) -> "Fragment":
         """Bind an already-built, known-connected ``frozenset`` to
         ``document`` — no copy, no checks.  The join path builds one
-        fragment per lookup (:class:`~repro.core.algebra.JoinCache`
-        stores node sets, not fragments), so this skips ``__init__``."""
+        fragment per join, and a closure replay one per memoised node
+        set (:class:`~repro.core.algebra.JoinCache` stores node sets,
+        not fragments), so this skips ``__init__``."""
         self = cls.__new__(cls)
         self._doc = document
         self._nodes = node_set

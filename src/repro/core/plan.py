@@ -159,9 +159,9 @@ def explain(plan: PlanNode, indent: str = "  ", analyze=None) -> str:
 
     With ``analyze=`` (a :class:`~repro.core.evaluator.PlanAnalysis`
     recorded while executing this plan), every operator line carries its
-    measured runtime statistics — fragments in/out, joins, cache hit
-    ratio, predicate checks, pushdown discards, self/total time — the
-    EXPLAIN ANALYZE form of the same tree.
+    measured runtime statistics — fragments in/out, joins, replayed
+    fixed points, predicate checks, pushdown discards, self/total time —
+    the EXPLAIN ANALYZE form of the same tree.
     """
     if analyze is not None:
         if [op.label for op in analyze.operators] \

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .algebra import (_TICK_BLOCK, JoinCache, _iter_pairwise_join, _joins,
-                      _labelled, fragment_join, pairwise_join)
+from .algebra import (_TICK_BLOCK, _iter_pairwise_join, _joins, _labelled,
+                      fragment_join, pairwise_join)
 from .filters import Filter, necessary_bound, select
 from .fragment import Fragment
 from .stats import OperationStats
@@ -46,16 +46,15 @@ __all__ = [
 
 def set_reduce(fragments: Iterable[Fragment],
                stats: Optional[OperationStats] = None,
-               cache: Optional[JoinCache] = None,
                budget: Optional["QueryBudget"] = None
                ) -> frozenset[Fragment]:
     """``⊖(F)``: remove fragments subsumed by a join of two others.
 
     A fragment ``f`` is removed iff there exist distinct ``f', f'' ∈ F``
     (both different from ``f``) with ``f ⊆ f' ⋈ f''``.  O(|F|³) subset
-    checks over O(|F|²) joins; the joins dominate and are memoised via
-    ``cache``.  An optional :class:`~repro.guard.QueryBudget` is
-    charged per pair join and deadline-polled per subset check.
+    checks over O(|F|²) joins, which dominate.  An optional
+    :class:`~repro.guard.QueryBudget` is charged per pair join and
+    deadline-polled per subset check.
     """
     items = list(dict.fromkeys(fragments))  # stable dedup
     n = len(items)
@@ -71,8 +70,7 @@ def set_reduce(fragments: Iterable[Fragment],
             budget.tick(n - i - 1)  # charge the whole row at once
         for j in range(i + 1, n):
             pair_joins.append(
-                (i, j, fragment_join(items[i], items[j],
-                                     stats=stats, cache=cache)))
+                (i, j, fragment_join(items[i], items[j], stats=stats)))
     kept = []
     for idx, fragment in enumerate(items):
         subsumed = False
@@ -93,16 +91,13 @@ def set_reduce(fragments: Iterable[Fragment],
 
 def reduction_count(fragments: Iterable[Fragment],
                     stats: Optional[OperationStats] = None,
-                    cache: Optional[JoinCache] = None,
                     budget: Optional["QueryBudget"] = None) -> int:
     """``|⊖(F)|`` — the Theorem-1 iteration bound for ``F``."""
-    return len(set_reduce(fragments, stats=stats, cache=cache,
-                          budget=budget))
+    return len(set_reduce(fragments, stats=stats, budget=budget))
 
 
 def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
                           stats: Optional[OperationStats] = None,
-                          cache: Optional[JoinCache] = None,
                           predicate: Optional[Filter] = None,
                           budget: Optional["QueryBudget"] = None
                           ) -> Iterator[Fragment]:
@@ -125,8 +120,7 @@ def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
         previous = current
         current = _apply_predicate(
             frozenset(_iter_pairwise_join(
-                base, previous, stats=stats, cache=cache, budget=budget,
-                bound=bound)),
+                base, previous, stats=stats, budget=budget, bound=bound)),
             predicate, stats)
         if budget is not None:
             budget.admit_live(len(current))
@@ -135,7 +129,6 @@ def _iter_pairwise_rounds(fragments: Iterable[Fragment], rounds: int,
 
 def iterate_pairwise(fragments: Iterable[Fragment], rounds: int,
                      stats: Optional[OperationStats] = None,
-                     cache: Optional[JoinCache] = None,
                      predicate: Optional[Filter] = None,
                      budget: Optional["QueryBudget"] = None
                      ) -> frozenset[Fragment]:
@@ -148,13 +141,11 @@ def iterate_pairwise(fragments: Iterable[Fragment], rounds: int,
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     return frozenset(_iter_pairwise_rounds(
-        fragments, rounds, stats=stats, cache=cache, predicate=predicate,
-        budget=budget))
+        fragments, rounds, stats=stats, predicate=predicate, budget=budget))
 
 
 def _iter_fixed_point(fragments: Iterable[Fragment],
                       stats: Optional[OperationStats] = None,
-                      cache: Optional[JoinCache] = None,
                       predicate: Optional[Filter] = None,
                       budget: Optional["QueryBudget"] = None
                       ) -> Iterator[Fragment]:
@@ -182,8 +173,7 @@ def _iter_fixed_point(fragments: Iterable[Fragment],
                 block = snapshot[start:start + _TICK_BLOCK]
                 if budget is not None:
                     budget.tick(len(block))
-                for joined in _joins(block, new_fragment, bound, stats,
-                                     cache):
+                for joined in _joins(block, new_fragment, bound, stats):
                     if joined not in result and joined not in produced:
                         produced.add(joined)
         produced = set(_apply_predicate(produced, predicate, stats))
@@ -197,7 +187,6 @@ def _iter_fixed_point(fragments: Iterable[Fragment],
 
 def fixed_point(fragments: Iterable[Fragment],
                 stats: Optional[OperationStats] = None,
-                cache: Optional[JoinCache] = None,
                 predicate: Optional[Filter] = None,
                 budget: Optional["QueryBudget"] = None
                 ) -> frozenset[Fragment]:
@@ -209,13 +198,11 @@ def fixed_point(fragments: Iterable[Fragment],
     with the standard semi-naive refinement.
     """
     return frozenset(_iter_fixed_point(
-        fragments, stats=stats, cache=cache, predicate=predicate,
-        budget=budget))
+        fragments, stats=stats, predicate=predicate, budget=budget))
 
 
 def _iter_fixed_point_bounded(fragments: Iterable[Fragment],
                               stats: Optional[OperationStats] = None,
-                              cache: Optional[JoinCache] = None,
                               predicate: Optional[Filter] = None,
                               budget: Optional["QueryBudget"] = None
                               ) -> Iterator[Fragment]:
@@ -223,14 +210,13 @@ def _iter_fixed_point_bounded(fragments: Iterable[Fragment],
     base = frozenset(fragments)
     if not base:
         return
-    k = reduction_count(base, stats=stats, cache=cache, budget=budget)
-    yield from _iter_pairwise_rounds(base, k, stats=stats, cache=cache,
+    k = reduction_count(base, stats=stats, budget=budget)
+    yield from _iter_pairwise_rounds(base, k, stats=stats,
                                      predicate=predicate, budget=budget)
 
 
 def fixed_point_bounded(fragments: Iterable[Fragment],
                         stats: Optional[OperationStats] = None,
-                        cache: Optional[JoinCache] = None,
                         predicate: Optional[Filter] = None,
                         budget: Optional["QueryBudget"] = None
                         ) -> frozenset[Fragment]:
@@ -243,15 +229,13 @@ def fixed_point_bounded(fragments: Iterable[Fragment],
     only shrink intermediate sets, never change the filtered result.
     """
     return frozenset(_iter_fixed_point_bounded(
-        fragments, stats=stats, cache=cache, predicate=predicate,
-        budget=budget))
+        fragments, stats=stats, predicate=predicate, budget=budget))
 
 
-def is_fixed_point(fragments: Iterable[Fragment],
-                   cache: Optional[JoinCache] = None) -> bool:
+def is_fixed_point(fragments: Iterable[Fragment]) -> bool:
     """Whether ``F ⋈ F = F`` — i.e. ``F`` is closed under fragment join."""
     base = frozenset(fragments)
-    return pairwise_join(base, base, cache=cache) == base
+    return pairwise_join(base, base) == base
 
 
 def _apply_predicate(fragments: frozenset[Fragment],

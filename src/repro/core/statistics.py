@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import JoinCache
 from .fragment import Fragment
 from .reduce import set_reduce
 from .stats import OperationStats
@@ -32,21 +31,19 @@ __all__ = [
 
 
 def reduction_factor(fragments: Iterable[Fragment],
-                     stats: Optional[OperationStats] = None,
-                     cache: Optional[JoinCache] = None) -> float:
+                     stats: Optional[OperationStats] = None) -> float:
     """Exact ``RF = (|F| - |⊖(F)|) / |F|`` (0.0 for empty sets)."""
     items = frozenset(fragments)
     if not items:
         return 0.0
-    reduced = set_reduce(items, stats=stats, cache=cache)
+    reduced = set_reduce(items, stats=stats)
     return (len(items) - len(reduced)) / len(items)
 
 
 def estimate_reduction_factor(fragments: Sequence[Fragment],
                               sample_size: int = 12,
                               trials: int = 4,
-                              seed: int = 0,
-                              cache: Optional[JoinCache] = None) -> float:
+                              seed: int = 0) -> float:
     """Estimate RF by reducing small random samples of ``F``.
 
     Exact ⊖ costs O(|F|²) joins — precisely what the optimizer is trying
@@ -60,12 +57,12 @@ def estimate_reduction_factor(fragments: Sequence[Fragment],
     """
     items = list(fragments)
     if len(items) <= sample_size:
-        return reduction_factor(items, cache=cache)
+        return reduction_factor(items)
     rng = random.Random(seed)
     estimates = []
     for _ in range(max(1, trials)):
         sample = rng.sample(items, sample_size)
-        estimates.append(reduction_factor(sample, cache=cache))
+        estimates.append(reduction_factor(sample))
     return sum(estimates) / len(estimates)
 
 

@@ -17,7 +17,7 @@ __all__ = ["OperationStats", "COUNTERS"]
 #: The counter fields, in reporting order.
 COUNTERS = ("fragment_joins", "join_cache_hits", "joins_pruned",
             "predicate_checks", "subset_checks", "fragments_discarded",
-            "iterations", "closure_cache_hits")
+            "iterations")
 
 
 @dataclass
@@ -27,15 +27,16 @@ class OperationStats:
     Attributes
     ----------
     fragment_joins:
-        Number of binary fragment-join computations (cache misses only
-        count once when a memo cache is in use; see ``join_cache_hits``).
+        Number of binary fragment-join computations.
     join_cache_hits:
-        Joins answered from the memo cache.
+        Fixed points replayed whole from the
+        :class:`~repro.core.algebra.JoinCache` memo instead of computed:
+        a replay considers no pair, so it adds to none of the other
+        counters.
     joins_pruned:
         Pairs never joined: the operands' labels already put the join
         past the size/height/width the next selection allows
-        (:func:`repro.core.filters.necessary_bound`).  They reach neither
-        join nor memo, so they are not part of ``total_joins``.
+        (:func:`repro.core.filters.necessary_bound`).
     predicate_checks:
         Filter evaluations performed by selections.
     subset_checks:
@@ -46,10 +47,6 @@ class OperationStats:
         and not counted here.
     iterations:
         Pairwise-join rounds executed by fixed-point computations.
-    closure_cache_hits:
-        Fixed points replayed whole from the memo cache instead of
-        computed: a replay considers no pair, so it adds to none of the
-        counters above.
     """
 
     fragment_joins: int = 0
@@ -59,7 +56,6 @@ class OperationStats:
     subset_checks: int = 0
     fragments_discarded: int = 0
     iterations: int = 0
-    closure_cache_hits: int = 0
     extras: dict = field(default_factory=dict)
 
     def reset(self) -> None:
@@ -67,11 +63,6 @@ class OperationStats:
         for name in COUNTERS:
             setattr(self, name, 0)
         self.extras.clear()
-
-    @property
-    def total_joins(self) -> int:
-        """Joins requested, whether computed or served from cache."""
-        return self.fragment_joins + self.join_cache_hits
 
     def merge(self, other: "OperationStats") -> None:
         """Add another tally into this one."""

@@ -100,7 +100,8 @@ def evaluate(document: "Document", query: Query,
         Optional inverted index; avoids a document scan per term and
         enables rarest-first term ordering.
     cache:
-        Optional cross-query join memo cache.
+        Optional :class:`~repro.core.algebra.JoinCache`: each keyword's
+        fixed point is memoised there and replayed by later queries.
     max_brute_force_operand:
         Safety limit on keyword-set size for the brute-force strategy.
     keyword_source:
@@ -188,8 +189,8 @@ def explain_analyze(document: "Document", query: Query,
 
     Runs the plan :func:`evaluate` runs, through the same operators,
     timed: each operator records its runtime statistics (fragments
-    in/out, joins, cache hit ratio, predicate checks, pushdown discards,
-    self/total time), and their counters sum to ``evaluate(...).stats``.
+    in/out, joins, replayed fixed points, predicate checks, pushdown
+    discards, self/total time), and their counters sum to ``evaluate(...).stats``.
     Returns ``(result, analysis)``.  Render the analysis with
     ``explain(plan, analyze=analysis)`` — the analysed plan is
     ``analysis.plan``.

@@ -226,18 +226,15 @@ def stream_top_k(document: "Document", query: Query, k: int, *,
     bound is anti-monotonic, a round yields exactly the answers of size
     ≤ β, so the first round holding ``k`` answers holds the ``k``
     smallest overall and the producers stop there (the early exit is
-    counted in ``repro_stream_early_exits_total``).  A shared
-    :class:`JoinCache` keeps the re-streamed rounds largely incremental.
-    The answers are sorted once, at the end (an O(n log k)
-    ``nsmallest``), not every round.
+    counted in ``repro_stream_early_exits_total``).  The answers are
+    sorted once, at the end (an O(n log k) ``nsmallest``), not every
+    round.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if initial_beta < 1:
         raise ValueError("initial_beta must be >= 1")
     ob = obs if obs is not None else NOOP
-    if cache is None:
-        cache = JoinCache()
     beta = initial_beta
     rounds = 0
     while True:

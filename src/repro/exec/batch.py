@@ -7,7 +7,7 @@ itself — across the whole batch instead of paying it per query.
 
 Serial mode (``workers=None``) walks the collection once per query
 through :meth:`DocumentCollection.search`, reusing the collection's
-cached indexes and join cache.  Parallel mode hands the *entire* batch
+cached indexes and closure memo.  Parallel mode hands the *entire* batch
 to one :class:`~repro.exec.parallel.ParallelExecutor` scheduling wave,
 so all ``(document, query)`` pairs share one chunked dispatch and every
 worker's warm state serves many queries.

@@ -82,7 +82,6 @@ JOINS_PRUNED = "repro_joins_pruned_total"
 PREDICATE_CHECKS = "repro_predicate_checks_total"
 SUBSET_CHECKS = "repro_subset_checks_total"
 FRAGMENTS_DISCARDED = "repro_fragments_discarded_total"
-JOIN_CACHE_HIT_RATIO = "repro_join_cache_hit_ratio"
 REDUCTION_FACTOR = "repro_reduction_factor"
 FRAGMENTS_RANKED = "repro_fragments_ranked_total"
 DOCUMENTS_SKIPPED = "repro_documents_skipped_total"
@@ -253,12 +252,12 @@ class Observability:
                     buckets=LATENCY_BUCKETS).observe(elapsed)
         m.histogram(QUERY_FRAGMENTS, "Answer fragments per query."
                     ).observe(answers)
-        joins = counters.get("fragment_joins", 0)
-        cache_hits = counters.get("join_cache_hits", 0)
         discarded = counters.get("fragments_discarded", 0)
-        m.counter(FRAGMENT_JOINS, "Fragment joins computed.").inc(joins)
-        m.counter(JOIN_CACHE_HITS, "Joins answered from the memo cache."
-                  ).inc(cache_hits)
+        m.counter(FRAGMENT_JOINS, "Fragment joins computed."
+                  ).inc(counters.get("fragment_joins", 0))
+        m.counter(JOIN_CACHE_HITS,
+                  "Fixed points replayed from the JoinCache memo."
+                  ).inc(counters.get("join_cache_hits", 0))
         m.counter(JOINS_PRUNED,
                   "Pairs never joined: past the next selection's "
                   "size/height/width bound by their labels alone."
@@ -270,11 +269,6 @@ class Observability:
         m.counter(FRAGMENTS_DISCARDED,
                   "Fragments pruned by pushed-down selections."
                   ).inc(discarded)
-        if joins + cache_hits:
-            m.histogram(JOIN_CACHE_HIT_RATIO,
-                        "Per-query join-cache hit ratio.",
-                        buckets=RATIO_BUCKETS
-                        ).observe(cache_hits / (joins + cache_hits))
         if discarded + answers:
             m.histogram(REDUCTION_FACTOR,
                         "Fraction of candidate fragments pruned early.",

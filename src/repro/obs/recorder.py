@@ -76,9 +76,8 @@ SLOW_QUERIES = "repro_slow_queries_total"
 #: "primitive operations" currency the Section-5 ``CostEstimate`` prices
 #: (keyword probes, join pair work, filter checks), so the calibration
 #: ratio compares like with like.
-_COST_COUNTERS = ("fragment_joins", "join_cache_hits", "joins_pruned",
-                  "predicate_checks", "subset_checks",
-                  "fragments_discarded")
+_COST_COUNTERS = ("fragment_joins", "joins_pruned", "predicate_checks",
+                  "subset_checks", "fragments_discarded")
 
 # Retention reasons, in the order they are tried.
 RETAIN_BUDGET = "budget-exceeded"

@@ -31,7 +31,8 @@ class RelationalQueryEngine:
     store:
         A :class:`RelationalStore` with a saved document.
     cache:
-        Optional join memo cache shared across queries.
+        Optional :class:`~repro.core.algebra.JoinCache` of fixed points
+        shared across queries.
     obs:
         Optional :class:`~repro.obs.Observability` handle; when enabled,
         SQL keyword selections get ``sql-scan`` spans and evaluations

@@ -212,8 +212,8 @@ def _disagreements(doc: Document, query: Query, oracle) -> list[str]:
                            cache=JoinCache())
         if planned.fragments != oracle:
             wrong.append(f"{name}/plan")
-        # One run, drained under another name: the same work, memo
-        # hits included (each path starts a fresh memo).
+        # One run, drained under another name: the same work, closure
+        # replays included (each path starts a fresh memo).
         if any(planned.stats[c] != run.stats[c] for c in _WORK):
             wrong.append(f"{name}/plan-stats")
     return wrong

@@ -35,8 +35,8 @@ __all__ = ["Document"]
 
 # Process-wide monotonic document tokens.  Unlike id(), a token is never
 # reused for a different tree after a document is garbage collected, so
-# caches keyed on it (e.g. repro.core.algebra.JoinCache) can never serve
-# stale entries.
+# memos keyed on it (repro.core.algebra.JoinCache, whose closures carry
+# the token) can never replay another tree's fixed point.
 _DOCUMENT_TOKENS = itertools.count(1)
 
 

@@ -18,9 +18,13 @@ from hypothesis import given, settings
 from repro.core.algebra import (JoinCache, fragment_join, join_all,
                                 multiway_powerset_join, nonempty_subsets,
                                 pairwise_join, powerset_join)
+from repro.core.filters import SizeAtMost
 from repro.core.fragment import Fragment
+from repro.core.query import Query
 from repro.core.stats import OperationStats
+from repro.core.strategies import evaluate
 from repro.errors import CrossDocumentError, FragmentError
+from repro.xmltree.builder import DocumentBuilder
 
 from ..treegen import document_and_fragments, document_and_nodesets
 
@@ -70,144 +74,142 @@ class TestFragmentJoinUnit:
         assert stats.fragment_joins == 0
 
 
+def _memoised(doc, term, memo, **options):
+    """One single-term query (its plan is one fixed point) through
+    ``memo``: the run's result."""
+    return evaluate(doc, Query.of(term, **options), cache=memo)
+
+
 class TestJoinCache:
+    """The memo holds completed fixed points.  In ``tiny_doc`` each of
+    ``red`` (nodes 2, 5), ``pear`` (3, 5) and ``colours`` (1, 4) has a
+    two-fragment base, so each query is one memoisable closure."""
+
     def test_cache_hit_returns_same_result(self, tiny_doc):
-        cache = JoinCache()
-        stats = OperationStats()
-        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
-        first = fragment_join(f1, f2, stats=stats, cache=cache)
-        second = fragment_join(f1, f2, stats=stats, cache=cache)
-        assert first == second
-        assert stats.fragment_joins == 1
-        assert stats.join_cache_hits == 1
+        memo = JoinCache()
+        first = _memoised(tiny_doc, "red", memo)
+        second = _memoised(tiny_doc, "red", memo)
+        assert first.fragments == second.fragments
+        assert first.stats["fragment_joins"] > 0
+        assert first.stats["join_cache_hits"] == 0
+        assert (second.stats["fragment_joins"],
+                second.stats["join_cache_hits"]) == (0, 1)
 
     def test_cache_is_commutative(self, tiny_doc):
-        cache = JoinCache()
-        stats = OperationStats()
-        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
-        fragment_join(f1, f2, stats=stats, cache=cache)
-        fragment_join(f2, f1, stats=stats, cache=cache)
-        assert stats.fragment_joins == 1
+        # F1+ ⋈ F2+ = F2+ ⋈ F1+, and a closure's key is its base, not
+        # the side of the join it sits on: swapping the terms replays.
+        memo = JoinCache()
+        forward = evaluate(tiny_doc, Query.of("red", "pear"), cache=memo)
+        backward = evaluate(tiny_doc, Query.of("pear", "red"), cache=memo)
+        assert forward.fragments == backward.fragments
+        assert (forward.stats["join_cache_hits"],
+                backward.stats["join_cache_hits"]) == (0, 2)
+        assert len(memo) == 2
+
+    def test_key_is_order_free(self, tiny_doc):
+        # The key is the base alone: a closure computed as one side of
+        # a join replays wherever a later plan asks for it.
+        memo = JoinCache()
+        evaluate(tiny_doc, Query.of("red", "pear"), cache=memo)
+        assert [_memoised(tiny_doc, term, memo).stats["join_cache_hits"]
+                for term in ("pear", "red")] == [1, 1]
+        assert (len(memo), memo.hits, memo.misses) == (2, 2, 2)
 
     def test_eviction_bounds_size(self, tiny_doc):
-        cache = JoinCache(max_entries=1)
-        fragment_join(Fragment(tiny_doc, [2]), Fragment(tiny_doc, [3]),
-                      cache=cache)
-        fragment_join(Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5]),
-                      cache=cache)
-        assert len(cache) == 1
+        memo = JoinCache(max_entries=1)
+        _memoised(tiny_doc, "red", memo)
+        _memoised(tiny_doc, "pear", memo)
+        assert len(memo) == 1
 
     def test_clear(self, tiny_doc):
-        cache = JoinCache()
-        fragment_join(Fragment(tiny_doc, [2]), Fragment(tiny_doc, [3]),
-                      cache=cache)
-        cache.clear()
-        assert len(cache) == 0
+        memo = JoinCache()
+        _memoised(tiny_doc, "red", memo)
+        memo.clear()
+        assert len(memo) == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             JoinCache(max_entries=0)
 
-    def test_cache_is_document_scoped(self, tiny_doc, chain_doc):
-        # Regression: a cache shared across documents must never hand a
-        # fragment of one document back for the other, even when the
-        # operand node-id sets coincide.
-        cache = JoinCache()
-        tiny_join = fragment_join(Fragment(tiny_doc, [1]),
-                                  Fragment(tiny_doc, [2]),
-                                  cache=cache)
-        chain_join = fragment_join(Fragment(chain_doc, [1]),
-                                   Fragment(chain_doc, [2]),
-                                   cache=cache)
-        assert tiny_join.document is tiny_doc
-        assert chain_join.document is chain_doc
+    def test_cache_is_document_scoped(self, tiny_doc):
+        # Regression: a memo shared across documents must never hand a
+        # closure of one document back for the other, even when the
+        # bases' node-id sets coincide (``red`` on nodes 2 and 5 here
+        # too, but on a chain).
+        builder = DocumentBuilder(name="chain")
+        node = builder.add_root("a", "")
+        for word in ("", "red", "", "", "red"):
+            node = builder.add_child(node, "b", word)
+        chain = builder.build()
+        memo = JoinCache()
+        for doc in (tiny_doc, chain):
+            run = _memoised(doc, "red", memo)
+            assert run.stats["join_cache_hits"] == 0
+            assert run.fragments == evaluate(doc, Query.of("red")).fragments
+            assert all(f.document is doc for f in run.fragments)
 
-    def test_keys_on_token_not_id(self, tiny_doc):
+    def test_keys_on_token_not_id(self):
         # Regression for the id() staleness hole: after a document is
         # garbage collected, a new document may reuse its memory address
-        # — id()-based keys would then serve the dead document's joins.
-        # Tokens are monotonic and never reused, so the cache misses.
+        # — id()-based keys would then replay the dead document's
+        # closures.  Tokens are monotonic and never reused: a miss.
         import gc
         from repro.workloads.figure1 import build_figure1_document
 
-        cache = JoinCache()
+        memo = JoinCache()
         doc = build_figure1_document()
-        fragment_join(Fragment(doc, [1]), Fragment(doc, [2]), cache=cache)
-        assert cache.misses == 1
+        _memoised(doc, "xquery", memo)
+        assert memo.misses == 1
         del doc
         gc.collect()
         fresh = build_figure1_document()
-        stats = OperationStats()
-        joined = fragment_join(Fragment(fresh, [1]), Fragment(fresh, [2]),
-                               stats=stats, cache=cache)
-        assert stats.join_cache_hits == 0
-        assert joined.document is fresh
+        run = _memoised(fresh, "xquery", memo)
+        assert run.stats["join_cache_hits"] == 0
+        assert all(f.document is fresh for f in run.fragments)
 
     def test_memo_holds_node_sets_and_rebinds_to_live_operand(
             self, tiny_doc):
-        # The memo owns no document: what it stores is the joined node
-        # set, and a hit is bound to the operand it was asked with.
-        cache = JoinCache()
-        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
-        joined = fragment_join(f1, f2, cache=cache)
-        assert list(cache._table.values()) == [joined.nodes]
-        hit = cache.get(f1, f2)
-        assert hit == joined and hit.document is tiny_doc
-
-    def test_key_is_order_free(self, tiny_doc):
-        cache = JoinCache()
-        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
-        cache.put(f1, f2, fragment_join(f1, f2))
-        assert cache.get(f1, f2) == cache.get(f2, f1) \
-            == fragment_join(f1, f2)
-        assert (len(cache), cache.hits, cache.misses) == (1, 2, 0)
-
-    def test_equal_hashes_never_cross_answers(self, tiny_doc):
-        # The key orders the operand sets by their cached hashes but is
-        # made of the sets themselves: with every hash forced equal, a
-        # pair may be stored under both orders, never mistaken for
-        # another pair.
-        cache = JoinCache()
-        frags = [Fragment(tiny_doc, [n]) for n in (2, 3, 5)]
-        for frag in frags:
-            frag._hash = 7
-        f2, f3, f5 = frags
-        cache.put(f2, f3, fragment_join(f2, f3))
-        assert cache.get(f2, f5) is None
-        assert cache.get(f5, f3) is None
-        for a, b in ((f2, f3), (f3, f2), (f2, f5), (f5, f2)):
-            assert fragment_join(a, b, cache=cache).nodes == \
-                fragment_join(a, b).nodes
-        assert len(cache) <= 4
+        # The memo owns no document: an entry is the closure's node
+        # sets in emission order, and a replay is bound to the document
+        # of the base it was asked with.
+        memo = JoinCache()
+        computed = _memoised(tiny_doc, "red", memo).fragments
+        (entry,) = memo._table.values()
+        assert all(type(nodes) is frozenset for nodes in entry)
+        assert set(entry) == {f.nodes for f in computed}
+        replayed = _memoised(tiny_doc, "red", memo).fragments
+        assert replayed == computed
+        assert all(f.document is tiny_doc for f in replayed)
 
     def test_threads_share_a_cache_without_a_lock(self):
-        """Pins the contract, not a reproduction: ``get`` is a lookup
-        followed by ``move_to_end``, and a ``put`` on another thread may
-        evict the key in between.  The unguarded version could not be
-        made to fail in 80 000 four-thread lookups on CPython 3.11, so
-        this only asserts what must hold — no exception, right answers —
-        under the most hostile schedule we can ask for."""
+        """Pins the contract, not a reproduction: ``closure`` is a
+        lookup followed by ``move_to_end``, and a ``put_closure`` on
+        another thread may evict the key in between.  Asserts what must
+        hold — no exception, right answers — under the most hostile
+        schedule we can ask for."""
         import sys
         import threading
-        from itertools import combinations
-        from repro.xmltree.builder import DocumentBuilder
 
+        # Six leaves; w<i> tags leaves i and i+1, so every term's base
+        # holds two fragments and every query is one closure.
         b = DocumentBuilder(name="star")
         root = b.add_root("r", "root")
-        leaves = [b.add_child(root, "leaf", f"w{i}") for i in range(6)]
+        for i in range(6):
+            b.add_child(root, "leaf", f"w{i} w{(i + 5) % 6}")
         doc = b.build()
-        pairs = [(Fragment(doc, [x]), Fragment(doc, [y]))
-                 for x, y in combinations(leaves, 2)][:12]
-        expected = [fragment_join(f1, f2).nodes for f1, f2 in pairs]
-        cache = JoinCache(max_entries=8)
+        queries = [Query.of(f"w{i}", predicate=SizeAtMost(size))
+                   for i in range(6) for size in (3, 7)]
+        expected = [evaluate(doc, query).fragments for query in queries]
+        memo = JoinCache(max_entries=4)
         errors: list = []
 
         def worker(offset: int) -> None:
             try:
-                for i in range(2000):
-                    k = (i * 5 + offset) % len(pairs)
-                    got = fragment_join(*pairs[k], cache=cache)
-                    if got.nodes != expected[k] or got.document is not doc:
+                for i in range(300):
+                    k = (i * 5 + offset) % len(queries)
+                    got = evaluate(doc, queries[k], cache=memo).fragments
+                    if got != expected[k] \
+                            or any(f.document is not doc for f in got):
                         errors.append((k, got))
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -225,46 +227,76 @@ class TestJoinCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(cache) <= 8 + len(threads)
+        assert memo.hits and memo.misses
+        assert len(memo) <= 4
+
+    def test_stores_never_overfill_the_table(self):
+        """Four threads store while a fifth reads ``len``: no reading
+        may exceed ``max_entries``.  An insert-then-evict store let the
+        sampler see up to 12 of 8 on CPython 3.10."""
+        import sys
+        import threading
+
+        memo = JoinCache(max_entries=8)
+        seen: list[int] = []
+        done = threading.Event()
+
+        def store(offset: int) -> None:
+            for i in range(20000):
+                memo.put_closure((offset, i), ())
+
+        def sample() -> None:
+            while not done.is_set():
+                seen.append(len(memo))
+
+        writers = [threading.Thread(target=store, args=(n,))
+                   for n in range(4)]
+        sampler = threading.Thread(target=sample)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sampler.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sampler.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [sampler])
+        assert seen and max(seen) <= 8 and len(memo) == 8
 
     def test_lru_hit_refreshes_recency(self, tiny_doc):
         # FIFO would evict the oldest entry regardless of use; true LRU
         # keeps a re-used entry alive and evicts the cold one.
-        cache = JoinCache(max_entries=2)
-        a = (Fragment(tiny_doc, [2]), Fragment(tiny_doc, [3]))
-        b = (Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5]))
-        c = (Fragment(tiny_doc, [3]), Fragment(tiny_doc, [5]))
-        fragment_join(*a, cache=cache)
-        fragment_join(*b, cache=cache)
-        assert cache.get(*a) is not None   # refresh a: b is now coldest
-        fragment_join(*c, cache=cache)     # evicts b
-        assert cache.get(*a) is not None
-        assert cache.get(*b) is None
-        assert cache.get(*c) is not None
+        memo = JoinCache(max_entries=2)
+        _memoised(tiny_doc, "red", memo)
+        _memoised(tiny_doc, "pear", memo)
+        assert _memoised(tiny_doc, "red", memo).stats[
+            "join_cache_hits"] == 1              # refresh: pear is coldest
+        _memoised(tiny_doc, "colours", memo)     # evicts pear
+        assert [_memoised(tiny_doc, term, memo).stats["join_cache_hits"]
+                for term in ("red", "colours", "pear")] == [1, 1, 0]
 
     def test_hit_miss_counters_and_metrics_export(self, tiny_doc):
         from repro.obs import (JOIN_CACHE_MEMO_ENTRIES,
                                JOIN_CACHE_MEMO_HITS,
                                JOIN_CACHE_MEMO_MISSES, MetricsRegistry)
 
-        cache = JoinCache()
-        f1, f2 = Fragment(tiny_doc, [2]), Fragment(tiny_doc, [5])
-        fragment_join(f1, f2, cache=cache)
-        fragment_join(f1, f2, cache=cache)
-        fragment_join(f1, f2, cache=cache)
-        assert cache.misses == 1
-        assert cache.hits == 2
-        cache.clear()
-        assert (cache.hits, cache.misses) == (2, 1)  # counters survive
-        fragment_join(f1, f2, cache=cache)
+        memo = JoinCache()
+        for _ in range(3):
+            _memoised(tiny_doc, "red", memo)
+        assert memo.misses == 1
+        assert memo.hits == 2
+        memo.clear()
+        assert (memo.hits, memo.misses) == (2, 1)  # counters survive
+        _memoised(tiny_doc, "red", memo)
         registry = MetricsRegistry()
-        cache.export_metrics(registry)
-        assert registry.gauge(JOIN_CACHE_MEMO_HITS,
-                              "Lifetime JoinCache memo hits.").value == 2
-        assert registry.gauge(JOIN_CACHE_MEMO_MISSES,
-                              "Lifetime JoinCache memo misses.").value == 2
-        assert registry.gauge(JOIN_CACHE_MEMO_ENTRIES,
-                              "Joins the JoinCache memo holds.").value == 1
+        memo.export_metrics(registry)
+        assert registry.gauge(JOIN_CACHE_MEMO_HITS).value == 2
+        assert registry.gauge(JOIN_CACHE_MEMO_MISSES).value == 2
+        assert registry.gauge(JOIN_CACHE_MEMO_ENTRIES).value == 1
 
 
 class TestJoinAll:

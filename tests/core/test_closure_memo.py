@@ -50,7 +50,7 @@ FILTERS = [TrueFilter(), SizeAtMost(2), SizeAtMost(4), HeightAtMost(1),
 
 
 def _replays(result) -> int:
-    return result.stats["closure_cache_hits"]
+    return result.stats["join_cache_hits"]
 
 
 def _hits(hits) -> list[tuple]:
@@ -232,7 +232,7 @@ class TestTokens:
 
     def _replays(self, mutable) -> dict:
         result = mutable.search(self.QUERY)
-        return {name: run.stats["closure_cache_hits"]
+        return {name: run.stats["join_cache_hits"]
                 for name, run in result.per_document.items()}
 
     def test_two_trees_with_one_base_never_share(self):
@@ -324,3 +324,81 @@ class TestSharedUnderEviction:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(collection._cache) <= 32
+
+
+class TestSharedUnderCommits:
+    QUERIES = TestSharedUnderEviction.QUERIES
+    THREADS, SEARCHES, LIMIT, MEMO = 4, 30, 10, 8
+
+    @pytest.mark.timeout(120)
+    def test_searches_agree_with_no_memo_while_a_writer_commits(
+            self, corpus, tmp_path):
+        """Four threads search one mutable index (``cache_limit=1``,
+        an 8-entry memo) while a fifth re-adds documents unchanged and
+        commits.  Each re-add is a new WAL record under a fresh token,
+        so its closures miss and are recomputed while the old ones age
+        out: the answers never change, and the memo never holds more
+        than its bound."""
+        expected = {}
+        for query in self.QUERIES:
+            hits = sorted(((name, fragment) for name, doc in corpus.items()
+                           for fragment in evaluate(doc, query).fragments),
+                          key=lambda hit: hit_order_key(*hit))
+            expected[query] = [(name, f.nodes) for name, f in hits]
+        mutable = MutableDocumentCollection.create(
+            tmp_path / "live.idx", corpus, shards=3, cache_limit=1)
+        memo = mutable._cache = JoinCache(max_entries=self.MEMO)
+        failures: list = []
+        sizes: list[int] = []
+        searching = threading.Event()
+        commits = [0]
+
+        def search(offset: int) -> None:
+            try:
+                for i in range(self.SEARCHES):
+                    query = self.QUERIES[(i + offset) % len(self.QUERIES)]
+                    if i % 2:
+                        got = _hits(mutable.search(
+                            query, stream=True, limit=self.LIMIT))
+                        want = expected[query][:self.LIMIT]
+                    else:
+                        got = _hits(mutable.search(query).hits)
+                        want = expected[query]
+                    sizes.append(len(memo))
+                    if got != want:
+                        failures.append((offset, i, query.describe()))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        def write() -> None:
+            names = sorted(corpus)
+            try:
+                while searching.is_set():
+                    name = names[commits[0] % len(names)]
+                    mutable.add(corpus[name], name)          # commits
+                    commits[0] += 1
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        readers = [threading.Thread(target=search, args=(n,))
+                   for n in range(self.THREADS)]
+        writer = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-table-operation
+        searching.set()
+        try:
+            writer.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=100)
+        finally:
+            searching.clear()
+            writer.join(timeout=100)
+            sys.setswitchinterval(interval)
+            mutable.close()
+        assert not any(t.is_alive() for t in readers + [writer])
+        assert failures == []
+        assert commits[0] > 0
+        assert len(sizes) == self.THREADS * self.SEARCHES
+        assert max(sizes) <= self.MEMO and len(memo) <= self.MEMO

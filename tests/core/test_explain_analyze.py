@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (FixedPoint, KeywordScan, OperatorRunStats,
-                        PlanAnalysis, PowersetJoin, Query, SizeAtMost,
-                        Strategy, evaluate, explain, explain_analyze,
-                        plan_for, run_plan)
+from repro.core import (FixedPoint, KeywordScan, PlanAnalysis,
+                        PowersetJoin, Query, SizeAtMost, Strategy, evaluate,
+                        explain, explain_analyze, plan_for, run_plan)
 from repro.errors import PlanError, QueryError
 from repro.index.inverted import InvertedIndex
 from repro.workloads.inexlike import InexSpec, generate_collection
@@ -162,20 +161,11 @@ class TestExplainAnalyze:
 
 
 class TestCacheHitRatioGuard:
-    def test_no_lookups_means_no_ratio(self):
-        stats = OperatorRunStats(label="scan", depth=0, children=())
-        assert stats.cache_hit_ratio is None
-        assert "cache_hit_ratio" not in stats.to_dict()
-
-    def test_ratio_present_with_lookups(self):
-        stats = OperatorRunStats(label="⋈", depth=0, children=(),
-                                 fragment_joins=3, join_cache_hits=1)
-        assert stats.cache_hit_ratio == pytest.approx(0.25)
-        assert stats.to_dict()["cache_hit_ratio"] == pytest.approx(0.25)
-
     def test_zero_work_operators_render_without_ratio(self, query):
-        analysis = PlanAnalysis(plan_for(query, Strategy.PUSHDOWN))
-        assert "cached" not in analysis.render()
+        # An operator renders only the work it did: an unexecuted plan
+        # shows neither joins nor replayed fixed points.
+        rendered = PlanAnalysis(plan_for(query, Strategy.PUSHDOWN)).render()
+        assert "joins=" not in rendered and "replayed=" not in rendered
 
 
 class TestAccumulation:

@@ -84,7 +84,7 @@ def _pruned(f1, f2, bound, joined):
     stats = OperationStats()
     out = list(_iter_pairwise_join([f1], [f2], stats=stats, bound=bound))
     assert stats.joins_pruned + len(out) == 1
-    assert stats.total_joins <= len(out)  # a pruned pair asks for no join
+    assert stats.fragment_joins <= len(out)  # a pruned pair is not joined
     assert out in ([], [joined])
     return not out
 

@@ -22,6 +22,7 @@ import repro
 from repro.collection.collection import DocumentCollection
 from repro.core.algebra import (JoinCache, _lca, fragment_join, join_all,
                                 pairwise_join)
+from repro.core.filters import SizeAtMost
 from repro.core.fragment import Fragment
 from repro.core.query import Query
 from repro.core.strategies import Strategy, evaluate
@@ -83,9 +84,6 @@ class TestJoinAgreement:
         expected = closure(doc, f1, f2)
         assert fragment_join(f1, f2).nodes == expected
         assert fragment_join(f2, f1).nodes == expected
-        cache = JoinCache()
-        for _ in range(2):  # computed, then from the memo
-            assert fragment_join(f1, f2, cache=cache).nodes == expected
 
     @given(documents(min_nodes=2, max_nodes=12),
            st.lists(st.integers(min_value=0, max_value=2 ** 30),
@@ -197,15 +195,21 @@ class TestNamedCases:
 
 
 def join_from_threads(threads: int = 8, rounds: int = 300) -> None:
-    """``threads`` threads join random pairs of one shared document
-    through one shared four-entry memo; every join must be the serial
-    reference closure.  The join keeps no state of its own, and the
-    memo is evicting under it all the way."""
+    """``threads`` threads join random pairs of one shared document,
+    and evaluate its fixed points through one shared four-entry memo;
+    every join must be the serial reference closure and every answer
+    the serial one.  The join keeps no state of its own, and the memo
+    is evicting under it all the way."""
     rng = random.Random(5)
-    doc = make_document([rng.randrange(64) for _ in range(59)], [0] * 60)
+    doc = make_document([rng.randrange(64) for _ in range(59)],
+                        [rng.choice((0, 0, 0, 0, 1, 2, 4, 7))
+                         for _ in range(60)])
     pairs = [(random_fragment(doc, seed), random_fragment(doc, seed + 1))
              for seed in range(0, 80, 2)]
     expected = [closure(doc, f1, f2) for f1, f2 in pairs]
+    queries = [Query.of(term, predicate=SizeAtMost(size))
+               for term in KEYWORD_ALPHABET for size in (2, 3)]
+    answers = [evaluate(doc, query).fragments for query in queries]
     cache = JoinCache(max_entries=4)
     wrong: list = []
 
@@ -214,9 +218,12 @@ def join_from_threads(threads: int = 8, rounds: int = 300) -> None:
         try:
             for _ in range(rounds):
                 i = picks.randrange(len(pairs))
-                if fragment_join(*pairs[i], cache=cache).nodes \
-                        != expected[i]:
+                if fragment_join(*pairs[i]).nodes != expected[i]:
                     wrong.append(i)
+                q = picks.randrange(len(queries))
+                if evaluate(doc, queries[q], cache=cache).fragments \
+                        != answers[q]:
+                    wrong.append(queries[q].describe())
         except Exception as exc:  # a thread's failure must fail the test
             wrong.append(repr(exc))
 

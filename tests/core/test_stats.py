@@ -9,12 +9,7 @@ class TestOperationStats:
     def test_defaults_zero(self):
         stats = OperationStats()
         assert stats.fragment_joins == 0
-        assert stats.total_joins == 0
         assert stats.as_dict()["iterations"] == 0
-
-    def test_total_joins(self):
-        stats = OperationStats(fragment_joins=3, join_cache_hits=2)
-        assert stats.total_joins == 5
 
     def test_reset(self):
         stats = OperationStats(fragment_joins=3, predicate_checks=1)

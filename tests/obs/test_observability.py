@@ -44,8 +44,7 @@ class TestFacade:
         ).value == 1
         assert metrics.counter(JOIN_CACHE_HITS).value == 4
         assert metrics.histogram(QUERY_LATENCY).count == 1
-        # ratio histograms only appear when their denominators are live
-        assert "repro_join_cache_hit_ratio" in metrics
+        # the ratio histogram only appears when its denominator is live
         assert "repro_reduction_factor" in metrics
 
     def test_record_query_feeds_query_log_and_slow_counter(self):

@@ -5,9 +5,9 @@ document LRU and the memo's ``max_entries`` — never the number of
 requests served.  That needs three things to hold across layers:
 
 * the memo owns no :class:`Document` (an evicted tree is freed even
-  while its memoised joins live on);
+  while its memoised closures live on);
 * a shard index hands every materialisation of one name the same
-  identity token, so those joins *hit* when the document comes back;
+  identity token, so those closures *hit* when the document comes back;
 * a token is still never shared by two different trees.
 """
 
@@ -21,12 +21,10 @@ import pytest
 
 from repro.collection import DocumentCollection
 from repro.collection.mutable import MutableDocumentCollection
-from repro.core.algebra import JoinCache, fragment_join
+from repro.core.algebra import JoinCache
 from repro.core.filters import SizeAtMost
-from repro.core.fragment import Fragment
 from repro.core.query import Query
-from repro.core.stats import OperationStats
-from repro.core.strategies import Strategy
+from repro.core.strategies import Strategy, evaluate
 from repro.storage.shards import ShardIndex, build_index
 from repro.workloads.inexlike import InexSpec, generate_collection
 from repro.xmltree.document import Document
@@ -59,9 +57,11 @@ def _live_documents() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is Document)
 
 
-def _two_unrelated_nodes(doc) -> tuple[int, int]:
-    first, second = doc.children(doc.root)[:2]
-    return first, second
+def _closure(doc, cache):
+    """One fixed point of ``doc`` through ``cache``: a one-term query
+    over the planted term, whose plan is that closure alone."""
+    return evaluate(doc, Query.of("needle", predicate=SizeAtMost(5)),
+                    cache=cache)
 
 
 class TestOwnership:
@@ -72,13 +72,11 @@ class TestOwnership:
             cache = JoinCache()
             doc = index.document(name)
             token = doc.token
-            n1, n2 = _two_unrelated_nodes(doc)
-            expected = fragment_join(Fragment(doc, [n1]),
-                                     Fragment(doc, [n2]),
-                                     cache=cache).nodes
+            expected = _closure(doc, cache)
+            assert expected.stats["fragment_joins"] > 0
             assert (len(cache), cache.misses) == (1, 1)
             ref = weakref.ref(doc)
-            del doc
+            del doc, expected
 
             index.document(other)            # evicts ``name``
             gc.collect()
@@ -87,13 +85,11 @@ class TestOwnership:
 
             again = index.document(name)
             assert again.token == token
-            stats = OperationStats()
-            hit = fragment_join(Fragment(again, [n1]),
-                                Fragment(again, [n2]),
-                                stats=stats, cache=cache)
-            assert (stats.join_cache_hits, stats.fragment_joins) == (1, 0)
-            assert hit.nodes == expected
-            assert hit.document is again
+            hit = _closure(again, cache)
+            assert (hit.stats["join_cache_hits"],
+                    hit.stats["fragment_joins"]) == (1, 0)
+            assert hit.fragments == _closure(again, None).fragments
+            assert all(f.document is again for f in hit.fragments)
             del again, hit
 
 
@@ -181,9 +177,9 @@ class TestIdentityScope:
 
     def test_commit_keeps_the_token_of_an_unchanged_delta_document(
             self, corpus, tmp_path):
-        """Same WAL record, same tree: joins memoised before a commit
-        hit after it.  A replace — even with identical content — is a
-        new record and draws a new token."""
+        """Same WAL record, same tree: a closure memoised before a
+        commit is replayed after it.  A replace — even with identical
+        content — is a new record and draws a new token."""
         names = sorted(corpus)
         mutable = MutableDocumentCollection.create(tmp_path / "m.idx")
         try:
@@ -192,19 +188,15 @@ class TestIdentityScope:
             kept, changed = (mutable.document("kept"),
                              mutable.document("changed"))
             cache = JoinCache()
-            n1, n2 = _two_unrelated_nodes(kept)
-            fragment_join(Fragment(kept, [n1]), Fragment(kept, [n2]),
-                          cache=cache)
+            _closure(kept, cache)
 
             mutable.add(corpus[names[2]], "changed")        # commits
             mutable.add(corpus[names[3]], "new")            # and again
             assert mutable.document("kept") is kept
             assert mutable.document("changed").token != changed.token
-            stats = OperationStats()
-            after = mutable.document("kept")
-            fragment_join(Fragment(after, [n1]), Fragment(after, [n2]),
-                          stats=stats, cache=cache)
-            assert (stats.join_cache_hits, stats.fragment_joins) == (1, 0)
+            run = _closure(mutable.document("kept"), cache)
+            assert (run.stats["join_cache_hits"],
+                    run.stats["fragment_joins"]) == (1, 0)
 
             mutable.add(corpus[names[0]], "kept")           # same content
             assert mutable.document("kept").token != kept.token
@@ -215,21 +207,27 @@ class TestIdentityScope:
 class TestMemoCounters:
     def test_hits_and_misses_match_the_recorded_run(self, index_dir):
         """A non-evicting corpus bypasses everything identity does, so
-        the lifetime counters must equal the ones the ``Fragment``-
-        valued, ``frozenset``-pair-keyed memo produced for this exact
-        query list — less the 42 284 lookups of pairs the
-        size/height/width bound now rejects before the memo is asked.
-        All of those were hits (the list's unpushed strategies and last
-        β rounds join every pair once regardless), and the misses — the
-        joins computed — are unchanged: no computed join was lost.
+        the lifetime counters are exactly the closure lookups this query
+        list makes.  The memo holds whole fixed points only, and
+        ``hits`` / ``misses`` count closure lookups (they counted pair
+        lookups before the pair memo was removed: 29 849 / 2 511).
 
-        The memo also holds whole fixed points now: a closure computed
-        once is replayed by every later run that asks for the same
-        (document, base, mode, predicate), with no pair looked up.  That
-        removes the 52 038 pair hits (81 887 → 29 849) those runs'
-        recomputed closures used to take.  The misses stay 2 511: each
-        closure is still computed, join by join, by the first run that
-        asks for it."""
+        Every document's ``needle`` and ``thread`` bases are the same
+        five planted nodes.  A search asks each document for one
+        closure per term: 2 x 6 two-term searches + 2 one-term ones =
+        14 per strategy, 42 over the three strategies, 840 over the 20
+        documents.  They name 11 distinct (base, mode, predicate) keys
+        per document:
+
+        * push-down: the four query predicates, and the four again
+          conjoined with the first β round's ``size<=4``;
+        * semi-naive: the unpruned closure (its streams push only
+          ``size<=4``, push-down's first plain key);
+        * set reduction: the bounded closure, unpruned and under
+          ``size<=4``.
+
+        Each key misses once per document — 11 x 20 = 220 misses — and
+        the other 620 lookups replay it."""
         collection = DocumentCollection.open_index(index_dir)
         try:
             for strategy in (Strategy.PUSHDOWN, Strategy.SEMI_NAIVE,
@@ -239,6 +237,7 @@ class TestMemoCounters:
                     list(collection.search(query, strategy=strategy,
                                            stream=True, limit=10))
             cache = collection._cache
-            assert (cache.hits, cache.misses) == (29849, 2511)
+            assert (cache.hits, cache.misses) == (620, 220)
+            assert len(cache) == 220
         finally:
             collection.close()
