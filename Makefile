@@ -31,10 +31,11 @@ verify:
 	           from repro.storage.shards import build_index; \
 	           build_index(g(InexSpec(articles=6, nodes_per_article=80)), '$$tmp/idx', shards=3)" && \
 	python -m repro.cli index inspect "$$tmp/idx" --verify --json > "$$tmp/inspect.json" && \
-	python -c "import json; d = json.load(open('$$tmp/inspect.json')); \
-	           assert d['format_version'] == 2 and not d['verification']['failures'], d; \
+	python -c "import json; from repro.storage.shards import FORMAT_VERSION as v; \
+	           d = json.load(open('$$tmp/inspect.json')); \
+	           assert d['format_version'] == v and not d['verification']['failures'], d; \
 	           assert all(s['terms'] for s in d['directories'].values()), d; \
-	           print('index inspect: format v2,', d['verification']['documents'], \
+	           print(f'index inspect: format v{v},', d['verification']['documents'], \
 	                 'document(s) and', len(d['directories']), 'term directories verified')" && \
 	python -c "from repro.workloads.inexlike import InexSpec, generate_collection as g; \
 	           from repro.collection.mutable import MutableDocumentCollection as M; \

@@ -31,6 +31,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..errors import FragmentError
+from ..xmltree.labeling import climb_lca
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.budget import QueryBudget
@@ -152,27 +153,6 @@ class JoinCache:
                       ).set(len(self))
 
 
-def _lca(parents: Sequence[Optional[int]], a: int, b: int,
-         depth_a: int, depth_b: int) -> tuple[int, int]:
-    """``(lca(a, b), its depth)``, found by climbing ``parents``: lift
-    the deeper node level with the other, then both until they meet.
-
-    O(path length) and no preprocessing — the O(1) ``Document.lca``
-    index costs O(n log n) to build, too much to ask of a document
-    materialised for a handful of pairs.
-    """
-    top = depth_a
-    while top > depth_b:
-        a = parents[a]
-        top -= 1
-    for _ in range(depth_b - top):
-        b = parents[b]
-    while a != b:
-        a, b = parents[a], parents[b]
-        top -= 1
-    return a, top
-
-
 def fragment_join(f1: Fragment, f2: Fragment,
                   stats: Optional[OperationStats] = None, *,
                   lca: Optional[int] = None) -> Fragment:
@@ -203,7 +183,7 @@ def fragment_join(f1: Fragment, f2: Fragment,
     r1, r2 = f1.root, f2.root
     if lca is None:
         depth = document.labels.depth
-        lca, _ = _lca(parents, r1, r2, depth[r1], depth[r2])
+        lca, _ = climb_lca(parents, r1, r2, depth[r1], depth[r2])
     path = [lca]
     for node in (r1, r2):
         while node != lca:
@@ -270,7 +250,7 @@ def _joins(block: Sequence[tuple], other: tuple, bound: Optional[tuple],
     _, r2, d2, s2, deep2, last2 = other
     parents = f2._doc.parents
     for f1, r1, d1, s1, deep1, last1 in block:
-        a, top = _lca(parents, r1, r2, d1, d2)
+        a, top = climb_lca(parents, r1, r2, d1, d2)
         up1, up2 = d1 - top, d2 - top
         if (s1 + s2 + up1 + up2 - 1 if up1 and up2
                 else max(s1 + up1, s2 + up2)) > max_size \

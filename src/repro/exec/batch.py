@@ -2,8 +2,8 @@
 
 :class:`BatchRunner` evaluates a *list* of queries against one
 :class:`~repro.collection.collection.DocumentCollection`, amortising
-all per-corpus setup — inverted indexes, LCA indexes, the worker pool
-itself — across the whole batch instead of paying it per query.
+all per-corpus setup — inverted indexes, the worker pool itself —
+across the whole batch instead of paying it per query.
 
 Serial mode (``workers=None``) walks the collection once per query
 through :meth:`DocumentCollection.search`, reusing the collection's

@@ -1,13 +1,10 @@
-"""Index substrate: tokenization, inverted keyword index, and LCA index."""
+"""Index substrate: tokenization and the inverted keyword index."""
 
 from .inverted import InvertedIndex
-from .lca import BinaryLiftingLca, LcaIndex
 from .tokenizer import DEFAULT_STOPWORDS, Tokenizer
 
 __all__ = [
     "Tokenizer",
     "DEFAULT_STOPWORDS",
     "InvertedIndex",
-    "LcaIndex",
-    "BinaryLiftingLca",
 ]

@@ -321,6 +321,9 @@ class MutableIndex:
         self.generation = int(manifest.get("generation", 0))
         self.shards = int(manifest.get("shards", 4))
         self._bases: dict[str, ShardIndex] = {}
+        # Attached now, before the WAL opens, so a base generation of
+        # another shard format is refused here ("version-skew").
+        self._base_handle(manifest)
         view, scan = _committed_view(path, manifest, tail=True)
         committed = int(manifest.get("wal_records", 0))
         committed_bytes = (scan["offsets"][committed - 1]

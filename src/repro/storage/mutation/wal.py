@@ -8,8 +8,8 @@ append-only sequence of checksummed records::
     body   := u32 meta_len | meta JSON | section payloads
 
 ``meta`` carries ``{seq, op, name, sections}`` where ``sections`` maps
-each of the nine shard-format section names (see
-:data:`repro.storage.shards.format.SECTION_NAMES`) to ``[offset,
+each shard-format section name
+(:data:`repro.storage.shards.format.SECTION_NAMES`) to ``[offset,
 length]`` pairs relative to the end of the JSON — the payload bytes are
 exactly what :func:`repro.storage.shards.writer.encode_document`
 produces, so a record folds into a compacted shard file without

@@ -80,16 +80,18 @@ class RelationalStore:
             labels = document.labels
             # Attributes travel as one JSON object per node;
             # ensure_ascii=False keeps unicode values byte-exact and
-            # json preserves the document's attribute order.
+            # json preserves the document's attribute order.  The
+            # postorder rank is derived: nid + size - 1 - depth.
             conn.executemany(
                 "INSERT INTO nodes(id, parent, depth, size, post, tag, "
                 "text, attrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                ((nid, document.parent(nid), labels.depth[nid],
-                  labels.size[nid], labels.post[nid], document.tag(nid),
+                ((nid, document.parent(nid), depth, size,
+                  nid + size - 1 - depth, document.tag(nid),
                   document.text(nid),
                   json.dumps(dict(document.attributes(nid)),
                              ensure_ascii=False))
-                 for nid in document.node_ids()))
+                 for nid, depth, size in zip(document.node_ids(),
+                                             labels.depth, labels.size)))
             conn.executemany(
                 "INSERT INTO keywords(word, node) VALUES (?, ?)",
                 ((word, nid) for nid in document.node_ids()

@@ -13,7 +13,7 @@ name (``zlib.crc32(name) % shards``), so the same corpus always lands
 in the same shards regardless of filesystem enumeration order or
 Python hash randomisation.
 
-Shard file layout, format version 2 (all integers little-endian)::
+Shard file layout, format version 3 (all integers little-endian)::
 
     magic      8 bytes   b"RXSHRD01"
     header_len u32       byte length of the JSON header
@@ -24,11 +24,11 @@ Shard file layout, format version 2 (all integers little-endian)::
 
 Each document entry in the header names its sections with
 ``[offset, length, crc32]`` triples; offsets are relative to the start
-of the payload region (``align8(12 + header_len)``).  Four sections
-are flat label arrays — ``parents`` / ``depth`` / ``pre`` / ``size`` as
-int64 arrays (root parent encoded as ``-1``) — which a reader takes as
-``memoryview.cast("q")`` windows onto the map with zero copies.
-(Postorder ranks are not stored: ``post = pre + size - 1 - depth``.)
+of the payload region (``align8(12 + header_len)``).  Three sections
+are flat label arrays — ``parents`` / ``depth`` / ``size`` as int64
+arrays (root parent encoded as ``-1``) — which a reader takes as
+``memoryview.cast("q")`` windows onto the map with zero copies.  Node
+ids are preorder ranks, so no preorder label is stored.
 The remaining sections carry the non-structural state: ``tags`` and
 ``texts`` as offset-table string blobs, ``attrs`` as JSON (object key
 order is preserved, round-tripping XML attribute order), and
@@ -65,11 +65,11 @@ __all__ = [
 ]
 
 MAGIC = b"RXSHRD01"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 
 #: Section order inside each document's payload block.
-SECTION_NAMES = ("parents", "depth", "pre", "size",
+SECTION_NAMES = ("parents", "depth", "size",
                  "tags", "texts", "attrs", "postings")
 
 _U32 = struct.Struct("<I")

@@ -69,10 +69,9 @@ def build_document(name: str, nodes: int, section_of, *,
     bytes for WAL records).  Returns ``(document, postings)``.
 
     Only the structure is decoded here: ``parents``, ``depth`` and
-    ``size`` become lists, and ``pre`` (node ids are preorder ranks)
-    and ``post`` are derived from them.  The ``tags``, ``texts``,
-    ``attrs`` and ``postings`` sections are *copied*, never kept as
-    views, so the caller's buffer may close while the document lives;
+    ``size`` become lists.  The ``tags``, ``texts``, ``attrs`` and
+    ``postings`` sections are *copied*, never kept as views, so the
+    caller's buffer may close while the document lives;
     the document decodes each on first read
     (:meth:`Document.from_structure`), and ``postings`` is a
     :class:`~repro.storage.shards.format.PostingsMap` over the copy,
@@ -88,12 +87,7 @@ def build_document(name: str, nodes: int, section_of, *,
     parents = [None if p < 0 else p for p in parents_q]
     depth = list(memoryview(section_of("depth")).cast("q"))
     size = list(memoryview(section_of("size")).cast("q"))
-    # Node ids are preorder ranks: pre and its inverse are the identity.
-    pre = list(range(nodes))
-    # Postorder rank: the nodes before n in preorder that are not its
-    # ancestors, plus its descendants — exactly compute_labels's.
-    post = [p + s - 1 - d for p, s, d in zip(pre, size, depth)]
-    labels = TreeLabels(depth, pre, size, post, pre)
+    labels = TreeLabels(depth, size)
     encoded = {section: bytes(section_of(section))
                for section in ("tags", "texts", "attrs", "postings")}
 

@@ -39,7 +39,7 @@ def _document_postings(document: "Document") -> dict:
 def encode_document(document: "Document") -> dict:
     """Encode one document's sections; returns ``{section: bytes}``.
 
-    The eight sections are exactly the shard-file layout of
+    The sections are exactly the shard-file layout of
     :data:`repro.storage.shards.format.SECTION_NAMES`; the write-ahead
     log (:mod:`repro.storage.mutation`) reuses them verbatim so a WAL
     record and a compacted shard hold byte-identical document payloads.
@@ -56,7 +56,6 @@ def _encode(document: "Document", postings: dict) -> dict:
     return {
         "parents": fmt.encode_int64(parents),
         "depth": fmt.encode_int64(labels.depth),
-        "pre": fmt.encode_int64(labels.pre),
         "size": fmt.encode_int64(labels.size),
         "tags": fmt.encode_strings(document.tag(i) for i in range(n)),
         "texts": fmt.encode_strings(document.text(i) for i in range(n)),

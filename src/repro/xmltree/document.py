@@ -7,12 +7,12 @@ primitives the algebra is built on:
 * parent / children / depth / tag / text lookups,
 * ``keywords(n)`` — the representative keywords of a node,
 * O(1) ancestor tests via preorder-interval encoding,
-* O(1) lowest-common-ancestor queries (Euler tour + sparse table),
+* lowest-common-ancestor queries by a climb of ``parents``,
 * preorder/descendant iteration.
 
 Node ids are normalised to **preorder ranks**: node ``0`` is the root and
-``pre(n) == n`` for every node.  This makes document order comparisons a
-plain integer comparison and lets fragments be plain ``frozenset[int]``.
+a node's id is its preorder rank.  This makes document order comparisons
+a plain integer comparison and lets fragments be plain ``frozenset[int]``.
 
 Documents are immutable once built; use
 :class:`repro.xmltree.builder.DocumentBuilder` or
@@ -28,7 +28,7 @@ from typing import (Callable, Iterable, Iterator, Mapping, Optional,
                     Sequence)
 
 from ..errors import DocumentError
-from .labeling import TreeLabels, compute_labels
+from .labeling import TreeLabels, climb_lca, compute_labels
 from .node import NodeView
 
 __all__ = ["Document"]
@@ -50,7 +50,7 @@ class Document:
     """
 
     __slots__ = ("_tags", "_texts", "_parents", "_children", "_keywords",
-                 "_attrs", "_labels", "_lca_index", "_token", "_content",
+                 "_attrs", "_labels", "_token", "_content",
                  "name", "__weakref__")
 
     def __init__(self, tags: Sequence[str], texts: Sequence[str],
@@ -77,17 +77,12 @@ class Document:
             # label bundle alongside the tree (the labels were computed
             # from these exact arrays at build time, so recomputing them
             # at load would only burn CPU).  Length is still validated.
-            if len(labels.pre) != n:
+            if len(labels.size) != n:
                 raise DocumentError(
                     "supplied label bundle does not match tree size")
             self._labels = labels
         else:
             self._labels = compute_labels(self._parents, self._children)
-            if self._labels.pre != list(range(n)):
-                raise DocumentError(
-                    "node ids must equal preorder ranks; build documents "
-                    "via DocumentBuilder or parser, which normalise ids")
-        self._lca_index = None  # built lazily on first lca() call
         # A storage backend that decodes the same immutable bytes again
         # (a shard index after an LRU eviction) passes the token its
         # earlier materialisation drew: identity survives eviction.
@@ -113,7 +108,6 @@ class Document:
         self = object.__new__(cls)
         self._parents = parents
         self._labels = labels
-        self._lca_index = None
         self._token = (token if token is not None
                        else next(_DOCUMENT_TOKENS))
         self._content = content
@@ -242,7 +236,7 @@ class Document:
 
     @property
     def labels(self) -> TreeLabels:
-        """The structural label bundle (depth/pre/size/post)."""
+        """The structural label bundle (depth/size)."""
         return self._labels
 
     @property
@@ -294,15 +288,10 @@ class Document:
         return range(node_id, node_id + self._labels.size[node_id])
 
     def lca(self, u: int, v: int) -> int:
-        """The lowest common ancestor of two nodes, in O(1).
-
-        The underlying Euler-tour/sparse-table index is built lazily on
-        the first call and cached for the document's lifetime.
-        """
-        if self._lca_index is None:
-            from ..index.lca import LcaIndex
-            self._lca_index = LcaIndex(self)
-        return self._lca_index.lca(u, v)
+        """The lowest common ancestor of two nodes, by a climb of
+        ``parents`` (:func:`~repro.xmltree.labeling.climb_lca`)."""
+        depth = self._labels.depth
+        return climb_lca(self._parents, u, v, depth[u], depth[v])[0]
 
     def lca_of(self, node_ids: Iterable[int]) -> int:
         """The lowest common ancestor of a non-empty set of nodes.
@@ -346,10 +335,9 @@ class Document:
     def __getstate__(self) -> dict:
         """Pickle the structural arrays only.
 
-        The LCA index is derived state, rebuilt lazily on the
-        receiving side, and the identity token must not
-        travel: tokens are process-wide unique, so the unpickled copy
-        draws a fresh one.  Content not yet decoded is decoded here.
+        The identity token must not travel: tokens are process-wide
+        unique, so the unpickled copy draws a fresh one.  Content not
+        yet decoded is decoded here.
         """
         slot = self._slot
         return {"tags": slot("_tags"), "texts": slot("_texts"),
@@ -365,7 +353,6 @@ class Document:
         self._keywords = state["keywords"]
         self._attrs = state["attrs"]
         self._labels = state["labels"]
-        self._lca_index = None
         self._token = next(_DOCUMENT_TOKENS)
         self._content = None
         self.name = state["name"]

@@ -1,26 +1,23 @@
 """Structural labelling of document trees.
 
-The algebra relies on a handful of classic tree labels, all computed in a
-single pass when a :class:`~repro.xmltree.document.Document` is built:
+Node ids are depth-first preorder ranks (node ``0`` is the root), so a
+tree needs two labels beyond its ``parents`` array, both computed in
+one pass when a :class:`~repro.xmltree.document.Document` is built:
 
 ``depth``
     Distance from the root (root = 0).
-``pre``
-    Depth-first preorder rank.  Documents normalise node ids so that
-    ``pre(n) == n``; the label is still computed explicitly so that the
-    invariant can be checked and so parsers may supply nodes in any order.
 ``size``
     Number of nodes in the subtree rooted at the node (including itself).
-``post``
-    Depth-first postorder rank, used by the relational backend.
 
-With preorder + subtree size, ancestor tests become a constant-time
-interval containment check::
+With the id as the preorder start, ``(id, size, depth)`` is the
+*region encoding* of the XML indexing literature, and the ancestor test
+is a constant-time interval containment check::
 
-    u is an ancestor-or-self of v  <=>  pre(u) <= pre(v) < pre(u) + size(u)
+    u is an ancestor-or-self of v  <=>  u <= v < u + size(u)
 
-which is the standard *interval encoding* used throughout the XML
-indexing literature.
+A postorder rank, where one is wanted (the relational backend stores
+it), is ``id + size - 1 - depth``.  The lowest common ancestor of two
+nodes is found by :func:`climb_lca`, a climb of ``parents``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Optional, Sequence
 
 from ..errors import DocumentError
 
-__all__ = ["TreeLabels", "compute_labels"]
+__all__ = ["TreeLabels", "compute_labels", "climb_lca"]
 
 
 class TreeLabels:
@@ -37,26 +34,19 @@ class TreeLabels:
 
     Attributes
     ----------
-    depth, pre, size, post:
+    depth, size:
         Lists indexed by node id.
-    preorder:
-        Node ids sorted by preorder rank (``preorder[pre[n]] == n``).
     """
 
-    __slots__ = ("depth", "pre", "size", "post", "preorder")
+    __slots__ = ("depth", "size")
 
-    def __init__(self, depth: list[int], pre: list[int], size: list[int],
-                 post: list[int], preorder: list[int]) -> None:
+    def __init__(self, depth: list[int], size: list[int]) -> None:
         self.depth = depth
-        self.pre = pre
         self.size = size
-        self.post = post
-        self.preorder = preorder
 
     def is_ancestor_or_self(self, u: int, v: int) -> bool:
         """Return ``True`` iff ``u`` is ``v`` or an ancestor of ``v``."""
-        pu = self.pre[u]
-        return pu <= self.pre[v] < pu + self.size[u]
+        return u <= v < u + self.size[u]
 
     def is_proper_ancestor(self, u: int, v: int) -> bool:
         """Return ``True`` iff ``u`` is a strict ancestor of ``v``."""
@@ -79,7 +69,8 @@ def compute_labels(parents: Sequence[Optional[int]],
     ------
     DocumentError
         If the arrays do not describe a single rooted tree (no root, more
-        than one root, a cycle, or unreachable nodes).
+        than one root, a cycle, or unreachable nodes), or if node ids are
+        not the nodes' preorder ranks.
     """
     n = len(parents)
     if n == 0:
@@ -88,46 +79,57 @@ def compute_labels(parents: Sequence[Optional[int]],
     if len(roots) != 1:
         raise DocumentError(f"expected exactly one root node, found "
                             f"{len(roots)}")
-    root = roots[0]
 
     depth = [0] * n
-    pre = [-1] * n
     size = [1] * n
-    post = [-1] * n
-    preorder: list[int] = []
-
-    # Iterative DFS: preorder on entry, postorder + subtree size on exit.
-    pre_counter = 0
-    post_counter = 0
-    # Stack entries are (node, child-iterator-index).
-    stack: list[tuple[int, int]] = [(root, 0)]
-    pre[root] = pre_counter
-    pre_counter += 1
-    preorder.append(root)
-    visited = 1
+    above = [0] * n  # each node's parent, as the child lists place it
+    # Depth-first walk: the k-th node popped must be node k.  Every id
+    # below k has been visited once, so meeting one again is a cycle.
+    stack = [roots[0]]
+    visited = 0
     while stack:
-        node, child_idx = stack[-1]
+        node = stack.pop()
+        if node != visited:
+            if 0 <= node < visited:
+                raise DocumentError(
+                    f"node {node} reached twice; the edge arrays contain "
+                    "a cycle or shared child")
+            raise DocumentError(
+                "node ids must equal preorder ranks; build documents "
+                "via DocumentBuilder or parser, which normalise ids")
+        visited += 1
         kids = children[node]
-        if child_idx < len(kids):
-            stack[-1] = (node, child_idx + 1)
-            child = kids[child_idx]
-            if pre[child] != -1:
-                raise DocumentError(f"node {child} reached twice; the edge "
-                                    "arrays contain a cycle or shared child")
-            depth[child] = depth[node] + 1
-            pre[child] = pre_counter
-            pre_counter += 1
-            preorder.append(child)
-            visited += 1
-            stack.append((child, 0))
-        else:
-            stack.pop()
-            post[node] = post_counter
-            post_counter += 1
-            if stack:
-                size[stack[-1][0]] += size[node]
+        below = depth[node] + 1
+        for child in kids:
+            depth[child] = below
+            above[child] = node
+        stack.extend(reversed(kids))
 
     if visited != n:
         raise DocumentError(f"{n - visited} node(s) unreachable from the "
                             "root; the document is not a connected tree")
-    return TreeLabels(depth, pre, size, post, preorder)
+    # A child's id exceeds its parent's, so one backward pass sums
+    # every subtree before its size is added to the parent's.
+    for node in range(n - 1, 0, -1):
+        size[above[node]] += size[node]
+    return TreeLabels(depth, size)
+
+
+def climb_lca(parents: Sequence[Optional[int]], a: int, b: int,
+              depth_a: int, depth_b: int) -> tuple[int, int]:
+    """``(lca(a, b), its depth)``, found by climbing ``parents``: lift
+    the deeper node level with the other, then both until they meet.
+
+    O(path length) and no preprocessing, so a document materialised
+    for a handful of joins pays for nothing it does not climb.
+    """
+    top = depth_a
+    while top > depth_b:
+        a = parents[a]
+        top -= 1
+    for _ in range(depth_b - top):
+        b = parents[b]
+    while a != b:
+        a, b = parents[a], parents[b]
+        top -= 1
+    return a, top

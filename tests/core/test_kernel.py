@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.collection.collection import DocumentCollection
-from repro.core.algebra import (JoinCache, _lca, fragment_join, join_all,
+from repro.core.algebra import (JoinCache, fragment_join, join_all,
                                 pairwise_join)
 from repro.core.filters import SizeAtMost
 from repro.core.fragment import Fragment
@@ -28,6 +28,7 @@ from repro.core.query import Query
 from repro.core.strategies import Strategy, evaluate
 from repro.errors import CrossDocumentError
 from repro.xmltree.builder import DocumentBuilder
+from repro.xmltree.labeling import climb_lca
 from repro.xmltree.navigation import spanning_nodes
 
 from ..treegen import (KEYWORD_ALPHABET, documents, make_document,
@@ -97,14 +98,19 @@ class TestJoinAgreement:
 
     @given(documents(min_nodes=2, max_nodes=16))
     def test_climbed_lca_matches_document(self, doc):
-        """The climb both the join and the bound use finds the LCA the
-        Euler-tour index (``Document.lca``) finds, and its depth."""
+        """The climb the join, the bound and ``Document.lca`` use finds
+        the LCA the document's interval labels define, and its depth:
+        an ancestor-or-self of both nodes that no child of it covers."""
         depth = doc.labels.depth
         for u in range(doc.size):
             for v in range(doc.size):
-                a = doc.lca(u, v)
-                assert _lca(doc.parents, u, v, depth[u],
-                            depth[v]) == (a, depth[a])
+                a, top = climb_lca(doc.parents, u, v, depth[u], depth[v])
+                assert top == depth[a]
+                assert doc.is_ancestor_or_self(a, u)
+                assert doc.is_ancestor_or_self(a, v)
+                assert not any(doc.is_ancestor_or_self(c, u)
+                               and doc.is_ancestor_or_self(c, v)
+                               for c in doc.children(a))
 
     @settings(deadline=None, max_examples=30)
     @given(documents(min_nodes=2, max_nodes=12))

@@ -19,18 +19,20 @@ Covers the storage half of the live-mutation stack:
 from __future__ import annotations
 
 import gc
+import json
 import os
 import warnings
 
 import pytest
 
-from repro.errors import WALError
+from repro.collection.mutable import MutableDocumentCollection
+from repro.errors import ShardError, WALError
 from repro.storage.mutation import (OP_ADD, OP_REMOVE, MutableIndex,
                                     attach_snapshot, fsck, read_current,
                                     read_records)
 from repro.storage.mutation.wal import encode_record
-from repro.storage.shards import (FORMAT_VERSION, ShardIndex,
-                                  build_index)
+from repro.storage.shards import (FORMAT_VERSION, MANIFEST_NAME,
+                                  ShardIndex, build_index)
 from repro.storage.shards.format import SECTION_NAMES
 from repro.storage.shards.writer import encode_document
 from repro.workloads.inexlike import InexSpec, generate_collection
@@ -189,9 +191,10 @@ class TestLifecycle:
             for name in before:
                 assert_same_document(corpus[name],
                                      snapshot.document(name))
-                assert (snapshot.document(name).labels.post
-                        == corpus[name].labels.post)
-            # The new generation is an ordinary v2 index: it screens
+                labels = snapshot.document(name).labels
+                assert labels.depth == corpus[name].labels.depth
+                assert labels.size == corpus[name].labels.size
+            # The new generation is an ordinary shard index: it screens
             # from its own term directory, and fsck sweeps it clean.
             base = snapshot.base.stats()
             assert base["format_version"] == FORMAT_VERSION
@@ -401,6 +404,23 @@ class TestFsck:
         report = fsck(mutable.path)
         assert not report["healthy"]
         assert any(i["fatal"] for i in report["issues"])
+
+    def test_old_base_generation_is_version_skew(self, corpus, tmp_path):
+        """A mutable index whose base generation was written in an
+        older shard format is refused ("rebuild"), never misread."""
+        path = tmp_path / "idx"
+        MutableDocumentCollection.create(path, corpus).close()
+        manifest_path = path / "gen-0000" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = FORMAT_VERSION - 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ShardError) as err:
+            MutableDocumentCollection(path)
+        assert err.value.reason == "version-skew"
+        report = fsck(path)
+        assert not report["healthy"]
+        assert [(i["kind"], i["fatal"]) for i in report["issues"]] \
+            == [("base", True)]
 
 
 class TestHandleRelease:

@@ -119,9 +119,7 @@ def assert_same_document(expected, actual):
         assert actual.parent(nid) == expected.parent(nid)
         assert list(actual.children(nid)) == list(expected.children(nid))
         assert labels_a.depth[nid] == labels_e.depth[nid]
-        assert labels_a.pre[nid] == labels_e.pre[nid]
         assert labels_a.size[nid] == labels_e.size[nid]
-        assert labels_a.post[nid] == labels_e.post[nid]
 
 
 def assert_same_result(expected, actual):
@@ -155,7 +153,7 @@ class TestFormat:
     def test_attach_is_zero_copy(self, index_dir):
         with ShardIndex.attach(index_dir) as index:
             sf, entry = index._locate(index.names()[0])
-            for section in ("parents", "pre"):
+            for section in ("parents", "size"):
                 with index._section(sf, entry, section) as window:
                     assert isinstance(window, memoryview)
                     assert window.obj is sf.payload.obj
@@ -176,7 +174,7 @@ class TestFormat:
         and it answers exactly what the documents' postings do."""
         with ShardIndex.attach(index_dir) as index:
             stats = index.stats()
-            assert stats["format_version"] == FORMAT_VERSION == 2
+            assert stats["format_version"] == FORMAT_VERSION
             assert sorted(stats["directories"]) == ["0", "1", "2"]
             for entry in stats["directories"].values():
                 assert entry["terms"] > 0 and entry["directory_bytes"] > 0
@@ -189,14 +187,15 @@ class TestFormat:
     @settings(max_examples=30, deadline=None)
     @given(tree=random_documents(max_nodes=24))
     def test_post_is_recomputed_not_stored(self, tree):
-        """``post = pre + size - 1 - depth``: the section is gone, the
-        label is not (``compute_labels`` made the original's)."""
+        """Neither a preorder nor a postorder rank is stored: ids are
+        preorder ranks, and ``post = id + size - 1 - depth``, so equal
+        ``depth`` and ``size`` labels imply equal ranks."""
         with tempfile.TemporaryDirectory() as root:
             build_index({"tree": tree}, root, shards=1)
             with ShardIndex.attach(root) as index:
                 labels = index.document("tree").labels
-                assert labels.post == tree.labels.post
-                assert labels.preorder == tree.labels.preorder
+                assert labels.depth == tree.labels.depth
+                assert labels.size == tree.labels.size
 
     def test_shard_assignment_is_stable(self, corpus, index_dir):
         with ShardIndex.attach(index_dir) as index:
@@ -314,7 +313,8 @@ def assert_lazy_equivalent(parsed, index):
     assert len(index) == len(expected)
     document = index.document
     assert_same_document(parsed, document)
-    assert document.labels.preorder == parsed.labels.preorder
+    assert document.labels.depth == parsed.labels.depth
+    assert document.labels.size == parsed.labels.size
     assert document.vocabulary() == parsed.vocabulary()
     for term in probes:
         assert (document.nodes_with_keyword(term)
@@ -482,17 +482,19 @@ class TestCorruption:
         assert err.value.reason == "version-skew"
 
     def test_v1_index_is_version_skew(self, scratch_index):
-        """No v1 read path: a v1 manifest, and a v1 shard header under
-        a current manifest, both say "rebuild"."""
+        """No old-version read path: a v1 or v2 manifest, and a v1
+        shard header under a current manifest, all say "rebuild"."""
         manifest_path = os.path.join(scratch_index, MANIFEST_NAME)
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        with open(manifest_path, "w") as handle:
-            json.dump(dict(manifest, format_version=1), handle)
-        with pytest.raises(ShardError) as err:
-            ShardIndex.attach(scratch_index)
-        assert err.value.reason == "version-skew"
-        assert "rebuild the index" in str(err.value)
+        for old_version in (1, 2):
+            with open(manifest_path, "w") as handle:
+                json.dump(dict(manifest, format_version=old_version),
+                          handle)
+            with pytest.raises(ShardError) as err:
+                ShardIndex.attach(scratch_index)
+            assert err.value.reason == "version-skew"
+            assert "rebuild the index" in str(err.value)
         # Now the header alone: same length, so only its crc moves.
         shard_path = os.path.join(scratch_index, "shard-0000.bin")
         with open(shard_path, "rb") as handle:

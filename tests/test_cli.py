@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.storage.shards import FORMAT_VERSION
 from repro.workloads.corpora import BOOK_XML
 
 
@@ -417,7 +418,7 @@ class TestIndexCli:
         assert index_main(["inspect", out, "--json"]) == 0
         doc = _json.loads(capsys.readouterr().out)
         assert doc["documents"] == 2
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == FORMAT_VERSION
         # Per shard: the term directory's size, next to the version.
         assert sorted(doc["directories"]) == ["0", "1", "2", "3"]
         assert sum(entry["terms"] for entry

@@ -19,32 +19,25 @@ class TestComputeLabelsBasic:
     def test_single_node(self):
         labels = labels_of([None], [[]])
         assert labels.depth == [0]
-        assert labels.pre == [0]
         assert labels.size == [1]
-        assert labels.post == [0]
-        assert labels.preorder == [0]
 
     def test_chain(self):
         # 0 -> 1 -> 2
         labels = labels_of([None, 0, 1], [[1], [2], []])
         assert labels.depth == [0, 1, 2]
-        assert labels.pre == [0, 1, 2]
         assert labels.size == [3, 2, 1]
-        assert labels.post == [2, 1, 0]
 
     def test_binary(self):
         # 0 -> 1, 2
         labels = labels_of([None, 0, 0], [[1, 2], [], []])
         assert labels.depth == [0, 1, 1]
         assert labels.size == [3, 1, 1]
-        assert labels.pre == [0, 1, 2]
-        assert labels.post == [2, 0, 1]
 
     def test_child_order_respected(self):
-        # 0 -> 2 then 1 (document order puts node 2 first)
-        labels = labels_of([None, 0, 0], [[2, 1], [], []])
-        assert labels.pre == [0, 2, 1]
-        assert labels.preorder == [0, 2, 1]
+        # 0 -> 2 then 1: document order puts node 2 first, so ids are
+        # not preorder ranks, and the tree is refused.
+        with pytest.raises(DocumentError, match="preorder"):
+            labels_of([None, 0, 0], [[2, 1], [], []])
 
     def test_size_counts_whole_subtree(self):
         # 0 -> 1 -> {2, 3}, 0 -> 4
@@ -104,9 +97,14 @@ class TestIntervalEncoding:
 class TestLabelProperties:
     @given(documents(max_nodes=20))
     def test_preorder_ids_are_identity(self, doc):
-        # Documents normalise ids to preorder ranks.
-        assert doc.labels.pre == list(range(doc.size))
-        assert doc.labels.preorder == list(range(doc.size))
+        # Documents normalise ids to preorder ranks: a depth-first walk
+        # of the child lists meets the nodes in id order.
+        order, stack = [], [doc.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(reversed(doc.children(node)))
+        assert order == list(range(doc.size))
 
     @given(documents(max_nodes=20))
     def test_sizes_sum_along_children(self, doc):
@@ -124,7 +122,14 @@ class TestLabelProperties:
 
     @given(documents(max_nodes=20))
     def test_post_is_a_permutation(self, doc):
-        assert sorted(doc.labels.post) == list(range(doc.size))
+        # The postorder rank the relational backend derives.
+        labels = doc.labels
+        post = [n + labels.size[n] - 1 - labels.depth[n]
+                for n in doc.node_ids()]
+        assert sorted(post) == list(range(doc.size))
+        for u in doc.node_ids():
+            for v in doc.descendants(u):
+                assert post[v] < post[u]
 
     @given(documents(max_nodes=20))
     def test_depth_is_parent_depth_plus_one(self, doc):
