@@ -202,6 +202,7 @@ def _finish_observability(args: argparse.Namespace, obs: Observability,
         print("\ntrace:")
         print(obs.tracer.render())
     if args.metrics_out:
+        obs.publish_calibration()
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             if args.metrics_out.endswith(".prom"):
                 handle.write(obs.metrics.to_prometheus())
@@ -947,8 +948,8 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                              "evaluation work runs")
     parser.add_argument("--max-log-records", type=int, default=2048,
                         metavar="N", dest="max_log_records",
-                        help="query-profile and span-tree ring size; "
-                             "oldest records are evicted past N "
+                        help="query-profile ring size; oldest "
+                             "profiles are evicted past N "
                              "(default: 2048)")
     parser.add_argument("--profile-sample-rate", type=float, default=0.0,
                         metavar="R", dest="profile_sample_rate",
@@ -994,8 +995,8 @@ def serve_main(argv: Optional[Sequence[str]] = None,
         parser.error("--writable requires --index")
     stdin = stdin if stdin is not None else sys.stdin
 
-    # Both rings share one bound: nothing a long-running server keeps
-    # per request (query profiles, span trees) may grow without one.
+    # The ring is all a long-running server keeps per request: span
+    # trees are dropped once their request is answered.
     try:
         recorder = FlightRecorder(RecorderConfig(
             ring_size=args.max_log_records,
@@ -1006,9 +1007,7 @@ def serve_main(argv: Optional[Sequence[str]] = None,
         return 2
     uninstall_dump = (recorder.install_dump_hook(args.profile_dump)
                       if args.profile_dump else None)
-    obs = Observability(
-        tracer=SpanTracer(max_roots=args.max_log_records),
-        recorder=recorder)
+    obs = Observability(recorder=recorder)
     skipped: list = []
     try:
         if args.index_path is not None and args.writable:
@@ -1133,6 +1132,8 @@ def serve_main(argv: Optional[Sequence[str]] = None,
             except ReproError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 continue
+            finally:
+                obs.tracer.clear()
             print(f"{query.describe()}: {len(result)} answer(s) in "
                   f"{len(result.matched_documents)} of "
                   f"{len(collection)} document(s)")
@@ -1168,7 +1169,7 @@ def _report_recorder_exit(recorder, obs: Observability,
             if uninstall_dump is not None:
                 uninstall_dump()
     latency = recorder.latency_percentiles()
-    calibration = recorder.publish_calibration(obs.metrics)
+    calibration = obs.publish_calibration()
     if latency["samples"]:
         print(f"flight recorder: {latency['samples']} profile(s), "
               f"p50={latency['p50_ms']:.3f} ms "

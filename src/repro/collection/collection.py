@@ -131,33 +131,27 @@ def document_runs(source, names: Iterable[str], query: Query,
     agree on the rarest-first term order share one plan; given an
     ``analysis``, every document runs *its* plan as it stands, timed,
     and folds into it.  ``fresh_budget`` runs each document under its
-    own ``budget.fresh_item()``.  While a document's run is out, the
-    recorder's ambient shard is that document's.
+    own ``budget.fresh_item()``.  Each run records the shard its
+    document lives in.
     """
-    recorder = obs.recorder
     plans: dict[tuple, PlanNode] = {}
-    try:
-        for name in names:
-            if recorder is not None:
-                recorder.set_context(shard=source.shard_of(name))
-            index = source.inverted_index(name)
-            if analysis is not None:
-                plan = analysis.plan
-            else:
-                order = tuple(index.rarest_first(query.terms))
-                plan = plans.get(order)
-                if plan is None:
-                    plan = plans[order] = _physical_plan(
-                        Query(order, query.predicate), strategy, None,
-                        extra_predicate)
-            yield name, FragmentStream(
-                index.document, query, plan, strategy.value, index=index,
-                cache=cache, obs=obs, analysis=analysis,
-                budget=(budget.fresh_item()
-                        if fresh_budget and budget is not None else budget))
-    finally:
-        if recorder is not None:
-            recorder.set_context(shard=None)
+    for name in names:
+        index = source.inverted_index(name)
+        if analysis is not None:
+            plan = analysis.plan
+        else:
+            order = tuple(index.rarest_first(query.terms))
+            plan = plans.get(order)
+            if plan is None:
+                plan = plans[order] = _physical_plan(
+                    Query(order, query.predicate), strategy, None,
+                    extra_predicate)
+        yield name, FragmentStream(
+            index.document, query, plan, strategy.value, index=index,
+            cache=cache, obs=obs, analysis=analysis,
+            budget=(budget.fresh_item()
+                    if fresh_budget and budget is not None else budget),
+            shard=source.shard_of(name))
 
 
 def _check_limit(limit: object) -> None:
@@ -598,11 +592,6 @@ class DocumentCollection:
                 span.set(evaluated=len(per_document), skipped=skipped)
                 _count_skipped(ob, skipped)
                 self._cache.export_metrics(ob.metrics)
-                if ob.recorder is not None:
-                    # The gauge is a ratio, so it is recomputed here
-                    # (and at merge/export time) rather than bumped in
-                    # the per-query hot path.
-                    ob.recorder.publish_calibration(ob.metrics)
         return CollectionResult(query=query, per_document=per_document)
 
     def _stream_hits(self, query: Query, strategy: Strategy,

@@ -534,7 +534,8 @@ class FragmentStream:
     pipeline on first use and records itself once when it ends —
     exhausted, closed or aborted (``outcome="budget-exceeded"``, trace
     tail-retained, for a :class:`~repro.errors.BudgetExceeded`) — with
-    its plan's label, CPU time, §5 predicted cost and checkpoints.
+    its plan's label, CPU time, §5 predicted cost, checkpoints and the
+    ``shard`` its document lives in (``None`` outside a shard index).
     Given an ``analysis`` of the same plan, it is timed and folds in.
 
     Iterating yields each answer fragment exactly once, as it is
@@ -554,7 +555,8 @@ class FragmentStream:
                  analysis: Optional[PlanAnalysis] = None,
                  keyword_source: Optional[
                      Callable[[str], frozenset[Fragment]]] = None,
-                 max_powerset_operand: Optional[int] = 16) -> None:
+                 max_powerset_operand: Optional[int] = 16,
+                 shard: Optional[int] = None) -> None:
         #: ``None`` for a bare plan (:class:`PlanEvaluator`).
         self.query = query
         self.plan = plan
@@ -563,6 +565,7 @@ class FragmentStream:
         #: Wall-clock seconds from construction to the end of the run.
         self.elapsed = 0.0
         self._document = document
+        self._shard = shard
         self._obs = obs if obs is not None else NOOP
         self._into = analysis
         #: What :func:`build_pipeline` is called with.
@@ -743,7 +746,7 @@ class FragmentStream:
             stats=self.stats.as_dict(), plan=self.plan.label(), cpu_s=cpu_s,
             predicted_cost=predicted, peak_memory=peak,
             checkpoints=budget.checkpoints if budget is not None else 0,
-            outcome=outcome, reason=reason,
+            outcome=outcome, reason=reason, shard=self._shard,
             span=span if ob.tracer.enabled else None)
 
 

@@ -181,11 +181,11 @@ def _worker_obs(traced: bool,
     Created on the first telemetry-enabled chunk and kept warm (the
     metrics registry persists across chunks; increments ship as diffs
     against a rolling baseline).  Rebuilt if the parent's tracing
-    preference or flight-recorder config changes between calls.  A
-    worker recorder runs in ``worker_mode`` — it aggregates histograms
-    and counters into the worker registry (whose increments merge
-    additively) but never publishes the calibration gauge, and its ring
-    has no bound of its own: profiles and retained traces drain into
+    preference or flight-recorder config changes between calls.  Each
+    run's series are counted into the worker registry (whose increments
+    merge additively; the calibration gauge is only ever computed by
+    the parent).  A worker recorder runs in ``worker_mode``: its ring
+    has no bound of its own, and profiles and retained traces drain into
     every chunk's :class:`~repro.obs.delta.ObsDelta`, and the parent's
     ring does the evicting.
     """

@@ -42,12 +42,7 @@ from .metrics import (COST_ERROR_BUCKETS, DEFAULT_BUCKETS,
 from .slo import (ALERT_STATE_CODES, CRITICAL, FEEDBACK_TIGHTEN_ADMISSION,
                   FEEDBACK_TRIP_BREAKERS, OK, SLO_BURN_RATE, SLO_STATE,
                   WARNING, AlertState, Objective, SLOMonitor, parse_slo)
-from .recorder import (COST_ACTUAL, COST_CALIBRATION, COST_ERROR,
-                       COST_PREDICTED, PROFILES_EVICTED,
-                       PROFILES_RECORDED, RECORDER_LATENCY,
-                       RECORDER_RESULT_SIZE, SLOW_QUERIES, TRACES_DROPPED,
-                       TRACES_RETAINED, FlightRecorder, QueryProfile,
-                       RecorderConfig)
+from .recorder import FlightRecorder, QueryProfile, RecorderConfig
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span, SpanTracer)
 
 __all__ = [
@@ -58,10 +53,9 @@ __all__ = [
     "exponential_buckets", "LATENCY_LOG_BUCKETS", "SIZE_LOG_BUCKETS",
     "COST_ERROR_BUCKETS",
     "FlightRecorder", "QueryProfile", "RecorderConfig",
-    "RECORDER_LATENCY", "RECORDER_RESULT_SIZE", "COST_ERROR",
-    "COST_CALIBRATION", "COST_PREDICTED", "COST_ACTUAL",
-    "PROFILES_RECORDED", "PROFILES_EVICTED", "TRACES_RETAINED",
-    "TRACES_DROPPED", "SLOW_QUERIES",
+    "COST_ERROR", "COST_CALIBRATION", "COST_PREDICTED", "COST_ACTUAL",
+    "PROFILES_RECORDED", "TRACES_RETAINED", "TRACES_DROPPED",
+    "SLOW_QUERIES",
     "ObsDelta", "capture_delta", "merge_delta", "DELTAS_MERGED",
     "MetricsHistory", "DEFAULT_QUANTILES",
     "HISTORY_SAMPLES", "HISTORY_SERIES",
@@ -85,6 +79,19 @@ FRAGMENTS_DISCARDED = "repro_fragments_discarded_total"
 REDUCTION_FACTOR = "repro_reduction_factor"
 FRAGMENTS_RANKED = "repro_fragments_ranked_total"
 DOCUMENTS_SKIPPED = "repro_documents_skipped_total"
+
+# Per-profile metric names, counted by record_query() when a flight
+# recorder is attached.
+PROFILES_RECORDED = "repro_recorder_profiles_total"
+SLOW_QUERIES = "repro_slow_queries_total"
+TRACES_RETAINED = "repro_recorder_traces_retained_total"
+TRACES_DROPPED = "repro_recorder_traces_dropped_total"
+COST_ERROR = "repro_cost_error_ratio"
+COST_PREDICTED = "repro_cost_predicted_total"
+COST_ACTUAL = "repro_cost_actual_total"
+#: Gauge: summed actual / summed predicted cost per strategy, computed
+#: from the two counters above when read (publish_calibration()).
+COST_CALIBRATION = "repro_cost_calibration_ratio"
 
 # Streaming pipeline metrics (recorded by repro.core.streaming and the
 # collection/ranked streaming consumers).
@@ -193,7 +200,8 @@ class Observability:
         Optional :class:`FlightRecorder`; when present,
         :meth:`record_query` folds every evaluation into it as one
         :class:`QueryProfile` (the query log: resource attribution,
-        slow flag, §5 predicted-vs-measured cost, tail-sampled trace).
+        slow flag, §5 predicted-vs-measured cost, tail-sampled trace)
+        and counts the profile's series.
     """
 
     enabled = True
@@ -218,29 +226,91 @@ class Observability:
                      peak_memory: Optional[int] = None,
                      checkpoints: int = 0, outcome: str = "ok",
                      reason: Optional[str] = None,
+                     shard: Optional[int] = None,
                      span=None) -> Optional[QueryProfile]:
         """Fold one evaluation into metrics and the flight recorder.
 
-        The single recording call of ``strategies.evaluate``,
-        ``evaluator.run_plan`` and a finished ``FragmentStream``;
+        The one place a query is counted: the single recording call of
+        a finished ``FragmentStream`` (every entry point is one).
         ``elapsed``/``cpu_s`` are in seconds, ``stats`` the plain-dict
-        operation counters, ``span`` the evaluation's closed root span
-        (kept only if the recorder's sampling retains it).  An aborted
-        evaluation (``outcome != "ok"``) is recorded as a profile
-        only: the per-query metric families count finished queries.
+        operation counters, ``shard`` the shard of the evaluated
+        document (if any), ``span`` the evaluation's closed root span
+        (serialised only if the recorder's sampling retains it).  An
+        aborted evaluation (``outcome != "ok"``) is recorded as a
+        profile only: the ``repro_query*`` families count finished
+        queries.
         """
         counters = dict(stats) if stats else {}
         if outcome == "ok":
             self._count_query(strategy, answers, elapsed, counters)
-        if self.recorder is None:
+        recorder = self.recorder
+        if recorder is None:
             return None
-        return self.recorder.observe(
-            metrics=self.metrics, document=document, terms=terms,
+        profile = recorder.observe(
+            document=document, terms=terms,
             filter=filter, strategy=strategy, answers=answers,
             elapsed=elapsed, cpu_s=cpu_s, stats=counters,
             outcome=outcome, reason=reason,
             predicted_cost=predicted_cost, peak_memory=peak_memory,
-            checkpoints=checkpoints, plan=plan, span=span)
+            checkpoints=checkpoints, plan=plan, shard=shard, span=span)
+        self._count_profile(recorder, profile)
+        return profile
+
+    def _count_profile(self, recorder: FlightRecorder,
+                       profile: QueryProfile) -> None:
+        m = self.metrics
+        m.counter(PROFILES_RECORDED,
+                  "Queries folded into the flight recorder.").inc()
+        if recorder.is_slow(profile):
+            m.counter(SLOW_QUERIES,
+                      "Queries at or over the slow threshold.").inc()
+        ratio = profile.cost_ratio
+        if ratio is not None:
+            labels = {"strategy": profile.strategy}
+            m.histogram(COST_ERROR,
+                        "Measured/predicted Section-5 cost ratio per "
+                        "query.", buckets=COST_ERROR_BUCKETS,
+                        labels=labels).observe(ratio)
+            m.counter(COST_PREDICTED,
+                      "Summed Section-5 predicted plan cost.",
+                      labels=labels).inc(profile.predicted_cost)
+            m.counter(COST_ACTUAL, "Summed measured operation cost.",
+                      labels=labels).inc(profile.actual_cost)
+        if profile.trace_id is not None:
+            m.counter(TRACES_RETAINED,
+                      "Span trees retained by tail/head sampling.").inc()
+            if recorder.traces_dropped:
+                dropped = m.counter(
+                    TRACES_DROPPED,
+                    "Retained traces evicted past max_traces.")
+                if dropped.value < recorder.traces_dropped:
+                    dropped.inc(recorder.traces_dropped - dropped.value)
+
+    def publish_calibration(self) -> dict[str, float]:
+        """Set and return the per-strategy calibration gauges.
+
+        ``{strategy: actual/predicted}`` over the summed
+        ``repro_cost_predicted_total`` / ``repro_cost_actual_total``
+        counters — which merge additively from pool workers, so a
+        pooled run reads what a serial one does.  The gauge is a ratio,
+        so it is computed when read (export, ``/varz``, exit), never
+        counted on the query path or shipped in a worker delta.
+        """
+        m = self.metrics
+        ratios = {}
+        for predicted in m.instruments():
+            if predicted.name != COST_PREDICTED or predicted.value <= 0:
+                continue
+            labels = dict(predicted.labels)
+            actual = m.get(COST_ACTUAL, labels)
+            if actual is None:
+                continue
+            ratio = ratios[labels["strategy"]] = \
+                actual.value / predicted.value
+            m.gauge(COST_CALIBRATION,
+                    "Measured/predicted cost ratio per strategy "
+                    "(running).", labels=labels).set(round(ratio, 6))
+        return ratios
 
     def _count_query(self, strategy: str, answers: int, elapsed: float,
                      counters: Mapping) -> None:
@@ -249,9 +319,9 @@ class Observability:
         m.counter(QUERIES_BY_STRATEGY, "Queries evaluated per strategy.",
                   labels={"strategy": strategy}).inc()
         m.histogram(QUERY_LATENCY, "End-to-end query latency.",
-                    buckets=LATENCY_BUCKETS).observe(elapsed)
-        m.histogram(QUERY_FRAGMENTS, "Answer fragments per query."
-                    ).observe(answers)
+                    buckets=LATENCY_LOG_BUCKETS).observe(elapsed)
+        m.histogram(QUERY_FRAGMENTS, "Answer fragments per query.",
+                    buckets=SIZE_LOG_BUCKETS).observe(answers)
         discarded = counters.get("fragments_discarded", 0)
         m.counter(FRAGMENT_JOINS, "Fragment joins computed."
                   ).inc(counters.get("fragment_joins", 0))

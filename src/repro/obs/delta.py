@@ -72,11 +72,12 @@ def capture_delta(obs, baseline: Optional[dict] = None
                   ) -> tuple[ObsDelta, dict]:
     """Capture (and drain) one telemetry increment from ``obs``.
 
-    Returns ``(delta, new_baseline)``.  The tracer and recorder are
-    drained — their contents ship exactly once — while the metrics
-    registry keeps accumulating.  One registry snapshot is both the
-    state the increment subtracts ``baseline`` from and the returned
-    baseline that marks the cut for the next capture.
+    Returns ``(delta, new_baseline)``.  The tracer (the calling
+    thread's roots) and the recorder are drained — their contents ship
+    exactly once — while the metrics registry keeps accumulating.  One
+    registry snapshot is both the state the increment subtracts
+    ``baseline`` from and the returned baseline that marks the cut for
+    the next capture.
     """
     if not obs.enabled:
         return ObsDelta(), baseline or {}
@@ -103,8 +104,9 @@ def merge_delta(obs, delta: Optional[ObsDelta],
     totals match a serial run; span trees rehydrate under the currently
     open span with a ``worker`` attribute; profiles and retained
     traces are ingested into the parent's ring.  A worker records under
-    the parent's ``RecorderConfig``, so ``repro_slow_queries_total``
-    travels in the metrics increment like every other counter.
+    the parent's ``RecorderConfig`` and counts each profile's series
+    (slow, cost, retained traces) where it ran, so they travel in the
+    metrics increment like every other counter.
     """
     if delta is None or not obs.enabled or not delta:
         return
@@ -116,8 +118,4 @@ def merge_delta(obs, delta: Optional[ObsDelta],
         obs.tracer.adopt(delta.spans,
                          **({"worker": worker} if worker else {}))
     if (delta.profiles or delta.traces) and obs.recorder is not None:
-        # Histograms/cost counters already travelled in the metrics
-        # diff above; ingest only folds the profiles/traces into the
-        # parent ring and refreshes the calibration gauges.
-        obs.recorder.ingest(delta.profiles, delta.traces,
-                            worker=worker, metrics=obs.metrics)
+        obs.recorder.ingest(delta.profiles, delta.traces, worker=worker)

@@ -23,9 +23,10 @@ The disabled path is :data:`NULL_METRICS`: its instruments are one
 shared no-op object, so metric calls on a disabled registry cost a
 method call and nothing else.
 
-Thread safety: all *registry-level* operations — get-or-create,
-lookup, export (JSON/Prometheus/summary), :meth:`~MetricsRegistry.diff`
-and :meth:`~MetricsRegistry.merge` — hold one reentrant lock, so a
+Thread safety: every *registry-level* operation that creates or lists
+instruments — creation, export (JSON/Prometheus/summary),
+:meth:`~MetricsRegistry.diff` and :meth:`~MetricsRegistry.merge` — holds
+one reentrant lock (returning an existing instrument does not), so a
 query thread can keep registering instruments while HTTP server
 threads export snapshots (see :mod:`repro.obs.server`) without
 "dictionary changed size during iteration" failures.  Individual
@@ -329,17 +330,21 @@ class MetricsRegistry:
     def _get(self, cls, name: str, help: str, labels: LabelsArg,
              **kwargs) -> _Instrument:
         key = (name, _label_key(labels))
-        with self._lock:
-            found = self._instruments.get(key)
-            if found is not None:
-                if not isinstance(found, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{found.kind}")
-                return found
-            instrument = cls(name, help=help, labels=labels, **kwargs)
-            self._instruments[key] = instrument
-            return instrument
+        # An existing instrument is returned without the lock: a dict
+        # read is atomic under the GIL, and entries are never removed.
+        # Creating one locks and re-checks.
+        found = self._instruments.get(key)
+        if found is None:
+            with self._lock:
+                found = self._instruments.get(key)
+                if found is None:
+                    found = self._instruments[key] = cls(
+                        name, help=help, labels=labels, **kwargs)
+                    return found
+        if not isinstance(found, cls):
+            raise ValueError(f"metric {name!r} already registered as "
+                             f"{found.kind}")
+        return found
 
     def get(self, name: str,
             labels: LabelsArg = None) -> Optional[_Instrument]:

@@ -14,25 +14,20 @@ log: the one per-query record the engine keeps.
   high-water mark — and, when a ``sink`` is configured, one JSON line
   (the format :func:`load_dump` reads back);
 * profiles at or over ``RecorderConfig.slow_ms`` are the *slow
-  queries* (:meth:`FlightRecorder.slow_profiles`, ``/slow``,
-  ``repro_slow_queries_total``);
+  queries* (:meth:`FlightRecorder.slow_profiles`, ``/slow``);
 * **tail-based trace sampling**: the full span tree is retained only
   for queries that are slow, budget-aborted, errored, or randomly
-  head-sampled at a configurable rate.  Everything else contributes to
-  the latency / result-size / cost-error histograms and is dropped;
+  head-sampled at a configurable rate.  Everything else is dropped;
 * retained traces are stored pre-converted to **Chrome trace-event**
   JSON (load the export in ``chrome://tracing`` or Perfetto);
 * profiles produced inside pool workers ship in-band through
   :mod:`repro.obs.delta` and are folded into the parent recorder with
   ``worker=N`` provenance, so one ring covers the whole process tree.
 
-The recorder deliberately owns no metrics registry: callers pass the
-one they want populated (``observe(..., metrics=obs.metrics)``), which
-keeps worker-side recorders additive under the delta merge — workers
-feed histograms and the predicted/actual cost *counters* (both merge
-additively); only the parent publishes the non-additive
-``repro_cost_calibration_ratio`` gauge, recomputed from its running
-sums (:meth:`FlightRecorder.publish_calibration`).
+The recorder touches no metrics registry: the per-query series — slow
+queries, §5 cost counters, retained traces — are counted once, by
+:meth:`repro.obs.Observability.record_query`, from the profile that
+:meth:`FlightRecorder.observe` returns.
 """
 
 from __future__ import annotations
@@ -49,28 +44,8 @@ from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .metrics import (COST_ERROR_BUCKETS, LATENCY_LOG_BUCKETS,
-                      SIZE_LOG_BUCKETS)
-
 __all__ = ["RecorderConfig", "QueryProfile", "FlightRecorder",
-           "load_dump", "span_to_events",
-           "RECORDER_LATENCY", "RECORDER_RESULT_SIZE", "COST_ERROR",
-           "COST_CALIBRATION", "COST_PREDICTED", "COST_ACTUAL",
-           "PROFILES_RECORDED", "PROFILES_EVICTED", "TRACES_RETAINED",
-           "TRACES_DROPPED", "SLOW_QUERIES"]
-
-# Metric names owned by the recorder (re-exported by repro.obs).
-RECORDER_LATENCY = "repro_recorder_latency_seconds"
-RECORDER_RESULT_SIZE = "repro_recorder_result_size"
-COST_ERROR = "repro_cost_error_ratio"
-COST_CALIBRATION = "repro_cost_calibration_ratio"
-COST_PREDICTED = "repro_cost_predicted_total"
-COST_ACTUAL = "repro_cost_actual_total"
-PROFILES_RECORDED = "repro_recorder_profiles_total"
-PROFILES_EVICTED = "repro_recorder_profiles_evicted_total"
-TRACES_RETAINED = "repro_recorder_traces_retained_total"
-TRACES_DROPPED = "repro_recorder_traces_dropped_total"
-SLOW_QUERIES = "repro_slow_queries_total"
+           "load_dump", "span_to_events"]
 
 #: Stats counters summed into a profile's *measured* cost — the same
 #: "primitive operations" currency the Section-5 ``CostEstimate`` prices
@@ -97,7 +72,7 @@ class RecorderConfig:
     max_traces:
         Full span trees retained; beyond it the oldest trace is
         dropped (the profile keeps its ``trace_id`` but the trace body
-        is gone — ``repro_recorder_traces_dropped_total`` counts this).
+        is gone — ``traces_dropped`` counts this).
     slow_ms:
         The slow-query threshold: queries at or over this latency are
         *slow* — listed by ``/slow``, counted in
@@ -287,6 +262,17 @@ def span_to_events(span, *, pid: int = 0, tid: int = 0,
     return events
 
 
+def _trace_body(span) -> Optional[dict]:
+    """A retained trace: the span tree as Chrome events plus its
+    nested-dict form, or ``None`` for a span that will not serialise
+    (a half-broken span must not kill the query)."""
+    try:
+        return {"events": span_to_events(span, pid=os.getpid()),
+                "spans": [span.to_dict()]}
+    except Exception:
+        return None
+
+
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an already-sorted sample."""
     if not sorted_values:
@@ -327,36 +313,10 @@ class FlightRecorder:
         self.evicted = 0
         self.traces_retained = 0
         self.traces_dropped = 0
-        # Per-strategy running sums: strategy -> [predicted, actual, n].
-        self._cost_sums: dict[str, list[float]] = {}
-        # Resolved metric instruments for the one registry this
-        # recorder aggregates into; registry lookups take an RLock per
-        # call, which dominates sub-millisecond queries.
-        self._instr_for: Optional[object] = None
-        self._instr: dict = {}
         import random
         self._rng = random.Random(self.config.seed)
         self._memory_on = False
         self._id_prefix = f"q{os.getpid():x}-"
-        # Ambient attribution set by routing layers (e.g. which shard
-        # the queries now being observed are running against).
-        self._context: dict = {}
-
-    def set_context(self, **fields) -> None:
-        """Set ambient profile fields for subsequent :meth:`observe` calls.
-
-        The shard router (and the sharded executor's workers) tag the
-        queries they evaluate with ``shard=N`` this way; passing
-        ``None`` clears a field.  Unknown keys are rejected to catch
-        typos early.
-        """
-        for key, value in fields.items():
-            if key not in ("shard",):
-                raise ValueError(f"unknown recorder context field {key!r}")
-            if value is None:
-                self._context.pop(key, None)
-            else:
-                self._context[key] = value
 
     # ------------------------------------------------------------------
     # Recording
@@ -387,7 +347,7 @@ class FlightRecorder:
             total += stats.get(key, 0)
         return max(1.0, total)
 
-    def observe(self, *, metrics, document: str, terms: Sequence[str],
+    def observe(self, *, document: str, terms: Sequence[str],
                 filter: str, strategy: str, answers: int,
                 elapsed: float, cpu_s: float = 0.0,
                 stats: Optional[Mapping] = None, outcome: str = "ok",
@@ -395,14 +355,15 @@ class FlightRecorder:
                 predicted_cost: Optional[float] = None,
                 peak_memory: Optional[int] = None,
                 checkpoints: int = 0, plan: Optional[str] = None,
+                shard: Optional[int] = None,
                 span=None) -> QueryProfile:
         """Fold one finished (or aborted) query into the recorder.
 
-        ``metrics`` is the registry the aggregates land in (histograms
-        always; the predicted/actual cost counters when a calibration
-        sample exists).  ``span`` is the query's *closed* root span,
-        serialized to Chrome events only if the tail/head sampling
-        decision retains it.
+        ``shard`` is the shard the query's document lives in, if any.
+        ``span`` is the query's *closed* root span, held only for this
+        call and serialized to Chrome events only if the tail/head
+        sampling decision retains it (the profile then carries a
+        ``trace_id``).
         """
         if stats is None:
             counters = {}
@@ -414,12 +375,13 @@ class FlightRecorder:
         actual = (self.measured_cost(counters, answers)
                   if predicted_cost is not None else None)
         retained = self._retain_reason(outcome, wall_ms)
+        trace = None
+        if retained is not None and span is not None \
+                and self.config.max_traces > 0:
+            trace = _trace_body(span)
         with self._lock:
             query_id = self._next_id()
-            trace_id = None
-            if retained is not None and span is not None \
-                    and self.config.max_traces > 0:
-                trace_id = query_id
+            trace_id = query_id if trace is not None else None
             profile = QueryProfile(
                 ts=self._clock(), query_id=query_id, document=document,
                 terms=tuple(terms), filter=filter, strategy=strategy,
@@ -430,28 +392,21 @@ class FlightRecorder:
                 checkpoints=checkpoints, stats=counters,
                 predicted_cost=predicted_cost, actual_cost=actual,
                 peak_memory_bytes=peak_memory,
-                shard=self._context.get("shard"), trace_id=trace_id,
-                retained=retained, plan=plan)
+                shard=shard, trace_id=trace_id, retained=retained,
+                plan=plan)
             self._append(profile)
-            if trace_id is not None:
-                self._retain_trace(trace_id, span, metrics)
-        self._aggregate(metrics, profile)
+            if trace is not None:
+                self._store_trace(trace_id, trace)
         return profile
 
     def _append(self, profile: QueryProfile) -> None:
-        """Ring append, calibration sample and sink line under the lock
-        (one choke point, so the ring, the sink and the counts stay
-        coherent across threads), counting evictions."""
+        """Ring append and sink line under the lock (one choke point,
+        so the ring, the sink and the counts stay coherent across
+        threads), counting evictions."""
         if len(self._ring) == self._ring.maxlen:
             self.evicted += 1
         self._ring.append(profile)
         self.recorded += 1
-        if profile.predicted_cost and profile.actual_cost is not None:
-            sums = self._cost_sums.setdefault(profile.strategy,
-                                              [0.0, 0.0, 0])
-            sums[0] += profile.predicted_cost
-            sums[1] += profile.actual_cost
-            sums[2] += 1
         sink = self._sink
         if sink is not None:
             if callable(sink):
@@ -468,133 +423,12 @@ class FlightRecorder:
         """Retained profiles at or over the threshold (a copy)."""
         return [p for p in self.profiles if self.is_slow(p)]
 
-    def _retain_trace(self, trace_id: str, span, metrics) -> None:
-        """Store one retained trace (Chrome events + tree) under the
-        lock, evicting the oldest past ``max_traces``."""
-        try:
-            events = span_to_events(span, pid=os.getpid())
-            tree = span.to_dict()
-        except Exception:  # a half-broken span must not kill the query
-            return
-        self._store_trace(trace_id, {"events": events, "spans": [tree]})
-        if metrics.enabled:
-            metrics.counter(
-                TRACES_RETAINED,
-                "Span trees retained by tail/head sampling.").inc()
-            if self.traces_dropped:
-                dropped = metrics.counter(
-                    TRACES_DROPPED,
-                    "Retained traces evicted past max_traces.")
-                if dropped.value < self.traces_dropped:
-                    dropped.inc(self.traces_dropped - dropped.value)
-
     def _store_trace(self, trace_id: str, body: dict) -> None:
         self._traces[trace_id] = body
         self.traces_retained += 1
         while len(self._traces) > self.config.max_traces:
             self._traces.popitem(last=False)
             self.traces_dropped += 1
-
-    def _instruments(self, metrics) -> dict:
-        """Resolved instrument handles for *metrics* (memoized).
-
-        A recorder aggregates into one registry for its lifetime (the
-        parent's, or the worker's per-chunk one); re-resolving each
-        instrument per query would pay the registry's get-or-create
-        lock six times on the hot path.
-        """
-        if self._instr_for is not metrics:
-            self._instr = {
-                "recorded": metrics.counter(
-                    PROFILES_RECORDED,
-                    "Queries folded into the flight recorder."),
-                "slow": metrics.counter(
-                    SLOW_QUERIES,
-                    "Queries at or over the slow threshold."),
-                "latency": metrics.histogram(
-                    RECORDER_LATENCY,
-                    "Per-query wall latency (flight recorder, "
-                    "log buckets).",
-                    buckets=LATENCY_LOG_BUCKETS),
-                "size": metrics.histogram(
-                    RECORDER_RESULT_SIZE,
-                    "Answer fragments per query (log buckets).",
-                    buckets=SIZE_LOG_BUCKETS),
-                "cost": {},
-            }
-            self._instr_for = metrics
-        return self._instr
-
-    def _cost_instruments(self, metrics, strategy: str) -> tuple:
-        cost = self._instruments(metrics)["cost"]
-        found = cost.get(strategy)
-        if found is None:
-            labels = {"strategy": strategy}
-            found = (
-                metrics.histogram(
-                    COST_ERROR,
-                    "Measured/predicted Section-5 cost ratio per "
-                    "query.",
-                    buckets=COST_ERROR_BUCKETS, labels=labels),
-                metrics.counter(
-                    COST_PREDICTED,
-                    "Summed Section-5 predicted plan cost.",
-                    labels=labels),
-                metrics.counter(
-                    COST_ACTUAL,
-                    "Summed measured operation cost.",
-                    labels=labels),
-            )
-            cost[strategy] = found
-        return found
-
-    def _aggregate(self, metrics, profile: QueryProfile) -> None:
-        """Histogram + counter aggregates for one profile.
-
-        These land in whatever registry the caller serves; inside a
-        pool worker that is the worker's registry, whose increments
-        merge additively into the parent — so the parent must *not*
-        re-aggregate ingested worker profiles (see :meth:`ingest`).
-        """
-        if not metrics.enabled:
-            return
-        instr = self._instruments(metrics)
-        instr["recorded"].inc()
-        if self.is_slow(profile):
-            instr["slow"].inc()
-        instr["latency"].observe(profile.wall_ms / 1000)
-        instr["size"].observe(profile.answers)
-        ratio = profile.cost_ratio
-        if ratio is not None:
-            error, predicted, actual = self._cost_instruments(
-                metrics, profile.strategy)
-            error.observe(ratio)
-            predicted.inc(profile.predicted_cost)
-            actual.inc(profile.actual_cost)
-
-    def publish_calibration(self, metrics) -> dict[str, float]:
-        """Recompute and export the per-strategy calibration gauges.
-
-        Returns ``{strategy: measured/predicted}`` over every sample
-        this recorder has seen (its own and ingested worker ones).
-        Called by parents only — the gauge is a ratio and must never
-        travel through the additive delta merge.
-        """
-        with self._lock:
-            sums = {s: list(v) for s, v in self._cost_sums.items()}
-        ratios = {}
-        for strategy, (predicted, actual, _) in sums.items():
-            if predicted <= 0:
-                continue
-            ratio = actual / predicted
-            ratios[strategy] = ratio
-            if metrics is not None and metrics.enabled:
-                metrics.gauge(
-                    COST_CALIBRATION,
-                    "Measured/predicted cost ratio per strategy "
-                    "(running).",
-                    labels={"strategy": strategy}).set(round(ratio, 6))
-        return ratios
 
     # -- opt-in memory high-water -------------------------------------
 
@@ -639,13 +473,12 @@ class FlightRecorder:
         return profiles, traces
 
     def ingest(self, profiles: Sequence[Mapping], traces: Mapping,
-               worker: Optional[str] = None, metrics=None) -> None:
+               worker: Optional[str] = None) -> None:
         """Fold a worker's drained profiles and traces into this ring.
 
-        Histograms and cost counters are *not* re-aggregated — the
-        worker already counted them into its own registry, whose delta
-        merges additively next to this call.  Running calibration sums
-        (and the gauges) are parent business and are updated here.
+        Nothing is counted here: the worker's ``record_query`` counted
+        each profile into the worker registry, whose delta merges
+        additively next to this call.
         """
         with self._lock:
             for data in profiles:
@@ -655,8 +488,6 @@ class FlightRecorder:
                 self._append(profile)
             for trace_id, body in traces.items():
                 self._store_trace(trace_id, body)
-        if metrics is not None:
-            self.publish_calibration(metrics)
 
     # ------------------------------------------------------------------
     # Introspection / export
@@ -709,7 +540,6 @@ class FlightRecorder:
         return {"config": self.config.to_dict(),
                 "counts": counts,
                 "latency": self.latency_percentiles(),
-                "calibration": self.publish_calibration(None),
                 "outcomes": outcomes,
                 "traces": trace_ids,
                 "profiles": [p.to_dict() for p in profiles]}

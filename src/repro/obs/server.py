@@ -15,9 +15,8 @@ daemon thread and serves the handle's current state:
     begun.
 ``GET /varz``
     The whole registry as JSON, plus server uptime, the degraded flag,
-    the flight-recorder ring, the tracer's retained root count and (with a
-    collection attached) the guard-rail state: queue depth, in-flight
-    count, breaker state.
+    the flight-recorder ring and (with a collection attached) the
+    guard-rail state: queue depth, in-flight count, breaker state.
 ``GET /slow``
     The ring's profiles at or over the recorder's ``slow_ms``, as a
     JSON array.
@@ -543,9 +542,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply_json(slo.snapshot())
 
     def _get_flightrecorder(self) -> None:
-        recorder = self.server.obs.recorder
-        recorder.publish_calibration(self.server.obs.metrics)
-        self._reply_json(recorder.snapshot())
+        obs = self.server.obs
+        doc = obs.recorder.snapshot()
+        doc["calibration"] = obs.publish_calibration()
+        self._reply_json(doc)
 
     def _get_trace(self, trace_id: str) -> None:
         doc = self.server.obs.recorder.chrome_trace(trace_id)
@@ -726,10 +726,9 @@ class _ObsHTTPServer(ThreadingHTTPServer):
     def refresh_gauges(self) -> None:
         """Recompute point-in-time gauges before a metrics export.
 
-        Sets the process RSS gauge and republishes the recorder's
-        per-strategy calibration ratios — both are snapshots, not
-        counters, so they are computed on read rather than on the
-        query hot path.
+        Sets the process RSS gauge and the per-strategy calibration
+        ratios — both are snapshots, not counters, so they are computed
+        on read rather than on the query hot path.
         """
         stats = process_stats()
         # Only a *current* RSS becomes a gauge: the rusage fallback is
@@ -742,7 +741,7 @@ class _ObsHTTPServer(ThreadingHTTPServer):
                 PROCESS_RSS,
                 "Resident-set size of the serving process."
             ).set(stats["rss_bytes"])
-        self.obs.recorder.publish_calibration(self.obs.metrics)
+        self.obs.publish_calibration()
 
     def varz(self) -> dict:
         """The ``/varz`` document: uptime + registry + serving state."""
@@ -754,9 +753,6 @@ class _ObsHTTPServer(ThreadingHTTPServer):
             "metrics": obs.metrics.to_json(),
             "process": process_stats(),
         }
-        if obs.tracer.enabled:
-            doc["tracer"] = {"roots": len(obs.tracer.roots),
-                             "max_roots": obs.tracer.max_roots}
         recorder = obs.recorder
         doc["flight_recorder"] = {
             "profiles": len(recorder),
@@ -766,7 +762,9 @@ class _ObsHTTPServer(ThreadingHTTPServer):
             "slow": len(recorder.slow_profiles()),
             "slow_ms": recorder.config.slow_ms,
             "traces": len(recorder.trace_ids()),
-            "calibration": recorder.publish_calibration(obs.metrics),
+            "traces_retained": recorder.traces_retained,
+            "traces_dropped": recorder.traces_dropped,
+            "calibration": obs.publish_calibration(),
         }
         if self.guard is not None:
             self._publish_breaker()
@@ -866,6 +864,9 @@ class _ObsHTTPServer(ThreadingHTTPServer):
             return self._evaluate_admitted(guard, query, options, retry)
         finally:
             guard.release_slot()
+            # The request is answered: its span trees are done with (a
+            # retained trace already lives in the recorder).
+            self.obs.tracer.clear()
 
     def serve_ingest(self, body: bytes
                      ) -> tuple[int, Optional[dict], dict]:

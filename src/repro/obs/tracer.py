@@ -25,6 +25,7 @@ records nothing.  Code that takes an observability handle never needs an
 from __future__ import annotations
 
 import json
+import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -69,13 +70,13 @@ class Span:
         return max(0.0, self.ended - self.started)
 
     def __enter__(self) -> "Span":
-        tracer = self._tracer
-        parent = tracer._stack[-1] if tracer._stack else None
-        if parent is not None:
-            parent.children.append(self)
+        spans = self._tracer._spans
+        stack = spans.stack
+        if stack:
+            stack[-1].children.append(self)
         else:
-            tracer._add_root(self)
-        tracer._stack.append(self)
+            spans.roots.append(self)
+        stack.append(self)
         if self._stats is not None:
             self._before = self._stats.snapshot()
         self.started = time.perf_counter()
@@ -87,7 +88,7 @@ class Span:
             delta = self._stats.delta(self._before)
             self.work = {key: value for key, value
                          in delta.as_dict().items() if value}
-        stack = self._tracer._stack
+        stack = self._tracer._spans.stack
         if stack and stack[-1] is self:
             stack.pop()
         if exc_type is not None:
@@ -169,34 +170,39 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _ThreadSpans(threading.local):
+    """One thread's open-span stack and finished root spans."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+        self.roots: list[Span] = []
+
+
 class SpanTracer:
-    """Collects a forest of spans for one traced run.
+    """Collects a forest of spans, one forest per thread.
+
+    Span state is per thread: a span opens under the innermost open
+    span *of its own thread*, so concurrent requests sharing one tracer
+    never nest into each other.  A thread's roots stay until that
+    thread takes them (:meth:`clear`): the CLI renders them, a pool
+    worker ships and clears them after each chunk, and ``serve``
+    clears them once a request is answered.
 
     Attributes
     ----------
     roots:
-        Top-level spans, in start order.  Nested ``span()`` calls attach
-        to the innermost open span instead.
-    max_roots:
-        ``None`` (default) keeps every root until :meth:`clear`; a
-        long-running server passes a bound and ``roots`` becomes a ring
-        holding the newest ``max_roots`` trees.
+        The calling thread's top-level spans, in start order.  Nested
+        ``span()`` calls attach to the innermost open span instead.
     """
 
     enabled = True
 
-    def __init__(self, *, max_roots: Optional[int] = None) -> None:
-        if max_roots is not None and max_roots < 1:
-            raise ValueError("max_roots must be positive")
-        self.roots: list[Span] = []
-        self.max_roots = max_roots
-        self._stack: list[Span] = []
+    def __init__(self) -> None:
+        self._spans = _ThreadSpans()
 
-    def _add_root(self, span: Span) -> None:
-        roots = self.roots
-        roots.append(span)
-        if self.max_roots is not None and len(roots) > self.max_roots:
-            del roots[0]
+    @property
+    def roots(self) -> list[Span]:
+        return self._spans.roots
 
     def span(self, name: str, stats: Optional["OperationStats"] = None,
              **attributes) -> Span:
@@ -204,13 +210,14 @@ class SpanTracer:
         return Span(self, name, attributes, stats)
 
     def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, if any."""
+        stack = self._spans.stack
+        return stack[-1] if stack else None
 
     def clear(self) -> None:
-        """Drop every recorded span."""
-        self.roots.clear()
-        self._stack.clear()
+        """Drop every span the calling thread recorded."""
+        self._spans.roots.clear()
+        self._spans.stack.clear()
 
     def attach(self, span: Span) -> None:
         """Graft an already-closed span (tree) into the current position.
@@ -219,11 +226,11 @@ class SpanTracer:
         root when no span is open — how rehydrated worker span trees
         land inside the parent's ``parallel-search`` span.
         """
-        parent = self._stack[-1] if self._stack else None
+        parent = self.current()
         if parent is not None:
             parent.children.append(span)
         else:
-            self._add_root(span)
+            self._spans.roots.append(span)
 
     def adopt(self, dicts, **attributes) -> list[Span]:
         """Rehydrate serialized span trees and :meth:`attach` each one.

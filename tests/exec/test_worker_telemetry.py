@@ -169,7 +169,7 @@ class TestRecorderAcrossWorkers:
         return None
 
     def test_histograms_merge_without_double_counting(self):
-        from repro.obs import RECORDER_LATENCY, RECORDER_RESULT_SIZE
+        from repro.obs import QUERY_FRAGMENTS, QUERY_LATENCY
 
         serial_obs = self._profiled_obs()
         with _fresh_collection() as collection:
@@ -178,34 +178,31 @@ class TestRecorderAcrossWorkers:
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=parallel_obs, workers=2)
 
-        for name in (RECORDER_LATENCY, RECORDER_RESULT_SIZE):
+        for name in (QUERY_LATENCY, QUERY_FRAGMENTS):
             serial = self._histogram_export(serial_obs, name)
             parallel = self._histogram_export(parallel_obs, name)
             assert serial is not None and parallel is not None
             # one sample per evaluated document, counted exactly once
             assert parallel["count"] == serial["count"]
+            assert parallel["buckets"] == serial["buckets"]
             assert sum(parallel["counts"]) == parallel["count"]
-        # result-size samples are integers: the sums must agree exactly
-        size_serial = self._histogram_export(serial_obs,
-                                             RECORDER_RESULT_SIZE)
-        size_parallel = self._histogram_export(parallel_obs,
-                                               RECORDER_RESULT_SIZE)
-        assert size_parallel["sum"] == size_serial["sum"]
+        # result-size samples are integers: the histograms must agree
+        # exactly
+        assert self._histogram_export(parallel_obs, QUERY_FRAGMENTS) \
+            == self._histogram_export(serial_obs, QUERY_FRAGMENTS)
 
     def test_prometheus_buckets_and_inf_after_merge(self):
-        from repro.obs import RECORDER_LATENCY
-
         obs = self._profiled_obs()
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=obs, workers=2)
         prom = obs.metrics.to_prometheus()
-        assert 'repro_recorder_latency_seconds_bucket{le="+Inf"}' in prom
+        assert 'repro_query_latency_seconds_bucket{le="+Inf"}' in prom
         # cumulative export: the +Inf bucket equals the sample count
         count_line = [l for l in prom.splitlines()
-                      if l.startswith("repro_recorder_latency_seconds_"
+                      if l.startswith("repro_query_latency_seconds_"
                                       "count")][0]
         inf_line = [l for l in prom.splitlines()
-                    if l.startswith("repro_recorder_latency_seconds_"
+                    if l.startswith("repro_query_latency_seconds_"
                                     "bucket") and '+Inf' in l][0]
         assert count_line.split()[-1] == inf_line.split()[-1]
 
@@ -238,13 +235,29 @@ class TestRecorderAcrossWorkers:
         parallel_obs = self._profiled_obs()
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=parallel_obs, workers=2)
-        serial = serial_obs.recorder.publish_calibration(
-            serial_obs.metrics)
-        parallel = parallel_obs.recorder.publish_calibration(
-            parallel_obs.metrics)
+        serial = serial_obs.publish_calibration()
+        parallel = parallel_obs.publish_calibration()
         assert set(parallel) == set(serial)
         for strategy, ratio in serial.items():
             assert parallel[strategy] == pytest.approx(ratio, rel=1e-6)
+
+        # Both runs expose the same repro_query_* and repro_cost_*
+        # series, with equal counts and cost totals.
+        def series(obs):
+            return {(record["name"], tuple(sorted(record["labels"].items())))
+                    : record for record in obs.metrics.to_json()["metrics"]
+                    if record["name"].startswith(("repro_query",
+                                                  "repro_cost_"))}
+
+        serial, parallel = series(serial_obs), series(parallel_obs)
+        assert set(parallel) == set(serial)
+        assert any(name.startswith("repro_cost_") for name, _ in serial)
+        for key, record in serial.items():
+            if record["kind"] == "histogram":
+                assert parallel[key]["count"] == record["count"]
+            else:
+                assert parallel[key]["value"] \
+                    == pytest.approx(record["value"])
 
     def test_a_chunk_larger_than_the_ring_loses_no_profile(self):
         """A worker's ring is drained after every chunk and has no

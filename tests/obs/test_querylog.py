@@ -10,8 +10,7 @@ import time
 
 import pytest
 
-from repro.obs import (NULL_METRICS, FlightRecorder, QueryProfile,
-                       RecorderConfig)
+from repro.obs import FlightRecorder, QueryProfile, RecorderConfig
 from repro.obs.recorder import load_dump
 
 
@@ -25,7 +24,7 @@ def _record(log, *, elapsed=0.002, **overrides):
                   filter="size<=3", strategy="pushdown", answers=4,
                   elapsed=elapsed, stats={"fragment_joins": 7})
     fields.update(overrides)
-    return log.observe(metrics=NULL_METRICS, **fields)
+    return log.observe(**fields)
 
 
 class TestRecordFields:

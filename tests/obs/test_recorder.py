@@ -18,8 +18,8 @@ from repro.errors import BudgetExceeded
 from repro.guard.budget import QueryBudget
 from repro.index.inverted import InvertedIndex
 from repro.obs import (COST_ACTUAL, COST_CALIBRATION, COST_PREDICTED,
-                       PROFILES_RECORDED, RECORDER_LATENCY,
-                       FlightRecorder, MetricsRegistry, Observability,
+                       PROFILES_RECORDED, QUERY_LATENCY, TRACES_DROPPED,
+                       TRACES_RETAINED, FlightRecorder, Observability,
                        QueryProfile, RecorderConfig)
 from repro.obs.recorder import (RETAIN_BUDGET, RETAIN_HEAD, RETAIN_SLOW,
                                 load_dump, span_to_events)
@@ -29,11 +29,16 @@ ALL_STRATEGIES = ("brute-force", "set-reduction", "pushdown",
                   "semi-naive")
 
 
-def _observe(recorder, metrics, *, elapsed=0.001, outcome="ok",
+def _observe(recorder, *, elapsed=0.001, outcome="ok",
              strategy="pushdown", predicted=None, answers=2, span=None,
              stats=None):
-    return recorder.observe(
-        metrics=metrics, document="doc", terms=("a", "b"), filter="true",
+    """One query through ``recorder`` — or, given an
+    :class:`Observability`, through its ``record_query``, which also
+    counts the profile's series."""
+    record = (recorder.record_query if isinstance(recorder, Observability)
+              else recorder.observe)
+    return record(
+        document="doc", terms=("a", "b"), filter="true",
         strategy=strategy, answers=answers, elapsed=elapsed,
         stats=stats or {"fragment_joins": 4, "join_cache_hits": 1},
         outcome=outcome, predicted_cost=predicted, span=span)
@@ -71,26 +76,24 @@ class TestRing:
     def test_ring_bounds_and_counts_evictions(self):
         recorder = FlightRecorder(RecorderConfig(ring_size=3,
                                                  slow_ms=None))
-        metrics = MetricsRegistry()
+        obs = Observability(recorder=recorder)
         for _ in range(5):
-            _observe(recorder, metrics)
+            _observe(obs)
         assert len(recorder) == 3
         assert recorder.recorded == 5
         assert recorder.evicted == 2
-        assert metrics.get(PROFILES_RECORDED).value == 5
+        assert obs.metrics.get(PROFILES_RECORDED).value == 5
 
     def test_query_ids_are_unique_and_ordered(self):
         recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        metrics = MetricsRegistry()
-        ids = [_observe(recorder, metrics).query_id for _ in range(3)]
+        ids = [_observe(recorder).query_id for _ in range(3)]
         assert len(set(ids)) == 3
         assert ids == sorted(ids)
 
     def test_latency_percentiles(self):
         recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        metrics = MetricsRegistry()
         for ms in (1, 2, 3, 4, 100):
-            _observe(recorder, metrics, elapsed=ms / 1000.0)
+            _observe(recorder, elapsed=ms / 1000.0)
         latency = recorder.latency_percentiles()
         assert latency["samples"] == 5
         assert latency["p50_ms"] == pytest.approx(3.0, rel=0.01)
@@ -100,17 +103,16 @@ class TestRing:
 class TestTailSampling:
     def test_budget_exceeded_always_retained(self):
         recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        profile = _observe(recorder, MetricsRegistry(),
-                           outcome="budget-exceeded",
+        profile = _observe(recorder, outcome="budget-exceeded",
                            span=_closed_span())
         assert profile.retained == RETAIN_BUDGET
         assert profile.trace_id in recorder.trace_ids()
 
     def test_slow_query_retained(self):
         recorder = FlightRecorder(RecorderConfig(slow_ms=10.0))
-        fast = _observe(recorder, MetricsRegistry(), elapsed=0.001,
+        fast = _observe(recorder, elapsed=0.001,
                         span=_closed_span())
-        slow = _observe(recorder, MetricsRegistry(), elapsed=0.05,
+        slow = _observe(recorder, elapsed=0.05,
                         span=_closed_span())
         assert fast.retained is None and fast.trace_id is None
         assert slow.retained == RETAIN_SLOW
@@ -119,9 +121,7 @@ class TestTailSampling:
         def retained_flags(seed):
             recorder = FlightRecorder(RecorderConfig(
                 slow_ms=None, sample_rate=0.5, seed=seed))
-            metrics = MetricsRegistry()
-            return [_observe(recorder, metrics,
-                             span=_closed_span()).retained
+            return [_observe(recorder, span=_closed_span()).retained
                     for _ in range(20)]
 
         first, second = retained_flags(42), retained_flags(42)
@@ -132,20 +132,22 @@ class TestTailSampling:
         recorder = FlightRecorder(RecorderConfig(slow_ms=None,
                                                  sample_rate=0.0))
         for _ in range(10):
-            profile = _observe(recorder, MetricsRegistry(),
-                               span=_closed_span())
+            profile = _observe(recorder, span=_closed_span())
             assert profile.retained is None
         assert recorder.trace_ids() == []
 
     def test_trace_store_bounded_by_max_traces(self):
         recorder = FlightRecorder(RecorderConfig(
             slow_ms=None, sample_rate=1.0, max_traces=2, seed=1))
-        metrics = MetricsRegistry()
+        obs = Observability(recorder=recorder)
         for _ in range(5):
-            _observe(recorder, metrics, span=_closed_span())
+            _observe(obs, span=_closed_span())
         assert len(recorder.trace_ids()) == 2
         assert recorder.traces_retained == 5
         assert recorder.traces_dropped == 3
+        # record_query counts both sides from the recorder's state
+        assert obs.metrics.get(TRACES_RETAINED).value == 5
+        assert obs.metrics.get(TRACES_DROPPED).value == 3
 
 
 class TestChromeExport:
@@ -160,8 +162,7 @@ class TestChromeExport:
 
     def test_chrome_trace_document_is_valid_json(self):
         recorder = FlightRecorder(RecorderConfig(slow_ms=0.0))
-        profile = _observe(recorder, MetricsRegistry(),
-                           span=_closed_span())
+        profile = _observe(recorder, span=_closed_span())
         doc = recorder.chrome_trace(profile.trace_id)
         assert doc["displayTimeUnit"] == "ms"
         assert doc["metadata"]["trace_id"] == profile.trace_id
@@ -182,11 +183,12 @@ class TestCalibration:
         assert profile.cost_ratio == pytest.approx(1.5)
 
     def test_publish_calibration_sets_gauges(self):
-        recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        metrics = MetricsRegistry()
-        _observe(recorder, metrics, predicted=10.0, answers=2,
+        obs = Observability(
+            recorder=FlightRecorder(RecorderConfig(slow_ms=None)))
+        metrics = obs.metrics
+        _observe(obs, predicted=10.0, answers=2,
                  stats={"fragment_joins": 10})
-        ratios = recorder.publish_calibration(metrics)
+        ratios = obs.publish_calibration()
         # measured cost = answers + joins = 12, predicted = 10
         assert ratios["pushdown"] == pytest.approx(1.2)
         gauge = metrics.get(COST_CALIBRATION,
@@ -208,7 +210,7 @@ class TestCalibration:
         for name in ALL_STRATEGIES:
             evaluate(document, query, strategy=Strategy.parse(name),
                      index=index, obs=obs)
-        ratios = obs.recorder.publish_calibration(obs.metrics)
+        ratios = obs.publish_calibration()
         assert set(ratios) == set(ALL_STRATEGIES)
         assert all(r > 0 for r in ratios.values())
         prom = obs.metrics.to_prometheus()
@@ -306,10 +308,9 @@ class TestBudgetAbort:
 class TestDumpAndLoad:
     def test_jsonl_round_trip(self, tmp_path):
         recorder = FlightRecorder(RecorderConfig(slow_ms=0.0))
-        metrics = MetricsRegistry()
-        _observe(recorder, metrics, predicted=8.0,
+        _observe(recorder, predicted=8.0,
                  span=_closed_span())
-        _observe(recorder, metrics, outcome="error")
+        _observe(recorder, outcome="error")
         path = tmp_path / "dump.jsonl"
         lines = recorder.dump(path)
         assert lines == 2 + len(recorder.trace_ids())
@@ -331,11 +332,9 @@ class TestDumpAndLoad:
     def test_dump_hook_writes_on_signal(self, tmp_path):
         script = textwrap.dedent("""
             import os, signal, sys, time
-            from repro.obs import FlightRecorder, MetricsRegistry, \\
-                RecorderConfig
+            from repro.obs import FlightRecorder, RecorderConfig
             recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-            recorder.observe(metrics=MetricsRegistry(), document="d",
-                             terms=("a",), filter="true",
+            recorder.observe(document="d", terms=("a",), filter="true",
                              strategy="pushdown", answers=1,
                              elapsed=0.001)
             recorder.install_dump_hook(sys.argv[1])
@@ -364,7 +363,7 @@ class TestDumpAndLoad:
 
     def test_uninstall_disarms_the_hook(self, tmp_path):
         recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        _observe(recorder, MetricsRegistry())
+        _observe(recorder)
         path = tmp_path / "never.jsonl"
         uninstall = recorder.install_dump_hook(path, signals=())
         uninstall()
@@ -374,33 +373,32 @@ class TestDumpAndLoad:
 
 class TestIngest:
     def test_ingest_tags_worker_and_skips_reaggregation(self):
-        worker = FlightRecorder(RecorderConfig(slow_ms=0.0),
-                                worker_mode=True)
-        worker_metrics = MetricsRegistry()
-        _observe(worker, worker_metrics, predicted=5.0,
-                 span=_closed_span())
-        profiles, traces = worker.drain()
-        assert len(worker) == 0
+        worker = Observability(recorder=FlightRecorder(
+            RecorderConfig(slow_ms=0.0), worker_mode=True))
+        _observe(worker, predicted=5.0, span=_closed_span())
+        profiles, traces = worker.recorder.drain()
+        assert len(worker.recorder) == 0
 
-        parent = FlightRecorder(RecorderConfig())
-        parent_metrics = MetricsRegistry()
-        parent.ingest(profiles, traces, worker="3",
-                      metrics=parent_metrics)
-        (profile,) = parent.profiles
+        parent = Observability(recorder=FlightRecorder(RecorderConfig()))
+        parent.recorder.ingest(profiles, traces, worker="3")
+        (profile,) = parent.recorder.profiles
         assert profile.worker == "3"
-        assert profile.trace_id in parent.trace_ids()
-        # histograms travel via the additive delta merge, not ingest
-        assert parent_metrics.get(RECORDER_LATENCY) is None
-        # ...but the (non-additive) calibration gauge is parent business
-        assert parent_metrics.get(
+        assert profile.trace_id in parent.recorder.trace_ids()
+        # every series travels via the additive delta merge, not ingest
+        assert len(parent.metrics) == 0
+        assert parent.publish_calibration() == {}
+        parent.metrics.merge(worker.metrics.diff())
+        assert parent.metrics.get(QUERY_LATENCY).count == 1
+        assert parent.publish_calibration() \
+            == worker.publish_calibration()
+        assert parent.metrics.get(
             COST_CALIBRATION, labels={"strategy": "pushdown"}) is not None
 
     def test_snapshot_counts(self):
         recorder = FlightRecorder(RecorderConfig(ring_size=2,
                                                  slow_ms=None))
-        metrics = MetricsRegistry()
         for _ in range(3):
-            _observe(recorder, metrics)
+            _observe(recorder)
         snap = recorder.snapshot()
         assert snap["counts"] == {
             "recorded": 3, "evicted": 1, "in_ring": 2,
@@ -419,7 +417,7 @@ class TestDumpHookRegistry:
         from repro.obs.recorder import _DUMP_HOOKS
 
         recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        _observe(recorder, MetricsRegistry())
+        _observe(recorder)
         stale = tmp_path / "stale.jsonl"
         fresh = tmp_path / "fresh.jsonl"
         uninstall_stale = recorder.install_dump_hook(stale, signals=())
@@ -439,13 +437,13 @@ class TestDumpHookRegistry:
         from repro.obs.recorder import _DUMP_HOOKS
 
         recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-        _observe(recorder, MetricsRegistry())
+        _observe(recorder)
         path = tmp_path / "once.jsonl"
         uninstall = recorder.install_dump_hook(path, signals=())
         try:
             _DUMP_HOOKS._dump_all()
             first = path.read_bytes()
-            _observe(recorder, MetricsRegistry())
+            _observe(recorder)
             _DUMP_HOOKS._dump_all()  # second trigger: already dumped
             assert path.read_bytes() == first
         finally:
@@ -459,7 +457,7 @@ class TestDumpHookRegistry:
         try:
             for name in ("a", "b"):
                 recorder = FlightRecorder(RecorderConfig(slow_ms=None))
-                _observe(recorder, MetricsRegistry())
+                _observe(recorder)
                 path = tmp_path / f"{name}.jsonl"
                 paths.append(path)
                 uninstalls.append(

@@ -57,7 +57,8 @@ class TestRoutes:
         assert "query_log" not in varz  # one ring, one section
         assert varz["flight_recorder"] == {
             "profiles": 2, "ring_size": 512, "recorded": 2, "evicted": 0,
-            "slow": 1, "slow_ms": 5.0, "traces": 0, "calibration": {}}
+            "slow": 1, "slow_ms": 5.0, "traces": 0, "traces_retained": 0,
+            "traces_dropped": 0, "calibration": {}}
 
     def test_slow_lists_slow_records(self, obs):
         """``/slow`` is exactly the ring's profiles at or over the

@@ -23,8 +23,8 @@ import urllib.request
 import pytest
 
 from repro.core.query import Query
-from repro.obs import (NULL_METRICS, QUERIES_TOTAL, FlightRecorder,
-                       MetricsRegistry, Observability, RecorderConfig)
+from repro.obs import (QUERIES_TOTAL, FlightRecorder, MetricsRegistry,
+                       Observability, RecorderConfig)
 from repro.obs.server import MetricsServer
 from repro.workloads.inexlike import InexSpec, generate_collection
 
@@ -128,8 +128,7 @@ class TestQueryLogThreadSafety:
         def writer(tid):
             def run():
                 for i in range(rounds):
-                    log.observe(metrics=NULL_METRICS,
-                                document=f"doc-{tid}", terms=("a",),
+                    log.observe(document=f"doc-{tid}", terms=("a",),
                                 filter="true", strategy="pushdown",
                                 answers=i, elapsed=0.001)
             return run
@@ -167,6 +166,78 @@ class TestQueryLogThreadSafety:
         _run_threads([producer, producer, drainer])
         drained.extend(log.drain()[0])
         assert len(drained) == 2 * rounds
+
+
+class TestPerThreadRequestState:
+    """Concurrent searches sharing one handle keep their span trees and
+    their profiles' shard apart."""
+
+    def test_concurrent_searches_leave_one_tree_per_search(self):
+        corpus = generate_collection(
+            InexSpec(articles=4, nodes_per_article=100, seed=13))
+        obs = Observability()
+        query = Query(("needle", "thread"))
+        probe = Observability()
+        corpus.search(query, obs=probe)
+        (expected,) = probe.tracer.roots
+        searches, seen = 25, {}
+
+        def searcher(tid):
+            def run():
+                for _ in range(searches):
+                    corpus.search(query, obs=obs)
+                seen[tid] = (obs.tracer.current(), list(obs.tracer.roots))
+            return run
+
+        _run_threads([searcher(t) for t in range(4)])
+        for current, roots in seen.values():
+            assert current is None  # no span left open
+            assert len(roots) == searches
+            for root in roots:
+                # one collection-search tree, nothing nested from
+                # another thread's search
+                assert [span.name for span, _ in root.walk()] \
+                    == [span.name for span, _ in expected.walk()]
+
+    def test_profiles_carry_their_own_shard(self, tmp_path):
+        """A profile recorded on one thread never carries the shard of a
+        search running on another."""
+        from repro.collection.collection import DocumentCollection
+        from repro.storage.shards import build_index
+        from repro.xmltree.parser import parse
+
+        def article(name):
+            return parse("<a><p>needle thread</p><p>needle</p>"
+                         "<p>thread</p></a>", name=name)
+
+        memory = DocumentCollection()
+        for i in range(8):
+            memory.add(article(f"mem-{i}"))
+        build_index({f"idx-{i}": article(f"idx-{i}") for i in range(8)},
+                    tmp_path / "idx", shards=4)
+        sharded = DocumentCollection.open_index(tmp_path / "idx")
+        obs = Observability(recorder=FlightRecorder(
+            RecorderConfig(ring_size=10_000, slow_ms=None)))
+        query = Query(("needle", "thread"))
+
+        def searcher(collection):
+            def run():
+                for _ in range(40):
+                    collection.search(query, obs=obs)
+            return run
+
+        try:
+            _run_threads([searcher(memory), searcher(sharded)] * 2)
+            profiles = obs.recorder.profiles
+            assert len(profiles) == 4 * 40 * 8
+            source = sharded._source
+            for profile in profiles:
+                expected = (None if profile.document.startswith("mem-")
+                            else source.shard_of(profile.document))
+                assert profile.shard == expected
+            assert {p.shard for p in profiles} - {None}
+        finally:
+            sharded.close()
 
 
 class TestLiveServerUnderLoad:

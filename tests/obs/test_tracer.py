@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 
 import pytest
 
@@ -80,30 +81,44 @@ class TestSpanNesting:
         tracer.clear()
         assert tracer.roots == []
 
-    def test_max_roots_keeps_the_newest_trees(self):
-        tracer = SpanTracer(max_roots=3)
-        for i in range(9):
-            with tracer.span(f"q{i}"):
-                with tracer.span("child"):
-                    pass
-        assert [s.name for s in tracer.roots] == ["q6", "q7", "q8"]
-        tracer.adopt([{"name": "remote", "duration_ms": 1.0}])
-        assert [s.name for s in tracer.roots] == ["q7", "q8", "remote"]
-        # Children never count against the bound.
-        with tracer.span("wide"):
-            for _ in range(5):
-                with tracer.span("child"):
-                    pass
-        assert len(tracer.roots[-1].children) == 5
-
-    def test_unbounded_by_default_and_bound_validated(self):
+    def test_clear_drops_only_the_calling_threads_spans(self):
         tracer = SpanTracer()
-        for _ in range(50):
-            with tracer.span("q"):
-                pass
-        assert tracer.max_roots is None and len(tracer.roots) == 50
-        with pytest.raises(ValueError):
-            SpanTracer(max_roots=0)
+        with tracer.span("main"):
+            pass
+        other = threading.Thread(target=tracer.clear)
+        other.start()
+        other.join()
+        assert [s.name for s in tracer.roots] == ["main"]
+
+
+class TestPerThreadState:
+    def test_concurrent_spans_never_nest_across_threads(self):
+        """Two threads interleave their span opens and closes: each
+        thread's spans nest only under its own, and every thread ends
+        with no open span."""
+        tracer = SpanTracer()
+        barrier = threading.Barrier(2)
+        seen = {}
+
+        def request(name):
+            for _ in range(3):
+                with tracer.span(name):
+                    barrier.wait()
+                    with tracer.span("child"):
+                        barrier.wait()
+            seen[name] = (tracer.current(),
+                          [(root.name, [c.name for c in root.children])
+                           for root in tracer.roots])
+
+        threads = [threading.Thread(target=request, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name in ("a", "b"):
+            assert seen[name] == (None, [(name, ["child"])] * 3)
+        assert tracer.roots == []  # this thread opened none
 
 
 class TestAttributesAndWork:

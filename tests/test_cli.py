@@ -235,32 +235,58 @@ class TestServe:
         assert "metrics:" in captured.err
         assert "answer(s)" in captured.out
 
-    def test_serve_bounds_retained_span_trees(self, book_file, capsys):
-        # Nothing under ``serve`` reads the tracer's roots, so they must
-        # be a ring: 3N queries leave at most N (= --max-log-records).
+    def test_serve_holds_no_span_tree_between_requests(
+            self, book_file, capsys, monkeypatch):
+        # The recorder is serve's only reader of a span tree, so each
+        # request's trees are dropped once it is answered, on the stdin
+        # and the HTTP path alike; the recorder's ring is bounded by
+        # --max-log-records and still serves a retained trace.
         import json
         import re
         import urllib.request
+        import repro.obs
         from repro.cli import serve_main
-        bound, seen = 4, {}
+        from repro.obs.tracer import SpanTracer
+        bound, seen, dropped = 4, {}, []
+
+        class Tracer(SpanTracer):
+            def clear(self):
+                dropped.append(len(self.roots))
+                super().clear()
+
+        monkeypatch.setattr(repro.obs, "SpanTracer", Tracer)
+
+        def get(url):
+            with urllib.request.urlopen(url) as reply:
+                return json.loads(reply.read())
 
         def lines():
             for _ in range(3 * bound):
                 yield "fragment\n"
             url = re.search(r"metrics: (http://\S+)/metrics",
                             capsys.readouterr().err).group(1)
-            with urllib.request.urlopen(url + "/varz") as reply:
-                seen.update(json.loads(reply.read()))
+            seen.update(get(url + "/varz"))
+            request = urllib.request.Request(
+                url + "/query", data=b'{"query": "fragment"}')
+            with urllib.request.urlopen(request) as reply:
+                assert json.loads(reply.read())["answers"]
+            snapshot = get(url + "/debug/flightrecorder")
+            seen["trace"] = get(url + "/debug/trace/"
+                                + snapshot["traces"][-1])
 
-        code = serve_main([book_file, "--max-log-records", str(bound)],
-                          stdin=lines())
+        code = serve_main([book_file, "--max-log-records", str(bound),
+                           "--slow-query-ms", "0"], stdin=lines())
         assert code == 0
-        assert seen["tracer"] == {"roots": bound, "max_roots": bound}
+        # 3N stdin requests and one /query, each dropping its one tree
+        assert dropped == [1] * (3 * bound + 1)
+        assert "tracer" not in seen
         assert seen["flight_recorder"]["profiles"] \
             == seen["flight_recorder"]["ring_size"] == bound
         assert seen["flight_recorder"]["evicted"] == 2 * bound
         assert "repro_join_cache_memo_entries" in {
             m["name"] for m in seen["metrics"]["metrics"]}
+        assert {e["name"] for e in seen["trace"]["traceEvents"]} \
+            >= {"execute", "scan"}
 
     def test_serve_keyboard_interrupt_is_clean(self, book_file,
                                                capsys):
