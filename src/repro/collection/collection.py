@@ -526,9 +526,7 @@ class DocumentCollection:
         result to the first ``N`` hits of that order and bounds the
         evaluation work accordingly; without ``stream`` it returns the
         list directly.  Both compose with every other option, including
-        ``workers=`` (rounds fan out through the pool with an early-stop
-        :class:`~repro.exec.hints.ChunkHint` once the candidate heap
-        saturates).
+        ``workers=`` (each round is one pooled search).
         """
         ob = obs if obs is not None else NOOP
         budget = effective_budget(budget, deadline_ms)
@@ -619,7 +617,7 @@ class DocumentCollection:
         emitted = 0
         for hits, _, more in self._beta_rounds(
                 query, strategy, live, ob, workers, resilience, faults,
-                budget, limit):
+                budget):
             hits.sort(key=_hit_key)
             for hit in hits:
                 yield hit
@@ -632,10 +630,9 @@ class DocumentCollection:
     def _beta_rounds(self, query: Query, strategy: Strategy,
                      live: list[str], ob: Observability,
                      workers: Optional[int], resilience, faults,
-                     budget: Optional[QueryBudget],
-                     limit: Optional[int] = None
+                     budget: Optional[QueryBudget]
                      ) -> Iterator[tuple[list[CollectionHit], int, bool]]:
-        """The adaptive β ladder: ``(new hits, complete, more)`` a round.
+        """The adaptive β ladder: ``(new hits, β, more)`` a round.
 
         Round *r* evaluates every ``live`` document under
         ``size <= β_r`` (anti-monotonic, so pushed below the joins —
@@ -645,13 +642,9 @@ class DocumentCollection:
         ``more`` says whether a larger β is still to come.  A shared
         budget spans all rounds (its deadline is absolute).
 
-        A serial round pulls one streamed run per document and is
-        ``complete`` up to β.  With ``workers`` it goes through the
-        pool (:meth:`_pooled_round`), where a ``limit`` lets a hint
-        tighten later chunks: such a round is complete only up to the
-        *tightest* filter any chunk ran under (filters only ever
-        tighten), and the next round re-covers from there, so the
-        ladder yields what the serial one does.
+        A serial round pulls one streamed run per document; with
+        ``workers`` the round is one pooled search of the bounded
+        query.  Either way it is complete up to β.
         """
         if not live:
             return
@@ -665,26 +658,29 @@ class DocumentCollection:
         try:
             while True:
                 rounds += 1
-                if runner is not None:
-                    hits, complete = self._pooled_round(
-                        runner, query, beta, prev_beta, live, limit,
-                        ob, strategy=strategy,
-                        resilience=resilience, faults=faults,
-                        budget=budget)
+                if runner is None:
+                    found = ((name, fragment)
+                             for name, run in document_runs(
+                                 source, live, query, strategy,
+                                 cache=self._cache, obs=ob, budget=budget,
+                                 extra_predicate=SizeAtMost(beta))
+                             for fragment in run)
                 else:
-                    complete = beta
-                    hits = [CollectionHit(name, fragment)
-                            for name, run in document_runs(
-                                source, live, query, strategy,
-                                cache=self._cache, obs=ob, budget=budget,
-                                extra_predicate=SizeAtMost(beta))
-                            for fragment in run
-                            if fragment.size > prev_beta]
-                yield hits, complete, beta < max_size
-                if complete >= max_size:
+                    result = runner.search(
+                        Query(query.terms,
+                              query.predicate & SizeAtMost(beta)),
+                        strategy=strategy, documents=live, obs=ob,
+                        resilience=resilience, faults=faults, budget=budget)
+                    found = ((name, fragment)
+                             for name, doc in result.per_document.items()
+                             for fragment in doc.fragments)
+                hits = [CollectionHit(name, fragment)
+                        for name, fragment in found
+                        if fragment.size > prev_beta]
+                yield hits, beta, beta < max_size
+                if beta >= max_size:
                     return
-                prev_beta = complete
-                beta = min(max(beta * 2, complete + 1), max_size)
+                prev_beta, beta = beta, min(beta * 2, max_size)
         except BudgetExceeded:
             self._count_budget_exceeded(ob)
             raise
@@ -692,45 +688,6 @@ class DocumentCollection:
             _count_rounds(ob, rounds)
             if ob.enabled and runner is None:
                 self._cache.export_metrics(ob.metrics)
-
-    def _pooled_round(self, runner, query: Query, beta: int,
-                      prev_beta: int, targets: list[str],
-                      limit: Optional[int], ob: Observability,
-                      **options) -> tuple[list[CollectionHit], int]:
-        """One β round through the pool: ``(new hits, complete-up-to)``.
-
-        The second value is β, or the tightest early-stop hint any
-        chunk ran under when that is smaller.
-        """
-        bounded = Query(query.terms, query.predicate & SizeAtMost(beta))
-        hint = None
-        if limit is not None and getattr(runner, "supports_hints", False):
-            from ..exec.hints import ChunkHint
-            heap = TopKHeap(limit)
-
-            def _feed(rows):
-                changed = False
-                for name, _qi, payload in rows:
-                    if not isinstance(payload, tuple):
-                        continue
-                    for nodes in payload[0]:
-                        if heap.offer(None, (len(nodes), name, nodes)):
-                            changed = True
-                if changed and heap.full:
-                    hint.set_filter(SizeAtMost(heap.bound()[0]))
-
-            hint = options["hint"] = ChunkHint(on_rows=_feed)
-        result = runner.search(bounded, documents=targets, obs=ob,
-                               **options)
-        complete = beta
-        if hint is not None and hint.filter is not None:
-            complete = min(beta, hint.filter.limit)
-            if hint.skipped_chunks:
-                _count_early_exit(ob, "hint", hint.skipped_chunks)
-        return [CollectionHit(name, fragment)
-                for name, doc_result in result.per_document.items()
-                for fragment in doc_result.fragments
-                if prev_beta < fragment.size <= complete], complete
 
     def explain_analyze(self, query: Query,
                         strategy: Strategy = Strategy.PUSHDOWN,
@@ -856,8 +813,8 @@ class DocumentCollection:
         """Ranked top-k with threshold early termination over β rounds.
 
         Each round of :meth:`_beta_rounds` is scored as it lands.  Every
-        unseen fragment is larger than the round's ``complete`` size,
-        so its score is at most ``max_d size_score_bound(complete + 1)``
+        unseen fragment is larger than the round's β,
+        so its score is at most ``max_d size_score_bound(β + 1)``
         over the live documents' scorers; once the heap is full and its
         k-th score meets that threshold, no unseen fragment can displace
         anything — ties are safe because equal scores break by smaller
@@ -874,14 +831,14 @@ class DocumentCollection:
         live = self._source.candidates(query.terms)
         heap: TopKHeap = TopKHeap(limit)
         tally = [0, 0]
-        for hits, complete, more in self._beta_rounds(
+        for hits, beta, more in self._beta_rounds(
                 query, strategy, live, ob, workers, resilience, faults,
                 budget):
             self._score_into(heap, hits, query.terms, tally)
             bound = heap.bound()
             if more and bound is not None:
                 threshold = max(
-                    self.scorer(name).size_score_bound(complete + 1)
+                    self.scorer(name).size_score_bound(beta + 1)
                     for name in live)
                 if -bound[0] >= threshold:
                     _count_early_exit(ob, "threshold")

@@ -74,12 +74,10 @@ class _SnapshotCollection(DocumentCollection):
     def _bound(self, executor):
         """The parent's long-lived pool with this view's snapshot bound
         into every run — per search, so concurrent searches on
-        different epochs share the pool.  ``supports_hints`` marks the
-        streaming early-stop path as safe."""
+        different epochs share the pool."""
         return SimpleNamespace(
             search=partial(executor.search, snapshot=self._source),
-            run=partial(executor.run, snapshot=self._source),
-            supports_hints=True)
+            run=partial(executor.run, snapshot=self._source))
 
 
 class MutableDocumentCollection(DocumentCollection):

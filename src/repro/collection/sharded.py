@@ -46,8 +46,8 @@ class ShardedDocumentCollection(DocumentCollection):
         healthy shards and reports the rest (see :meth:`shard_stats`).
     cache_limit:
         Maximum materialised documents kept per attached handle.
-    workers-path tuning (``start_method``, ``shared_memory``,
-    ``resilience``, ``breaker_failures``, ``breaker_reset_s``) is
+    workers-path tuning (``start_method``, ``resilience``,
+    ``breaker_failures``, ``breaker_reset_s``) is
     forwarded to the :class:`~repro.storage.shards.ShardRouter` built
     lazily on the first ``workers=`` search.
     """
@@ -57,7 +57,6 @@ class ShardedDocumentCollection(DocumentCollection):
                  cache_limit: Optional[int] = 64,
                  obs: Optional[Observability] = None,
                  start_method: Optional[str] = None,
-                 shared_memory: Optional[bool] = None,
                  resilience=None,
                  breaker_failures: int = 3,
                  breaker_reset_s: float = 30.0) -> None:
@@ -72,7 +71,6 @@ class ShardedDocumentCollection(DocumentCollection):
         self._owns_source = not attached
         self._router_options = {
             "start_method": start_method,
-            "shared_memory": shared_memory,
             "resilience": resilience,
             "breaker_failures": breaker_failures,
             "breaker_reset_s": breaker_reset_s,

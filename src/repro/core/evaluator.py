@@ -583,7 +583,7 @@ class FragmentStream:
             budget.bind_stats(self.analysis)
         if self._obs.recorder is not None:
             self._mem_token = self._obs.recorder.begin_memory()
-            self._cpu_started = time.process_time()
+            self._cpu_started = time.thread_time()
         self._started = time.perf_counter()
 
     def _open(self) -> tuple[Iterable[Fragment], list[Operator]]:
@@ -722,7 +722,7 @@ class FragmentStream:
                     ).inc(op.run.rows)
         cpu_s, predicted, peak = 0.0, None, None
         if ob.recorder is not None:
-            cpu_s = time.process_time() - self._cpu_started
+            cpu_s = time.thread_time() - self._cpu_started
             peak = ob.recorder.end_memory(self._mem_token)
             try:
                 predicted = CostModel(

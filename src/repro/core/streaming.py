@@ -203,12 +203,12 @@ def _count_rounds(ob: Observability, rounds: int) -> None:
         ).inc(rounds)
 
 
-def _count_early_exit(ob: Observability, stage: str, n: int = 1) -> None:
+def _count_early_exit(ob: Observability, stage: str) -> None:
     if ob.enabled:
         ob.metrics.counter(
             STREAM_EARLY_EXITS,
             "Streaming evaluations stopped before the full answer set "
-            "existed.", labels={"stage": stage}).inc(n)
+            "existed.", labels={"stage": stage}).inc()
 
 
 def stream_top_k(document: "Document", query: Query, k: int, *,

@@ -27,13 +27,12 @@ model.
 from .batch import BatchRunner
 from .faults import (FAULT_KINDS, FLAKY_CHUNK, HANG_WORKER, KILL_WORKER,
                      FaultPlan, FaultRule, InjectedFault)
-from .hints import ChunkHint
 from .parallel import (ParallelExecutor, default_start_method,
                        default_workers)
 from .resilience import (DEFAULT_POLICY, FALLBACK_NEVER, FALLBACK_SERIAL,
                          ResilienceReport, RetryPolicy)
 
-__all__ = ["ParallelExecutor", "BatchRunner", "ChunkHint",
+__all__ = ["ParallelExecutor", "BatchRunner",
            "default_workers", "default_start_method",
            "RetryPolicy", "ResilienceReport", "DEFAULT_POLICY",
            "FALLBACK_SERIAL", "FALLBACK_NEVER",

@@ -84,7 +84,6 @@ from ..obs.tracer import NULL_TRACER
 from ..storage.shards.reader import ShardIndex
 from ..xmltree.document import Document
 from .faults import FaultPlan, apply_fault
-from .hints import ChunkHint
 from .resilience import (DEFAULT_POLICY, FALLBACK_SERIAL, ResilienceReport,
                          RetryPolicy)
 
@@ -262,7 +261,6 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
                strategy_value: str, obs_spec: Optional[dict] = None,
                fault: Optional[dict] = None,
                budget: Optional[QueryBudget] = None,
-               extra_filter=None,
                epoch: Optional[int] = None):
     """Evaluate one chunk of ``(document name, query index)`` items.
 
@@ -289,12 +287,6 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
     """
     global _WORKER_BASELINE
     started = time.perf_counter()
-    if extra_filter is not None:
-        # An early-stop hint tightened the round after this chunk was
-        # built: conjoin the (anti-monotonic) filter so the chunk only
-        # proves fragments that can still matter to the consumer.
-        queries = [Query(q.terms, q.predicate & extra_filter)
-                   for q in queries]
     strategy = Strategy(strategy_value)
     obs = (_worker_obs(bool(obs_spec.get("trace")),
                        obs_spec.get("recorder"))
@@ -348,10 +340,9 @@ class ParallelExecutor:
         :class:`~repro.storage.shards.reader.ShardIndex`: the corpus
         stays on disk, this process and every worker attach their own
         handle (workers under the same ``cache_limit``), and documents
-        materialise only when they match.  ``shared_memory`` ships the
-        shard bytes as shared-memory segments instead of re-reading
-        the files (default: under ``spawn`` only — forked workers
-        share the mmap for free).
+        materialise only when they match.  Under ``spawn`` the shard
+        bytes ship as shared-memory segments instead of being re-read
+        from the files; forked workers share the mmap for free.
     mutable_index:
         Directory of an epoch-versioned live index.  Workers get only
         the path and attach whichever epoch a run names; every run
@@ -376,9 +367,6 @@ class ParallelExecutor:
         every dispatch (tests / bench runner); each call may override.
     """
 
-    #: ``search``/``run`` accept a streaming early-stop ``hint=``.
-    supports_hints = True
-
     def __init__(self, documents: Optional[Mapping[str, Document]] = None,
                  workers: Optional[int] = None,
                  start_method: Optional[str] = None,
@@ -387,8 +375,7 @@ class ParallelExecutor:
                  resilience: Optional[RetryPolicy] = None,
                  faults: Optional[FaultPlan] = None,
                  index_path=None,
-                 mutable_index=None,
-                 shared_memory: Optional[bool] = None) -> None:
+                 mutable_index=None) -> None:
         if sum(spelling is not None for spelling in
                (documents, index_path, mutable_index)) != 1:
             raise DocumentError("ParallelExecutor requires exactly one "
@@ -409,8 +396,7 @@ class ParallelExecutor:
                                 index_path,
                                 obs=obs if obs is not None else NOOP))
             self._recipe = (ShardIndex.from_spec, self._source.attach_spec(
-                shared_memory=(shared_memory if shared_memory is not None
-                               else self.start_method == "spawn")))
+                shared_memory=self.start_method == "spawn"))
         else:
             self._source = MemorySource(documents)
             self._recipe = (MemorySource, self._source.documents)
@@ -476,14 +462,11 @@ class ParallelExecutor:
     # Resilient dispatch
     # ------------------------------------------------------------------
 
-    def _record_outcome(self, payload, outcomes, ob,
-                        hint: Optional[ChunkHint] = None) -> None:
+    def _record_outcome(self, payload, outcomes, ob) -> None:
         """Fold one successful chunk result into the parent state."""
         rows, chunk_seconds, delta, pid = payload
         for name, query_index, row_payload in rows:
             outcomes[(name, query_index)] = row_payload
-        if hint is not None:
-            hint.observe(rows)
         if ob.enabled:
             ob.metrics.histogram(
                 POOL_CHUNK_SECONDS,
@@ -520,7 +503,6 @@ class ParallelExecutor:
                   outcomes, report: ResilienceReport,
                   budget: Optional[QueryBudget] = None,
                   chunk_keys: Sequence[Optional[int]] = (),
-                  hint: Optional[ChunkHint] = None,
                   source=None, epoch: Optional[int] = None) -> None:
         """Run every chunk to completion, surviving crashes and hangs.
 
@@ -530,11 +512,6 @@ class ParallelExecutor:
         when the pool breaks are re-queued without being charged.
         Chunks that exhaust ``policy.max_retries`` are re-evaluated
         in-process at the end, through the exact serial path.
-
-        An optional :class:`~repro.exec.hints.ChunkHint` lets a
-        streaming consumer stop not-yet-submitted chunks and tighten
-        their queries between waves; a hint that never fires leaves the
-        dispatch bit-identical to a hintless run.
         """
         attempts = [0] * len(chunks)
         pending = list(range(len(chunks)))
@@ -542,11 +519,6 @@ class ParallelExecutor:
         rng = random.Random()
         stalled_waves = 0
         while pending:
-            if hint is not None and hint.stopped:
-                hint.record_skip(len(pending),
-                                 sum(len(chunks[ci]) for ci in pending))
-                pending = []
-                break
             retried = [ci for ci in pending if attempts[ci]]
             if retried:
                 delay = max(policy.delay(attempts[ci] - 1, rng)
@@ -554,11 +526,6 @@ class ParallelExecutor:
                 if delay:
                     time.sleep(delay)
             wave, pending = pending, []
-            if hint is not None and hint.window is not None \
-                    and len(wave) > hint.window:
-                # A narrow wave gives the consumer a chance to tighten
-                # or stop between submissions.
-                wave, pending = wave[:hint.window], wave[hint.window:]
 
             # Submit the wave.  A submit can only fail if the pool is
             # already broken; stash the rest of the wave for the next
@@ -575,9 +542,7 @@ class ParallelExecutor:
                 try:
                     futures[chunk_index] = self._pool.submit(
                         _run_chunk, queries, chunks[chunk_index],
-                        strategy.value, obs_spec, fault, budget,
-                        hint.filter if hint is not None else None,
-                        epoch)
+                        strategy.value, obs_spec, fault, budget, epoch)
                 except (BrokenExecutor, RuntimeError):
                     submit_broken = True
                     pending.append(chunk_index)
@@ -602,8 +567,7 @@ class ParallelExecutor:
                         if future.done() and not future.cancelled():
                             try:
                                 self._record_outcome(
-                                    future.result(timeout=0), outcomes,
-                                    ob, hint=hint)
+                                    future.result(timeout=0), outcomes, ob)
                                 continue
                             except Exception:
                                 pass
@@ -635,8 +599,7 @@ class ParallelExecutor:
                                           f"{type(exc).__name__}: {exc}",
                                    cause=exc)
                     else:
-                        self._record_outcome(payload, outcomes, ob,
-                                             hint=hint)
+                        self._record_outcome(payload, outcomes, ob)
             except ExecutionError:
                 for future in futures.values():
                     future.cancel()
@@ -648,9 +611,6 @@ class ParallelExecutor:
         # still get serial-identical answers.  Telemetry lands directly
         # on the parent handle, exactly like the serial path.
         for chunk_index in fallback:
-            if hint is not None and hint.stopped:
-                hint.record_skip(1, len(chunks[chunk_index]))
-                continue
             shard = chunk_keys[chunk_index]
             if shard is not None:
                 report.failed_groups[shard] = \
@@ -659,8 +619,6 @@ class ParallelExecutor:
                               strategy, self._parent_cache, ob, budget)
             for name, query_index, payload in rows:
                 outcomes[(name, query_index)] = payload
-            if hint is not None:
-                hint.observe(rows)
             report.fallback_chunks += 1
             report.fallback_items += len(chunks[chunk_index])
 
@@ -675,12 +633,11 @@ class ParallelExecutor:
                resilience: Optional[RetryPolicy] = None,
                faults: Optional[FaultPlan] = None,
                budget: Optional[QueryBudget] = None,
-               hint: Optional[ChunkHint] = None,
                snapshot=None) -> CollectionResult:
         """Evaluate one query over the corpus; serial-identical result."""
         return self.run([query], strategy=strategy, documents=documents,
                         obs=obs, resilience=resilience, faults=faults,
-                        budget=budget, hint=hint, snapshot=snapshot)[0]
+                        budget=budget, snapshot=snapshot)[0]
 
     def run(self, queries: Sequence[Query],
             strategy: Strategy = Strategy.PUSHDOWN,
@@ -689,7 +646,6 @@ class ParallelExecutor:
             resilience: Optional[RetryPolicy] = None,
             faults: Optional[FaultPlan] = None,
             budget: Optional[QueryBudget] = None,
-            hint: Optional[ChunkHint] = None,
             snapshot=None
             ) -> list[CollectionResult]:
         """Evaluate a batch of queries in one scheduling wave.
@@ -713,12 +669,6 @@ class ParallelExecutor:
         — not a chunk failure, so it is never retried — and is
         re-raised here as :class:`~repro.errors.BudgetExceeded`, in
         deterministic caller order, once dispatch completes.
-
-        ``hint`` is an optional :class:`~repro.exec.hints.ChunkHint`
-        from a streaming consumer.  Items abandoned via ``hint.stop()``
-        are simply absent from ``per_document`` (the consumer asked for
-        them to be dropped); a hint that never fires leaves the result
-        bit-identical to a hintless run.
         """
         ob = obs if obs is not None else self._obs
         policy = resilience if resilience is not None else self.resilience
@@ -784,8 +734,7 @@ class ParallelExecutor:
                 self._dispatch(queries, chunks, strategy, obs_spec, ob,
                                policy, plan, outcomes,
                                report, budget=budget,
-                               chunk_keys=chunk_keys, hint=hint,
-                               source=source,
+                               chunk_keys=chunk_keys, source=source,
                                epoch=getattr(snapshot, "epoch", None))
             finally:
                 self.last_report = report
@@ -836,9 +785,6 @@ class ParallelExecutor:
             per_document: dict[str, QueryResult] = {}
             # caller order => deterministic merge
             for name in matching[query_index]:
-                if hint is not None:
-                    if (name, query_index) not in outcomes:
-                        continue  # abandoned via hint.stop()
                 payload = outcomes[(name, query_index)]
                 if isinstance(payload, dict):
                     # First budget abort in caller order wins, matching

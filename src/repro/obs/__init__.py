@@ -279,12 +279,20 @@ class Observability:
         if profile.trace_id is not None:
             m.counter(TRACES_RETAINED,
                       "Span trees retained by tail/head sampling.").inc()
-            if recorder.traces_dropped:
-                dropped = m.counter(
-                    TRACES_DROPPED,
-                    "Retained traces evicted past max_traces.")
-                if dropped.value < recorder.traces_dropped:
-                    dropped.inc(recorder.traces_dropped - dropped.value)
+            self.count_dropped_traces()
+
+    def count_dropped_traces(self) -> None:
+        """Catch ``repro_recorder_traces_dropped_total`` up with the
+        recorder, the one store that drops a trace (a pool worker's
+        recorder bounds none): after a recorded query and after a
+        worker delta is ingested."""
+        recorder = self.recorder
+        if recorder is None or not recorder.traces_dropped:
+            return
+        dropped = self.metrics.counter(
+            TRACES_DROPPED, "Retained traces evicted past max_traces.")
+        if dropped.value < recorder.traces_dropped:
+            dropped.inc(recorder.traces_dropped - dropped.value)
 
     def publish_calibration(self) -> dict[str, float]:
         """Set and return the per-strategy calibration gauges.

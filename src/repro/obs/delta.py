@@ -106,7 +106,8 @@ def merge_delta(obs, delta: Optional[ObsDelta],
     traces are ingested into the parent's ring.  A worker records under
     the parent's ``RecorderConfig`` and counts each profile's series
     (slow, cost, retained traces) where it ran, so they travel in the
-    metrics increment like every other counter.
+    metrics increment like every other counter; only traces the
+    parent's store drops on ingest are counted here.
     """
     if delta is None or not obs.enabled or not delta:
         return
@@ -119,3 +120,4 @@ def merge_delta(obs, delta: Optional[ObsDelta],
                          **({"worker": worker} if worker else {}))
     if (delta.profiles or delta.traces) and obs.recorder is not None:
         obs.recorder.ingest(delta.profiles, delta.traces, worker=worker)
+        obs.count_dropped_traces()

@@ -288,9 +288,10 @@ class FlightRecorder:
     ``sink`` is where one JSON line per profile goes: a file-like
     object (``write`` gets the line plus a newline) or a callable
     receiving the bare line; ``None`` keeps profiles in memory only.
-    ``worker_mode`` is for a pool worker's recorder: its ring is
-    drained into every chunk's delta, so it has no bound of its own —
-    eviction is decided, and counted, once, in the parent's ring.
+    ``worker_mode`` is for a pool worker's recorder: its ring and its
+    trace store are drained into every chunk's delta, so neither has a
+    bound of its own — eviction is decided, and counted, once, in the
+    parent.
 
     Thread safety: all mutation and snapshots hold one lock; snapshots
     return copies, so the ``/slow`` and ``/debug/flightrecorder``
@@ -308,6 +309,7 @@ class FlightRecorder:
         self._ring: deque[QueryProfile] = deque(
             maxlen=None if worker_mode else self.config.ring_size)
         self._traces: "OrderedDict[str, dict]" = OrderedDict()
+        self._max_traces = None if worker_mode else self.config.max_traces
         self._seq = 0
         self.recorded = 0
         self.evicted = 0
@@ -426,7 +428,8 @@ class FlightRecorder:
     def _store_trace(self, trace_id: str, body: dict) -> None:
         self._traces[trace_id] = body
         self.traces_retained += 1
-        while len(self._traces) > self.config.max_traces:
+        while self._max_traces is not None \
+                and len(self._traces) > self._max_traces:
             self._traces.popitem(last=False)
             self.traces_dropped += 1
 
@@ -478,7 +481,8 @@ class FlightRecorder:
 
         Nothing is counted here: the worker's ``record_query`` counted
         each profile into the worker registry, whose delta merges
-        additively next to this call.
+        additively next to this call; traces this store drops are
+        caught up by the caller (:func:`~repro.obs.delta.merge_delta`).
         """
         with self._lock:
             for data in profiles:

@@ -104,8 +104,7 @@ class ShardRouter:
         ``on_error="skip"``, so a partially corrupt index degrades
         instead of failing) or an already-attached
         :class:`~repro.storage.shards.ShardIndex`.
-    workers / start_method / chunk_size / obs / resilience / faults /
-    shared_memory:
+    workers / start_method / chunk_size / obs / resilience / faults:
         Forwarded to the pooled executor (see
         :class:`~repro.exec.parallel.ParallelExecutor`).
     breaker_failures / breaker_reset_s:
@@ -125,7 +124,6 @@ class ShardRouter:
                  chunk_size: Optional[int] = None,
                  obs: Optional[Observability] = None,
                  resilience=None, faults=None,
-                 shared_memory: Optional[bool] = None,
                  cache_limit: Optional[int] = 64,
                  breaker_failures: int = 3,
                  breaker_reset_s: float = 30.0,
@@ -157,8 +155,7 @@ class ShardRouter:
         self.executor = ParallelExecutor(
             index_path=self.index, workers=workers,
             start_method=start_method, chunk_size=chunk_size,
-            obs=self._obs, resilience=resilience, faults=faults,
-            shared_memory=shared_memory)
+            obs=self._obs, resilience=resilience, faults=faults)
         self.last_report = RouterReport()
 
     # ------------------------------------------------------------------

@@ -205,6 +205,35 @@ class TestDeterminismUnderFaults:
         assert ([(n, s.fragment.nodes, s.score) for n, s in got]
                 == [(n, s.fragment.nodes, s.score) for n, s in expected])
 
+    @pytest.mark.parametrize("kind", ("memory", "mutable"))
+    @pytest.mark.parametrize("limit", (1, 5))
+    def test_streamed_top_k_with_a_retried_wave(self, documents, queries,
+                                                tmp_path, kind, limit):
+        """Each pooled β round is one pooled search: a killed first
+        chunk is retried in a second wave of the same round, and the
+        stream still equals the serial prefix."""
+        from repro.collection.collection import DocumentCollection
+        from repro.collection.mutable import MutableDocumentCollection
+
+        if kind == "memory":
+            collection = DocumentCollection()
+            for name, document in documents.items():
+                collection.add(document, name)
+        else:
+            collection = MutableDocumentCollection.create(
+                tmp_path / "live.idx", documents, shards=3)
+        obs = Observability()
+        with collection:
+            want = [(hit.document_name, hit.fragment.nodes)
+                    for hit in collection.search(queries[1]).hits[:limit]]
+            got = [(hit.document_name, hit.fragment.nodes)
+                   for hit in collection.search(
+                       queries[1], stream=True, limit=limit, workers=2,
+                       obs=obs, resilience=RetryPolicy(**FAST),
+                       faults=FaultPlan(FaultRule.kill(chunk=0)))]
+        assert len(got) == limit and got == want
+        assert obs.metrics.get(WORKER_CRASHES).value >= 1
+
 
 class TestBatchRunnerResilience:
     def test_batch_with_faults_matches_serial(self, corpus):

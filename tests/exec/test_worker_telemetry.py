@@ -283,3 +283,21 @@ class TestRecorderAcrossWorkers:
         assert serial.recorded > serial.config.ring_size
         assert (pooled.recorded, pooled.evicted, len(pooled)) \
             == (serial.recorded, serial.evicted, len(serial))
+
+    @pytest.mark.parametrize("workers", (None, 2))
+    def test_dropped_traces_are_counted_where_they_drop(self, workers):
+        """Every trace evicted past ``max_traces`` moves
+        ``repro_recorder_traces_dropped_total``, also when the parent
+        ingests pooled workers' traces: workers bound no trace store,
+        so the parent's is the one that drops."""
+        from repro.obs import TRACES_DROPPED
+
+        obs = Observability(recorder=FlightRecorder(RecorderConfig(
+            slow_ms=None, sample_rate=1.0, max_traces=2, seed=5)))
+        with _fresh_collection() as collection:
+            collection.search(Query(("needle",)), obs=obs, workers=workers)
+        recorder = obs.recorder
+        assert len(recorder.trace_ids()) == 2
+        assert recorder.traces_dropped == recorder.recorded - 2 > 0
+        assert obs.metrics.get(TRACES_DROPPED).value \
+            == recorder.traces_dropped

@@ -17,7 +17,9 @@ of searches issued.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -238,6 +240,34 @@ class TestPerThreadRequestState:
             assert {p.shard for p in profiles} - {None}
         finally:
             sharded.close()
+
+    def test_profile_cpu_is_the_runs_own(self):
+        """A run's ``cpu_ms`` is its own thread's CPU: two threads of
+        interleaved searches never charge each other's, so the profiles
+        sum to no more than the CPU the process spent."""
+        corpus = generate_collection(InexSpec(
+            articles=4, nodes_per_article=100, seed=13, planted_fraction=1.0))
+        obs = Observability(recorder=FlightRecorder(
+            RecorderConfig(ring_size=10_000, slow_ms=None)))
+        query = Query(("needle", "thread"))
+        start = threading.Barrier(2)
+
+        def searcher():
+            start.wait()
+            for _ in range(30):
+                corpus.search(query, obs=obs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads' runs
+        try:
+            started = time.process_time()
+            _run_threads([searcher, searcher])
+            process_ms = (time.process_time() - started) * 1000.0
+        finally:
+            sys.setswitchinterval(interval)
+        profiles = obs.recorder.profiles
+        assert len(profiles) == 2 * 30 * 4
+        assert sum(p.cpu_ms for p in profiles) <= process_ms
 
 
 class TestLiveServerUnderLoad:
