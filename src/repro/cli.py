@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "slow queries are reported on stderr")
     parser.add_argument("--query-log", default=None, metavar="PATH",
                         dest="log_path",
-                        help="append one JSON profile per evaluated "
-                             "query to PATH (JSONL; 'repro-search "
+                        help="append one JSON profile per request "
+                             "to PATH (JSONL; 'repro-search "
                              "flightrecorder PATH' reads it)")
     parser.add_argument("--metrics-port", type=int, default=None,
                         metavar="PORT", dest="metrics_port",
@@ -977,6 +977,7 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                         help="declarative SLO evaluated as fast/slow "
                              "burn rates, e.g. "
                              "'p99(repro_query_latency_seconds) < 0.5' "
+                             "(the latency of whole requests) "
                              "or 'errors:ratio(repro_exec_chunk_retries"
                              "_total/repro_pool_chunks_total) < 0.05"
                              ";fast=60;slow=300'; repeatable; critical "

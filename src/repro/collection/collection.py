@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from ..core.algebra import JoinCache
 from ..core.cost import CostModel
-from ..core.evaluator import FragmentStream, PlanAnalysis
+from ..core.evaluator import FragmentStream, PlanAnalysis, Request
 from ..core.filters import Filter, SizeAtMost
 from ..core.fragment import Fragment
 from ..core.plan import PlanNode
@@ -30,14 +30,13 @@ from ..core.query import Query, QueryResult
 from ..core.strategies import Strategy, _physical_plan, plan_for
 from ..core.streaming import (TopKHeap, _count_early_exit, _count_rounds,
                               hit_order_key, ranked_order_key)
-from ..errors import BudgetExceeded, DocumentError, WALError
+from ..errors import DocumentError, WALError
 from ..guard.admission import (AdmissionDecision, AdmissionPolicy,
                                screen_models)
 from ..guard.budget import QueryBudget, effective_budget
 from ..index.inverted import InvertedIndex
 from ..index.memory import MemorySource
-from ..obs import (DOCUMENTS_SKIPPED, FRAGMENTS_RANKED,
-                   GUARD_BUDGET_EXCEEDED, NOOP, Observability,
+from ..obs import (DOCUMENTS_SKIPPED, FRAGMENTS_RANKED, NOOP, Observability,
                    STREAM_SCORES_SKIPPED)
 from ..ranking.scoring import FragmentScorer, ScoredFragment
 from ..xmltree.document import Document
@@ -119,7 +118,8 @@ def document_runs(source, names: Iterable[str], query: Query,
                   budget: Optional[QueryBudget] = None,
                   fresh_budget: bool = False,
                   extra_predicate: Optional[Filter] = None,
-                  analysis: Optional[PlanAnalysis] = None
+                  analysis: Optional[PlanAnalysis] = None,
+                  request: Optional[Request] = None
                   ) -> Iterator[tuple[str, FragmentStream]]:
     """The one per-document loop: ``(name, run)`` for each of ``names``.
 
@@ -131,8 +131,8 @@ def document_runs(source, names: Iterable[str], query: Query,
     agree on the rarest-first term order share one plan; given an
     ``analysis``, every document runs *its* plan as it stands, timed,
     and folds into it.  ``fresh_budget`` runs each document under its
-    own ``budget.fresh_item()``.  Each run records the shard its
-    document lives in.
+    own ``budget.fresh_item()``.  The runs are parts of ``request``:
+    they fold into it and record nothing themselves.
     """
     plans: dict[tuple, PlanNode] = {}
     for name in names:
@@ -151,7 +151,7 @@ def document_runs(source, names: Iterable[str], query: Query,
             cache=cache, obs=obs, analysis=analysis,
             budget=(budget.fresh_item()
                     if fresh_budget and budget is not None else budget),
-            shard=source.shard_of(name))
+            request=request)
 
 
 def _check_limit(limit: object) -> None:
@@ -470,11 +470,36 @@ class DocumentCollection:
             CostModel(index.document, index=index)
             for index in map(inverted_index, self._targets(documents))))
 
-    def _count_budget_exceeded(self, ob: Observability) -> None:
-        if ob.enabled:
-            ob.metrics.counter(
-                GUARD_BUDGET_EXCEEDED,
-                "Queries aborted by a spent QueryBudget.").inc()
+    def _admit(self, query: Query, strategy: Strategy,
+               documents: Optional[Iterable[str]],
+               budget: Optional[QueryBudget],
+               deadline_ms: Optional[float],
+               admission: Optional[AdmissionPolicy]
+               ) -> tuple[Strategy, Optional[QueryBudget]]:
+        """The guard rails a search starts under: the admitted strategy
+        and the effective budget, started."""
+        budget = effective_budget(budget, deadline_ms)
+        if admission is not None:
+            decision = self.screen(admission, query, strategy,
+                                   documents=documents)
+            decision.raise_if_rejected()
+            strategy = decision.strategy
+        if budget is not None:
+            budget.start()
+        return strategy, budget
+
+    def _request(self, ob: Observability, query: Query, strategy: Strategy,
+                 budget: Optional[QueryBudget], root: Optional[str] = None,
+                 streamed: bool = False):
+        """One request over this collection, recorded when its block
+        ends (under :data:`NOOP`, a bare block yielding ``None``).  A
+        streamed request names no ``root`` span: no span may stay open
+        while its consumer holds control."""
+        if not ob.enabled:
+            return nullcontext()
+        return Request(ob, self.name, query, strategy.value,
+                       source=self._source, budget=budget, root=root,
+                       streamed=streamed)
 
     def search(self, query: Query,
                strategy: Strategy = Strategy.PUSHDOWN,
@@ -494,9 +519,12 @@ class DocumentCollection:
         Documents whose indexes show a missing query term are skipped
         without evaluation — the collection-level analogue of the
         conjunctive early exit.  With an enabled ``obs`` handle the
-        fan-out is wrapped in a ``collection-search`` span (one
-        ``execute`` child span per evaluated document) and skipped
-        documents are counted in ``repro_documents_skipped_total``.
+        search is one request, recorded once however many documents it
+        evaluates: a ``collection-search`` root span (one ``execute``
+        child span per evaluated document, naming it and its shard),
+        one ``repro_queries_total`` and, with a flight recorder, one
+        profile; skipped documents are counted in
+        ``repro_documents_skipped_total``.
 
         ``workers=N`` fans the per-document evaluations out over a
         process pool (:mod:`repro.exec`) with results guaranteed
@@ -511,7 +539,8 @@ class DocumentCollection:
         end-to-end and join-operation charges accumulate across
         documents (and propagate into pool workers on the parallel
         path).  A spent budget aborts with
-        :class:`~repro.errors.BudgetExceeded` and increments
+        :class:`~repro.errors.BudgetExceeded`, recorded as one
+        ``budget-exceeded`` request that increments
         ``repro_guard_budget_exceeded_total``.  ``admission`` runs the
         pre-admission cost screen first: the query is rejected
         (:class:`~repro.errors.AdmissionRejected`) or transparently
@@ -526,17 +555,12 @@ class DocumentCollection:
         result to the first ``N`` hits of that order and bounds the
         evaluation work accordingly; without ``stream`` it returns the
         list directly.  Both compose with every other option, including
-        ``workers=`` (each round is one pooled search).
+        ``workers=`` (each round is one pooled search).  Every round is
+        part of the one request, recorded as ``stream-<strategy>``.
         """
         ob = obs if obs is not None else NOOP
-        budget = effective_budget(budget, deadline_ms)
-        if admission is not None:
-            decision = self.screen(admission, query, strategy,
-                                   documents=documents)
-            decision.raise_if_rejected()
-            strategy = decision.strategy
-        if budget is not None:
-            budget.start()
+        strategy, budget = self._admit(query, strategy, documents, budget,
+                                       deadline_ms, admission)
         if limit is not None:
             _check_limit(limit)
         if stream or limit is not None:
@@ -546,50 +570,44 @@ class DocumentCollection:
                                      resilience=resilience, faults=faults,
                                      budget=budget, limit=limit)
             return hits if stream else list(hits)
-        if workers is not None:
-            # Worker deltas already carry the per-worker JoinCache memo
-            # totals; exporting the parent's (unused) cache here would
-            # overwrite the merged gauges with zeros.
-            try:
-                return self._parallel_executor(workers).search(
-                    query, strategy=strategy, documents=documents,
-                    obs=ob, resilience=resilience, faults=faults,
-                    budget=budget)
-            except BudgetExceeded:
-                self._count_budget_exceeded(ob)
-                raise
-        return self._drain_documents("collection-search", query, strategy,
-                                     documents, ob, budget=budget)
+        with self._request(ob, query, strategy, budget,
+                           "collection-search") as request:
+            return self._materialise(query, strategy, documents, ob,
+                                     request, workers=workers,
+                                     resilience=resilience, faults=faults,
+                                     budget=budget)
 
-    def _drain_documents(self, span_name: str, query: Query,
-                         strategy: Strategy,
-                         documents: Optional[Iterable[str]],
-                         ob: Observability,
-                         budget: Optional[QueryBudget] = None,
-                         analysis: Optional[PlanAnalysis] = None
-                         ) -> CollectionResult:
-        """The serial materialised drive, under one ``span_name`` span:
-        screen, then drain one run per matching document (``budget``
-        and ``analysis`` as for :func:`document_runs`)."""
+    def _materialise(self, query: Query, strategy: Strategy,
+                     documents: Optional[Iterable[str]],
+                     ob: Observability, request: Optional[Request],
+                     workers: Optional[int] = None, resilience=None,
+                     faults=None, budget: Optional[QueryBudget] = None,
+                     analysis: Optional[PlanAnalysis] = None
+                     ) -> CollectionResult:
+        """One ``request``'s materialised drive: a pooled search, or
+        screen and drain one run per matching document (``budget`` and
+        ``analysis`` as for :func:`document_runs`)."""
+        if workers is not None:
+            # Worker deltas carry the workers' JoinCache memo totals;
+            # this (unused) cache is not exported over them.
+            return self._parallel_executor(workers).search(
+                query, strategy=strategy, documents=documents, obs=ob,
+                resilience=resilience, faults=faults, budget=budget,
+                request=request)
         per_document: dict[str, QueryResult] = {}
         names, targets = keyword_screen(self._source, query.terms,
                                         documents)
-        with ob.span(span_name, collection=self.name,
-                     documents=targets) as span:
-            try:
-                for name, run in document_runs(
-                        self._source, names, query, strategy,
-                        cache=self._cache, obs=ob, budget=budget,
-                        analysis=analysis):
-                    per_document[name] = run.result()
-            except BudgetExceeded:
-                self._count_budget_exceeded(ob)
-                raise
-            if ob.enabled:
-                skipped = targets - len(names)
-                span.set(evaluated=len(per_document), skipped=skipped)
-                _count_skipped(ob, skipped)
-                self._cache.export_metrics(ob.metrics)
+        for name, run in document_runs(
+                self._source, names, query, strategy, cache=self._cache,
+                obs=ob, budget=budget, analysis=analysis,
+                request=request):
+            per_document[name] = run.result()
+        if ob.enabled:
+            skipped = targets - len(names)
+            request.span.set(documents=targets,
+                             evaluated=len(per_document), skipped=skipped)
+            _count_skipped(ob, skipped)
+            self._cache.export_metrics(ob.metrics)
         return CollectionResult(query=query, per_document=per_document)
 
     def _stream_hits(self, query: Query, strategy: Strategy,
@@ -608,29 +626,32 @@ class DocumentCollection:
         the last β instead of the answer-set size.  A mid-round
         :class:`~repro.errors.BudgetExceeded` propagates *between*
         emissions, so consumers always hold a consistent prefix of the
-        full hit list.
+        full hit list.  The whole stream is one request.
         """
-        live, targets = keyword_screen(self._source, query.terms,
-                                       documents)
-        if len(live) < targets:
-            _count_skipped(ob, targets - len(live))
-        emitted = 0
-        for hits, _, more in self._beta_rounds(
-                query, strategy, live, ob, workers, resilience, faults,
-                budget):
-            hits.sort(key=_hit_key)
-            for hit in hits:
-                yield hit
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    if more:
-                        _count_early_exit(ob, "limit")
-                    return
+        with self._request(ob, query, strategy, budget,
+                           streamed=True) as request:
+            live, targets = keyword_screen(self._source, query.terms,
+                                           documents)
+            if len(live) < targets:
+                _count_skipped(ob, targets - len(live))
+            emitted = 0
+            for hits, _, more in self._beta_rounds(
+                    query, strategy, live, ob, workers, resilience, faults,
+                    budget, request):
+                hits.sort(key=_hit_key)
+                for hit in hits:
+                    yield hit
+                    emitted += 1
+                    if limit is not None and emitted >= limit:
+                        if more:
+                            _count_early_exit(ob, "limit")
+                        return
 
     def _beta_rounds(self, query: Query, strategy: Strategy,
                      live: list[str], ob: Observability,
                      workers: Optional[int], resilience, faults,
-                     budget: Optional[QueryBudget]
+                     budget: Optional[QueryBudget],
+                     request: Optional[Request]
                      ) -> Iterator[tuple[list[CollectionHit], int, bool]]:
         """The adaptive β ladder: ``(new hits, β, more)`` a round.
 
@@ -644,7 +665,8 @@ class DocumentCollection:
 
         A serial round pulls one streamed run per document; with
         ``workers`` the round is one pooled search of the bounded
-        query.  Either way it is complete up to β.
+        query.  Either way it is complete up to β, and a part of
+        ``request``.
         """
         if not live:
             return
@@ -663,14 +685,16 @@ class DocumentCollection:
                              for name, run in document_runs(
                                  source, live, query, strategy,
                                  cache=self._cache, obs=ob, budget=budget,
-                                 extra_predicate=SizeAtMost(beta))
+                                 extra_predicate=SizeAtMost(beta),
+                                 request=request)
                              for fragment in run)
                 else:
                     result = runner.search(
                         Query(query.terms,
                               query.predicate & SizeAtMost(beta)),
                         strategy=strategy, documents=live, obs=ob,
-                        resilience=resilience, faults=faults, budget=budget)
+                        resilience=resilience, faults=faults, budget=budget,
+                        request=request)
                     found = ((name, fragment)
                              for name, doc in result.per_document.items()
                              for fragment in doc.fragments)
@@ -681,9 +705,6 @@ class DocumentCollection:
                 if beta >= max_size:
                     return
                 prev_beta, beta = beta, min(beta * 2, max_size)
-        except BudgetExceeded:
-            self._count_budget_exceeded(ob)
-            raise
         finally:
             _count_rounds(ob, rounds)
             if ob.enabled and runner is None:
@@ -702,12 +723,16 @@ class DocumentCollection:
         executions into a single :class:`~repro.core.PlanAnalysis`
         (``calls`` counts documents evaluated per operator).  Returns
         ``(result, analysis)``; render with
-        ``explain(analysis.plan, analyze=analysis)``.
+        ``explain(analysis.plan, analyze=analysis)``.  It is one
+        request, under a ``collection-analyze`` root span.
         """
+        ob = obs if obs is not None else NOOP
         analysis = PlanAnalysis(plan_for(query, strategy))
-        return self._drain_documents(
-            "collection-analyze", query, strategy, documents,
-            obs if obs is not None else NOOP, analysis=analysis), analysis
+        with self._request(ob, query, strategy, None,
+                           "collection-analyze") as request:
+            result = self._materialise(query, strategy, documents, ob,
+                                       request, analysis=analysis)
+        return result, analysis
 
     def scorer(self, name: str) -> FragmentScorer:
         """The (cached) :class:`FragmentScorer` of one document.
@@ -780,35 +805,37 @@ class DocumentCollection:
         (:meth:`~repro.ranking.FragmentScorer.size_score_bound`) — no
         unseen fragment can enter the heap — instead of materialising
         the full answer set first.  Both paths return the identical
-        ranked list.
+        ranked list, and either is one request: the search under it is
+        a part, not a request of its own.
         """
         ob = obs if obs is not None else NOOP
         _check_limit(limit)
+        strategy, budget = self._admit(query, strategy, None, budget,
+                                       deadline_ms, admission)
         if stream:
             return self._ranked_stream(query, limit, strategy, ob,
-                                       workers, resilience, faults,
-                                       budget, deadline_ms, admission)
-        result = self.search(query, strategy=strategy, obs=ob,
-                             workers=workers,
-                             resilience=resilience, faults=faults,
-                             budget=budget, deadline_ms=deadline_ms,
-                             admission=admission)
+                                       workers, resilience, faults, budget)
         heap: TopKHeap = TopKHeap(limit)
         tally = [0, 0]
-        with ob.span("rank", fragments=len(result)):
-            self._score_into(
-                heap, (CollectionHit(name, fragment)
-                       for name, doc in result.per_document.items()
-                       for fragment in doc.fragments), query.terms, tally)
-            _count_ranked(ob, tally)
+        with self._request(ob, query, strategy, budget,
+                           "collection-search") as request:
+            result = self._materialise(query, strategy, None, ob, request,
+                                       workers=workers,
+                                       resilience=resilience,
+                                       faults=faults, budget=budget)
+            with ob.span("rank", fragments=len(result)):
+                self._score_into(
+                    heap, (CollectionHit(name, fragment)
+                           for name, doc in result.per_document.items()
+                           for fragment in doc.fragments), query.terms,
+                    tally)
+                _count_ranked(ob, tally)
         return heap.items_sorted()
 
     def _ranked_stream(self, query: Query, limit: int,
                        strategy: Strategy, ob: Observability,
                        workers: Optional[int], resilience, faults,
-                       budget: Optional[QueryBudget],
-                       deadline_ms: Optional[float],
-                       admission: Optional[AdmissionPolicy]
+                       budget: Optional[QueryBudget]
                        ) -> list[tuple[str, ScoredFragment]]:
         """Ranked top-k with threshold early termination over β rounds.
 
@@ -821,28 +848,23 @@ class DocumentCollection:
         size and every unseen fragment is strictly larger than every
         held one.
         """
-        budget = effective_budget(budget, deadline_ms)
-        if admission is not None:
-            decision = self.screen(admission, query, strategy)
-            decision.raise_if_rejected()
-            strategy = decision.strategy
-        if budget is not None:
-            budget.start()
-        live = self._source.candidates(query.terms)
         heap: TopKHeap = TopKHeap(limit)
         tally = [0, 0]
-        for hits, beta, more in self._beta_rounds(
-                query, strategy, live, ob, workers, resilience, faults,
-                budget):
-            self._score_into(heap, hits, query.terms, tally)
-            bound = heap.bound()
-            if more and bound is not None:
-                threshold = max(
-                    self.scorer(name).size_score_bound(beta + 1)
-                    for name in live)
-                if -bound[0] >= threshold:
-                    _count_early_exit(ob, "threshold")
-                    break
+        with self._request(ob, query, strategy, budget,
+                           streamed=True) as request:
+            live = self._source.candidates(query.terms)
+            for hits, beta, more in self._beta_rounds(
+                    query, strategy, live, ob, workers, resilience, faults,
+                    budget, request):
+                self._score_into(heap, hits, query.terms, tally)
+                bound = heap.bound()
+                if more and bound is not None:
+                    threshold = max(
+                        self.scorer(name).size_score_bound(beta + 1)
+                        for name in live)
+                    if -bound[0] >= threshold:
+                        _count_early_exit(ob, "threshold")
+                        break
         _count_ranked(ob, tally)
         return heap.items_sorted()
 

@@ -24,7 +24,8 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
                     Sequence)
 
 from ..errors import BudgetExceeded, PlanError
-from ..obs import NOOP, NULL_SPAN, STREAM_ROWS, Observability
+from ..obs import (GUARD_BUDGET_EXCEEDED, NOOP, NULL_SPAN, STREAM_ROWS,
+                   Observability)
 from .algebra import (JoinCache, _iter_multiway_powerset_join,
                       _iter_pairwise_join)
 from .cost import CostModel
@@ -43,7 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["OperatorRunStats", "PlanAnalysis", "Operator", "ScanOp",
            "SelectOp", "JoinOp", "FixpointOp", "PowersetOp",
-           "build_pipeline", "FragmentStream", "PlanEvaluator", "run_plan"]
+           "build_pipeline", "Request", "FragmentStream", "PlanEvaluator",
+           "run_plan"]
 
 
 @dataclass
@@ -523,6 +525,139 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
     return (emit if emit is not None else ()), operators
 
 
+class Request:
+    """One request — the unit the engine records, once.
+
+    A collection search (materialised, streamed or limited), a ranked
+    search, an EXPLAIN ANALYZE, one query of a pooled batch or one
+    single-document evaluation.  Its runs (:class:`FragmentStream`)
+    fold their answers, counters and §5 prediction in and record
+    nothing; a pool adds its rows and priced totals (:meth:`add`).  The
+    layer that opens a request finishes it, and :meth:`finish` is the
+    one ``record_query`` call — as a context manager, when its block
+    ends, under its ``root`` span if it names one.  ``target`` names
+    what was searched; ``source`` names each drained run's shard on its
+    ``execute`` span; ``priced`` (default: the handle has a recorder)
+    prices each run.
+    """
+
+    __slots__ = ("obs", "target", "query", "label", "streamed", "source",
+                 "priced", "answers", "stats", "predicted", "cpu_s",
+                 "plan", "names", "span", "_root", "_budget", "_started",
+                 "_cpu_started", "_memory", "_finished")
+
+    def __init__(self, obs: Observability, target: str,
+                 query: Optional[Query], label: str, *, source=None,
+                 budget: Optional["QueryBudget"] = None,
+                 streamed: bool = False, priced: Optional[bool] = None,
+                 root: Optional[str] = None) -> None:
+        self.obs, self.target, self.query = obs, target, query
+        self.label, self.streamed, self.source = label, streamed, source
+        self.span, self._root = None, root
+        recorder = obs.recorder
+        self.priced = recorder is not None if priced is None else priced
+        self.answers, self.stats, self.cpu_s = 0, {}, 0.0
+        self.predicted: Optional[float] = None
+        self.plan: Optional[str] = None
+        self.names: set = set()  # the documents evaluated
+        self._budget, self._finished = budget, False
+        self._memory = (recorder.begin_memory() if recorder is not None
+                        else False)
+        self._cpu_started = time.thread_time()
+        self._started = time.perf_counter()
+
+    def __enter__(self) -> "Request":
+        if self._root is not None:
+            self.span = self.obs.span(self._root,
+                                      target=self.target).__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        # A consumer walking away (GeneratorExit) ends it as ``ok``.
+        if self.span is not None:
+            self.span.__exit__(exc_type, exc, tb)
+        self.finish(exc, self.span)
+        return False
+
+    def where(self, document: "Document") -> dict:
+        """A drained run's document and shard, inside a collection."""
+        if self.source is None:
+            return {}
+        return {"document": document.name,
+                "shard": self.source.shard_of(document.name)}
+
+    def fold(self, run: "FragmentStream") -> None:
+        """Fold one finished run in."""
+        predicted = None
+        if self.priced:
+            try:
+                predicted = CostModel(
+                    run._document, index=run._options["index"]
+                ).estimate(run.plan).cost
+            except Exception:
+                # e.g. a keyword_source backend with no real Document:
+                # an uncalibrated profile rather than an error.
+                pass
+        self.streamed |= run._iter is not None  # a pulled run
+        self.add(getattr(run._document, "name", "?"), run._answers,
+                 run.stats.as_dict(), predicted,
+                 plan=None if self.plan else run.plan.label())
+
+    def add(self, name: Optional[str], answers: int, stats: dict,
+            predicted: Optional[float], cpu_s: float = 0.0,
+            plan: Optional[str] = None) -> None:
+        """Add one document's (or a pool's) answers, counters, §5
+        prediction (``None``: it could not be priced), thread CPU spent
+        elsewhere and plan label."""
+        if name is not None:
+            self.names.add(name)
+        self.answers += answers
+        for key, value in stats.items():
+            self.stats[key] = self.stats.get(key, 0) + value
+        if predicted is None:
+            self.priced = False
+        elif self.priced:
+            self.predicted = (self.predicted or 0.0) + predicted
+        self.cpu_s += cpu_s
+        self.plan = self.plan or plan
+
+    def finish(self, aborted: Optional[BaseException] = None,
+               span=None) -> None:
+        """End the request, once, and record it.  ``aborted`` is the
+        exception that stopped it (the caller re-raises it); a spent
+        budget also counts ``repro_guard_budget_exceeded_total``."""
+        if self._finished:
+            return
+        self._finished = True
+        ob = self.obs
+        elapsed = time.perf_counter() - self._started
+        outcome, reason = "ok", None
+        if isinstance(aborted, BudgetExceeded):
+            outcome, reason = "budget-exceeded", aborted.reason
+            ob.metrics.counter(
+                GUARD_BUDGET_EXCEEDED,
+                "Queries aborted by a spent QueryBudget.").inc()
+        elif isinstance(aborted, Exception):
+            outcome, reason = "error", type(aborted).__name__
+        cpu_s, peak = self.cpu_s, None
+        if ob.recorder is not None:
+            cpu_s += time.thread_time() - self._cpu_started
+            peak = ob.recorder.end_memory(self._memory)
+        query, budget = self.query, self._budget
+        ob.record_query(
+            document=self.target,
+            terms=query.terms if query is not None else (),
+            filter=repr(query.predicate) if query is not None else "",
+            strategy=("stream-" if self.streamed else "") + self.label,
+            answers=self.answers, elapsed=elapsed, stats=self.stats,
+            plan=self.plan, cpu_s=cpu_s,
+            predicted_cost=self.predicted if self.priced else None,
+            peak_memory=peak, documents=len(self.names),
+            checkpoints=budget.checkpoints if budget is not None else 0,
+            outcome=outcome, reason=reason,
+            span=span if ob.tracer.enabled else None)
+
+
 class FragmentStream:
     """One evaluation of one plan over one document — *the* run.
 
@@ -531,19 +666,18 @@ class FragmentStream:
     ANALYZE) or hands it over to be pulled
     (:func:`~repro.core.streaming.stream_evaluate`).  The run owns the
     plan's :class:`PlanAnalysis`, binds ``budget`` to it, compiles the
-    pipeline on first use and records itself once when it ends —
-    exhausted, closed or aborted (``outcome="budget-exceeded"``, trace
-    tail-retained, for a :class:`~repro.errors.BudgetExceeded`) — with
-    its plan's label, CPU time, §5 predicted cost, checkpoints and the
-    ``shard`` its document lives in (``None`` outside a shard index).
-    Given an ``analysis`` of the same plan, it is timed and folds in.
+    pipeline on first use and, when it ends — exhausted, closed or
+    aborted — folds into its :class:`Request`.  A run handed no
+    ``request`` (with live observability) opens its own and finishes
+    it: a single-document evaluation is a request of one.  Given an
+    ``analysis`` of the same plan, it is timed and folds in.
 
     Iterating yields each answer fragment exactly once, as it is
     proven: the same set as :meth:`drain`, and abandoning the iterator
     (or :meth:`close`) stops the producers.  A pulled run is a
-    *stream*: recorded as ``stream-<label>``, it also publishes
-    ``repro_stream_rows_total`` per operator and its finished ``stats``
-    carry ``extras["streamed_rows"]``.
+    *stream*: its request is recorded as ``stream-<label>``, it
+    publishes ``repro_stream_rows_total`` per operator and its finished
+    ``stats`` carry ``extras["streamed_rows"]``.
     """
 
     def __init__(self, document: "Document", query: Optional[Query],
@@ -556,7 +690,7 @@ class FragmentStream:
                  keyword_source: Optional[
                      Callable[[str], frozenset[Fragment]]] = None,
                  max_powerset_operand: Optional[int] = 16,
-                 shard: Optional[int] = None) -> None:
+                 request: Optional[Request] = None) -> None:
         #: ``None`` for a bare plan (:class:`PlanEvaluator`).
         self.query = query
         self.plan = plan
@@ -565,7 +699,6 @@ class FragmentStream:
         #: Wall-clock seconds from construction to the end of the run.
         self.elapsed = 0.0
         self._document = document
-        self._shard = shard
         self._obs = obs if obs is not None else NOOP
         self._into = analysis
         #: What :func:`build_pipeline` is called with.
@@ -581,9 +714,12 @@ class FragmentStream:
         if budget is not None:
             budget.start()
             budget.bind_stats(self.analysis)
-        if self._obs.recorder is not None:
-            self._mem_token = self._obs.recorder.begin_memory()
-            self._cpu_started = time.thread_time()
+        #: Whether this run opened (and so finishes) its request.
+        self._owns_request = request is None and self._obs.enabled
+        if self._owns_request:
+            request = Request(self._obs, getattr(document, "name", "?"),
+                              query, label, budget=budget)
+        self._request = request
         self._started = time.perf_counter()
 
     def _open(self) -> tuple[Iterable[Fragment], list[Operator]]:
@@ -618,7 +754,7 @@ class FragmentStream:
         return fragment
 
     def close(self) -> None:
-        """Stop the producers and record the run (idempotent)."""
+        """Stop the producers and end the run (idempotent)."""
         closer = getattr(self._iter, "close", None)
         if closer is not None:
             closer()
@@ -630,16 +766,17 @@ class FragmentStream:
         The operator iterator feeds the ``frozenset`` directly — no
         Python frame per answer.  With live observability a drain is an
         ``execute`` span over ``scan`` (the leaves, which resolve as the
-        pipeline is built) and ``strategy:<label>`` (the pull).  A
-        pulled run opens none: no span may stay open while its consumer
-        holds control.
+        pipeline is built) and ``strategy:<label>`` (the pull); inside a
+        collection it names its document and shard.  A pulled run opens
+        none: no span may stay open while its consumer holds control.
         """
         ob = self._obs
         tally = OperationStats()
         if ob.enabled:
             terms = self.query.terms if self.query is not None else ()
             execute = ob.span("execute", strategy=self.label,
-                              terms=" ".join(terms), stats=tally)
+                              terms=" ".join(terms), stats=tally,
+                              **self._request.where(self._document))
             scan = ob.span("scan", stats=tally)
             pull = ob.span("strategy:" + self.label, stats=tally)
         else:
@@ -653,7 +790,7 @@ class FragmentStream:
                         fragments = frozenset(emit)
                     finally:
                         # Inside the span, so it reports the work done;
-                        # summed once, for the record and the result too.
+                        # summed once, for the request and the result.
                         tally.merge(self.analysis.totals())
                         self._final = tally
                 span.set(answers=len(fragments))
@@ -695,9 +832,9 @@ class FragmentStream:
     def _finish(self, aborted: Optional[Exception] = None,
                 span=None) -> None:
         """End the run, once: fold a timed run into its analysis and
-        make the one ``record_query`` call.  ``aborted`` is the
-        exception that stopped the run (the caller re-raises it),
-        ``span`` a drain's closed ``execute`` span."""
+        the run into its request, finishing a request it opened.
+        ``aborted`` is the exception that stopped the run (the caller
+        re-raises it), ``span`` a drain's closed ``execute`` span."""
         if self._finished:
             return
         self._finished = True
@@ -708,11 +845,10 @@ class FragmentStream:
                 run.total_seconds = run.self_seconds + sum(
                     runs[child].total_seconds for child in run.children)
             self._into.merge(self.analysis)
-        ob, label = self._obs, self.label
+        ob = self._obs
         if not ob.enabled:
             return
         if self._iter is not None:
-            label = "stream-" + label
             for op in self.operators:
                 if op.run.rows:
                     ob.metrics.counter(
@@ -720,34 +856,9 @@ class FragmentStream:
                         "Fragments emitted by streaming pipeline "
                         "operators.", labels={"operator": op.label},
                     ).inc(op.run.rows)
-        cpu_s, predicted, peak = 0.0, None, None
-        if ob.recorder is not None:
-            cpu_s = time.thread_time() - self._cpu_started
-            peak = ob.recorder.end_memory(self._mem_token)
-            try:
-                predicted = CostModel(
-                    self._document, index=self._options["index"]
-                ).estimate(self.plan).cost
-            except Exception:
-                # e.g. a keyword_source backend with no real Document:
-                # an uncalibrated profile rather than an error.
-                pass
-        outcome, reason = "ok", None
-        if isinstance(aborted, BudgetExceeded):
-            outcome, reason = "budget-exceeded", aborted.reason
-        elif aborted is not None:
-            outcome, reason = "error", type(aborted).__name__
-        query, budget = self.query, self._options["budget"]
-        ob.record_query(
-            document=getattr(self._document, "name", "?"),
-            terms=query.terms if query is not None else (),
-            filter=repr(query.predicate) if query is not None else "",
-            strategy=label, answers=self._answers, elapsed=self.elapsed,
-            stats=self.stats.as_dict(), plan=self.plan.label(), cpu_s=cpu_s,
-            predicted_cost=predicted, peak_memory=peak,
-            checkpoints=budget.checkpoints if budget is not None else 0,
-            outcome=outcome, reason=reason, shard=self._shard,
-            span=span if ob.tracer.enabled else None)
+        self._request.fold(self)
+        if self._owns_request:
+            self._request.finish(aborted, span)
 
 
 class PlanEvaluator:
@@ -767,8 +878,8 @@ class PlanEvaluator:
         :func:`repro.core.algebra.powerset_join`).
     obs:
         Optional :class:`~repro.obs.Observability` handle; when enabled,
-        each :meth:`execute` call is traced and recorded like every
-        other run (:class:`FragmentStream`), under the label ``plan``.
+        each :meth:`execute` call is traced and recorded as a request of
+        one (:class:`FragmentStream`), under the label ``plan``.
     analysis:
         Optional :class:`PlanAnalysis` built from the plan being
         executed; when given, operators are timed and every execution

@@ -110,10 +110,10 @@ def evaluate(document: "Document", query: Query,
     obs:
         Optional :class:`~repro.obs.Observability` handle; when enabled,
         the evaluation is wrapped in an ``execute`` span (with ``scan``
-        and per-strategy child spans) and recorded once: per-query
-        metrics plus, when the handle has a flight recorder, one
-        profile with the plan's label, CPU time and the §5 predicted
-        cost of the plan.
+        and per-strategy child spans) and recorded once, as a request
+        of one: per-query metrics plus, when the handle has a flight
+        recorder, one profile with the plan's label, CPU time and the
+        §5 predicted cost of the plan.
     budget:
         Optional :class:`~repro.guard.QueryBudget`: cooperative
         checkpoints inside the operators raise

@@ -121,7 +121,7 @@ def stream_evaluate(document: "Document", query: Query,
     the set of yielded fragments is exactly the materialized answer set
     of ``query.predicate & extra_predicate`` under ``strategy`` — but
     fragments arrive as they are proven and the pipeline stops when the
-    caller stops pulling (which is what records the run as
+    caller stops pulling (which is what records the request as
     ``stream-<strategy>``).
     ``extra_predicate`` exists for consumers (top-k, β rounds) that
     tighten the caller's filter without rebuilding the query: it is one

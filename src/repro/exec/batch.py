@@ -12,11 +12,12 @@ to one :class:`~repro.exec.parallel.ParallelExecutor` scheduling wave,
 so all ``(document, query)`` pairs share one chunked dispatch and every
 worker's warm state serves many queries.
 
-Worker telemetry propagates in both modes: parallel batches ride the
-same chunk dispatch as ``search``, so per-worker span trees, metric
-deltas and query records ship back in-band and merge into the ``obs=``
-handle (see :mod:`repro.obs.delta`) — counters read the same at any
-worker count.
+Each query of a batch is one request, recorded once, in this process:
+serial batches search the collection per query, and parallel batches
+ride the same chunk dispatch as ``search`` (per-worker span trees and
+metric deltas ship back in-band and merge into the ``obs=`` handle,
+see :mod:`repro.obs.delta`), so counters read the same at any worker
+count.
 """
 
 from __future__ import annotations

@@ -24,15 +24,13 @@
   serial output;
 * the merge walks documents in the caller's target order, so result
   dictionaries iterate identically however chunks complete;
-* telemetry survives the pool: when the caller's
-  :class:`~repro.obs.Observability` handle is enabled, each worker runs
-  its queries under a real per-worker handle and ships span trees,
-  metric increments and query records back in-band as an
-  :class:`~repro.obs.delta.ObsDelta` next to the chunk's rows; the
-  parent merges them (spans and records labeled ``worker=N``, metrics
-  onto the same series the serial path uses), so ``--trace``,
-  ``--query-log`` and Prometheus output mean the same thing at any
-  worker count.
+* telemetry survives the pool: each worker ships span trees and metric
+  increments (:class:`~repro.obs.delta.ObsDelta`) next to a chunk's
+  rows, merged as ``worker=N`` spans and onto the serial path's
+  series; it keeps no flight recorder, since its runs are parts of the
+  parent's :class:`~repro.core.evaluator.Request`, recorded once in
+  the parent — so ``--trace``, ``--query-log`` and Prometheus output
+  mean the same thing at any worker count.
 
 Start method: ``fork`` is preferred (worker state is inherited
 copy-on-write, so even large corpora ship for free); on platforms
@@ -65,6 +63,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..collection.collection import (CollectionResult, _count_skipped,
                                      document_runs, keyword_screen)
 from ..core.algebra import JoinCache
+from ..core.evaluator import Request
 from ..core.fragment import Fragment
 from ..core.query import Query, QueryResult
 from ..core.strategies import Strategy
@@ -75,10 +74,10 @@ from ..index.memory import MemorySource
 from ..obs import (CHUNK_FALLBACKS, CHUNK_RETRIES, CHUNK_TIMEOUTS,
                    EXEC_DEGRADED,
                    MUTATION_WORKER_REATTACH, NOOP,
-                   FlightRecorder, MetricsRegistry, Observability,
+                   Observability,
                    POOL_CHUNKS, POOL_CHUNK_SECONDS,
                    POOL_DISPATCH_SECONDS, POOL_RESPAWNS, POOL_TASKS,
-                   POOL_WORKERS, RecorderConfig, SpanTracer,
+                   POOL_WORKERS, SpanTracer,
                    WORKER_CRASHES, capture_delta, merge_delta)
 from ..obs.tracer import NULL_TRACER
 from ..storage.shards.reader import ShardIndex
@@ -110,9 +109,10 @@ _WORKER_SOURCE = None  # this worker's corpus source
 _WORKER_MUTABLE_PATH: Optional[str] = None
 _WORKER_MUTABLE_EPOCH: Optional[int] = None
 _WORKER_CACHE: Optional[JoinCache] = None
+#: This worker's handle (no flight recorder): its registry persists
+#: across chunks, whose increments ship as diffs against a rolling
+#: baseline; its tracer follows the parent's per chunk.
 _WORKER_OBS: Optional[Observability] = None
-_WORKER_OBS_TRACED: Optional[bool] = None
-_WORKER_OBS_RECORDER: Optional[dict] = None
 _WORKER_BASELINE: dict = {}
 
 
@@ -131,16 +131,13 @@ def _init_worker(recipe: tuple) -> None:
     rebuild.
     """
     global _WORKER_SOURCE, _WORKER_MUTABLE_PATH, _WORKER_MUTABLE_EPOCH
-    global _WORKER_CACHE, _WORKER_OBS, _WORKER_OBS_TRACED
-    global _WORKER_OBS_RECORDER, _WORKER_BASELINE
+    global _WORKER_CACHE, _WORKER_OBS, _WORKER_BASELINE
     attach, argument = recipe
     _WORKER_SOURCE = attach(argument) if attach is not None else None
     _WORKER_MUTABLE_PATH = argument if attach is None else None
     _WORKER_MUTABLE_EPOCH = None
     _WORKER_CACHE = JoinCache()
-    _WORKER_OBS = None
-    _WORKER_OBS_TRACED = None
-    _WORKER_OBS_RECORDER = None
+    _WORKER_OBS = Observability(tracer=NULL_TRACER)
     _WORKER_BASELINE = {}
 
 
@@ -173,40 +170,6 @@ def _ensure_worker_epoch(epoch: int, obs) -> None:
         ).inc()
 
 
-def _worker_obs(traced: bool,
-                recorder_spec: Optional[dict] = None) -> Observability:
-    """This worker's live observability handle.
-
-    Created on the first telemetry-enabled chunk and kept warm (the
-    metrics registry persists across chunks; increments ship as diffs
-    against a rolling baseline).  Rebuilt if the parent's tracing
-    preference or flight-recorder config changes between calls.  Each
-    run's series are counted into the worker registry (whose increments
-    merge additively; the calibration gauge is only ever computed by
-    the parent).  A worker recorder runs in ``worker_mode``: its ring
-    has no bound of its own, and profiles and retained traces drain into
-    every chunk's :class:`~repro.obs.delta.ObsDelta`, and the parent's
-    ring does the evicting.
-    """
-    global _WORKER_OBS, _WORKER_OBS_TRACED, _WORKER_OBS_RECORDER
-    global _WORKER_BASELINE
-    if _WORKER_OBS is None or _WORKER_OBS_TRACED != traced \
-            or _WORKER_OBS_RECORDER != recorder_spec:
-        recorder = None
-        if recorder_spec is not None:
-            recorder = FlightRecorder(
-                RecorderConfig.from_dict(recorder_spec),
-                worker_mode=True)
-        _WORKER_OBS = Observability(
-            tracer=SpanTracer() if traced else NULL_TRACER,
-            metrics=MetricsRegistry(), recorder=recorder)
-        _WORKER_OBS_TRACED = traced
-        _WORKER_OBS_RECORDER = (dict(recorder_spec)
-                                if recorder_spec is not None else None)
-        _WORKER_BASELINE = {}
-    return _WORKER_OBS
-
-
 def _budget_marker(exc: BudgetExceeded) -> dict:
     """A picklable row payload standing in for a budget abort.
 
@@ -218,33 +181,42 @@ def _budget_marker(exc: BudgetExceeded) -> dict:
     return {"budget_exceeded": exc.to_dict()}
 
 
-def _raise_budget_marker(marker: dict) -> None:
+def _budget_error(marker: dict) -> BudgetExceeded:
     info = marker["budget_exceeded"]
-    raise BudgetExceeded(info["message"], reason=info["reason"],
-                         elapsed=info["elapsed_s"],
-                         progress=info["progress"])
+    return BudgetExceeded(info["message"], reason=info["reason"],
+                          elapsed=info["elapsed_s"],
+                          progress=info["progress"])
 
 
 def _item_rows(source, queries: Sequence[Query],
                items: Sequence[tuple[str, int]], strategy: Strategy,
-               cache: JoinCache, obs, budget: Optional[QueryBudget]) -> list:
+               cache: JoinCache, obs, budget: Optional[QueryBudget],
+               priced: bool = False) -> tuple[list, Optional[dict]]:
     """Evaluate ``(document name, query index)`` items over one source.
 
     The one item loop, over the collection's one document loop
     (:func:`~repro.collection.collection.document_runs`): a worker runs
     it over its attached source, the parent's degraded fallback over
     its own, so the rows — the per-item budget clones included — are
-    bit-identical wherever a chunk ends up running.  Every item already passed the parent's keyword screen;
-    an index-backed source keeps what it materialises under its own
-    ``cache_limit``.
+    bit-identical wherever a chunk ends up running.  Every item already
+    passed the parent's keyword screen; an index-backed source keeps
+    what it materialises under its own ``cache_limit``.
+
+    Returns ``(rows, totals)``: the runs are parts of the parent's
+    requests, and with ``priced`` ``totals`` maps each query index to
+    its items' ``(§5 predicted cost, thread CPU seconds, plan label)``.
     """
-    rows = []
+    rows, totals = [], {}
     # Chunks list each query's documents together.
     for query_index, group in groupby(items, key=itemgetter(1)):
+        query = queries[query_index]
+        part = (Request(NOOP, "", query, strategy.value, source=source,
+                        priced=priced) if obs.enabled else None)
+        cpu_started = time.thread_time()
         for name, run in document_runs(
-                source, [name for name, _ in group], queries[query_index],
-                strategy, cache=cache, obs=obs, budget=budget,
-                fresh_budget=True):
+                source, [name for name, _ in group], query, strategy,
+                cache=cache, obs=obs, budget=budget, fresh_budget=True,
+                request=part):
             try:
                 result = run.result()
             except BudgetExceeded as exc:
@@ -254,7 +226,11 @@ def _item_rows(source, queries: Sequence[Query],
                          (tuple(sorted(tuple(sorted(f.nodes))
                                        for f in result.fragments)),
                           result.elapsed, result.stats)))
-    return rows
+        if priced:
+            totals[query_index] = (part.predicted if part.priced else None,
+                                   time.thread_time() - cpu_started,
+                                   part.plan)
+    return rows, totals
 
 
 def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
@@ -264,13 +240,14 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
                epoch: Optional[int] = None):
     """Evaluate one chunk of ``(document name, query index)`` items.
 
-    Returns ``(rows, chunk_seconds, delta, pid)`` where each row is
-    ``(name, query_index, payload)`` and ``payload`` is
+    Returns ``(rows, chunk_seconds, delta, pid, totals)`` where each
+    row is ``(name, query_index, payload)`` and ``payload`` is
     ``(fragment node tuples, elapsed, stats dict)`` — plain picklable
     data only, never Fragment/Document objects.  When the parent's
     telemetry is enabled (``obs_spec`` given), ``delta`` carries this
-    worker's span trees, metric increments and query records for the
-    chunk; otherwise it is ``None``.
+    worker's span trees and metric increments for the chunk; otherwise
+    it is ``None``.  ``totals`` (:func:`_item_rows`) are priced only
+    when ``obs_spec["price"]`` says the parent records.
 
     ``fault`` is an optional fault-injection directive from
     :class:`~repro.exec.faults.FaultPlan`, executed before evaluation.
@@ -288,9 +265,11 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
     global _WORKER_BASELINE
     started = time.perf_counter()
     strategy = Strategy(strategy_value)
-    obs = (_worker_obs(bool(obs_spec.get("trace")),
-                       obs_spec.get("recorder"))
-           if obs_spec is not None else NOOP)
+    obs = NOOP
+    if obs_spec is not None:
+        obs = _WORKER_OBS
+        if obs.tracer.enabled != obs_spec["trace"]:
+            obs.tracer = SpanTracer() if obs_spec["trace"] else NULL_TRACER
     if epoch is not None:
         # Mutable-index mode: the chunk is pinned to one epoch; attach
         # (or re-attach) this worker's snapshot to match before any
@@ -299,11 +278,12 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
     try:
         if fault is not None:
             apply_fault(fault)
-        rows = _item_rows(_WORKER_SOURCE, queries, items, strategy,
-                          _WORKER_CACHE, obs, budget)
+        rows, totals = _item_rows(
+            _WORKER_SOURCE, queries, items, strategy, _WORKER_CACHE, obs,
+            budget, priced=bool(obs_spec and obs_spec["price"]))
     except BaseException:
         # Discard the failed attempt's telemetry: advance the metrics
-        # baseline and drain the tracer/recorder, so the eventual
+        # baseline and drain the tracer, so the eventual
         # successful attempt (here or elsewhere) ships exactly once.
         if obs_spec is not None:
             _, _WORKER_BASELINE = capture_delta(obs, _WORKER_BASELINE)
@@ -312,7 +292,7 @@ def _run_chunk(queries: Sequence[Query], items: Sequence[tuple[str, int]],
     if obs_spec is not None:
         _WORKER_CACHE.export_metrics(obs.metrics)
         delta, _WORKER_BASELINE = capture_delta(obs, _WORKER_BASELINE)
-    return rows, time.perf_counter() - started, delta, os.getpid()
+    return rows, time.perf_counter() - started, delta, os.getpid(), totals
 
 
 # ----------------------------------------------------------------------
@@ -462,11 +442,12 @@ class ParallelExecutor:
     # Resilient dispatch
     # ------------------------------------------------------------------
 
-    def _record_outcome(self, payload, outcomes, ob) -> None:
+    def _record_outcome(self, payload, outcomes, totals, ob) -> None:
         """Fold one successful chunk result into the parent state."""
-        rows, chunk_seconds, delta, pid = payload
+        rows, chunk_seconds, delta, pid, chunk_totals = payload
         for name, query_index, row_payload in rows:
             outcomes[(name, query_index)] = row_payload
+        totals.append(chunk_totals)
         if ob.enabled:
             ob.metrics.histogram(
                 POOL_CHUNK_SECONDS,
@@ -500,7 +481,7 @@ class ParallelExecutor:
 
     def _dispatch(self, queries, chunks, strategy, obs_spec, ob,
                   policy: RetryPolicy, plan: Optional[FaultPlan],
-                  outcomes, report: ResilienceReport,
+                  outcomes, totals, report: ResilienceReport,
                   budget: Optional[QueryBudget] = None,
                   chunk_keys: Sequence[Optional[int]] = (),
                   source=None, epoch: Optional[int] = None) -> None:
@@ -509,23 +490,29 @@ class ParallelExecutor:
         Chunks are dispatched in waves; a wave is the current pending
         set.  Failures charge an attempt to the chunk that caused them
         (crash, deadline, in-band exception); chunks lost as collateral
-        when the pool breaks are re-queued without being charged.
+        when the pool breaks are re-queued without being charged.  A
+        crash with several chunks in flight names no culprit: they run
+        one per wave, uncharged, until a crash names it.
         Chunks that exhaust ``policy.max_retries`` are re-evaluated
         in-process at the end, through the exact serial path.
         """
         attempts = [0] * len(chunks)
         pending = list(range(len(chunks)))
+        solo: list[int] = []  # suspects of a crash, dispatched alone
         fallback: list[int] = []
         rng = random.Random()
         stalled_waves = 0
-        while pending:
-            retried = [ci for ci in pending if attempts[ci]]
-            if retried:
-                delay = max(policy.delay(attempts[ci] - 1, rng)
-                            for ci in retried)
-                if delay:
-                    time.sleep(delay)
-            wave, pending = pending, []
+        while pending or solo:
+            if solo:
+                wave = [solo.pop(0)]
+            else:
+                retried = [ci for ci in pending if attempts[ci]]
+                if retried:
+                    delay = max(policy.delay(attempts[ci] - 1, rng)
+                                for ci in retried)
+                    if delay:
+                        time.sleep(delay)
+                wave, pending = pending, []
 
             # Submit the wave.  A submit can only fail if the pool is
             # already broken; stash the rest of the wave for the next
@@ -558,20 +545,23 @@ class ParallelExecutor:
             stalled_waves = 0
 
             # Collect in submission order.  After a crash or timeout the
-            # old pool is gone: salvage whatever already finished, and
-            # re-queue the rest uncharged.
+            # old pool is gone: salvage whatever already finished; the
+            # rest is lost.
             broken = False
+            crash: Optional[BrokenExecutor] = None
+            lost: list[int] = []
             try:
                 for chunk_index, future in futures.items():
                     if broken:
                         if future.done() and not future.cancelled():
                             try:
                                 self._record_outcome(
-                                    future.result(timeout=0), outcomes, ob)
+                                    future.result(timeout=0), outcomes,
+                                    totals, ob)
                                 continue
                             except Exception:
                                 pass
-                        pending.append(chunk_index)
+                        lost.append(chunk_index)
                         continue
                     try:
                         payload = future.result(timeout=policy.timeout_s)
@@ -586,12 +576,8 @@ class ParallelExecutor:
                     except BrokenExecutor as exc:
                         report.crashes += 1
                         self._respawn_pool(report)
-                        broken = True
-                        self._fail(chunk_index, attempts, policy, pending,
-                                   fallback, report,
-                                   reason=f"worker pool broke "
-                                          f"({type(exc).__name__})",
-                                   cause=exc)
+                        broken, crash = True, exc
+                        lost.append(chunk_index)
                     except Exception as exc:
                         self._fail(chunk_index, attempts, policy, pending,
                                    fallback, report,
@@ -599,7 +585,17 @@ class ParallelExecutor:
                                           f"{type(exc).__name__}: {exc}",
                                    cause=exc)
                     else:
-                        self._record_outcome(payload, outcomes, ob)
+                        self._record_outcome(payload, outcomes, totals, ob)
+                if crash is None:
+                    pending.extend(lost)  # collateral of a timeout
+                elif len(lost) == 1:
+                    self._fail(lost[0], attempts, policy, pending,
+                               fallback, report,
+                               reason=f"worker pool broke "
+                                      f"({type(crash).__name__})",
+                               cause=crash)
+                else:
+                    solo.extend(lost)
             except ExecutionError:
                 for future in futures.values():
                     future.cancel()
@@ -609,16 +605,21 @@ class ParallelExecutor:
         # worker's own item loop, in-process, over the parent's source
         # (the run's pinned snapshot on a mutable index), so callers
         # still get serial-identical answers.  Telemetry lands directly
-        # on the parent handle, exactly like the serial path.
+        # on the parent handle, exactly like the serial path; the
+        # request's own thread CPU already covers this work.
         for chunk_index in fallback:
             shard = chunk_keys[chunk_index]
             if shard is not None:
                 report.failed_groups[shard] = \
                     report.failed_groups.get(shard, 0) + 1
-            rows = _item_rows(source, queries, chunks[chunk_index],
-                              strategy, self._parent_cache, ob, budget)
+            rows, chunk_totals = _item_rows(
+                source, queries, chunks[chunk_index], strategy,
+                self._parent_cache, ob, budget,
+                priced=bool(obs_spec and obs_spec["price"]))
             for name, query_index, payload in rows:
                 outcomes[(name, query_index)] = payload
+            totals.append({qi: (predicted, 0.0, label) for qi, (
+                predicted, _, label) in chunk_totals.items()})
             report.fallback_chunks += 1
             report.fallback_items += len(chunks[chunk_index])
 
@@ -633,11 +634,14 @@ class ParallelExecutor:
                resilience: Optional[RetryPolicy] = None,
                faults: Optional[FaultPlan] = None,
                budget: Optional[QueryBudget] = None,
-               snapshot=None) -> CollectionResult:
-        """Evaluate one query over the corpus; serial-identical result."""
+               snapshot=None,
+               request: Optional[Request] = None) -> CollectionResult:
+        """Evaluate one query over the corpus; serial-identical result.
+        ``request`` as for :meth:`run`."""
         return self.run([query], strategy=strategy, documents=documents,
                         obs=obs, resilience=resilience, faults=faults,
-                        budget=budget, snapshot=snapshot)[0]
+                        budget=budget, snapshot=snapshot,
+                        requests=None if request is None else [request])[0]
 
     def run(self, queries: Sequence[Query],
             strategy: Strategy = Strategy.PUSHDOWN,
@@ -646,7 +650,8 @@ class ParallelExecutor:
             resilience: Optional[RetryPolicy] = None,
             faults: Optional[FaultPlan] = None,
             budget: Optional[QueryBudget] = None,
-            snapshot=None
+            snapshot=None,
+            requests: Optional[Sequence[Request]] = None
             ) -> list[CollectionResult]:
         """Evaluate a batch of queries in one scheduling wave.
 
@@ -669,11 +674,20 @@ class ParallelExecutor:
         — not a chunk failure, so it is never retried — and is
         re-raised here as :class:`~repro.errors.BudgetExceeded`, in
         deterministic caller order, once dispatch completes.
+
+        Each query is one :class:`~repro.core.evaluator.Request`: a
+        caller that owns them (a collection search) hands them in as
+        ``requests`` and finishes them; else the run opens and records
+        one per query, under the ``parallel-search`` span.
         """
         ob = obs if obs is not None else self._obs
         policy = resilience if resilience is not None else self.resilience
         plan = faults if faults is not None else self.faults
         queries = list(queries)
+        own = requests is None and ob.enabled
+        if own:
+            requests = [Request(ob, "pool", query, strategy.value,
+                                budget=budget) for query in queries]
         source = snapshot if snapshot is not None else self._source
         if source is None:
             raise QueryError(
@@ -717,71 +731,40 @@ class ParallelExecutor:
             # Start before shipping: workers clone the *absolute*
             # monotonic deadline, which is valid across processes.
             budget.start()
-        obs_spec = None
-        if ob.enabled:
-            obs_spec = {"trace": ob.tracer.enabled}
-            if ob.recorder is not None:
-                # Workers profile under the parent's recorder config;
-                # their rings drain into each chunk's delta.
-                obs_spec["recorder"] = ob.recorder.config.to_dict()
+        # Workers trace when we do, and price their items for a recorder.
+        obs_spec = ({"trace": ob.tracer.enabled,
+                     "price": ob.recorder is not None} if ob.enabled else None)
         outcomes: dict[tuple[str, int], object] = {}
+        totals: list[dict] = []  # each chunk's priced totals
         report = ResilienceReport()
-        with ob.span("parallel-search", workers=self.workers,
-                     queries=len(queries), items=len(items),
-                     chunks=len(chunks)) as span:
-            dispatch_started = time.perf_counter()
-            try:
-                self._dispatch(queries, chunks, strategy, obs_spec, ob,
-                               policy, plan, outcomes,
-                               report, budget=budget,
-                               chunk_keys=chunk_keys, source=source,
-                               epoch=getattr(snapshot, "epoch", None))
-            finally:
-                self.last_report = report
-                self.degraded = report.degraded
-                dispatch_seconds = time.perf_counter() - dispatch_started
-                if ob.enabled:
-                    m = ob.metrics
-                    m.gauge(POOL_WORKERS,
-                            "Workers in the current query pool."
-                            ).set(self.workers)
-                    m.counter(POOL_TASKS,
-                              "(document, query) items dispatched to "
-                              "the pool.").inc(len(items))
-                    m.counter(POOL_CHUNKS, "Chunks dispatched to the pool."
-                              ).inc(len(chunks))
-                    m.histogram(POOL_DISPATCH_SECONDS,
-                                "Parent-side submit-to-merge seconds."
-                                ).observe(dispatch_seconds)
-                    m.counter(CHUNK_RETRIES,
-                              "Chunk attempts re-dispatched after a "
-                              "failure.").inc(report.retries)
-                    m.counter(CHUNK_TIMEOUTS,
-                              "Chunks that blew the per-chunk deadline."
-                              ).inc(report.timeouts)
-                    m.counter(WORKER_CRASHES,
-                              "Worker-pool breakages observed."
-                              ).inc(report.crashes)
-                    m.counter(POOL_RESPAWNS,
-                              "Worker pools rebuilt after a crash or "
-                              "hang.").inc(report.respawns)
-                    m.counter(CHUNK_FALLBACKS,
-                              "Chunks degraded to the in-process serial "
-                              "fallback.").inc(report.fallback_chunks)
-                    m.gauge(EXEC_DEGRADED,
-                            "1 while the last parallel run needed the "
-                            "serial fallback, else 0."
-                            ).set(1 if report.degraded else 0)
-                    span.set(dispatch_seconds=round(dispatch_seconds, 6))
-                    if not report.clean:
-                        span.set(retries=report.retries,
-                                 timeouts=report.timeouts,
-                                 crashes=report.crashes,
-                                 respawns=report.respawns,
-                                 fallback_chunks=report.fallback_chunks)
+        try:
+            with ob.span("parallel-search", workers=self.workers,
+                         queries=len(queries), items=len(items),
+                         chunks=len(chunks)) as span:
+                dispatch_started = time.perf_counter()
+                try:
+                    self._dispatch(queries, chunks, strategy, obs_spec, ob,
+                                   policy, plan, outcomes, totals,
+                                   report, budget=budget,
+                                   chunk_keys=chunk_keys, source=source,
+                                   epoch=getattr(snapshot, "epoch", None))
+                finally:
+                    self.last_report = report
+                    self.degraded = report.degraded
+                    self._count_dispatch(
+                        ob, span, report, len(items), len(chunks),
+                        time.perf_counter() - dispatch_started)
+        except Exception as exc:
+            for request in requests if own else ():
+                request.finish(exc, span)
+            raise
 
+        for chunk_totals in totals:
+            for query_index, entry in chunk_totals.items():
+                requests[query_index].add(None, 0, {}, *entry)
         results = []
         for query_index, query in enumerate(queries):
+            request = requests[query_index] if requests else None
             per_document: dict[str, QueryResult] = {}
             # caller order => deterministic merge
             for name in matching[query_index]:
@@ -789,8 +772,13 @@ class ParallelExecutor:
                 if isinstance(payload, dict):
                     # First budget abort in caller order wins, matching
                     # where the serial path would have raised.
-                    _raise_budget_marker(payload)
+                    exc = _budget_error(payload)
+                    if own:
+                        request.finish(exc, span)
+                    raise exc
                 node_tuples, elapsed, stats = payload
+                if request is not None:
+                    request.add(name, len(node_tuples), stats, 0.0)
                 document = source.document(name)
                 fragments = frozenset(
                     Fragment(document, nodes, validate=False)
@@ -798,11 +786,54 @@ class ParallelExecutor:
                 per_document[name] = QueryResult(
                     query=query, fragments=fragments,
                     strategy=strategy.value, elapsed=elapsed, stats=stats)
+            if own:
+                request.finish(span=span)
             results.append(CollectionResult(query=query,
                                             per_document=per_document))
         if total_skipped:
             _count_skipped(ob, total_skipped)
         return results
+
+    def _count_dispatch(self, ob, span, report: ResilienceReport,
+                        items: int, chunks: int,
+                        dispatch_seconds: float) -> None:
+        """The pool's counters and the ``parallel-search`` span's
+        attributes for one dispatch, also when it raised."""
+        if not ob.enabled:
+            return
+        m = ob.metrics
+        m.gauge(POOL_WORKERS, "Workers in the current query pool."
+                ).set(self.workers)
+        m.histogram(POOL_DISPATCH_SECONDS,
+                    "Parent-side submit-to-merge seconds."
+                    ).observe(dispatch_seconds)
+        m.counter(POOL_TASKS,
+                  "(document, query) items dispatched to the pool."
+                  ).inc(items)
+        m.counter(POOL_CHUNKS, "Chunks dispatched to the pool."
+                  ).inc(chunks)
+        m.counter(CHUNK_RETRIES,
+                  "Chunk attempts re-dispatched after a failure."
+                  ).inc(report.retries)
+        m.counter(CHUNK_TIMEOUTS,
+                  "Chunks that blew the per-chunk deadline."
+                  ).inc(report.timeouts)
+        m.counter(WORKER_CRASHES, "Worker-pool breakages observed."
+                  ).inc(report.crashes)
+        m.counter(POOL_RESPAWNS,
+                  "Worker pools rebuilt after a crash or hang."
+                  ).inc(report.respawns)
+        m.counter(CHUNK_FALLBACKS,
+                  "Chunks degraded to the in-process serial fallback."
+                  ).inc(report.fallback_chunks)
+        m.gauge(EXEC_DEGRADED,
+                "1 while the last parallel run needed the serial "
+                "fallback, else 0.").set(1 if report.degraded else 0)
+        span.set(dispatch_seconds=round(dispatch_seconds, 6))
+        if not report.clean:
+            span.set(retries=report.retries, timeouts=report.timeouts,
+                     crashes=report.crashes, respawns=report.respawns,
+                     fallback_chunks=report.fallback_chunks)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -9,7 +9,7 @@ query engine needs to watch itself:
 * a **metrics registry** (:mod:`repro.obs.metrics`) with counters,
   gauges and histograms, exportable as JSON or Prometheus text;
 * a **flight recorder** (:mod:`repro.obs.recorder`): the one
-  per-query record — a bounded ring of profiles with a slow-query
+  per-request record — a bounded ring of profiles with a slow-query
   threshold, an optional JSONL sink and tail-sampled traces.
 
 Every engine entry point (``evaluate``/``run_plan``/``stream_evaluate``:
@@ -198,7 +198,7 @@ class Observability:
         A :class:`MetricsRegistry` (default) or :data:`NULL_METRICS`.
     recorder:
         Optional :class:`FlightRecorder`; when present,
-        :meth:`record_query` folds every evaluation into it as one
+        :meth:`record_query` folds every request into it as one
         :class:`QueryProfile` (the query log: resource attribution,
         slow flag, §5 predicted-vs-measured cost, tail-sampled trace)
         and counts the profile's series.
@@ -224,21 +224,23 @@ class Observability:
                      plan: Optional[str] = None, cpu_s: float = 0.0,
                      predicted_cost: Optional[float] = None,
                      peak_memory: Optional[int] = None,
-                     checkpoints: int = 0, outcome: str = "ok",
-                     reason: Optional[str] = None,
-                     shard: Optional[int] = None,
+                     documents: int = 1, checkpoints: int = 0,
+                     outcome: str = "ok", reason: Optional[str] = None,
                      span=None) -> Optional[QueryProfile]:
-        """Fold one evaluation into metrics and the flight recorder.
+        """Fold one request into metrics and the flight recorder.
 
         The one place a query is counted: the single recording call of
-        a finished ``FragmentStream`` (every entry point is one).
-        ``elapsed``/``cpu_s`` are in seconds, ``stats`` the plain-dict
-        operation counters, ``shard`` the shard of the evaluated
-        document (if any), ``span`` the evaluation's closed root span
-        (serialised only if the recorder's sampling retains it).  An
-        aborted evaluation (``outcome != "ok"``) is recorded as a
+        a finished :class:`~repro.core.evaluator.Request` — a search, a
+        ranked search, an EXPLAIN ANALYZE, one query of a batch or one
+        single-document evaluation, however many document runs it took.
+        ``document`` names its target (a collection or a document),
+        ``documents`` counts the distinct documents it evaluated,
+        ``elapsed``/``cpu_s`` are in seconds, ``stats`` the summed
+        plain-dict operation counters, ``span`` the request's closed
+        root span (serialised only if the recorder's sampling retains
+        it).  An aborted request (``outcome != "ok"``) is recorded as a
         profile only: the ``repro_query*`` families count finished
-        queries.
+        requests.
         """
         counters = dict(stats) if stats else {}
         if outcome == "ok":
@@ -252,7 +254,8 @@ class Observability:
             elapsed=elapsed, cpu_s=cpu_s, stats=counters,
             outcome=outcome, reason=reason,
             predicted_cost=predicted_cost, peak_memory=peak_memory,
-            checkpoints=checkpoints, plan=plan, shard=shard, span=span)
+            checkpoints=checkpoints, plan=plan, documents=documents,
+            span=span)
         self._count_profile(recorder, profile)
         return profile
 
@@ -283,9 +286,8 @@ class Observability:
 
     def count_dropped_traces(self) -> None:
         """Catch ``repro_recorder_traces_dropped_total`` up with the
-        recorder, the one store that drops a trace (a pool worker's
-        recorder bounds none): after a recorded query and after a
-        worker delta is ingested."""
+        recorder, the one store that drops a trace, after a profile
+        retained one."""
         recorder = self.recorder
         if recorder is None or not recorder.traces_dropped:
             return

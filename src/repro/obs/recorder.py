@@ -1,16 +1,18 @@
 """Query flight recorder (``repro.obs.recorder``).
 
 A :class:`FlightRecorder` keeps an always-on, bounded post-mortem
-record of every evaluated query — the observability gap the metrics
+record of every answered request — the observability gap the metrics
 registry leaves open: counters aggregate away the one bad request, and
 full span trees for *all* traffic would be O(traffic) memory.  The
 recorder is O(ring size) by construction, and its ring is the query
-log: the one per-query record the engine keeps.
+log: the one per-request record the engine keeps.
 
-* every query becomes one :class:`QueryProfile` in a bounded ring —
-  wall and CPU seconds, join ops / cache hits / budget checkpoints,
-  the chosen strategy, the Section-5 *predicted* plan cost next to the
-  *measured* operation count, and (opt-in) the ``tracemalloc``
+* every request (a search, however many documents it evaluates, or
+  one single-document evaluation) becomes one :class:`QueryProfile`
+  in a bounded ring — wall and CPU seconds, join ops / cache hits /
+  budget checkpoints, the documents evaluated, the chosen strategy,
+  the Section-5 *predicted* plan cost next to the *measured*
+  operation count, and (opt-in) the ``tracemalloc``
   high-water mark — and, when a ``sink`` is configured, one JSON line
   (the format :func:`load_dump` reads back);
 * profiles at or over ``RecorderConfig.slow_ms`` are the *slow
@@ -19,10 +21,10 @@ log: the one per-query record the engine keeps.
   for queries that are slow, budget-aborted, errored, or randomly
   head-sampled at a configurable rate.  Everything else is dropped;
 * retained traces are stored pre-converted to **Chrome trace-event**
-  JSON (load the export in ``chrome://tracing`` or Perfetto);
-* profiles produced inside pool workers ship in-band through
-  :mod:`repro.obs.delta` and are folded into the parent recorder with
-  ``worker=N`` provenance, so one ring covers the whole process tree.
+  JSON (load the export in ``chrome://tracing`` or Perfetto).
+
+A request is recorded in the process that answers it: pool workers
+keep no recorder, and their spans graft under the request's root span.
 
 The recorder touches no metrics registry: the per-query series — slow
 queries, §5 cost counters, retained traces — are counted once, by
@@ -121,10 +123,12 @@ class RecorderConfig:
 class QueryProfile:
     """Per-query resource attribution — one ring entry.
 
-    Not frozen: one is built per query on the hot path, and the
+    Not frozen: one is built per request on the hot path, and the
     frozen-dataclass ``object.__setattr__`` init costs ~3x a plain
-    one.  Treat instances as read-only records all the same; `ingest`
-    is the single sanctioned mutation point (worker provenance).
+    one.  Treat instances as read-only records all the same.
+    ``document`` names the request's target (a collection, or the
+    document of a single-document request) and ``documents`` counts
+    the distinct documents it evaluated.
     """
 
     ts: float
@@ -145,8 +149,7 @@ class QueryProfile:
     predicted_cost: Optional[float] = None
     actual_cost: Optional[float] = None
     peak_memory_bytes: Optional[int] = None
-    worker: Optional[str] = None
-    shard: Optional[int] = None
+    documents: int = 1
     trace_id: Optional[str] = None
     retained: Optional[str] = None
     plan: Optional[str] = None
@@ -173,10 +176,11 @@ class QueryProfile:
             "join_ops": self.join_ops,
             "cache_hits": self.cache_hits,
             "checkpoints": self.checkpoints,
+            "documents": self.documents,
             "stats": dict(self.stats),
         }
         for key in ("reason", "predicted_cost", "actual_cost",
-                    "peak_memory_bytes", "worker", "shard", "trace_id",
+                    "peak_memory_bytes", "trace_id",
                     "retained", "plan"):
             value = getattr(self, key)
             if value is not None:
@@ -207,8 +211,7 @@ class QueryProfile:
             predicted_cost=data.get("predicted_cost"),
             actual_cost=data.get("actual_cost"),
             peak_memory_bytes=data.get("peak_memory_bytes"),
-            worker=data.get("worker"),
-            shard=data.get("shard"),
+            documents=int(data.get("documents", 1)),
             trace_id=data.get("trace_id"),
             retained=data.get("retained"),
             plan=data.get("plan"))
@@ -288,10 +291,6 @@ class FlightRecorder:
     ``sink`` is where one JSON line per profile goes: a file-like
     object (``write`` gets the line plus a newline) or a callable
     receiving the bare line; ``None`` keeps profiles in memory only.
-    ``worker_mode`` is for a pool worker's recorder: its ring and its
-    trace store are drained into every chunk's delta, so neither has a
-    bound of its own — eviction is decided, and counted, once, in the
-    parent.
 
     Thread safety: all mutation and snapshots hold one lock; snapshots
     return copies, so the ``/slow`` and ``/debug/flightrecorder``
@@ -300,16 +299,15 @@ class FlightRecorder:
     """
 
     def __init__(self, config: Optional[RecorderConfig] = None,
-                 worker_mode: bool = False, sink=None,
+                 sink=None,
                  clock: Callable[[], float] = time.time) -> None:
         self.config = config if config is not None else RecorderConfig()
         self._sink = sink
         self._clock = clock
         self._lock = threading.Lock()
         self._ring: deque[QueryProfile] = deque(
-            maxlen=None if worker_mode else self.config.ring_size)
+            maxlen=self.config.ring_size)
         self._traces: "OrderedDict[str, dict]" = OrderedDict()
-        self._max_traces = None if worker_mode else self.config.max_traces
         self._seq = 0
         self.recorded = 0
         self.evicted = 0
@@ -357,12 +355,11 @@ class FlightRecorder:
                 predicted_cost: Optional[float] = None,
                 peak_memory: Optional[int] = None,
                 checkpoints: int = 0, plan: Optional[str] = None,
-                shard: Optional[int] = None,
-                span=None) -> QueryProfile:
-        """Fold one finished (or aborted) query into the recorder.
+                documents: int = 1, span=None) -> QueryProfile:
+        """Fold one finished (or aborted) request into the recorder.
 
-        ``shard`` is the shard the query's document lives in, if any.
-        ``span`` is the query's *closed* root span, held only for this
+        ``documents`` counts the documents the request evaluated.
+        ``span`` is the request's *closed* root span, held only for this
         call and serialized to Chrome events only if the tail/head
         sampling decision retains it (the profile then carries a
         ``trace_id``).
@@ -393,8 +390,8 @@ class FlightRecorder:
                 cache_hits=counters.get("join_cache_hits", 0),
                 checkpoints=checkpoints, stats=counters,
                 predicted_cost=predicted_cost, actual_cost=actual,
-                peak_memory_bytes=peak_memory,
-                shard=shard, trace_id=trace_id, retained=retained,
+                peak_memory_bytes=peak_memory, documents=documents,
+                trace_id=trace_id, retained=retained,
                 plan=plan)
             self._append(profile)
             if trace is not None:
@@ -428,8 +425,7 @@ class FlightRecorder:
     def _store_trace(self, trace_id: str, body: dict) -> None:
         self._traces[trace_id] = body
         self.traces_retained += 1
-        while self._max_traces is not None \
-                and len(self._traces) > self._max_traces:
+        while len(self._traces) > self.config.max_traces:
             self._traces.popitem(last=False)
             self.traces_dropped += 1
 
@@ -457,41 +453,6 @@ class FlightRecorder:
         if self._memory_on and tracemalloc.is_tracing():
             tracemalloc.stop()
             self._memory_on = False
-
-    # ------------------------------------------------------------------
-    # Cross-process shipping (repro.obs.delta)
-    # ------------------------------------------------------------------
-
-    def drain(self) -> tuple[list[dict], dict]:
-        """Remove and return ``(profile dicts, retained traces)``.
-
-        Pool workers drain after each chunk so profiles and traces
-        ship to the parent exactly once.
-        """
-        with self._lock:
-            profiles = [p.to_dict() for p in self._ring]
-            self._ring.clear()
-            traces = dict(self._traces)
-            self._traces.clear()
-        return profiles, traces
-
-    def ingest(self, profiles: Sequence[Mapping], traces: Mapping,
-               worker: Optional[str] = None) -> None:
-        """Fold a worker's drained profiles and traces into this ring.
-
-        Nothing is counted here: the worker's ``record_query`` counted
-        each profile into the worker registry, whose delta merges
-        additively next to this call; traces this store drops are
-        caught up by the caller (:func:`~repro.obs.delta.merge_delta`).
-        """
-        with self._lock:
-            for data in profiles:
-                profile = QueryProfile.from_dict(data)
-                if worker is not None and profile.worker is None:
-                    profile.worker = worker
-                self._append(profile)
-            for trace_id, body in traces.items():
-                self._store_trace(trace_id, body)
 
     # ------------------------------------------------------------------
     # Introspection / export

@@ -238,12 +238,14 @@ class ShardRouter:
     def run(self, queries: Sequence, strategy=None,
             documents: Optional[Iterable[str]] = None,
             obs: Optional[Observability] = None,
-            resilience=None, faults=None, budget=None) -> list:
+            resilience=None, faults=None, budget=None,
+            requests=None) -> list:
         """Evaluate a query batch across the healthy shards.
 
         Returns one ``CollectionResult`` per query, in query order —
         bit-identical to the in-memory path over the routed documents.
         ``router.last_report`` names anything that was excluded.
+        ``requests`` as for :meth:`ParallelExecutor.run`.
         """
         from ...core.strategies import Strategy
         if strategy is None:
@@ -258,7 +260,7 @@ class ShardRouter:
                 results = self.executor.run(
                     list(queries), strategy=strategy, documents=targets,
                     obs=ob, resilience=resilience, faults=faults,
-                    budget=budget)
+                    budget=budget, requests=requests)
             except ShardError as exc:
                 # A shard went bad mid-flight (e.g. lazy checksum
                 # verification failing at first materialisation).
@@ -291,11 +293,12 @@ class ShardRouter:
     def search(self, query, strategy=None,
                documents: Optional[Iterable[str]] = None,
                obs: Optional[Observability] = None,
-               resilience=None, faults=None, budget=None):
+               resilience=None, faults=None, budget=None, request=None):
         """Route one query; returns a single ``CollectionResult``."""
         return self.run([query], strategy=strategy, documents=documents,
                         obs=obs, resilience=resilience, faults=faults,
-                        budget=budget)[0]
+                        budget=budget,
+                        requests=None if request is None else [request])[0]
 
     def _remember(self, report: RouterReport) -> None:
         """Fold one run's report into the cumulative per-shard ledger."""

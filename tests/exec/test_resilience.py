@@ -181,29 +181,63 @@ class TestFlakyChunk:
                 ex.run(queries)
 
 
+class TestCrashAttribution:
+    def test_a_crash_is_charged_to_the_chunk_that_crashed(self, documents):
+        """Chunk 0 only sleeps, inside any deadline, while chunk 1's
+        worker dies: the crash is charged to chunk 1 alone, never to
+        the chunk that happened to be collected first, so nothing
+        exhausts its retries or degrades."""
+        plan = FaultPlan(FaultRule.hang(chunk=0, hang_s=0.5),
+                         FaultRule.kill(chunk=1))
+        for _ in range(10):
+            with ParallelExecutor(documents, workers=2,
+                                  resilience=RetryPolicy(**FAST),
+                                  faults=plan) as ex:
+                ex.search(Query(("needle",)))
+            report = ex.last_report
+            assert report.crashes >= 1
+            assert report.failures
+            assert all(failure.startswith("chunk 1 ")
+                       for failure in report.failures), report.failures
+            assert report.fallback_chunks == 0
+            assert not report.degraded
+
+
 class TestDeterminismUnderFaults:
-    def test_degraded_results_are_bit_identical(self, corpus, queries,
-                                                serial):
+    def test_degraded_results_are_bit_identical(self, corpus):
         # The acceptance bar: kill + hang + flaky in one run, results
-        # indistinguishable from serial, repeated for stability.
+        # indistinguishable from serial, repeated for stability.  The
+        # query has 6 candidate documents, so 6 one-item chunks, and
+        # every rule fires.
+        query = Query(("article",))
+        serial = corpus.search(query)
         plan = FaultPlan(FaultRule.kill(chunk=1),
                          FaultRule.hang(chunk=2, hang_s=30),
                          FaultRule.flaky(chunk=3, times=1))
         for _ in range(2):
+            obs = Observability()
             results = corpus.search(
-                queries[0], workers=2,
+                query, workers=2, obs=obs,
                 resilience=RetryPolicy(timeout_s=1.0, **FAST),
                 faults=plan)
-            assert _sig(results) == _sig(serial[0])
+            assert _sig(results) == _sig(serial)
+            assert len(results.per_document) == 6
+            assert obs.metrics.get(WORKER_CRASHES).value >= 1
+            assert obs.metrics.get(CHUNK_TIMEOUTS).value == 1
+            assert obs.metrics.get(CHUNK_RETRIES).value == 3
+            assert obs.metrics.get(CHUNK_FALLBACKS).value == 0
 
     def test_ranked_search_with_faults(self, corpus, queries):
-        expected = corpus.ranked_search(queries[0], limit=8)
+        expected = corpus.ranked_search(queries[1], limit=8)
+        assert len(expected) == 8
+        obs = Observability()
         got = corpus.ranked_search(
-            queries[0], limit=8, workers=2,
+            queries[1], limit=8, workers=2, obs=obs,
             resilience=RetryPolicy(**FAST),
             faults=FaultPlan(FaultRule.kill(chunk=0)))
         assert ([(n, s.fragment.nodes, s.score) for n, s in got]
                 == [(n, s.fragment.nodes, s.score) for n, s in expected])
+        assert obs.metrics.get(WORKER_CRASHES).value >= 1
 
     @pytest.mark.parametrize("kind", ("memory", "mutable"))
     @pytest.mark.parametrize("limit", (1, 5))

@@ -1,10 +1,13 @@
 """Worker telemetry propagation tests (repro.exec ⇄ repro.obs.delta).
 
 The contract: observability output means the same thing at any worker
-count.  Pool workers run with their own handles, ship span trees,
-metric deltas and query profiles back in-band, and the parent merges
-them — so the parent-side counters equal the serial ones exactly, and
-spans/profiles carry a ``worker=N`` provenance label.
+count.  Pool workers run with their own handles (a tracer and a
+registry, no flight recorder), ship span trees and metric deltas back
+in-band, and the parent merges them — so the parent-side counters
+equal the serial ones exactly and worker spans carry a ``worker=N``
+provenance label.  A search is one request, recorded once by the
+parent: the same ``repro_query_*`` and ``repro_cost_*`` series and one
+profile whether it ran serially or pooled.
 
 Collections are built fresh per run: the serial path shares one join
 cache across queries, so reusing a warm collection would skew the
@@ -82,24 +85,18 @@ class TestCounterDeterminism:
 
 
 class TestProvenance:
-    def test_query_records_carry_worker_labels(self):
-        obs = Observability(recorder=FlightRecorder())
-        with _fresh_collection() as collection:
-            collection.search(QUERY, obs=obs, workers=2)
-        records = obs.recorder.profiles
-        assert records
-        assert all(record.worker is not None for record in records)
-        assert all(record.worker.isdigit() for record in records)
-
     def test_worker_spans_graft_under_the_parallel_span(self):
         obs = Observability()
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=obs, workers=2)
-        names = set()
-        for root in obs.tracer.roots:
-            names |= _span_names(root)
-        assert "parallel-search" in names
-        assert "execute" in names  # rehydrated worker span
+        (root,) = obs.tracer.roots
+        assert root.name == "collection-search"
+        (pooled,) = root.children
+        assert pooled.name == "parallel-search"
+        executes = [span for span, _ in pooled.walk()
+                    if span.name == "execute"]
+        assert executes  # rehydrated worker spans
+        assert all("document" in span.attributes for span in executes)
 
     def test_worker_attribute_on_adopted_spans(self):
         obs = Observability()
@@ -128,8 +125,8 @@ class TestProvenance:
 
 class TestSlowQueryRederivation:
     def test_parent_threshold_marks_worker_records(self):
-        # Workers record under the parent's RecorderConfig; with a 0 ms
-        # threshold every merged profile is slow, and counted once.
+        # The parent records the pooled request under its own
+        # threshold; at 0 ms its one profile is slow, counted once.
         obs = Observability(recorder=FlightRecorder(
             RecorderConfig(slow_ms=0.0)))
         with _fresh_collection() as collection:
@@ -182,7 +179,7 @@ class TestRecorderAcrossWorkers:
             serial = self._histogram_export(serial_obs, name)
             parallel = self._histogram_export(parallel_obs, name)
             assert serial is not None and parallel is not None
-            # one sample per evaluated document, counted exactly once
+            # one sample per request, counted exactly once
             assert parallel["count"] == serial["count"]
             assert parallel["buckets"] == serial["buckets"]
             assert sum(parallel["counts"]) == parallel["count"]
@@ -207,16 +204,18 @@ class TestRecorderAcrossWorkers:
         assert count_line.split()[-1] == inf_line.split()[-1]
 
     def test_worker_profiles_carry_provenance_and_traces(self):
+        """Workers ship no profiles: the pooled request's one profile,
+        recorded by the parent, carries their provenance in its trace."""
         obs = self._profiled_obs()
         with _fresh_collection() as collection:
             collection.search(QUERY, obs=obs, workers=2)
-        profiles = obs.recorder.profiles
-        assert profiles
-        assert all(p.worker is not None for p in profiles)
-        retained = [p for p in profiles if p.trace_id]
-        assert retained
-        doc = obs.recorder.chrome_trace(retained[0].trace_id)
-        assert any(e["name"] == "execute" for e in doc["traceEvents"])
+        (profile,) = obs.recorder.profiles
+        assert profile.trace_id
+        events = obs.recorder.chrome_trace(profile.trace_id)["traceEvents"]
+        assert events[0]["name"] == "collection-search"
+        executes = [e for e in events if e["name"] == "execute"]
+        assert executes
+        assert all(e["args"]["worker"].isdigit() for e in executes)
 
     def test_parent_ring_matches_serial_profile_count(self):
         serial_obs = self._profiled_obs()
@@ -259,43 +258,19 @@ class TestRecorderAcrossWorkers:
                 assert parallel[key]["value"] \
                     == pytest.approx(record["value"])
 
-    def test_a_chunk_larger_than_the_ring_loses_no_profile(self):
-        """A worker's ring is drained after every chunk and has no
-        bound of its own: with ``chunk_size`` over ``ring_size`` the
-        parent still sees (and counts) every evaluation, and does the
-        only evicting."""
-        from repro.exec import ParallelExecutor
-        from repro.obs import FlightRecorder, RecorderConfig
-
-        def handle():
-            return Observability(recorder=FlightRecorder(
-                RecorderConfig(ring_size=1, slow_ms=None)))
-
-        serial_obs, pooled_obs = handle(), handle()
-        with _fresh_collection() as collection:
-            collection.search(QUERY, obs=serial_obs)
-            documents = {name: collection.document(name)
-                         for name in collection.names()}
-        with ParallelExecutor(documents=documents, workers=2,
-                              chunk_size=len(documents)) as executor:
-            executor.search(QUERY, obs=pooled_obs)
-        serial, pooled = serial_obs.recorder, pooled_obs.recorder
-        assert serial.recorded > serial.config.ring_size
-        assert (pooled.recorded, pooled.evicted, len(pooled)) \
-            == (serial.recorded, serial.evicted, len(serial))
-
     @pytest.mark.parametrize("workers", (None, 2))
     def test_dropped_traces_are_counted_where_they_drop(self, workers):
         """Every trace evicted past ``max_traces`` moves
-        ``repro_recorder_traces_dropped_total``, also when the parent
-        ingests pooled workers' traces: workers bound no trace store,
-        so the parent's is the one that drops."""
+        ``repro_recorder_traces_dropped_total``, pooled or not: the
+        parent's store is the only one."""
         from repro.obs import TRACES_DROPPED
 
         obs = Observability(recorder=FlightRecorder(RecorderConfig(
             slow_ms=None, sample_rate=1.0, max_traces=2, seed=5)))
         with _fresh_collection() as collection:
-            collection.search(Query(("needle",)), obs=obs, workers=workers)
+            for _ in range(4):
+                collection.search(Query(("needle",)), obs=obs,
+                                  workers=workers)
         recorder = obs.recorder
         assert len(recorder.trace_ids()) == 2
         assert recorder.traces_dropped == recorder.recorded - 2 > 0

@@ -1,18 +1,16 @@
 """Tests for the cross-process telemetry delta format (repro.obs.delta).
 
-Worker processes ship metric increments, span trees and query profiles
-back to the parent as an :class:`ObsDelta`; these tests pin the diff →
-ship → merge semantics the parallel executor relies on.
+Worker processes ship metric increments and span trees back to the
+parent as an :class:`ObsDelta`; these tests pin the diff → ship →
+merge semantics the parallel executor relies on.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import (DELTAS_MERGED, SLOW_QUERIES, MetricsRegistry,
-                       FlightRecorder, Observability, ObsDelta,
-                       RecorderConfig, capture_delta,
-                       merge_delta)
+from repro.obs import (DELTAS_MERGED, FRAGMENT_JOINS, MetricsRegistry,
+                       Observability, ObsDelta, capture_delta, merge_delta)
 
 
 def _counter_value(registry, name):
@@ -104,26 +102,21 @@ class TestRegistryMerge:
 
 
 class TestCaptureAndMergeDelta:
-    #: A worker records under the config its parent shipped.
-    CONFIG = RecorderConfig(slow_ms=100.0)
-
     def _worker_obs(self):
-        obs = Observability(recorder=FlightRecorder(self.CONFIG,
-                                                    worker_mode=True))
+        # A pool worker's handle: a tracer and a registry, no recorder.
+        obs = Observability()
         with obs.span("execute", strategy="pushdown"):
             pass
-        obs.record_query(document="doc-1", terms=("a", "b"),
-                         filter="size<=3", strategy="pushdown",
-                         answers=2, elapsed=0.25,
-                         stats={"fragment_joins": 5})
+        obs.metrics.counter(FRAGMENT_JOINS).inc(5)
         return obs
 
     def test_capture_drains_worker_state(self):
         obs = self._worker_obs()
         delta, baseline = capture_delta(obs, None)
         assert bool(delta)
-        assert delta.profiles and delta.spans
-        assert not hasattr(delta, "records")
+        assert delta.metrics["metrics"] and delta.spans
+        assert not obs.tracer.roots
+        assert not hasattr(delta, "profiles")
         # A second capture against the new baseline is empty.
         empty, _ = capture_delta(obs, baseline)
         assert not bool(empty)
@@ -156,34 +149,24 @@ class TestCaptureAndMergeDelta:
         assert delta.metrics == expected
 
     def test_merge_stamps_worker_label_on_spans_and_records(self):
+        # The label goes on the spans; the metric records merge onto
+        # the parent's series.
         delta, _ = capture_delta(self._worker_obs(), None)
-        parent = Observability(recorder=FlightRecorder(self.CONFIG))
+        parent = Observability()
         merge_delta(parent, delta, worker="3")
-        (record,) = parent.recorder.profiles
-        assert record.worker == "3"
         (root,) = parent.tracer.roots
         assert root.attributes.get("worker") == "3"
         assert _counter_value(parent.metrics, DELTAS_MERGED) == 1
+        assert _counter_value(parent.metrics, FRAGMENT_JOINS) == 5
 
     def test_metric_increments_merge_unlabelled(self):
         # Parent totals must equal serial totals: worker labels go on
-        # spans and records only, never on the metric series.
+        # spans only, never on the metric series.
         delta, _ = capture_delta(self._worker_obs(), None)
         parent = Observability()
         merge_delta(parent, delta, worker="1")
         for record in parent.metrics.to_json()["metrics"]:
             assert "worker" not in (record.get("labels") or {})
-
-    def test_parent_threshold_rederives_slow(self):
-        # One threshold on both sides of the pool: the worker counts
-        # the slow query, the count travels in the metrics increment,
-        # and the parent's ring reads the same profile as slow.
-        delta, _ = capture_delta(self._worker_obs(), None)
-        parent = Observability(recorder=FlightRecorder(self.CONFIG))
-        merge_delta(parent, delta, worker="0")
-        (record,) = parent.recorder.slow_profiles()  # 0.25 s >= 100 ms
-        assert record.worker == "0"
-        assert _counter_value(parent.metrics, SLOW_QUERIES) == 1
 
     def test_merge_none_delta_is_noop(self):
         parent = Observability()
@@ -194,8 +177,8 @@ class TestCaptureAndMergeDelta:
         # The pool pickles deltas; the dataclass must survive
         # dict-shaped reconstruction.
         delta, _ = capture_delta(self._worker_obs(), None)
-        clone = ObsDelta(metrics=delta.metrics, spans=delta.spans,
-                         profiles=delta.profiles)
-        parent = Observability(recorder=FlightRecorder())
+        clone = ObsDelta(metrics=delta.metrics, spans=delta.spans)
+        parent = Observability()
         merge_delta(parent, clone, worker="2")
-        assert len(parent.recorder) == 1
+        assert _counter_value(parent.metrics, FRAGMENT_JOINS) == 5
+        assert len(parent.tracer.roots) == 1

@@ -355,7 +355,9 @@ class TestPaginationAndStreaming:
         streamed = [p for p in snapshot["profiles"]
                     if p["strategy"] == "stream-pushdown"]
         assert streamed and snapshot["counts"]["recorded"] >= len(streamed)
-        assert {p["document"] for p in streamed} <= {"d1", "d2"}
+        # One request over the collection, not one profile per document.
+        assert [(p["document"], p["documents"]) for p in streamed] \
+            == [("paged", 2)]
 
 
 class TestOnTheWire:

@@ -101,16 +101,6 @@ class TestSinks:
         _record(log)
         assert len(log.profiles) == 1
 
-    def test_ingested_worker_profiles_reach_the_sink(self):
-        seen = []
-        worker = FlightRecorder(RecorderConfig(slow_ms=None),
-                                worker_mode=True)
-        _record(worker)
-        log = _log(sink=seen.append)
-        log.ingest(*worker.drain(), worker="3")
-        assert [json.loads(line)["worker"] for line in seen] == ["3"]
-
-
 class TestRing:
     def test_ring_drops_oldest(self):
         log = _log(ring_size=3)

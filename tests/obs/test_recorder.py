@@ -372,28 +372,6 @@ class TestDumpAndLoad:
 
 
 class TestIngest:
-    def test_ingest_tags_worker_and_skips_reaggregation(self):
-        worker = Observability(recorder=FlightRecorder(
-            RecorderConfig(slow_ms=0.0), worker_mode=True))
-        _observe(worker, predicted=5.0, span=_closed_span())
-        profiles, traces = worker.recorder.drain()
-        assert len(worker.recorder) == 0
-
-        parent = Observability(recorder=FlightRecorder(RecorderConfig()))
-        parent.recorder.ingest(profiles, traces, worker="3")
-        (profile,) = parent.recorder.profiles
-        assert profile.worker == "3"
-        assert profile.trace_id in parent.recorder.trace_ids()
-        # every series travels via the additive delta merge, not ingest
-        assert len(parent.metrics) == 0
-        assert parent.publish_calibration() == {}
-        parent.metrics.merge(worker.metrics.diff())
-        assert parent.metrics.get(QUERY_LATENCY).count == 1
-        assert parent.publish_calibration() \
-            == worker.publish_calibration()
-        assert parent.metrics.get(
-            COST_CALIBRATION, labels={"strategy": "pushdown"}) is not None
-
     def test_snapshot_counts(self):
         recorder = FlightRecorder(RecorderConfig(ring_size=2,
                                                  slow_ms=None))

@@ -377,3 +377,33 @@ class TestTimeseriesAndAlertRoutes:
             assert history.running
         finally:
             history.stop()
+
+
+class TestOneProfilePerQuery:
+    def test_each_query_is_one_profile_and_one_count(self):
+        """Plain and streamed ``POST /query`` calls over a multi-document
+        collection: every call is one request, counted once and
+        profiled once, however many documents and β rounds it ran."""
+        from repro.workloads.inexlike import InexSpec, generate_collection
+
+        obs = Observability(recorder=FlightRecorder(
+            RecorderConfig(slow_ms=None)))
+        calls = 6
+        with generate_collection(InexSpec(articles=6, nodes_per_article=140,
+                                          seed=7)) as corpus, \
+                MetricsServer(obs, collection=corpus) as server:
+            for call in range(calls):
+                body = json.dumps({"query": "needle", "limit": 40,
+                                   "stream": call % 2 == 1}).encode()
+                request = urllib.request.Request(
+                    server.url + "/query", data=body, method="POST",
+                    headers={"Content-Type": "application/json"})
+                with urllib.request.urlopen(request, timeout=30) as reply:
+                    assert reply.status == 200
+                    reply.read()
+        profiles = obs.recorder.profiles
+        assert len(profiles) == calls
+        assert obs.metrics.get("repro_queries_total").value == calls
+        assert [p.strategy for p in profiles] \
+            == ["pushdown", "stream-pushdown"] * (calls // 2)
+        assert {p.documents for p in profiles} == {2}

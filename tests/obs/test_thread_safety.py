@@ -148,31 +148,9 @@ class TestQueryLogThreadSafety:
         assert len(lines) == rounds * nthreads
         assert len({p.query_id for p in log.profiles}) == len(log)
 
-    def test_concurrent_ingest_and_drain(self):
-        log = FlightRecorder(RecorderConfig(ring_size=10_000))
-        rounds = 200
-        payload = {"ts": 1.0, "query_id": "q0-000001", "document": "d",
-                   "terms": ["a"], "filter": "true",
-                   "strategy": "pushdown", "answers": 1, "wall_ms": 2.0,
-                   "cpu_ms": 1.0, "stats": {}}
-        drained = []
-
-        def producer():
-            for _ in range(rounds):
-                log.ingest([dict(payload)], {}, worker="w0")
-
-        def drainer():
-            for _ in range(rounds // 10):
-                drained.extend(log.drain()[0])
-
-        _run_threads([producer, producer, drainer])
-        drained.extend(log.drain()[0])
-        assert len(drained) == 2 * rounds
-
-
 class TestPerThreadRequestState:
     """Concurrent searches sharing one handle keep their span trees and
-    their profiles' shard apart."""
+    their spans' shard apart."""
 
     def test_concurrent_searches_leave_one_tree_per_search(self):
         corpus = generate_collection(
@@ -202,8 +180,10 @@ class TestPerThreadRequestState:
                     == [span.name for span, _ in expected.walk()]
 
     def test_profiles_carry_their_own_shard(self, tmp_path):
-        """A profile recorded on one thread never carries the shard of a
-        search running on another."""
+        """A profile's trace, recorded on one thread, names the shard of
+        each of its own documents on their ``execute`` spans, never
+        those of a search running on another; each search is one
+        profile over its 8 documents."""
         from repro.collection.collection import DocumentCollection
         from repro.storage.shards import build_index
         from repro.xmltree.parser import parse
@@ -218,33 +198,44 @@ class TestPerThreadRequestState:
         build_index({f"idx-{i}": article(f"idx-{i}") for i in range(8)},
                     tmp_path / "idx", shards=4)
         sharded = DocumentCollection.open_index(tmp_path / "idx")
-        obs = Observability(recorder=FlightRecorder(
-            RecorderConfig(ring_size=10_000, slow_ms=None)))
+        obs = Observability(recorder=FlightRecorder(RecorderConfig(
+            ring_size=10_000, max_traces=10_000, slow_ms=None,
+            sample_rate=1.0)))
         query = Query(("needle", "thread"))
 
         def searcher(collection):
             def run():
                 for _ in range(40):
                     collection.search(query, obs=obs)
+                obs.tracer.clear()
             return run
 
         try:
             _run_threads([searcher(memory), searcher(sharded)] * 2)
             profiles = obs.recorder.profiles
-            assert len(profiles) == 4 * 40 * 8
+            assert len(profiles) == 4 * 40
+            assert {p.documents for p in profiles} == {8}
             source = sharded._source
+            shards = set()
             for profile in profiles:
-                expected = (None if profile.document.startswith("mem-")
-                            else source.shard_of(profile.document))
-                assert profile.shard == expected
-            assert {p.shard for p in profiles} - {None}
+                events = obs.recorder.chrome_trace(
+                    profile.trace_id)["traceEvents"]
+                executes = [e["args"] for e in events
+                            if e["name"] == "execute"]
+                assert len(executes) == 8
+                for args in executes:
+                    expected = (None if args["document"].startswith("mem-")
+                                else source.shard_of(args["document"]))
+                    assert args["shard"] == expected
+                    shards.add(args["shard"])
+            assert shards - {None}
         finally:
             sharded.close()
 
     def test_profile_cpu_is_the_runs_own(self):
-        """A run's ``cpu_ms`` is its own thread's CPU: two threads of
-        interleaved searches never charge each other's, so the profiles
-        sum to no more than the CPU the process spent."""
+        """A request's ``cpu_ms`` is its own thread's CPU: two threads
+        of interleaved searches never charge each other's, so the
+        profiles sum to no more than the CPU the process spent."""
         corpus = generate_collection(InexSpec(
             articles=4, nodes_per_article=100, seed=13, planted_fraction=1.0))
         obs = Observability(recorder=FlightRecorder(
@@ -266,7 +257,7 @@ class TestPerThreadRequestState:
         finally:
             sys.setswitchinterval(interval)
         profiles = obs.recorder.profiles
-        assert len(profiles) == 2 * 30 * 4
+        assert len(profiles) == 2 * 30
         assert sum(p.cpu_ms for p in profiles) <= process_ms
 
 
@@ -280,9 +271,8 @@ class TestLiveServerUnderLoad:
                    Query(("thread",))]
         searches_per_thread, nthreads = 50, 4  # 200 searches total
 
-        # QUERIES_TOTAL counts per-document evaluations (the index
-        # early exit skips documents), so derive the exact expected
-        # totals from one serial pass per query.
+        # Derive the exact expected QUERIES_TOTAL from one serial pass
+        # per query.
         evals_per_query = []
         for q in queries:
             probe = Observability()

@@ -45,7 +45,7 @@ from repro.exec.parallel import ParallelExecutor
 from repro.exec.resilience import RetryPolicy
 from repro.index.inverted import InvertedIndex
 from repro.obs import Observability
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, RecorderConfig
 from repro.obs.server import MetricsServer
 from repro.storage.mutation import OP_ADD
 from repro.storage.mutation.delta import DeltaView
@@ -806,15 +806,22 @@ class TestShardedCollection:
             sharded.close()
 
     def test_serial_profiles_carry_shard(self, index_dir):
-        recorder = FlightRecorder()
-        obs = Observability(recorder=recorder)
+        # One profile per search; its trace's execute spans name the
+        # shard of each document.
+        obs = Observability(recorder=FlightRecorder(
+            RecorderConfig(sample_rate=1.0, slow_ms=None)))
         sharded = DocumentCollection.open_index(index_dir)
         try:
             sharded.search(Query.of("needle"), obs=obs)
-            profiles = [p for p in recorder.profiles
-                        if p.shard is not None]
-            assert profiles
-            assert {p.shard for p in profiles} <= set(range(SHARDS))
+            (profile,) = obs.recorder.profiles
+            events = obs.recorder.chrome_trace(
+                profile.trace_id)["traceEvents"]
+            shards = {e["args"]["document"]: e["args"]["shard"]
+                      for e in events if e["name"] == "execute"}
+            assert len(shards) == profile.documents > 0
+            assert shards == {name: sharded.index_handle.shard_of(name)
+                              for name in shards}
+            assert set(shards.values()) <= set(range(SHARDS))
         finally:
             sharded.close()
 
