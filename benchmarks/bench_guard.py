@@ -89,7 +89,8 @@ def test_guard_overhead_and_abort(benchmark, capsys, bench_metrics,
     generous = QueryBudget(deadline_s=3600.0, max_join_ops=10**12)
 
     def run():
-        collection.search(QUERY)  # warm indexes/caches off the clock
+        # Warm indexes/caches off the clock.
+        collection.search(QUERY, strategy=Strategy.PUSHDOWN)
         # Interleave the two variants so clock drift / cache warmth
         # hits both equally, and take the per-variant best: the min is
         # the robust estimator for an overhead ratio.
@@ -97,11 +98,13 @@ def test_guard_overhead_and_abort(benchmark, capsys, bench_metrics,
         unguarded_result = guarded_result = None
         for _ in range(repetitions):
             started = time.perf_counter()
-            unguarded_result = collection.search(QUERY)
+            unguarded_result = collection.search(
+                QUERY, strategy=Strategy.PUSHDOWN)
             unguarded_times.append(time.perf_counter() - started)
             started = time.perf_counter()
             guarded_result = collection.search(
-                QUERY, budget=generous.fresh_item())
+                QUERY, strategy=Strategy.PUSHDOWN,
+                budget=generous.fresh_item())
             guarded_times.append(time.perf_counter() - started)
         assert _hit_signature(guarded_result) \
             == _hit_signature(unguarded_result)

@@ -24,6 +24,7 @@ from repro.bench.reporting import banner, format_table
 from repro.collection.collection import DocumentCollection
 from repro.collection.mutable import MutableDocumentCollection
 from repro.core.query import Query
+from repro.core.strategies import Strategy
 from repro.storage.mutation import MutableIndex
 from repro.workloads.inexlike import InexSpec, generate_collection
 
@@ -143,19 +144,19 @@ def test_epoch_pinned_read_overhead(benchmark, capsys, smoke,
 
     def run():
         # Warm both paths (index build / snapshot caches), then time.
-        reference = plain.search(query)
-        pinned = mutable.search(query)
+        reference = plain.search(query, strategy=Strategy.PUSHDOWN)
+        pinned = mutable.search(query, strategy=Strategy.PUSHDOWN)
         assert ([h.label() for h in pinned.hits]
                 == [h.label() for h in reference.hits])
 
         started = time.perf_counter()
         for _ in range(rounds):
-            plain.search(query)
+            plain.search(query, strategy=Strategy.PUSHDOWN)
         t_plain = time.perf_counter() - started
 
         started = time.perf_counter()
         for _ in range(rounds):
-            mutable.search(query)
+            mutable.search(query, strategy=Strategy.PUSHDOWN)
         t_pinned = time.perf_counter() - started
         return t_plain, t_pinned, len(reference.hits)
 

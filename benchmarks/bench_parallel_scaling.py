@@ -24,6 +24,7 @@ from repro.bench.reporting import banner, format_table
 from repro.bench.runner import measure
 from repro.core.filters import SizeAtMost
 from repro.core.query import Query
+from repro.core.strategies import Strategy
 from repro.exec import ParallelExecutor
 from repro.workloads.inexlike import InexSpec, generate_collection
 
@@ -69,7 +70,7 @@ def test_parallel_scaling(benchmark, capsys, bench_metrics, smoke):
     def run():
         serial = measure(
             "serial",
-            lambda: collection.search(QUERY),
+            lambda: collection.search(QUERY, strategy=Strategy.PUSHDOWN),
             repetitions=repetitions, registry=bench_metrics)
         reference_hits = _hit_signature(serial.value)
         rows = [["serial", serial.seconds * 1000, 1.0,
@@ -79,10 +80,11 @@ def test_parallel_scaling(benchmark, capsys, bench_metrics, smoke):
             documents = {name: collection.document(name)
                          for name in collection.names()}
             with ParallelExecutor(documents, workers=workers) as pool:
-                pool.search(QUERY)  # warm worker indexes off the clock
+                # Warm the worker indexes off the clock.
+                pool.search(QUERY, strategy=Strategy.PUSHDOWN)
                 parallel = measure(
                     f"workers={workers}",
-                    lambda: pool.search(QUERY),
+                    lambda: pool.search(QUERY, strategy=Strategy.PUSHDOWN),
                     repetitions=repetitions, registry=bench_metrics)
             assert _hit_signature(parallel.value) == reference_hits
             speedup = serial.seconds / parallel.seconds

@@ -26,6 +26,7 @@ from repro.bench.reporting import banner, format_table
 from repro.bench.runner import measure
 from repro.core.filters import SizeAtMost
 from repro.core.query import Query
+from repro.core.strategies import Strategy
 from repro.exec import (FaultPlan, FaultRule, ParallelExecutor,
                         RetryPolicy)
 from repro.workloads.inexlike import InexSpec, generate_collection
@@ -72,14 +73,17 @@ def test_resilience_overhead_and_recovery(benchmark, capsys,
     documents = {name: collection.document(name)
                  for name in collection.names()}
     repetitions = 1 if smoke else 3
-    reference_hits = _hit_signature(collection.search(QUERY))
+    reference_hits = _hit_signature(
+        collection.search(QUERY, strategy=Strategy.PUSHDOWN))
 
     def timed_pool(label, faults=None, policy=FAST):
         with ParallelExecutor(documents, workers=4, resilience=policy,
                               faults=faults) as pool:
-            pool.search(QUERY)  # warm worker indexes off the clock
+            # Warm the worker indexes off the clock.
+            pool.search(QUERY, strategy=Strategy.PUSHDOWN)
             timing = measure(
-                label, lambda: pool.search(QUERY, faults=faults),
+                label, lambda: pool.search(QUERY, strategy=Strategy.PUSHDOWN,
+                                           faults=faults),
                 repetitions=repetitions, registry=bench_metrics)
             report_after = pool.last_report
         assert _hit_signature(timing.value) == reference_hits

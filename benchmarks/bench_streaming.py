@@ -26,7 +26,7 @@ from pathlib import Path
 from repro.bench.reporting import banner, format_table
 from repro.core.filters import SizeAtMost
 from repro.core.query import Query
-from repro.core.strategies import evaluate
+from repro.core.strategies import Strategy, evaluate
 from repro.core.streaming import (fragment_order_key, stream_evaluate,
                                   stream_top_k)
 from repro.workloads.inexlike import InexSpec, generate_collection
@@ -131,11 +131,12 @@ def test_collection_stream_first_hit(benchmark, capsys, smoke):
 
     def run():
         started = time.perf_counter()
-        full = collection.search(query)
+        full = collection.search(query, strategy=Strategy.PUSHDOWN)
         t_full = time.perf_counter() - started
 
         started = time.perf_counter()
-        hits = iter(collection.search(query, stream=True, limit=K))
+        hits = iter(collection.search(query, strategy=Strategy.PUSHDOWN,
+                                      stream=True, limit=K))
         first = next(hits, None)
         t_first = time.perf_counter() - started
         page = [first] + list(hits) if first is not None else []

@@ -81,9 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="filter expression, e.g. "
                              "'size<=4 & height<=2' or "
                              "'(width<=5 | leaves<=2) & keyword!=draft'")
-    parser.add_argument("--strategy", default=Strategy.PUSHDOWN.value,
+    parser.add_argument("--strategy", default=Strategy.ANCHORED.value,
                         choices=[s.value for s in Strategy],
-                        help="evaluation strategy (default: pushdown)")
+                        help="evaluation strategy (default: anchored, "
+                             "the join-free enumeration of keyword-"
+                             "anchored subtrees; the other four are the "
+                             "paper's Section-4 plans)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="evaluate documents on a process pool of N "
                              "workers (directory/batch searches; results "
@@ -909,8 +912,9 @@ def serve_main(argv: Optional[Sequence[str]] = None,
                         help="metrics port (default: 0 = any free port)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--strategy", default=Strategy.PUSHDOWN.value,
-                        choices=[s.value for s in Strategy])
+    parser.add_argument("--strategy", default=Strategy.ANCHORED.value,
+                        choices=[s.value for s in Strategy],
+                        help="evaluation strategy (default: anchored)")
     parser.add_argument("--workers", type=int, default=None, metavar="N")
     parser.add_argument("--max-size", type=int, default=None, metavar="N")
     parser.add_argument("--max-height", type=int, default=None,

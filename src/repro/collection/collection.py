@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Union
 from ..core.algebra import JoinCache
 from ..core.cost import CostModel
 from ..core.evaluator import FragmentStream, PlanAnalysis, Request
-from ..core.filters import Filter, SizeAtMost
+from ..core.filters import Filter, SizeAtLeast, SizeAtMost
 from ..core.fragment import Fragment
 from ..core.plan import PlanNode
 from ..core.query import Query, QueryResult
@@ -117,7 +117,6 @@ def document_runs(source, names: Iterable[str], query: Query,
                   obs: Observability,
                   budget: Optional[QueryBudget] = None,
                   fresh_budget: bool = False,
-                  extra_predicate: Optional[Filter] = None,
                   analysis: Optional[PlanAnalysis] = None,
                   request: Optional[Request] = None
                   ) -> Iterator[tuple[str, FragmentStream]]:
@@ -126,8 +125,8 @@ def document_runs(source, names: Iterable[str], query: Query,
     Each run (:class:`~repro.core.evaluator.FragmentStream`) is
     ``query`` over one document of ``source`` with that document's
     inverted index, for the consumer to drain (a search, EXPLAIN
-    ANALYZE, a pool worker's items) or pull (a streamed β round, which
-    passes its ``size <= β`` as ``extra_predicate``).  Documents that
+    ANALYZE, a pool worker's items) or pull (a streamed β round, whose
+    query carries its size window).  Documents that
     agree on the rarest-first term order share one plan; given an
     ``analysis``, every document runs *its* plan as it stands, timed,
     and folds into it.  ``fresh_budget`` runs each document under its
@@ -144,8 +143,7 @@ def document_runs(source, names: Iterable[str], query: Query,
             plan = plans.get(order)
             if plan is None:
                 plan = plans[order] = _physical_plan(
-                    Query(order, query.predicate), strategy, None,
-                    extra_predicate)
+                    Query(order, query.predicate), strategy, None)
         yield name, FragmentStream(
             index.document, query, plan, strategy.value, index=index,
             cache=cache, obs=obs, analysis=analysis,
@@ -452,7 +450,7 @@ class DocumentCollection:
                 else self._source.names())
 
     def screen(self, policy: AdmissionPolicy, query: Query,
-               strategy: Strategy = Strategy.PUSHDOWN,
+               strategy: Strategy = Strategy.ANCHORED,
                documents: Optional[Iterable[str]] = None
                ) -> AdmissionDecision:
         """Pre-admission cost screen of ``query`` over this collection.
@@ -502,7 +500,7 @@ class DocumentCollection:
                        streamed=streamed)
 
     def search(self, query: Query,
-               strategy: Strategy = Strategy.PUSHDOWN,
+               strategy: Strategy = Strategy.ANCHORED,
                documents: Optional[Iterable[str]] = None,
                obs: Optional[Observability] = None,
                workers: Optional[int] = None,
@@ -655,18 +653,21 @@ class DocumentCollection:
                      ) -> Iterator[tuple[list[CollectionHit], int, bool]]:
         """The adaptive β ladder: ``(new hits, β, more)`` a round.
 
-        Round *r* evaluates every ``live`` document under
-        ``size <= β_r`` (anti-monotonic, so pushed below the joins —
-        Theorem 3 guarantees the round holds *exactly* the answers of
-        size ≤ β_r) and yields the hits not seen before, in document
-        order; then β doubles, up to the largest live document.
-        ``more`` says whether a larger β is still to come.  A shared
-        budget spans all rounds (its deadline is absolute).
+        Round *r* evaluates every ``live`` document under the size
+        window ``β_{r-1} < size <= β_r`` and yields its hits in document
+        order; then β doubles, up to the largest live document.  The
+        upper bound is anti-monotonic, so it prunes inside the plan
+        (Theorem 3 guarantees the round holds *exactly* the answers of
+        size ≤ β_r); the lower bound keeps a round from re-yielding the
+        hits of the rounds before it, so each is counted once.  ``more``
+        says whether a larger β is still to come.  A shared budget spans
+        all rounds (its deadline is absolute).
 
-        A serial round pulls one streamed run per document; with
-        ``workers`` the round is one pooled search of the bounded
-        query.  Either way it is complete up to β, and a part of
-        ``request``.
+        The window is part of the round's query, serial or pooled, so
+        both run — and price — one plan: a serial round pulls one
+        streamed run per document; with ``workers`` the round is one
+        pooled search.  Either way it is complete up to β, and a part
+        of ``request``.
         """
         if not live:
             return
@@ -680,27 +681,27 @@ class DocumentCollection:
         try:
             while True:
                 rounds += 1
+                window: Filter = SizeAtMost(beta)
+                if prev_beta:
+                    window = window & SizeAtLeast(prev_beta + 1)
+                bounded = Query(query.terms, query.predicate & window)
                 if runner is None:
                     found = ((name, fragment)
                              for name, run in document_runs(
-                                 source, live, query, strategy,
+                                 source, live, bounded, strategy,
                                  cache=self._cache, obs=ob, budget=budget,
-                                 extra_predicate=SizeAtMost(beta),
                                  request=request)
                              for fragment in run)
                 else:
                     result = runner.search(
-                        Query(query.terms,
-                              query.predicate & SizeAtMost(beta)),
-                        strategy=strategy, documents=live, obs=ob,
+                        bounded, strategy=strategy, documents=live, obs=ob,
                         resilience=resilience, faults=faults, budget=budget,
                         request=request)
                     found = ((name, fragment)
                              for name, doc in result.per_document.items()
                              for fragment in doc.fragments)
                 hits = [CollectionHit(name, fragment)
-                        for name, fragment in found
-                        if fragment.size > prev_beta]
+                        for name, fragment in found]
                 yield hits, beta, beta < max_size
                 if beta >= max_size:
                     return
@@ -711,7 +712,7 @@ class DocumentCollection:
                 self._cache.export_metrics(ob.metrics)
 
     def explain_analyze(self, query: Query,
-                        strategy: Strategy = Strategy.PUSHDOWN,
+                        strategy: Strategy = Strategy.ANCHORED,
                         documents: Optional[Iterable[str]] = None,
                         obs: Optional[Observability] = None
                         ) -> tuple[CollectionResult, PlanAnalysis]:
@@ -772,7 +773,7 @@ class DocumentCollection:
                                         scored.fragment))
 
     def ranked_search(self, query: Query, limit: int = 10,
-                      strategy: Strategy = Strategy.PUSHDOWN,
+                      strategy: Strategy = Strategy.ANCHORED,
                       obs: Optional[Observability] = None,
                       workers: Optional[int] = None,
                       resilience=None, faults=None,

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .plan import (FixedPoint, KeywordScan, PairwiseJoin, PlanNode,
-                   PowersetJoin, Select)
+from .filters import TrueFilter, necessary_bound
+from .plan import (AnchoredSpans, FixedPoint, KeywordScan, PairwiseJoin,
+                   PlanNode, PowersetJoin, Select)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.inverted import InvertedIndex
@@ -169,4 +170,18 @@ class CostModel:
             out = min(subsets, sum(c.cardinality for c in children) ** 2)
             return CostEstimate(out,
                                 sum(c.cost for c in children) + subsets)
+        if isinstance(plan, AnchoredSpans):
+            # One pass over the keyword nodes: each takes part in at
+            # most the partials the size bound lets it grow into
+            # (2^(β-1), a node per step), and never in more than there
+            # are keyword nodes to combine it with.
+            n = float(sum(self.term_cardinality(term)
+                          for term in plan.terms))
+            bound = necessary_bound(plan.predicate)
+            depth = bound[0] - 1.0 if bound is not None else n
+            partials = n * min(n, 2.0 ** min(depth, 30.0))
+            out = min(partials, n * n)
+            if not isinstance(plan.predicate, TrueFilter):
+                out *= self.filter_selectivity
+            return CostEstimate(out, n + partials)
         raise TypeError(f"unknown plan node {type(plan).__name__}")

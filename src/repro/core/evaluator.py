@@ -21,18 +21,19 @@ import time
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Optional,
-                    Sequence)
+                    Sequence, Sized)
 
 from ..errors import BudgetExceeded, PlanError
 from ..obs import (GUARD_BUDGET_EXCEEDED, NOOP, NULL_SPAN, STREAM_ROWS,
                    Observability)
 from .algebra import (JoinCache, _iter_multiway_powerset_join,
                       _iter_pairwise_join)
+from .anchored import iter_anchored_spans
 from .cost import CostModel
 from .filters import _iter_select, _value_key, necessary_bound
 from .fragment import Fragment
-from .plan import (FixedPoint, KeywordScan, PairwiseJoin, PlanNode,
-                   PowersetJoin, Select)
+from .plan import (AnchoredSpans, FixedPoint, KeywordScan, PairwiseJoin,
+                   PlanNode, PowersetJoin, Select)
 from .query import Query, QueryResult, keyword_fragments
 from .reduce import _iter_fixed_point, _iter_fixed_point_bounded
 from .stats import COUNTERS, OperationStats
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..xmltree.document import Document
 
 __all__ = ["OperatorRunStats", "PlanAnalysis", "Operator", "ScanOp",
-           "SelectOp", "JoinOp", "FixpointOp", "PowersetOp",
+           "SelectOp", "JoinOp", "FixpointOp", "PowersetOp", "AnchoredOp",
            "build_pipeline", "Request", "FragmentStream", "PlanEvaluator",
            "run_plan"]
 
@@ -77,6 +78,8 @@ class OperatorRunStats:
     subset_checks: int = 0
     fragments_discarded: int = 0
     iterations: int = 0
+    partials: int = 0
+    partials_pruned: int = 0
     self_seconds: float = 0.0
     total_seconds: float = 0.0
 
@@ -188,6 +191,10 @@ class PlanAnalysis:
                 parts.append(f"iters={op.iterations}")
             if op.join_cache_hits:
                 parts.append(f"replayed={op.join_cache_hits}")
+            if op.partials:
+                parts.append(f"partials={op.partials}")
+            if op.partials_pruned:
+                parts.append(f"partials_pruned={op.partials_pruned}")
             if cost_model is not None:
                 estimate = cost_model.estimate(self.nodes[slot])
                 parts.append(f"est.rows={estimate.cardinality:.0f}")
@@ -425,8 +432,26 @@ class PowersetOp(Operator):
             max_operand_size=self.max_operand_size, budget=self.budget)
 
 
+class AnchoredOp(Operator):
+    """The whole ``σ_P(F1 ⋈* … ⋈* Fm)`` with no join: the keyword-anchored
+    subtrees (:func:`~repro.core.anchored.iter_anchored_spans`).  A leaf:
+    its term lists are resolved when the pipeline is built, like a
+    scan's, so an empty one is the conjunctive early exit."""
+
+    label = "anchored"
+    #: Each term's keyword node ids, in the plan's term order.
+    keyword_nodes: Sequence[Sequence[int]] = ()
+    document: Optional["Document"] = None
+
+    def _produce(self) -> Iterator[Fragment]:
+        return iter_anchored_spans(self.document, self.keyword_nodes,
+                                   self.node.predicate, stats=self.run,
+                                   budget=self.budget)
+
+
 _OPERATORS = {KeywordScan: ScanOp, Select: SelectOp, PairwiseJoin: JoinOp,
-              FixedPoint: FixpointOp, PowersetJoin: PowersetOp}
+              FixedPoint: FixpointOp, PowersetJoin: PowersetOp,
+              AnchoredSpans: AnchoredOp}
 
 
 def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
@@ -468,7 +493,15 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
         operators.append(operator)
         return operator
 
+    def keyword_nodes(term: str) -> Sequence[int]:
+        if keyword_source is not None:
+            return [fragment.root for fragment in keyword_source(term)]
+        if index is not None:
+            return index.postings(term)
+        return document.nodes_with_keyword(term)
+
     scans: dict[int, Operator] = {}
+    inputs: list[Sized] = []  # every leaf's input set
     for slot, node in enumerate(nodes):
         runs[slot].calls += 1
         if isinstance(node, KeywordScan):
@@ -482,13 +515,24 @@ def build_pipeline(document: "Document", analysis: PlanAnalysis, *,
             if clock is not None:
                 clock.leave()
             scan.run.rows += len(scan.fragments)
+            inputs.append(scan.fragments)
+        elif isinstance(node, AnchoredSpans):
+            anchored = scans[slot] = make(slot, ())
+            if clock is not None:
+                clock.enter(anchored.run)
+            anchored.document = document
+            anchored.keyword_nodes = [keyword_nodes(term)
+                                      for term in node.terms]
+            if clock is not None:
+                clock.leave()
+            inputs.extend(anchored.keyword_nodes)
     if budget is not None:
         # Catch pathological dense-keyword queries before any join
         # work: the candidate ceiling applies to every input set.
-        for scan in scans.values():
-            budget.admit_candidates(len(scan.fragments))
+        for fragments in inputs:
+            budget.admit_candidates(len(fragments))
         budget.check_deadline()
-    if not all(scan.fragments for scan in scans.values()):
+    if not all(inputs):
         return (), operators
 
     def compile(slot: int, above=None) -> Optional[Operator]:

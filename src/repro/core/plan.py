@@ -13,6 +13,10 @@ A plan is an immutable tree of operator nodes:
     mode uses semi-naive iteration with fixed-point checking.
 ``PowersetJoin(children)``
     ``F1 ⋈* … ⋈* Fm`` by enumeration (the pre-optimisation form).
+``AnchoredSpans(terms, predicate)``
+    The whole ``σ_P(F1 ⋈* … ⋈* Fm)`` as one leaf, answered without a
+    join by enumerating the keyword-anchored subtrees (docs/theory.md,
+    the anchored-span lemma).
 
 Plans are built by :func:`initial_plan`, rewritten by
 :mod:`repro.core.optimizer`, executed by
@@ -36,6 +40,7 @@ __all__ = [
     "PairwiseJoin",
     "FixedPoint",
     "PowersetJoin",
+    "AnchoredSpans",
     "initial_plan",
     "explain",
 ]
@@ -142,6 +147,26 @@ class PowersetJoin(PlanNode):
 
     def label(self) -> str:
         return "⋈*"
+
+
+@dataclass(frozen=True)
+class AnchoredSpans(PlanNode):
+    """``σ_P(F1 ⋈* … ⋈* Fm)`` in one operator, with no join.
+
+    An answer is ``span(S)`` for a set ``S`` of keyword nodes meeting
+    every term, so the answers are enumerated bottom-up over the keyword
+    nodes and their ancestors; ``predicate`` is the whole selection.
+    """
+
+    terms: tuple[str, ...]
+    predicate: Filter
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise PlanError("an anchored-span scan needs at least one term")
+
+    def label(self) -> str:
+        return f"anchored[{' '.join(self.terms)}; {self.predicate!r}]"
 
 
 def initial_plan(query: Query) -> PlanNode:

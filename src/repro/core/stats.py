@@ -17,7 +17,7 @@ __all__ = ["OperationStats", "COUNTERS"]
 #: The counter fields, in reporting order.
 COUNTERS = ("fragment_joins", "join_cache_hits", "joins_pruned",
             "predicate_checks", "subset_checks", "fragments_discarded",
-            "iterations")
+            "iterations", "partials", "partials_pruned")
 
 
 @dataclass
@@ -47,6 +47,13 @@ class OperationStats:
         and not counted here.
     iterations:
         Pairwise-join rounds executed by fixed-point computations.
+    partials:
+        Partial fragments built by the join-free anchored-span pass
+        (:mod:`repro.core.anchored`): one per node visited, plus one per
+        combination within the bound.
+    partials_pruned:
+        Combinations that pass never built: their measures already put
+        them past the predicate's ``necessary_bound``.
     """
 
     fragment_joins: int = 0
@@ -56,6 +63,8 @@ class OperationStats:
     subset_checks: int = 0
     fragments_discarded: int = 0
     iterations: int = 0
+    partials: int = 0
+    partials_pruned: int = 0
     extras: dict = field(default_factory=dict)
 
     def reset(self) -> None:

@@ -30,6 +30,15 @@ differ — dramatically — in how much work they do:
     the Theorem-1 bound — the paper's §3.1.1 'naive solution' upgraded
     with frontier-only joining.  Useful for measuring what the
     Theorem-1 bound buys (ablation S2/S6).
+
+``ANCHORED`` (not in the paper)
+    No join at all: one :class:`~repro.core.plan.AnchoredSpans` leaf
+    enumerates the keyword-anchored subtrees bottom-up
+    (:mod:`repro.core.anchored`, docs/theory.md), pruned by the
+    predicate's necessary bound.  The same answers as the four §4
+    strategies; the default of the collection, pool, server and CLI.
+    The §4 strategies stay selectable, so the paper's algebra is still
+    what ``bench_fig*`` and the differential matrix measure.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .evaluator import FragmentStream, PlanAnalysis, run_plan
 from .fragment import Fragment
 from .filters import Filter
 from .optimizer import OptimizerSettings, optimize, select_pushed
-from .plan import PlanNode, initial_plan
+from .plan import AnchoredSpans, PlanNode, initial_plan
 from .query import Query, QueryResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,6 +74,7 @@ class Strategy(enum.Enum):
     SET_REDUCTION = "set-reduction"
     PUSHDOWN = "pushdown"
     SEMI_NAIVE = "semi-naive"
+    ANCHORED = "anchored"
 
     @classmethod
     def parse(cls, name: str) -> "Strategy":
@@ -149,9 +159,14 @@ def plan_for(query: Query,
     * ``SET_REDUCTION`` — bounded fixed points, no push-down;
     * ``SEMI_NAIVE`` — semi-naive fixed points, no push-down;
     * ``PUSHDOWN`` — semi-naive fixed points with Theorem-3 push-down.
+
+    ``ANCHORED`` is no rewrite of the algebra but one join-free leaf,
+    ``AnchoredSpans(terms, predicate)``.
     """
     if strategy is Strategy.BRUTE_FORCE:
         return initial_plan(query)
+    if strategy is Strategy.ANCHORED:
+        return AnchoredSpans(query.terms, query.predicate)
     return optimize(query, OptimizerSettings(
         push_down=strategy is Strategy.PUSHDOWN,
         bounded_fixed_points=strategy is Strategy.SET_REDUCTION))
@@ -165,11 +180,15 @@ def _physical_plan(query: Query, strategy: Strategy,
     Join chains are left-deep in term order, and rarest-first keeps
     the intermediate fragment sets small.  ``extra_predicate`` is one
     more selection over the strategy's plan, its anti-monotonic part
-    pushed below the joins whatever the strategy.
+    pushed below the joins whatever the strategy; an ``ANCHORED`` leaf
+    takes it into its own predicate.
     """
     if index is not None:
         query = Query(tuple(index.rarest_first(query.terms)),
                       query.predicate)
+    if strategy is Strategy.ANCHORED and extra_predicate is not None:
+        query, extra_predicate = Query(
+            query.terms, query.predicate & extra_predicate), None
     plan = plan_for(query, strategy)
     if extra_predicate is not None:
         plan = select_pushed(extra_predicate, plan, reselect=False)

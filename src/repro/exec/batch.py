@@ -66,7 +66,7 @@ class BatchRunner:
 
     def __init__(self, collection: DocumentCollection,
                  workers: Optional[int] = None,
-                 strategy: Strategy = Strategy.PUSHDOWN,
+                 strategy: Strategy = Strategy.ANCHORED,
                  obs: Optional[Observability] = None,
                  resilience: Optional[RetryPolicy] = None,
                  faults: Optional[FaultPlan] = None) -> None:

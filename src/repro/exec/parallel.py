@@ -628,7 +628,7 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
 
     def search(self, query: Query,
-               strategy: Strategy = Strategy.PUSHDOWN,
+               strategy: Strategy = Strategy.ANCHORED,
                documents: Optional[Iterable[str]] = None,
                obs: Optional[Observability] = None,
                resilience: Optional[RetryPolicy] = None,
@@ -644,7 +644,7 @@ class ParallelExecutor:
                         requests=None if request is None else [request])[0]
 
     def run(self, queries: Sequence[Query],
-            strategy: Strategy = Strategy.PUSHDOWN,
+            strategy: Strategy = Strategy.ANCHORED,
             documents: Optional[Iterable[str]] = None,
             obs: Optional[Observability] = None,
             resilience: Optional[RetryPolicy] = None,
@@ -849,7 +849,7 @@ class ParallelExecutor:
         ``stdin.readline`` inherits that buffer's lock held, and hangs
         closing its own stdin.
         """
-        self._pool.submit(_run_chunk, [], [], Strategy.PUSHDOWN.value,
+        self._pool.submit(_run_chunk, [], [], Strategy.ANCHORED.value,
                           None).result()
 
     def shutdown(self) -> None:

@@ -6,8 +6,8 @@ configurable cost ceiling using the Section-5
 strategy would execute (:func:`repro.core.strategies.plan_for`) is
 costed per document and summed over the collection.  A query over the
 ceiling is either *downgraded* to a cheaper strategy (by default the
-§4.3 push-down strategy, whose plan prunes earliest) when that fits, or
-*rejected* with a structured
+join-free anchored strategy, whose single pass the screen prices
+lowest) when that fits, or *rejected* with a structured
 :class:`~repro.errors.AdmissionRejected` — the database-style admission
 control the ROADMAP's serving goal needs.
 """
@@ -50,7 +50,7 @@ class AdmissionPolicy:
     """
 
     max_cost: float
-    downgrade_to: Optional[Strategy] = Strategy.PUSHDOWN
+    downgrade_to: Optional[Strategy] = Strategy.ANCHORED
 
     def __post_init__(self) -> None:
         if self.max_cost <= 0:

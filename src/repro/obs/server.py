@@ -205,7 +205,7 @@ class QueryGuardrails:
     admission: Optional[AdmissionPolicy] = None
     breaker_failures: int = 5
     breaker_reset_s: float = 30.0
-    strategy: Strategy = Strategy.PUSHDOWN
+    strategy: Strategy = Strategy.ANCHORED
     workers: Optional[int] = None
     resilience: object = None
     faults: object = None

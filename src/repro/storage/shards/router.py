@@ -249,7 +249,7 @@ class ShardRouter:
         """
         from ...core.strategies import Strategy
         if strategy is None:
-            strategy = Strategy.PUSHDOWN
+            strategy = Strategy.ANCHORED
         ob = obs if obs is not None else self._obs
         report = RouterReport()
         targets, healthy = self._route(documents, report)

@@ -231,7 +231,7 @@ class TestTokens:
     QUERY = Query.of("needle", predicate=SizeAtMost(5))
 
     def _replays(self, mutable) -> dict:
-        result = mutable.search(self.QUERY)
+        result = mutable.search(self.QUERY, strategy=Strategy.PUSHDOWN)
         return {name: run.stats["join_cache_hits"]
                 for name, run in result.per_document.items()}
 
@@ -299,10 +299,12 @@ class TestSharedUnderEviction:
                     query = self.QUERIES[(i + offset) % len(self.QUERIES)]
                     if i % 2:
                         got = _hits(collection.search(
-                            query, stream=True, limit=self.LIMIT))
+                            query, strategy=Strategy.PUSHDOWN, stream=True,
+                            limit=self.LIMIT))
                         want = expected[query][:self.LIMIT]
                     else:
-                        got = _hits(collection.search(query).hits)
+                        got = _hits(collection.search(
+                            query, strategy=Strategy.PUSHDOWN).hits)
                         want = expected[query]
                     if got != want:
                         failures.append((offset, i, query.describe()))
@@ -359,10 +361,12 @@ class TestSharedUnderCommits:
                     query = self.QUERIES[(i + offset) % len(self.QUERIES)]
                     if i % 2:
                         got = _hits(mutable.search(
-                            query, stream=True, limit=self.LIMIT))
+                            query, strategy=Strategy.PUSHDOWN, stream=True,
+                            limit=self.LIMIT))
                         want = expected[query][:self.LIMIT]
                     else:
-                        got = _hits(mutable.search(query).hits)
+                        got = _hits(mutable.search(
+                            query, strategy=Strategy.PUSHDOWN).hits)
                         want = expected[query]
                     sizes.append(len(memo))
                     if got != want:

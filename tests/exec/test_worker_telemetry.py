@@ -53,11 +53,12 @@ class TestCounterDeterminism:
     def test_parent_counters_equal_serial(self, workers):
         serial_obs = Observability()
         with _fresh_collection() as collection:
-            serial = collection.search(QUERY, obs=serial_obs)
+            serial = collection.search(QUERY, strategy=Strategy.PUSHDOWN,
+                                       obs=serial_obs)
         parallel_obs = Observability()
         with _fresh_collection() as collection:
-            parallel = collection.search(QUERY, obs=parallel_obs,
-                                         workers=workers)
+            parallel = collection.search(QUERY, strategy=Strategy.PUSHDOWN,
+                                         obs=parallel_obs, workers=workers)
         # Fragments are compared by node signature: the two runs use
         # separately generated (but identical) Document objects.
         def signature(result):

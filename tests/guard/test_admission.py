@@ -70,7 +70,7 @@ class TestPolicy:
                           documents)
         assert decision.decision == DOWNGRADE
         assert decision.downgraded
-        assert decision.strategy is Strategy.PUSHDOWN
+        assert decision.strategy is Strategy.ANCHORED
         assert decision.estimated_cost <= ceiling
         decision.raise_if_rejected()
 

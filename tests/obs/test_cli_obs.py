@@ -76,7 +76,7 @@ class TestSlowQueriesAndLog:
         record = json.loads(
             captured.err.split("slow-query:", 1)[1].splitlines()[0])
         assert record["type"] == "profile" and record["wall_ms"] >= 0
-        assert record["strategy"] == "pushdown"
+        assert record["strategy"] == "anchored"
 
     def test_high_threshold_stays_quiet(self, book_file, capsys):
         code = main([book_file, "fragment", "--max-size", "2",
@@ -175,7 +175,7 @@ class TestServeProfileQueries:
         assert any(record.get("type") == "trace" for record in lines)
         assert "flight recorder: wrote" in err
         assert "p50=" in err and "p99=" in err
-        assert "calibration[pushdown]" in err
+        assert "calibration[anchored]" in err
 
     def test_profile_queries_without_dump_still_summarises(
             self, book_file, capsys):
@@ -220,7 +220,7 @@ class TestFlightRecorderSubcommand:
         assert "2 profile(s)" in out
         assert "outcomes: ok=2" in out
         assert "latency: p50=" in out
-        assert "calibration[pushdown]" in out
+        assert "calibration[anchored]" in out
         assert "--trace <id>" in out
 
     def test_json_summary_roundtrips(self, dump, capsys):
@@ -230,7 +230,7 @@ class TestFlightRecorderSubcommand:
         assert summary["profiles"] == 2
         assert summary["outcomes"] == {"ok": 2}
         assert summary["latency"]["samples"] == 2
-        assert "pushdown" in summary["calibration"]
+        assert "anchored" in summary["calibration"]
         assert len(summary["trace_ids"]) == 2
 
     def test_trace_export_to_file(self, dump, capsys, tmp_path):

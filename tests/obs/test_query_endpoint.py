@@ -353,7 +353,7 @@ class TestPaginationAndStreaming:
         _, _, body = _request(paged_server.url + "/debug/flightrecorder")
         snapshot = json.loads(body)
         streamed = [p for p in snapshot["profiles"]
-                    if p["strategy"] == "stream-pushdown"]
+                    if p["strategy"] == "stream-anchored"]
         assert streamed and snapshot["counts"]["recorded"] >= len(streamed)
         # One request over the collection, not one profile per document.
         assert [(p["document"], p["documents"]) for p in streamed] \

@@ -405,5 +405,5 @@ class TestOneProfilePerQuery:
         assert len(profiles) == calls
         assert obs.metrics.get("repro_queries_total").value == calls
         assert [p.strategy for p in profiles] \
-            == ["pushdown", "stream-pushdown"] * (calls // 2)
+            == ["anchored", "stream-anchored"] * (calls // 2)
         assert {p.documents for p in profiles} == {2}

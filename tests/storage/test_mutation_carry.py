@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.collection import DocumentCollection
 from repro.collection.mutable import MutableDocumentCollection
 from repro.core.query import Query
+from repro.core.strategies import Strategy
 from repro.errors import WALError
 from repro.exec import parallel
 from repro.obs import NOOP
@@ -205,9 +206,9 @@ def test_one_replace_materialises_one_document(corpus, delta_collection):
     def delta():
         return collection.mutable.stats()["delta"]
 
-    collection.search(query)
+    collection.search(query, strategy=Strategy.PUSHDOWN)
     assert (delta()["materialized"], delta()["carried"]) == (len(names), 0)
-    collection.search(query)
+    collection.search(query, strategy=Strategy.PUSHDOWN)
     warm_misses = cache.misses
 
     collection.add(corpus[sorted(corpus)[6]], names[2])      # replace
@@ -216,10 +217,11 @@ def test_one_replace_materialises_one_document(corpus, delta_collection):
     # The other N-1 kept their tokens: every join is still memoised.
     hits = cache.hits
     unchanged = [name for name in names if name != names[2]]
-    assert len(collection.search(query, documents=unchanged)) > 0
+    assert len(collection.search(query, strategy=Strategy.PUSHDOWN,
+                                 documents=unchanged)) > 0
     assert cache.misses == warm_misses and cache.hits > hits
     assert delta()["materialized"] == 0
-    collection.search(query)
+    collection.search(query, strategy=Strategy.PUSHDOWN)
     assert (delta()["materialized"], delta()["carried"]) == (
         1, len(names) - 1)
     assert cache.misses > warm_misses                # the new tree's

@@ -24,7 +24,7 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["f.xml", "a", "b"])
-        assert args.strategy == "pushdown"
+        assert args.strategy == "anchored"
         assert args.limit == 10
         assert not args.xml
 
@@ -72,7 +72,7 @@ class TestMain:
                      "--explain"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "σ" in out and "scan" in out
+        assert "anchored[a b; " in out
 
     def test_missing_file_error(self, capsys):
         code = main(["/nonexistent.xml", "a"])

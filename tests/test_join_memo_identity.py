@@ -102,10 +102,11 @@ class TestGrowth:
     def _search(self, collection, i: int) -> None:
         query = self.QUERIES[(i // 2) % len(self.QUERIES)]
         if i % 2:
-            for _ in collection.search(query, stream=True, limit=10):
+            for _ in collection.search(query, strategy=Strategy.PUSHDOWN,
+                                       stream=True, limit=10):
                 pass
         else:
-            collection.search(query)
+            collection.search(query, strategy=Strategy.PUSHDOWN)
 
     def test_memory_follows_budgets_not_request_count(self, index_dir):
         before = _live_documents()
@@ -216,18 +217,18 @@ class TestMemoCounters:
         five planted nodes.  A search asks each document for one
         closure per term: 2 x 6 two-term searches + 2 one-term ones =
         14 per strategy, 42 over the three strategies, 840 over the 20
-        documents.  They name 11 distinct (base, mode, predicate) keys
+        documents.  They name 10 distinct (base, mode, predicate) keys
         per document:
 
         * push-down: the four query predicates, and the four again
           conjoined with the first β round's ``size<=4``;
-        * semi-naive: the unpruned closure (its streams push only
-          ``size<=4``, push-down's first plain key);
-        * set reduction: the bounded closure, unpruned and under
-          ``size<=4``.
+        * semi-naive: the unpruned closure (a β round's size window is
+          part of its query, and a strategy without push-down selects
+          it on top, like the caller's filter);
+        * set reduction: the bounded closure, unpruned.
 
-        Each key misses once per document — 11 x 20 = 220 misses — and
-        the other 620 lookups replay it."""
+        Each key misses once per document — 10 x 20 = 200 misses — and
+        the other 640 lookups replay it."""
         collection = DocumentCollection.open_index(index_dir)
         try:
             for strategy in (Strategy.PUSHDOWN, Strategy.SEMI_NAIVE,
@@ -237,7 +238,7 @@ class TestMemoCounters:
                     list(collection.search(query, strategy=strategy,
                                            stream=True, limit=10))
             cache = collection._cache
-            assert (cache.hits, cache.misses) == (620, 220)
-            assert len(cache) == 220
+            assert (cache.hits, cache.misses) == (640, 200)
+            assert len(cache) == 200
         finally:
             collection.close()

@@ -60,7 +60,7 @@ class TestOneSearchOneRecord:
         obs = _handle()
         result = corpus.search(EVERY, obs=obs, workers=workers)
         assert len(result.per_document) == 6
-        profile = _one_profile(obs, 6, "pushdown")
+        profile = _one_profile(obs, 6, "anchored")
         assert profile.document == corpus.name
         assert profile.answers == len(result)
         assert profile.predicted_cost and profile.plan
@@ -73,7 +73,7 @@ class TestOneSearchOneRecord:
         assert len(hits) == 40
         rounds = obs.metrics.get("repro_stream_rounds_total")
         assert rounds is not None and rounds.value > 1
-        _one_profile(obs, 2, "stream-pushdown")
+        _one_profile(obs, 2, "stream-anchored")
 
     @pytest.mark.parametrize("stream", (False, True))
     @pytest.mark.parametrize("workers", (None, 2))
@@ -82,13 +82,13 @@ class TestOneSearchOneRecord:
         ranked = corpus.ranked_search(EVERY, limit=3, obs=obs,
                                       stream=stream, workers=workers)
         assert len(ranked) == 3
-        _one_profile(obs, 6, ("stream-" if stream else "") + "pushdown")
+        _one_profile(obs, 6, ("stream-" if stream else "") + "anchored")
 
     def test_explain_analyze(self, corpus):
         obs = _handle()
         result, analysis = corpus.explain_analyze(EVERY, obs=obs)
         assert analysis.operators[0].calls == 6
-        profile = _one_profile(obs, 6, "pushdown")
+        profile = _one_profile(obs, 6, "anchored")
         assert profile.answers == len(result)
 
     def test_a_traced_request_is_one_tree(self, corpus):
@@ -100,6 +100,41 @@ class TestOneSearchOneRecord:
                     if span.name == "execute"]
         assert sorted(span.attributes["document"] for span in executes) \
             == sorted(corpus.names())
+
+
+class TestStreamedRounds:
+    """A β round's size window is part of its query, serial or pooled:
+    no round re-yields (and re-counts) the hits of the rounds before it,
+    and a serial and a pooled round price the same plan."""
+
+    #: ``NEEDLE``'s answers over the corpus: the most a request records.
+    ANSWERS = 45
+
+    def test_the_corpus_has_the_answers_the_bounds_assume(self, corpus):
+        assert len(corpus.search(NEEDLE)) == self.ANSWERS
+
+    @pytest.mark.parametrize("workers", (None, 2))
+    def test_each_fragment_is_counted_once(self, corpus, workers):
+        obs = _handle()
+        hits = list(corpus.search(NEEDLE, obs=obs, stream=True, limit=40,
+                                  workers=workers))
+        assert len(hits) == 40
+        (profile,) = obs.recorder.profiles
+        assert 40 <= profile.answers <= self.ANSWERS
+
+    @pytest.mark.parametrize("strategy",
+                             (Strategy.PUSHDOWN, Strategy.ANCHORED))
+    def test_serial_and_pooled_rounds_price_one_plan(self, corpus,
+                                                     strategy):
+        costs = []
+        for workers in (None, 2):
+            obs = _handle()
+            list(corpus.search(NEEDLE, strategy=strategy, obs=obs,
+                               stream=True, limit=40, workers=workers))
+            (profile,) = obs.recorder.profiles
+            costs.append(profile.predicted_cost)
+        assert costs[0] is not None
+        assert costs[0] == pytest.approx(costs[1])
 
 
 class TestBatch:
